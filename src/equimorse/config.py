@@ -19,16 +19,10 @@ TOLERANCES = {
     "symplectic_sample": 1e-8,    # path samples: ||M^T J0 M - J0||_inf
     "symplectic_flow": 1e-7,      # integrated flow Jacobians, same residual
     "eig_threshold": 1e-8,        # relative eigen/singular value threshold
-    "flow_local": 1e-10,          # ODE local tolerance
     "gen1_det": 1e-8,             # graph-condition determinant threshold
-    "gen2_roundtrip": 1e-8,       # generating-function round trip residual
     "gen2_newton": 1e-12,         # Newton solve of the graph equations
-    "flow_compose": 1e-8,         # flow composition residual
-    "quadrature": 1e-10,          # adaptive quadrature for S
     "hessian_sym": 1e-8,          # symmetry residual of assembled Hessians
-    "grad_fd": 1e-6,              # finite-difference gradient agreement
     "fd_step": 1e-5,              # finite-difference step
-    "shift_invariance": 1e-9,     # cyclic shift invariance of the action
     "newton_grad": 1e-10,         # Newton convergence on gradients
     "dedup": 1e-6,                # periodic-point dedup distance
     "offdiag": 1e-8,              # off-diagonal residual of split Hessians

@@ -3,6 +3,12 @@
 The functional on R^{2nkN} is A(z) = sum_i x_i (y_{i+1} - y_i) + S_i(x_i, y_{i+1})
 with indices mod kN and the step generating functions S_i repeating with
 period N.  The last N slots moving to the front generates the Z_k symmetry.
+
+Each S_i comes from the action identity of hamflow.GeneratingFunction,
+S_i(x, Y) = x . (y - Y) + int (x . ydot + H_t) dt along the solved substep
+trajectory from (x, y) to (X, Y), under the sign convention
+i_{X_H} omega0 = dH.  One graph solve per slot therefore gives the value,
+the gradient and the Hessian of A together (`evaluate`).
 """
 from __future__ import annotations
 
@@ -28,7 +34,6 @@ from .hamflow import (
     GeneratingFunction,
     HamiltonianGerm,
     adapted_N,
-    eval_S,
     hessian_S_at_zero,
     integrate_flow,
     steps_graph_positive,
@@ -111,29 +116,37 @@ def shift_matrix(da: DiscreteAction) -> np.ndarray:
     return P
 
 
-def eval(da: DiscreteAction, z) -> float:
+def evaluate(da: DiscreteAction, z, value: bool = True):
+    """(A(z), grad A(z), D^2 A(z)) from one solve_slot per slot.
+
+    A(z) is None when value is unset; the flows then skip the action
+    integral.
+    """
     z = np.asarray(z, dtype=float).reshape(da.dim)
-    total = 0.0
+    n = da.n
+    total = 0.0 if value else None
+    g = np.zeros(da.dim)
+    blocks = []
     for i in range(da.slots):
         xi, yi, yi1 = da.x(z, i), da.y(z, i), da.y(z, i + 1)
-        S, _, _ = eval_S(da.step_gf(i), xi, yi1)
-        total += float(xi @ (yi1 - yi)) + S
-    return total
+        S, gS, HS = da.step_gf(i).solve_slot(xi, yi1, value=value)
+        if value:
+            total += float(xi @ (yi1 - yi)) + S
+        bx = 2 * n * i
+        by1 = 2 * n * ((i + 1) % da.slots) + n
+        g[bx:bx + n] += (yi1 - yi) + gS[:n]
+        g[bx + n:bx + 2 * n] += -xi
+        g[by1:by1 + n] += xi + gS[n:]
+        blocks.append(HS)
+    return total, g, _assemble_hessian(da, blocks)
+
+
+def eval(da: DiscreteAction, z) -> float:
+    return evaluate(da, z)[0]
 
 
 def gradient(da: DiscreteAction, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float).reshape(da.dim)
-    n = da.n
-    g = np.zeros(da.dim)
-    for i in range(da.slots):
-        xi, yi, yi1 = da.x(z, i), da.y(z, i), da.y(z, i + 1)
-        g1, g2 = da.step_gf(i).gradient(xi, yi1)
-        bx = 2 * n * i
-        by1 = 2 * n * ((i + 1) % da.slots) + n
-        g[bx:bx + n] += (yi1 - yi) + g1
-        g[bx + n:bx + 2 * n] += -xi
-        g[by1:by1 + n] += xi + g2
-    return g
+    return evaluate(da, z, value=False)[1]
 
 
 def _assemble_hessian(da: DiscreteAction, blocks) -> np.ndarray:
@@ -160,10 +173,7 @@ def hessian_at_zero(da: DiscreteAction) -> np.ndarray:
 
 
 def hessian_at(da: DiscreteAction, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float).reshape(da.dim)
-    blocks = [da.step_gf(i).hessian_at(da.x(z, i), da.y(z, i + 1))
-              for i in range(da.slots)]
-    return _assemble_hessian(da, blocks)
+    return evaluate(da, z, value=False)[2]
 
 
 def _signature_counts(eigs: np.ndarray, strict: bool = True):
@@ -315,8 +325,10 @@ def _orbit_of(da: DiscreteAction, z: np.ndarray) -> np.ndarray:
 def find_periodic_points(da: DiscreteAction, seeds):
     """Newton on the gradient from each seed; deduplicated by shift orbit.
 
-    Non-convergence is reported per seed, not raised.  Converged points
-    carry the orbit samples and local Morse data.
+    Each Newton step takes g and H from one `evaluate` pass, one graph
+    solve per slot, and the Morse data of a converged point reuse the H
+    of its last step.  Non-convergence is reported per seed, not raised.
+    Converged points carry the orbit samples and local Morse data.
     """
     results: list[CriticalPoint] = []
     tau = shift_matrix(da)
@@ -325,7 +337,7 @@ def find_periodic_points(da: DiscreteAction, seeds):
         status = None
         for _ in range(50):
             try:
-                g = gradient(da, z)
+                _, g, H = evaluate(da, z, value=False)
             except (DomainError, TrustRegionError) as exc:
                 status = CriticalPoint(z, math.inf, False, [si], str(exc))
                 break
@@ -333,7 +345,6 @@ def find_periodic_points(da: DiscreteAction, seeds):
             if res < tol("newton_grad"):
                 status = CriticalPoint(z, res, True, [si])
                 break
-            H = hessian_at(da, z)
             if np.linalg.cond(H) < 1e12:
                 step = np.linalg.solve(H, g)
             else:
@@ -358,9 +369,8 @@ def find_periodic_points(da: DiscreteAction, seeds):
                     break
             if merged:
                 continue
-            Hc = hessian_at(da, status.z)
             try:
-                neg, zero, _ = _signature_counts(np.linalg.eigvalsh(Hc))
+                neg, zero, _ = _signature_counts(np.linalg.eigvalsh(H))
                 status.morse_index, status.nullity = neg, zero
             except AmbiguityError as exc:
                 status.message = str(exc)

@@ -17,7 +17,6 @@ from .config import DEFAULT_TRUST_RADIUS, standard_symplectic, symplectic_residu
 from .errors import (
     ConfigurationError,
     DomainError,
-    ResolutionError,
     StiffnessError,
     TrustRegionError,
     ValidationError,
@@ -156,21 +155,31 @@ class HamiltonianGerm:
         return cls(n, tuple(terms))
 
 
-def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray):
-    d = 2 * germ.n
+def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray, action: bool):
+    n = germ.n
+    d = 2 * n
 
     def rhs(t, y):
         z = y[:d]
-        Phi = y[d:].reshape(d, d)
+        Phi = y[d:d + d * d].reshape(d, d)
         dz = -J @ germ.grad(z, t)
         dPhi = -J @ germ.hess(z, t) @ Phi
-        return np.concatenate([dz, dPhi.ravel()])
+        if not action:
+            return np.concatenate([dz, dPhi.ravel()])
+        # integrand of the action integral: x . ydot + H_t
+        ds = z[:n] @ dz[n:] + germ.value(z, t)
+        return np.concatenate([dz, dPhi.ravel(), [ds]])
 
     return rhs
 
 
-def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None):
+def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
+                   action: bool = False):
     """Flow z from time t0 to t1; returns (phi(z), dphi(z)).
+
+    With action set, the action integral s = int_{t0}^{t1} (x . ydot + H_t) dt
+    along the trajectory rides along as one more ODE state, and the return
+    value is (phi(z), dphi(z), s).
 
     Raises DomainError if z starts or travels outside the trust radius and
     StiffnessError if the integrator underflows its step size.
@@ -181,26 +190,26 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None):
     if np.linalg.norm(z) > radius * (1 + 1e-12):
         raise DomainError(f"start point has |z| = {np.linalg.norm(z):.3g} > trust radius {radius}")
     if t0 == t1 or not germ.terms:
-        return z.copy(), np.eye(d)
+        return (z.copy(), np.eye(d), 0.0) if action else (z.copy(), np.eye(d))
 
     def exit_event(t, y):
         return float(np.linalg.norm(y[:d]) - radius)
 
     exit_event.terminal = True
     exit_event.direction = 1.0
-    y0 = np.concatenate([z, np.eye(d).ravel()])
-    sol = solve_ivp(_flow_rhs(germ, standard_symplectic(germ.n)), (t0, t1), y0,
+    y0 = np.concatenate([z, np.eye(d).ravel(), [0.0] if action else []])
+    sol = solve_ivp(_flow_rhs(germ, standard_symplectic(germ.n), action), (t0, t1), y0,
                     method="DOP853", rtol=1e-12, atol=1e-13, events=exit_event)
     if sol.status == 1:
         raise DomainError("flow left the trust region before the final time")
     if not sol.success:
         raise StiffnessError(f"flow integration failed: {sol.message}")
     yf = sol.y[:, -1]
-    phi, dphi = yf[:d], yf[d:].reshape(d, d)
+    phi, dphi = yf[:d], yf[d:d + d * d].reshape(d, d)
     res = symplectic_residual(dphi)
     if res > tol("symplectic_flow"):
         raise ValidationError(f"flow Jacobian symplecticity residual {res:.3g}")
-    return phi, dphi
+    return (phi, dphi, float(yf[-1])) if action else (phi, dphi)
 
 
 def zero_jacobian_path(germ: HamiltonianGerm, T: float):
@@ -239,8 +248,8 @@ class FlowMap:
     t1: float
     radius: float = DEFAULT_TRUST_RADIUS
 
-    def __call__(self, z):
-        return integrate_flow(self.germ, self.t0, self.t1, z, radius=self.radius)
+    def __call__(self, z, action: bool = False):
+        return integrate_flow(self.germ, self.t0, self.t1, z, radius=self.radius, action=action)
 
     @cached_property
     def jacobian_at_zero(self) -> np.ndarray:
@@ -308,10 +317,16 @@ def steps_graph_positive(germ: HamiltonianGerm, N: int, subres: int = 8) -> bool
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """Generating function S of one substep flow psi.
+    """Generating function S of one substep flow psi = phi^{t0 -> t1}.
 
     Conventions: psi(x, y) = (X, Y) with y - Y = grad_1 S(x, Y) and
-    X - x = grad_2 S(x, Y); S(0) = 0.
+    X - x = grad_2 S(x, Y); S(0) = 0.  Under the package sign convention
+    i_{X_H} omega0 = dH with lambda = x dy, S is the action identity
+
+        S(x, Y) = x . (y - Y) + int_{t0}^{t1} (x . ydot + H_t) dt
+
+    taken along the trajectory from (x, y) to (X, Y): varying the start
+    point, the integral changes by X dY - x dy, which gives dS above.
     """
     psi: FlowMap
     radius: float = DEFAULT_TRUST_RADIUS
@@ -324,32 +339,42 @@ class GeneratingFunction:
     def m(self) -> int:
         return self.psi.germ.n
 
-    def solve_graph(self, x, Y):
-        """Solve psi(x, y) = (X, Y) for (y, X) by Newton; returns (y, X, dpsi at (x,y))."""
+    def solve_graph(self, x, Y, action: bool = False):
+        """Solve psi(x, y) = (X, Y) for (y, X) by Newton.
+
+        Returns (y, X, dpsi at (x, y), s), where s is the action integral
+        int (x . ydot + H_t) dt along the solved trajectory when action is
+        set and None otherwise; each Newton flow then carries it.
+        """
         m = self.m
         x = np.asarray(x, dtype=float).reshape(m)
         Y = np.asarray(Y, dtype=float).reshape(m)
         y = Y.copy()
         try:
             for _ in range(50):
-                phi, dphi = self.psi(np.concatenate([x, y]))
+                phi, dphi, *s = self.psi(np.concatenate([x, y]), action=action)
                 F = phi[m:] - Y
                 if np.linalg.norm(F) < tol("gen2_newton"):
-                    return y, phi[:m], dphi
+                    return y, phi[:m], dphi, (s[0] if s else None)
                 y = y - np.linalg.solve(dphi[m:, m:], F)
         except DomainError as exc:
             raise TrustRegionError(f"graph solve left the trust region: {exc}") from exc
         raise TrustRegionError("no convergence solving the graph equations")
 
-    def gradient(self, x, Y):
-        """(grad_1 S, grad_2 S) at (x, Y)."""
-        y, X, _ = self.solve_graph(x, Y)
-        return y - np.asarray(Y, dtype=float), X - np.asarray(x, dtype=float)
+    def solve_slot(self, x, Y, value: bool = True):
+        """(S, grad S, D^2 S) at (x, Y) from one graph solve.
 
-    def hessian_at(self, x, Y) -> np.ndarray:
-        """D^2 S(x, Y) from the blocks of dpsi at the solved point."""
+        grad S = (grad_1 S, grad_2 S) = (y - Y, X - x) as one vector of
+        length 2m; S comes from the action identity in the class docstring
+        and is None when value is unset, which spares the flows the H_t
+        evaluations the integral needs.  D^2 S is assembled from the blocks
+        of dpsi at the solved point.
+        """
         m = self.m
-        _, _, dphi = self.solve_graph(x, Y)
+        x = np.asarray(x, dtype=float).reshape(m)
+        Y = np.asarray(Y, dtype=float).reshape(m)
+        y, X, dphi, s = self.solve_graph(x, Y, action=value)
+        S = float(x @ (y - Y)) + s if value else None
         A, B = dphi[:m, :m], dphi[:m, m:]
         C, D = dphi[m:, :m], dphi[m:, m:]
         Dinv = np.linalg.inv(D)
@@ -358,39 +383,32 @@ class GeneratingFunction:
         asym = np.abs(H - H.T).max()
         if asym > tol("hessian_sym"):
             raise ValidationError(f"generating-function Hessian asymmetry {asym:.3g}")
-        return 0.5 * (H + H.T)
+        return S, np.concatenate([y - Y, X - x]), 0.5 * (H + H.T)
+
+    def gradient(self, x, Y):
+        """(grad_1 S, grad_2 S) at (x, Y)."""
+        _, g, _ = self.solve_slot(x, Y, value=False)
+        return g[:self.m], g[self.m:]
+
+    def hessian_at(self, x, Y) -> np.ndarray:
+        """D^2 S(x, Y) from the blocks of dpsi at the solved point."""
+        return self.solve_slot(x, Y, value=False)[2]
 
 
 def eval_S(gf: GeneratingFunction, x, Y):
-    """(S, grad_1 S, grad_2 S) at (x, Y); S is the radial line integral of dS.
+    """(S, grad_1 S, grad_2 S) at (x, Y) from one graph solve.
 
-    The integrand s -> <grad S(s x, s Y), (x, Y)> is evaluated with
-    Gauss-Legendre rules of doubling order until two answers agree.
+    S(x, Y) = x . (y - Y) + int_{t0}^{t1} (x . ydot + H_t) dt along the
+    solved trajectory (see GeneratingFunction), exact up to the ODE
+    tolerance of the flow.
     """
     m = gf.m
     x = np.asarray(x, dtype=float).reshape(m)
     Y = np.asarray(Y, dtype=float).reshape(m)
     if np.linalg.norm(np.concatenate([x, Y])) > gf.radius * (1 + 1e-12):
         raise DomainError("(x, Y) outside the trust region")
-    g1, g2 = gf.gradient(x, Y)
-    if not np.any(x) and not np.any(Y):
-        return 0.0, g1, g2
-
-    def integrand(s):
-        h1, h2 = gf.gradient(s * x, s * Y)
-        return float(h1 @ x + h2 @ Y)
-
-    prev = None
-    order = 8
-    while order <= 128:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        s_vals = 0.5 * (nodes + 1.0)
-        total = 0.5 * sum(w * integrand(s) for w, s in zip(weights, s_vals))
-        if prev is not None and abs(total - prev) < tol("quadrature"):
-            return total, g1, g2
-        prev = total
-        order *= 2
-    raise ResolutionError("quadrature for S did not settle")
+    S, g, _ = gf.solve_slot(x, Y)
+    return S, g[:m], g[m:]
 
 
 def hessian_S_at_zero(gf: GeneratingFunction) -> np.ndarray:

@@ -244,27 +244,33 @@ class CallableFunction:
         return 0.5 * (H + H.T)
 
 
-def discrete_action_function(da, nodes: int = 10) -> CallableFunction:
-    """Wrap a discrete action as a function; values integrate the exact gradient."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    s = 0.5 * (x + 1.0)
-    ws = 0.5 * w
+def discrete_action_function(da) -> CallableFunction:
+    """Wrap a discrete action as a function with its exact value and derivatives.
 
-    def value(z):
-        z = np.asarray(z, dtype=float)
-        if not np.any(z):
-            return 0.0
-        return float(sum(wi * np.dot(_dact.gradient(da, si * z), z)
-                         for si, wi in zip(s, ws)))
+    The value is dact.eval: each step generating function contributes the
+    action identity S_i(x, Y) = x . (y - Y) + int (x . ydot + H_t) dt along
+    its solved substep trajectory (sign convention i_{X_H} omega0 = dH).
+    Value, gradient and Hessian at one z share one dact.evaluate pass, one
+    graph solve per slot, so a Newton step asking for grad(z) and then
+    hess(z) solves once.
+    """
+    last = {}
+
+    def at(z):
+        key = np.asarray(z, dtype=float).tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _dact.evaluate(da, z)
+        return last[key]
 
     action = None
     if da.k > 1:
         action = CyclicAction(_dact.shift_matrix(da), da.k)
     return CallableFunction(
         d=da.dim,
-        value_fn=value,
-        grad_fn=lambda z: _dact.gradient(da, z),
-        hess_fn=lambda z: _dact.hessian_at(da, z),
+        value_fn=lambda z: at(z)[0],
+        grad_fn=lambda z: at(z)[1].copy(),
+        hess_fn=lambda z: at(z)[2].copy(),
         action=action,
         name=f"discrete-action k={da.k} N={da.N}")
 
@@ -372,6 +378,9 @@ class CubicalPair:
     b: float
     action: Optional[CyclicAction] = None
     kind: str = "cubical"
+    # grid coordinates along each axis and f at every vertex
+    axis: Optional[np.ndarray] = None
+    values: Optional[np.ndarray] = None
 
 
 def _corner_extrema(V, d, reducer):
@@ -392,8 +401,25 @@ def _vertex_incidence(cells, d):
     return out
 
 
+def _vertex_values(f, axis, pts, d, coarse):
+    # f at every vertex; a grid that bisects the coarse pair's grid takes
+    # the values at its even vertices from the coarse pair
+    shape = [len(axis)] * d
+    if coarse is None:
+        return np.array([f.value(p) for p in pts]).reshape(shape)
+    if not np.array_equal(axis[::2], coarse.axis):
+        raise ValidationError("the grid does not bisect the coarse grid whose values it reuses")
+    even = (slice(None, None, 2),) * d
+    fresh = np.ones(shape, dtype=bool)
+    fresh[even] = False
+    V = np.empty(shape)
+    V[even] = coarse.values
+    V[fresh] = [f.value(p) for p in pts[fresh.ravel()]]
+    return V
+
+
 def gromoll_meyer_pair(f, radius, a=None, b=None, h=None,
-                       isolation_seeds=5, _skip_checks=False) -> CubicalPair:
+                       isolation_seeds=5, _skip_checks=False, _coarse=None) -> CubicalPair:
     """Sublevel pair (f <= a, deformed exit collar) rasterized on a grid."""
     d = f.d
     if d < 1 or d > 3:
@@ -404,10 +430,10 @@ def gromoll_meyer_pair(f, radius, a=None, b=None, h=None,
         h = radius / 8
     m = max(2, 2 * round(radius / h))
     h = 2 * radius / m
-    axes = [np.linspace(-radius, radius, m + 1) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    axis = np.linspace(-radius, radius, m + 1)
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    V = np.array([f.value(p) for p in pts]).reshape([m + 1] * d)
+    V = _vertex_values(f, axis, pts, d, _coarse)
     R = np.sqrt(sum(g * g for g in mesh))
     in_ball_v = R <= radius + 1e-9
     a, b = _well_depths(f, a, b, V[in_ball_v])
@@ -427,7 +453,8 @@ def gromoll_meyer_pair(f, radius, a=None, b=None, h=None,
             grid_pts = pts.reshape([m + 1] * d + [d])
             _flow_leak_check(f, a, b, radius, grid_pts[cand])
     pair = CubicalPair(h=h, lo=np.full(d, -radius), shape=(m,) * d,
-                       w_mask=w, wminus_mask=wm, radius=radius, a=a, b=b)
+                       w_mask=w, wminus_mask=wm, radius=radius, a=a, b=b,
+                       axis=axis, values=V)
     if f.action is not None and signed_permutation_data(f.action.matrix) is not None:
         pair.action = f.action
         _check_mask_equivariance(pair)
@@ -804,8 +831,9 @@ def sublevel_homology(f, radius, a=None, b=None, h=None, invariant=False,
         h0 = h if h is not None else radius / 8
         coarse = gromoll_meyer_pair(f, radius, a, b, h=h0,
                                     isolation_seeds=isolation_seeds)
-        fine = gromoll_meyer_pair(f, radius, coarse.a, coarse.b, h=h0 / 2,
-                                  _skip_checks=True)
+        # halving the coarse pair's effective step bisects its grid exactly
+        fine = gromoll_meyer_pair(f, radius, coarse.a, coarse.b, h=coarse.h / 2,
+                                  _skip_checks=True, _coarse=coarse)
     got = relative_homology(coarse, invariant, action_sign)
     ref = relative_homology(fine, invariant, action_sign)
     if got != ref:

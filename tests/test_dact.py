@@ -23,7 +23,13 @@ from equimorse.dact import (
     shift_matrix,
 )
 from equimorse.errors import ConfigurationError, DegeneracyError
-from equimorse.hamflow import HamiltonianGerm, integrate_flow, linearized_path, zero_jacobian_path
+from equimorse.hamflow import (
+    GeneratingFunction,
+    HamiltonianGerm,
+    integrate_flow,
+    linearized_path,
+    zero_jacobian_path,
+)
 from equimorse.spindex import cz_index, nullity
 
 ROT03 = HamiltonianGerm.rotation(0.3)
@@ -170,6 +176,57 @@ def test_find_periodic_points_unique_origin():
     assert len(out) == 1 and len(out[0].seeds) == 2
     assert np.linalg.norm(out[0].z) < 1e-8
     assert out[0].morse_index == 3 and out[0].nullity == 0
+
+
+def _count_graph_solves(monkeypatch):
+    count = [0]
+    solve = GeneratingFunction.solve_graph
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(GeneratingFunction, "solve_graph", counted)
+    return count
+
+
+def test_newton_step_solves_each_slot_once(monkeypatch):
+    da = DiscreteAction(ROT03, 2, 2)
+    solves = _count_graph_solves(monkeypatch)
+    # 0 is critical: one Newton step, whose Hessian also gives the Morse data
+    (p,) = find_periodic_points(da, [np.zeros(da.dim)])
+    assert p.converged and p.morse_index is not None
+    assert solves[0] == da.slots
+    passes = [0]
+    evaluate = dact.evaluate
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(dact, "evaluate", counted)
+    solves[0] = 0
+    (p,) = find_periodic_points(da, [0.02 * np.random.default_rng(4).standard_normal(da.dim)])
+    assert p.converged and passes[0] >= 2
+    assert solves[0] == da.slots * passes[0]
+
+
+def test_discrete_action_function_solves_each_slot_once(monkeypatch):
+    from equimorse.lochom import discrete_action_function
+
+    da = DiscreteAction(quartic_germ(), 2, 2)
+    f = discrete_action_function(da)
+    solves = _count_graph_solves(monkeypatch)
+    z = 0.05 * np.random.default_rng(2).standard_normal(da.dim)
+    f.value(z)
+    assert solves[0] == da.slots
+    # the derivatives at the same z come from the same pass
+    f.grad(z)
+    f.hess(z)
+    assert solves[0] == da.slots
+    f.grad(-z)
+    f.hess(-z)
+    assert solves[0] == 2 * da.slots
 
 
 def _direct_fourth_iterate_solve(germ, w0, radius=0.5):

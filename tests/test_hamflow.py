@@ -254,6 +254,38 @@ def test_eval_S_path_independence():
     assert abs(S - (leg1 + leg2)) < 1e-8
 
 
+def resonant_germ():
+    # the detuned 4:1 germ whose quartic part carries a cos time mode
+    beta, b = 0.26, 0.1
+    return HamiltonianGerm.make(1, [
+        (math.pi * beta, (2, 0)), (math.pi * beta, (0, 2)),
+        (-0.25, (4, 0)), (-0.5, (2, 2)), (-0.25, (0, 4)),
+        (b, (4, 0), "cos", 1), (-6 * b, (2, 2), "cos", 1), (b, (0, 4), "cos", 1)])
+
+
+def test_eval_S_action_identity_time_dependent_substep():
+    # S from the action integral on a substep with t0 != 0 against an
+    # independent radial Gauss-Legendre quadrature of grad S (oracle only)
+    gf = GeneratingFunction(FlowMap(resonant_germ(), 0.5, 1.0))
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    for x, Y in ((0.1, 0.05), (0.2, -0.1)):
+        S, _, _ = eval_S(gf, [x], [Y])
+        radial = 0.5 * sum(
+            w * (np.concatenate(gf.gradient([s * x], [s * Y])) @ [x, Y])
+            for w, s in zip(weights, 0.5 * (nodes + 1.0)))
+        assert abs(S - radial) < 1e-12
+    # and the gradient and Hessian of the same solve are its derivatives
+    x, Y, h = -0.12, 0.08, 1e-5
+    _, g1, g2 = eval_S(gf, [x], [Y])
+    g, H = np.concatenate([g1, g2]), gf.hessian_at([x], [Y])
+    for j, e in enumerate(np.eye(2) * h):
+        Sp, gp1, gp2 = eval_S(gf, [x + e[0]], [Y + e[1]])
+        Sm, gm1, gm2 = eval_S(gf, [x - e[0]], [Y - e[1]])
+        assert abs((Sp - Sm) / (2 * h) - g[j]) < 1e-9
+        dg = (np.concatenate([gp1, gp2]) - np.concatenate([gm1, gm2])) / (2 * h)
+        assert np.allclose(dg, H[:, j], atol=1e-8)
+
+
 def test_substep_jacobians():
     g = HamiltonianGerm.rotation(0.3)
     steps = substep_jacobians_at_zero(g, 5)

@@ -455,6 +455,30 @@ def test_discrete_action_adapter_consistency():
         assert np.allclose(f.grad(z), dact.gradient(da, z), atol=1e-12)
 
 
+def test_fine_pass_bisects_the_coarse_grid_and_reuses_its_values():
+    # radius / h is not a whole number, so h / 2 would not bisect the grid
+    calls = [0]
+    bowl = FunctionSpec.make(2, [(1.0, (4, 0)), (2.0, (2, 2)), (1.0, (0, 4))])
+
+    def value(z):
+        calls[0] += 1
+        return bowl.value(z)
+
+    f = CallableFunction(d=2, value_fn=value, grad_fn=bowl.grad, hess_fn=bowl.hess)
+    assert sublevel_homology(f, 0.5, h=0.14) == {0: 1}
+    # a 9 x 9 coarse grid, then the 17 x 17 fine grid minus the shared vertices
+    assert calls[0] == 17 * 17
+    coarse = gromoll_meyer_pair(f, 0.5, h=0.14)
+    fine = gromoll_meyer_pair(f, 0.5, coarse.a, coarse.b, h=coarse.h / 2,
+                              _skip_checks=True, _coarse=coarse)
+    fresh = gromoll_meyer_pair(f, 0.5, coarse.a, coarse.b, h=coarse.h / 2, _skip_checks=True)
+    assert np.array_equal(fine.values, fresh.values)
+    assert np.array_equal(fine.w_mask, fresh.w_mask)
+    with pytest.raises(ValidationError, match="bisect"):
+        gromoll_meyer_pair(f, 0.5, coarse.a, coarse.b, h=0.07, _skip_checks=True,
+                           _coarse=coarse)
+
+
 def test_local_homology_discrete_action_quartic():
     # the one-period action of the radial quartic germ is a strict local max
     # of a fully degenerate critical point in dimension two

@@ -28,10 +28,9 @@ TOLERANCES = {
     "offdiag": 1e-8,              # off-diagonal residual of split Hessians
     "invariance": 1e-9,           # symmetry invariance of functions
     "crit_on_strata": 1e-6,       # critical points sit on strata
+    "morse_floor": 1e-8,          # smallest |Hessian eigenvalue| of a Morse point
     "split_residual": 1e-7,       # splitting-lemma pointwise residual
     "split_equivariance": 1e-8,   # splitting-map equivariance residual
-    "tangency": 1e-9,             # gradient tangency to strata
-    "degenerate_eig": 1e-6,       # total-degeneracy eigenvalue closeness to 1
     "endpoint_identity": 1e-8,    # loop endpoint = identity
     "hyperbolic_eig": 1e-6,       # Hessian eigenvalue magnitude for Morse points
     "kernel_eig": 1e-6,           # Hessian eigenvalue magnitude counted as kernel

@@ -28,9 +28,6 @@ from .errors import (
 from .lochom import CallableFunction, CyclicAction, FunctionSpec
 from .regdist import ClosedSetSpec, RegularizedDistance
 
-_MORSE_FLOOR = 1e-8
-_STRATUM_TOL = 1e-6
-_INVARIANCE_TOL = 1e-9
 _MARGIN_FRACTION = 0.9
 
 
@@ -98,8 +95,11 @@ class Stratification:
         x = np.asarray(x, dtype=float)
         return float(np.linalg.norm(x - self.projections[j] @ x))
 
-    def assign(self, x, cutoff=_STRATUM_TOL):
-        """Smallest divisor whose stratum contains x up to the cutoff."""
+    def assign(self, x, cutoff=None):
+        """Smallest divisor whose stratum contains x up to the cutoff
+        (default: the ``crit_on_strata`` tolerance)."""
+        if cutoff is None:
+            cutoff = tol("crit_on_strata")
         for j in self.divisors:
             d = self.stratum_distance(x, j)
             if d <= cutoff:
@@ -170,7 +170,7 @@ def normal_decreasing_extension(f, stratification: Stratification, j: int) -> Ca
     for _ in range(16):
         y = basis.T @ rng.uniform(-1.0, 1.0, size=basis.shape[0]) if basis.size \
             else np.zeros(n)
-        if abs(f.value(a @ y) - f.value(y)) > _INVARIANCE_TOL:
+        if abs(f.value(a @ y) - f.value(y)) > tol("invariance"):
             raise ValidationError(
                 "function is not invariant under the induced action on the stratum")
 
@@ -206,28 +206,6 @@ def _quintic_d2(u):
 
 
 _RAMP_LO, _RAMP_HI = 0.5, 0.55
-
-
-def _profile(t):
-    if t <= _RAMP_LO:
-        return 1.0
-    if t >= _RAMP_HI:
-        return 0.0
-    return _quintic((_RAMP_HI - t) / (_RAMP_HI - _RAMP_LO))
-
-
-def _profile_d1(t):
-    if t <= _RAMP_LO or t >= _RAMP_HI:
-        return 0.0
-    w = _RAMP_HI - _RAMP_LO
-    return -_quintic_d1((_RAMP_HI - t) / w) / w
-
-
-def _profile_d2(t):
-    if t <= _RAMP_LO or t >= _RAMP_HI:
-        return 0.0
-    w = _RAMP_HI - _RAMP_LO
-    return _quintic_d2((_RAMP_HI - t) / w) / w ** 2
 
 
 def _step(u):
@@ -301,38 +279,38 @@ def _poly_hess(y, coeffs, mons):
     return h
 
 
-def _bump_parts(z, center, scale):
-    """Value, gradient, hessian of profile(|z - center| / scale)."""
-    w = z - center
-    r = float(np.linalg.norm(w))
-    t = r / scale
-    v = _profile(t)
-    if t <= _RAMP_LO or t >= _RAMP_HI:
-        m = len(z)
-        return v, np.zeros(m), np.zeros((m, m))
-    # the ramp sits away from r = 0, so the radial chain rule is regular
-    d1 = _profile_d1(t)
-    d2 = _profile_d2(t)
-    u = w / r
-    g = (d1 / scale) * u
-    outer = np.outer(u, u)
-    h = (d2 / scale ** 2) * outer + (d1 / (scale * r)) * (np.eye(len(z)) - outer)
-    return v, g, h
-
-
 def _bump_poly_term(centers, scale, coeffs, mons):
-    centers = [np.asarray(c, dtype=float) for c in centers]
+    """Polynomial times a sum of radial bumps, one bump per center.
+
+    Each bump is profile(|z - c| / scale): exactly 1 on the plateau
+    t <= 0.5, a decreasing quintic ramp for 0.5 < t < 0.55, and 0 beyond.
+    The bump sum is taken over the (K, m) center array in one pass: plateau
+    centers only add their count to the value, and the ramp, its gradient and
+    its Hessian are evaluated on the centers strictly inside the ramp alone.
+    """
+    centers = np.asarray(centers, dtype=float)
+    width = _RAMP_HI - _RAMP_LO
 
     def parts(z):
         z = np.asarray(z, dtype=float)
-        bv = 0.0
-        bg = np.zeros(len(z))
-        bh = np.zeros((len(z), len(z)))
-        for c in centers:
-            v, g, h = _bump_parts(z, c, scale)
-            bv += v
-            bg += g
-            bh += h
+        m = len(z)
+        w = z - centers
+        r = np.sqrt(np.einsum("ki,ki->k", w, w))
+        t = r / scale
+        bv = float(np.count_nonzero(t <= _RAMP_LO))
+        ramp = (t > _RAMP_LO) & (t < _RAMP_HI)
+        if not ramp.any():
+            return bv, np.zeros(m), np.zeros((m, m))
+        # the ramp sits away from r = 0, so the radial chain rule is regular
+        r = r[ramp]
+        s = (_RAMP_HI - t[ramp]) / width
+        d1 = -_quintic_d1(s) / (width * scale)
+        d2 = _quintic_d2(s) / (width * scale) ** 2
+        u = w[ramp] / r[:, None]
+        radial = d2 - d1 / r
+        bv += float(np.sum(_quintic(s)))
+        bg = d1 @ u
+        bh = (u * radial[:, None]).T @ u + float(np.sum(d1 / r)) * np.eye(m)
         return bv, bg, bh
 
     def value(z):
@@ -604,7 +582,8 @@ def _ball_point(rng, n, radius):
     return radius * rng.uniform() ** (1.0 / n) * v
 
 
-def _is_morse(func, points, floor=_MORSE_FLOOR):
+def _is_morse(func, points):
+    floor = tol("morse_floor")
     for p in points:
         eigs = np.linalg.eigvalsh(np.asarray(func.hess(p), dtype=float))
         if np.min(np.abs(eigs)) < floor:
@@ -640,7 +619,7 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
         raise ValidationError("only dimensions up to three are supported")
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    if _check_invariance(f, action, radius) > _INVARIANCE_TOL:
+    if _check_invariance(f, action, radius) > tol("invariance"):
         raise ValidationError("function is not invariant under the action")
     if np.linalg.norm(np.asarray(f.grad(np.zeros(n)))) > 1e-8:
         raise ValidationError("origin is not a critical point")
@@ -769,7 +748,7 @@ def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
             return math.inf
         return min(np.linalg.norm(z - ph @ z) for _, ph, _, _ in handled)
 
-    free = [z for z in crits if prev_distance(z) > _STRATUM_TOL]
+    free = [z for z in crits if prev_distance(z) > tol("crit_on_strata")]
     eta_used = 0.0
     if free and not _is_morse(cur, free):
         sep = min(prev_distance(z) for z in free)
@@ -787,7 +766,7 @@ def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
         for _ in range(6):
             trial = _assemble(cur, [_scaled(alpha, eta)], action)
             crits_t = _critical_points(trial, radius, fine=15, fine_width=0.16)
-            free_t = [z for z in crits_t if prev_distance(z) > _STRATUM_TOL]
+            free_t = [z for z in crits_t if prev_distance(z) > tol("crit_on_strata")]
             if free_t and _is_morse(trial, free_t):
                 accepted = True
                 break
@@ -816,7 +795,7 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
         return min(np.linalg.norm(z - ph @ z) for _, ph, _, _ in handled)
 
     free_y = [y for y in crits_y
-              if prev_distance(basis.T @ y) > _STRATUM_TOL]
+              if prev_distance(basis.T @ y) > tol("crit_on_strata")]
     eta_used = 0.0
     if free_y and not _is_morse(restricted, free_y):
         sep = min(prev_distance(basis.T @ y) for y in free_y)
@@ -833,7 +812,7 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
             trial = _assemble(restricted, [_scaled(alpha_y, eta)], None)
             crits_t = _critical_points(trial, radius, fine=15, fine_width=0.16)
             free_t = [y for y in crits_t
-                      if prev_distance(basis.T @ y) > _STRATUM_TOL]
+                      if prev_distance(basis.T @ y) > tol("crit_on_strata")]
             if free_t and _is_morse(trial, free_t):
                 accepted = True
                 free_y = free_t
@@ -879,20 +858,30 @@ def _certify(f, out, strat, records, handled, epsilon, radius):
     action = strat.action
     rng = np.random.default_rng(1234)
     inv = _check_invariance(out, action, radius, samples=120)
-    item_inv = {"passed": bool(inv < _INVARIANCE_TOL),
-                "residual": float(inv), "tolerance": _INVARIANCE_TOL}
+    inv_tol = tol("invariance")
+    item_inv = {"passed": bool(inv < inv_tol),
+                "residual": float(inv), "tolerance": inv_tol}
 
+    # min_abs_eig, morse_floor and euler are reported, not gated: they show
+    # how marginal each point is and what the census sums to
     crits = _critical_points(out, radius, fine=15, fine_width=0.16)
+    hessians = [np.asarray(out.hess(z), dtype=float) for z in crits]
+    strata_tol = tol("crit_on_strata")
     points = []
     worst_assign = 0.0
-    for z in crits:
+    euler = 0
+    for z, hz in zip(crits, hessians):
         j, dist_j = strat.assign(z)
         worst_assign = max(worst_assign, dist_j)
+        eigs = np.linalg.eigvalsh(hz)
+        euler += (-1) ** int(np.sum(eigs < 0.0))
         points.append({"point": [float(v) for v in z],
-                       "stratum": int(j), "distance": float(dist_j)})
-    item_crit = {"passed": bool(worst_assign <= _STRATUM_TOL),
+                       "stratum": int(j), "distance": float(dist_j),
+                       "min_abs_eig": float(np.min(np.abs(eigs)))})
+    item_crit = {"passed": bool(worst_assign <= strata_tol),
                  "max_distance": float(worst_assign),
-                 "tolerance": _STRATUM_TOL, "points": points}
+                 "tolerance": strata_tol, "morse_floor": tol("morse_floor"),
+                 "euler": int(euler), "points": points}
 
     stage_c = {}
     for dd, ph, _, cc in handled:
@@ -900,7 +889,7 @@ def _certify(f, out, strat, records, handled, epsilon, radius):
             stage_c[dd] = (ph, cc)
     margins = []
     margins_ok = True
-    for entry, z in zip(points, crits):
+    for entry, hz in zip(points, hessians):
         j = entry["stratum"]
         if strat.dim(j) == n:
             continue
@@ -911,7 +900,7 @@ def _certify(f, out, strat, records, handled, epsilon, radius):
                 c_used = cc
                 break
         nbasis = _complement_basis(strat.basis(j), n)
-        block = nbasis @ np.asarray(out.hess(z), dtype=float) @ nbasis.T
+        block = nbasis @ hz @ nbasis.T
         top = float(np.max(np.linalg.eigvalsh(block)))
         margin = -top
         required = _MARGIN_FRACTION * c_used if c_used is not None else None
@@ -954,7 +943,7 @@ def verify_morse_smale_2d(f, action, radius=1.2, seed=0):
         raise ValidationError("a cyclic action is required")
     if f.d != 2:
         raise ValidationError("only the plane is supported")
-    if _check_invariance(f, action, radius) > _INVARIANCE_TOL:
+    if _check_invariance(f, action, radius) > tol("invariance"):
         raise ValidationError("function is not invariant under the action")
     strat = strata(action)
     crits = _critical_points(f, radius, fine=15, fine_width=min(0.16, radius))
@@ -963,7 +952,7 @@ def verify_morse_smale_2d(f, action, radius=1.2, seed=0):
     for z in crits:
         h = np.asarray(f.hess(z), dtype=float)
         eigs, vecs = np.linalg.eigh(h)
-        if np.min(np.abs(eigs)) < _MORSE_FLOOR:
+        if np.min(np.abs(eigs)) < tol("morse_floor"):
             raise DegeneracyError(
                 f"degenerate critical point near {np.round(z, 6).tolist()}")
         j, _ = strat.assign(z)

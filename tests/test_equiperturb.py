@@ -1,12 +1,20 @@
 """Tests for symmetric stratifications and invariant Morse perturbation."""
 
+import doctest
 import json
 import math
 
 import numpy as np
 import pytest
 
+from equimorse import equiperturb
+from equimorse.config import tol
 from equimorse.equiperturb import (
+    _bump_poly_term,
+    _monomials,
+    _poly_grad,
+    _poly_hess,
+    _poly_value,
     double_well_ring_model,
     normal_decreasing_extension,
     normal_well,
@@ -306,6 +314,14 @@ class TestPerturbPipeline:
         c1 = cert["stages"][0]["c"]
         eigs = np.linalg.eigvalsh(np.asarray(out.hess(origin)))
         assert eigs[-1] <= -0.9 * c1 * (1 - 1e-9)
+        # the certificate's census sum and margins agree with the Hessians
+        census = cert["items"]["critical_points_on_strata"]
+        euler = 0
+        for p in census["points"]:
+            eigs = np.linalg.eigvalsh(np.asarray(out.hess(np.asarray(p["point"]))))
+            euler += (-1) ** int(np.sum(eigs < 0))
+            assert p["min_abs_eig"] == pytest.approx(np.min(np.abs(eigs)), rel=1e-12)
+        assert census["euler"] == euler
 
     def test_certificate_serializes_to_json(self):
         f = FunctionSpec.make(2, [(1.0, (2, 0)), (-1.0, (0, 2))])
@@ -320,11 +336,22 @@ class TestPerturbPipeline:
         }
         for item in blob["items"].values():
             assert isinstance(item["passed"], bool)
+        # report-only fields: one saddle with Hessian diag(2, -2)
+        census = blob["items"]["critical_points_on_strata"]
+        assert census["euler"] == -1
+        assert census["morse_floor"] == tol("morse_floor")
+        assert [p["min_abs_eig"] for p in census["points"]] == [pytest.approx(2.0)]
 
     def test_pipeline_rejects_functions_that_break_the_symmetry(self):
         f = FunctionSpec.make(2, [(1.0, (2, 0)), (0.5, (1, 1)), (1.0, (0, 2))])
         with pytest.raises(ValidationError):
             perturb_invariant_morse(f, reflection2(), epsilon=0.05)
+
+    def test_invariance_tolerance_override_reaches_the_pipeline(self, monkeypatch):
+        monkeypatch.setenv("EQUIMORSE_TOL_INVARIANCE", "-1")
+        with pytest.raises(ValidationError, match="not invariant"):
+            perturb_invariant_morse(quartic_bowl(), CyclicAction(-np.eye(2), 2),
+                                    epsilon=0.05)
 
     def test_pipeline_rejects_nonisolated_origins(self):
         f = FunctionSpec.make(2, [(1.0, (2, 0))])
@@ -433,3 +460,135 @@ class TestGradientTangency:
                     g = np.asarray(f.grad(y))
                     worst = max(worst, np.linalg.norm(g - proj @ g))
         assert worst < 1e-9
+
+
+# Per-center oracle for the bump sum: the scalar profile and its radial chain
+# rule, evaluated one center at a time.
+
+_LO, _HI = 0.5, 0.55
+
+
+def _oracle_profile(t):
+    if t <= _LO:
+        return 1.0, 0.0, 0.0
+    if t >= _HI:
+        return 0.0, 0.0, 0.0
+    w = _HI - _LO
+    u = (_HI - t) / w
+    v = u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
+    d1 = -30.0 * u * u * (1.0 - u) ** 2 / w
+    d2 = 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u) / w ** 2
+    return v, d1, d2
+
+
+def _oracle_bump_parts(z, center, scale):
+    w = z - center
+    r = float(np.linalg.norm(w))
+    t = r / scale
+    v, d1, d2 = _oracle_profile(t)
+    m = len(z)
+    if t <= _LO or t >= _HI:
+        return v, np.zeros(m), np.zeros((m, m))
+    u = w / r
+    g = (d1 / scale) * u
+    outer = np.outer(u, u)
+    h = (d2 / scale ** 2) * outer + (d1 / (scale * r)) * (np.eye(m) - outer)
+    return v, g, h
+
+
+def _oracle_bump_poly(z, centers, scale, coeffs, mons):
+    m = len(z)
+    bv, bg, bh = 0.0, np.zeros(m), np.zeros((m, m))
+    for c in centers:
+        v, g, h = _oracle_bump_parts(z, np.asarray(c, dtype=float), scale)
+        bv, bg, bh = bv + v, bg + g, bh + h
+    pv = _poly_value(z, coeffs, mons)
+    pg = _poly_grad(z, coeffs, mons)
+    cross = np.outer(pg, bg)
+    return (pv * bv, bv * pg + pv * bg,
+            bv * _poly_hess(z, coeffs, mons) + cross + cross.T + pv * bh)
+
+
+def _unit(rng, m):
+    v = rng.standard_normal(m)
+    return v / np.linalg.norm(v)
+
+
+def _bump_cases(m, rng, scale=0.4):
+    """(kind, z, centers) at the four kinds of point of a bump sum."""
+    z = rng.uniform(-0.3, 0.3, size=m)
+    far = [z + 3.0 * scale * _unit(rng, m) for _ in range(3)]
+    return [
+        ("plateau", z, [z + 0.3 * scale * _unit(rng, m)] + far),
+        ("ramp", z, far[:1] + [z + 0.52 * scale * _unit(rng, m)] + far[1:]),
+        ("overlap", z, [z + t * scale * _unit(rng, m) for t in (0.51, 0.53, 0.545)] + far),
+        ("outside", z, far + [z + 0.56 * scale * _unit(rng, m)]),
+    ]
+
+
+def _close(got, want, rel=1e-12):
+    want = np.asarray(want, dtype=float)
+    return np.allclose(got, want, rtol=rel, atol=rel * max(1.0, float(np.abs(want).max())))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bump_term_matches_the_per_center_oracle(m):
+    rng = np.random.default_rng(40 + m)
+    mons = _monomials(m, max_degree=3, min_degree=0)
+    coeffs = rng.standard_normal(len(mons))
+    scale = 0.4
+    for kind, z, centers in _bump_cases(m, rng, scale):
+        term = _bump_poly_term(centers, scale, coeffs, mons)
+        want = _oracle_bump_poly(z, centers, scale, coeffs, mons)
+        got = (term["value"](z), term["grad"](z), term["hess"](z))
+        for a, b in zip(got, want):
+            assert _close(a, b), kind
+        if kind == "outside":
+            assert got[0] == 0.0 and not got[1].any() and not got[2].any()
+        if kind == "plateau":
+            assert got[0] == pytest.approx(_poly_value(z, coeffs, mons), rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bump_term_derivatives_match_central_differences_on_the_ramp(m):
+    rng = np.random.default_rng(50 + m)
+    mons = _monomials(m, max_degree=3, min_degree=0)
+    coeffs = rng.standard_normal(len(mons))
+    scale = 0.4
+    for kind, z, centers in _bump_cases(m, rng, scale)[1:3]:
+        term = _bump_poly_term(centers, scale, coeffs, mons)
+        h = 1e-6
+        fd_g = np.zeros(m)
+        fd_h = np.zeros((m, m))
+        for i in range(m):
+            e = np.zeros(m)
+            e[i] = h
+            fd_g[i] = (term["value"](z + e) - term["value"](z - e)) / (2.0 * h)
+            fd_h[:, i] = (term["grad"](z + e) - term["grad"](z - e)) / (2.0 * h)
+        g, hs = term["grad"](z), term["hess"](z)
+        assert np.abs(g).max() > 1.0, kind  # the ramp term dominates
+        assert np.allclose(g, fd_g, rtol=1e-6, atol=1e-6 * np.abs(g).max()), kind
+        assert np.allclose(hs, fd_h, rtol=1e-6, atol=1e-6 * np.abs(hs).max()), kind
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_single_center_bump_of_the_base_stage_matches_the_oracle(m):
+    # the base stage bumps one center at the origin with a degree 1..3 polynomial
+    rng = np.random.default_rng(60 + m)
+    mons = _monomials(m, max_degree=3, min_degree=1)
+    coeffs = rng.standard_normal(len(mons))
+    scale = 2.0 * 0.45
+    centers = [np.zeros(m)]
+    term = _bump_poly_term(centers, scale, coeffs, mons)
+    for t in (0.0, 0.2, 0.5, 0.505, 0.52, 0.549, 0.55, 0.8):
+        z = t * scale * _unit(rng, m)
+        want = _oracle_bump_poly(z, centers, scale, coeffs, mons)
+        got = (term["value"](z), term["grad"](z), term["hess"](z))
+        for a, b in zip(got, want):
+            assert _close(a, b), t
+
+
+def test_equiperturb_doctest():
+    results = doctest.testmod(equiperturb)
+    assert results.failed == 0
+    assert results.attempted >= 1

@@ -1,12 +1,14 @@
 """Exact chain-complex algebra against hand-computed fixtures."""
 from __future__ import annotations
 
+import doctest
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equimorse import exactalg
 from equimorse.errors import ConfigurationError, ValidationError
 from equimorse.exactalg import (
     GradedChainComplex,
@@ -305,3 +307,9 @@ def test_sparse_rank_matches_dense(nrows, ncols, data):
 def test_sparse_rank_empty():
     assert sparse_rank([]) == 0
     assert sparse_rank([{}, {}]) == 0
+
+
+def test_exactalg_doctest():
+    results = doctest.testmod(exactalg)
+    assert results.failed == 0
+    assert results.attempted >= 1

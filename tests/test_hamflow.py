@@ -1,6 +1,7 @@
 """Flows and generating functions against closed-form oracles."""
 from __future__ import annotations
 
+import doctest
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equimorse import hamflow
 from equimorse.config import rotation, standard_symplectic, symplectic_residual
 from equimorse.errors import (
     ConfigurationError,
@@ -301,3 +303,9 @@ def test_linearized_path_feeds_index():
     path = linearized_path(HamiltonianGerm.rotation(0.3), periods=4)
     assert path.periods == 4 and path.germ is not None
     assert cz_index(path) == 3
+
+
+def test_hamflow_doctest():
+    results = doctest.testmod(hamflow)
+    assert results.failed == 0
+    assert results.attempted >= 1

@@ -1,4 +1,5 @@
 """Whitney cube decompositions and regularized distance functions."""
+import doctest
 import json
 import math
 import warnings
@@ -422,3 +423,9 @@ class TestRegularizedDistance:
         assert res.values[0] == 0.3
         assert res.values[1] == 0.6
         assert res.func.dimension == 2
+
+
+def test_regdist_doctest():
+    results = doctest.testmod(regdist)
+    assert results.failed == 0
+    assert results.attempted >= 1

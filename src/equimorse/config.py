@@ -26,9 +26,6 @@ TOLERANCES = {
     "newton_grad": 1e-10,         # Newton convergence on gradients
     "dedup": 1e-6,                # periodic-point dedup distance
     "offdiag": 1e-8,              # off-diagonal residual of split Hessians
-    "invariance": 1e-9,           # symmetry invariance of functions
-    "crit_on_strata": 1e-6,       # critical points sit on strata
-    "morse_floor": 1e-8,          # smallest |Hessian eigenvalue| of a Morse point
     "split_residual": 1e-7,       # splitting-lemma pointwise residual
     "split_equivariance": 1e-8,   # splitting-map equivariance residual
     "endpoint_identity": 1e-8,    # loop endpoint = identity

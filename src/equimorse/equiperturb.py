@@ -28,6 +28,9 @@ from .errors import (
 from .lochom import CallableFunction, CyclicAction, FunctionSpec
 from .regdist import ClosedSetSpec, RegularizedDistance
 
+_MORSE_FLOOR = 1e-8
+_STRATUM_TOL = 1e-6
+_INVARIANCE_TOL = 1e-9
 _MARGIN_FRACTION = 0.9
 
 
@@ -95,11 +98,8 @@ class Stratification:
         x = np.asarray(x, dtype=float)
         return float(np.linalg.norm(x - self.projections[j] @ x))
 
-    def assign(self, x, cutoff=None):
-        """Smallest divisor whose stratum contains x up to the cutoff
-        (default: the ``crit_on_strata`` tolerance)."""
-        if cutoff is None:
-            cutoff = tol("crit_on_strata")
+    def assign(self, x, cutoff=_STRATUM_TOL):
+        """Smallest divisor whose stratum contains x up to the cutoff."""
         for j in self.divisors:
             d = self.stratum_distance(x, j)
             if d <= cutoff:
@@ -170,7 +170,7 @@ def normal_decreasing_extension(f, stratification: Stratification, j: int) -> Ca
     for _ in range(16):
         y = basis.T @ rng.uniform(-1.0, 1.0, size=basis.shape[0]) if basis.size \
             else np.zeros(n)
-        if abs(f.value(a @ y) - f.value(y)) > tol("invariance"):
+        if abs(f.value(a @ y) - f.value(y)) > _INVARIANCE_TOL:
             raise ValidationError(
                 "function is not invariant under the induced action on the stratum")
 
@@ -583,10 +583,9 @@ def _ball_point(rng, n, radius):
 
 
 def _is_morse(func, points):
-    floor = tol("morse_floor")
     for p in points:
         eigs = np.linalg.eigvalsh(np.asarray(func.hess(p), dtype=float))
-        if np.min(np.abs(eigs)) < floor:
+        if np.min(np.abs(eigs)) < _MORSE_FLOOR:
             return False
     return True
 
@@ -619,7 +618,7 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
         raise ValidationError("only dimensions up to three are supported")
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    if _check_invariance(f, action, radius) > tol("invariance"):
+    if _check_invariance(f, action, radius) > _INVARIANCE_TOL:
         raise ValidationError("function is not invariant under the action")
     if np.linalg.norm(np.asarray(f.grad(np.zeros(n)))) > 1e-8:
         raise ValidationError("origin is not a critical point")
@@ -748,7 +747,7 @@ def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
             return math.inf
         return min(np.linalg.norm(z - ph @ z) for _, ph, _, _ in handled)
 
-    free = [z for z in crits if prev_distance(z) > tol("crit_on_strata")]
+    free = [z for z in crits if prev_distance(z) > _STRATUM_TOL]
     eta_used = 0.0
     if free and not _is_morse(cur, free):
         sep = min(prev_distance(z) for z in free)
@@ -766,7 +765,7 @@ def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
         for _ in range(6):
             trial = _assemble(cur, [_scaled(alpha, eta)], action)
             crits_t = _critical_points(trial, radius, fine=15, fine_width=0.16)
-            free_t = [z for z in crits_t if prev_distance(z) > tol("crit_on_strata")]
+            free_t = [z for z in crits_t if prev_distance(z) > _STRATUM_TOL]
             if free_t and _is_morse(trial, free_t):
                 accepted = True
                 break
@@ -795,7 +794,7 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
         return min(np.linalg.norm(z - ph @ z) for _, ph, _, _ in handled)
 
     free_y = [y for y in crits_y
-              if prev_distance(basis.T @ y) > tol("crit_on_strata")]
+              if prev_distance(basis.T @ y) > _STRATUM_TOL]
     eta_used = 0.0
     if free_y and not _is_morse(restricted, free_y):
         sep = min(prev_distance(basis.T @ y) for y in free_y)
@@ -812,7 +811,7 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
             trial = _assemble(restricted, [_scaled(alpha_y, eta)], None)
             crits_t = _critical_points(trial, radius, fine=15, fine_width=0.16)
             free_t = [y for y in crits_t
-                      if prev_distance(basis.T @ y) > tol("crit_on_strata")]
+                      if prev_distance(basis.T @ y) > _STRATUM_TOL]
             if free_t and _is_morse(trial, free_t):
                 accepted = True
                 free_y = free_t
@@ -858,15 +857,13 @@ def _certify(f, out, strat, records, handled, epsilon, radius):
     action = strat.action
     rng = np.random.default_rng(1234)
     inv = _check_invariance(out, action, radius, samples=120)
-    inv_tol = tol("invariance")
-    item_inv = {"passed": bool(inv < inv_tol),
-                "residual": float(inv), "tolerance": inv_tol}
+    item_inv = {"passed": bool(inv < _INVARIANCE_TOL),
+                "residual": float(inv), "tolerance": _INVARIANCE_TOL}
 
     # min_abs_eig, morse_floor and euler are reported, not gated: they show
     # how marginal each point is and what the census sums to
     crits = _critical_points(out, radius, fine=15, fine_width=0.16)
     hessians = [np.asarray(out.hess(z), dtype=float) for z in crits]
-    strata_tol = tol("crit_on_strata")
     points = []
     worst_assign = 0.0
     euler = 0
@@ -878,9 +875,9 @@ def _certify(f, out, strat, records, handled, epsilon, radius):
         points.append({"point": [float(v) for v in z],
                        "stratum": int(j), "distance": float(dist_j),
                        "min_abs_eig": float(np.min(np.abs(eigs)))})
-    item_crit = {"passed": bool(worst_assign <= strata_tol),
+    item_crit = {"passed": bool(worst_assign <= _STRATUM_TOL),
                  "max_distance": float(worst_assign),
-                 "tolerance": strata_tol, "morse_floor": tol("morse_floor"),
+                 "tolerance": _STRATUM_TOL, "morse_floor": _MORSE_FLOOR,
                  "euler": int(euler), "points": points}
 
     stage_c = {}
@@ -943,7 +940,7 @@ def verify_morse_smale_2d(f, action, radius=1.2, seed=0):
         raise ValidationError("a cyclic action is required")
     if f.d != 2:
         raise ValidationError("only the plane is supported")
-    if _check_invariance(f, action, radius) > tol("invariance"):
+    if _check_invariance(f, action, radius) > _INVARIANCE_TOL:
         raise ValidationError("function is not invariant under the action")
     strat = strata(action)
     crits = _critical_points(f, radius, fine=15, fine_width=min(0.16, radius))
@@ -952,7 +949,7 @@ def verify_morse_smale_2d(f, action, radius=1.2, seed=0):
     for z in crits:
         h = np.asarray(f.hess(z), dtype=float)
         eigs, vecs = np.linalg.eigh(h)
-        if np.min(np.abs(eigs)) < tol("morse_floor"):
+        if np.min(np.abs(eigs)) < _MORSE_FLOOR:
             raise DegeneracyError(
                 f"degenerate critical point near {np.round(z, 6).tolist()}")
         j, _ = strat.assign(z)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from equimorse import equiperturb
-from equimorse.config import tol
 from equimorse.equiperturb import (
+    _MORSE_FLOOR,
     _bump_poly_term,
     _monomials,
     _poly_grad,
@@ -339,19 +339,13 @@ class TestPerturbPipeline:
         # report-only fields: one saddle with Hessian diag(2, -2)
         census = blob["items"]["critical_points_on_strata"]
         assert census["euler"] == -1
-        assert census["morse_floor"] == tol("morse_floor")
+        assert census["morse_floor"] == _MORSE_FLOOR
         assert [p["min_abs_eig"] for p in census["points"]] == [pytest.approx(2.0)]
 
     def test_pipeline_rejects_functions_that_break_the_symmetry(self):
         f = FunctionSpec.make(2, [(1.0, (2, 0)), (0.5, (1, 1)), (1.0, (0, 2))])
         with pytest.raises(ValidationError):
             perturb_invariant_morse(f, reflection2(), epsilon=0.05)
-
-    def test_invariance_tolerance_override_reaches_the_pipeline(self, monkeypatch):
-        monkeypatch.setenv("EQUIMORSE_TOL_INVARIANCE", "-1")
-        with pytest.raises(ValidationError, match="not invariant"):
-            perturb_invariant_morse(quartic_bowl(), CyclicAction(-np.eye(2), 2),
-                                    epsilon=0.05)
 
     def test_pipeline_rejects_nonisolated_origins(self):
         f = FunctionSpec.make(2, [(1.0, (2, 0))])

@@ -378,7 +378,8 @@ class CubicalPair:
     b: float
     action: Optional[CyclicAction] = None
     kind: str = "cubical"
-    # grid coordinates along each axis and f at every vertex
+    # grid coordinates along each axis; f at every vertex in the ball, +inf
+    # at the vertices outside it
     axis: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
 
@@ -401,19 +402,18 @@ def _vertex_incidence(cells, d):
     return out
 
 
-def _vertex_values(f, axis, pts, d, coarse):
-    # f at every vertex; a grid that bisects the coarse pair's grid takes
-    # the values at its even vertices from the coarse pair
-    shape = [len(axis)] * d
-    if coarse is None:
-        return np.array([f.value(p) for p in pts]).reshape(shape)
-    if not np.array_equal(axis[::2], coarse.axis):
-        raise ValidationError("the grid does not bisect the coarse grid whose values it reuses")
-    even = (slice(None, None, 2),) * d
-    fresh = np.ones(shape, dtype=bool)
-    fresh[even] = False
-    V = np.empty(shape)
-    V[even] = coarse.values
+def _vertex_values(f, axis, pts, in_ball, coarse):
+    # f at every vertex in the ball and +inf outside it, where no value is
+    # read; a grid that bisects the coarse pair's grid takes the values at
+    # its even vertices from the coarse pair
+    V = np.full(in_ball.shape, np.inf)
+    fresh = in_ball.copy()
+    if coarse is not None:
+        if not np.array_equal(axis[::2], coarse.axis):
+            raise ValidationError("the grid does not bisect the coarse grid whose values it reuses")
+        even = (slice(None, None, 2),) * in_ball.ndim
+        V[even] = coarse.values
+        fresh[even] = False
     V[fresh] = [f.value(p) for p in pts[fresh.ravel()]]
     return V
 
@@ -433,9 +433,9 @@ def gromoll_meyer_pair(f, radius, a=None, b=None, h=None,
     axis = np.linspace(-radius, radius, m + 1)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    V = _vertex_values(f, axis, pts, d, _coarse)
     R = np.sqrt(sum(g * g for g in mesh))
     in_ball_v = R <= radius + 1e-9
+    V = _vertex_values(f, axis, pts, in_ball_v, _coarse)
     a, b = _well_depths(f, a, b, V[in_ball_v])
     beta = np.vectorize(lambda r: _beta0(r, radius))(R)
     F = V - (a + b) * beta

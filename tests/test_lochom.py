@@ -466,8 +466,11 @@ def test_fine_pass_bisects_the_coarse_grid_and_reuses_its_values():
 
     f = CallableFunction(d=2, value_fn=value, grad_fn=bowl.grad, hess_fn=bowl.hess)
     assert sublevel_homology(f, 0.5, h=0.14) == {0: 1}
-    # a 9 x 9 coarse grid, then the 17 x 17 fine grid minus the shared vertices
-    assert calls[0] == 17 * 17
+    # a 9 x 9 coarse grid, then the 17 x 17 fine grid minus the shared
+    # vertices, each evaluated only inside the ball of radius 0.5
+    axis = np.linspace(-0.5, 0.5, 17)
+    in_ball = np.hypot(*np.meshgrid(axis, axis, indexing="ij")) <= 0.5 + 1e-9
+    assert calls[0] == int(in_ball.sum()) == 197
     coarse = gromoll_meyer_pair(f, 0.5, h=0.14)
     fine = gromoll_meyer_pair(f, 0.5, coarse.a, coarse.b, h=coarse.h / 2,
                               _skip_checks=True, _coarse=coarse)

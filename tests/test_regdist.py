@@ -1,5 +1,6 @@
 """Whitney cube decompositions and regularized distance functions."""
 import doctest
+import itertools
 import json
 import math
 import warnings
@@ -80,6 +81,167 @@ def _derivative_catalog():
     yield RegularizedDistance.build(y, e, action=a, bbox=(-2.0, 2.0), max_depth=9)
     y, e, a = orbit_pair()
     yield RegularizedDistance.build(y, e, action=a, bbox=(-2.0, 2.0), max_depth=8)
+
+
+def tilted_pair():
+    # the diagonal line with two points swapped by the reflection across it
+    y = ClosedSetSpec.points([[1.0, -1.0], [-1.0, 1.0]])
+    e = ClosedSetSpec.subspace(2, [[1.0, 1.0]])
+    return y, e, CyclicAction(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
+
+
+def slab_pair():
+    y = ClosedSetSpec.points([[0.0, 0.0, 1.2], [0.0, 0.0, -1.2]])
+    e = ClosedSetSpec.subspace(3, [[1.0, 0, 0], [0, 1.0, 0]])
+    return y, e, CyclicAction(np.diag([1.0, 1.0, -1.0]), 2)
+
+
+# -- point-by-point oracle ------------------------------------------------
+# The construction one point and one cube at a time: a dict of cells per
+# depth, the scalar bump profile, and finite differences made of single
+# values.  The batched path must reproduce it bit for bit.
+
+_S_LO, _S_HI = 0.5, 0.55
+
+
+def _profile(t):
+    a = abs(t)
+    if a >= _S_HI:
+        return 0.0
+    if a <= _S_LO:
+        return 1.0
+    u = (_S_HI - a) / (_S_HI - _S_LO)
+    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+
+
+def _bump(u):
+    out = 1.0
+    for t in u:
+        v = _profile(float(t))
+        if v == 0.0:
+            return 0.0
+        out *= v
+    return out
+
+
+class PointwiseOracle:
+    def __init__(self, func):
+        self.func = func
+        self.dec = dec = func.dec
+        self.index = {}
+        for i in range(dec.count):
+            table = self.index.setdefault(int(dec.depth[i]), {})
+            table[tuple(int(v) for v in dec.coords[i])] = i
+
+    def locate(self, x):
+        for j, table in self.index.items():
+            s = self.dec.side0 * 2.0 ** (-j)
+            i = table.get(tuple(int(v) for v in np.floor((x - self.dec.lo0) / s)))
+            if i is not None:
+                return i
+        return None
+
+    def star_cubes(self, x):
+        dec, out = self.dec, []
+        for j, table in self.index.items():
+            s = dec.side0 * 2.0 ** (-j)
+            base = np.floor((x - dec.lo0) / s).astype(int)
+            for off in itertools.product((-1, 0, 1), repeat=dec.n):
+                i = table.get(tuple(base + np.array(off)))
+                if i is None:
+                    continue
+                center = dec.lo0 + (dec.coords[i] + 0.5) * s
+                if np.max(np.abs(x - center)) < (9.0 / 16.0) * s:
+                    out.append(i)
+        return out
+
+    def _phi(self, x, i):
+        s = self.dec.side[i]
+        return _bump((x - (self.dec.lo0 + (self.dec.coords[i] + 0.5) * s)) / s), s
+
+    def partition_sum(self, x):
+        total = 0.0
+        for i in self.star_cubes(x):
+            total += self._phi(x, i)[0]
+        return total
+
+    def raw_value(self, x):
+        func = self.func
+        if func.X.dist(x) <= 1e-12:
+            return 0.0
+        if self.locate(x) is None:
+            if func.E.dist(x) < func.Y.dist(x) and func.X.dist(x) <= func.collar:
+                return func.E.dist(x)
+            raise ResolutionError("unresolved collar")
+        phi_total = phi_u = diam_part = 0.0
+        for i in self.star_cubes(x):
+            phi, s = self._phi(x, i)
+            if phi == 0.0:
+                continue
+            phi_total += phi
+            if func.in_u[i]:
+                phi_u += phi
+            else:
+                diam_part += s * math.sqrt(self.dec.n) * phi
+        if diam_part == 0.0:
+            return func.E.dist(x)
+        return (diam_part + func.E.dist(x) * phi_u) / phi_total
+
+    def value(self, x):
+        action = self.func.action
+        if action is None or action.is_trivial:
+            return self.raw_value(x)
+        z, total = np.asarray(x, dtype=float), 0.0
+        for _ in range(action.k):
+            total += self.raw_value(z)
+            z = action.matrix @ z
+        return total / action.k
+
+    def grad(self, x, h=1e-4):
+        n = self.dec.n
+        g = np.zeros(n)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            g[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
+        return g
+
+    def hess(self, x, h=1e-4):
+        n = self.dec.n
+        H = np.zeros((n, n))
+        v0 = self.value(x)
+        for i in range(n):
+            ei = np.zeros(n)
+            ei[i] = h
+            H[i, i] = (self.value(x + ei) - 2.0 * v0 + self.value(x - ei)) / h ** 2
+            for j in range(i + 1, n):
+                ej = np.zeros(n)
+                ej[j] = h
+                H[i, j] = H[j, i] = (
+                    self.value(x + ei + ej) - self.value(x + ei - ej)
+                    - self.value(x - ei + ej) + self.value(x - ei - ej)
+                ) / (4.0 * h ** 2)
+        return H
+
+
+def _oracle_case(name):
+    # the orbit and tilted cases use boxes whose corner and side are not
+    # dyadic, so cube centers round differently under other arithmetic
+    if name == "far":
+        y, e = far_pair()
+        return RegularizedDistance.build(y, e, max_depth=8)
+    if name == "two-point":
+        y, e = two_point_pair()
+        a = CyclicAction(np.diag([1.0, -1.0]), 2)
+        return RegularizedDistance.build(y, e, action=a, max_depth=8)
+    if name == "orbit":
+        y, e, a = orbit_pair()
+        return RegularizedDistance.build(y, e, action=a, bbox=(-1.97, 2.03), max_depth=8)
+    if name == "tilted":
+        y, e, a = tilted_pair()
+        return RegularizedDistance.build(y, e, action=a, bbox=(-1.95, 1.96), max_depth=8)
+    y, e, a = slab_pair()
+    return RegularizedDistance.build(y, e, action=a, max_depth=6)
 
 
 class TestClosedSetSpec:
@@ -402,6 +564,7 @@ class TestRegularizedDistance:
         a = CyclicAction(np.diag([1.0, 1.0, -1.0]), 2)
         func = RegularizedDistance.build(yv, ev, action=a, bbox=(-2.0, 2.0), max_depth=6)
         rng = np.random.default_rng(29)
+        slab = []
         for _ in range(40):
             q = np.array([
                 rng.uniform(-0.8, 0.8),
@@ -411,6 +574,9 @@ class TestRegularizedDistance:
             assert func.value(q) == abs(q[2])
             assert abs(func.value(a.matrix @ q) - func.value(q)) < 1e-12
             assert 1.0 - 1e-12 <= func.partition_sum(q) <= 12.0 ** 3 + 1e-12
+            slab.append(q)
+        res = regularized_distance(yv, ev, action=a, queries=slab, max_depth=6)
+        assert np.array_equal(res.values, np.abs(np.array(slab)[:, 2]))
 
     def test_result_reports_values_and_derivatives_together(self):
         y, e = far_pair()
@@ -423,6 +589,127 @@ class TestRegularizedDistance:
         assert res.values[0] == 0.3
         assert res.values[1] == 0.6
         assert res.func.dimension == 2
+
+
+class TestBatchedPath:
+    @pytest.mark.parametrize("name", ["far", "two-point", "orbit", "tilted", "slab"])
+    def test_batched_values_and_derivatives_match_the_pointwise_oracle(self, name):
+        func = _oracle_case(name)
+        oracle = PointwiseOracle(func)
+        rng = np.random.default_rng(31)
+        # clear=0.02 reaches into the bump ramps of the finest cubes
+        queries = interior_queries(rng, func, 25, clear=0.02)
+        vals, grads, hessians = func.jets(queries)
+        assert np.array_equal(vals, [oracle.value(q) for q in queries])
+        assert np.array_equal(grads, [oracle.grad(q) for q in queries])
+        assert np.array_equal(hessians, [oracle.hess(q) for q in queries])
+        assert np.array_equal(func.values(queries), vals)
+        for q in queries[:8]:
+            assert func.value(q) == oracle.value(q)
+            assert func.raw_value(q) == oracle.raw_value(q)
+            assert np.array_equal(func.grad(q), oracle.grad(q))
+            assert np.array_equal(func.hess(q), oracle.hess(q))
+            assert func.dec.locate(q) == oracle.locate(q)
+            assert func.dec.star_cubes(q) == oracle.star_cubes(q)
+        # many more single values, down to the collar, where the bump ramps
+        # of the finest cubes overlap
+        pts = interior_queries(rng, func, 300, clear=0.005)
+        want, resolved = [], []
+        for q in pts:
+            try:
+                want.append(oracle.value(q))
+                resolved.append(True)
+            except ResolutionError:
+                resolved.append(False)
+        assert np.array_equal(func.values(pts[resolved]), want)
+        assert [func.partition_sum(q) for q in pts] == [oracle.partition_sum(q) for q in pts]
+        box = (func.dec.lo0[0], func.dec.lo0[0] + func.dec.side0)
+        res = regularized_distance(func.Y, func.E, action=func.action, queries=queries,
+                                   bbox=box, max_depth=func.dec.max_depth)
+        assert np.array_equal(res.values, vals)
+        assert np.array_equal(res.grads, grads)
+        assert np.array_equal(res.hessians, hessians)
+
+    def test_on_set_and_collar_points_in_a_batch(self):
+        y, e = two_point_pair()
+        func = RegularizedDistance.build(y, e, max_depth=9)
+        oracle = PointwiseOracle(func)
+        # on Y, on E, in the collar next to E, and a covered point
+        pts = np.array([[1.0, 0.0], [0.7, 0.0], [0.3, 0.004], [0.3, 0.5]])
+        got = func.values(pts)
+        assert got.tolist() == [0.0, 0.0, 0.004, oracle.value(pts[3])]
+        assert got[3] > 0.0
+        res = regularized_distance(y, e, queries=pts, max_depth=9)
+        assert res.inside.tolist() == [True, True, False, False]
+        assert res.values[:2].tolist() == [0.0, 0.0]
+        assert np.all(res.grads[:2] == 0.0) and np.all(res.hessians[:2] == 0.0)
+
+    def test_a_batch_raises_the_first_error_of_the_pointwise_loop(self):
+        y, e = two_point_pair()
+        func = RegularizedDistance.build(y, e, max_depth=9)
+        good = [0.3, 0.5]
+        unresolved = [1.0, 0.006]
+        outside = [2.5, 0.5]
+        with pytest.raises(ResolutionError, match="max_depth"):
+            func.values([good, good, unresolved])
+        with pytest.raises(ResolutionError, match="max_depth"):
+            func.values([unresolved, outside])
+        with pytest.raises(ValidationError, match="box"):
+            func.values([good, outside, unresolved])
+        with pytest.raises(ResolutionError, match="max_depth"):
+            regularized_distance(y, e, queries=[good, unresolved], max_depth=9)
+        with pytest.raises(ValidationError, match="box"):
+            regularized_distance(y, e, queries=[good, outside], max_depth=9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_queries_are_rejected(self, bad):
+        y, e = two_point_pair()
+        func = RegularizedDistance.build(y, e, max_depth=6)
+        for q in ([bad, 0.5], [0.5, bad], [bad, 0.0]):
+            for method in (func.value, func.raw_value, func.partition_sum,
+                           func.grad, func.hess):
+                with pytest.raises(ValidationError, match="non-finite"):
+                    method(np.array(q))
+            with pytest.raises(ValidationError, match="non-finite"):
+                func.values([[0.3, 0.5], q])
+            with pytest.raises(ValidationError, match="non-finite"):
+                regularized_distance(y, e, queries=[[0.3, 0.5], q], max_depth=6)
+
+    def test_one_batched_pass_over_the_distinct_stencil_points(self, monkeypatch):
+        seen = []
+        original = RegularizedDistance._raw_values
+
+        def counting(self, pts):
+            seen.append(np.array(pts))
+            return original(self, pts)
+
+        monkeypatch.setattr(RegularizedDistance, "_raw_values", counting)
+        y, e, a = slab_pair()
+        queries = [[0.2, 0.3, 0.25], [-0.4, 0.1, -0.6], [0.5, -0.5, 0.0], [0.1, 0.7, 0.8]]
+        res = regularized_distance(y, e, action=a, queries=queries, max_depth=6)
+        assert res.inside.tolist() == [False, False, True, False]
+        # 1 + 2n + 2n(n - 1) = 19 points per off-set query, each with its
+        # k = 2 images
+        assert [len(p) for p in seen] == [3 * 19 * 2]
+        assert len(np.unique(seen[0], axis=0)) == 3 * 19 * 2
+        seen.clear()
+        res.func.value(np.array(queries[0]))
+        assert [len(p) for p in seen] == [2]
+        seen.clear()
+        res.func.grad(np.array(queries[0]))
+        assert [len(p) for p in seen] == [2 * 3 * 2]
+
+    def test_batched_locate_matches_the_pointwise_index(self):
+        y, e, a = slab_pair()
+        func = RegularizedDistance.build(y, e, action=a, max_depth=5)
+        oracle = PointwiseOracle(func)
+        rng = np.random.default_rng(41)
+        # the top edge of the box rounds into a cell one past the last one
+        pts = np.vstack([rng.uniform(-2.0, 2.0, size=(300, 3)),
+                         [[np.nextafter(2.0, 0.0)] * 3, [-2.0] * 3]])
+        got = func.dec.locate_many(pts)
+        want = [oracle.locate(q) for q in pts]
+        assert got.tolist() == [-1 if w is None else w for w in want]
 
 
 def test_regdist_doctest():

@@ -11,6 +11,7 @@ the symmetry forces onto fixed strata.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -279,6 +280,11 @@ def _poly_hess(y, coeffs, mons):
     return h
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 def _bump_poly_term(centers, scale, coeffs, mons):
     """Polynomial times a sum of radial bumps, one bump per center.
 
@@ -291,8 +297,13 @@ def _bump_poly_term(centers, scale, coeffs, mons):
     centers = np.asarray(centers, dtype=float)
     width = _RAMP_HI - _RAMP_LO
 
-    def parts(z):
-        z = np.asarray(z, dtype=float)
+    # Newton sweeps ask for grad and then hess at the same points, so the bump
+    # sum and the polynomial's value and gradient are cached per term, keyed
+    # by the bytes of z.  The cached arrays are read-only: value, grad and
+    # hess only build new arrays from them.
+    @functools.lru_cache(maxsize=8)
+    def parts(key):
+        z = np.frombuffer(key)
         m = len(z)
         w = z - centers
         r = np.sqrt(np.einsum("ki,ki->k", w, w))
@@ -300,7 +311,7 @@ def _bump_poly_term(centers, scale, coeffs, mons):
         bv = float(np.count_nonzero(t <= _RAMP_LO))
         ramp = (t > _RAMP_LO) & (t < _RAMP_HI)
         if not ramp.any():
-            return bv, np.zeros(m), np.zeros((m, m))
+            return bv, _frozen(np.zeros(m)), _frozen(np.zeros((m, m)))
         # the ramp sits away from r = 0, so the radial chain rule is regular
         r = r[ramp]
         s = (_RAMP_HI - t[ramp]) / width
@@ -311,31 +322,41 @@ def _bump_poly_term(centers, scale, coeffs, mons):
         bv += float(np.sum(_quintic(s)))
         bg = d1 @ u
         bh = (u * radial[:, None]).T @ u + float(np.sum(d1 / r)) * np.eye(m)
-        return bv, bg, bh
+        return bv, _frozen(bg), _frozen(bh)
+
+    @functools.lru_cache(maxsize=8)
+    def poly_value(key):
+        return _poly_value(np.frombuffer(key), coeffs, mons)
+
+    @functools.lru_cache(maxsize=8)
+    def poly_grad(key):
+        return _frozen(_poly_grad(np.frombuffer(key), coeffs, mons))
 
     def value(z):
-        z = np.asarray(z, dtype=float)
-        bv, _, _ = parts(z)
+        key = np.asarray(z, dtype=float).tobytes()
+        bv, _, _ = parts(key)
         if bv == 0.0:
             return 0.0
-        return _poly_value(z, coeffs, mons) * bv
+        return poly_value(key) * bv
 
     def grad(z):
         z = np.asarray(z, dtype=float)
-        bv, bg, _ = parts(z)
+        key = z.tobytes()
+        bv, bg, _ = parts(key)
         if bv == 0.0 and not bg.any():
             return np.zeros(len(z))
-        return bv * _poly_grad(z, coeffs, mons) + _poly_value(z, coeffs, mons) * bg
+        return bv * poly_grad(key) + poly_value(key) * bg
 
     def hess(z):
         z = np.asarray(z, dtype=float)
-        bv, bg, bh = parts(z)
+        key = z.tobytes()
+        bv, bg, bh = parts(key)
         if bv == 0.0 and not bg.any() and not bh.any():
             return np.zeros((len(z), len(z)))
-        pg = _poly_grad(z, coeffs, mons)
+        pg = poly_grad(key)
         cross = np.outer(pg, bg)
         return (bv * _poly_hess(z, coeffs, mons) + cross + cross.T
-                + _poly_value(z, coeffs, mons) * bh)
+                + poly_value(key) * bh)
 
     return {"value": value, "grad": grad, "hess": hess}
 

@@ -22,7 +22,8 @@ from .errors import (
     ValidationError,
 )
 
-_MODES = ("const", "cos", "sin")
+# time mode -> its 1-periodic factor f(2 pi freq t); a constant mode has none
+_MODES = {"const": None, "cos": math.cos, "sin": math.sin}
 
 
 @dataclass(frozen=True)
@@ -33,19 +34,40 @@ class Term:
     mode: str = "const"
     freq: int = 1
 
-    def time_factor(self, t: float) -> float:
-        if self.mode == "const":
-            return 1.0
-        w = 2.0 * math.pi * self.freq * t
-        return math.cos(w) if self.mode == "cos" else math.sin(w)
+
+def _json_int(x, what: str) -> int:
+    # JSON numbers may arrive as floats; only whole ones name an integer
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ConfigurationError(f"{what} must be an integer, got {x!r}")
 
 
-def _monomial(z, m) -> float:
-    out = 1.0
-    for zi, mi in zip(z, m):
-        if mi:
-            out *= zi**mi
-    return out
+def _json_object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ConfigurationError(f"{what} must be an object, got {x!r}")
+    return x
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """The monomial table behind HamiltonianGerm.jet.
+
+    Row r is one monomial prod_i z_i^e_ri times the time factor of mode
+    mode_of[r], one row per distinct (exponents, time mode) among H_t and its
+    first and second partial derivatives.  The power table holds z_i^p at
+    [i, p], so flat[r, i] = i * len(powers) + e_ri.  W[k, r] is the sum of
+    coefficient times derivative multiplicity with which row r enters output
+    k: 0 is H_t, 1..d are grad H_t, and 1 + d + j d + l is the (j, l) entry of
+    D^2 H_t.  Since the rows (j, l) and (l, j) of W are equal, so are the
+    Hessian entries.
+    """
+    flat: np.ndarray  # (R, d)
+    powers: np.ndarray  # 0, 1, ..., the largest exponent
+    mode_of: np.ndarray  # (R,)
+    times: tuple  # (f or None, 2 pi freq) per distinct time mode
+    W: np.ndarray  # (1 + d + d^2, R)
 
 
 @dataclass(frozen=True)
@@ -64,13 +86,15 @@ class HamiltonianGerm:
         if self.n < 1:
             raise ConfigurationError("half-dimension n must be positive")
         for term in self.terms:
+            if not math.isfinite(term.c):
+                raise ConfigurationError(f"coefficient {term.c!r} is not finite")
             if len(term.m) != 2 * self.n:
                 raise ConfigurationError("monomial exponents must have length 2n")
             if any((not isinstance(e, int)) or e < 0 for e in term.m):
                 raise ConfigurationError("monomial exponents must be nonnegative integers")
             if sum(term.m) < 2:
                 raise ConfigurationError("every monomial needs total degree >= 2")
-            if term.mode not in _MODES:
+            if not isinstance(term.mode, str) or term.mode not in _MODES:
                 raise ConfigurationError(f"unknown time mode {term.mode!r}")
             if term.mode != "const" and not isinstance(term.freq, int):
                 raise ConfigurationError("time frequency must be an integer")
@@ -96,41 +120,65 @@ class HamiltonianGerm:
     def zero(cls, n=1):
         return cls(n, ())
 
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        d = 2 * self.n
+        mode_ids, rows, entries = {}, {}, []
+
+        def add(out, exps, mode, coef):
+            entries.append((out, rows.setdefault((exps, mode), len(rows)), coef))
+
+        for term in self.terms:
+            key = (term.mode, term.freq if term.mode != "const" else 0)
+            mode = mode_ids.setdefault(key, len(mode_ids))
+            m = term.m
+            add(0, m, mode, term.c)
+            for j in range(d):
+                if not m[j]:
+                    continue
+                mj = m[:j] + (m[j] - 1,) + m[j + 1:]
+                add(1 + j, mj, mode, term.c * m[j])
+                for l in range(d):
+                    if mj[l]:
+                        mjl = mj[:l] + (mj[l] - 1,) + mj[l + 1:]
+                        add(1 + d + j * d + l, mjl, mode, term.c * m[j] * mj[l])
+        W = np.zeros((1 + d + d * d, len(rows)))
+        for out, r, coef in entries:
+            W[out, r] += coef
+        exps = np.array([e for e, _ in rows], dtype=np.intp).reshape(len(rows), d)
+        degree = int(exps.max(initial=0))
+        times = tuple((_MODES[mode], 2.0 * math.pi * freq) for mode, freq in mode_ids)
+        return _Kernel(flat=np.arange(d) * (degree + 1) + exps, powers=np.arange(degree + 1),
+                       mode_of=np.array([mode for _, mode in rows], dtype=np.intp),
+                       times=times, W=W)
+
+    def jet(self, z, t: float):
+        """(H_t(z), grad H_t(z), D^2 H_t(z)) from one pass over the monomial table.
+
+        One power table z_i^p for p <= degree, one gather and product per
+        monomial row, one time factor per distinct mode, one matrix product.
+
+        >>> g = HamiltonianGerm.make(1, [(1.0, (3, 0)), (0.5, (1, 1), "cos", 2)])
+        >>> H, grad, hess = g.jet([2.0, 1.0], 0.25)
+        >>> H, grad.tolist(), hess.tolist()
+        (7.0, [11.5, -1.0], [[12.0, -0.5], [-0.5, 0.0]])
+        """
+        k = self._kernel
+        d = 2 * self.n
+        z = np.asarray(z, dtype=float)
+        table = z[:, None] ** k.powers
+        tf = np.array([1.0 if f is None else f(w * t) for f, w in k.times])
+        out = k.W @ (table.take(k.flat).prod(axis=1) * tf[k.mode_of])
+        return float(out[0]), out[1:d + 1], out[d + 1:].reshape(d, d)
+
     def value(self, z, t: float) -> float:
-        return sum(term.c * term.time_factor(t) * _monomial(z, term.m) for term in self.terms)
+        return self.jet(z, t)[0]
 
     def grad(self, z, t: float) -> np.ndarray:
-        d = 2 * self.n
-        g = np.zeros(d)
-        for term in self.terms:
-            cf = term.c * term.time_factor(t)
-            for j in range(d):
-                if term.m[j]:
-                    m = list(term.m)
-                    m[j] -= 1
-                    g[j] += cf * term.m[j] * _monomial(z, m)
-        return g
+        return self.jet(z, t)[1]
 
     def hess(self, z, t: float) -> np.ndarray:
-        d = 2 * self.n
-        h = np.zeros((d, d))
-        for term in self.terms:
-            cf = term.c * term.time_factor(t)
-            for j in range(d):
-                if not term.m[j]:
-                    continue
-                for l in range(j, d):
-                    mult = term.m[j] * (term.m[l] - (1 if l == j else 0))
-                    if not mult:
-                        continue
-                    m = list(term.m)
-                    m[j] -= 1
-                    m[l] -= 1
-                    v = cf * mult * _monomial(z, m)
-                    h[j, l] += v
-                    if l != j:
-                        h[l, j] += v
-        return h
+        return self.jet(z, t)[2]
 
     def to_json(self) -> dict:
         out = []
@@ -144,12 +192,14 @@ class HamiltonianGerm:
     @classmethod
     def from_json(cls, data: dict):
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"], "n")
             terms = []
             for raw in data["terms"]:
-                time = raw.get("time", {"mode": "const"})
-                terms.append(Term(float(raw["c"]), tuple(int(e) for e in raw["m"]),
-                                  time.get("mode", "const"), int(time.get("freq", 1))))
+                raw = _json_object(raw, "term")
+                time = _json_object(raw.get("time", {"mode": "const"}), "term time")
+                terms.append(Term(float(raw["c"]), tuple(_json_int(e, "exponent") for e in raw["m"]),
+                                  time.get("mode", "const"),
+                                  _json_int(time.get("freq", 1), "time frequency")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed Hamiltonian description: {exc}") from exc
         return cls(n, tuple(terms))
@@ -158,16 +208,19 @@ class HamiltonianGerm:
 def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray, action: bool):
     n = germ.n
     d = 2 * n
+    minus_J = -J
+    jet = germ.jet
 
     def rhs(t, y):
         z = y[:d]
         Phi = y[d:d + d * d].reshape(d, d)
-        dz = -J @ germ.grad(z, t)
-        dPhi = -J @ germ.hess(z, t) @ Phi
+        H, g, h = jet(z, t)
+        dz = minus_J @ g
+        dPhi = minus_J @ h @ Phi
         if not action:
             return np.concatenate([dz, dPhi.ravel()])
         # integrand of the action integral: x . ydot + H_t
-        ds = z[:n] @ dz[n:] + germ.value(z, t)
+        ds = z[:n] @ dz[n:] + H
         return np.concatenate([dz, dPhi.ravel(), [ds]])
 
     return rhs
@@ -219,13 +272,14 @@ def zero_jacobian_path(germ: HamiltonianGerm, T: float):
     equation dPhi/dt = -J0 D^2H_t(0) Phi on its own.
     """
     d = 2 * germ.n
-    J = standard_symplectic(germ.n)
+    minus_J = -standard_symplectic(germ.n)
+    origin = np.zeros(d)
 
     if not germ.terms:
         return lambda t: np.eye(d)
 
     def rhs(t, y):
-        return (-J @ germ.hess(np.zeros(d), t) @ y.reshape(d, d)).ravel()
+        return (minus_J @ germ.jet(origin, t)[2] @ y.reshape(d, d)).ravel()
 
     sol = solve_ivp(rhs, (0.0, float(T)), np.eye(d).ravel(), method="DOP853",
                     rtol=1e-12, atol=1e-13, dense_output=True)

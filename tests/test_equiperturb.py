@@ -544,6 +544,27 @@ def test_bump_term_matches_the_per_center_oracle(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
+def test_bump_term_cache_hands_out_fresh_arrays(m):
+    # grad and hess reuse the bump sum cached at z; a caller that writes into
+    # a result, or evaluates at more points than the cache holds, must not
+    # change a later result at z
+    rng = np.random.default_rng(60 + m)
+    mons = _monomials(m, max_degree=3, min_degree=0)
+    coeffs = rng.standard_normal(len(mons))
+    for kind, z, centers in _bump_cases(m, rng):
+        term = _bump_poly_term(centers, 0.4, coeffs, mons)
+        want = _oracle_bump_poly(z, centers, 0.4, coeffs, mons)
+        for _ in range(2):
+            g, h = term["grad"](z), term["hess"](z)
+            assert _close(g, want[1], rel=1e-12) and _close(h, want[2], rel=1e-12), kind
+            g[:] = np.nan
+            h[:] = np.nan
+        for w in rng.uniform(-0.3, 0.3, size=(12, m)):
+            term["hess"](w)
+        assert _close(term["value"](z), want[0]) and _close(term["grad"](z), want[1]), kind
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_bump_term_derivatives_match_central_differences_on_the_ramp(m):
     rng = np.random.default_rng(50 + m)
     mons = _monomials(m, max_degree=3, min_degree=0)

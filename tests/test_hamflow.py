@@ -309,3 +309,144 @@ def test_hamflow_doctest():
     results = doctest.testmod(hamflow)
     assert results.failed == 0
     assert results.attempted >= 1
+
+
+def test_germ_rejects_non_finite_coefficients():
+    # a NaN or infinite coefficient used to build a germ whose flow never returned
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError):
+            HamiltonianGerm.make(1, [(c, (2, 0))])
+        with pytest.raises(ConfigurationError):
+            HamiltonianGerm.from_json({"n": 1, "terms": [{"c": str(c), "m": [2, 0]}]})
+
+
+@pytest.mark.parametrize("term", [
+    {"c": 1.0, "m": [2.7, 0]},
+    {"c": 1.0, "m": [2, 0], "time": {"mode": "cos", "freq": 1.5}},
+    {"c": 1.0, "m": [2, 0], "time": "cos"},
+    {"c": 1.0, "m": [2, 0], "time": {"mode": ["cos"]}},
+    "c=1, m=(2, 0)",
+])
+def test_from_json_rejects_malformed_terms(term):
+    with pytest.raises(ConfigurationError):
+        HamiltonianGerm.from_json({"n": 1, "terms": [term]})
+
+
+def test_from_json_reads_whole_floats_as_integers():
+    with pytest.raises(ConfigurationError):
+        HamiltonianGerm.from_json({"n": 1.5, "terms": []})
+    g = HamiltonianGerm.from_json({"n": 1.0, "terms": [
+        {"c": 1, "m": [2.0, 0], "time": {"mode": "sin", "freq": 2.0}}]})
+    assert g == HamiltonianGerm.make(1, [(1.0, (2, 0), "sin", 2)])
+
+
+# -- the per-term loops that HamiltonianGerm.jet replaced, kept as its oracle --
+
+def _time_factor(term, t):
+    if term.mode == "const":
+        return 1.0
+    w = 2.0 * math.pi * term.freq * t
+    return math.cos(w) if term.mode == "cos" else math.sin(w)
+
+
+def _monomial(z, m):
+    out = 1.0
+    for zi, mi in zip(z, m):
+        if mi:
+            out *= zi**mi
+    return out
+
+
+def loop_value(germ, z, t):
+    return sum(term.c * _time_factor(term, t) * _monomial(z, term.m) for term in germ.terms)
+
+
+def loop_grad(germ, z, t):
+    d = 2 * germ.n
+    g = np.zeros(d)
+    for term in germ.terms:
+        cf = term.c * _time_factor(term, t)
+        for j in range(d):
+            if term.m[j]:
+                m = list(term.m)
+                m[j] -= 1
+                g[j] += cf * term.m[j] * _monomial(z, m)
+    return g
+
+
+def loop_hess(germ, z, t):
+    d = 2 * germ.n
+    h = np.zeros((d, d))
+    for term in germ.terms:
+        cf = term.c * _time_factor(term, t)
+        for j in range(d):
+            if not term.m[j]:
+                continue
+            for l in range(j, d):
+                mult = term.m[j] * (term.m[l] - (1 if l == j else 0))
+                if not mult:
+                    continue
+                m = list(term.m)
+                m[j] -= 1
+                m[l] -= 1
+                v = cf * mult * _monomial(z, m)
+                h[j, l] += v
+                if l != j:
+                    h[l, j] += v
+    return h
+
+
+def sin_germ_n2():
+    # sin modes of frequency 2 beside constant and cos terms; mixed monomials
+    # exercise off-diagonal Hessian entries of R^4
+    return HamiltonianGerm.make(2, [
+        (0.4, (2, 0, 0, 0)), (0.3, (0, 0, 0, 2)),
+        (-0.2, (0, 1, 1, 0), "sin", 2), (0.15, (1, 0, 1, 1), "sin", 2),
+        (0.25, (0, 2, 0, 2), "sin", 2), (-0.1, (3, 0, 0, 1), "cos", 1),
+        (0.05, (1, 1, 1, 1)), (0.07, (0, 0, 4, 0), "sin", 2)])
+
+
+KERNEL_GERMS = {
+    "rotation": lambda: HamiltonianGerm.rotation(0.3),
+    "quartic": quartic_germ,
+    "cos": cos_germ,
+    "hyperbolic": hyperbolic_germ,
+    "resonant_4_1": resonant_germ,
+    "sin_n2": sin_germ_n2,
+    "zero_n1": lambda: HamiltonianGerm.zero(1),
+    "zero_n2": lambda: HamiltonianGerm.zero(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GERMS))
+def test_jet_matches_the_loop_oracle(name):
+    germ = KERNEL_GERMS[name]()
+    d = 2 * germ.n
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        u = rng.standard_normal(d)
+        z = rng.uniform(0.0, 0.5) * u / np.linalg.norm(u)
+        t = float(rng.uniform(-1.0, 2.0))
+        H, g, h = germ.jet(z, t)
+        assert np.allclose(H, loop_value(germ, z, t), rtol=1e-13, atol=1e-14)
+        assert np.allclose(g, loop_grad(germ, z, t), rtol=1e-13, atol=1e-14)
+        assert np.allclose(h, loop_hess(germ, z, t), rtol=1e-13, atol=1e-14)
+        assert np.array_equal(h, h.T)
+        assert germ.value(z, t) == H
+        assert np.array_equal(germ.grad(z, t), g) and np.array_equal(germ.hess(z, t), h)
+
+
+def test_flows_evaluate_the_germ_only_through_jet(monkeypatch):
+    germ = resonant_germ()
+    expected = integrate_flow(germ, 0.0, 0.5, [0.1, 0.05], action=True)
+    Phi_expected = zero_jacobian_path(germ, 1.0)(0.7)
+
+    def refuse(self, z, t):
+        raise AssertionError("the flow evaluated the germ outside jet")
+
+    for name in ("value", "grad", "hess"):
+        monkeypatch.setattr(HamiltonianGerm, name, refuse)
+    phi, dphi, s = integrate_flow(germ, 0.0, 0.5, [0.1, 0.05], action=True)
+    assert np.array_equal(phi, expected[0]) and np.array_equal(dphi, expected[1])
+    assert s == expected[2]
+    assert np.array_equal(zero_jacobian_path(germ, 1.0)(0.7), Phi_expected)

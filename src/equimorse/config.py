@@ -22,7 +22,6 @@ TOLERANCES = {
     "gen1_det": 1e-8,             # graph-condition determinant threshold
     "gen2_newton": 1e-12,         # Newton solve of the graph equations
     "hessian_sym": 1e-8,          # symmetry residual of assembled Hessians
-    "fd_step": 1e-5,              # finite-difference step
     "newton_grad": 1e-10,         # Newton convergence on gradients
     "dedup": 1e-6,                # periodic-point dedup distance
     "offdiag": 1e-8,              # off-diagonal residual of split Hessians

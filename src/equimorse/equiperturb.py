@@ -26,7 +26,14 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .lochom import CallableFunction, CyclicAction, FunctionSpec
+from .lochom import (
+    CallableFunction,
+    CyclicAction,
+    FunctionSpec,
+    _poly_grad,
+    _poly_hess,
+    _poly_value,
+)
 from .regdist import ClosedSetSpec, RegularizedDistance
 
 _MORSE_FLOOR = 1e-8
@@ -227,59 +234,6 @@ def _monomials(m, max_degree=3, min_degree=0):
     return out
 
 
-def _poly_value(y, coeffs, mons):
-    total = 0.0
-    for c, exps in zip(coeffs, mons):
-        v = c
-        for i, e in enumerate(exps):
-            if e:
-                v *= y[i] ** e
-        total += v
-    return total
-
-
-def _poly_grad(y, coeffs, mons):
-    g = np.zeros(len(y))
-    for c, exps in zip(coeffs, mons):
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            v = c * e
-            for j, ej in enumerate(exps):
-                p = ej - 1 if j == i else ej
-                if p:
-                    v *= y[j] ** p
-            g[i] += v
-    return g
-
-
-def _poly_hess(y, coeffs, mons):
-    m = len(y)
-    h = np.zeros((m, m))
-    for c, exps in zip(coeffs, mons):
-        for i, ei in enumerate(exps):
-            if not ei:
-                continue
-            for j, ej in enumerate(exps):
-                if i == j:
-                    if ei < 2:
-                        continue
-                    v = c * ei * (ei - 1)
-                else:
-                    if not ej:
-                        continue
-                    v = c * ei * ej
-                for l, el in enumerate(exps):
-                    if i == j:
-                        p = el - 2 if l == i else el
-                    else:
-                        p = el - 1 if l in (i, j) else el
-                    if p:
-                        v *= y[l] ** p
-                h[i, j] += v
-    return h
-
-
 def _frozen(a):
     a.flags.writeable = False
     return a
@@ -295,6 +249,7 @@ def _bump_poly_term(centers, scale, coeffs, mons):
     its Hessian are evaluated on the centers strictly inside the ramp alone.
     """
     centers = np.asarray(centers, dtype=float)
+    terms = tuple(zip(coeffs, mons))
     width = _RAMP_HI - _RAMP_LO
 
     # Newton sweeps ask for grad and then hess at the same points, so the bump
@@ -326,11 +281,11 @@ def _bump_poly_term(centers, scale, coeffs, mons):
 
     @functools.lru_cache(maxsize=8)
     def poly_value(key):
-        return _poly_value(np.frombuffer(key), coeffs, mons)
+        return _poly_value(np.frombuffer(key), terms)
 
     @functools.lru_cache(maxsize=8)
     def poly_grad(key):
-        return _frozen(_poly_grad(np.frombuffer(key), coeffs, mons))
+        return _frozen(_poly_grad(np.frombuffer(key), terms))
 
     def value(z):
         key = np.asarray(z, dtype=float).tobytes()
@@ -355,7 +310,7 @@ def _bump_poly_term(centers, scale, coeffs, mons):
             return np.zeros((len(z), len(z)))
         pg = poly_grad(key)
         cross = np.outer(pg, bg)
-        return (bv * _poly_hess(z, coeffs, mons) + cross + cross.T
+        return (bv * _poly_hess(z, terms) + cross + cross.T
                 + poly_value(key) * bh)
 
     return {"value": value, "grad": grad, "hess": hess}

@@ -1,16 +1,38 @@
-"""Exact rational linear algebra, graded chain complexes, cyclic actions, homology."""
+"""Exact rational homology of graded chain complexes, plain and Z_k-invariant.
+
+Every Betti number in the package goes through one sparse route.  A
+differential is given per degree as a list of sparse {row: coeff} columns,
+column j holding the boundary of generator j; `sparse_rank` eliminates them
+over Q, so the answers are exact.  A Z_k action is a signed permutation of
+the generators, given per degree as one (position, sign) per generator.
+
+Invariant homology is the homology of the invariant subcomplex, spanned by
+the orbit sums whose closure sign is +1.  Each invariant Betti number is
+cross-checked against an independent computation that walks no orbits: the
+rank of the averaging operator on H_d is
+
+    rank[A_d | B_d] - rank B_d - rank(d_d A_d),
+
+where A_d holds the columns sum_{i<k} T^i e_j and B_d is the image of the
+next differential.  A mismatch raises ValidationError.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .errors import ConfigurationError, ShapeError, ValidationError
 
-Mat = "list[list[Fraction]]"
+
+def _rational(v) -> Fraction:
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"coefficient {v!r} is not a finite rational number") from None
 
 
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" into a reduced rational."""
-    return Fraction(str(s))
+    return _rational(str(s))
 
 
 def format_rational(q: Fraction) -> str:
@@ -19,121 +41,12 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def zeros(rows: int, cols: int) -> Mat:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(m: int) -> Mat:
-    out = zeros(m, m)
-    for i in range(m):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    if A and B and len(A[0]) != len(B):
-        raise ShapeError(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
-    cols = len(B[0]) if B else 0
-    out = zeros(len(A), cols)
-    for i, row in enumerate(A):
-        for k, a in enumerate(row):
-            if a:
-                Bk = B[k]
-                oi = out[i]
-                for j in range(cols):
-                    if Bk[j]:
-                        oi[j] += a * Bk[j]
-    return out
-
-
-def mat_add(A: Mat, B: Mat) -> Mat:
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(c: Fraction, A: Mat) -> Mat:
-    return [[c * a for a in row] for row in A]
-
-
-def is_zero(A: Mat) -> bool:
-    return all(a == 0 for row in A for a in row)
-
-
-def rref(A: Mat):
-    """Reduced row echelon form; returns (R, pivot column list)."""
-    R = [row[:] for row in A]
-    nrows = len(R)
-    ncols = len(R[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if R[i][c] != 0), None)
-        if p is None:
-            continue
-        R[r], R[p] = R[p], R[r]
-        inv = R[r][c]
-        R[r] = [v / inv for v in R[r]]
-        for i in range(nrows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def rank(A: Mat) -> int:
-    return len(rref(A)[1])
-
-
-def kernel_basis(A: Mat, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis vectors (as columns) of ker A; ncols needed when A has no rows."""
-    if ncols is None:
-        ncols = len(A[0]) if A else 0
-    if not A:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    R, pivots = rref(A)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
-        basis.append(v)
-    return basis
-
-
-def column_space_basis(A: Mat) -> list[list[Fraction]]:
-    """Columns of A forming a basis of the column space."""
-    _, pivots = rref(A)
-    return [[row[c] for row in A] for c in pivots]
-
-
-def cols_to_mat(cols: list[list[Fraction]], nrows: int) -> Mat:
-    return [[col[i] for col in cols] for i in range(nrows)]
-
-
-def solve_columns(B: Mat, Y: Mat) -> Mat:
-    """Solve B X = Y for X, with B of full column rank; exact."""
-    nrows = len(B)
-    p = len(B[0]) if B else 0
-    q = len(Y[0]) if Y else 0
-    aug = [B[i] + Y[i] for i in range(nrows)]
-    R, pivots = rref(aug)
-    if pivots[:p] != list(range(p)) or len(pivots) > p:
-        raise ValidationError("system is inconsistent or B is column-rank deficient")
-    X = zeros(p, q)
-    for i in range(p):
-        for j in range(q):
-            X[i][j] = R[i][p + j]
-    return X
-
-
 def sparse_rank(columns: list[dict[int, Fraction]]) -> int:
-    """Rank over Q of a matrix given as sparse {row: coeff} columns."""
-    cols = {j: {r: v for r, v in col.items() if v} for j, col in enumerate(columns)}
+    """Rank over Q of a matrix given as sparse {row: coeff} columns.
+
+    Integer coefficients are read as rationals, so elimination stays exact.
+    """
+    cols = {j: {r: Fraction(v) for r, v in col.items() if v} for j, col in enumerate(columns)}
     cols = {j: col for j, col in cols.items() if col}
     row_occ: dict[int, set[int]] = {}
     for j, col in cols.items():
@@ -173,24 +86,147 @@ def sparse_rank(columns: list[dict[int, Fraction]]) -> int:
     return rk
 
 
-def _is_signed_permutation(T: Mat) -> bool:
-    m = len(T)
-    for row in T:
-        nz = [a for a in row if a != 0]
-        if len(nz) != 1 or abs(nz[0]) != 1:
-            return False
-    for c in range(m):
-        if sum(1 for i in range(m) if T[i][c] != 0) != 1:
-            return False
-    return True
+def _apply(cols, vec):
+    # the sparse image sum_j vec[j] * cols[j]
+    out = {}
+    for j, c in vec.items():
+        for r, v in cols[j].items():
+            out[r] = out.get(r, 0) + c * v
+    return {r: v for r, v in out.items() if v}
+
+
+def betti_from_columns(cols) -> dict:
+    """Betti numbers by degree of the complex with boundary columns cols[q].
+
+    cols[q] lists one sparse {row: coeff} column per generator of degree q,
+    rows indexing the generators of degree q - 1; zero entries are omitted
+    from the result.
+    """
+    ranks = {q: sparse_rank(cs) for q, cs in cols.items()}
+    out = {}
+    for q, cs in cols.items():
+        bq = len(cs) - ranks[q] - ranks.get(q + 1, 0)
+        if bq:
+            out[q] = bq
+    return out
+
+
+def _check_action(k, cols, act):
+    """Require act to be a signed permutation of order dividing k commuting with cols.
+
+    act[q][i] = (position of T e_i, sign), so T e_i = sign * e_position.
+    """
+    for q, perm in act.items():
+        if len(perm) != len(cols[q]) or sorted(p for p, _ in perm) != list(range(len(perm))):
+            raise ValidationError(f"action at degree {q} is not a signed permutation")
+        for start in range(len(perm)):
+            pos, sign = start, 1
+            for _ in range(k):
+                pos, s = perm[pos]
+                sign *= s
+            if (pos, sign) != (start, 1):
+                raise ValidationError(f"action does not have order dividing k={k} at degree {q}")
+    for q, cs in cols.items():
+        lower = [{t: s} for t, s in act.get(q - 1, [])]
+        for i, col in enumerate(cs):
+            ti, ts = act[q][i]
+            if {r: ts * v for r, v in cs[ti].items() if v} != _apply(lower, col):
+                raise ValidationError(f"action does not commute with the differential at degree {q}")
+
+
+def _averaging_betti(k, cols, act, q):
+    # rank of the averaging operator on H_q, from the columns sum_{i<k} T^i e_j
+    A = []
+    for j in range(len(act[q])):
+        col, pos, sign = {}, j, 1
+        for _ in range(k):
+            col[pos] = col.get(pos, 0) + sign
+            pos, s = act[q][pos]
+            sign *= s
+        A.append(col)
+    B = cols.get(q + 1, [])
+    return (sparse_rank(A + B) - sparse_rank(B)
+            - sparse_rank([_apply(cols[q], a) for a in A]))
+
+
+def invariant_betti_from_columns(k, cols, act) -> dict:
+    """Betti numbers of the subcomplex invariant under the Z_k action act.
+
+    cols is as in `betti_from_columns`; act[q][i] = (position, sign) gives the
+    image of generator i of degree q.  The action is checked first, and every
+    Betti number is cross-checked against the rank of averaging on homology.
+    """
+    _check_action(k, cols, act)
+    # orbit sums with closure sign +1 span the invariant subcomplex
+    gens = {}
+    for q, perm in act.items():
+        gens[q] = []
+        seen = [False] * len(perm)
+        for start in range(len(perm)):
+            if seen[start]:
+                continue
+            orbit = []
+            pos, sign = start, 1
+            while True:
+                orbit.append((pos, sign))
+                seen[pos] = True
+                pos, s = perm[pos]
+                sign *= s
+                if pos == start:
+                    break
+            if sign == 1:
+                gens[q].append(orbit)
+    inv_cols = {}
+    for q, q_gens in gens.items():
+        lower_coord = {}
+        for gidx, orbit in enumerate(gens.get(q - 1, [])):
+            for pos, s in orbit:
+                lower_coord[pos] = (gidx, s)
+        inv_cols[q] = []
+        for orbit in q_gens:
+            col = {}
+            for r, v in _apply(cols[q], dict(orbit)).items():
+                hit = lower_coord.get(r)
+                if hit is None:
+                    raise ValidationError("invariant boundary leaves the invariant subcomplex")
+                gidx, s = hit
+                got = col.setdefault(gidx, v * s)
+                if got != v * s:
+                    raise ValidationError("invariant boundary coordinates are inconsistent")
+            inv_cols[q].append(col)
+    betti = betti_from_columns(inv_cols)
+    for q in cols:
+        check = _averaging_betti(k, cols, act, q)
+        if betti.get(q, 0) != check:
+            raise ValidationError(
+                f"invariant subcomplex betti {betti.get(q, 0)} != rank of averaging "
+                f"on homology {check} at degree {q}")
+    return betti
+
+
+def _integer(v, what) -> int:
+    try:
+        return int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} {v!r} is not an integer") from None
+
+
+def _entries(rows) -> dict:
+    # [{"from", "to", "coeff"}, ...] -> {from: {to: coeff}}
+    out: dict = {}
+    for e in rows:
+        out.setdefault(e["from"], {})[e["to"]] = parse_rational(e["coeff"])
+    return out
 
 
 class GradedChainComplex:
     """Finitely generated chain complex over Q, optionally with a Z_k action.
 
     Generators are named and ordered per degree; the differential drops degree
-    by one.  The action is the matrix of 1 in Z_k and must be a signed
-    permutation commuting with the differential.
+    by one.  The action is the image of 1 in Z_k and must be a signed
+    permutation commuting with the differential.  Both are stored sparsely:
+    d_cols[d][j] is the boundary of generator j of degree d as {row: coeff},
+    and t_perm[d][j] = (position, sign) is its image under the action.
 
     >>> cx = GradedChainComplex(
     ...     k=2,
@@ -204,179 +240,104 @@ class GradedChainComplex:
     """
 
     def __init__(self, k, generators, differential=None, action=None):
-        if k < 1:
+        self.k = _integer(k, "order k")
+        if self.k < 1:
             raise ValidationError(f"order k must be positive, got {k}")
-        self.k = int(k)
-        self.generators = {int(d): list(names) for d, names in generators.items() if names}
+        self.generators = {_integer(d, "degree"): list(names)
+                           for d, names in generators.items() if names}
         self.degrees = sorted(self.generators)
-        self._deg_of = {}
-        self._pos = {}
+        self._where = {}
         for d, names in self.generators.items():
             for i, name in enumerate(names):
-                if name in self._deg_of:
+                if name in self._where:
                     raise ValidationError(f"duplicate generator name {name!r}")
-                self._deg_of[name] = d
-                self._pos[name] = i
-        self.d_mat = {}
-        for d in self.degrees:
-            self.d_mat[d] = zeros(self.dim(d - 1), self.dim(d))
+                self._where[name] = (d, i)
+        self.d_cols = {d: [{} for _ in self.generators[d]] for d in self.degrees}
         for src, targets in (differential or {}).items():
-            d = self._require(src)
+            d, j = self._locate(src)
             for dst, coeff in targets.items():
-                if self._require(dst) != d - 1:
+                e, i = self._locate(dst)
+                if e != d - 1:
                     raise ShapeError(f"differential {src!r}->{dst!r} must drop degree by 1")
-                self.d_mat[d][self._pos[dst]][self._pos[src]] = Fraction(coeff)
-        self.t_mat = None
+                c = _rational(coeff)
+                if c:
+                    self.d_cols[d][j][i] = c
+        self.t_perm = None
         if action is not None:
-            self.t_mat = {d: zeros(self.dim(d), self.dim(d)) for d in self.degrees}
+            self.t_perm = {d: [None] * self.dim(d) for d in self.degrees}
             for src, targets in action.items():
-                d = self._require(src)
+                d, j = self._locate(src)
                 for dst, coeff in targets.items():
-                    if self._require(dst) != d:
+                    e, i = self._locate(dst)
+                    if e != d:
                         raise ShapeError(f"action {src!r}->{dst!r} must preserve degree")
-                    self.t_mat[d][self._pos[dst]][self._pos[src]] = Fraction(coeff)
+                    c = _rational(coeff)
+                    if not c:
+                        continue
+                    if abs(c) != 1 or self.t_perm[d][j] is not None:
+                        raise ValidationError(f"action at degree {d} is not a signed permutation")
+                    self.t_perm[d][j] = (i, int(c))
         self._validate()
 
-    def _require(self, name):
-        if name not in self._deg_of:
+    def _locate(self, name):
+        if name not in self._where:
             raise ValidationError(f"unknown generator {name!r}")
-        return self._deg_of[name]
+        return self._where[name]
 
     def dim(self, d: int) -> int:
         return len(self.generators.get(d, ()))
 
-    def boundary(self, d: int) -> Mat:
-        return self.d_mat.get(d, zeros(self.dim(d - 1), self.dim(d)))
-
-    def action_matrix(self, d: int) -> Mat:
-        if self.t_mat is None:
-            raise ConfigurationError("complex has no action")
-        return self.t_mat[d]
-
     def _validate(self):
         for d in self.degrees:
-            if self.dim(d - 1) > 0 and self.dim(d - 2) >= 0:
-                sq = mat_mul(self.boundary(d - 1), self.boundary(d))
-                if not is_zero(sq):
-                    raise ValidationError(f"differential does not square to zero at degree {d}")
-        if self.t_mat is None:
+            if d - 1 in self.d_cols:
+                for col in self.d_cols[d]:
+                    if _apply(self.d_cols[d - 1], col):
+                        raise ValidationError(f"differential does not square to zero at degree {d}")
+        if self.t_perm is None:
             return
-        for d in self.degrees:
-            T = self.t_mat[d]
-            if not _is_signed_permutation(T):
+        for d, perm in self.t_perm.items():
+            if None in perm:
                 raise ValidationError(f"action at degree {d} is not a signed permutation")
-            P = identity(self.dim(d))
-            for _ in range(self.k):
-                P = mat_mul(T, P)
-            if P != identity(self.dim(d)):
-                raise ValidationError(f"action does not have order dividing k={self.k} at degree {d}")
-            if self.dim(d - 1):
-                lhs = mat_mul(self.t_mat[d - 1], self.boundary(d))
-                rhs = mat_mul(self.boundary(d), T)
-                if lhs != rhs:
-                    raise ValidationError(f"action does not commute with the differential at degree {d}")
-
-    def averaging(self, d: int) -> Mat:
-        """A = (1/k) sum of T^i on degree d; idempotent projector onto invariants."""
-        T = self.action_matrix(d)
-        m = self.dim(d)
-        acc = zeros(m, m)
-        P = identity(m)
-        for _ in range(self.k):
-            acc = mat_add(acc, P)
-            P = mat_mul(T, P)
-        return mat_scale(Fraction(1, self.k), acc)
+        _check_action(self.k, self.d_cols, self.t_perm)
 
     def to_json(self) -> dict:
-        diff = []
-        for d in self.degrees:
-            D = self.boundary(d)
-            for j, src in enumerate(self.generators[d]):
-                for i, dst in enumerate(self.generators.get(d - 1, [])):
-                    if D[i][j]:
-                        diff.append({"from": src, "to": dst, "coeff": format_rational(D[i][j])})
         doc = {
             "k": self.k,
             "generators": {str(d): list(names) for d, names in self.generators.items()},
-            "differential": diff,
+            "differential": [
+                {"from": src, "to": self.generators[d - 1][i], "coeff": format_rational(c)}
+                for d in self.degrees
+                for src, col in zip(self.generators[d], self.d_cols[d])
+                for i, c in sorted(col.items())],
         }
-        if self.t_mat is not None:
-            act = []
-            for d in self.degrees:
-                T = self.t_mat[d]
-                for j, src in enumerate(self.generators[d]):
-                    for i, dst in enumerate(self.generators[d]):
-                        if T[i][j]:
-                            act.append({"from": src, "to": dst, "coeff": format_rational(T[i][j])})
-            doc["action"] = act
+        if self.t_perm is not None:
+            doc["action"] = [
+                {"from": src, "to": self.generators[d][i], "coeff": str(s)}
+                for d in self.degrees
+                for src, (i, s) in zip(self.generators[d], self.t_perm[d])]
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "GradedChainComplex":
-        generators = {int(d): names for d, names in doc["generators"].items()}
-        diff: dict = {}
-        for e in doc.get("differential", []):
-            diff.setdefault(e["from"], {})[e["to"]] = parse_rational(e["coeff"])
-        action = None
-        if "action" in doc:
-            action = {}
-            for e in doc["action"]:
-                action.setdefault(e["from"], {})[e["to"]] = parse_rational(e["coeff"])
-        return cls(k=doc["k"], generators=generators, differential=diff, action=action)
+        try:
+            k, generators = doc["k"], doc["generators"]
+            diff = _entries(doc.get("differential", []))
+            action = _entries(doc["action"]) if "action" in doc else None
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"chain complex document lacks or mistypes {exc}") from None
+        return cls(k=k, generators=generators, differential=diff, action=action)
 
 
 def homology_betti(cx: GradedChainComplex) -> dict:
     """Betti numbers over Q by degree; zero entries omitted."""
-    out = {}
-    for d in cx.degrees:
-        ker = cx.dim(d) - rank(cx.boundary(d))
-        b = ker - rank(cx.boundary(d + 1))
-        if b:
-            out[d] = b
-    return out
-
-
-def _invariant_subcomplex(cx: GradedChainComplex):
-    """Per-degree basis of im A and the differential in that basis."""
-    basis = {}
-    for d in cx.degrees:
-        basis[d] = column_space_basis(cx.averaging(d))
-    dmats = {}
-    for d in cx.degrees:
-        Bd = cols_to_mat(basis[d], cx.dim(d))
-        img = mat_mul(cx.boundary(d), Bd)
-        prev = basis.get(d - 1, [])
-        if not prev:
-            if not is_zero(img):
-                raise ValidationError("averaged differential leaves the invariant subcomplex")
-            dmats[d] = zeros(0, len(basis[d]))
-        else:
-            Bprev = cols_to_mat(prev, cx.dim(d - 1))
-            dmats[d] = solve_columns(Bprev, img)
-    return basis, dmats
+    return betti_from_columns(cx.d_cols)
 
 
 def invariant_homology_betti(cx: GradedChainComplex) -> dict:
     """Betti numbers of the invariant subcomplex; cross-checked on homology."""
-    basis, dmats = _invariant_subcomplex(cx)
-    out = {}
-    for d in cx.degrees:
-        dim_inv = len(basis[d])
-        ker = dim_inv - rank(dmats[d])
-        b = ker - rank(dmats.get(d + 1, zeros(0, 0)))
-        # independent route: rank of the induced averaging operator on H_d
-        Z = kernel_basis(cx.boundary(d), cx.dim(d))
-        img_cols = [[row[c] for row in cx.boundary(d + 1)] for c in range(cx.dim(d + 1))]
-        A = cx.averaging(d)
-        AZ = [[sum(A[i][j] * z[j] for j in range(cx.dim(d))) for i in range(cx.dim(d))] for z in Z]
-        stacked = cols_to_mat(AZ + img_cols, cx.dim(d))
-        b_check = rank(stacked) - rank(cols_to_mat(img_cols, cx.dim(d)))
-        if b != b_check:
-            raise ValidationError(
-                f"invariant subcomplex betti {b} != rank of averaging on homology {b_check} at degree {d}")
-        if b:
-            out[d] = b
-    return out
+    if cx.t_perm is None:
+        raise ConfigurationError("complex has no action")
+    return invariant_betti_from_columns(cx.k, cx.d_cols, cx.t_perm)
 
 
 def euler_characteristic(betti: dict) -> int:
@@ -385,24 +346,14 @@ def euler_characteristic(betti: dict) -> int:
 
 def tensor_with_shift(cx: GradedChainComplex, mu: int, sign_flip: bool) -> GradedChainComplex:
     """Shift degrees by mu (tensor with one nondegenerate generator); optionally negate the action."""
-    if sign_flip and cx.t_mat is None:
+    if sign_flip and cx.t_perm is None:
         raise ConfigurationError("sign_flip requires an action")
     generators = {d + mu: list(names) for d, names in cx.generators.items()}
-    diff = {}
-    for d in cx.degrees:
-        D = cx.boundary(d)
-        for j, src in enumerate(cx.generators[d]):
-            for i, dst in enumerate(cx.generators.get(d - 1, [])):
-                if D[i][j]:
-                    diff.setdefault(src, {})[dst] = D[i][j]
+    diff = {src: {cx.generators[d - 1][i]: c for i, c in col.items()}
+            for d in cx.degrees for src, col in zip(cx.generators[d], cx.d_cols[d]) if col}
     action = None
-    if cx.t_mat is not None:
-        sign = Fraction(-1) if sign_flip else Fraction(1)
-        action = {}
-        for d in cx.degrees:
-            T = cx.t_mat[d]
-            for j, src in enumerate(cx.generators[d]):
-                for i, dst in enumerate(cx.generators[d]):
-                    if T[i][j]:
-                        action.setdefault(src, {})[dst] = sign * T[i][j]
+    if cx.t_perm is not None:
+        flip = -1 if sign_flip else 1
+        action = {src: {cx.generators[d][i]: flip * s}
+                  for d in cx.degrees for src, (i, s) in zip(cx.generators[d], cx.t_perm[d])}
     return GradedChainComplex(k=cx.k, generators=generators, differential=diff, action=action)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +29,12 @@ from .errors import (
     TrustRegionError,
     ValidationError,
 )
-from .exactalg import GradedChainComplex, sparse_rank
+from .exactalg import (
+    GradedChainComplex,
+    betti_from_columns,
+    invariant_betti_from_columns,
+    sparse_rank,  # noqa: F401  (perfbench/selftest.py checks this binding)
+)
 
 
 def signed_permutation_data(A):
@@ -100,6 +104,60 @@ class CyclicAction:
         return np.linalg.matrix_power(self.matrix, j % self.k)
 
 
+def _poly_value(z, terms):
+    """Sum of coeff * prod z_i^e_i over (coeff, exponents) terms."""
+    total = 0.0
+    for coeff, exps in terms:
+        m = coeff
+        for i, e in enumerate(exps):
+            if e:
+                m *= z[i] ** e
+        total += m
+    return total
+
+
+def _poly_grad(z, terms):
+    g = np.zeros(len(z))
+    for coeff, exps in terms:
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            m = coeff * e
+            for j, ej in enumerate(exps):
+                p = ej - 1 if j == i else ej
+                if p:
+                    m *= z[j] ** p
+            g[i] += m
+    return g
+
+
+def _poly_hess(z, terms):
+    d = len(z)
+    H = np.zeros((d, d))
+    for coeff, exps in terms:
+        for i, ei in enumerate(exps):
+            if not ei:
+                continue
+            for j, ej in enumerate(exps):
+                if i == j:
+                    if ei < 2:
+                        continue
+                    m = coeff * ei * (ei - 1)
+                else:
+                    if not ej:
+                        continue
+                    m = coeff * ei * ej
+                for l, el in enumerate(exps):
+                    if i == j:
+                        p = el - 2 if l == i else el
+                    else:
+                        p = el - 1 if l in (i, j) else el
+                    if p:
+                        m *= z[l] ** p
+                H[i, j] += m
+    return H
+
+
 class FunctionSpec:
     """Polynomial with a critical point at the origin, optionally symmetric.
 
@@ -117,7 +175,10 @@ class FunctionSpec:
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.d or any(e < 0 for e in exps):
                 raise ValidationError(f"exponent tuple {exps} does not fit dimension {d}")
-            clean.append((float(coeff), exps))
+            c = float(coeff)
+            if not math.isfinite(c):
+                raise ValidationError(f"coefficient {coeff!r} of term {exps} is not finite")
+            clean.append((c, exps))
         self.terms = tuple(clean)
         for coeff, exps in self.terms:
             if coeff and sum(exps) == 1:
@@ -136,56 +197,13 @@ class FunctionSpec:
         return cls(d, terms, action)
 
     def value(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        total = 0.0
-        for coeff, exps in self.terms:
-            m = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    m *= z[i] ** e
-            total += m
-        return float(total)
+        return float(_poly_value(np.asarray(z, dtype=float), self.terms))
 
     def grad(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        g = np.zeros(self.d)
-        for coeff, exps in self.terms:
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                m = coeff * e
-                for j, ej in enumerate(exps):
-                    p = ej - 1 if j == i else ej
-                    if p:
-                        m *= z[j] ** p
-                g[i] += m
-        return g
+        return _poly_grad(np.asarray(z, dtype=float), self.terms)
 
     def hess(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        H = np.zeros((self.d, self.d))
-        for coeff, exps in self.terms:
-            for i, ei in enumerate(exps):
-                if not ei:
-                    continue
-                for j, ej in enumerate(exps):
-                    if i == j:
-                        if ei < 2:
-                            continue
-                        m = coeff * ei * (ei - 1)
-                    else:
-                        if not ej:
-                            continue
-                        m = coeff * ei * ej
-                    for l, el in enumerate(exps):
-                        if i == j:
-                            p = el - 2 if l == i else el
-                        else:
-                            p = el - 1 if l in (i, j) else el
-                        if p:
-                            m *= z[l] ** p
-                    H[i, j] += m
-        return H
+        return _poly_hess(np.asarray(z, dtype=float), self.terms)
 
     def to_json(self) -> dict:
         doc = {
@@ -207,12 +225,12 @@ class FunctionSpec:
 
 @dataclass
 class CallableFunction:
-    """Function protocol backed by callables; derivatives fall back to differences."""
+    """Function protocol backed by callables for the value and its derivatives."""
 
     d: int
     value_fn: Callable
-    grad_fn: Optional[Callable] = None
-    hess_fn: Optional[Callable] = None
+    grad_fn: Callable
+    hess_fn: Callable
     action: Optional[CyclicAction] = None
     name: str = ""
 
@@ -220,28 +238,10 @@ class CallableFunction:
         return float(self.value_fn(np.asarray(z, dtype=float)))
 
     def grad(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(z), dtype=float)
-        h = tol("fd_step")
-        g = np.zeros(self.d)
-        for i in range(self.d):
-            e = np.zeros(self.d)
-            e[i] = h
-            g[i] = (self.value(z + e) - self.value(z - e)) / (2 * h)
-        return g
+        return np.asarray(self.grad_fn(np.asarray(z, dtype=float)), dtype=float)
 
     def hess(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if self.hess_fn is not None:
-            return np.asarray(self.hess_fn(z), dtype=float)
-        h = tol("fd_step")
-        H = np.zeros((self.d, self.d))
-        for i in range(self.d):
-            e = np.zeros(self.d)
-            e[i] = h
-            H[:, i] = (self.grad(z + e) - self.grad(z - e)) / (2 * h)
-        return 0.5 * (H + H.T)
+        return np.asarray(self.hess_fn(np.asarray(z, dtype=float)), dtype=float)
 
 
 def discrete_action_function(da) -> CallableFunction:
@@ -499,31 +499,44 @@ def _cube_boundary(cube):
     return out
 
 
-def _cubical_chain_data(pair):
+def _cube_degree(cube):
+    return sum(e for _, e in cube)
+
+
+def _chain_data(pair, faces, degree, boundary):
+    """Relative chains of a pair: labels and index per degree, sparse boundary columns.
+
+    The chains are the cells in the closure of w_mask that are not in the
+    closure of wminus_mask; faces(cell) lists the closed cell of a marked
+    mask entry, and faces outside the relative basis drop out of a boundary.
+    """
     def closure(mask):
-        cubes = set()
+        cells = set()
         for cell in zip(*np.nonzero(mask)):
-            cubes.update(_cube_faces(tuple(int(i) for i in cell)))
-        return cubes
+            cells.update(faces(tuple(int(i) for i in cell)))
+        return cells
 
     keep = closure(pair.w_mask) - closure(pair.wminus_mask)
     by_deg = {}
-    for cube in keep:
-        q = sum(e for _, e in cube)
-        by_deg.setdefault(q, []).append(cube)
+    for cell in keep:
+        by_deg.setdefault(degree(cell), []).append(cell)
     labels = {q: sorted(cs) for q, cs in by_deg.items()}
     index = {c: (q, i) for q, cs in labels.items() for i, c in enumerate(cs)}
     cols = {}
     for q, cs in labels.items():
         cols[q] = []
-        for cube in cs:
+        for cell in cs:
             col = {}
-            for face, sign in _cube_boundary(cube):
+            for face, sign in boundary(cell):
                 hit = index.get(face)
                 if hit is not None:
                     col[hit[1]] = col.get(hit[1], 0) + sign
             cols[q].append({r: v for r, v in col.items() if v})
     return labels, index, cols
+
+
+def _cubical_chain_data(pair):
+    return _chain_data(pair, _cube_faces, _cube_degree, _cube_boundary)
 
 
 def _cubical_action_map(pair):
@@ -643,32 +656,21 @@ def gromoll_meyer_pair_polar(f, radius, a=None, b=None, rings=8, sectors=None,
     return pair
 
 
+_POLAR_DEGREE = {"f": 2, "ar": 1, "rd": 1, "v": 0, "c": 0}
+
+
 def _polar_chain_data(pair):
     q = pair.sectors
 
-    def closure(mask):
-        cells = set()
-        for i, j in zip(*np.nonzero(mask)):
-            i, j = int(i), int(j)
-            jn = (j + 1) % q
-            cells.add(("f", i, j))
-            if i == 0:
-                cells.update([("ar", 1, j), ("rd", 1, j), ("rd", 1, jn),
-                              ("v", 1, j), ("v", 1, jn), ("c", 0, 0)])
-            else:
-                cells.update([("ar", i, j), ("ar", i + 1, j),
-                              ("rd", i + 1, j), ("rd", i + 1, jn),
-                              ("v", i, j), ("v", i, jn),
-                              ("v", i + 1, j), ("v", i + 1, jn)])
-        return cells
-
-    keep = closure(pair.w_mask) - closure(pair.wminus_mask)
-    deg = {"f": 2, "ar": 1, "rd": 1, "v": 0, "c": 0}
-    by_deg = {}
-    for cell in keep:
-        by_deg.setdefault(deg[cell[0]], []).append(cell)
-    labels = {d: sorted(cs) for d, cs in by_deg.items()}
-    index = {c: (d, i) for d, cs in labels.items() for i, c in enumerate(cs)}
+    def faces(cell):
+        i, j = cell
+        jn = (j + 1) % q
+        if i == 0:
+            return [("f", 0, j), ("ar", 1, j), ("rd", 1, j), ("rd", 1, jn),
+                    ("v", 1, j), ("v", 1, jn), ("c", 0, 0)]
+        return [("f", i, j), ("ar", i, j), ("ar", i + 1, j),
+                ("rd", i + 1, j), ("rd", i + 1, jn),
+                ("v", i, j), ("v", i, jn), ("v", i + 1, j), ("v", i + 1, jn)]
 
     def boundary(cell):
         kind, i, j = cell
@@ -685,17 +687,7 @@ def _polar_chain_data(pair):
             return [(("v", i, j), 1), (low, -1)]
         return []
 
-    cols = {}
-    for d, cs in labels.items():
-        cols[d] = []
-        for cell in cs:
-            col = {}
-            for face, sign in boundary(cell):
-                hit = index.get(face)
-                if hit is not None:
-                    col[hit[1]] = col.get(hit[1], 0) + sign
-            cols[d].append({r: v for r, v in col.items() if v})
-    return labels, index, cols
+    return _chain_data(pair, faces, lambda cell: _POLAR_DEGREE[cell[0]], boundary)
 
 
 def _polar_action_map(pair):
@@ -711,93 +703,12 @@ def _polar_action_map(pair):
     return map_cell
 
 
-# -- betti numbers -------------------------------------------------------
-
-def _betti_from_columns(dims, cols):
-    ranks = {q: sparse_rank([{r: Fraction(v) for r, v in col.items()} for col in cs])
-             for q, cs in cols.items()}
-    out = {}
-    for q, n in dims.items():
-        bq = n - ranks.get(q, 0) - ranks.get(q + 1, 0)
-        if bq:
-            out[q] = bq
-    return out
-
-
-def _invariant_betti(labels, cols, act):
-    # act[q][i] = (image position, sign); it must commute with the boundary
-    for q, cs in labels.items():
-        lower = act.get(q - 1, [])
-        for i in range(len(cs)):
-            ti, ts = act[q][i]
-            lhs = {r: ts * v for r, v in cols[q][ti].items()}
-            rhs = {}
-            for r, v in cols[q][i].items():
-                tr, trs = lower[r]
-                rhs[tr] = rhs.get(tr, 0) + trs * v
-            if ({r: v for r, v in lhs.items() if v}
-                    != {r: v for r, v in rhs.items() if v}):
-                raise ValidationError("cell action does not commute with the boundary")
-    # orbit sums with closure sign +1 span the invariant subcomplex
-    gens = {}
-    for q, cs in labels.items():
-        gens[q] = []
-        seen = [False] * len(cs)
-        for start in range(len(cs)):
-            if seen[start]:
-                continue
-            orbit = []
-            pos, sign = start, 1
-            while True:
-                orbit.append((pos, sign))
-                seen[pos] = True
-                pos, s = act[q][pos]
-                sign *= s
-                if pos == start:
-                    break
-            if sign == 1:
-                gens[q].append(orbit)
-    inv_cols = {}
-    for q, q_gens in gens.items():
-        lower_coord = {}
-        for gidx, orbit in enumerate(gens.get(q - 1, [])):
-            for pos, s in orbit:
-                lower_coord[pos] = (gidx, s)
-        inv_cols[q] = []
-        for orbit in q_gens:
-            acc = {}
-            for pos, s in orbit:
-                for r, v in cols[q][pos].items():
-                    acc[r] = acc.get(r, 0) + s * v
-            col = {}
-            for r, v in acc.items():
-                if not v:
-                    continue
-                hit = lower_coord.get(r)
-                if hit is None:
-                    raise ValidationError("invariant boundary leaves the invariant subcomplex")
-                gidx, s = hit
-                got = col.setdefault(gidx, v * s)
-                if got != v * s:
-                    raise ValidationError("invariant boundary coordinates are inconsistent")
-            inv_cols[q].append(col)
-    dims = {q: len(g) for q, g in gens.items()}
-    return _betti_from_columns(dims, inv_cols)
-
-
-def relative_homology(pair, invariant: bool = False, action_sign: int = 1) -> dict:
-    """Relative homology of the pair over Q; invariant mode averages the cells."""
+def _cell_action(pair, labels, index, action_sign):
+    # per degree, the (position, sign) image of every relative cell
     if pair.kind == "polar":
-        labels, index, cols = _polar_chain_data(pair)
-        map_cell = _polar_action_map(pair) if pair.action is not None else None
+        map_cell = _polar_action_map(pair)
     else:
-        labels, index, cols = _cubical_chain_data(pair)
-        map_cell = _cubical_action_map(pair) if pair.action is not None else None
-    if not invariant:
-        dims = {q: len(cs) for q, cs in labels.items()}
-        return _betti_from_columns(dims, cols)
-    if pair.action is None:
-        raise ConfigurationError("invariant homology requires a cell action on the pair")
+        map_cell = _cubical_action_map(pair)
     act = {}
     for q, cs in labels.items():
         entries = []
@@ -808,7 +719,21 @@ def relative_homology(pair, invariant: bool = False, action_sign: int = 1) -> di
                 raise ValidationError("cell action leaves the relative basis")
             entries.append((hit[1], s * action_sign))
         act[q] = entries
-    return _invariant_betti(labels, cols, act)
+    return act
+
+
+def relative_homology(pair, invariant: bool = False, action_sign: int = 1) -> dict:
+    """Relative homology of the pair over Q; invariant mode averages the cells."""
+    if pair.kind == "polar":
+        labels, index, cols = _polar_chain_data(pair)
+    else:
+        labels, index, cols = _cubical_chain_data(pair)
+    if not invariant:
+        return betti_from_columns(cols)
+    if pair.action is None:
+        raise ConfigurationError("invariant homology requires a cell action on the pair")
+    act = _cell_action(pair, labels, index, action_sign)
+    return invariant_betti_from_columns(pair.action.k, cols, act)
 
 
 def sublevel_homology(f, radius, a=None, b=None, h=None, invariant=False,

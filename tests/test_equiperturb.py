@@ -12,9 +12,6 @@ from equimorse.equiperturb import (
     _MORSE_FLOOR,
     _bump_poly_term,
     _monomials,
-    _poly_grad,
-    _poly_hess,
-    _poly_value,
     double_well_ring_model,
     normal_decreasing_extension,
     normal_well,
@@ -30,7 +27,7 @@ from equimorse.errors import (
     ResolutionError,
     ValidationError,
 )
-from equimorse.lochom import CyclicAction, FunctionSpec
+from equimorse.lochom import CyclicAction, FunctionSpec, _poly_grad, _poly_hess, _poly_value
 from equimorse.regdist import ClosedSetSpec
 
 
@@ -496,11 +493,12 @@ def _oracle_bump_poly(z, centers, scale, coeffs, mons):
     for c in centers:
         v, g, h = _oracle_bump_parts(z, np.asarray(c, dtype=float), scale)
         bv, bg, bh = bv + v, bg + g, bh + h
-    pv = _poly_value(z, coeffs, mons)
-    pg = _poly_grad(z, coeffs, mons)
+    terms = list(zip(coeffs, mons))
+    pv = _poly_value(z, terms)
+    pg = _poly_grad(z, terms)
     cross = np.outer(pg, bg)
     return (pv * bv, bv * pg + pv * bg,
-            bv * _poly_hess(z, coeffs, mons) + cross + cross.T + pv * bh)
+            bv * _poly_hess(z, terms) + cross + cross.T + pv * bh)
 
 
 def _unit(rng, m):
@@ -540,7 +538,7 @@ def test_bump_term_matches_the_per_center_oracle(m):
         if kind == "outside":
             assert got[0] == 0.0 and not got[1].any() and not got[2].any()
         if kind == "plateau":
-            assert got[0] == pytest.approx(_poly_value(z, coeffs, mons), rel=1e-14)
+            assert got[0] == pytest.approx(_poly_value(z, list(zip(coeffs, mons))), rel=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

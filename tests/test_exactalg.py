@@ -1,10 +1,21 @@
-"""Exact chain-complex algebra against hand-computed fixtures."""
+"""Exact chain-complex algebra against hand-computed fixtures and the dense oracle."""
 from __future__ import annotations
 
 import doctest
 from fractions import Fraction
 
 import pytest
+from dense_oracle import (
+    DenseComplex,
+    column_space_basis,
+    identity,
+    kernel_basis,
+    mat_add,
+    mat_mul,
+    rank,
+    rref,
+    zeros,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,19 +23,13 @@ from equimorse import exactalg
 from equimorse.errors import ConfigurationError, ValidationError
 from equimorse.exactalg import (
     GradedChainComplex,
-    column_space_basis,
     euler_characteristic,
     format_rational,
     homology_betti,
     invariant_homology_betti,
-    kernel_basis,
-    mat_mul,
     parse_rational,
-    rank,
-    rref,
     sparse_rank,
     tensor_with_shift,
-    zeros,
 )
 
 # Bifurcation fixture: one maximum splitting into a pair of saddles swapped-free
@@ -250,13 +255,11 @@ def _signed_cycle_action(names, cycle_lengths, signs, k):
     return action
 
 
-@st.composite
-def zero_diff_action_complexes(draw):
-    k = draw(st.sampled_from([1, 2, 2, 4, 6]))
+def _draw_cycles(draw, k, prefix):
+    """Generator names and a signed-cycle action on them of order dividing k."""
     divisors = [L for L in range(1, k + 1) if k % L == 0]
-    n_cells = draw(st.integers(1, 4))
     lengths, signs = [], []
-    for _ in range(n_cells):
+    for _ in range(draw(st.integers(1, 4))):
         L = draw(st.sampled_from(divisors))
         if (k // L) % 2 == 1:
             s = 1  # odd power of the cycle sign must be trivial for T^k = I
@@ -264,18 +267,122 @@ def zero_diff_action_complexes(draw):
             s = draw(st.sampled_from([1, -1]))
         lengths.append(L)
         signs.append(s)
-    total = sum(lengths)
-    names = [f"g{i}" for i in range(total)]
+    names = [f"{prefix}{i}" for i in range(sum(lengths))]
+    return names, _signed_cycle_action(names, lengths, signs, k)
+
+
+@st.composite
+def zero_diff_action_complexes(draw):
+    k = draw(st.sampled_from([1, 2, 2, 4, 6]))
+    names, action = _draw_cycles(draw, k, "g")
     deg = draw(st.integers(0, 3))
-    action = _signed_cycle_action(names, lengths, signs, k)
     return GradedChainComplex(k=k, generators={deg: names}, differential={}, action=action), deg
+
+
+def _perm_matrix(names, action):
+    T = zeros(len(names), len(names))
+    for j, src in enumerate(names):
+        (dst, s), = action[src].items()
+        T[names.index(dst)][j] = Fraction(s)
+    return T
+
+
+def _power(T, n):
+    P = identity(len(T))
+    for _ in range(n):
+        P = mat_mul(T, P)
+    return P
+
+
+@st.composite
+def averaged_two_term_complexes(draw):
+    # differential sum_i T^i M T^-i for a random integer M commutes with T
+    k = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    top, top_action = _draw_cycles(draw, k, "a")
+    low, low_action = _draw_cycles(draw, k, "b")
+    M = [[Fraction(draw(st.integers(-2, 2))) for _ in top] for _ in low]
+    T1, T0 = _perm_matrix(top, top_action), _perm_matrix(low, low_action)
+    D = zeros(len(low), len(top))
+    for i in range(k):
+        D = mat_add(D, mat_mul(mat_mul(_power(T0, i), M), _power(T1, k - i)))
+    diff = {src: {dst: D[i][j] for i, dst in enumerate(low) if D[i][j]}
+            for j, src in enumerate(top)}
+    deg = draw(st.integers(1, 3))
+    return GradedChainComplex(k=k, generators={deg: top, deg - 1: low},
+                              differential=diff, action={**top_action, **low_action})
+
+
+FIXTURES = (pitchfork_saddles, ring_minima, two_max_cell, torus_cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    averaged_two_term_complexes(),
+    st.builds(tensor_with_shift, st.sampled_from(FIXTURES).map(lambda make: make()),
+              st.integers(-2, 3), st.booleans())))
+def test_betti_numbers_match_the_dense_oracle(cx):
+    oracle = DenseComplex.from_json(cx.to_json())
+    assert homology_betti(cx) == oracle.homology_betti()
+    assert invariant_homology_betti(cx) == oracle.invariant_homology_betti()
+
+
+def test_invariant_betti_is_cross_checked_against_averaging(monkeypatch):
+    # a wrong count from the orbit-sum subcomplex is caught by the rank of
+    # averaging on homology, which walks no orbits
+    real = exactalg.betti_from_columns
+    monkeypatch.setattr(exactalg, "betti_from_columns",
+                        lambda cols: {q: b + 1 for q, b in real(cols).items()})
+    with pytest.raises(ValidationError, match="averaging"):
+        invariant_homology_betti(ring_minima())
+
+
+def _ring_doc(edit):
+    doc = ring_minima().to_json()
+    edit(doc)
+    return doc
+
+
+MALFORMED = {
+    "nan coefficient": lambda: GradedChainComplex.from_json(
+        _ring_doc(lambda doc: doc["differential"][0].update(coeff="nan"))),
+    "non-numeric coefficient": lambda: GradedChainComplex.from_json(
+        _ring_doc(lambda doc: doc["action"][0].update(coeff="abc"))),
+    "non-integer degree": lambda: GradedChainComplex.from_json(
+        _ring_doc(lambda doc: doc["generators"].update(a=doc["generators"].pop("0")))),
+    "missing order": lambda: GradedChainComplex.from_json(_ring_doc(lambda doc: doc.pop("k"))),
+    "float nan coefficient": lambda: GradedChainComplex(
+        k=1, generators={1: ["y"], 0: ["w"]}, differential={"y": {"w": float("nan")}}),
+    "float inf coefficient": lambda: GradedChainComplex(
+        k=1, generators={1: ["y"], 0: ["w"]}, differential={"y": {"w": float("inf")}}),
+}
+
+
+@pytest.mark.parametrize("build", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_complex_raises_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_json_document_keeps_its_entry_order():
+    assert ring_minima().to_json() == {
+        "k": 2,
+        "generators": {"2": ["x"], "1": ["u", "v"], "0": ["y", "z"]},
+        "differential": [
+            {"from": "u", "to": "y", "coeff": "1"}, {"from": "u", "to": "z", "coeff": "-1"},
+            {"from": "v", "to": "y", "coeff": "-1"}, {"from": "v", "to": "z", "coeff": "1"},
+            {"from": "x", "to": "u", "coeff": "1"}, {"from": "x", "to": "v", "coeff": "1"}],
+        "action": [
+            {"from": "y", "to": "y", "coeff": "1"}, {"from": "z", "to": "z", "coeff": "1"},
+            {"from": "u", "to": "v", "coeff": "-1"}, {"from": "v", "to": "u", "coeff": "-1"},
+            {"from": "x", "to": "x", "coeff": "-1"}],
+    }
 
 
 @settings(max_examples=60, deadline=None)
 @given(zero_diff_action_complexes())
 def test_averaging_idempotent_and_bounded(cx_deg):
     cx, deg = cx_deg
-    A = cx.averaging(deg)
+    A = DenseComplex.from_json(cx.to_json()).averaging(deg)
     assert mat_mul(A, A) == A
     plain = homology_betti(cx)
     inv = invariant_homology_betti(cx)
@@ -302,6 +409,7 @@ def test_sparse_rank_matches_dense(nrows, ncols, data):
         for j in range(ncols)
     ]
     assert sparse_rank(columns) == dense
+    assert sparse_rank([{i: int(v) for i, v in col.items()} for col in columns]) == dense
 
 
 def test_sparse_rank_empty():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracle import DenseComplex
 
 from equimorse import dact, exactalg, lochom
 from equimorse.dact import DiscreteAction
@@ -103,6 +104,15 @@ def test_polynomial_values_match_closed_forms():
         assert abs(f.value(z) - (z[0] ** 2 + z[1] ** 2)) < 1e-12
         assert np.allclose(f.grad(z), 2 * z, atol=1e-12)
         assert np.allclose(f.hess(z), 2 * np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+def test_function_rejects_non_finite_coefficients(coeff):
+    with pytest.raises(ValidationError, match="not finite"):
+        FunctionSpec.make(2, [(coeff, (2, 0)), (1.0, (0, 2))])
+    doc = {"d": 2, "terms": [{"coeff": coeff, "exps": [2, 0]}, {"coeff": 1.0, "exps": [0, 2]}]}
+    with pytest.raises(ValidationError, match="not finite"):
+        FunctionSpec.from_json(doc)
 
 
 def test_function_requires_critical_origin():
@@ -236,6 +246,27 @@ def test_polar_pair_matches_cartesian_on_quadratics():
     assert relative_homology(pmax, invariant=True) == {2: 1}
 
 
+PAIRS = {
+    "swap": lambda: gromoll_meyer_pair(swap_saddle_model(0.0), 1.0),
+    "axis": lambda: gromoll_meyer_pair(axis_saddle_model(0.0), 1.0),
+    "ring": lambda: gromoll_meyer_pair(ring_model(0.0), 1.0),
+    "polar monkey": lambda: gromoll_meyer_pair_polar(monkey(action=rotation_action(3)), 1.0),
+}
+
+
+@pytest.mark.parametrize("make", list(PAIRS.values()), ids=list(PAIRS))
+def test_pair_homology_matches_the_dense_oracle(make):
+    # the same relative chains and cell action, through dense ranks and the
+    # averaging projector instead of sparse ranks and orbit sums
+    pair = make()
+    chain_data = lochom._polar_chain_data if pair.kind == "polar" else lochom._cubical_chain_data
+    labels, index, cols = chain_data(pair)
+    act = lochom._cell_action(pair, labels, index, 1)
+    oracle = DenseComplex.from_columns(pair.action.k, cols, act)
+    assert relative_homology(pair) == oracle.homology_betti()
+    assert relative_homology(pair, invariant=True) == oracle.invariant_homology_betti()
+
+
 def test_polar_invariant_monkey_matches_sector_oracle():
     # the monkey saddle is invariant under the order-3 rotation; the sector
     # oracle says averaging kills both surviving degree-1 classes
@@ -260,12 +291,10 @@ def test_morse_complex_swap_model():
     cx = morse_complex_2d(swap_saddle_model(0.5), 1.0)
     assert cx.dim(2) == 1 and cx.dim(1) == 2 and cx.dim(0) == 0
     # saddle downhill branches all exit: no boundary out of degree 1
-    assert all(not any(row) for row in cx.boundary(1))
-    col = [row[0] for row in cx.boundary(2)]
-    assert sorted(int(c) for c in col) == [-1, 1]
-    T1 = cx.action_matrix(1)
-    assert T1[0][0] == 0 and T1[0][1] == 1 and T1[1][0] == 1
-    assert cx.action_matrix(2)[0][0] == -1
+    assert not any(cx.d_cols[1])
+    assert sorted(cx.d_cols[2][0].values()) == [-1, 1]
+    assert cx.t_perm[1] == [(1, 1), (0, 1)]
+    assert cx.t_perm[2] == [(0, -1)]
     assert exactalg.homology_betti(cx) == {1: 1}
     assert exactalg.invariant_homology_betti(cx) == {1: 1}
 
@@ -275,11 +304,9 @@ def test_morse_complex_axis_model():
     # is minus the identity and no invariant class survives
     cx = morse_complex_2d(axis_saddle_model(0.5), 1.0)
     assert cx.dim(2) == 1 and cx.dim(1) == 2
-    col = [row[0] for row in cx.boundary(2)]
-    assert sorted(int(c) for c in col) == [-1, 1]
-    T1 = cx.action_matrix(1)
-    assert T1[0][0] == -1 and T1[1][1] == -1 and T1[0][1] == 0
-    assert cx.action_matrix(2)[0][0] == -1
+    assert sorted(cx.d_cols[2][0].values()) == [-1, 1]
+    assert cx.t_perm[1] == [(0, -1), (1, -1)]
+    assert cx.t_perm[2] == [(0, -1)]
     assert exactalg.homology_betti(cx) == {1: 1}
     assert exactalg.invariant_homology_betti(cx) == {}
 

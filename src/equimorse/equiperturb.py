@@ -30,9 +30,14 @@ from .lochom import (
     CallableFunction,
     CyclicAction,
     FunctionSpec,
+    _batched,
+    _mv,
     _poly_grad,
     _poly_hess,
     _poly_value,
+    _row_dots,
+    _row_norms,
+    _rowwise,
 )
 from .regdist import ClosedSetSpec, RegularizedDistance
 
@@ -182,18 +187,15 @@ def normal_decreasing_extension(f, stratification: Stratification, j: int) -> Ca
             raise ValidationError(
                 "function is not invariant under the induced action on the stratum")
 
-    def value(z):
-        z = np.asarray(z, dtype=float)
-        w = q @ z
-        return f.value(p @ z) - float(w @ w)
+    def value(Z):
+        W = _mv(q, Z)
+        return f.value(_mv(p, Z)) - _row_dots(W, W)
 
-    def grad(z):
-        z = np.asarray(z, dtype=float)
-        return p @ np.asarray(f.grad(p @ z), dtype=float) - 2.0 * (q @ z)
+    def grad(Z):
+        return _mv(p, f.grad(_mv(p, Z))) - 2.0 * _mv(q, Z)
 
-    def hess(z):
-        z = np.asarray(z, dtype=float)
-        return p @ np.asarray(f.hess(p @ z), dtype=float) @ p - 2.0 * q
+    def hess(Z):
+        return np.matmul(np.matmul(p, f.hess(_mv(p, Z))), p) - 2.0 * q
 
     return CallableFunction(n, value, grad, hess, name="normal decreasing extension")
 
@@ -239,158 +241,177 @@ def _frozen(a):
     return a
 
 
+# A term is a dictionary of value, grad and hess functions.  Each takes one
+# point (n,) or a batch (P, n) and returns one result per row; a single
+# point runs as a batch with P = 1, so there is one code path.  Every row of
+# a batch is bitwise equal to the result at that point alone, which keeps
+# the critical point census of a Newton sweep independent of its batching.
+
+def _term(value, grad, hess):
+    """Term from value, grad and hess functions of a (P, n) batch."""
+    return {"value": _batched(value), "grad": _batched(grad), "hess": _batched(hess)}
+
+
 def _bump_poly_term(centers, scale, coeffs, mons):
     """Polynomial times a sum of radial bumps, one bump per center.
 
     Each bump is profile(|z - c| / scale): exactly 1 on the plateau
     t <= 0.5, a decreasing quintic ramp for 0.5 < t < 0.55, and 0 beyond.
-    The bump sum is taken over the (K, m) center array in one pass: plateau
-    centers only add their count to the value, and the ramp, its gradient and
-    its Hessian are evaluated on the centers strictly inside the ramp alone.
+    The bump sum is taken over the (P, K, m) array of differences between
+    the points and the centers in one pass: plateau centers only add their
+    count to the value, and the ramp, its gradient and its Hessian are
+    evaluated on the centers strictly inside the ramp alone.  Rows with the
+    same number R of ramp centers share one stacked (1, R) @ (R, m) product;
+    padding the rows to a common R would change the rounding.
     """
     centers = np.asarray(centers, dtype=float)
+    m = centers.shape[1]
     terms = tuple(zip(coeffs, mons))
     width = _RAMP_HI - _RAMP_LO
+    eye = np.eye(m)
 
     # Newton sweeps ask for grad and then hess at the same points, so the bump
     # sum and the polynomial's value and gradient are cached per term, keyed
-    # by the bytes of z.  The cached arrays are read-only: value, grad and
-    # hess only build new arrays from them.
+    # by the bytes of the batch.  The cached arrays are read-only: value, grad
+    # and hess only build new arrays from them.
     @functools.lru_cache(maxsize=8)
     def parts(key):
-        z = np.frombuffer(key)
-        m = len(z)
-        w = z - centers
-        r = np.sqrt(np.einsum("ki,ki->k", w, w))
+        Z = np.frombuffer(key).reshape(-1, m)
+        W = Z[:, None, :] - centers
+        r = np.sqrt(np.einsum("pki,pki->pk", W, W))
         t = r / scale
-        bv = float(np.count_nonzero(t <= _RAMP_LO))
+        bv = np.add.reduce(t <= _RAMP_LO, axis=1, dtype=float)
+        bg = np.zeros(Z.shape)
+        bh = np.zeros((len(Z), m, m))
         ramp = (t > _RAMP_LO) & (t < _RAMP_HI)
-        if not ramp.any():
-            return bv, _frozen(np.zeros(m)), _frozen(np.zeros((m, m)))
-        # the ramp sits away from r = 0, so the radial chain rule is regular
-        r = r[ramp]
-        s = (_RAMP_HI - t[ramp]) / width
-        d1 = -_quintic_d1(s) / (width * scale)
-        d2 = _quintic_d2(s) / (width * scale) ** 2
-        u = w[ramp] / r[:, None]
-        radial = d2 - d1 / r
-        bv += float(np.sum(_quintic(s)))
-        bg = d1 @ u
-        bh = (u * radial[:, None]).T @ u + float(np.sum(d1 / r)) * np.eye(m)
-        return bv, _frozen(bg), _frozen(bh)
+        counts = np.add.reduce(ramp, axis=1)
+        row, center = np.nonzero(ramp)
+        for R in set(counts[row].tolist()):
+            rows = np.flatnonzero(counts == R)
+            at = counts[row] == R
+            ij = row[at], center[at]
+            # the ramp sits away from r = 0, so the radial chain rule is regular
+            rr = r[ij].reshape(-1, R)
+            s = (_RAMP_HI - t[ij].reshape(-1, R)) / width
+            d1 = -_quintic_d1(s) / (width * scale)
+            d2 = _quintic_d2(s) / (width * scale) ** 2
+            u = W[ij].reshape(-1, R, m) / rr[..., None]
+            radial = d2 - d1 / rr
+            bv[rows] += np.sum(_quintic(s), axis=1)
+            bg[rows] = np.matmul(d1[:, None, :], u)[:, 0]
+            bh[rows] = (np.matmul(np.swapaxes(u * radial[..., None], 1, 2), u)
+                        + np.sum(d1 / rr, axis=1)[:, None, None] * eye)
+        return _frozen(bv), _frozen(bg), _frozen(bh)
 
     @functools.lru_cache(maxsize=8)
     def poly_value(key):
-        return _poly_value(np.frombuffer(key), terms)
+        return _frozen(_poly_value(np.frombuffer(key).reshape(-1, m), terms))
 
     @functools.lru_cache(maxsize=8)
     def poly_grad(key):
-        return _frozen(_poly_grad(np.frombuffer(key), terms))
+        return _frozen(_poly_grad(np.frombuffer(key).reshape(-1, m), terms))
 
-    def value(z):
-        key = np.asarray(z, dtype=float).tobytes()
+    # rows outside every bump are exact zeros, and so is a batch of them
+    # without evaluating the polynomial
+
+    def value(Z):
+        key = Z.tobytes()
         bv, _, _ = parts(key)
-        if bv == 0.0:
-            return 0.0
-        return poly_value(key) * bv
+        if not bv.any():
+            return np.zeros(len(Z))
+        return np.where(bv == 0.0, 0.0, poly_value(key) * bv)
 
-    def grad(z):
-        z = np.asarray(z, dtype=float)
-        key = z.tobytes()
+    def grad(Z):
+        key = Z.tobytes()
         bv, bg, _ = parts(key)
-        if bv == 0.0 and not bg.any():
-            return np.zeros(len(z))
-        return bv * poly_grad(key) + poly_value(key) * bg
+        zero = (bv == 0.0) & ~bg.any(axis=1)
+        if zero.all():
+            return np.zeros(Z.shape)
+        g = bv[:, None] * poly_grad(key) + poly_value(key)[:, None] * bg
+        g[zero] = 0.0
+        return g
 
-    def hess(z):
-        z = np.asarray(z, dtype=float)
-        key = z.tobytes()
+    def hess(Z):
+        key = Z.tobytes()
         bv, bg, bh = parts(key)
-        if bv == 0.0 and not bg.any() and not bh.any():
-            return np.zeros((len(z), len(z)))
-        pg = poly_grad(key)
-        cross = np.outer(pg, bg)
-        return (bv * _poly_hess(z, terms) + cross + cross.T
-                + poly_value(key) * bh)
+        zero = (bv == 0.0) & ~bg.any(axis=1) & ~bh.any(axis=(1, 2))
+        if zero.all():
+            return np.zeros(bh.shape)
+        cross = poly_grad(key)[:, :, None] * bg[:, None, :]
+        h = (bv[:, None, None] * _poly_hess(Z, terms) + cross + np.swapaxes(cross, 1, 2)
+             + poly_value(key)[:, None, None] * bh)
+        h[zero] = 0.0
+        return h
 
-    return {"value": value, "grad": grad, "hess": hess}
+    return _term(value, grad, hess)
 
 
 def _orbit_average(term, mats):
     mats = [np.asarray(m, dtype=float) for m in mats]
 
-    def value(z):
-        z = np.asarray(z, dtype=float)
-        return sum(term["value"](m @ z) for m in mats) / len(mats)
+    def value(Z):
+        return sum(term["value"](_mv(m, Z)) for m in mats) / len(mats)
 
-    def grad(z):
-        z = np.asarray(z, dtype=float)
-        g = np.zeros(len(z))
+    def grad(Z):
+        g = np.zeros(Z.shape)
         for m in mats:
-            g += m.T @ term["grad"](m @ z)
+            g += _mv(m.T, term["grad"](_mv(m, Z)))
         return g / len(mats)
 
-    def hess(z):
-        z = np.asarray(z, dtype=float)
-        h = np.zeros((len(z), len(z)))
+    def hess(Z):
+        h = np.zeros((len(Z), Z.shape[1], Z.shape[1]))
         for m in mats:
-            h += m.T @ term["hess"](m @ z) @ m
+            h += np.matmul(np.matmul(m.T, term["hess"](_mv(m, Z))), m)
         return h / len(mats)
 
-    return {"value": value, "grad": grad, "hess": hess}
+    return _term(value, grad, hess)
 
 
 def _scaled(term, factor):
-    return {
-        "value": lambda z: factor * term["value"](z),
-        "grad": lambda z: factor * term["grad"](z),
-        "hess": lambda z: factor * term["hess"](z),
-    }
+    return _term(lambda Z: factor * term["value"](Z),
+                 lambda Z: factor * term["grad"](Z),
+                 lambda Z: factor * term["hess"](Z))
 
 
 def _lifted(term, basis):
     basis = np.asarray(basis, dtype=float)
 
-    def value(z):
-        return term["value"](basis @ np.asarray(z, dtype=float))
+    def value(Z):
+        return term["value"](_mv(basis, Z))
 
-    def grad(z):
-        return basis.T @ term["grad"](basis @ np.asarray(z, dtype=float))
+    def grad(Z):
+        return _mv(basis.T, term["grad"](_mv(basis, Z)))
 
-    def hess(z):
-        return basis.T @ term["hess"](basis @ np.asarray(z, dtype=float)) @ basis
+    def hess(Z):
+        return np.matmul(np.matmul(basis.T, term["hess"](_mv(basis, Z))), basis)
 
-    return {"value": value, "grad": grad, "hess": hess}
+    return _term(value, grad, hess)
 
 
 def _quadratic_term(proj, c):
     q = np.asarray(proj, dtype=float)
-    return {
-        "value": lambda z: -0.5 * c * float(np.asarray(z) @ q @ np.asarray(z)),
-        "grad": lambda z: -c * (q @ np.asarray(z, dtype=float)),
-        "hess": lambda z: -c * q,
-    }
+    return _term(
+        lambda Z: -0.5 * c * _row_dots(np.matmul(Z[:, None, :], q)[:, 0], Z),
+        lambda Z: -c * _mv(q, Z),
+        lambda Z: np.repeat((-c * q)[None], len(Z), axis=0))
 
 
 def _assemble(f, terms, action, name=""):
     terms = list(terms)
 
-    def value(z):
-        z = np.asarray(z, dtype=float)
-        return f.value(z) + sum(t["value"](z) for t in terms)
+    def value(Z):
+        return f.value(Z) + sum(t["value"](Z) for t in terms)
 
-    def grad(z):
-        z = np.asarray(z, dtype=float)
-        g = np.asarray(f.grad(z), dtype=float).copy()
+    def grad(Z):
+        g = np.array(f.grad(Z), dtype=float)
         for t in terms:
-            g = g + t["grad"](z)
+            g = g + t["grad"](Z)
         return g
 
-    def hess(z):
-        z = np.asarray(z, dtype=float)
-        h = np.asarray(f.hess(z), dtype=float).copy()
+    def hess(Z):
+        h = np.array(f.hess(Z), dtype=float)
         for t in terms:
-            h = h + t["hess"](z)
+            h = h + t["hess"](Z)
         return h
 
     return CallableFunction(f.d, value, grad, hess, action=action, name=name)
@@ -400,14 +421,14 @@ def _restrict(func, basis):
     basis = np.asarray(basis, dtype=float)
     m = basis.shape[0]
 
-    def value(y):
-        return func.value(basis.T @ np.asarray(y, dtype=float))
+    def value(Y):
+        return func.value(_mv(basis.T, Y))
 
-    def grad(y):
-        return basis @ np.asarray(func.grad(basis.T @ np.asarray(y, dtype=float)))
+    def grad(Y):
+        return _mv(basis, func.grad(_mv(basis.T, Y)))
 
-    def hess(y):
-        return basis @ np.asarray(func.hess(basis.T @ np.asarray(y, dtype=float))) @ basis.T
+    def hess(Y):
+        return np.matmul(np.matmul(basis, func.hess(_mv(basis.T, Y))), basis.T)
 
     return CallableFunction(m, value, grad, hess)
 
@@ -483,10 +504,11 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
         t = d1.value(z)
         return w * t * t
 
+    # the well's finite differences are pointwise, so it runs row by row
     func = CallableFunction(
-        n, value,
-        grad_fn=lambda z: _fd_grad(value, z),
-        hess_fn=lambda z: _fd_hess(value, z),
+        n, _rowwise(value),
+        grad_fn=_rowwise(lambda z: _fd_grad(value, z)),
+        hess_fn=_rowwise(lambda z: _fd_hess(value, z)),
         action=action, name="normal well")
     info = {
         "delta": float(delta),
@@ -497,59 +519,105 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
     return func, info
 
 
-def _critical_points(func, radius, extra_seeds=(), coarse=None, fine=13,
-                     fine_width=0.18, max_iter=80, keep_factor=1.02):
-    """Damped Newton sweep from a two-scale grid of seeds."""
+# seeds per axis of the coarse grid in one or two and in three dimensions,
+# Newton steps per seed, and the radius factor within which points are kept
+_COARSE, _COARSE_3D = 7, 5
+_MAX_ITER = 80
+_KEEP_FACTOR = 1.02
+
+
+def _critical_points(func, radius, fine=13, fine_width=0.18):
+    """Damped Newton sweep from a two-scale grid of seeds, run in lockstep.
+
+    All seeds advance together: each iteration makes one grad call on the
+    active rows and one hess call on the rows whose gradient norm is not
+    yet below newton_grad.  A row retires when it converges, when it leaves
+    the ball of radius 3 * radius, or after _MAX_ITER steps.  If a batch
+    raises ResolutionError, that iteration is retried row by row, and the
+    rows that raise retire as failures.  The converged points inside
+    _KEEP_FACTOR * radius are then kept in seed order unless one within
+    dedup was kept before.
+
+    The result is bitwise equal to sweeping the seeds one at a time, which
+    the census of a perturbation depends on: every row of a batch equals
+    the function at that point alone (stacked matmuls make one BLAS call
+    per row, and powers come from libm as for a scalar), the norms are
+    stacked (1, n) @ (n, 1) matmuls like np.linalg.norm, and the
+    least-squares step stays a per-row lstsq, which has no stacked form.
+    """
     n = func.d
-    if coarse is None:
-        coarse = 7 if n <= 2 else 5
+    coarse = _COARSE if n <= 2 else _COARSE_3D
     if n == 3:
         fine = min(fine, 5)
     axes = np.linspace(-radius, radius, coarse)
-    seeds = [np.array(p, dtype=float) for p in itertools.product(axes, repeat=n)]
     fw = min(fine_width, radius)
     fine_axes = np.linspace(-fw, fw, fine)
-    seeds += [np.array(p, dtype=float) for p in itertools.product(fine_axes, repeat=n)]
-    seeds += [np.asarray(s, dtype=float) for s in extra_seeds]
+    x = np.array(list(itertools.product(axes, repeat=n))
+                 + list(itertools.product(fine_axes, repeat=n)), dtype=float)
     grad_tol = tol("newton_grad")
+    cap = 0.25 * max(radius, 1.0)
+    ok = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    for _ in range(_MAX_ITER):
+        if not len(active):
+            break
+        g, answered = _rows_or_retire(func.grad, x[active], (n,))
+        active = active[answered]
+        done = _row_norms(g) < grad_tol
+        ok[active[done]] = True
+        active, g = active[~done], g[~done]
+        h, answered = _rows_or_retire(func.hess, x[active], (n, n))
+        active, g = active[answered], g[answered]
+        step = np.array([np.linalg.lstsq(hi, gi, rcond=None)[0]
+                         for hi, gi in zip(h, g)]).reshape(-1, n)
+        size = _row_norms(step)
+        big = size > cap
+        step[big] *= (cap / size[big])[:, None]
+        x[active] = x[active] - step
+        active = active[~(_row_norms(x[active]) > 3.0 * radius)]
     dedup = tol("dedup")
-    found = []
-    for seed in seeds:
-        x = seed.copy()
-        ok = False
+    kept = x[ok]
+    kept = kept[~(_row_norms(kept) > _KEEP_FACTOR * radius)]
+    found = np.empty_like(kept)
+    count = 0
+    for z in kept:
+        if np.all(_row_norms(z - found[:count]) > dedup):
+            found[count] = z
+            count += 1
+    return list(found[:count])
+
+
+def _rows_or_retire(fn, x, shape):
+    """fn on the batch x, one result of the given shape per answered row,
+    and the mask of the rows it answered.
+
+    On ResolutionError the rows are tried one at a time; the answers of the
+    rows that do not raise are returned in order.  An empty batch makes no
+    call.
+    """
+    if not len(x):
+        return np.empty((0,) + shape), np.ones(0, dtype=bool)
+    try:
+        return fn(x), np.ones(len(x), dtype=bool)
+    except ResolutionError:
+        pass
+    answered = np.ones(len(x), dtype=bool)
+    out = []
+    for i, z in enumerate(x):
         try:
-            for _ in range(max_iter):
-                g = np.asarray(func.grad(x), dtype=float)
-                if np.linalg.norm(g) < grad_tol:
-                    ok = True
-                    break
-                h = np.asarray(func.hess(x), dtype=float)
-                step = np.linalg.lstsq(h, g, rcond=None)[0]
-                size = np.linalg.norm(step)
-                cap = 0.25 * max(radius, 1.0)
-                if size > cap:
-                    step *= cap / size
-                x = x - step
-                if np.linalg.norm(x) > 3.0 * radius:
-                    break
+            out.append(fn(z[None])[0])
         except ResolutionError:
-            continue
-        if not ok or np.linalg.norm(x) > keep_factor * radius:
-            continue
-        if all(np.linalg.norm(x - y) > dedup for y in found):
-            found.append(x)
-    return found
+            answered[i] = False
+    return np.array(out).reshape((-1,) + shape), answered
 
 
 def _check_invariance(func, action, radius, samples=64):
     if action.is_trivial:
         return 0.0
     rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(samples):
-        z = _ball_point(rng, func.d, radius)
-        worst = max(worst, abs(func.value(action.matrix @ z) - func.value(z)))
-    return worst
+    z = np.array([_ball_point(rng, func.d, radius) for _ in range(samples)])
+    diff = np.abs(func.value(_mv(action.matrix, z)) - func.value(z))
+    return max([0.0, *diff.tolist()])
 
 
 def _ball_point(rng, n, radius):
@@ -559,11 +627,10 @@ def _ball_point(rng, n, radius):
 
 
 def _is_morse(func, points):
-    for p in points:
-        eigs = np.linalg.eigvalsh(np.asarray(func.hess(p), dtype=float))
-        if np.min(np.abs(eigs)) < _MORSE_FLOOR:
-            return False
-    return True
+    if not len(points):
+        return True
+    eigs = np.linalg.eigvalsh(func.hess(np.array(points)))
+    return not np.any(np.min(np.abs(eigs), axis=1) < _MORSE_FLOOR)
 
 
 def _min_separation(points):
@@ -818,11 +885,9 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
                 c = 10.0 * float(np.linalg.norm(block, 2))
         if c > epsilon:
             raise _StageFailure(f"stage d={d}: curvature budget exceeded")
-        terms.append({
-            "value": lambda z: -0.5 * c * well.value(z),
-            "grad": lambda z: -0.5 * c * well.grad(z),
-            "hess": lambda z: -0.5 * c * well.hess(z),
-        })
+        terms.append(_term(lambda Z: -0.5 * c * well.value(Z),
+                           lambda Z: -0.5 * c * well.grad(Z),
+                           lambda Z: -0.5 * c * well.hess(Z)))
     return {"divisor": int(d), "dimension": int(m), "c": float(c),
             "h_scale": None, "alpha_scale": float(eta_used),
             "well": {k: float(v) for k, v in info.items()}}
@@ -839,14 +904,13 @@ def _certify(f, out, strat, records, handled, epsilon, radius):
     # min_abs_eig, morse_floor and euler are reported, not gated: they show
     # how marginal each point is and what the census sums to
     crits = _critical_points(out, radius, fine=15, fine_width=0.16)
-    hessians = [np.asarray(out.hess(z), dtype=float) for z in crits]
+    hessians = out.hess(np.array(crits)) if crits else np.empty((0, n, n))
     points = []
     worst_assign = 0.0
     euler = 0
-    for z, hz in zip(crits, hessians):
+    for z, eigs in zip(crits, np.linalg.eigvalsh(hessians)):
         j, dist_j = strat.assign(z)
         worst_assign = max(worst_assign, dist_j)
-        eigs = np.linalg.eigvalsh(hz)
         euler += (-1) ** int(np.sum(eigs < 0.0))
         points.append({"point": [float(v) for v in z],
                        "stratum": int(j), "distance": float(dist_j),
@@ -887,14 +951,13 @@ def _certify(f, out, strat, records, handled, epsilon, radius):
     item_margin = {"passed": bool(margins_ok),
                    "required_fraction": _MARGIN_FRACTION, "points": margins}
 
+    z = np.array([_ball_point(rng, n, radius) for _ in range(60)])
+    dv = np.abs(out.value(z) - f.value(z))
+    dg = _row_norms(out.grad(z) - f.grad(z))
+    dh = np.linalg.norm(out.hess(z) - f.hess(z), 2, axis=(1, 2))
     worst_c2 = 0.0
-    for _ in range(60):
-        z = _ball_point(rng, n, radius)
-        dv = abs(out.value(z) - f.value(z))
-        dg = float(np.linalg.norm(np.asarray(out.grad(z)) - np.asarray(f.grad(z))))
-        dh = float(np.linalg.norm(
-            np.asarray(out.hess(z)) - np.asarray(f.hess(z)), 2))
-        worst_c2 = max(worst_c2, dv, dg, dh)
+    for dvi, dgi, dhi in zip(dv.tolist(), dg.tolist(), dh.tolist()):
+        worst_c2 = max(worst_c2, dvi, dgi, dhi)
     item_c2 = {"passed": bool(worst_c2 < epsilon),
                "measured": float(worst_c2), "epsilon": float(epsilon)}
 

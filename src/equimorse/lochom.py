@@ -8,6 +8,7 @@ to its kernel directions plus a quadratic normal form.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -104,58 +105,149 @@ class CyclicAction:
         return np.linalg.matrix_power(self.matrix, j % self.k)
 
 
-def _poly_value(z, terms):
-    """Sum of coeff * prod z_i^e_i over (coeff, exponents) terms."""
-    total = 0.0
+def _on_rows(fn, z, *args):
+    """fn on a (P, d) batch of points; one point (d,) runs as a batch of one.
+
+    Returns fn's result for a batch and its only row for one point, so a
+    single point goes through the same code as a batch.
+    """
+    z = np.asarray(z, dtype=float)
+    out = fn(z.reshape(-1, z.shape[-1]), *args)
+    return out if z.ndim > 1 else out[0]
+
+
+def _batched(kernel):
+    """Let a kernel on a (P, d) batch also take one point (d,)."""
+
+    @functools.wraps(kernel)
+    def call(z, *args):
+        return _on_rows(kernel, z, *args)
+
+    return call
+
+
+def _rowwise(fn):
+    """Batch form of a function of one point: fn applied row by row."""
+
+    def batch(Z):
+        return np.array([fn(z) for z in Z], dtype=float)
+
+    return batch
+
+
+# Batched linear algebra whose rows are bitwise equal to the one-point
+# forms: a stacked matmul makes one BLAS call per row, as `A @ z` and
+# np.linalg.norm do, where `Z @ A.T` or np.linalg.norm(Z, axis=1) round
+# differently.
+
+def _mv(A, Z):
+    """A @ z for every row z of Z."""
+    return np.matmul(A, Z[..., None])[..., 0]
+
+
+def _row_dots(X, Y):
+    """x @ y for every pair of rows of X and Y."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def _row_norms(Z):
+    """np.linalg.norm(z) for every row z of Z."""
+    return np.sqrt(_row_dots(Z, Z))
+
+
+@functools.lru_cache(maxsize=256)
+def _poly_table(terms, d, order):
+    """Monomial table of the order-th derivative (0, 1 or 2) of a polynomial.
+
+    Entry t of the derivative is coeff[t] times its factors z_i ** p, added
+    to one output slot (the value, a gradient or a Hessian entry).  Entries
+    come in the order of the loops over terms and exponents, and factors in
+    coordinate order, so that a row is bitwise equal to multiplying and
+    summing one monomial at a time.  Returns the coordinates and exponents
+    of the power columns, the K factor columns of every entry, padded with
+    a column of ones, the coefficients, and the entries of every slot, led
+    and padded by a zero entry T; multiplying by 1.0 and adding a trailing
+    0.0 are exact.
+    """
+    entries = []  # (slot, coefficient, exponent of every coordinate)
     for coeff, exps in terms:
-        m = coeff
-        for i, e in enumerate(exps):
-            if e:
-                m *= z[i] ** e
-        total += m
-    return total
+        for slot, ij in enumerate(itertools.product(range(d), repeat=order)):
+            c, pows = coeff, list(exps)
+            for k in ij:
+                c *= pows[k]
+                pows[k] -= 1
+            # a negative exponent marks a derivative of a constant factor
+            if min(pows) >= 0:
+                entries.append((slot, c, pows))
+    factors = [[(l, p) for l, p in enumerate(pows) if p] for _, _, pows in entries]
+    # the last power column is z_0 ** 0 = 1.0, which pads short entries
+    cols = sorted({f for fs in factors for f in fs}) + [(0, 0)]
+    col = {f: k for k, f in enumerate(cols)}
+    # entry T is the zero that leads and pads every slot
+    index = np.full((len(entries) + 1, max([1] + [len(fs) for fs in factors])), len(cols) - 1)
+    for t, fs in enumerate(factors):
+        index[t, :len(fs)] = [col[f] for f in fs]
+    coeffs = np.array([c for _, c, _ in entries] + [0.0], dtype=float)
+    slots = [[len(entries)] for _ in range(d ** order)]
+    for t, (slot, _, _) in enumerate(entries):
+        slots[slot].append(t)
+    width = max(len(s) for s in slots)
+    gather = np.array([s + [len(entries)] * (width - len(s)) for s in slots])
+    return (np.array([i for i, _ in cols]), [float(p) for _, p in cols],
+            list(index.T.copy()), coeffs, gather)
 
 
-def _poly_grad(z, terms):
-    g = np.zeros(len(z))
-    for coeff, exps in terms:
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            m = coeff * e
-            for j, ej in enumerate(exps):
-                p = ej - 1 if j == i else ej
-                if p:
-                    m *= z[j] ** p
-            g[i] += m
-    return g
+def _poly_eval(Z, terms, order):
+    """The order-th derivative of the polynomial at every row, (P, d ** order).
+
+    Powers are taken by math.pow: a scalar z[i] ** p calls libm pow, and
+    numpy's array power differs from it in the last bit on some inputs.
+    The slot sums are running sums, which add in entry order.
+    """
+    coords, exps, factor, coeffs, gather = _poly_table(tuple(terms), Z.shape[1], order)
+    P, C = len(Z), len(exps)
+    pw = np.fromiter(map(math.pow, Z[:, coords].ravel().tolist(), exps * P),
+                     float, P * C).reshape(P, C)
+    m = coeffs * pw[:, factor[0]]
+    for k in factor[1:]:
+        m = m * pw[:, k]
+    return np.add.accumulate(m[:, gather], axis=2)[:, :, -1]
 
 
-def _poly_hess(z, terms):
-    d = len(z)
-    H = np.zeros((d, d))
-    for coeff, exps in terms:
-        for i, ei in enumerate(exps):
-            if not ei:
-                continue
-            for j, ej in enumerate(exps):
-                if i == j:
-                    if ei < 2:
-                        continue
-                    m = coeff * ei * (ei - 1)
-                else:
-                    if not ej:
-                        continue
-                    m = coeff * ei * ej
-                for l, el in enumerate(exps):
-                    if i == j:
-                        p = el - 2 if l == i else el
-                    else:
-                        p = el - 1 if l in (i, j) else el
-                    if p:
-                        m *= z[l] ** p
-                H[i, j] += m
-    return H
+@_batched
+def _poly_value(Z, terms):
+    """Sum of coeff * prod z_i^e_i over (coeff, exponents) terms, per row."""
+    return _poly_eval(Z, terms, 0)[:, 0]
+
+
+@_batched
+def _poly_grad(Z, terms):
+    return _poly_eval(Z, terms, 1)
+
+
+@_batched
+def _poly_hess(Z, terms):
+    P, d = Z.shape
+    return _poly_eval(Z, terms, 2).reshape(P, d, d)
+
+
+def _as_value(out):
+    """A float for the value at one point, the array of values for a batch."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _json_term(t):
+    """(coeff, exponents) of one JSON term; whole floats count as exponents."""
+    if not isinstance(t, dict) or "coeff" not in t or "exps" not in t:
+        raise ValidationError(f"term must be an object with coeff and exps, got {t!r}")
+    coeff, exps = t["coeff"], t["exps"]
+    if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+        raise ValidationError(f"coefficient must be a number, got {coeff!r}")
+    if not isinstance(exps, list) or not all(
+            (isinstance(e, int) and not isinstance(e, bool))
+            or (isinstance(e, float) and e.is_integer()) for e in exps):
+        raise ValidationError(f"exponents must be a list of integers, got {exps!r}")
+    return coeff, tuple(int(e) for e in exps)
 
 
 class FunctionSpec:
@@ -196,14 +288,16 @@ class FunctionSpec:
     def make(cls, d, terms, action=None) -> "FunctionSpec":
         return cls(d, terms, action)
 
-    def value(self, z) -> float:
-        return float(_poly_value(np.asarray(z, dtype=float), self.terms))
+    # value, grad and hess take one point (d,) or a batch (P, d)
+
+    def value(self, z):
+        return _as_value(_poly_value(z, self.terms))
 
     def grad(self, z) -> np.ndarray:
-        return _poly_grad(np.asarray(z, dtype=float), self.terms)
+        return _poly_grad(z, self.terms)
 
     def hess(self, z) -> np.ndarray:
-        return _poly_hess(np.asarray(z, dtype=float), self.terms)
+        return _poly_hess(z, self.terms)
 
     def to_json(self) -> dict:
         doc = {
@@ -219,13 +313,21 @@ class FunctionSpec:
         action = None
         if doc.get("action"):
             action = CyclicAction(np.array(doc["action"]["matrix"]), doc["action"]["k"])
-        terms = [(t["coeff"], tuple(t["exps"])) for t in doc["terms"]]
-        return cls(doc["d"], terms, action)
+        terms = doc["terms"]
+        if not isinstance(terms, list):
+            raise ValidationError(f"terms must be a list, got {terms!r}")
+        return cls(doc["d"], [_json_term(t) for t in terms], action)
 
 
 @dataclass
 class CallableFunction:
-    """Function protocol backed by callables for the value and its derivatives."""
+    """Function protocol backed by callables for the value and its derivatives.
+
+    The callables take a batch of points, a (P, d) array, and return one
+    result per row: values (P,), gradients (P, d) and Hessians (P, d, d);
+    `_rowwise` turns a function of one point into one.  value, grad and
+    hess take one point (d,) or a batch; value gives a float for one point.
+    """
 
     d: int
     value_fn: Callable
@@ -234,14 +336,14 @@ class CallableFunction:
     action: Optional[CyclicAction] = None
     name: str = ""
 
-    def value(self, z) -> float:
-        return float(self.value_fn(np.asarray(z, dtype=float)))
+    def value(self, z):
+        return _as_value(np.asarray(_on_rows(self.value_fn, z), dtype=float))
 
     def grad(self, z) -> np.ndarray:
-        return np.asarray(self.grad_fn(np.asarray(z, dtype=float)), dtype=float)
+        return np.asarray(_on_rows(self.grad_fn, z), dtype=float)
 
     def hess(self, z) -> np.ndarray:
-        return np.asarray(self.hess_fn(np.asarray(z, dtype=float)), dtype=float)
+        return np.asarray(_on_rows(self.hess_fn, z), dtype=float)
 
 
 def discrete_action_function(da) -> CallableFunction:
@@ -268,9 +370,9 @@ def discrete_action_function(da) -> CallableFunction:
         action = CyclicAction(_dact.shift_matrix(da), da.k)
     return CallableFunction(
         d=da.dim,
-        value_fn=lambda z: at(z)[0],
-        grad_fn=lambda z: at(z)[1].copy(),
-        hess_fn=lambda z: at(z)[2].copy(),
+        value_fn=_rowwise(lambda z: at(z)[0]),
+        grad_fn=_rowwise(lambda z: at(z)[1]),
+        hess_fn=_rowwise(lambda z: at(z)[2]),
         action=action,
         name=f"discrete-action k={da.k} N={da.N}")
 
@@ -1044,7 +1146,8 @@ def equivariant_split(f, n1: int, radius: float = 0.5, samples: int = 25,
     g_action = None
     if has_action and n1:
         g_action = CyclicAction(f.action.matrix[:n1, :n1], f.action.k)
-    g = CallableFunction(d=n1, value_fn=g_value, grad_fn=g_grad, hess_fn=g_hess,
+    g = CallableFunction(d=n1, value_fn=_rowwise(g_value), grad_fn=_rowwise(g_grad),
+                         hess_fn=_rowwise(g_hess),
                          action=g_action, name="reduced")
     return SplitResult(g=g, signature=(p, q), orientation_preserved=orientation,
                        psi=psi, phi=lambda z1: phi(np.atleast_1d(np.asarray(z1, float))),
@@ -1098,9 +1201,9 @@ def local_homology(f, radius: float = 0.5, h=None) -> LocalHomology:
             g_action = CyclicAction(Arot, f.action.k)
         frot = CallableFunction(
             d=d,
-            value_fn=lambda w: f.value(Q @ w),
-            grad_fn=lambda w: Q.T @ f.grad(Q @ w),
-            hess_fn=lambda w: Q.T @ f.hess(Q @ w) @ Q,
+            value_fn=lambda W: f.value(_mv(Q, W)),
+            grad_fn=lambda W: _mv(Q.T, f.grad(_mv(Q, W))),
+            hess_fn=lambda W: np.matmul(np.matmul(Q.T, f.hess(_mv(Q, W))), Q),
             action=g_action,
             name="rotated")
         split = equivariant_split(frot, K, radius=radius)

@@ -1,6 +1,7 @@
 """Tests for symmetric stratifications and invariant Morse perturbation."""
 
 import doctest
+import itertools
 import json
 import math
 
@@ -8,10 +9,15 @@ import numpy as np
 import pytest
 
 from equimorse import equiperturb
+from equimorse.config import tol
 from equimorse.equiperturb import (
     _MORSE_FLOOR,
     _bump_poly_term,
+    _lifted,
     _monomials,
+    _orbit_average,
+    _quadratic_term,
+    _scaled,
     double_well_ring_model,
     normal_decreasing_extension,
     normal_well,
@@ -27,7 +33,18 @@ from equimorse.errors import (
     ResolutionError,
     ValidationError,
 )
-from equimorse.lochom import CyclicAction, FunctionSpec, _poly_grad, _poly_hess, _poly_value
+from equimorse.lochom import (
+    CallableFunction,
+    CyclicAction,
+    FunctionSpec,
+    _poly_grad,
+    _poly_hess,
+    _mv,
+    _poly_value,
+    _row_dots,
+    _row_norms,
+    _rowwise,
+)
 from equimorse.regdist import ClosedSetSpec
 
 
@@ -560,6 +577,19 @@ def test_bump_term_cache_hands_out_fresh_arrays(m):
         for w in rng.uniform(-0.3, 0.3, size=(12, m)):
             term["hess"](w)
         assert _close(term["value"](z), want[0]) and _close(term["grad"](z), want[1]), kind
+    # the same for a batch, against its rows one at a time
+    term, rows = _bump(m, rng)
+    kinds = ("value", "grad", "hess")
+    want = [np.array([term[k](z) for z in rows]) for k in kinds]
+    for _ in range(2):
+        for k, w in zip(kinds, want):
+            got = term[k](rows)
+            assert np.array_equal(got, w), k
+            got[...] = np.nan
+    for w in rng.uniform(-0.3, 0.3, size=(12, 5, m)):
+        term["hess"](w)
+    for k, w in zip(kinds, want):
+        assert np.array_equal(term[k](rows), w), k
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -605,3 +635,303 @@ def test_equiperturb_doctest():
     results = doctest.testmod(equiperturb)
     assert results.failed == 0
     assert results.attempted >= 1
+
+
+# -- batches against one point at a time ----------------------------------
+
+def _per_seed_critical_points(func, radius, fine=13, fine_width=0.18):
+    """The Newton sweep one seed at a time, one point per call: the oracle
+    of the lockstep sweep, with the same seeds, steps and retirement rules."""
+    n = func.d
+    coarse = 7 if n <= 2 else 5
+    if n == 3:
+        fine = min(fine, 5)
+    axes = np.linspace(-radius, radius, coarse)
+    seeds = [np.array(p, dtype=float) for p in itertools.product(axes, repeat=n)]
+    fw = min(fine_width, radius)
+    fine_axes = np.linspace(-fw, fw, fine)
+    seeds += [np.array(p, dtype=float) for p in itertools.product(fine_axes, repeat=n)]
+    found = []
+    for seed in seeds:
+        x = seed.copy()
+        ok = False
+        try:
+            for _ in range(80):
+                g = np.asarray(func.grad(x), dtype=float)
+                if np.linalg.norm(g) < tol("newton_grad"):
+                    ok = True
+                    break
+                h = np.asarray(func.hess(x), dtype=float)
+                step = np.linalg.lstsq(h, g, rcond=None)[0]
+                size = np.linalg.norm(step)
+                cap = 0.25 * max(radius, 1.0)
+                if size > cap:
+                    step *= cap / size
+                x = x - step
+                if np.linalg.norm(x) > 3.0 * radius:
+                    break
+        except ResolutionError:
+            continue
+        if not ok or np.linalg.norm(x) > 1.02 * radius:
+            continue
+        if all(np.linalg.norm(x - y) > tol("dedup") for y in found):
+            found.append(x)
+    return found
+
+
+# The one-point polynomial loops that the batch kernel replaced: one libm
+# power z[i] ** e and one product per factor, summed term by term.
+
+def _loop_value(z, terms):
+    total = 0.0
+    for coeff, exps in terms:
+        m = coeff
+        for i, e in enumerate(exps):
+            if e:
+                m *= z[i] ** e
+        total += m
+    return total
+
+
+def _loop_grad(z, terms):
+    g = np.zeros(len(z))
+    for coeff, exps in terms:
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            m = coeff * e
+            for j, ej in enumerate(exps):
+                p = ej - 1 if j == i else ej
+                if p:
+                    m *= z[j] ** p
+            g[i] += m
+    return g
+
+
+def _loop_hess(z, terms):
+    d = len(z)
+    H = np.zeros((d, d))
+    for coeff, exps in terms:
+        for i, ei in enumerate(exps):
+            if not ei:
+                continue
+            for j, ej in enumerate(exps):
+                if i == j:
+                    if ei < 2:
+                        continue
+                    m = coeff * ei * (ei - 1)
+                else:
+                    if not ej:
+                        continue
+                    m = coeff * ei * ej
+                for l, el in enumerate(exps):
+                    if i == j:
+                        p = el - 2 if l == i else el
+                    else:
+                        p = el - 1 if l in (i, j) else el
+                    if p:
+                        m *= z[l] ** p
+                H[i, j] += m
+    return H
+
+
+def _one_point_bump(z, centers, scale, terms):
+    """Value, gradient and Hessian of a bump term at one point: the sum over
+    the (K, m) centers with a 1-D ramp, as the batch must reproduce bitwise."""
+    m = len(z)
+    w = z - centers
+    r = np.sqrt(np.einsum("ki,ki->k", w, w))
+    t = r / scale
+    bv = float(np.count_nonzero(t <= _LO))
+    bg, bh = np.zeros(m), np.zeros((m, m))
+    ramp = (t > _LO) & (t < _HI)
+    if ramp.any():
+        width = _HI - _LO
+        r = r[ramp]
+        s = (_HI - t[ramp]) / width
+        d1 = -30.0 * s * s * (1.0 - s) ** 2 / (width * scale)
+        d2 = 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / (width * scale) ** 2
+        u = w[ramp] / r[:, None]
+        bv += float(np.sum(s * s * s * (10.0 + s * (-15.0 + 6.0 * s))))
+        bg = d1 @ u
+        bh = (u * (d2 - d1 / r)[:, None]).T @ u + float(np.sum(d1 / r)) * np.eye(m)
+    pv, pg = _loop_value(z, terms), _loop_grad(z, terms)
+    if bv == 0.0 and not bg.any() and not bh.any():
+        return 0.0, np.zeros(m), np.zeros((m, m))
+    cross = np.outer(pg, bg)
+    return (pv * bv, bv * pg + pv * bg,
+            bv * _loop_hess(z, terms) + cross + cross.T + pv * bh)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_polynomial_and_bump_are_bitwise_the_one_point_loops(m):
+    # the census of a perturbation moves with rounding, so the batch kernels
+    # must round exactly like the one-point code they replaced
+    rng = np.random.default_rng(90 + m)
+    for _ in range(20):
+        terms = [(float(rng.standard_normal()) if k % 3 else 0.0,
+                  tuple(int(e) for e in rng.integers(0, 6, m)))
+                 for k in range(int(rng.integers(1, 9)))]
+        z = rng.uniform(-2.0, 2.0, size=(6, m))
+        for fn, loop in ((_poly_value, _loop_value), (_poly_grad, _loop_grad),
+                         (_poly_hess, _loop_hess)):
+            assert np.array_equal(fn(z, terms), np.array([loop(p, terms) for p in z]))
+    mons = _monomials(m, max_degree=3, min_degree=0)
+    coeffs = rng.standard_normal(len(mons))
+    centers, rows = _ramp_batch(m, rng)
+    term = _bump_poly_term(centers, 0.4, coeffs, mons)
+    want = [_one_point_bump(z, centers, 0.4, list(zip(coeffs, mons))) for z in rows]
+    for k, kind in enumerate(("value", "grad", "hess")):
+        assert np.array_equal(term[kind](rows), np.array([w[k] for w in want])), kind
+
+
+def test_row_helpers_are_bitwise_the_one_point_forms():
+    rng = np.random.default_rng(95)
+    for _ in range(200):
+        n, m = (int(k) for k in rng.integers(1, 4, size=2))
+        z = rng.standard_normal((5, n)) * rng.uniform(0.01, 3.0)
+        a = rng.standard_normal((m, n))
+        assert np.array_equal(_mv(a, z), np.array([a @ p for p in z]))
+        assert np.array_equal(_row_norms(z), np.array([np.linalg.norm(p) for p in z]))
+        assert np.array_equal(_row_dots(z, z[::-1]),
+                              np.array([p @ q for p, q in zip(z, z[::-1])]))
+
+
+def _ramp_batch(m, rng, scale=0.4):
+    """Centers and a shuffled batch whose rows lie in the ramp of 0 to 4 of
+    them, several rows per count; the clusters sit 3 * scale apart."""
+    centers, rows = [], []
+    ramp = (0.51, 0.53, 0.545, 0.52)
+    for k, count in enumerate([3, 0, 1, 2, 4, 1, 0, 2, 3, 2]):
+        z = np.full(m, 3.0 * scale * k / math.sqrt(m)) + rng.uniform(-0.1, 0.1, size=m)
+        centers += [z + t * scale * _unit(rng, m) for t in ramp[:count]]
+        if k % 3 == 1:
+            centers.append(z + 0.3 * scale * _unit(rng, m))  # a plateau center
+        rows.append(z)
+    rows = np.array(rows)[rng.permutation(len(rows))]
+    centers = np.array(centers)
+    t = np.linalg.norm(rows[:, None, :] - centers[None], axis=2) / scale
+    counts = np.sum((t > 0.5) & (t < 0.55), axis=1)
+    assert set(counts.tolist()) == {0, 1, 2, 3, 4}
+    return centers, rows
+
+
+def _bump(m, rng, scale=0.4):
+    mons = _monomials(m, max_degree=3, min_degree=0)
+    centers, rows = _ramp_batch(m, rng, scale)
+    return _bump_poly_term(centers, scale, rng.standard_normal(len(mons)), mons), rows
+
+
+def _kinds(rng):
+    """(name, value/grad/hess functions, batch) for every batched term kind."""
+    out = []
+    for m in (1, 2, 3):
+        term, rows = _bump(m, rng)
+        out.append((f"bump m={m}", term, rows))
+    bump2, rows2 = _bump(2, rng)
+    quarter = [np.linalg.matrix_power(rotation(math.pi / 2), i) for i in range(4)]
+    out.append(("orbit average", _orbit_average(bump2, quarter), rows2))
+    out.append(("scaled", _scaled(bump2, 0.37), rows2))
+    bump1, rows1 = _bump(1, rng)
+    basis = np.array([[0.6, 0.8]])
+    lifted_rows = rows1 * basis[0] + rng.uniform(-0.2, 0.2, size=(len(rows1), 1)) * [0.8, -0.6]
+    out.append(("lifted", _lifted(bump1, basis), lifted_rows))
+    proj = np.diag([1.0, 0.0, 1.0])
+    cloud = rng.uniform(-1.0, 1.0, size=(9, 3))
+    out.append(("quadratic", _quadratic_term(proj, 0.3), cloud))
+    spec = FunctionSpec.make(3, [(1.0, (4, 0, 0)), (-0.7, (1, 2, 1)), (0.3, (0, 0, 3)),
+                                 (2.0, (2, 2, 0)), (0.5, (0, 0, 0))])
+    out.append(("function spec", spec, cloud))
+    terms = [(1.3, (3, 0)), (-0.2, (1, 4)), (0.9, (0, 2)), (4.0, (0, 0))]
+    out.append(("poly", {"value": lambda z: _poly_value(z, terms),
+                         "grad": lambda z: _poly_grad(z, terms),
+                         "hess": lambda z: _poly_hess(z, terms)}, rows2))
+    bowl = quartic_bowl()
+    assembled = equiperturb._assemble(
+        bowl, [_scaled(bump2, 0.01), _quadratic_term(np.diag([0.0, 1.0]), 0.02)],
+        reflection2())
+    out.append(("assemble", assembled, rows2))
+    out.append(("restrict", equiperturb._restrict(assembled, basis), rows1))
+    ext = normal_decreasing_extension(FunctionSpec.make(2, [(1.0, (4, 0))]),
+                                      strata(np.diag([1.0, -1.0]), 2), 1)
+    out.append(("normal decreasing extension", ext, rows2))
+    well, _ = normal_well(ClosedSetSpec.ball([0.0, 0.0], 0.3), 2, [[1.0, 0.0]],
+                          reflection2(), delta=0.05, max_depth=11)
+    out.append(("normal well", well, rng.uniform(-1.2, 1.2, size=(7, 2))))
+    return out
+
+
+def _functions(kind):
+    if isinstance(kind, dict):
+        return kind["value"], kind["grad"], kind["hess"]
+    return kind.value, kind.grad, kind.hess
+
+
+def test_every_term_kind_gives_a_batch_equal_to_its_stacked_points():
+    for name, kind, batch in _kinds(np.random.default_rng(70)):
+        for fn in _functions(kind):
+            got = fn(batch)
+            want = np.array([fn(z) for z in batch])
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        if not isinstance(kind, dict):
+            # the function protocol: a float at one point, an array for a batch
+            assert isinstance(kind.value(batch[0]), float), name
+            assert kind.value(batch[:1]).shape == (1,), name
+
+
+def _sweep_cases():
+    def perturbed(f, action):
+        return lambda: perturb_invariant_morse(f, action, epsilon=0.05, seed=0)[0]
+
+    return {
+        "antipodal output": (perturbed(quartic_bowl(), CyclicAction(-np.eye(2), 2)), 1.0),
+        "quarter turn output": (perturbed(axes_quartic(),
+                                          CyclicAction(rotation(math.pi / 2), 4)), 1.0),
+        "reflection bowl output": (perturbed(quartic_bowl(), reflection2()), 1.0),
+        "squeezed ring": (lambda: squeezed_ring_model(0.5, 0.1)[0], 1.2),
+    }
+
+
+@pytest.mark.parametrize("case", list(_sweep_cases()))
+def test_lockstep_sweep_equals_the_per_seed_oracle(case):
+    make, radius = _sweep_cases()[case]
+    func = make()
+    got = equiperturb._critical_points(func, radius, fine=15, fine_width=0.16)
+    want = _per_seed_critical_points(func, radius, fine=15, fine_width=0.16)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_sweep_loses_exactly_the_seeds_whose_evaluation_fails():
+    # a function of one point raises for the whole batch, so the sweep only
+    # finds anything if it retries the failing iteration row by row
+    ring, _ = squeezed_ring_model(0.5, 0.1)
+
+    def grad(z):
+        if z[0] > 0.5:
+            raise ResolutionError("unresolved region")
+        return ring.grad(z)
+
+    def hess(z):
+        if z[1] < -0.9:
+            raise ResolutionError("unresolved region")
+        return ring.hess(z)
+
+    f = CallableFunction(2, _rowwise(ring.value), _rowwise(grad), _rowwise(hess))
+    got = equiperturb._critical_points(f, 1.2, fine=15, fine_width=0.16)
+    want = _per_seed_critical_points(f, 1.2, fine=15, fine_width=0.16)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    full = equiperturb._critical_points(ring, 1.2, fine=15, fine_width=0.16)
+    assert 0 < len(got) < len(full)
+    assert not any(np.linalg.norm(c - [math.sqrt(0.4), 0.0]) < 1e-6 for c in got)
+
+    def unresolved(z):
+        raise ResolutionError("unresolved everywhere")
+
+    nowhere = CallableFunction(2, _rowwise(ring.value), _rowwise(unresolved), _rowwise(hess))
+    assert equiperturb._critical_points(nowhere, 1.2) == []
+    assert _per_seed_critical_points(nowhere, 1.2) == []

@@ -115,6 +115,23 @@ def test_function_rejects_non_finite_coefficients(coeff):
         FunctionSpec.from_json(doc)
 
 
+@pytest.mark.parametrize("term", [
+    {"coeff": "abc", "exps": [2, 0]},
+    {"coeff": 1.0, "exps": [2.7, 0]},
+    {"coeff": 1.0, "exps": ["2", 0]},
+    [1.0, [2, 0]],
+], ids=["string coefficient", "fractional exponent", "string exponent", "term as a list"])
+def test_function_from_json_refuses_malformed_terms(term):
+    doc = {"d": 2, "terms": [term, {"coeff": 1.0, "exps": [0, 2]}]}
+    with pytest.raises(ValidationError):
+        FunctionSpec.from_json(doc)
+
+
+def test_function_from_json_accepts_whole_float_exponents():
+    doc = {"d": 2, "terms": [{"coeff": 1.0, "exps": [2.0, 0]}, {"coeff": 1, "exps": [0, 2]}]}
+    assert FunctionSpec.from_json(doc).terms == ((1.0, (2, 0)), (1.0, (0, 2)))
+
+
 def test_function_requires_critical_origin():
     with pytest.raises(ValidationError, match="critical point"):
         FunctionSpec.make(2, [(1.0, (1, 0)), (1.0, (0, 2))])

@@ -22,8 +22,11 @@ TOLERANCES = {
     "gen1_det": 1e-8,             # graph-condition determinant threshold
     "gen2_newton": 1e-12,         # Newton solve of the graph equations
     "hessian_sym": 1e-8,          # symmetry residual of assembled Hessians
-    "newton_grad": 1e-10,         # Newton convergence on gradients
-    "dedup": 1e-6,                # periodic-point dedup distance
+    # Newton convergence on gradients, read by lochom.critical_points (the
+    # isolation check, Morse complexes and equiperturb's sweeps), by
+    # dact.find_periodic_points and by the fiber Newton of equivariant_split
+    "newton_grad": 1e-10,
+    "dedup": 1e-6,                # dedup distance of critical/periodic points
     "offdiag": 1e-8,              # off-diagonal residual of split Hessians
     "split_residual": 1e-7,       # splitting-lemma pointwise residual
     "split_equivariance": 1e-8,   # splitting-map equivariance residual

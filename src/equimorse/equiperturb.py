@@ -31,15 +31,16 @@ from .lochom import (
     CyclicAction,
     FunctionSpec,
     _batched,
+    _grid_seeds,
     _mv,
     _poly_grad,
     _poly_hess,
     _poly_value,
     _row_dots,
     _row_norms,
-    _rowwise,
+    critical_points,
 )
-from .regdist import ClosedSetSpec, RegularizedDistance
+from .regdist import ClosedSetSpec, RegularizedDistance, fd_grads, fd_jets
 
 _MORSE_FLOOR = 1e-8
 _STRATUM_TOL = 1e-6
@@ -219,11 +220,9 @@ _RAMP_LO, _RAMP_HI = 0.5, 0.55
 
 
 def _step(u):
-    if u <= 0.25:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return _quintic((u - 0.25) / 0.75)
+    """0 up to 1/4, a quintic ramp, then 1 from 1 on; elementwise."""
+    ramp = _quintic((np.clip(u, 0.25, 1.0) - 0.25) / 0.75)
+    return np.where(u <= 0.25, 0.0, np.where(u >= 1.0, 1.0, ramp))
 
 
 # small polynomials with radial cutoffs, as closed-form term dictionaries
@@ -433,34 +432,6 @@ def _restrict(func, basis):
     return CallableFunction(m, value, grad, hess)
 
 
-def _fd_grad(fn, z, h=1e-4):
-    z = np.asarray(z, dtype=float)
-    g = np.zeros(len(z))
-    for i in range(len(z)):
-        e = np.zeros(len(z))
-        e[i] = h
-        g[i] = (fn(z + e) - fn(z - e)) / (2.0 * h)
-    return g
-
-
-def _fd_hess(fn, z, h=1e-4):
-    z = np.asarray(z, dtype=float)
-    n = len(z)
-    out = np.zeros((n, n))
-    v0 = fn(z)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        out[i, i] = (fn(z + ei) - 2.0 * v0 + fn(z - ei)) / h ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            out[i, j] = out[j, i] = (
-                fn(z + ei + ej) - fn(z + ei - ej)
-                - fn(z - ei + ej) + fn(z - ei - ej)) / (4.0 * h ** 2)
-    return out
-
-
 def normal_well(inner, n, stratum_vectors, action, *, delta=None,
                 plateau_points=(), bbox=None, max_depth=None):
     """Smooth well that vanishes near an inner set and equals squared
@@ -494,21 +465,24 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
         raise ResolutionError(
             "transition width is below the unresolved collar; raise max_depth")
 
-    def value(z):
-        z = np.asarray(z, dtype=float)
-        if inner.dist(z) <= rho0:
-            return 0.0
-        w = _step(d0.value(z) ** 2 / delta)
-        if w == 0.0:
-            return 0.0
-        t = d1.value(z)
-        return w * t * t
+    def value(Z):
+        # d0 and d1 only on the rows that read them; libm squares, as for a
+        # float ** 2, where numpy's array square differs in the last bit
+        out = np.zeros(len(Z))
+        far = np.flatnonzero(~(inner.dist_many(Z) <= rho0))
+        if not len(far):
+            return out
+        r0 = d0.values(Z[far])
+        w = _step(np.array([math.pow(r, 2.0) for r in r0.tolist()]) / delta)
+        on = w != 0.0
+        t = d1.values(Z[far[on]])
+        out[far[on]] = w[on] * t * t
+        return out
 
-    # the well's finite differences are pointwise, so it runs row by row
     func = CallableFunction(
-        n, _rowwise(value),
-        grad_fn=_rowwise(lambda z: _fd_grad(value, z)),
-        hess_fn=_rowwise(lambda z: _fd_hess(value, z)),
+        n, value,
+        grad_fn=lambda Z: fd_grads(value, Z),
+        hess_fn=lambda Z: fd_jets(value, Z)[2],
         action=action, name="normal well")
     info = {
         "delta": float(delta),
@@ -519,96 +493,20 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
     return func, info
 
 
-# seeds per axis of the coarse grid in one or two and in three dimensions,
-# Newton steps per seed, and the radius factor within which points are kept
+# seeds per axis of the coarse grid in one or two and in three dimensions
 _COARSE, _COARSE_3D = 7, 5
-_MAX_ITER = 80
-_KEEP_FACTOR = 1.02
 
 
 def _critical_points(func, radius, fine=13, fine_width=0.18):
-    """Damped Newton sweep from a two-scale grid of seeds, run in lockstep.
-
-    All seeds advance together: each iteration makes one grad call on the
-    active rows and one hess call on the rows whose gradient norm is not
-    yet below newton_grad.  A row retires when it converges, when it leaves
-    the ball of radius 3 * radius, or after _MAX_ITER steps.  If a batch
-    raises ResolutionError, that iteration is retried row by row, and the
-    rows that raise retire as failures.  The converged points inside
-    _KEEP_FACTOR * radius are then kept in seed order unless one within
-    dedup was kept before.
-
-    The result is bitwise equal to sweeping the seeds one at a time, which
-    the census of a perturbation depends on: every row of a batch equals
-    the function at that point alone (stacked matmuls make one BLAS call
-    per row, and powers come from libm as for a scalar), the norms are
-    stacked (1, n) @ (n, 1) matmuls like np.linalg.norm, and the
-    least-squares step stays a per-row lstsq, which has no stacked form.
-    """
+    """lochom.critical_points from a two-scale grid of seeds: a coarse grid
+    over the ball's box, then a fine grid around the origin."""
     n = func.d
     coarse = _COARSE if n <= 2 else _COARSE_3D
     if n == 3:
         fine = min(fine, 5)
-    axes = np.linspace(-radius, radius, coarse)
-    fw = min(fine_width, radius)
-    fine_axes = np.linspace(-fw, fw, fine)
-    x = np.array(list(itertools.product(axes, repeat=n))
-                 + list(itertools.product(fine_axes, repeat=n)), dtype=float)
-    grad_tol = tol("newton_grad")
-    cap = 0.25 * max(radius, 1.0)
-    ok = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
-    for _ in range(_MAX_ITER):
-        if not len(active):
-            break
-        g, answered = _rows_or_retire(func.grad, x[active], (n,))
-        active = active[answered]
-        done = _row_norms(g) < grad_tol
-        ok[active[done]] = True
-        active, g = active[~done], g[~done]
-        h, answered = _rows_or_retire(func.hess, x[active], (n, n))
-        active, g = active[answered], g[answered]
-        step = np.array([np.linalg.lstsq(hi, gi, rcond=None)[0]
-                         for hi, gi in zip(h, g)]).reshape(-1, n)
-        size = _row_norms(step)
-        big = size > cap
-        step[big] *= (cap / size[big])[:, None]
-        x[active] = x[active] - step
-        active = active[~(_row_norms(x[active]) > 3.0 * radius)]
-    dedup = tol("dedup")
-    kept = x[ok]
-    kept = kept[~(_row_norms(kept) > _KEEP_FACTOR * radius)]
-    found = np.empty_like(kept)
-    count = 0
-    for z in kept:
-        if np.all(_row_norms(z - found[:count]) > dedup):
-            found[count] = z
-            count += 1
-    return list(found[:count])
-
-
-def _rows_or_retire(fn, x, shape):
-    """fn on the batch x, one result of the given shape per answered row,
-    and the mask of the rows it answered.
-
-    On ResolutionError the rows are tried one at a time; the answers of the
-    rows that do not raise are returned in order.  An empty batch makes no
-    call.
-    """
-    if not len(x):
-        return np.empty((0,) + shape), np.ones(0, dtype=bool)
-    try:
-        return fn(x), np.ones(len(x), dtype=bool)
-    except ResolutionError:
-        pass
-    answered = np.ones(len(x), dtype=bool)
-    out = []
-    for i, z in enumerate(x):
-        try:
-            out.append(fn(z[None])[0])
-        except ResolutionError:
-            answered[i] = False
-    return np.array(out).reshape((-1,) + shape), answered
+    seeds = np.concatenate([_grid_seeds(radius, coarse, n),
+                            _grid_seeds(min(fine_width, radius), fine, n)])
+    return critical_points(func, seeds, radius)
 
 
 def _check_invariance(func, action, radius, samples=64):

@@ -104,6 +104,36 @@ class CyclicAction:
     def power(self, j: int) -> np.ndarray:
         return np.linalg.matrix_power(self.matrix, j % self.k)
 
+    def to_json(self) -> dict:
+        return {"matrix": self.matrix.tolist(), "k": self.k}
+
+    @classmethod
+    def from_json(cls, doc) -> "CyclicAction":
+        matrix, k = _json_fields(doc, "action", "matrix", "k")
+        try:
+            matrix = np.array(matrix, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"action matrix must hold numbers, got {matrix!r}") from None
+        return cls(matrix, _json_int(k, "action order k"))
+
+
+def _json_fields(doc, what, *keys):
+    """The named fields of a JSON object, which must have them all."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {doc!r}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValidationError(f"{what} lacks the field(s) {', '.join(missing)}")
+    return [doc[key] for key in keys]
+
+
+def _json_int(v, what) -> int:
+    """An int or a whole float as an int; bools are not numbers here."""
+    if not ((isinstance(v, int) and not isinstance(v, bool))
+            or (isinstance(v, float) and v.is_integer())):
+        raise ValidationError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
 
 def _on_rows(fn, z, *args):
     """fn on a (P, d) batch of points; one point (d,) runs as a batch of one.
@@ -238,16 +268,12 @@ def _as_value(out):
 
 def _json_term(t):
     """(coeff, exponents) of one JSON term; whole floats count as exponents."""
-    if not isinstance(t, dict) or "coeff" not in t or "exps" not in t:
-        raise ValidationError(f"term must be an object with coeff and exps, got {t!r}")
-    coeff, exps = t["coeff"], t["exps"]
+    coeff, exps = _json_fields(t, "term", "coeff", "exps")
     if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
         raise ValidationError(f"coefficient must be a number, got {coeff!r}")
-    if not isinstance(exps, list) or not all(
-            (isinstance(e, int) and not isinstance(e, bool))
-            or (isinstance(e, float) and e.is_integer()) for e in exps):
+    if not isinstance(exps, list):
         raise ValidationError(f"exponents must be a list of integers, got {exps!r}")
-    return coeff, tuple(int(e) for e in exps)
+    return coeff, tuple(_json_int(e, "exponent") for e in exps)
 
 
 class FunctionSpec:
@@ -305,18 +331,16 @@ class FunctionSpec:
             "terms": [{"coeff": c, "exps": list(e)} for c, e in self.terms],
         }
         if self.action is not None:
-            doc["action"] = {"matrix": self.action.matrix.tolist(), "k": self.action.k}
+            doc["action"] = self.action.to_json()
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "FunctionSpec":
-        action = None
-        if doc.get("action"):
-            action = CyclicAction(np.array(doc["action"]["matrix"]), doc["action"]["k"])
-        terms = doc["terms"]
+        d, terms = _json_fields(doc, "function", "d", "terms")
+        action = CyclicAction.from_json(doc["action"]) if doc.get("action") else None
         if not isinstance(terms, list):
             raise ValidationError(f"terms must be a list, got {terms!r}")
-        return cls(doc["d"], [_json_term(t) for t in terms], action)
+        return cls(_json_int(d, "dimension d"), [_json_term(t) for t in terms], action)
 
 
 @dataclass
@@ -353,26 +377,30 @@ def discrete_action_function(da) -> CallableFunction:
     action identity S_i(x, Y) = x . (y - Y) + int (x . ydot + H_t) dt along
     its solved substep trajectory (sign convention i_{X_H} omega0 = dH).
     Value, gradient and Hessian at one z share one dact.evaluate pass, one
-    graph solve per slot, so a Newton step asking for grad(z) and then
-    hess(z) solves once.
+    graph solve per slot.  The passes of the last batch are kept, keyed by
+    the bytes of each row, so a Newton sweep asking for grad on a batch and
+    then hess on some of its rows solves once per row.
     """
     last = {}
 
-    def at(z):
-        key = np.asarray(z, dtype=float).tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = _dact.evaluate(da, z)
-        return last[key]
+    def rows(Z, part):
+        passes = {}
+        for z in Z:
+            key = z.tobytes()
+            if key not in passes:
+                passes[key] = last[key] if key in last else _dact.evaluate(da, z)
+        last.clear()
+        last.update(passes)
+        return np.array([passes[z.tobytes()][part] for z in Z], dtype=float)
 
     action = None
     if da.k > 1:
         action = CyclicAction(_dact.shift_matrix(da), da.k)
     return CallableFunction(
         d=da.dim,
-        value_fn=_rowwise(lambda z: at(z)[0]),
-        grad_fn=_rowwise(lambda z: at(z)[1]),
-        hess_fn=_rowwise(lambda z: at(z)[2]),
+        value_fn=lambda Z: rows(Z, 0),
+        grad_fn=lambda Z: rows(Z, 1),
+        hess_fn=lambda Z: rows(Z, 2),
         action=action,
         name=f"discrete-action k={da.k} N={da.N}")
 
@@ -397,42 +425,100 @@ def _beta0_d1(r: float, radius: float) -> float:
     return 6.0 * u * (1.0 - u) / w
 
 
-def _newton_crit(f, z0, cap, iters=60, gtol=1e-11):
-    z = np.array(z0, dtype=float)
-    for _ in range(iters):
-        g = f.grad(z)
-        if np.linalg.norm(g) < gtol:
-            return z
-        H = f.hess(z)
+# Newton steps per seed, and the radius factor within which points are kept
+_MAX_ITER = 80
+_KEEP_FACTOR = 1.02
+
+
+def critical_points(func, seeds, radius):
+    """Critical points of func by damped Newton from all seeds in lockstep.
+
+    Each iteration makes one grad call on the active rows and one hess call
+    on those not yet below newton_grad, and takes per-row lstsq steps capped
+    at 0.25 * max(radius, 1).  A row retires when it converges, leaves the
+    ball of radius 3 * radius or has made _MAX_ITER steps; a batch that
+    raises ResolutionError is retried row by row, and the rows that raise
+    retire.  Converged points within _KEEP_FACTOR * radius are kept in seed
+    order unless one within dedup came first.  When every row of a batch
+    equals func at that point alone, the result is bitwise that of one seed
+    at a time: norms are stacked matmuls like np.linalg.norm.
+    """
+    n = func.d
+    x = np.array(seeds, dtype=float).reshape(-1, n)
+    grad_tol = tol("newton_grad")
+    cap = 0.25 * max(radius, 1.0)
+    ok = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    for _ in range(_MAX_ITER):
+        if not len(active):
+            break
+        g, answered = _rows_or_retire(func.grad, x[active], (n,))
+        active = active[answered]
+        done = _row_norms(g) < grad_tol
+        ok[active[done]] = True
+        active, g = active[~done], g[~done]
+        h, answered = _rows_or_retire(func.hess, x[active], (n, n))
+        active, g = active[answered], g[answered]
+        step = np.array([np.linalg.lstsq(hi, gi, rcond=None)[0]
+                         for hi, gi in zip(h, g)]).reshape(-1, n)
+        size = _row_norms(step)
+        big = size > cap
+        step[big] *= (cap / size[big])[:, None]
+        x[active] = x[active] - step
+        active = active[~(_row_norms(x[active]) > 3.0 * radius)]
+    dedup = tol("dedup")
+    kept = x[ok]
+    kept = kept[~(_row_norms(kept) > _KEEP_FACTOR * radius)]
+    found = np.empty_like(kept)
+    count = 0
+    for z in kept:
+        if np.all(_row_norms(z - found[:count]) > dedup):
+            found[count] = z
+            count += 1
+    return list(found[:count])
+
+
+def _rows_or_retire(fn, x, shape):
+    """fn on the batch x, one result of the given shape per answered row,
+    and the mask of the rows it answered.  On ResolutionError the rows are
+    tried one at a time; an empty batch makes no call."""
+    if not len(x):
+        return np.empty((0,) + shape), np.ones(0, dtype=bool)
+    try:
+        return fn(x), np.ones(len(x), dtype=bool)
+    except ResolutionError:
+        pass
+    answered = np.ones(len(x), dtype=bool)
+    out = []
+    for i, z in enumerate(x):
         try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g, rcond=None)[0]
-        n = np.linalg.norm(step)
-        if n > cap:
-            step = step * (cap / n)
-        z = z - step
-    if np.linalg.norm(f.grad(z)) < gtol:
-        return z
-    return None
+            out.append(fn(z[None])[0])
+        except ResolutionError:
+            answered[i] = False
+    return np.array(out).reshape((-1,) + shape), answered
+
+
+def _grid_seeds(radius, per_axis, d):
+    """The points of the per_axis^d grid over [-radius, radius]^d."""
+    axis = np.linspace(-radius, radius, per_axis)
+    return np.array(list(itertools.product(axis, repeat=d)), dtype=float).reshape(-1, d)
 
 
 def _check_isolated(f, radius, seeds):
-    grid = np.linspace(-radius, radius, seeds)
-    for seed in itertools.product(grid, repeat=f.d):
-        z0 = np.array(seed)
-        if np.linalg.norm(z0) > radius + 1e-12:
-            continue
-        z = _newton_crit(f, z0, cap=radius)
-        if z is None:
-            continue
-        if np.linalg.norm(z) <= radius * (1 + 1e-9) and np.linalg.norm(z) > 1e-7:
-            # a shallow tail of the origin germ is not a separate point; a real
-            # one is fenced off from 0 by a gradient ridge at the midpoint
-            if np.linalg.norm(f.grad(z / 2)) > 1e-8:
-                raise IsolationError(
-                    "critical point near "
-                    f"{np.round(z, 6).tolist()} inside the working ball besides the origin")
+    z0 = _grid_seeds(radius, seeds, f.d)
+    z0 = z0[~(_row_norms(z0) > radius + 1e-12)]
+    z = np.array(critical_points(f, z0, radius)).reshape(-1, f.d)
+    r = _row_norms(z)
+    z = z[(r <= radius * (1 + 1e-9)) & (r > 1e-7)]
+    if not len(z):
+        return
+    # a shallow tail of the origin germ is not a separate point; a real one
+    # is fenced off from 0 by a gradient ridge at the midpoint
+    ridge = _row_norms(f.grad(z / 2)) > 1e-8
+    if ridge.any():
+        near = np.round(z[ridge.argmax()], 6).tolist()
+        raise IsolationError(
+            f"critical point near {near} inside the working ball besides the origin")
 
 
 def _well_depths(f, a, b, vertex_values):
@@ -453,17 +539,16 @@ def _flow_leak_check(f, a, b, radius, points):
     # the descending flow of f - (a+b) beta0 must not carry exit-set points
     # back into the pair: its gradient has to keep a forward component along
     # grad f wherever the cutoff slopes
-    c = a + b
-    for z in points:
-        r = float(np.linalg.norm(z))
-        slope = _beta0_d1(r, radius)
-        if slope == 0.0:
-            continue
-        g = f.grad(z)
-        gF = g - c * slope * (z / r)
-        if float(np.dot(gF, g)) < -1e-9:
-            raise ParameterError(
-                "a, b too large: the exit set leaks back into the pair along the flow")
+    z = np.asarray(points, dtype=float).reshape(-1, f.d)
+    if not len(z):
+        return
+    r = _row_norms(z)
+    slope = np.array([_beta0_d1(float(ri), radius) for ri in r])
+    g = f.grad(z)
+    gF = g - (a + b) * slope[:, None] * (z / r[:, None])
+    if np.any(_row_dots(gF, g) < -1e-9):
+        raise ParameterError(
+            "a, b too large: the exit set leaks back into the pair along the flow")
 
 
 @dataclass
@@ -870,18 +955,6 @@ def sublevel_homology(f, radius, a=None, b=None, h=None, invariant=False,
 
 # -- two-dimensional Morse complexes -------------------------------------
 
-def _find_critical_points(f, radius, seed_grid):
-    grid = np.linspace(-radius, radius, seed_grid)
-    found = []
-    for seed in itertools.product(grid, repeat=2):
-        z = _newton_crit(f, np.array(seed), cap=radius, gtol=tol("newton_grad"))
-        if z is None or np.linalg.norm(z) > radius * (1 + 1e-9):
-            continue
-        if all(np.linalg.norm(z - p) > tol("dedup") for p in found):
-            found.append(z)
-    return found
-
-
 def _flow_until(f, z0, source, sign, crits, radius, t_budget):
     """Integrate zdot = sign * grad f until exit, capture, or budget."""
     r_cap = 1e-3 * radius
@@ -931,7 +1004,9 @@ def morse_complex_2d(f, radius, seed_grid=11, flip=None, t_budget=500.0) -> Grad
     if f.d != 2:
         raise ConfigurationError("trajectory complexes are two-dimensional")
     crits = []
-    for z in _find_critical_points(f, radius, seed_grid):
+    for z in critical_points(f, _grid_seeds(radius, seed_grid, 2), radius):
+        if np.linalg.norm(z) > radius * (1 + 1e-9):
+            continue
         H = f.hess(z)
         evals, evecs = np.linalg.eigh(H)
         if np.min(np.abs(evals)) <= tol("hyperbolic_eig"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError, ValidationError
-from .lochom import CyclicAction
+from .lochom import CyclicAction, _json_fields, _json_int
 
 
 class CoverageWarning(UserWarning):
@@ -212,17 +212,22 @@ class _Tube:
                 "radius": self.radius}
 
 
+# constructor and JSON fields, in argument order, of each primitive kind
+_PRIMITIVE_FIELDS = {"ball": (_Ball, ("center", "radius")), "points": (_Points, ("points",)),
+                     "subspace": (_Subspace, ("n", "basis")),
+                     "tube": (_Tube, ("n", "basis", "radius"))}
+
+
 def _primitive_from_json(data):
-    kind = data["kind"]
-    if kind == "ball":
-        return _Ball(data["center"], data["radius"])
-    if kind == "points":
-        return _Points(data["points"])
-    if kind == "subspace":
-        return _Subspace(data["n"], data["basis"])
-    if kind == "tube":
-        return _Tube(data["n"], data["basis"], data["radius"])
-    raise ValidationError(f"unknown set primitive kind {kind!r}")
+    (kind,) = _json_fields(data, "set primitive", "kind")
+    if kind not in _PRIMITIVE_FIELDS:
+        raise ValidationError(f"unknown set primitive kind {kind!r}")
+    make, fields = _PRIMITIVE_FIELDS[kind]
+    args = _json_fields(data, f"{kind} primitive", *fields)
+    try:
+        return make(*args)
+    except (TypeError, ValueError):
+        raise ValidationError(f"malformed {kind} primitive {data!r}") from None
 
 
 class ClosedSetSpec:
@@ -310,16 +315,17 @@ class ClosedSetSpec:
     def to_json(self) -> dict:
         out = {"n": self.n, "primitives": [p.to_json() for p in self.primitives]}
         if self.action is not None:
-            out["action"] = {"matrix": self.action.matrix.tolist(), "k": self.action.k}
+            out["action"] = self.action.to_json()
         return out
 
     @classmethod
     def from_json(cls, data: dict) -> "ClosedSetSpec":
-        action = None
-        if data.get("action"):
-            action = CyclicAction(np.array(data["action"]["matrix"]), data["action"]["k"])
-        prims = [_primitive_from_json(p) for p in data["primitives"]]
-        return cls(data["n"], prims, action=action)
+        n, prims = _json_fields(data, "closed set", "n", "primitives")
+        action = CyclicAction.from_json(data["action"]) if data.get("action") else None
+        if not isinstance(prims, list):
+            raise ValidationError(f"primitives must be a list, got {prims!r}")
+        return cls(_json_int(n, "dimension n"), [_primitive_from_json(p) for p in prims],
+                   action=action)
 
 
 def check_invariance(spec: ClosedSetSpec, action: CyclicAction, samples: int = 64, seed: int = 0):
@@ -813,20 +819,13 @@ class RegularizedDistance:
         return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
 
     def grad(self, x, h: float = 1e-4) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        step = h * np.eye(self.dimension)
-        v = self.values(np.stack([x + step, x - step], axis=1).reshape(-1, self.dimension))
-        return (v[0::2] - v[1::2]) / (2.0 * h)
+        return fd_grads(self.values, np.asarray(x, dtype=float)[None, :], h)[0]
 
     def hess(self, x, h: float = 1e-4) -> np.ndarray:
         return self.jets(np.asarray(x, dtype=float)[None, :], h)[2][0]
 
     def jets(self, queries, h: float = 1e-4):
         """Values, central-difference gradients and Hessians at each query.
-
-        Every distinct stencil point -- x, x +- h e_i and x +- h e_i +- h e_j
-        for i < j, 1 + 2n + 2n(n - 1) in all -- is evaluated once, with its
-        group images, in one batched pass.
 
         >>> y = ClosedSetSpec.points([[0.0, 1.0], [0.0, -1.0]])
         >>> e = ClosedSetSpec.subspace(2, [[1.0, 0.0]])
@@ -835,29 +834,48 @@ class RegularizedDistance:
         >>> vals.tolist(), grads.round(9).tolist(), hessians.round(6).tolist()
         ([0.25], [[0.0, 1.0]], [[[0.0, 0.0], [0.0, 0.0]]])
         """
-        n = self.dimension
-        x = np.asarray(queries, dtype=float).reshape(-1, n)
-        m = len(x)
-        step = h * np.eye(n)
-        plus = x[:, None, :] + step
-        minus = x[:, None, :] - step
-        i, j = np.triu_indices(n, 1)
-        diag = np.stack([plus[:, i] + step[j], plus[:, i] - step[j],
-                         minus[:, i] + step[j], minus[:, i] - step[j]], axis=2)
-        stencil = np.concatenate([x[:, None, :],
-                                  np.stack([plus, minus], axis=2).reshape(m, 2 * n, n),
-                                  diag.reshape(m, 4 * len(i), n)], axis=1)
-        v = self.values(stencil.reshape(-1, n)).reshape(m, stencil.shape[1])
-        v0, vp, vm = v[:, 0], v[:, 1:1 + 2 * n:2], v[:, 2:2 + 2 * n:2]
-        grads = (vp - vm) / (2.0 * h)
-        hessians = np.zeros((m, n, n))
-        k = np.arange(n)
-        hessians[:, k, k] = (vp - 2.0 * v0[:, None] + vm) / h ** 2
-        d = v[:, 1 + 2 * n:].reshape(m, len(i), 4)
-        cross = (d[:, :, 0] - d[:, :, 1] - d[:, :, 2] + d[:, :, 3]) / (4.0 * h ** 2)
-        hessians[:, i, j] = cross
-        hessians[:, j, i] = cross
-        return v0, grads, hessians
+        x = np.asarray(queries, dtype=float).reshape(-1, self.dimension)
+        return fd_jets(self.values, x, h)
+
+
+def fd_grads(values, X, h=1e-4):
+    """Central-difference gradients at each row of X, from one call of
+    values, a map of (P, n) arrays to P values, on every x +- h e_i."""
+    m, n = X.shape
+    step = h * np.eye(n)
+    v = values(np.stack([X[:, None, :] + step, X[:, None, :] - step], axis=2).reshape(-1, n))
+    v = v.reshape(m, n, 2)
+    return (v[:, :, 0] - v[:, :, 1]) / (2.0 * h)
+
+
+def fd_jets(values, X, h=1e-4):
+    """Values, central-difference gradients and Hessians at each row of X.
+
+    values maps a (P, n) array to P values.  It is called once, on every
+    distinct stencil point: x, x +- h e_i and x +- h e_i +- h e_j for i < j,
+    1 + 2n + 2n(n - 1) in all.
+    """
+    m, n = X.shape
+    step = h * np.eye(n)
+    plus = X[:, None, :] + step
+    minus = X[:, None, :] - step
+    i, j = np.triu_indices(n, 1)
+    diag = np.stack([plus[:, i] + step[j], plus[:, i] - step[j],
+                     minus[:, i] + step[j], minus[:, i] - step[j]], axis=2)
+    stencil = np.concatenate([X[:, None, :],
+                              np.stack([plus, minus], axis=2).reshape(m, 2 * n, n),
+                              diag.reshape(m, 4 * len(i), n)], axis=1)
+    v = values(stencil.reshape(-1, n)).reshape(m, stencil.shape[1])
+    v0, vp, vm = v[:, 0], v[:, 1:1 + 2 * n:2], v[:, 2:2 + 2 * n:2]
+    grads = (vp - vm) / (2.0 * h)
+    hessians = np.zeros((m, n, n))
+    k = np.arange(n)
+    hessians[:, k, k] = (vp - 2.0 * v0[:, None] + vm) / h ** 2
+    d = v[:, 1 + 2 * n:].reshape(m, len(i), 4)
+    cross = (d[:, :, 0] - d[:, :, 1] - d[:, :, 2] + d[:, :, 3]) / (4.0 * h ** 2)
+    hessians[:, i, j] = cross
+    hessians[:, j, i] = cross
+    return v0, grads, hessians
 
 
 @dataclass

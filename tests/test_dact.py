@@ -229,6 +229,28 @@ def test_discrete_action_function_solves_each_slot_once(monkeypatch):
     assert solves[0] == 2 * da.slots
 
 
+def test_discrete_action_function_keeps_the_passes_of_the_last_batch(monkeypatch):
+    from equimorse.lochom import discrete_action_function
+
+    da = DiscreteAction(quartic_germ(), 1, 1)
+    f = discrete_action_function(da)
+    passes = [0]
+    evaluate = dact.evaluate
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(dact, "evaluate", counted)
+    Z = 0.05 * np.random.default_rng(6).standard_normal((2, da.dim))
+    g = f.grad(Z)
+    # a Newton sweep asks for the Hessian on the rows that did not converge
+    h = f.hess(Z[:1])
+    assert passes[0] == 2
+    assert np.array_equal(g[0], evaluate(da, Z[0])[1])
+    assert np.array_equal(h[0], evaluate(da, Z[0])[2])
+
+
 def _direct_fourth_iterate_solve(germ, w0, radius=0.5):
     # Newton on phi^4(w) - w with one long time integration, nothing from
     # the discrete machinery

@@ -44,8 +44,9 @@ from equimorse.lochom import (
     _row_dots,
     _row_norms,
     _rowwise,
+    critical_points,
 )
-from equimorse.regdist import ClosedSetSpec
+from equimorse.regdist import ClosedSetSpec, RegularizedDistance
 
 
 def rotation(theta):
@@ -241,6 +242,86 @@ class TestNormalWell:
             h = g.hess(np.array([u, 0.1]))
             assert np.all(np.isfinite(h))
             assert np.max(np.abs(h)) < 1e3
+
+
+# The pointwise finite differences that the shared batch stencil replaced in
+# the normal well: one value call per stencil point.
+
+def _fd_grad(fn, z, h=1e-4):
+    z = np.asarray(z, dtype=float)
+    g = np.zeros(len(z))
+    for i in range(len(z)):
+        e = np.zeros(len(z))
+        e[i] = h
+        g[i] = (fn(z + e) - fn(z - e)) / (2.0 * h)
+    return g
+
+
+def _fd_hess(fn, z, h=1e-4):
+    z = np.asarray(z, dtype=float)
+    n = len(z)
+    out = np.zeros((n, n))
+    v0 = fn(z)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        out[i, i] = (fn(z + ei) - 2.0 * v0 + fn(z - ei)) / h ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            out[i, j] = out[j, i] = (
+                fn(z + ei + ej) - fn(z + ei - ej)
+                - fn(z - ei + ej) + fn(z - ei - ej)) / (4.0 * h ** 2)
+    return out
+
+
+def _pointwise_well(inner, d0, d1, info):
+    # the well one point at a time, over the well's own regularized distances
+
+    def value(z):
+        if inner.dist(z) <= info["rho0"]:
+            return 0.0
+        u = d0.value(z) ** 2 / info["delta"]
+        if u <= 0.25:
+            return 0.0
+        w = 1.0 if u >= 1.0 else equiperturb._quintic((u - 0.25) / 0.75)
+        t = d1.value(z)
+        return w * t * t
+
+    return value
+
+
+@pytest.mark.parametrize("case", ["ball", "strip"])
+def test_normal_well_equals_its_pointwise_oracle(case, monkeypatch):
+    rng = np.random.default_rng(12)
+    if case == "ball":
+        inner, kw = ClosedSetSpec.ball([0.0, 0.0], 0.3), {"delta": 0.01}
+        # rings from inside the ball, across the transition, to the plateau
+        r, th = rng.uniform(0.28, 0.6, 120), rng.uniform(0.0, 2.0 * math.pi, 120)
+        pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    else:
+        inner, kw = ClosedSetSpec.tube(2, [[0.0, 1.0]], 0.1), {"delta": 0.05, "max_depth": 11}
+        u = rng.choice([-1.0, 1.0], 80) * rng.uniform(0.05, 0.6, 80)
+        pts = np.stack([u, rng.uniform(-0.8, 0.8, 80)], axis=1)
+    built, build = [], RegularizedDistance.build
+
+    def keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(RegularizedDistance, "build", keep)
+    g, info = normal_well(inner, 2, [[1.0, 0.0]], reflection2(), **kw)
+    d0, d1 = built
+    value = _pointwise_well(inner, d0, d1, info)
+    want = [(value(z), _fd_grad(value, z), _fd_hess(value, z)) for z in pts]
+    for got, ref in zip((g.value(pts), g.grad(pts), g.hess(pts)), zip(*want)):
+        assert np.array_equal(got, np.array(ref))
+    # the points reach every branch: near the inner set, below, on and
+    # above the step's ramp
+    far = inner.dist_many(pts) > info["rho0"]
+    u = d0.values(pts[far]) ** 2 / info["delta"]
+    assert (~far).any() and (u <= 0.25).any() and (u >= 1.0).any()
+    assert ((u > 0.25) & (u < 1.0)).any()
 
 
 class TestPerturbPipeline:
@@ -639,18 +720,18 @@ def test_equiperturb_doctest():
 
 # -- batches against one point at a time ----------------------------------
 
-def _per_seed_critical_points(func, radius, fine=13, fine_width=0.18):
-    """The Newton sweep one seed at a time, one point per call: the oracle
-    of the lockstep sweep, with the same seeds, steps and retirement rules."""
-    n = func.d
-    coarse = 7 if n <= 2 else 5
-    if n == 3:
-        fine = min(fine, 5)
-    axes = np.linspace(-radius, radius, coarse)
+def _two_scale_seeds(n, radius, fine, fine_width):
+    # the seeds of equiperturb's sweep: a coarse grid, then a fine one near 0
+    axes = np.linspace(-radius, radius, 7 if n <= 2 else 5)
     seeds = [np.array(p, dtype=float) for p in itertools.product(axes, repeat=n)]
     fw = min(fine_width, radius)
-    fine_axes = np.linspace(-fw, fw, fine)
-    seeds += [np.array(p, dtype=float) for p in itertools.product(fine_axes, repeat=n)]
+    fine_axes = np.linspace(-fw, fw, min(fine, 5) if n == 3 else fine)
+    return seeds + [np.array(p, dtype=float) for p in itertools.product(fine_axes, repeat=n)]
+
+
+def _per_seed_critical_points(func, seeds, radius):
+    """The Newton sweep one seed at a time, one point per call: the oracle
+    of the lockstep sweep, with the same steps and retirement rules."""
     found = []
     for seed in seeds:
         x = seed.copy()
@@ -890,15 +971,23 @@ def _sweep_cases():
                                           CyclicAction(rotation(math.pi / 2), 4)), 1.0),
         "reflection bowl output": (perturbed(quartic_bowl(), reflection2()), 1.0),
         "squeezed ring": (lambda: squeezed_ring_model(0.5, 0.1)[0], 1.2),
+        # the seeds of morse_complex_2d: an 11 x 11 grid over the box
+        "squeezed ring, morse complex grid": (lambda: squeezed_ring_model(0.5, 0.1)[0], 1.2, 11),
     }
 
 
 @pytest.mark.parametrize("case", list(_sweep_cases()))
 def test_lockstep_sweep_equals_the_per_seed_oracle(case):
-    make, radius = _sweep_cases()[case]
+    make, radius, *grid = _sweep_cases()[case]
     func = make()
-    got = equiperturb._critical_points(func, radius, fine=15, fine_width=0.16)
-    want = _per_seed_critical_points(func, radius, fine=15, fine_width=0.16)
+    if grid:
+        axis = np.linspace(-radius, radius, grid[0])
+        seeds = [np.array(p) for p in itertools.product(axis, repeat=2)]
+        got = critical_points(func, seeds, radius)
+    else:
+        seeds = _two_scale_seeds(func.d, radius, fine=15, fine_width=0.16)
+        got = equiperturb._critical_points(func, radius, fine=15, fine_width=0.16)
+    want = _per_seed_critical_points(func, seeds, radius)
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -921,7 +1010,7 @@ def test_sweep_loses_exactly_the_seeds_whose_evaluation_fails():
 
     f = CallableFunction(2, _rowwise(ring.value), _rowwise(grad), _rowwise(hess))
     got = equiperturb._critical_points(f, 1.2, fine=15, fine_width=0.16)
-    want = _per_seed_critical_points(f, 1.2, fine=15, fine_width=0.16)
+    want = _per_seed_critical_points(f, _two_scale_seeds(2, 1.2, 15, 0.16), 1.2)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -934,4 +1023,4 @@ def test_sweep_loses_exactly_the_seeds_whose_evaluation_fails():
 
     nowhere = CallableFunction(2, _rowwise(ring.value), _rowwise(unresolved), _rowwise(hess))
     assert equiperturb._critical_points(nowhere, 1.2) == []
-    assert _per_seed_critical_points(nowhere, 1.2) == []
+    assert _per_seed_critical_points(nowhere, _two_scale_seeds(2, 1.2, 13, 0.18), 1.2) == []

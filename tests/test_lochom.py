@@ -34,6 +34,7 @@ from equimorse.lochom import (
     signed_permutation_data,
     sublevel_homology,
 )
+from equimorse.regdist import ClosedSetSpec
 
 
 def reflection_v():
@@ -125,6 +126,37 @@ def test_function_from_json_refuses_malformed_terms(term):
     doc = {"d": 2, "terms": [term, {"coeff": 1.0, "exps": [0, 2]}]}
     with pytest.raises(ValidationError):
         FunctionSpec.from_json(doc)
+
+
+def _malformed_documents():
+    # each case edits a valid document of one decoder
+    matrix = [[1.0, 0.0], [0.0, -1.0]]
+    function = {"d": 2, "terms": [{"coeff": 1.0, "exps": [2, 0]},
+                                  {"coeff": 1.0, "exps": [0, 2]}],
+                "action": {"matrix": matrix, "k": 2}}
+    closed = {"n": 2, "primitives": [{"kind": "ball", "center": [0.0, 0.0], "radius": 0.5}],
+              "action": {"matrix": matrix, "k": 2}}
+    cases = {}
+    for name, decode, doc, size, parts in (
+            ("function", FunctionSpec.from_json, function, "d", "terms"),
+            ("closed set", ClosedSetSpec.from_json, closed, "n", "primitives")):
+        for key in (size, parts):
+            cases[f"{name} without {key}"] = (decode, {k: v for k, v in doc.items() if k != key})
+        cases[f"{name} without action.k"] = (decode, {**doc, "action": {"matrix": matrix}})
+        cases[f"{name} with a string {size}"] = (decode, {**doc, size: "x"})
+        cases[f"{name} with a string matrix"] = (decode,
+                                                  {**doc, "action": {"matrix": "abc", "k": 2}})
+        cases[f"{name} as a list"] = (decode, list(doc.items()))
+    ball = {"kind": "ball", "center": [0.0, 0.0]}
+    cases["ball without radius"] = (ClosedSetSpec.from_json, {**closed, "primitives": [ball]})
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_malformed_documents()))
+def test_malformed_json_raises_validation_error(case):
+    decode, doc = _malformed_documents()[case]
+    with pytest.raises(ValidationError):
+        decode(doc)
 
 
 def test_function_from_json_accepts_whole_float_exponents():

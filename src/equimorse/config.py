@@ -54,10 +54,22 @@ def standard_symplectic(n: int) -> np.ndarray:
     return J
 
 
-def symplectic_residual(M: np.ndarray) -> float:
-    n = M.shape[0] // 2
-    J = standard_symplectic(n)
-    return float(np.abs(M.T @ J @ M - J).max())
+def symplectic_residual(M: np.ndarray):
+    """||M^T J0 M - J0||_inf of one matrix (a float) or of each of a stack (an array)."""
+    M = np.asarray(M)
+    J = standard_symplectic(M.shape[-1] // 2)
+    res = np.abs(np.swapaxes(M, -1, -2) @ J @ M - J).max(axis=(-2, -1))
+    return float(res) if M.ndim == 2 else res
+
+
+def row_dots(X, Y):
+    """x @ y for every pair of rows of X and Y."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def row_norms(Z):
+    """np.linalg.norm(z) for every row z of Z."""
+    return np.sqrt(row_dots(Z, Z))
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -19,16 +19,17 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import null_space
 
-from .config import DEFAULT_TRUST_RADIUS, tol
+from .config import DEFAULT_TRUST_RADIUS, row_dots, tol
 from .errors import (
     AmbiguityError,
     ConfigurationError,
     DegeneracyError,
+    DomainError,
     ResolutionError,
+    ShapeError,
     TrustRegionError,
     ValidationError,
 )
-from .errors import DomainError
 from .hamflow import (
     FlowMap,
     GeneratingFunction,
@@ -95,16 +96,6 @@ class DiscreteAction:
     def step_gf(self, i: int) -> GeneratingFunction:
         return self.S_list[i % self.N]
 
-    def x(self, z: np.ndarray, i: int) -> np.ndarray:
-        n = self.n
-        base = 2 * n * (i % self.slots)
-        return z[base:base + n]
-
-    def y(self, z: np.ndarray, i: int) -> np.ndarray:
-        n = self.n
-        base = 2 * n * (i % self.slots) + n
-        return z[base:base + n]
-
 
 def shift_matrix(da: DiscreteAction) -> np.ndarray:
     """Permutation moving the last N slots to the front."""
@@ -117,28 +108,53 @@ def shift_matrix(da: DiscreteAction) -> np.ndarray:
 
 
 def evaluate(da: DiscreteAction, z, value: bool = True):
-    """(A(z), grad A(z), D^2 A(z)) from one solve_slot per slot.
+    """(A(z), grad A(z), D^2 A(z)) from one graph solve per slot.
 
-    A(z) is None when value is unset; the flows then skip the action
-    integral.
+    z is one point (dim,) or a batch (P, dim); a batch gives (P,), (P, dim)
+    and (P, dim, dim).  The slots that share a substep, over all rows, are
+    solved together: one stacked solve_slot per substep, N in all.  A(z) is
+    None when value is unset; the flows then skip the action integral.
+    Raises ShapeError for points of the wrong length and DomainError for a
+    row that is not finite.
     """
-    z = np.asarray(z, dtype=float).reshape(da.dim)
-    n = da.n
-    total = 0.0 if value else None
-    g = np.zeros(da.dim)
-    blocks = []
-    for i in range(da.slots):
-        xi, yi, yi1 = da.x(z, i), da.y(z, i), da.y(z, i + 1)
-        S, gS, HS = da.step_gf(i).solve_slot(xi, yi1, value=value)
+    z = np.asarray(z, dtype=float)
+    if z.ndim not in (1, 2) or z.shape[-1] != da.dim:
+        raise ShapeError(f"points of the discrete action have length {da.dim}, "
+                         f"got an array of shape {z.shape}")
+    Z = z.reshape(-1, da.dim)
+    bad = ~np.isfinite(Z).all(axis=1)
+    if bad.any():
+        raise DomainError(f"point {int(bad.argmax())} is not finite")
+    n, P, slots = da.n, len(Z), da.slots
+    pairs = Z.reshape(P, slots, 2, n)
+    xs, ys = pairs[:, :, 0], pairs[:, :, 1]
+    ys1 = np.roll(ys, -1, axis=1)  # y_{i+1}, indices mod kN
+    S = np.empty((P, slots))
+    gS = np.empty((P, slots, 2 * n))
+    HS = np.empty((P, slots, 2 * n, 2 * n))
+    for j, gf in enumerate(da.S_list):
+        # slots j, j + N, ... of every row, as one batch of P k points
+        Sj, gj, Hj = gf.solve_slot(xs[:, j::da.N].reshape(-1, n), ys1[:, j::da.N].reshape(-1, n),
+                                   value=value)
+        gS[:, j::da.N] = gj.reshape(P, da.k, 2 * n)
+        HS[:, j::da.N] = Hj.reshape(P, da.k, 2 * n, 2 * n)
         if value:
-            total += float(xi @ (yi1 - yi)) + S
+            S[:, j::da.N] = Sj.reshape(P, da.k)
+    total = np.zeros(P) if value else None
+    g = np.zeros((P, da.dim))
+    for i in range(slots):
+        xi, yi, yi1 = xs[:, i], ys[:, i], ys1[:, i]
+        if value:
+            total += row_dots(xi, yi1 - yi) + S[:, i]
         bx = 2 * n * i
-        by1 = 2 * n * ((i + 1) % da.slots) + n
-        g[bx:bx + n] += (yi1 - yi) + gS[:n]
-        g[bx + n:bx + 2 * n] += -xi
-        g[by1:by1 + n] += xi + gS[n:]
-        blocks.append(HS)
-    return total, g, _assemble_hessian(da, blocks)
+        by1 = 2 * n * ((i + 1) % slots) + n
+        g[:, bx:bx + n] += (yi1 - yi) + gS[:, i, :n]
+        g[:, bx + n:bx + 2 * n] += -xi
+        g[:, by1:by1 + n] += xi + gS[:, i, n:]
+    H = _assemble_hessian(da, HS)
+    if z.ndim == 1:
+        return (None if total is None else float(total[0])), g[0], H[0]
+    return total, g, H
 
 
 def eval(da: DiscreteAction, z) -> float:
@@ -150,20 +166,23 @@ def gradient(da: DiscreteAction, z) -> np.ndarray:
 
 
 def _assemble_hessian(da: DiscreteAction, blocks) -> np.ndarray:
-    # blocks[i] = D^2 S_i at the step's own point, acting on (x_i, y_{i+1})
+    # blocks[..., i, :, :] = D^2 S_i at the step's own point, acting on
+    # (x_i, y_{i+1}); leading batch axes carry through to the result
     n, dim = da.n, da.dim
-    H = np.zeros((dim, dim))
+    blocks = np.asarray(blocks)
+    H = np.zeros(blocks.shape[:-3] + (dim, dim))
+    eye = np.eye(n)
     for i in range(da.slots):
         bx = 2 * n * i
         byy = bx + n
         by1 = 2 * n * ((i + 1) % da.slots) + n
-        B = blocks[i]
-        H[bx:bx + n, bx:bx + n] += B[:n, :n]
-        H[bx:bx + n, by1:by1 + n] += B[:n, n:] + np.eye(n)
-        H[by1:by1 + n, bx:bx + n] += B[n:, :n] + np.eye(n)
-        H[by1:by1 + n, by1:by1 + n] += B[n:, n:]
-        H[bx:bx + n, byy:byy + n] += -np.eye(n)
-        H[byy:byy + n, bx:bx + n] += -np.eye(n)
+        B = blocks[..., i, :, :]
+        H[..., bx:bx + n, bx:bx + n] += B[..., :n, :n]
+        H[..., bx:bx + n, by1:by1 + n] += B[..., :n, n:] + eye
+        H[..., by1:by1 + n, bx:bx + n] += B[..., n:, :n] + eye
+        H[..., by1:by1 + n, by1:by1 + n] += B[..., n:, n:]
+        H[..., bx:bx + n, byy:byy + n] += -eye
+        H[..., byy:byy + n, bx:bx + n] += -eye
     return H
 
 

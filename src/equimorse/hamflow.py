@@ -13,10 +13,18 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import DEFAULT_TRUST_RADIUS, standard_symplectic, symplectic_residual, tol
+from .config import (
+    DEFAULT_TRUST_RADIUS,
+    row_dots,
+    row_norms,
+    standard_symplectic,
+    symplectic_residual,
+    tol,
+)
 from .errors import (
     ConfigurationError,
     DomainError,
+    ResolutionError,
     StiffnessError,
     TrustRegionError,
     ValidationError,
@@ -153,10 +161,13 @@ class HamiltonianGerm:
                        times=times, W=W)
 
     def jet(self, z, t: float):
-        """(H_t(z), grad H_t(z), D^2 H_t(z)) from one pass over the monomial table.
+        """(H_t, grad H_t, D^2 H_t) at one point (d,) or at every row of a batch (P, d).
 
         One power table z_i^p for p <= degree, one gather and product per
-        monomial row, one time factor per distinct mode, one matrix product.
+        monomial row, one time factor per distinct mode, one matrix-vector
+        product per point, so a row's jet does not depend on its batch mates.
+        One point is a batch of one and gives (float, (d,), (d, d)); a batch
+        gives ((P,), (P, d), (P, d, d)).
 
         >>> g = HamiltonianGerm.make(1, [(1.0, (3, 0)), (0.5, (1, 1), "cos", 2)])
         >>> H, grad, hess = g.jet([2.0, 1.0], 0.25)
@@ -166,10 +177,15 @@ class HamiltonianGerm:
         k = self._kernel
         d = 2 * self.n
         z = np.asarray(z, dtype=float)
-        table = z[:, None] ** k.powers
+        Z = z.reshape(-1, d)
+        table = (Z[:, :, None] ** k.powers).reshape(len(Z), -1)
         tf = np.array([1.0 if f is None else f(w * t) for f, w in k.times])
-        out = k.W @ (table.take(k.flat).prod(axis=1) * tf[k.mode_of])
-        return float(out[0]), out[1:d + 1], out[d + 1:].reshape(d, d)
+        rows = table[:, k.flat].prod(axis=2) * tf[k.mode_of]
+        out = (k.W @ rows[:, :, None])[:, :, 0]
+        H, grad, hess = out[:, 0], out[:, 1:d + 1], out[:, d + 1:].reshape(-1, d, d)
+        if z.ndim == 1:
+            return float(H[0]), grad[0], hess[0]
+        return H, grad, hess
 
     def value(self, z, t: float) -> float:
         return self.jet(z, t)[0]
@@ -205,23 +221,33 @@ class HamiltonianGerm:
         return cls(n, tuple(terms))
 
 
-def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray, action: bool):
+# rows per stacked flow; the tolerances below shrink with the stack and the
+# relative one stays above scipy's floor of 100 eps at this size
+_MAX_STACK = 1024
+
+
+def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray, rows: int, action: bool):
+    """Right-hand side of rows stacked flows, each with its Jacobian and, with
+    action set, its action integral: one batched jet call per evaluation."""
     n = germ.n
     d = 2 * n
     minus_J = -J
     jet = germ.jet
+    width = d + d * d + int(action)
 
     def rhs(t, y):
-        z = y[:d]
-        Phi = y[d:d + d * d].reshape(d, d)
+        Y = y.reshape(rows, width)
+        z = Y[:, :d]
+        Phi = Y[:, d:d + d * d].reshape(rows, d, d)
         H, g, h = jet(z, t)
-        dz = minus_J @ g
-        dPhi = minus_J @ h @ Phi
-        if not action:
-            return np.concatenate([dz, dPhi.ravel()])
-        # integrand of the action integral: x . ydot + H_t
-        ds = z[:n] @ dz[n:] + H
-        return np.concatenate([dz, dPhi.ravel(), [ds]])
+        out = np.empty_like(Y)
+        dz = (minus_J @ g[:, :, None])[:, :, 0]
+        out[:, :d] = dz
+        out[:, d:d + d * d] = (minus_J @ h @ Phi).reshape(rows, d * d)
+        if action:
+            # integrand of the action integral: x . ydot + H_t
+            out[:, -1] = row_dots(z[:, :n], dz[:, n:]) + H
+        return out.ravel()
 
     return rhs
 
@@ -230,39 +256,85 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
                    action: bool = False):
     """Flow z from time t0 to t1; returns (phi(z), dphi(z)).
 
+    z is one point (d,) or a batch (P, d) whose rows are flowed together as
+    one stacked state, up to _MAX_STACK rows per integration; a batch gives
+    (P, d) images and (P, d, d) Jacobians.  DOP853 controls the step by an
+    RMS error norm over the whole stacked state, so the tolerances of a stack
+    of P rows are rtol = 1e-12 / sqrt(P) and atol = 1e-13 / sqrt(P), which
+    bound each row's error norm by that of its flow alone.  The rows share
+    the adaptive steps, so a row's result depends on its batch mates below
+    the ODE tolerance; a batch of one is the one-point flow.
+
     With action set, the action integral s = int_{t0}^{t1} (x . ydot + H_t) dt
     along the trajectory rides along as one more ODE state, and the return
     value is (phi(z), dphi(z), s).
 
-    Raises DomainError if z starts or travels outside the trust radius and
-    StiffnessError if the integrator underflows its step size.
+    Raises DomainError if a row is not finite or starts or travels outside
+    the trust radius, StiffnessError if the integrator underflows its step
+    size and ValidationError if a row's Jacobian fails the symplectic check.
     """
     radius = DEFAULT_TRUST_RADIUS if radius is None else float(radius)
     d = 2 * germ.n
-    z = np.asarray(z, dtype=float).reshape(d)
-    if np.linalg.norm(z) > radius * (1 + 1e-12):
-        raise DomainError(f"start point has |z| = {np.linalg.norm(z):.3g} > trust radius {radius}")
-    if t0 == t1 or not germ.terms:
-        return (z.copy(), np.eye(d), 0.0) if action else (z.copy(), np.eye(d))
+    z = np.asarray(z, dtype=float)
+    Z = z.reshape(-1, d)
+    bad = ~np.isfinite(Z).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"start point {i} is not finite: {Z[i].tolist()}")
+    norms = row_norms(Z)
+    far = norms > radius * (1 + 1e-12)
+    if far.any():
+        i = int(far.argmax())
+        raise DomainError(f"{_row(i, len(Z))}start point has |z| = {norms[i]:.3g} "
+                          f"> trust radius {radius}")
+    phi, dphi, s = Z.copy(), np.tile(np.eye(d), (len(Z), 1, 1)), np.zeros(len(Z))
+    if t0 != t1 and germ.terms:
+        for lo in range(0, len(Z), _MAX_STACK):
+            part = slice(lo, lo + _MAX_STACK)
+            phi[part], dphi[part], s[part] = _stacked_flow(germ, t0, t1, Z[part], radius,
+                                                           action, lo, len(Z))
+    if z.ndim == 1:
+        phi, dphi, s = phi[0], dphi[0], float(s[0])
+    return (phi, dphi, s) if action else (phi, dphi)
+
+
+def _row(i, rows):
+    """The prefix naming row i of a batch in an error message; none for one row."""
+    return "" if rows == 1 else f"row {i}: "
+
+
+def _stacked_flow(germ, t0, t1, Z, radius, action, first, total):
+    # one DOP853 integration of the rows of Z; first and total place them in
+    # the caller's batch for error messages
+    P, d = Z.shape
+    width = d + d * d + int(action)
 
     def exit_event(t, y):
-        return float(np.linalg.norm(y[:d]) - radius)
+        return float(row_norms(y.reshape(P, width)[:, :d]).max() - radius)
 
     exit_event.terminal = True
     exit_event.direction = 1.0
-    y0 = np.concatenate([z, np.eye(d).ravel(), [0.0] if action else []])
-    sol = solve_ivp(_flow_rhs(germ, standard_symplectic(germ.n), action), (t0, t1), y0,
-                    method="DOP853", rtol=1e-12, atol=1e-13, events=exit_event)
+    y0 = np.zeros((P, width))
+    y0[:, :d] = Z
+    y0[:, d:d + d * d] = np.eye(d).ravel()
+    scale = math.sqrt(P)
+    sol = solve_ivp(_flow_rhs(germ, standard_symplectic(germ.n), P, action), (t0, t1),
+                    y0.ravel(), method="DOP853", rtol=1e-12 / scale, atol=1e-13 / scale,
+                    events=exit_event)
     if sol.status == 1:
-        raise DomainError("flow left the trust region before the final time")
+        i = int(np.argmax(row_norms(sol.y_events[0][0].reshape(P, width)[:, :d])))
+        raise DomainError(f"{_row(first + i, total)}flow left the trust region "
+                          "before the final time")
     if not sol.success:
         raise StiffnessError(f"flow integration failed: {sol.message}")
-    yf = sol.y[:, -1]
-    phi, dphi = yf[:d], yf[d:d + d * d].reshape(d, d)
+    yf = sol.y[:, -1].reshape(P, width)
+    dphi = yf[:, d:d + d * d].reshape(P, d, d)
     res = symplectic_residual(dphi)
-    if res > tol("symplectic_flow"):
-        raise ValidationError(f"flow Jacobian symplecticity residual {res:.3g}")
-    return (phi, dphi, float(yf[-1])) if action else (phi, dphi)
+    if (res > tol("symplectic_flow")).any():
+        i = int((res > tol("symplectic_flow")).argmax())
+        raise ValidationError(f"{_row(first + i, total)}flow Jacobian symplecticity "
+                              f"residual {res[i]:.3g}")
+    return yf[:, :d], dphi, (yf[:, -1] if action else 0.0)
 
 
 def zero_jacobian_path(germ: HamiltonianGerm, T: float):
@@ -399,21 +471,55 @@ class GeneratingFunction:
         Returns (y, X, dpsi at (x, y), s), where s is the action integral
         int (x . ydot + H_t) dt along the solved trajectory when action is
         set and None otherwise; each Newton flow then carries it.
+
+        (x, Y) is one point, two arrays (m,), or a batch, two arrays (P, m),
+        whose rows take their Newton steps in lockstep: one stacked flow per
+        step over the rows not yet converged, and a row retires once its
+        residual is below gen2_newton.  If a stacked solve fails, the rows are
+        solved one at a time, and the first failing row raises its own error.
         """
         m = self.m
-        x = np.asarray(x, dtype=float).reshape(m)
-        Y = np.asarray(Y, dtype=float).reshape(m)
-        y = Y.copy()
+        one = np.ndim(x) == 1
+        x = np.asarray(x, dtype=float).reshape(-1, m)
+        Y = np.asarray(Y, dtype=float).reshape(-1, m)
+        try:
+            out = self._graph_newton(x, Y, action)
+        except (ResolutionError, ValidationError):
+            if len(x) == 1:
+                raise
+            rows = [self._graph_newton(x[i:i + 1], Y[i:i + 1], action) for i in range(len(x))]
+            out = tuple(None if part[0] is None else np.concatenate(part)
+                        for part in zip(*rows))
+        if one:
+            y, X, dphi, s = out
+            return y[0], X[0], dphi[0], (None if s is None else float(s[0]))
+        return out
+
+    def _graph_newton(self, x, Y, action):
+        # the lockstep Newton of solve_graph on a batch (P, m)
+        m = self.m
+        P = len(x)
+        y, X = Y.copy(), np.empty_like(x)
+        dpsi, s = np.empty((P, 2 * m, 2 * m)), (np.empty(P) if action else None)
+        active = np.arange(P)
         try:
             for _ in range(50):
-                phi, dphi, *s = self.psi(np.concatenate([x, y]), action=action)
-                F = phi[m:] - Y
-                if np.linalg.norm(F) < tol("gen2_newton"):
-                    return y, phi[:m], dphi, (s[0] if s else None)
-                y = y - np.linalg.solve(dphi[m:, m:], F)
+                if not len(active):
+                    break
+                phi, dphi, *flow_s = self.psi(np.concatenate([x[active], y[active]], axis=1),
+                                              action=action)
+                F = phi[:, m:] - Y[active]
+                done = row_norms(F) < tol("gen2_newton")
+                X[active[done]], dpsi[active[done]] = phi[done, :m], dphi[done]
+                if action:
+                    s[active[done]] = flow_s[0][done]
+                active, dphi, F = active[~done], dphi[~done], F[~done]
+                y[active] -= np.linalg.solve(dphi[:, m:, m:], F[:, :, None])[:, :, 0]
         except DomainError as exc:
             raise TrustRegionError(f"graph solve left the trust region: {exc}") from exc
-        raise TrustRegionError("no convergence solving the graph equations")
+        if len(active):
+            raise TrustRegionError("no convergence solving the graph equations")
+        return y, X, dpsi, s
 
     def solve_slot(self, x, Y, value: bool = True):
         """(S, grad S, D^2 S) at (x, Y) from one graph solve.
@@ -422,22 +528,30 @@ class GeneratingFunction:
         length 2m; S comes from the action identity in the class docstring
         and is None when value is unset, which spares the flows the H_t
         evaluations the integral needs.  D^2 S is assembled from the blocks
-        of dpsi at the solved point.
+        of dpsi at the solved point.  A batch (P, m) of (x, Y) gives (P,),
+        (P, 2m) and (P, 2m, 2m) from one lockstep graph solve.
         """
         m = self.m
-        x = np.asarray(x, dtype=float).reshape(m)
-        Y = np.asarray(Y, dtype=float).reshape(m)
+        one = np.ndim(x) == 1
+        x = np.asarray(x, dtype=float).reshape(-1, m)
+        Y = np.asarray(Y, dtype=float).reshape(-1, m)
         y, X, dphi, s = self.solve_graph(x, Y, action=value)
-        S = float(x @ (y - Y)) + s if value else None
-        A, B = dphi[:m, :m], dphi[:m, m:]
-        C, D = dphi[m:, :m], dphi[m:, m:]
+        S = row_dots(x, y - Y) + s if value else None
+        A, B = dphi[:, :m, :m], dphi[:, :m, m:]
+        C, D = dphi[:, m:, :m], dphi[:, m:, m:]
         Dinv = np.linalg.inv(D)
-        H = np.block([[-Dinv @ C, Dinv - np.eye(m)],
-                      [A - B @ Dinv @ C - np.eye(m), B @ Dinv]])
-        asym = np.abs(H - H.T).max()
-        if asym > tol("hessian_sym"):
-            raise ValidationError(f"generating-function Hessian asymmetry {asym:.3g}")
-        return S, np.concatenate([y - Y, X - x]), 0.5 * (H + H.T)
+        eye = np.eye(m)
+        H = np.concatenate([np.concatenate([-Dinv @ C, Dinv - eye], axis=2),
+                            np.concatenate([A - B @ Dinv @ C - eye, B @ Dinv], axis=2)], axis=1)
+        asym = np.abs(H - np.swapaxes(H, 1, 2)).max(axis=(1, 2))
+        if (asym > tol("hessian_sym")).any():
+            i = int((asym > tol("hessian_sym")).argmax())
+            raise ValidationError(f"{_row(i, len(x))}generating-function Hessian "
+                                  f"asymmetry {asym[i]:.3g}")
+        g, H = np.concatenate([y - Y, X - x], axis=1), 0.5 * (H + np.swapaxes(H, 1, 2))
+        if one:
+            return (None if S is None else float(S[0])), g[0], H[0]
+        return S, g, H
 
     def gradient(self, x, Y):
         """(grad_1 S, grad_2 S) at (x, Y)."""

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import dact as _dact
-from .config import tol
+from .config import row_dots as _row_dots, row_norms as _row_norms, tol
 from .errors import (
     BoundaryError,
     ConfigurationError,
@@ -173,16 +173,6 @@ def _rowwise(fn):
 def _mv(A, Z):
     """A @ z for every row z of Z."""
     return np.matmul(A, Z[..., None])[..., 0]
-
-
-def _row_dots(X, Y):
-    """x @ y for every pair of rows of X and Y."""
-    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
-
-
-def _row_norms(Z):
-    """np.linalg.norm(z) for every row z of Z."""
-    return np.sqrt(_row_dots(Z, Z))
 
 
 @functools.lru_cache(maxsize=256)
@@ -377,21 +367,23 @@ def discrete_action_function(da) -> CallableFunction:
     action identity S_i(x, Y) = x . (y - Y) + int (x . ydot + H_t) dt along
     its solved substep trajectory (sign convention i_{X_H} omega0 = dH).
     Value, gradient and Hessian at one z share one dact.evaluate pass, one
-    graph solve per slot.  The passes of the last batch are kept, keyed by
-    the bytes of each row, so a Newton sweep asking for grad on a batch and
-    then hess on some of its rows solves once per row.
+    graph solve per slot, and the rows of a batch not seen before go to one
+    dact.evaluate call.  The passes of the last batch are kept, keyed by the
+    bytes of each row, so a Newton sweep asking for grad on a batch and then
+    hess on some of its rows solves once per row.
     """
     last = {}
 
     def rows(Z, part):
-        passes = {}
-        for z in Z:
-            key = z.tobytes()
-            if key not in passes:
-                passes[key] = last[key] if key in last else _dact.evaluate(da, z)
+        keys = [z.tobytes() for z in Z]
+        passes = {key: last[key] for key in keys if key in last}
+        fresh = {key: z for key, z in zip(keys, Z) if key not in passes}
+        if fresh:
+            value, grad, hess = _dact.evaluate(da, np.array(list(fresh.values())))
+            passes.update(zip(fresh, zip(value, grad, hess)))
         last.clear()
         last.update(passes)
-        return np.array([passes[z.tobytes()][part] for z in Z], dtype=float)
+        return np.array([passes[key][part] for key in keys], dtype=float)
 
     action = None
     if da.k > 1:
@@ -601,7 +593,8 @@ def _vertex_values(f, axis, pts, in_ball, coarse):
         even = (slice(None, None, 2),) * in_ball.ndim
         V[even] = coarse.values
         fresh[even] = False
-    V[fresh] = [f.value(p) for p in pts[fresh.ravel()]]
+    if fresh.any():
+        V[fresh] = f.value(pts[fresh.ravel()])
     return V
 
 

@@ -22,7 +22,13 @@ from equimorse.dact import (
     seed_from_point,
     shift_matrix,
 )
-from equimorse.errors import ConfigurationError, DegeneracyError
+from equimorse.errors import (
+    ConfigurationError,
+    DegeneracyError,
+    DomainError,
+    ShapeError,
+    TrustRegionError,
+)
 from equimorse.hamflow import (
     GeneratingFunction,
     HamiltonianGerm,
@@ -179,12 +185,13 @@ def test_find_periodic_points_unique_origin():
 
 
 def _count_graph_solves(monkeypatch):
+    # a call solves a batch of graph equations; count its rows
     count = [0]
     solve = GeneratingFunction.solve_graph
 
-    def counted(self, *args, **kwargs):
-        count[0] += 1
-        return solve(self, *args, **kwargs)
+    def counted(self, x, *args, **kwargs):
+        count[0] += len(np.reshape(x, (-1, self.m)))
+        return solve(self, x, *args, **kwargs)
 
     monkeypatch.setattr(GeneratingFunction, "solve_graph", counted)
     return count
@@ -200,9 +207,9 @@ def test_newton_step_solves_each_slot_once(monkeypatch):
     passes = [0]
     evaluate = dact.evaluate
 
-    def counted(*args, **kwargs):
-        passes[0] += 1
-        return evaluate(*args, **kwargs)
+    def counted(da, z, *args, **kwargs):
+        passes[0] += len(np.reshape(z, (-1, da.dim)))
+        return evaluate(da, z, *args, **kwargs)
 
     monkeypatch.setattr(dact, "evaluate", counted)
     solves[0] = 0
@@ -237,9 +244,9 @@ def test_discrete_action_function_keeps_the_passes_of_the_last_batch(monkeypatch
     passes = [0]
     evaluate = dact.evaluate
 
-    def counted(*args, **kwargs):
-        passes[0] += 1
-        return evaluate(*args, **kwargs)
+    def counted(da, z, *args, **kwargs):
+        passes[0] += len(np.reshape(z, (-1, da.dim)))
+        return evaluate(da, z, *args, **kwargs)
 
     monkeypatch.setattr(dact, "evaluate", counted)
     Z = 0.05 * np.random.default_rng(6).standard_normal((2, da.dim))
@@ -247,8 +254,60 @@ def test_discrete_action_function_keeps_the_passes_of_the_last_batch(monkeypatch
     # a Newton sweep asks for the Hessian on the rows that did not converge
     h = f.hess(Z[:1])
     assert passes[0] == 2
-    assert np.array_equal(g[0], evaluate(da, Z[0])[1])
-    assert np.array_equal(h[0], evaluate(da, Z[0])[2])
+    _, grads, hessians = evaluate(da, Z)
+    assert np.array_equal(g, grads)
+    assert np.array_equal(h[0], hessians[0])
+
+
+def test_evaluate_on_a_batch_stacks_each_substep_over_rows_and_slots(monkeypatch):
+    da = DiscreteAction(quartic_germ(), 2, 2)
+    Z = 0.05 * np.random.default_rng(12).standard_normal((5, da.dim))
+    solves = _count_graph_solves(monkeypatch)
+    total, g, H = dact.evaluate(da, Z)
+    assert solves[0] == 5 * da.slots
+    assert total.shape == (5,) and g.shape == (5, da.dim) and H.shape == (5, da.dim, da.dim)
+    for i, z in enumerate(Z):
+        ti, gi, Hi = dact.evaluate(da, z)
+        assert abs(total[i] - ti) < 1e-12
+        assert np.abs(g[i] - gi).max() < 1e-12 and np.abs(H[i] - Hi).max() < 1e-11
+
+
+def test_evaluate_rejects_points_of_the_wrong_length():
+    da = DiscreteAction(quartic_germ(), 2, 1)
+    for bad in (np.zeros(da.dim - 1), np.zeros(da.dim + 2), np.zeros((3, da.dim + 1)),
+                np.zeros((2, 2, da.dim))):
+        with pytest.raises(ShapeError):
+            dact.evaluate(da, bad)
+
+
+def test_non_finite_points_raise_a_domain_error_naming_the_row():
+    da = DiscreteAction(quartic_germ(), 1, 1)
+    with pytest.raises(DomainError, match="point 0 is not finite"):
+        dact.evaluate(da, [math.nan, 0.0])
+    Z = np.zeros((3, da.dim))
+    Z[1, 0] = -math.inf
+    with pytest.raises(DomainError, match="point 1 is not finite"):
+        dact.evaluate(da, Z)
+    out = find_periodic_points(da, [[math.nan, 0.0], [0.01, -0.02]])
+    assert not out[0].converged and "not finite" in out[0].message
+    assert out[1].converged
+
+
+def test_critical_points_answers_the_rows_beside_one_that_leaves_the_trust_region():
+    from equimorse.lochom import critical_points, discrete_action_function
+
+    da = DiscreteAction(hyperbolic_germ(), 1, 1)
+    f = discrete_action_function(da)
+    good = np.array([[0.02, -0.03], [-0.05, 0.01]])
+    # the x of (0.3, 0) doubles over the step and leaves the trust radius 0.5
+    seeds = np.array([good[0], [0.3, 0.0], good[1]])
+    with pytest.raises(TrustRegionError) as batch:
+        f.grad(seeds)
+    with pytest.raises(TrustRegionError) as alone:
+        dact.evaluate(da, seeds[1])
+    assert str(batch.value) == str(alone.value)
+    found = critical_points(f, seeds, 0.2)
+    assert len(found) == 1 and np.linalg.norm(found[0]) < 1e-12
 
 
 def _direct_fourth_iterate_solve(germ, w0, radius=0.5):

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from equimorse import hamflow
-from equimorse.config import rotation, standard_symplectic, symplectic_residual
+from equimorse.config import rotation, standard_symplectic, symplectic_residual, tol
 from equimorse.errors import (
     ConfigurationError,
     DomainError,
     StiffnessError,
+    TrustRegionError,
     ValidationError,
 )
 from equimorse.hamflow import (
@@ -434,6 +436,13 @@ def test_jet_matches_the_loop_oracle(name):
         assert np.array_equal(h, h.T)
         assert germ.value(z, t) == H
         assert np.array_equal(germ.grad(z, t), g) and np.array_equal(germ.hess(z, t), h)
+    # a batch is its rows, each bitwise its one-point jet
+    Z = 0.3 * rng.uniform(-1.0, 1.0, size=(7, d))
+    H, g, h = germ.jet(Z, 0.3)
+    assert H.shape == (7,) and g.shape == (7, d) and h.shape == (7, d, d)
+    for i, z in enumerate(Z):
+        Hi, gi, hi = germ.jet(z, 0.3)
+        assert H[i] == Hi and np.array_equal(g[i], gi) and np.array_equal(h[i], hi)
 
 
 def test_flows_evaluate_the_germ_only_through_jet(monkeypatch):
@@ -450,3 +459,136 @@ def test_flows_evaluate_the_germ_only_through_jet(monkeypatch):
     assert np.array_equal(phi, expected[0]) and np.array_equal(dphi, expected[1])
     assert s == expected[2]
     assert np.array_equal(zero_jacobian_path(germ, 1.0)(0.7), Phi_expected)
+
+
+# -- the one-point flow that the stacked flow replaced, kept as its oracle --
+
+def _one_point_rhs(germ, J, action):
+    n = germ.n
+    d = 2 * n
+    minus_J = -J
+    jet = germ.jet
+
+    def rhs(t, y):
+        z = y[:d]
+        Phi = y[d:d + d * d].reshape(d, d)
+        H, g, h = jet(z, t)
+        dz = minus_J @ g
+        dPhi = minus_J @ h @ Phi
+        if not action:
+            return np.concatenate([dz, dPhi.ravel()])
+        ds = z[:n] @ dz[n:] + H
+        return np.concatenate([dz, dPhi.ravel(), [ds]])
+
+    return rhs
+
+
+def _one_point_flow(germ, t0, t1, z, action=False, radius=0.5):
+    d = 2 * germ.n
+
+    def exit_event(t, y):
+        return float(np.linalg.norm(y[:d]) - radius)
+
+    exit_event.terminal = True
+    exit_event.direction = 1.0
+    y0 = np.concatenate([z, np.eye(d).ravel(), [0.0] if action else []])
+    sol = solve_ivp(_one_point_rhs(germ, standard_symplectic(germ.n), action), (t0, t1), y0,
+                    method="DOP853", rtol=1e-12, atol=1e-13, events=exit_event)
+    assert sol.status == 0
+    yf = sol.y[:, -1]
+    phi, dphi = yf[:d], yf[d:d + d * d].reshape(d, d)
+    return (phi, dphi, float(yf[-1])) if action else (phi, dphi)
+
+
+@pytest.mark.parametrize("name", ["quartic", "cos", "hyperbolic", "resonant_4_1", "sin_n2"])
+def test_one_point_flow_is_bitwise_the_one_point_oracle(name):
+    germ = KERNEL_GERMS[name]()
+    d = 2 * germ.n
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        z = 0.15 * rng.uniform(-1.0, 1.0, size=d)
+        for action in (False, True):
+            got = integrate_flow(germ, 0.1, 0.6, z, action=action)
+            want = _one_point_flow(germ, 0.1, 0.6, z, action=action)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert got[0].shape == (d,) and got[1].shape == (d, d)
+            if action:
+                assert isinstance(got[2], float)
+
+
+@pytest.mark.parametrize("rows", [1, 8, 148])
+@pytest.mark.parametrize("name", ["quartic", "rotation", "resonant_4_1"])
+def test_every_row_of_a_stack_is_its_one_point_flow(name, rows):
+    germ = KERNEL_GERMS[name]()
+    Z = 0.4 * np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 2)) / math.sqrt(2)
+    phi, dphi, s = integrate_flow(germ, 0.0, 0.5, Z, action=True)
+    assert phi.shape == (rows, 2) and dphi.shape == (rows, 2, 2) and s.shape == (rows,)
+    for i, z in enumerate(Z):
+        one = integrate_flow(germ, 0.0, 0.5, z, action=True)
+        assert np.abs(phi[i] - one[0]).max() < 1e-12
+        assert np.abs(dphi[i] - one[1]).max() < 1e-12
+        assert abs(s[i] - one[2]) < 1e-12
+        assert symplectic_residual(dphi[i]) < tol("symplectic_flow")
+
+
+def test_a_large_batch_is_integrated_in_capped_stacks(monkeypatch):
+    germ = quartic_germ()
+    Z = 0.3 * np.random.default_rng(3).uniform(-1.0, 1.0, size=(hamflow._MAX_STACK + 6, 2))
+    stacks = []
+    solve = hamflow.solve_ivp
+
+    def counted(fun, t_span, y0, **kwargs):
+        stacks.append((len(y0) // 6, kwargs["rtol"], kwargs["atol"]))
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(hamflow, "solve_ivp", counted)
+    phi, dphi = integrate_flow(germ, 0.0, 0.25, Z)
+    # the RMS error norm of a stack of P rows bounds each row's at 1/sqrt(P)
+    # of the one-point tolerances
+    assert stacks == [(P, 1e-12 / math.sqrt(P), 1e-13 / math.sqrt(P))
+                      for P in (hamflow._MAX_STACK, 6)]
+    assert stacks[0][1] > 100 * np.finfo(float).eps
+    for i in (0, hamflow._MAX_STACK - 1, hamflow._MAX_STACK, len(Z) - 1):
+        one = integrate_flow(germ, 0.0, 0.25, Z[i])
+        assert np.abs(phi[i] - one[0]).max() < 1e-12
+        assert np.abs(dphi[i] - one[1]).max() < 1e-12
+
+
+def test_non_finite_starts_raise_a_domain_error_naming_the_row():
+    with pytest.raises(DomainError, match="start point 0 is not finite"):
+        integrate_flow(quartic_germ(), 0.0, 1.0, [math.nan, 0.0])
+    Z = np.zeros((4, 2))
+    Z[2, 1] = math.inf
+    with pytest.raises(DomainError, match="start point 2 is not finite"):
+        integrate_flow(quartic_germ(), 0.0, 1.0, Z, action=True)
+
+
+def test_a_row_leaving_the_trust_region_fails_the_batch_with_its_own_error():
+    gf = GeneratingFunction(FlowMap(hyperbolic_germ(), 0.0, 1.0))
+    # the row (0.3, 0) doubles its x over the substep and leaves radius 0.5
+    x, Y = np.array([[0.05], [0.3], [-0.1]]), np.array([[0.02], [0.0], [0.1]])
+    with pytest.raises(TrustRegionError) as alone:
+        gf.solve_graph(x[1], Y[1])
+    with pytest.raises(TrustRegionError) as batch:
+        gf.solve_graph(x, Y)
+    assert str(batch.value) == str(alone.value)
+    assert "flow left the trust region" in str(batch.value)
+    good = gf.solve_graph(x[[0, 2]], Y[[0, 2]])
+    for i, j in enumerate((0, 2)):
+        one = gf.solve_graph(x[j], Y[j])
+        assert np.abs(good[0][i] - one[0]).max() < 1e-12
+        assert np.abs(good[2][i] - one[2]).max() < 1e-12
+
+
+def test_batched_graph_solves_match_one_point_solves():
+    gf = GeneratingFunction(FlowMap(resonant_germ(), 0.5, 1.0))
+    rng = np.random.default_rng(31)
+    x, Y = 0.2 * rng.uniform(-1, 1, size=(9, 1)), 0.2 * rng.uniform(-1, 1, size=(9, 1))
+    S, g, H = gf.solve_slot(x, Y)
+    assert S.shape == (9,) and g.shape == (9, 2) and H.shape == (9, 2, 2)
+    for i in range(9):
+        Si, gi, Hi = gf.solve_slot(x[i], Y[i])
+        assert abs(S[i] - Si) < 1e-12
+        assert np.abs(g[i] - gi).max() < 1e-12 and np.abs(H[i] - Hi).max() < 1e-11

@@ -326,58 +326,121 @@ class CriticalPoint:
 
 
 def seed_from_point(da: DiscreteAction, w) -> np.ndarray:
-    """Seed vector whose slots chain w through the substep flows."""
-    w = np.asarray(w, dtype=float).reshape(2 * da.n)
-    z = np.zeros(da.dim)
-    cur = w
+    """Seed vector whose slots chain w through the substep flows.
+
+    w is one point (2n,) or a batch (P, 2n); a batch gives (P, dim), its
+    rows chained through each substep as one stacked flow.  The rows share
+    the adaptive steps of that flow, so a row depends on its batch mates
+    below the ODE tolerance; a batch of one is the one-point seed.
+
+    >>> da = DiscreteAction(HamiltonianGerm.rotation(0.3), 1, 2)
+    >>> Z = seed_from_point(da, [[0.1, 0.0], [0.0, 0.05]])
+    >>> Z.shape
+    (2, 4)
+    >>> c, s = math.cos(0.3 * math.pi), math.sin(0.3 * math.pi)
+    >>> bool(np.allclose(Z[:, 2:], [[0.1 * c, 0.1 * s], [-0.05 * s, 0.05 * c]], atol=1e-12))
+    True
+    """
+    w = np.asarray(w, dtype=float)
+    b = 2 * da.n
+    if w.ndim not in (1, 2) or w.shape[-1] != b:
+        raise ShapeError(f"points of the phase space have length {b}, "
+                         f"got an array of shape {w.shape}")
+    cur = w.reshape(-1, b)
+    z = np.zeros((len(cur), da.dim))
     for i in range(da.slots):
-        z[2 * da.n * i:2 * da.n * (i + 1)] = cur
+        z[:, b * i:b * (i + 1)] = cur
         cur, _ = integrate_flow(da.germ, i / da.N, (i + 1) / da.N, cur,
                                 radius=da.radius)
-    return z
+    return z[0] if w.ndim == 1 else z
 
 
 def _orbit_of(da: DiscreteAction, z: np.ndarray) -> np.ndarray:
     return z.reshape(da.slots, 2 * da.n).copy()
 
 
+def _evaluate_or_fail(da: DiscreteAction, Z: np.ndarray):
+    """g and H of evaluate on the rows of Z, and per row the DomainError or
+    TrustRegionError that row raises alone, or None.  A batch that raises
+    one of them is evaluated again one row at a time."""
+    try:
+        _, g, H = evaluate(da, Z, value=False)
+        return g, H, [None] * len(Z)
+    except (DomainError, TrustRegionError) as exc:
+        if len(Z) == 1:
+            return np.full((1, da.dim), np.nan), np.full((1, da.dim, da.dim), np.nan), [exc]
+    rows = [_evaluate_or_fail(da, z[None]) for z in Z]
+    return (np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows]),
+            [r[2][0] for r in rows])
+
+
 def find_periodic_points(da: DiscreteAction, seeds):
     """Newton on the gradient from each seed; deduplicated by shift orbit.
 
-    Each Newton step takes g and H from one `evaluate` pass, one graph
-    solve per slot, and the Morse data of a converged point reuse the H
-    of its last step.  Non-convergence is reported per seed, not raised.
-    Converged points carry the orbit samples and local Morse data.
+    The seeds take their Newton steps in lockstep: each iteration makes one
+    `evaluate` pass over the seeds still active, one stacked graph solve
+    per substep, and steps each row with its own H (solve where
+    cond H < 1e12, lstsq otherwise).  A seed stops once its residual is
+    below newton_grad, after 50 steps, or when its point raises
+    DomainError or TrustRegionError: a batch that raises is evaluated again
+    one row at a time, so a failing seed reports the message it would get
+    alone and its batch mates go on.  Non-convergence is reported per seed,
+    not raised; a seed still active after 50 steps reports the residual at
+    its last point, inf if that point fails.  The rows share the adaptive
+    steps of the stacked flows, so a seed's point depends on its batch
+    mates below the ODE tolerance; a single seed is the one-seed Newton.
+
+    Converged points carry the orbit samples and local Morse data, which
+    reuse the H of their last step; they are deduplicated in seed order.
+    Raises ShapeError, naming the seed, for a seed of the wrong length.
     """
+    seeds = [np.asarray(seed, dtype=float) for seed in seeds]
+    for si, seed in enumerate(seeds):
+        if seed.size != da.dim:
+            raise ShapeError(f"seed {si}: points of the discrete action have length "
+                             f"{da.dim}, got an array of shape {seed.shape}")
+    if not seeds:
+        return []
+    Z = np.array([seed.reshape(da.dim) for seed in seeds])
+    status: list[CriticalPoint | None] = [None] * len(Z)
+    last_H = [None] * len(Z)
+    active = list(range(len(Z)))
+    for _ in range(50):
+        if not active:
+            break
+        g, H, errors = _evaluate_or_fail(da, Z[active])
+        still = []
+        for si, gi, Hi, exc in zip(active, g, H, errors):
+            if exc is not None:
+                status[si] = CriticalPoint(Z[si].copy(), math.inf, False, [si], str(exc))
+                continue
+            res = float(np.linalg.norm(gi))
+            if res < tol("newton_grad"):
+                status[si], last_H[si] = CriticalPoint(Z[si].copy(), res, True, [si]), Hi
+                continue
+            if np.linalg.cond(Hi) < 1e12:
+                step = np.linalg.solve(Hi, gi)
+            else:
+                step = np.linalg.lstsq(Hi, gi, rcond=None)[0]
+            Z[si] = Z[si] - step
+            still.append(si)
+        active = still
+    if active:
+        # the residual after the last step; inf where that point fails
+        g, _, errors = _evaluate_or_fail(da, Z[active])
+        for si, gi, exc in zip(active, g, errors):
+            res = math.inf if exc is not None else float(np.linalg.norm(gi))
+            status[si] = CriticalPoint(Z[si].copy(), res, False, [si],
+                                       "no convergence in 50 steps")
     results: list[CriticalPoint] = []
     tau = shift_matrix(da)
-    for si, seed in enumerate(seeds):
-        z = np.asarray(seed, dtype=float).reshape(da.dim).copy()
-        status = None
-        for _ in range(50):
-            try:
-                _, g, H = evaluate(da, z, value=False)
-            except (DomainError, TrustRegionError) as exc:
-                status = CriticalPoint(z, math.inf, False, [si], str(exc))
-                break
-            res = float(np.linalg.norm(g))
-            if res < tol("newton_grad"):
-                status = CriticalPoint(z, res, True, [si])
-                break
-            if np.linalg.cond(H) < 1e12:
-                step = np.linalg.solve(H, g)
-            else:
-                step = np.linalg.lstsq(H, g, rcond=None)[0]
-            z = z - step
-        if status is None:
-            status = CriticalPoint(z, float(np.linalg.norm(gradient(da, z))),
-                                   False, [si], "no convergence in 50 steps")
-        if status.converged:
+    for si, point in enumerate(status):
+        if point.converged:
             merged = False
             for prev in results:
                 if not prev.converged:
                     continue
-                cand = status.z
+                cand = point.z
                 for _ in range(da.k):
                     if np.linalg.norm(cand - prev.z) < tol("dedup"):
                         prev.seeds.append(si)
@@ -389,10 +452,10 @@ def find_periodic_points(da: DiscreteAction, seeds):
             if merged:
                 continue
             try:
-                neg, zero, _ = _signature_counts(np.linalg.eigvalsh(H))
-                status.morse_index, status.nullity = neg, zero
+                neg, zero, _ = _signature_counts(np.linalg.eigvalsh(last_H[si]))
+                point.morse_index, point.nullity = neg, zero
             except AmbiguityError as exc:
-                status.message = str(exc)
-            status.orbit = _orbit_of(da, status.z)
-        results.append(status)
+                point.message = str(exc)
+            point.orbit = _orbit_of(da, point.z)
+        results.append(point)
     return results

@@ -160,6 +160,27 @@ class HamiltonianGerm:
                        mode_of=np.array([mode for _, mode in rows], dtype=np.intp),
                        times=times, W=W)
 
+    @cached_property
+    def _period_path(self):
+        """(dense solution t -> Phi(t) on [0, 1], Phi(1)) of the variational
+        equation at 0; see zero_jacobian_path."""
+        d = 2 * self.n
+        minus_J = -standard_symplectic(self.n)
+        origin = np.zeros(d)
+
+        def rhs(t, y):
+            return (minus_J @ self.jet(origin, t)[2] @ y.reshape(d, d)).ravel()
+
+        sol = solve_ivp(rhs, (0.0, 1.0), np.eye(d).ravel(), method="DOP853",
+                        rtol=1e-12, atol=1e-13, dense_output=True)
+        if not sol.success:
+            raise StiffnessError(f"variational integration failed: {sol.message}")
+
+        def one_period(t):
+            return sol.sol(t).reshape(d, d)
+
+        return one_period, one_period(1.0)
+
     def jet(self, z, t: float):
         """(H_t, grad H_t, D^2 H_t) at one point (d,) or at every row of a batch (P, d).
 
@@ -338,30 +359,27 @@ def _stacked_flow(germ, t0, t1, Z, radius, action, first, total):
 
 
 def zero_jacobian_path(germ: HamiltonianGerm, T: float):
-    """Dense solution t -> dphi^{0->t}(0) as a callable, t in [0, T].
+    """Callable t -> dphi^{0->t}(0) for t in [0, T].
 
     0 is a rest point, so the Jacobian obeys the linear variational
-    equation dPhi/dt = -J0 D^2H_t(0) Phi on its own.
+    equation dPhi/dt = -J0 D^2H_t(0) Phi on its own.  Every germ is
+    1-periodic in t, so the Floquet identity Phi(t + m) = Phi(t) Phi(1)^m
+    holds exactly for whole m: the path reads one dense solution over the
+    period [0, 1], solved once per germ instance (HamiltonianGerm._period_path),
+    and takes the rest from the powers of the monodromy Phi(1).  T does not
+    change the solve; the path is accurate to the ODE tolerance times the
+    number of periods.
     """
     d = 2 * germ.n
-    minus_J = -standard_symplectic(germ.n)
-    origin = np.zeros(d)
-
     if not germ.terms:
         return lambda t: np.eye(d)
-
-    def rhs(t, y):
-        return (minus_J @ germ.jet(origin, t)[2] @ y.reshape(d, d)).ravel()
-
-    sol = solve_ivp(rhs, (0.0, float(T)), np.eye(d).ravel(), method="DOP853",
-                    rtol=1e-12, atol=1e-13, dense_output=True)
-    if not sol.success:
-        raise StiffnessError(f"variational integration failed: {sol.message}")
+    one_period, monodromy = germ._period_path
 
     def Phi(t):
         if t == 0.0:
             return np.eye(d)
-        return sol.sol(t).reshape(d, d)
+        m = math.ceil(t) - 1  # t - m in (0, 1]
+        return one_period(t - m) @ np.linalg.matrix_power(monodromy, m)
 
     return Phi
 

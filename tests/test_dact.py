@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from equimorse import dact
+from equimorse.config import tol
 from equimorse.dact import (
     CriticalPoint,
     DiscreteAction,
@@ -48,6 +49,17 @@ def hyperbolic_germ():
 
 def quartic_germ():
     return HamiltonianGerm.make(1, [(-0.25, (4, 0)), (-0.5, (2, 2)), (-0.25, (0, 4))])
+
+
+def resonant_germ():
+    # detuned 4:1 resonance; the time-modulated quartic breaks the circle
+    # of orbits into an isolated necklace of 4-periodic points
+    beta, b = 0.26, 0.1
+    terms = [(math.pi * beta, (2, 0)), (math.pi * beta, (0, 2)),
+             (-0.25, (4, 0)), (-0.5, (2, 2)), (-0.25, (0, 4)),
+             (b, (4, 0), "cos", 1), (-6 * b, (2, 2), "cos", 1),
+             (b, (0, 4), "cos", 1)]
+    return HamiltonianGerm.make(1, terms)
 
 
 def test_index_frozen_examples():
@@ -177,11 +189,61 @@ def test_find_periodic_points_flat_manifold():
 def test_find_periodic_points_unique_origin():
     da = DiscreteAction(ROT03, 1, 2)
     rng = np.random.default_rng(9)
-    seeds = [seed_from_point(da, [0.1, 0.05]), 0.05 * rng.standard_normal(da.dim)]
+    seeds = [*seed_from_point(da, [[0.1, 0.05]]), 0.05 * rng.standard_normal(da.dim)]
     out = [p for p in find_periodic_points(da, seeds) if p.converged]
     assert len(out) == 1 and len(out[0].seeds) == 2
     assert np.linalg.norm(out[0].z) < 1e-8
     assert out[0].morse_index == 3 and out[0].nullity == 0
+
+
+def test_find_periodic_points_rejects_seeds_of_the_wrong_length(monkeypatch):
+    da = DiscreteAction(quartic_germ(), 2, 1)
+    calls = []
+    evaluate = dact.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(dact, "evaluate", counted)
+    for bad in (np.zeros(da.dim + 1), np.zeros(da.dim - 1), [0.1]):
+        with pytest.raises(ShapeError, match="seed 1"):
+            find_periodic_points(da, [np.zeros(da.dim), bad])
+    assert find_periodic_points(da, []) == []
+    assert not calls
+
+
+def _one_point_seed(da, w):
+    # the one-point chain that the batch form replaced, kept as its oracle
+    z = np.zeros(da.dim)
+    cur = np.asarray(w, dtype=float)
+    for i in range(da.slots):
+        z[2 * da.n * i:2 * da.n * (i + 1)] = cur
+        cur, _ = integrate_flow(da.germ, i / da.N, (i + 1) / da.N, cur, radius=da.radius)
+    return z
+
+
+def test_seed_from_point_chains_a_batch_through_each_substep(monkeypatch):
+    da = DiscreteAction(resonant_germ(), 2, 2)
+    W = 0.2 * np.random.default_rng(13).uniform(-1.0, 1.0, size=(5, 2))
+    expected = [_one_point_seed(da, w) for w in W]
+    flows = []
+    integrate = dact.integrate_flow
+
+    def counted(germ, t0, t1, z, **kwargs):
+        flows.append(len(np.reshape(z, (-1, 2))))
+        return integrate(germ, t0, t1, z, **kwargs)
+
+    monkeypatch.setattr(dact, "integrate_flow", counted)
+    Z = seed_from_point(da, W)
+    assert Z.shape == (5, da.dim) and flows == [5] * da.slots
+    for z, e in zip(Z, expected):
+        assert np.abs(z - e).max() < 1e-12
+    assert np.array_equal(seed_from_point(da, W[:1]), expected[0][None])
+    assert np.array_equal(seed_from_point(da, W[0]), expected[0])
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2))):
+        with pytest.raises(ShapeError):
+            seed_from_point(da, bad)
 
 
 def _count_graph_solves(monkeypatch):
@@ -328,21 +390,21 @@ def _direct_fourth_iterate_solve(germ, w0, radius=0.5):
     return w, float(np.linalg.norm(F))
 
 
-def test_resonant_orbits_match_direct_fixed_point_solve():
-    # detuned 4:1 resonance; the time-modulated quartic breaks the circle
-    # of orbits into an isolated necklace of 4-periodic points
-    beta, b = 0.26, 0.1
-    terms = [(math.pi * beta, (2, 0)), (math.pi * beta, (0, 2)),
-             (-0.25, (4, 0)), (-0.5, (2, 2)), (-0.25, (0, 4)),
-             (b, (4, 0), "cos", 1), (-6 * b, (2, 2), "cos", 1),
-             (b, (0, 4), "cos", 1)]
-    germ = HamiltonianGerm.make(1, terms)
-    da = DiscreteAction(germ, 4, 2)
+@pytest.fixture(scope="module")
+def resonant():
+    # the 4:1 germ on 8 slots, four starts between its two necklaces, seeded
+    # as one batch and solved in one lockstep
+    da = DiscreteAction(resonant_germ(), 4, 2)
     r0 = math.sqrt(2 * math.pi * 0.01)
     angles = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8]
-    seeds2d = [r0 * np.array([math.cos(t), math.sin(t)]) for t in angles]
-    out = [p for p in find_periodic_points(da, [seed_from_point(da, w) for w in seeds2d])
-           if p.converged]
+    seeds = seed_from_point(da, [r0 * np.array([math.cos(t), math.sin(t)]) for t in angles])
+    return da, seeds, find_periodic_points(da, seeds)
+
+
+def test_resonant_orbits_match_direct_fixed_point_solve(resonant):
+    da, _, points = resonant
+    germ = da.germ
+    out = [p for p in points if p.converged]
     nontrivial = [p for p in out if np.linalg.norm(p.orbit[0]) > 0.05]
     assert len(nontrivial) >= 2
     for p in out:
@@ -351,6 +413,115 @@ def test_resonant_orbits_match_direct_fixed_point_solve():
         assert res < 1e-11
         assert np.linalg.norm(polished - w) < 1e-6
         assert p.morse_index is not None
+
+
+# -- the per-seed Newton loop that the lockstep replaced, kept as its oracle --
+
+def _per_seed_newton(da, seeds):
+    results = []
+    tau = shift_matrix(da)
+    for si, seed in enumerate(seeds):
+        z = np.asarray(seed, dtype=float).reshape(da.dim).copy()
+        status = None
+        for _ in range(50):
+            try:
+                _, g, H = dact.evaluate(da, z, value=False)
+            except (DomainError, TrustRegionError) as exc:
+                status = CriticalPoint(z, math.inf, False, [si], str(exc))
+                break
+            res = float(np.linalg.norm(g))
+            if res < tol("newton_grad"):
+                status = CriticalPoint(z, res, True, [si])
+                break
+            if np.linalg.cond(H) < 1e12:
+                step = np.linalg.solve(H, g)
+            else:
+                step = np.linalg.lstsq(H, g, rcond=None)[0]
+            z = z - step
+        if status is None:
+            status = CriticalPoint(z, float(np.linalg.norm(gradient(da, z))),
+                                   False, [si], "no convergence in 50 steps")
+        if status.converged:
+            merged = False
+            for prev in results:
+                if not prev.converged:
+                    continue
+                cand = status.z
+                for _ in range(da.k):
+                    if np.linalg.norm(cand - prev.z) < tol("dedup"):
+                        prev.seeds.append(si)
+                        merged = True
+                        break
+                    cand = tau @ cand
+                if merged:
+                    break
+            if merged:
+                continue
+            neg, zero, _ = dact._signature_counts(np.linalg.eigvalsh(H))
+            status.morse_index, status.nullity = neg, zero
+            status.orbit = z.reshape(da.slots, 2 * da.n).copy()
+        results.append(status)
+    return results
+
+
+def _same_points(out, oracle, atol):
+    assert len(out) == len(oracle)
+    for p, q in zip(out, oracle):
+        assert (p.converged, p.seeds, p.message) == (q.converged, q.seeds, q.message)
+        assert (p.morse_index, p.nullity) == (q.morse_index, q.nullity)
+        if atol:
+            assert np.abs(p.z - q.z).max() < atol
+        else:
+            assert np.array_equal(p.z, q.z) and p.residual == q.residual
+            assert np.array_equal(p.orbit, q.orbit)
+
+
+def test_lockstep_newton_matches_the_per_seed_oracle(resonant):
+    da, seeds, points = resonant
+    _same_points(points, _per_seed_newton(da, seeds), 1e-12)
+    # a batch of one is the one-seed Newton, bitwise
+    _same_points(find_periodic_points(da, seeds[:1]), _per_seed_newton(da, seeds[:1]), 0)
+
+
+def test_a_seed_leaving_the_trust_region_fails_alone_beside_converging_seeds():
+    da = DiscreteAction(hyperbolic_germ(), 1, 1)
+    # the x of (0.3, 0) doubles over the step and leaves the trust radius 0.5
+    seeds = [[0.02, -0.03], [0.3, 0.0], [-0.05, 0.01], [0.01, 0.04]]
+    out = find_periodic_points(da, seeds)
+    (alone,) = find_periodic_points(da, seeds[1:2])
+    assert [p.seeds for p in out] == [[0, 2, 3], [1]]
+    assert out[0].converged and np.linalg.norm(out[0].z) < 1e-12
+    assert not out[1].converged and out[1].message == alone.message
+    assert "trust region" in alone.message
+    _same_points(out, _per_seed_newton(da, seeds), 1e-12)
+
+
+def test_each_newton_iteration_makes_one_evaluate_over_the_active_seeds(monkeypatch):
+    # a nonlinear germ, so the seeds take different numbers of steps
+    germ = HamiltonianGerm.make(1, [(-0.3 * math.pi, (2, 0)), (-0.3 * math.pi, (0, 2)),
+                                    (-0.25, (4, 0)), (-0.5, (2, 2)), (-0.25, (0, 4))])
+    da = DiscreteAction(germ, 2, 2)
+    rng = np.random.default_rng(8)
+    seeds = [s * rng.standard_normal(da.dim) for s in (0.0, 0.01, 0.05, 0.1)]
+    rows = []
+    evaluate = dact.evaluate
+
+    def counted(da, z, *args, **kwargs):
+        rows.append(len(np.reshape(z, (-1, da.dim))))
+        return evaluate(da, z, *args, **kwargs)
+
+    monkeypatch.setattr(dact, "evaluate", counted)
+    steps = []
+    for seed in seeds:
+        rows.clear()
+        (p,) = find_periodic_points(da, [seed])
+        assert p.converged
+        steps.append(len(rows))
+    assert len(set(steps)) > 2
+    rows.clear()
+    out = find_periodic_points(da, seeds)
+    assert rows == [sum(n > j for n in steps) for j in range(max(steps))]
+    assert [p.seeds for p in out] == [[0, 1, 2, 3]]
 
 
 def test_discrete_action_doctest():

@@ -458,7 +458,77 @@ def test_flows_evaluate_the_germ_only_through_jet(monkeypatch):
     phi, dphi, s = integrate_flow(germ, 0.0, 0.5, [0.1, 0.05], action=True)
     assert np.array_equal(phi, expected[0]) and np.array_equal(dphi, expected[1])
     assert s == expected[2]
-    assert np.array_equal(zero_jacobian_path(germ, 1.0)(0.7), Phi_expected)
+    # a fresh instance, since the path of germ was solved before the patch
+    assert np.array_equal(zero_jacobian_path(resonant_germ(), 1.0)(0.7), Phi_expected)
+
+
+# -- the dense solve over [0, T] that the one-period path replaced, kept as its oracle --
+
+def _direct_zero_jacobian_path(germ, T):
+    d = 2 * germ.n
+    minus_J = -standard_symplectic(germ.n)
+    origin = np.zeros(d)
+
+    def rhs(t, y):
+        return (minus_J @ germ.jet(origin, t)[2] @ y.reshape(d, d)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, float(T)), np.eye(d).ravel(), method="DOP853",
+                    rtol=1e-12, atol=1e-13, dense_output=True)
+    assert sol.success
+    return lambda t: sol.sol(t).reshape(d, d)
+
+
+def floquet_germ():
+    # quadratic terms in both time modes, so the variational equation at 0
+    # is not autonomous
+    return HamiltonianGerm.make(1, [(0.4, (2, 0)), (0.3, (1, 1), "cos", 1),
+                                    (0.2, (0, 2), "sin", 2)])
+
+
+@pytest.mark.parametrize("make", [resonant_germ, lambda: HamiltonianGerm.rotation(0.3),
+                                  floquet_germ], ids=["resonant", "rot03", "floquet"])
+def test_one_period_path_matches_a_direct_solve_over_several_periods(make):
+    germ = make()
+    for T in (0.6, 1.0, 2.5, 4.0):
+        Phi, oracle = zero_jacobian_path(germ, T), _direct_zero_jacobian_path(germ, T)
+        assert np.array_equal(Phi(0.0), np.eye(2))
+        for t in np.linspace(0.0, T, 41)[1:]:
+            assert np.abs(Phi(t) - oracle(t)).max() < 1e-10
+
+
+def _count_variational_solves(monkeypatch):
+    count = [0]
+    solve = hamflow.solve_ivp
+
+    def counted(fun, *args, **kwargs):
+        # every solve that is not a stacked flow integrates the variational equation
+        if "_flow_rhs" not in fun.__qualname__:
+            count[0] += 1
+        return solve(fun, *args, **kwargs)
+
+    monkeypatch.setattr(hamflow, "solve_ivp", counted)
+    return count
+
+
+def test_one_variational_solve_per_germ_instance(monkeypatch):
+    from equimorse.dact import DiscreteAction, index_of_quadratic_action
+    from equimorse.spindex import cz_index
+
+    solves = _count_variational_solves(monkeypatch)
+    germ = resonant_germ()
+    for k in range(1, 5):
+        index_of_quadratic_action(DiscreteAction(germ, k, 2))
+        cz_index(linearized_path(germ, k))
+    assert solves[0] == 1
+    # an equal germ is another input: nothing carries over between instances
+    other = resonant_germ()
+    assert other == germ
+    linearized_path(other, 2)
+    assert solves[0] == 2
+    # the degenerate CZ fallback tries N = 1, ..., 5 on the same path
+    rot1 = HamiltonianGerm.rotation(1.0)
+    assert cz_index(linearized_path(rot1)) == 1
+    assert solves[0] == 3
 
 
 # -- the one-point flow that the stacked flow replaced, kept as its oracle --

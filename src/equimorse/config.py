@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Fixed once for the whole package: contraction of the Hamiltonian vector
 # field into omega0 = sum dx_i ^ dy_i gives dH, coordinates ordered
@@ -70,6 +71,30 @@ def row_dots(X, Y):
 def row_norms(Z):
     """np.linalg.norm(z) for every row z of Z."""
     return np.sqrt(row_dots(Z, Z))
+
+
+def _lstsq_did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def row_lstsq(H, G):
+    """np.linalg.lstsq(h, g, rcond=None)[0] for every matrix h of the stack
+    H (P, n, n) and row g of G (P, n), in one LAPACK call.
+
+    It runs the stacked gufunc that np.linalg.lstsq itself calls, with the
+    same rcond and floating-point error state, so every row is bitwise the
+    one-matrix call, and a NaN in H raises LinAlgError as lstsq does.  The
+    gufunc is private numpy API (numpy >= 2.0).  An empty stack makes no
+    call.
+    """
+    n = H.shape[-1]
+    if not len(H):
+        return np.empty((0, n))
+    with np.errstate(call=_lstsq_did_not_converge, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(H, G[..., None], np.finfo(float).eps * n,
+                                signature="ddd->ddid")[0]
+    return x[..., 0]
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import null_space
 
-from .config import DEFAULT_TRUST_RADIUS, row_dots, tol
+from .config import DEFAULT_TRUST_RADIUS, row_dots, row_lstsq, row_norms, tol
 from .errors import (
     AmbiguityError,
     ConfigurationError,
@@ -374,13 +374,28 @@ def _evaluate_or_fail(da: DiscreteAction, Z: np.ndarray):
             [r[2][0] for r in rows])
 
 
+def _newton_steps(H, g):
+    """Per row, np.linalg.solve(h, g) where cond h < 1e12 and
+    np.linalg.lstsq(h, g, rcond=None)[0] elsewhere, in stacked calls; each
+    stacked call is bitwise the one-matrix call on every row."""
+    step = np.empty(g.shape)
+    if not len(g):
+        return step
+    well = np.linalg.cond(H) < 1e12
+    if well.any():
+        step[well] = np.linalg.solve(H[well], g[well][:, :, None])[:, :, 0]
+    step[~well] = row_lstsq(H[~well], g[~well])
+    return step
+
+
 def find_periodic_points(da: DiscreteAction, seeds):
     """Newton on the gradient from each seed; deduplicated by shift orbit.
 
     The seeds take their Newton steps in lockstep: each iteration makes one
     `evaluate` pass over the seeds still active, one stacked graph solve
-    per substep, and steps each row with its own H (solve where
-    cond H < 1e12, lstsq otherwise).  A seed stops once its residual is
+    per substep, and one stacked Newton step over the rows not yet
+    converged (_newton_steps: solve where cond H < 1e12, lstsq elsewhere,
+    each row bitwise its one-matrix step).  A seed stops once its residual is
     below newton_grad, after 50 steps, or when its point raises
     DomainError or TrustRegionError: a batch that raises is evaluated again
     one row at a time, so a failing seed reports the message it would get
@@ -404,31 +419,28 @@ def find_periodic_points(da: DiscreteAction, seeds):
     Z = np.array([seed.reshape(da.dim) for seed in seeds])
     status: list[CriticalPoint | None] = [None] * len(Z)
     last_H = [None] * len(Z)
-    active = list(range(len(Z)))
+    active = np.arange(len(Z))
     for _ in range(50):
-        if not active:
+        if not len(active):
             break
         g, H, errors = _evaluate_or_fail(da, Z[active])
-        still = []
-        for si, gi, Hi, exc in zip(active, g, H, errors):
-            if exc is not None:
-                status[si] = CriticalPoint(Z[si].copy(), math.inf, False, [si], str(exc))
-                continue
-            res = float(np.linalg.norm(gi))
-            if res < tol("newton_grad"):
-                status[si], last_H[si] = CriticalPoint(Z[si].copy(), res, True, [si]), Hi
-                continue
-            if np.linalg.cond(Hi) < 1e12:
-                step = np.linalg.solve(Hi, gi)
+        res = row_norms(g)
+        failed = np.array([exc is not None for exc in errors])
+        done = ~failed & (res < tol("newton_grad"))
+        for i in np.flatnonzero(failed | done):
+            si = int(active[i])
+            if failed[i]:
+                status[si] = CriticalPoint(Z[si].copy(), math.inf, False, [si], str(errors[i]))
             else:
-                step = np.linalg.lstsq(Hi, gi, rcond=None)[0]
-            Z[si] = Z[si] - step
-            still.append(si)
-        active = still
-    if active:
+                status[si] = CriticalPoint(Z[si].copy(), float(res[i]), True, [si])
+                last_H[si] = H[i]
+        stepping = ~(failed | done)
+        active = active[stepping]
+        Z[active] = Z[active] - _newton_steps(H[stepping], g[stepping])
+    if len(active):
         # the residual after the last step; inf where that point fails
         g, _, errors = _evaluate_or_fail(da, Z[active])
-        for si, gi, exc in zip(active, g, errors):
+        for si, gi, exc in zip(active.tolist(), g, errors):
             res = math.inf if exc is not None else float(np.linalg.norm(gi))
             status[si] = CriticalPoint(Z[si].copy(), res, False, [si],
                                        "no convergence in 50 steps")

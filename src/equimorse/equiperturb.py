@@ -269,10 +269,11 @@ def _bump_poly_term(centers, scale, coeffs, mons):
     width = _RAMP_HI - _RAMP_LO
     eye = np.eye(m)
 
-    # Newton sweeps ask for grad and then hess at the same points, so the bump
-    # sum and the polynomial's value and gradient are cached per term, keyed
-    # by the bytes of the batch.  The cached arrays are read-only: value, grad
-    # and hess only build new arrays from them.
+    # A Newton sweep (lochom.critical_points) asks for grad and then hess on
+    # the same batch, so the bump sum and the polynomial's value and gradient
+    # are cached per term, keyed by the bytes of the batch, and the hess call
+    # reads what the grad call built.  The cached arrays are read-only: value,
+    # grad and hess only build new arrays from them.
     @functools.lru_cache(maxsize=8)
     def parts(key):
         Z = np.frombuffer(key).reshape(-1, m)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import dact as _dact
-from .config import row_dots as _row_dots, row_norms as _row_norms, tol
+from .config import row_dots as _row_dots, row_lstsq as _row_lstsq, row_norms as _row_norms, tol
 from .errors import (
     BoundaryError,
     ConfigurationError,
@@ -369,8 +369,8 @@ def discrete_action_function(da) -> CallableFunction:
     Value, gradient and Hessian at one z share one dact.evaluate pass, one
     graph solve per slot, and the rows of a batch not seen before go to one
     dact.evaluate call.  The passes of the last batch are kept, keyed by the
-    bytes of each row, so a Newton sweep asking for grad on a batch and then
-    hess on some of its rows solves once per row.
+    bytes of each row, so a Newton sweep asking for grad and then hess on
+    the same batch solves once per row.
     """
     last = {}
 
@@ -425,15 +425,20 @@ _KEEP_FACTOR = 1.02
 def critical_points(func, seeds, radius):
     """Critical points of func by damped Newton from all seeds in lockstep.
 
-    Each iteration makes one grad call on the active rows and one hess call
-    on those not yet below newton_grad, and takes per-row lstsq steps capped
-    at 0.25 * max(radius, 1).  A row retires when it converges, leaves the
-    ball of radius 3 * radius or has made _MAX_ITER steps; a batch that
-    raises ResolutionError is retried row by row, and the rows that raise
-    retire.  Converged points within _KEEP_FACTOR * radius are kept in seed
-    order unless one within dedup came first.  When every row of a batch
-    equals func at that point alone, the result is bitwise that of one seed
-    at a time: norms are stacked matmuls like np.linalg.norm.
+    Each iteration makes one grad call on the active rows and, unless all of
+    them are below newton_grad, one hess call on the same rows, so a
+    function caching per batch reads its cache for the Hessians; the
+    Hessians of the rows already below newton_grad are dropped.  The
+    other rows take their minimum-norm lstsq steps in one stacked LAPACK
+    call (config.row_lstsq), capped at 0.25 * max(radius, 1).  A row retires
+    when it converges, leaves the ball of radius 3 * radius or has made
+    _MAX_ITER steps; a batch that raises ResolutionError is retried row by
+    row, and the rows that raise retire, except a converged row whose
+    Hessian raises, which is kept.  Converged points within
+    _KEEP_FACTOR * radius are kept in seed order unless one within dedup
+    came first.  When every row of a batch equals func at that point alone,
+    the result is bitwise that of one seed at a time: norms are stacked
+    matmuls like np.linalg.norm, and row_lstsq is np.linalg.lstsq per row.
     """
     n = func.d
     x = np.array(seeds, dtype=float).reshape(-1, n)
@@ -448,11 +453,13 @@ def critical_points(func, seeds, radius):
         active = active[answered]
         done = _row_norms(g) < grad_tol
         ok[active[done]] = True
-        active, g = active[~done], g[~done]
+        if done.all():
+            break
         h, answered = _rows_or_retire(func.hess, x[active], (n, n))
-        active, g = active[answered], g[answered]
-        step = np.array([np.linalg.lstsq(hi, gi, rcond=None)[0]
-                         for hi, gi in zip(h, g)]).reshape(-1, n)
+        h = h[~done[answered]]
+        stepping = answered & ~done
+        active, g = active[stepping], g[stepping]
+        step = _row_lstsq(h, g)
         size = _row_norms(step)
         big = size > cap
         step[big] *= (cap / size[big])[:, None]

@@ -531,3 +531,32 @@ def test_discrete_action_doctest():
 
     results = doctest.testmod(mod)
     assert results.failed == 0 and results.attempted >= 1
+
+
+def test_lockstep_newton_takes_the_lstsq_step_where_h_is_singular(monkeypatch):
+    # the shear x^2/2 fixes the whole line x = 0, so every H is singular
+    # (cond H = inf) and every step is the minimum-norm lstsq step
+    da = DiscreteAction(HamiltonianGerm.make(1, [(0.5, (2, 0))]), 1, 1)
+    seeds = [[0.1, 0.2], [-0.05, 0.1], [0.02, -0.3], [0.15, 0.0]]
+    rows = []
+    row_lstsq, evaluate = dact.row_lstsq, dact.evaluate
+
+    def counted(H, g):
+        rows.append(len(H))
+        return row_lstsq(H, g)
+
+    def one_row_at_a_time(da, z, value=True):
+        # batch mates move the rows of a stacked flow below the ODE
+        # tolerance; evaluating each row alone leaves the stacked step as
+        # the only batch operation, so the oracle can be matched bitwise
+        if np.ndim(z) == 1:
+            return evaluate(da, z, value)
+        parts = zip(*(evaluate(da, zi, value) for zi in z))
+        return tuple(None if part[0] is None else np.array(part) for part in parts)
+
+    monkeypatch.setattr(dact, "row_lstsq", counted)
+    monkeypatch.setattr(dact, "evaluate", one_row_at_a_time)
+    out = find_periodic_points(da, seeds)
+    assert rows and rows[0] == len(seeds)
+    assert all(p.converged for p in out) and len(out) == len(seeds)
+    _same_points(out, _per_seed_newton(da, seeds), 0)

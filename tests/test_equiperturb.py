@@ -1024,3 +1024,57 @@ def test_sweep_loses_exactly_the_seeds_whose_evaluation_fails():
     nowhere = CallableFunction(2, _rowwise(ring.value), _rowwise(unresolved), _rowwise(hess))
     assert equiperturb._critical_points(nowhere, 1.2) == []
     assert _per_seed_critical_points(nowhere, _two_scale_seeds(2, 1.2, 13, 0.18), 1.2) == []
+
+
+def _recorded(kind, fn, calls):
+    """fn on a batch, with (kind, batch) appended to calls first."""
+
+    def batch(Z):
+        calls.append((kind, np.array(Z)))
+        return fn(Z)
+
+    return batch
+
+
+def test_each_sweep_iteration_asks_grad_and_hess_on_the_same_rows():
+    ring, _ = squeezed_ring_model(0.5, 0.1)
+    calls = []
+    f = CallableFunction(2, ring.value, _recorded("grad", ring.grad, calls),
+                         _recorded("hess", ring.hess, calls))
+    seeds = _two_scale_seeds(2, 1.2, 15, 0.16)
+    got = critical_points(f, seeds, 1.2)
+    kinds = [kind for kind, _ in calls]
+    # one grad and one hess per iteration; the last grad finds every row
+    # converged, so no hess follows it
+    assert len(kinds) > 10
+    assert kinds == ["grad", "hess"] * (len(kinds) // 2) + ["grad"]
+    for (_, at_grad), (_, at_hess) in zip(calls[::2], calls[1::2]):
+        assert np.array_equal(at_grad, at_hess)
+    assert np.all(_row_norms(ring.grad(calls[-1][1])) < tol("newton_grad"))
+    want = _per_seed_critical_points(ring, seeds, 1.2)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_a_converged_row_whose_hessian_raises_is_kept():
+    ring, _ = squeezed_ring_model(0.5, 0.1)
+    raised = []
+
+    def hess(z):
+        # unresolved exactly where the sweep has converged, so only a
+        # Hessian asked for beside the gradient of a converged row raises
+        if np.linalg.norm(ring.grad(z)) < tol("newton_grad"):
+            raised.append(z)
+            raise ResolutionError("Hessian unresolved at a critical point")
+        return ring.hess(z)
+
+    f = CallableFunction(2, _rowwise(ring.value), _rowwise(ring.grad), _rowwise(hess))
+    seeds = _two_scale_seeds(2, 1.2, 15, 0.16)
+    got = critical_points(f, seeds, 1.2)
+    assert raised
+    want = _per_seed_critical_points(f, seeds, 1.2)
+    full = critical_points(ring, seeds, 1.2)
+    assert len(got) == len(want) == len(full) > 0
+    for a, b, c in zip(got, want, full):
+        assert np.array_equal(a, b) and np.array_equal(a, c)

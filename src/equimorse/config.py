@@ -97,6 +97,18 @@ def row_lstsq(H, G):
     return x[..., 0]
 
 
+def null_space(m, cutoff=1e-10):
+    """Orthonormal basis of the kernel of m, one vector per row.
+
+    A right singular vector is in the kernel when its singular value is at
+    most cutoff * max(1, largest singular value); one SVD, numpy only.
+    """
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    _, sing, vt = np.linalg.svd(m)
+    sing = np.concatenate([sing, np.zeros(vt.shape[0] - sing.size)])
+    return vt[sing <= cutoff * max(1.0, sing[0] if sing.size else 0.0)]
+
+
 def rotation(theta: float) -> np.ndarray:
     """R(theta) on R^2, counterclockwise."""
     c, s = np.cos(theta), np.sin(theta)

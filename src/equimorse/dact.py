@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space
 
-from .config import DEFAULT_TRUST_RADIUS, row_dots, row_lstsq, row_norms, tol
+from .config import DEFAULT_TRUST_RADIUS, null_space, row_dots, row_lstsq, row_norms, tol
 from .errors import (
     AmbiguityError,
     ConfigurationError,
@@ -244,7 +243,7 @@ def diagonal_split(da: DiscreteAction, m: int = 1):
     for c in range(copies):
         D[c * block:(c + 1) * block, :] = np.eye(block)
     D /= math.sqrt(copies)
-    perp = null_space(D.T)
+    perp = null_space(D.T).T
     if perp.shape[1]:
         off = np.abs(D.T @ Hm @ perp).max()
         if off > tol("offdiag"):

@@ -17,15 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .config import tol
+from .config import null_space, tol
 from .errors import (
     DegeneracyError,
     IsolationError,
     ResolutionError,
     ValidationError,
 )
+from .hamflow import solve_ivp
 from .lochom import (
     CallableFunction,
     CyclicAction,
@@ -54,13 +54,6 @@ class _StageFailure(Exception):
 
 def _divisors(k: int):
     return tuple(j for j in range(1, k + 1) if k % j == 0)
-
-
-def _null_space(m, cutoff=1e-10):
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    _, sing, vt = np.linalg.svd(m)
-    sing = np.concatenate([sing, np.zeros(vt.shape[0] - sing.size)])
-    return vt[sing <= cutoff * max(1.0, sing[0] if sing.size else 0.0)]
 
 
 def _complement_basis(basis, n):
@@ -132,7 +125,7 @@ class Stratification:
                 q = self.projections[j]
                 g = math.gcd(i, j)
                 stacked = np.vstack([np.eye(n) - p, np.eye(n) - q])
-                inter = _null_space(stacked)
+                inter = null_space(stacked)
                 pi = inter.T @ inter if inter.size else np.zeros((n, n))
                 gcd_res = max(gcd_res, float(np.linalg.norm(pi - self.projections[g], 2)))
                 moved = _row_space(self.bases[i] @ (np.eye(n) - self.projections[g]))
@@ -156,7 +149,7 @@ def strata(action, k=None) -> Stratification:
     n = act.d
     bases, projections = {}, {}
     for j in _divisors(act.k):
-        ker = _null_space(act.power(j) - np.eye(n))
+        ker = null_space(act.power(j) - np.eye(n))
         bases[j] = ker
         projections[j] = ker.T @ ker if ker.size else np.zeros((n, n))
     s = Stratification(action=act, divisors=_divisors(act.k),

@@ -3,6 +3,12 @@
 Sign convention (see config.SIGN_CONVENTION): X_H = -J0 grad H, so
 xdot = dH/dy, ydot = -dH/dx.  Every germ is polynomial with monomials of
 total degree >= 2 and 1-periodic time factors, hence 0 is a rest point.
+
+No module of the package imports scipy when it is imported.  scipy.integrate
+loads on the first flow integration, through solve_ivp below, which every
+flow of the package (lochom and equiperturb included) calls, and
+scipy.linalg loads on the first spindex.SymplecticPath.from_generator_matrix
+call; nothing else loads scipy.
 """
 from __future__ import annotations
 
@@ -11,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .config import (
     DEFAULT_TRUST_RADIUS,
@@ -29,6 +34,19 @@ from .errors import (
     TrustRegionError,
     ValidationError,
 )
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call.
+
+    Every ODE solve of the package goes through this name, so importing the
+    package does not load scipy, and tests patch hamflow.solve_ivp to count
+    the solves of this module.
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
 
 # time mode -> its 1-periodic factor f(2 pi freq t); a constant mode has none
 _MODES = {"const": None, "cos": math.cos, "sin": math.sin}
@@ -397,7 +415,14 @@ class FlowMap:
 
     @cached_property
     def jacobian_at_zero(self) -> np.ndarray:
-        _, dphi = self(np.zeros(2 * self.germ.n))
+        """dphi^{t0 -> t1}(0) = Phi(t1) Phi(t0)^{-1} from zero_jacobian_path,
+        so it integrates no flow; raises ValidationError if it fails the
+        symplectic check of integrated flow Jacobians."""
+        Phi = zero_jacobian_path(self.germ, max(self.t0, self.t1))
+        dphi = Phi(self.t1) @ np.linalg.inv(Phi(self.t0))
+        res = symplectic_residual(dphi)
+        if res > tol("symplectic_flow"):
+            raise ValidationError(f"flow Jacobian symplecticity residual {res:.3g}")
         return dphi
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import dact as _dact
 from .config import row_dots as _row_dots, row_lstsq as _row_lstsq, row_norms as _row_norms, tol
@@ -36,6 +35,7 @@ from .exactalg import (
     invariant_betti_from_columns,
     sparse_rank,  # noqa: F401  (perfbench/selftest.py checks this binding)
 )
+from .hamflow import solve_ivp
 
 
 def signed_permutation_data(A):

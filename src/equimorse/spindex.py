@@ -12,7 +12,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import standard_symplectic, symplectic_residual, tol
 from .errors import (
@@ -76,6 +75,8 @@ class SymplecticPath:
             raise ValidationError("generator is not a Hamiltonian matrix")
         if num is None:
             num = max(33, int(32 * float(T)) + 1)
+        from scipy.linalg import expm
+
         return cls.from_function(n, lambda t: expm(t * B), T, num=num, **kw)
 
     def refined(self, factor=2):

@@ -165,6 +165,28 @@ def test_diagonal_split_degeneracy_paths():
         diagonal_split(DiscreteAction(HamiltonianGerm.rotation(1.0 / 3.0), 3, 2), 1)
 
 
+def _split_or_error(da, m):
+    try:
+        return diagonal_split(da, m)
+    except DegeneracyError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("make", [resonant_germ, quartic_germ], ids=["resonant", "quartic"])
+def test_diagonal_split_agrees_with_the_scipy_null_space(make, monkeypatch):
+    from scipy.linalg import null_space
+
+    germ = make()
+    for k in range(1, 5):
+        da = DiscreteAction(germ, k, 2)
+        for m in (m for m in range(1, k + 1) if k % m == 0):
+            got = _split_or_error(da, m)
+            with monkeypatch.context() as patch:
+                # scipy's basis is one vector per column, the numpy one per row
+                patch.setattr(dact, "null_space", lambda a: null_space(a).T)
+                assert _split_or_error(da, m) == got
+
+
 def test_inflation_index_shift():
     assert inflation_index_shift(ROT03, 1, 2) == (1, 2)
     assert inflation_index_shift(ROT03, 3, 2) == (3, 6)

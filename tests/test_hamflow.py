@@ -531,6 +531,50 @@ def test_one_variational_solve_per_germ_instance(monkeypatch):
     assert solves[0] == 3
 
 
+def _count_flow_solves(monkeypatch):
+    count = [0]
+    solve = hamflow.solve_ivp
+
+    def counted(fun, *args, **kwargs):
+        if "_flow_rhs" in fun.__qualname__:
+            count[0] += 1
+        return solve(fun, *args, **kwargs)
+
+    monkeypatch.setattr(hamflow, "solve_ivp", counted)
+    return count
+
+
+def test_jacobians_at_zero_integrate_no_flow(monkeypatch):
+    from equimorse.dact import DiscreteAction, index_of_quadratic_action
+
+    flows = _count_flow_solves(monkeypatch)
+    germ = resonant_germ()
+    for k in range(1, 5):
+        index_of_quadratic_action(DiscreteAction(germ, k, 2))
+    assert flows[0] == 0
+    # the counter sees a flow
+    FlowMap(germ, 0.0, 0.5)(np.zeros(2))
+    assert flows[0] == 1
+
+
+@pytest.mark.parametrize("make", [resonant_germ, lambda: HamiltonianGerm.rotation(0.3),
+                                  floquet_germ, hyperbolic_germ, quartic_germ, cos_germ],
+                         ids=["resonant", "rot03", "floquet", "hyperbolic", "quartic", "cos"])
+def test_jacobian_at_zero_matches_a_one_row_flow(make):
+    germ = make()
+    for t0, t1 in ((0.0, 0.5), (0.5, 1.0), (0.25, 1.75), (1.0, 0.25)):
+        _, direct = integrate_flow(germ, t0, t1, np.zeros(2))
+        assert np.abs(FlowMap(germ, t0, t1).jacobian_at_zero - direct).max() < 1e-10
+
+
+def test_jacobian_at_zero_keeps_the_symplectic_check(monkeypatch):
+    # a path that scales by 1 + t is not symplectic
+    monkeypatch.setattr(hamflow, "zero_jacobian_path",
+                        lambda germ, T: (lambda t: (1.0 + t) * np.eye(2)))
+    with pytest.raises(ValidationError, match="symplecticity residual"):
+        FlowMap(HamiltonianGerm.rotation(0.3), 0.0, 1.0).jacobian_at_zero
+
+
 # -- the one-point flow that the stacked flow replaced, kept as its oracle --
 
 def _one_point_rhs(germ, J, action):

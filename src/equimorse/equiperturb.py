@@ -25,7 +25,6 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .hamflow import solve_ivp
 from .lochom import (
     CallableFunction,
     CyclicAction,
@@ -40,6 +39,7 @@ from .lochom import (
     _row_norms,
     critical_points,
 )
+from .ode import dop853
 from .regdist import ClosedSetSpec, RegularizedDistance, fd_grads, fd_jets
 
 _MORSE_FLOOR = 1e-8
@@ -934,8 +934,7 @@ def _flow_to_rest(f, x0, positions, data, source, radius, chunk=10.0, chunks=400
     x = np.asarray(x0, dtype=float)
     bound = 1.5 * radius + 0.5
     for _ in range(chunks):
-        sol = solve_ivp(rhs, (0.0, chunk), x, rtol=1e-9, atol=1e-12)
-        x = sol.y[:, -1]
+        x = dop853(rhs, 0.0, chunk, x, rtol=1e-9, atol=1e-12).y
         if np.linalg.norm(x) > bound:
             return None, True
         for i, p in enumerate(positions):

@@ -4,11 +4,11 @@ Sign convention (see config.SIGN_CONVENTION): X_H = -J0 grad H, so
 xdot = dH/dy, ydot = -dH/dx.  Every germ is polynomial with monomials of
 total degree >= 2 and 1-periodic time factors, hence 0 is a rest point.
 
-No module of the package imports scipy when it is imported.  scipy.integrate
-loads on the first flow integration, through solve_ivp below, which every
-flow of the package (lochom and equiperturb included) calls, and
-scipy.linalg loads on the first spindex.SymplecticPath.from_generator_matrix
-call; nothing else loads scipy.
+Every ODE of the package (lochom and equiperturb included) is integrated by
+the package's own numpy DOP853, ode.dop853, which this module names as
+dop853 so that tests can count its solves.  No flow loads scipy: scipy.linalg
+loads on the first spindex.SymplecticPath.from_generator_matrix call, and
+nothing else loads scipy.
 """
 from __future__ import annotations
 
@@ -34,18 +34,7 @@ from .errors import (
     TrustRegionError,
     ValidationError,
 )
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call.
-
-    Every ODE solve of the package goes through this name, so importing the
-    package does not load scipy, and tests patch hamflow.solve_ivp to count
-    the solves of this module.
-    """
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
+from .ode import EXITED, REACHED, dop853
 
 
 # time mode -> its 1-periodic factor f(2 pi freq t); a constant mode has none
@@ -189,13 +178,12 @@ class HamiltonianGerm:
         def rhs(t, y):
             return (minus_J @ self.jet(origin, t)[2] @ y.reshape(d, d)).ravel()
 
-        sol = solve_ivp(rhs, (0.0, 1.0), np.eye(d).ravel(), method="DOP853",
-                        rtol=1e-12, atol=1e-13, dense_output=True)
-        if not sol.success:
-            raise StiffnessError(f"variational integration failed: {sol.message}")
+        run = dop853(rhs, 0.0, 1.0, np.eye(d).ravel(), rtol=1e-12, atol=1e-13, dense=True)
+        if run.status != REACHED:
+            raise StiffnessError(f"variational integration underflowed its step at t = {run.t}")
 
         def one_period(t):
-            return sol.sol(t).reshape(d, d)
+            return run.sol(t).reshape(d, d)
 
         return one_period, one_period(1.0)
 
@@ -261,7 +249,7 @@ class HamiltonianGerm:
 
 
 # rows per stacked flow; the tolerances below shrink with the stack and the
-# relative one stays above scipy's floor of 100 eps at this size
+# relative one stays above dop853's floor ode.RTOL_FLOOR = 100 eps at this size
 _MAX_STACK = 1024
 
 
@@ -297,20 +285,23 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
 
     z is one point (d,) or a batch (P, d) whose rows are flowed together as
     one stacked state, up to _MAX_STACK rows per integration; a batch gives
-    (P, d) images and (P, d, d) Jacobians.  DOP853 controls the step by an
-    RMS error norm over the whole stacked state, so the tolerances of a stack
-    of P rows are rtol = 1e-12 / sqrt(P) and atol = 1e-13 / sqrt(P), which
-    bound each row's error norm by that of its flow alone.  The rows share
-    the adaptive steps, so a row's result depends on its batch mates below
-    the ODE tolerance; a batch of one is the one-point flow.
+    (P, d) images and (P, d, d) Jacobians.  The package's own DOP853
+    (ode.dop853, bitwise scipy's DOP853 at the same tolerances) controls the
+    step by an RMS error norm over the whole stacked state, so the
+    tolerances of a stack of P rows are rtol = 1e-12 / sqrt(P) and
+    atol = 1e-13 / sqrt(P), which bound each row's error norm by that of its
+    flow alone.  The rows share the adaptive steps, so a row's result
+    depends on its batch mates below the ODE tolerance; a batch of one is
+    the one-point flow.
 
     With action set, the action integral s = int_{t0}^{t1} (x . ydot + H_t) dt
     along the trajectory rides along as one more ODE state, and the return
     value is (phi(z), dphi(z), s).
 
-    Raises DomainError if a row is not finite or starts or travels outside
-    the trust radius, StiffnessError if the integrator underflows its step
-    size and ValidationError if a row's Jacobian fails the symplectic check.
+    Raises DomainError if a row is not finite, starts outside the trust
+    radius or ends an integration step outside it, StiffnessError if the
+    integrator underflows its step size and ValidationError if a row's
+    Jacobian fails the symplectic check.
     """
     radius = DEFAULT_TRUST_RADIUS if radius is None else float(radius)
     d = 2 * germ.n
@@ -348,25 +339,24 @@ def _stacked_flow(germ, t0, t1, Z, radius, action, first, total):
     P, d = Z.shape
     width = d + d * d + int(action)
 
-    def exit_event(t, y):
+    def exit_norm(y):
         return float(row_norms(y.reshape(P, width)[:, :d]).max() - radius)
 
-    exit_event.terminal = True
-    exit_event.direction = 1.0
     y0 = np.zeros((P, width))
     y0[:, :d] = Z
     y0[:, d:d + d * d] = np.eye(d).ravel()
     scale = math.sqrt(P)
-    sol = solve_ivp(_flow_rhs(germ, standard_symplectic(germ.n), P, action), (t0, t1),
-                    y0.ravel(), method="DOP853", rtol=1e-12 / scale, atol=1e-13 / scale,
-                    events=exit_event)
-    if sol.status == 1:
-        i = int(np.argmax(row_norms(sol.y_events[0][0].reshape(P, width)[:, :d])))
+    run = dop853(_flow_rhs(germ, standard_symplectic(germ.n), P, action), t0, t1,
+                 y0.ravel(), rtol=1e-12 / scale, atol=1e-13 / scale, exit=exit_norm)
+    if run.status == EXITED:
+        # the row farthest out at the end of the step in which the largest
+        # norm crossed the radius
+        i = int(np.argmax(row_norms(run.y.reshape(P, width)[:, :d])))
         raise DomainError(f"{_row(first + i, total)}flow left the trust region "
                           "before the final time")
-    if not sol.success:
-        raise StiffnessError(f"flow integration failed: {sol.message}")
-    yf = sol.y[:, -1].reshape(P, width)
+    if run.status != REACHED:
+        raise StiffnessError(f"flow integration underflowed its step at t = {run.t}")
+    yf = run.y.reshape(P, width)
     dphi = yf[:, d:d + d * d].reshape(P, d, d)
     res = symplectic_residual(dphi)
     if (res > tol("symplectic_flow")).any():

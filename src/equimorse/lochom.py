@@ -35,7 +35,7 @@ from .exactalg import (
     invariant_betti_from_columns,
     sparse_rank,  # noqa: F401  (perfbench/selftest.py checks this binding)
 )
-from .hamflow import solve_ivp
+from .ode import EXITED, REACHED, dop853
 
 
 def signed_permutation_data(A):
@@ -963,23 +963,19 @@ def _flow_until(f, z0, source, sign, crits, radius, t_budget):
     def rhs(t, z):
         return sign * f.grad(z)
 
-    def crossed(t, z):
+    def crossed(z):
         return np.linalg.norm(z) - radius
-
-    crossed.terminal = True
-    crossed.direction = 1.0
 
     z = np.array(z0, dtype=float)
     t = 0.0
     armed = False
     while t < t_budget:
-        sol = solve_ivp(rhs, (0.0, chunk), z, method="DOP853",
-                        rtol=1e-10, atol=1e-12, events=crossed)
-        if sol.status == 1:
-            return "exit", None, sol.y[:, -1]
-        if not sol.success:
+        run = dop853(rhs, 0.0, chunk, z, rtol=1e-10, atol=1e-12, exit=crossed)
+        if run.status == EXITED:
+            return "exit", None, run.y
+        if run.status != REACHED:
             raise TrustRegionError("flow integration failed on a trajectory")
-        z = sol.y[:, -1]
+        z = run.y
         t += chunk
         if np.linalg.norm(z) > radius:
             return "exit", None, z

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from equimorse import hamflow
+from equimorse import hamflow, ode
 from equimorse.config import rotation, standard_symplectic, symplectic_residual, tol
 from equimorse.errors import (
     ConfigurationError,
@@ -33,6 +33,7 @@ from equimorse.hamflow import (
     substep_jacobians_at_zero,
     zero_jacobian_path,
 )
+from equimorse.ode import REACHED, RTOL_FLOOR, UNDERFLOW
 
 J2 = standard_symplectic(1)
 
@@ -498,7 +499,7 @@ def test_one_period_path_matches_a_direct_solve_over_several_periods(make):
 
 def _count_variational_solves(monkeypatch):
     count = [0]
-    solve = hamflow.solve_ivp
+    solve = hamflow.dop853
 
     def counted(fun, *args, **kwargs):
         # every solve that is not a stacked flow integrates the variational equation
@@ -506,7 +507,7 @@ def _count_variational_solves(monkeypatch):
             count[0] += 1
         return solve(fun, *args, **kwargs)
 
-    monkeypatch.setattr(hamflow, "solve_ivp", counted)
+    monkeypatch.setattr(hamflow, "dop853", counted)
     return count
 
 
@@ -533,14 +534,14 @@ def test_one_variational_solve_per_germ_instance(monkeypatch):
 
 def _count_flow_solves(monkeypatch):
     count = [0]
-    solve = hamflow.solve_ivp
+    solve = hamflow.dop853
 
     def counted(fun, *args, **kwargs):
         if "_flow_rhs" in fun.__qualname__:
             count[0] += 1
         return solve(fun, *args, **kwargs)
 
-    monkeypatch.setattr(hamflow, "solve_ivp", counted)
+    monkeypatch.setattr(hamflow, "dop853", counted)
     return count
 
 
@@ -651,13 +652,13 @@ def test_a_large_batch_is_integrated_in_capped_stacks(monkeypatch):
     germ = quartic_germ()
     Z = 0.3 * np.random.default_rng(3).uniform(-1.0, 1.0, size=(hamflow._MAX_STACK + 6, 2))
     stacks = []
-    solve = hamflow.solve_ivp
+    solve = hamflow.dop853
 
-    def counted(fun, t_span, y0, **kwargs):
+    def counted(fun, t0, t1, y0, **kwargs):
         stacks.append((len(y0) // 6, kwargs["rtol"], kwargs["atol"]))
-        return solve(fun, t_span, y0, **kwargs)
+        return solve(fun, t0, t1, y0, **kwargs)
 
-    monkeypatch.setattr(hamflow, "solve_ivp", counted)
+    monkeypatch.setattr(hamflow, "dop853", counted)
     phi, dphi = integrate_flow(germ, 0.0, 0.25, Z)
     # the RMS error norm of a stack of P rows bounds each row's at 1/sqrt(P)
     # of the one-point tolerances
@@ -669,6 +670,107 @@ def test_a_large_batch_is_integrated_in_capped_stacks(monkeypatch):
         assert np.abs(phi[i] - one[0]).max() < 1e-12
         assert np.abs(dphi[i] - one[1]).max() < 1e-12
 
+
+# -- scipy's DOP853 as the oracle of the package's own --
+
+def test_the_dop853_table_is_bitwise_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as table
+
+    for ours, theirs in ((ode._A, table.A), (ode._B, table.B), (ode._C, table.C),
+                         (ode._E3, table.E3), (ode._E5, table.E5), (ode._D, table.D)):
+        assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("make", [resonant_germ, lambda: HamiltonianGerm.rotation(0.3),
+                                  floquet_germ], ids=["resonant", "rot03", "floquet"])
+def test_period_path_dense_output_is_bitwise_scipys(make):
+    germ = make()
+    one_period, monodromy = germ._period_path
+    oracle = _direct_zero_jacobian_path(germ, 1.0)
+    for t in np.linspace(0.0, 1.0, 41):
+        assert np.array_equal(one_period(t), oracle(t))
+    assert np.array_equal(monodromy, oracle(1.0))
+
+
+@pytest.mark.parametrize("name", ["quartic", "cos", "resonant_4_1", "sin_n2"])
+def test_a_backward_span_is_bitwise_the_one_point_oracle(name):
+    germ = KERNEL_GERMS[name]()
+    z = 0.15 * np.random.default_rng(29).uniform(-1.0, 1.0, size=2 * germ.n)
+    for action in (False, True):
+        got = integrate_flow(germ, 0.6, 0.1, z, action=action)
+        want = _one_point_flow(germ, 0.6, 0.1, z, action=action)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("t0, t1", [(-0.5, 1.0), (1.0, -0.5)], ids=["forward", "backward"])
+def test_dense_output_is_bitwise_scipys_on_either_direction(t0, t1):
+    y0 = np.concatenate([[0.2, -0.1], np.eye(2).ravel()])
+    rhs = _one_point_rhs(cos_germ(), J2, False)
+    run = ode.dop853(rhs, t0, t1, y0, rtol=1e-12, atol=1e-13, dense=True)
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12, atol=1e-13,
+                    dense_output=True)
+    assert run.t == sol.t[-1] and np.array_equal(run.y, sol.y[:, -1])
+    # the step ends too, where two interpolants meet and the earlier one answers
+    for t in np.concatenate([np.linspace(t0, t1, 41), sol.t]):
+        assert np.array_equal(run.sol(t), sol.sol(t))
+
+
+def _scipy_exit_row(germ, t0, t1, Z, radius=0.5):
+    # the stacked flow's exit as a terminal scipy event, located by root finding
+    P, d = Z.shape
+    width = d + d * d
+
+    def exit_event(t, y):
+        return float(np.linalg.norm(y.reshape(P, width)[:, :d], axis=1).max() - radius)
+
+    exit_event.terminal = True
+    exit_event.direction = 1.0
+    y0 = np.concatenate([Z, np.tile(np.eye(d).ravel(), (P, 1))], axis=1).ravel()
+    scale = math.sqrt(P)
+    sol = solve_ivp(hamflow._flow_rhs(germ, standard_symplectic(germ.n), P, False), (t0, t1),
+                    y0, method="DOP853", rtol=1e-12 / scale, atol=1e-13 / scale,
+                    events=exit_event)
+    assert sol.status == 1
+    return int(np.argmax(np.linalg.norm(sol.y_events[0][0].reshape(P, width)[:, :d], axis=1)))
+
+
+@pytest.mark.parametrize("Z", [[[0.05, 0.02], [0.3, 0.0]], [[0.3, 0.0], [0.05, 0.02]]],
+                         ids=["second", "first"])
+def test_the_row_leaving_a_stack_is_the_one_scipys_event_names(Z):
+    Z = np.array(Z)
+    row = _scipy_exit_row(hyperbolic_germ(), 0.0, 1.0, Z)
+    with pytest.raises(DomainError, match=f"^row {row}: flow left the trust region"):
+        integrate_flow(hyperbolic_germ(), 0.0, 1.0, Z)
+
+
+def test_a_blow_up_underflows_the_step_where_scipys_does():
+    def square(t, y):
+        return y * y
+
+    run = ode.dop853(square, 0.0, 2.0, np.array([1.0]), rtol=1e-12, atol=1e-13)
+    sol = solve_ivp(square, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-12, atol=1e-13)
+    assert run.status == UNDERFLOW and sol.status == -1
+    assert run.t == sol.t[-1] and np.array_equal(run.y, sol.y[:, -1])
+    assert abs(run.t - 1.0) < 1e-6 and run.y[0] > 1e10
+    # a NaN slope gives a NaN step, which ends the solve the same way
+    run = ode.dop853(lambda t, y: np.full_like(y, math.nan), 0.0, 2.0, np.array([1.0]),
+                     rtol=1e-12, atol=1e-13)
+    assert run.status == UNDERFLOW and run.t == 0.0
+    # H = x^2 y gives xdot = x^2, the same blow-up, which the flow reports
+    g = HamiltonianGerm.make(1, [(1.0, (2, 1))])
+    with pytest.raises(StiffnessError, match="underflowed its step"):
+        integrate_flow(g, 0.0, 2.0, [1.0, 0.0], radius=np.inf)
+
+
+@pytest.mark.parametrize("rtol, atol", [(50 * np.finfo(float).eps, 1e-13), (0.0, 1e-13),
+                                        (math.nan, 1e-13), (1e-12, -1e-13)])
+def test_dop853_refuses_tolerances_it_cannot_honour(rtol, atol):
+    with pytest.raises(ConfigurationError, match="tolerance"):
+        ode.dop853(lambda t, y: -y, 0.0, 1.0, np.ones(2), rtol=rtol, atol=atol)
+    # the floor itself is accepted
+    run = ode.dop853(lambda t, y: -y, 0.0, 1.0, np.ones(2), rtol=RTOL_FLOOR, atol=0.0)
+    assert run.status == REACHED and np.abs(run.y - math.exp(-1.0)).max() < 1e-12
 
 def test_non_finite_starts_raise_a_domain_error_naming_the_row():
     with pytest.raises(DomainError, match="start point 0 is not finite"):

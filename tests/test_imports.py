@@ -1,4 +1,4 @@
-"""Importing the package loads no scipy; the first flow integration does."""
+"""Importing the package loads no scipy, and neither does integrating a flow."""
 from __future__ import annotations
 
 import json
@@ -9,7 +9,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 _PROBE = """
-import json, sys
+import json, math, sys
 
 import numpy as np
 
@@ -30,18 +30,37 @@ res = regdist.regularized_distance(y, e, action=swap, queries=[[0.3, -0.1], [0.5
                                    max_depth=6)
 out["regdist_finite"] = bool(np.isfinite(res.values).all())
 out["regdist"] = scipy_modules()
+antipodal = CyclicAction(-np.eye(2), 2)
 bowl = FunctionSpec.make(2, [(1.0, (4, 0)), (2.0, (2, 2)), (1.0, (0, 4))])
-_, cert = equiperturb.perturb_invariant_morse(bowl, CyclicAction(-np.eye(2), 2),
-                                              epsilon=0.05, seed=0)
+_, cert = equiperturb.perturb_invariant_morse(bowl, antipodal, epsilon=0.05, seed=0)
 out["perturb_passed"] = bool(cert["passed"])
 out["perturb"] = scipy_modules()
 hamflow.integrate_flow(hamflow.HamiltonianGerm.rotation(0.25), 0.0, 1.0, [0.1, 0.0])
 out["flow"] = scipy_modules()
+# the detuned 4:1 germ: its DiscreteAction solves the variational equation at 0
+beta, b = 0.26, 0.1
+resonant = hamflow.HamiltonianGerm.make(1, [
+    (math.pi * beta, (2, 0)), (math.pi * beta, (0, 2)),
+    (-0.25, (4, 0)), (-0.5, (2, 2)), (-0.25, (0, 4)),
+    (b, (4, 0), "cos", 1), (-6 * b, (2, 2), "cos", 1), (b, (0, 4), "cos", 1)])
+dact.DiscreteAction(resonant, 4, 2)
+out["variational"] = scipy_modules()
+quartic = hamflow.HamiltonianGerm.make(1, [(-0.25, (4, 0)), (-0.5, (2, 2)), (-0.25, (0, 4))])
+hom = lochom.local_homology(lochom.discrete_action_function(dact.DiscreteAction(quartic, 1, 1)),
+                            radius=0.25, h=0.0625)
+out["localhom_plain"] = {str(k): v for k, v in hom.plain.items()}
+out["localhom"] = scipy_modules()
+# the squeezed ring is even, so the antipodal map acts on it; its two saddles
+# shoot four separatrices through the antigradient flow
+ring, _ = equiperturb.squeezed_ring_model(0.5, 0.1)
+report = equiperturb.verify_morse_smale_2d(ring, antipodal, radius=1.2)
+out["separatrices"] = len(report["separatrices"])
+out["morse_smale"] = scipy_modules()
 print(json.dumps(out))
 """
 
 
-def test_scipy_loads_only_when_a_flow_is_integrated():
+def test_no_flow_loads_scipy():
     done = subprocess.run([sys.executable, "-c", _PROBE], cwd=SRC, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -49,4 +68,7 @@ def test_scipy_loads_only_when_a_flow_is_integrated():
     assert out["imported"] == []
     assert out["regdist_finite"] and out["regdist"] == []
     assert out["perturb_passed"] and out["perturb"] == []
-    assert "scipy.integrate" in out["flow"]
+    assert out["flow"] == []
+    assert out["variational"] == []
+    assert out["localhom_plain"] == {"2": 1} and out["localhom"] == []
+    assert out["separatrices"] == 4 and out["morse_smale"] == []

@@ -25,16 +25,15 @@ TOLERANCES = {
     "hessian_sym": 1e-8,          # symmetry residual of assembled Hessians
     # Newton convergence on gradients, read by lochom.critical_points (the
     # isolation check, Morse complexes and equiperturb's sweeps), by
-    # dact.find_periodic_points and by the fiber Newton of equivariant_split
+    # dact.find_periodic_points, and by the fiber Newton of equivariant_split
+    # and its check of the fiber gradient on the graph of phi
     "newton_grad": 1e-10,
     "dedup": 1e-6,                # dedup distance of critical/periodic points
     "offdiag": 1e-8,              # off-diagonal residual of split Hessians
-    "split_residual": 1e-7,       # splitting-lemma pointwise residual
-    "split_equivariance": 1e-8,   # splitting-map equivariance residual
+    "split_equivariance": 1e-8,   # phi(A1 z1) = A2 phi(z1) residual
     "endpoint_identity": 1e-8,    # loop endpoint = identity
     "hyperbolic_eig": 1e-6,       # Hessian eigenvalue magnitude for Morse points
     "kernel_eig": 1e-6,           # Hessian eigenvalue magnitude counted as kernel
-    "series_term": 1e-12,         # square-root series truncation
     "action_sample": 1e-10,       # sampled invariance of functions under actions
 }
 

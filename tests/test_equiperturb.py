@@ -43,10 +43,18 @@ from equimorse.lochom import (
     _poly_value,
     _row_dots,
     _row_norms,
-    _rowwise,
     critical_points,
 )
 from equimorse.regdist import ClosedSetSpec, RegularizedDistance
+
+
+def _rowwise(fn):
+    """Batch form of a function of one point: fn applied row by row."""
+
+    def batch(Z):
+        return np.array([fn(z) for z in Z], dtype=float)
+
+    return batch
 
 
 def rotation(theta):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from dense_oracle import DenseComplex
+from split_oracle import sample_cloud, straightening_map
 
 from equimorse import dact, exactalg, lochom
+from equimorse.config import tol
 from equimorse.dact import DiscreteAction
 from equimorse.errors import (
     BoundaryError,
@@ -408,8 +410,9 @@ def test_split_already_separated():
     rng = np.random.default_rng(3)
     for t in rng.uniform(-0.3, 0.3, size=6):
         assert abs(out.g.value([t]) - t ** 4) < 1e-9
+    psi = straightening_map(f, out)
     for z in rng.uniform(-0.2, 0.2, size=(6, 2)):
-        assert np.linalg.norm(out.psi(z) - z) < 1e-9
+        assert np.linalg.norm(psi(z) - z) < 1e-9
 
 
 def test_split_sheared_well():
@@ -423,8 +426,9 @@ def test_split_sheared_well():
     for t in rng.uniform(-0.3, 0.3, size=6):
         assert abs(out.phi([t]) - t ** 2) < 1e-9
         assert abs(out.g.value([t]) - t ** 4) < 1e-8
+    psi = straightening_map(f, out)
     for z in rng.uniform(-0.25, 0.25, size=(10, 2)):
-        w = out.psi(z)
+        w = psi(z)
         got = f.value(w)
         want = out.g.value(z[:1]) + 0.5 * H0[0, 0] * z[1] ** 2
         assert abs(got - want) < 1e-7
@@ -438,8 +442,9 @@ def test_split_orientation_reversal():
     assert out.orientation_preserved is False
     A = f.action.matrix
     rng = np.random.default_rng(6)
+    psi = straightening_map(f, out)
     for z in rng.uniform(-0.25, 0.25, size=(8, 2)):
-        assert np.linalg.norm(out.psi(A @ z) - A @ out.psi(z)) < 1e-8
+        assert np.linalg.norm(psi(A @ z) - A @ psi(z)) < 1e-8
 
 
 def test_split_rejects_coupled_blocks():
@@ -454,12 +459,68 @@ def test_split_rejects_degenerate_normal_block():
         equivariant_split(f, 1)
 
 
+def _series_germ():
+    return FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 2)), (-4.0, (0, 4))])
+
+
 def test_split_series_radius_error():
     # the averaged normal Hessian 2 - 8 z2^2 degenerates inside the requested
     # radius, so the square-root series cannot converge there
-    f = FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 2)), (-4.0, (0, 4))])
+    f = _series_germ()
+    psi = straightening_map(f, equivariant_split(f, 1, radius=0.9))
     with pytest.raises(TrustRegionError, match="series"):
+        for z in sample_cloud(2, 0.9):
+            psi(z)
+
+
+def test_split_of_the_series_germ_needs_no_series():
+    # phi = 0 and the fiber Hessian on the graph is 2 at every z1, so the
+    # shifting theorem's hypotheses hold where the series of psi diverges
+    f = _series_germ()
+    out = equivariant_split(f, 1, radius=0.9)
+    assert out.signature == (1, 0)
+    for t in np.linspace(-0.5, 0.5, 7):
+        assert abs(out.g.value([t]) - t ** 4) < 1e-12
+    assert local_homology(f, radius=0.9).plain == {0: 1}
+
+
+def test_split_refuses_a_fiber_signature_change():
+    # the fiber Hessian 2 - 8 z1^2 of z1^4 + z2^2 - 4 z1^2 z2^2 changes sign
+    # at |z1| = 1/2, inside the sample cloud of radius 0.9 but not of 0.5
+    f = FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 2)), (-4.0, (2, 2))])
+    with pytest.raises(TrustRegionError, match="signature"):
         equivariant_split(f, 1, radius=0.9)
+    assert equivariant_split(f, 1, radius=0.5).signature == (1, 0)
+
+
+def _one_point_phi(f, n1, z1):
+    """The fiber Newton of one point: the reference for the lockstep phi."""
+    z1 = np.asarray(z1, dtype=float)
+    w = np.zeros(f.d - n1)
+    for _ in range(50):
+        z = np.concatenate([z1, w])
+        g2 = f.grad(z)[n1:]
+        if np.linalg.norm(g2) < tol("newton_grad"):
+            return w
+        w = w - np.linalg.solve(f.hess(z)[n1:, n1:], g2)
+    raise TrustRegionError("implicit solve for the fiber critical point did not converge")
+
+
+@pytest.mark.parametrize("f", [
+    FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 2))]),
+    FunctionSpec.make(2, [(2.0, (4, 0)), (1.0, (0, 2)), (-2.0, (2, 1))]),
+    FunctionSpec.make(2, [(1.0, (4, 0)), (-1.0, (0, 2))], action=reflection_v()),
+    _series_germ(),
+    # a fiber equation 2 z2 + 4 z2^3 = z1^2 that takes several Newton steps
+    FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 2)), (1.0, (0, 4)), (-1.0, (2, 1))]),
+], ids=["separated", "sheared", "reflection", "series", "cubic fiber"])
+def test_split_phi_of_a_batch_is_bitwise_the_one_point_newton(f):
+    out = equivariant_split(f, 1)
+    Z1 = np.linspace(-0.4, 0.4, 11)[:, None]
+    W = out.phi(Z1)
+    assert W.shape == (11, 1)
+    for z1, w in zip(Z1, W):
+        assert np.array_equal(w, _one_point_phi(f, 1, z1))
 
 
 def test_local_homology_mixed_minimum():
@@ -570,6 +631,43 @@ def test_local_homology_discrete_action_quartic():
     assert out.trace["kernel_dim"] == 2
     # grading bookkeeping: the top class sits n*k*N above the middle degree
     assert 2 - da.n * da.k * da.N == 1
+
+
+def test_local_homology_of_the_second_iterate_of_the_quartic():
+    # at k = 2 the 4-dimensional action has a 2-dimensional kernel and one
+    # negative normal direction, so the split route runs on a batched phi;
+    # the invariant group is left open (its parity in N is unsettled)
+    f = discrete_action_function(DiscreteAction(quartic_germ(), 2, 1))
+    out = local_homology(f, radius=0.25, h=0.0625)
+    assert out.plain == {3: 1}
+    assert out.trace["q"] == 1
+    assert out.trace["reduced_dim"] == 2
+
+
+def product_germ(alpha):
+    # -|z1|^4/4 - pi alpha |z2|^2 on R^4, coordinates (x1, x2, y1, y2)
+    return HamiltonianGerm.make(2, [
+        (-0.25, (4, 0, 0, 0)), (-0.5, (2, 0, 2, 0)), (-0.25, (0, 0, 4, 0)),
+        (-math.pi * alpha, (0, 2, 0, 0)), (-math.pi * alpha, (0, 0, 0, 2))])
+
+
+@pytest.mark.parametrize("alpha, N, degree", [(-0.048, 1, 2), (0.3, 2, 6)])
+def test_local_homology_of_a_product_germ(alpha, N, degree):
+    # the rotation factor shifts the quartic's class by the index of its
+    # quadratic action: {2: 1} at N = 1, and {3: 1} + 3 -> {6: 1} at N = 2
+    f = discrete_action_function(DiscreteAction(product_germ(alpha), 1, N))
+    out = local_homology(f, radius=0.25, h=0.0625)
+    assert out.plain == {degree: 1}
+    assert out.invariant == {degree: 1}
+
+
+@pytest.mark.parametrize("radius, h", [
+    (0.0, None), (-0.5, None), (math.nan, None), (math.inf, None),
+    (0.5, 0.0), (0.5, -0.1), (0.5, math.nan)])
+def test_local_homology_rejects_a_bad_radius_or_step(radius, h):
+    f = FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 4))])
+    with pytest.raises(ParameterError, match="finite and positive"):
+        local_homology(f, radius=radius, h=h)
 
 
 def test_lochom_doctest():

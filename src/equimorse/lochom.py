@@ -596,9 +596,18 @@ def _vertex_values(f, axis, pts, in_ball, coarse):
     return V
 
 
+def _require_positive(radius, h=None):
+    # ParameterError unless the radius, and the grid step h when given, are
+    # finite and positive
+    for name, v in (("radius", radius), ("grid step h", h)):
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise ParameterError(f"{name} must be finite and positive, got {v!r}")
+
+
 def gromoll_meyer_pair(f, radius, a=None, b=None, h=None,
                        isolation_seeds=5, _skip_checks=False, _coarse=None) -> CubicalPair:
     """Sublevel pair (f <= a, deformed exit collar) rasterized on a grid."""
+    _require_positive(radius, h)
     d = f.d
     if d < 1 or d > 3:
         raise ConfigurationError(f"cubical rasterization supports dimensions 1 to 3, got {d}")
@@ -763,6 +772,7 @@ class PolarPair:
 def gromoll_meyer_pair_polar(f, radius, a=None, b=None, rings=8, sectors=None,
                              isolation_seeds=5, _skip_checks=False) -> PolarPair:
     """Polar variant of the sublevel pair; carries plane rotations exactly."""
+    _require_positive(radius)
     if f.d != 2:
         raise ConfigurationError("polar rasterization is two-dimensional")
     k = 1
@@ -917,6 +927,7 @@ def relative_homology(pair, invariant: bool = False, action_sign: int = 1) -> di
 def sublevel_homology(f, radius, a=None, b=None, h=None, invariant=False,
                       action_sign=1, isolation_seeds=5) -> dict:
     """Pair homology with a built-in refinement check at h and h/2."""
+    _require_positive(radius, h)
     polar = False
     if f.action is not None and not f.action.is_trivial:
         if signed_permutation_data(f.action.matrix) is None:
@@ -1192,9 +1203,7 @@ def local_homology(f, radius: float = 0.5, h=None) -> LocalHomology:
     The grid step h is used only when the Hessian at 0 vanishes; a split f
     is rasterized within 0.4 * radius at the default step.
     """
-    for name, v in (("radius", radius), ("grid step h", h)):
-        if v is not None and not (math.isfinite(v) and v > 0):
-            raise ParameterError(f"{name} must be finite and positive, got {v!r}")
+    _require_positive(radius, h)
     d = f.d
     D = f.hess(np.zeros(d))
     evals, evecs = np.linalg.eigh(D)

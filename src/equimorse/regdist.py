@@ -82,14 +82,19 @@ class _Points:
     def __init__(self, pts):
         self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
 
+    # one pass per point of the set, which holds few, instead of a
+    # (rows, points, n) temporary
     def dist_many(self, pts):
-        diff = pts[:, None, :] - self.pts[None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
+        best = np.full(len(pts), np.inf)
+        for p in self.pts:
+            best = np.minimum(best, np.sqrt(((pts - p) ** 2).sum(axis=1)))
+        return best
 
     def dist_box(self, lo, hi):
-        q = np.clip(self.pts[None, :, :], lo[:, None, :], hi[:, None, :])
-        d = np.sqrt(((q - self.pts[None, :, :]) ** 2).sum(axis=2))
-        return d.min(axis=1)
+        best = np.full(lo.shape[0], np.inf)
+        for p in self.pts:
+            best = np.minimum(best, np.sqrt(((np.clip(p, lo, hi) - p) ** 2).sum(axis=1)))
+        return best
 
     def contains_box(self, lo, hi):
         return np.zeros(lo.shape[0], dtype=bool)
@@ -341,8 +346,21 @@ def check_invariance(spec: ClosedSetSpec, action: CyclicAction, samples: int = 6
 # neighbor offsets of a cell, in the order every per-point sum visits them
 _OFFSETS = {n: np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=np.int64)
             for n in (1, 2, 3)}
-# candidate cells per chunk of a batched star pass; bounds its temporaries
+# live offsets by face code: row c marks the offsets that can matter for a
+# cube or point whose per-axis codes (0 inside its cell, 1 on or near the low
+# face, 2 the high face) pack to c in base 3.  Offset 0 is always live, -1
+# only on a low face and +1 only on a high one (2 * code - 3).
+_FACE_OFFSETS = {n: np.array([np.all((off == 0) | (off == 2 * np.array(code) - 3), axis=1)
+                              for code in itertools.product(range(3), repeat=n)])
+                 for n, off in _OFFSETS.items()}
+# candidate cells per chunk of the batched star pass, the touching scan and
+# the star window of ``check``; bounds their temporaries
 _BATCH_CELLS = 1 << 16
+
+
+def _face_codes(low, high):
+    # face codes of boolean low/high face masks (last axis), packed in base 3
+    return (low + 2 * high) @ 3 ** np.arange(low.shape[-1] - 1, -1, -1)
 
 
 @dataclass
@@ -424,10 +442,14 @@ class WhitneyDecomposition:
         pos = np.minimum(np.searchsorted(self._keys, keys), self.count - 1)
         return np.where(self._keys[pos] == keys, self._cube[pos], -1)
 
+    def _scaled(self, pts):
+        # (P, depths, n) position of every point in side lengths of each depth
+        rel = np.asarray(pts, dtype=float) - self.lo0
+        return rel[:, None, :] / self.depth_sides[None, :, None]
+
     def _cells(self, pts):
         # (P, depths, n) cell of every point at every depth in the table
-        rel = np.asarray(pts, dtype=float) - self.lo0
-        return np.floor(rel[:, None, :] / self.depth_sides[None, :, None]).astype(np.int64)
+        return np.floor(self._scaled(pts)).astype(np.int64)
 
     def locate_many(self, pts) -> np.ndarray:
         """Index of the cube containing each row of pts, -1 for none."""
@@ -446,10 +468,22 @@ class WhitneyDecomposition:
 
     def star_candidates(self, pts) -> np.ndarray:
         """Cube index (or -1) of the 3^n cells around each row of pts at every
-        depth: shape (P, depths * 3^n), depth ascending, then offsets."""
+        depth: shape (P, depths * 3^n), depth ascending, then offsets.
+
+        A cell across a face is looked up only within 1/8 of a side of that
+        face.  Farther in, the point is 5/8 of a side from its center, past
+        both its 9/16 star and its bump's end 0.55; such a cube would add
+        exact zeros, and the margin dwarfs any rounding.
+        """
         pts = np.asarray(pts, dtype=float).reshape(-1, self.n)
-        cand = self._cells(pts)[:, :, None, :] + _OFFSETS[self.n]
-        idx = self._lookup(self._cell_keys(cand, self.depths[:, None]))
+        q = self._scaled(pts)
+        cells = np.floor(q)
+        frac = q - cells
+        live = _FACE_OFFSETS[self.n][_face_codes(frac < 0.125, frac > 0.875)]
+        p, d, o = np.nonzero(live)
+        cand = cells.astype(np.int64)[p, d] + _OFFSETS[self.n][o]
+        idx = np.full(live.shape, -1, dtype=np.int64)
+        idx[p, d, o] = self._lookup(self._cell_keys(cand, self.depths[d]))
         return idx.reshape(len(pts), -1)
 
     def star_cubes(self, x):
@@ -477,11 +511,18 @@ class WhitneyDecomposition:
         """Verify disjointness, distance windows and neighbor bounds.
 
         Raises ValidationError on any violation; returns measured statistics.
+        The touching scan finds each pair from its finer cube, around that
+        cube's ancestor cell at the coarser depth.  The closed cube at offset
+        o of that cell touches the finer one only if the finer one lies on
+        the cell's low face on every axis with o_i = -1 and on its high face
+        where o_i = +1: elsewhere the closed boxes are apart on that axis.
+        So the scan looks up only those offsets and the zero offset, whose
+        cube would overlap, and misses no touching pair.
         """
         n = self.n
         report = {
             "cubes": self.count,
-            "depths": sorted({int(j) for j in self.depth.tolist()}),
+            "depths": self.depths.tolist(),
             "uncovered_cells": int(self.uncovered_cells),
             "truncated": bool(self.truncated),
             "sample_misses": 0,
@@ -506,66 +547,18 @@ class WhitneyDecomposition:
         # the same window, with wider constants, at the corners of each star
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
         centers = self.centers()
-        star_pts = centers[:, None, :] + (9.0 / 16.0) * self.side[:, None, None] * signs[None, :, :]
-        pts = np.concatenate([star_pts.reshape(-1, n), centers])
-        per_diam = np.concatenate([np.repeat(diam, 2 ** n), diam])
-        sratio = self.X.dist_many(pts) / per_diam
-        if sratio.min() < 0.75 - 1e-9 or sratio.max() > 6.0 + 1e-9:
+        lo_s, hi_s = np.inf, -np.inf
+        step = max(1, _BATCH_CELLS // (2 ** n + 1))
+        for start in range(0, self.count, step):
+            c, s, dm = (a[start:start + step] for a in (centers, self.side, diam))
+            star_pts = c[:, None, :] + (9.0 / 16.0) * s[:, None, None] * signs[None, :, :]
+            pts = np.concatenate([star_pts.reshape(-1, n), c])
+            sratio = self.X.dist_many(pts) / np.concatenate([np.repeat(dm, 2 ** n), dm])
+            lo_s, hi_s = np.minimum(lo_s, sratio.min()), np.maximum(hi_s, sratio.max())
+        if lo_s < 0.75 - 1e-9 or hi_s > 6.0 + 1e-9:
             raise ValidationError("a star point violates the distance-diameter window")
-        report["star_ratio"] = (float(sratio.min()), float(sratio.max()))
-
-        # touching scan on the integer grid: disjointness, diameter ratios,
-        # neighbor counts; every pair is found from its finer member
-        depths = report["depths"]
-        by_depth = {j: np.flatnonzero(self.depth == j) for j in depths}
-        jmax = depths[-1]
-        offsets = _OFFSETS[n]
-        zero_off = int(np.flatnonzero(np.all(offsets == 0, axis=1))[0])
-        neighbor_count = np.zeros(self.count, dtype=np.int64)
-        gap_max = 0
-        for j in depths:
-            fine = by_depth[j]
-            cf = self.coords[fine]
-            scale_f = 1 << (jmax - j)
-            lo_f = cf * scale_f
-            hi_f = lo_f + scale_f
-            for j2 in depths:
-                if j2 > j:
-                    continue
-                base = cf >> (j - j2)
-                cand = (base[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-                found = self._lookup(self._cell_keys(cand, j2))
-                hit = found >= 0
-                if not hit.any():
-                    continue
-                rows = np.repeat(np.arange(len(fine)), len(offsets))[hit]
-                offs = np.tile(np.arange(len(offsets)), len(fine))[hit]
-                other = found[hit]
-                a = fine[rows]
-                if j2 < j and np.any(offs == zero_off):
-                    raise ValidationError("cubes are not pairwise disjoint")
-                if j2 == j:
-                    if np.any((offs == zero_off) & (other != a)):
-                        raise ValidationError("cubes are not pairwise disjoint")
-                    keep = other > a
-                else:
-                    keep = np.ones(len(a), dtype=bool)
-                scale_b = 1 << (jmax - j2)
-                lo_b = self.coords[other] * scale_b
-                hi_b = lo_b + scale_b
-                keep &= np.all((lo_f[rows] <= hi_b) & (lo_b <= hi_f[rows]), axis=1)
-                if not keep.any():
-                    continue
-                if j - j2 > 2:
-                    raise ValidationError(
-                        "touching cubes differ in diameter by more than a factor of four")
-                gap_max = max(gap_max, j - j2)
-                np.add.at(neighbor_count, a[keep], 1)
-                np.add.at(neighbor_count, other[keep], 1)
-        if neighbor_count.max(initial=0) > 12 ** n:
-            raise ValidationError("a cube touches more than 12^n others")
-        report["neighbor_count_max"] = int(neighbor_count.max(initial=0))
-        report["neighbor_diam_ratio"] = (2.0 ** (-gap_max), 2.0 ** gap_max)
+        report["star_ratio"] = (float(lo_s), float(hi_s))
+        report.update(self._touching_scan())
 
         if samples:
             rng = np.random.default_rng(seed)
@@ -578,6 +571,62 @@ class WhitneyDecomposition:
             clear = dists > collar
             report["sample_misses"] = int((self.locate_many(pts[clear]) < 0).sum())
         return report
+
+    def _touching_scan(self) -> dict:
+        """Disjointness and neighbor bounds of the closed cubes on the integer
+        grid (the face rule is in ``check``); at equal depth the zero offset
+        and the offsets after it see every pair once."""
+        n = self.n
+        offsets = _OFFSETS[n]
+        zero_off = len(offsets) // 2
+        same_depth = np.arange(len(offsets)) >= zero_off
+        depths = self.depths.tolist()
+        jmax = depths[-1]
+        step = max(1, _BATCH_CELLS // len(offsets))
+        neighbor_count = np.zeros(self.count, dtype=np.int64)
+        gap_max = 0
+        for j in depths:
+            fine_j = np.flatnonzero(self.depth == j)
+            scale_f = 1 << (jmax - j)
+            for j2 in depths:
+                if j2 > j:
+                    break
+                gap = j - j2
+                too_far = False
+                for start in range(0, len(fine_j), step):
+                    fine = fine_j[start:start + step]
+                    cf = self.coords[fine]
+                    base = cf >> gap
+                    if gap:
+                        pos = cf - (base << gap)
+                        live = _FACE_OFFSETS[n][_face_codes(pos == 0, pos == (1 << gap) - 1)]
+                    else:
+                        live = np.broadcast_to(same_depth, (len(fine), len(offsets)))
+                    rows, offs = np.nonzero(live)
+                    found = self._lookup(self._cell_keys(base[rows] + offsets[offs], j2))
+                    hit = found >= 0
+                    rows, offs, other = rows[hit], offs[hit], found[hit]
+                    a = fine[rows]
+                    zero = offs == zero_off
+                    if np.any(zero & (other != a)):
+                        raise ValidationError("cubes are not pairwise disjoint")
+                    scale_b = 1 << (jmax - j2)
+                    lo_f, lo_b = cf[rows] * scale_f, self.coords[other] * scale_b
+                    touch = np.all((lo_f <= lo_b + scale_b) & (lo_b <= lo_f + scale_f), axis=1)
+                    keep = touch & (other != a)
+                    if keep.any():
+                        too_far |= gap > 2
+                        gap_max = max(gap_max, gap)
+                        neighbor_count += np.bincount(np.concatenate([a[keep], other[keep]]),
+                                                      minlength=self.count)
+                # overlaps anywhere at this pair of depths take precedence
+                if too_far:
+                    raise ValidationError(
+                        "touching cubes differ in diameter by more than a factor of four")
+        if neighbor_count.max(initial=0) > 12 ** n:
+            raise ValidationError("a cube touches more than 12^n others")
+        return {"neighbor_count_max": int(neighbor_count.max(initial=0)),
+                "neighbor_diam_ratio": (2.0 ** (-gap_max), 2.0 ** gap_max)}
 
 
 def whitney_decompose(X: ClosedSetSpec, bbox, min_depth: int = 0, max_depth=None) -> WhitneyDecomposition:

@@ -670,6 +670,22 @@ def test_local_homology_rejects_a_bad_radius_or_step(radius, h):
         local_homology(f, radius=radius, h=h)
 
 
+@pytest.mark.parametrize("radius, h", [
+    (0.0, None), (-0.5, None), (math.nan, None), (math.inf, None),
+    (0.5, 0.0), (0.5, -0.1), (0.5, math.nan)])
+def test_pair_builders_reject_a_bad_radius_or_step(radius, h):
+    # a negative step once gave {} for this strict minimum, h = 0 a
+    # ZeroDivisionError and a NaN radius a LAPACK error
+    f = FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 4))])
+    with pytest.raises(ParameterError, match="finite and positive"):
+        sublevel_homology(f, radius, h=h)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        gromoll_meyer_pair(f, radius, h=h)
+    if h is None:
+        with pytest.raises(ParameterError, match="finite and positive"):
+            gromoll_meyer_pair_polar(f, radius)
+
+
 def test_lochom_doctest():
     results = doctest.testmod(lochom)
     assert results.failed == 0

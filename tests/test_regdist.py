@@ -56,20 +56,22 @@ def orbit_pair():
     return y, e, CyclicAction(r, 3)
 
 
-def interior_queries(rng, func, count, lo=-1.9, hi=1.9, clear=0.05):
-    # group averaging needs the whole orbit inside the box
+def usable(func, q, hi=1.9, clear=0.05):
+    # clear of the set, with the whole orbit inside the box, which group
+    # averaging needs
     mats = [np.eye(func.dimension)]
     if func.action is not None:
         for _ in range(func.action.k - 1):
             mats.append(func.action.matrix @ mats[-1])
+    return func.dist(q) >= clear and all(np.max(np.abs(m @ q)) <= hi for m in mats)
+
+
+def interior_queries(rng, func, count, lo=-1.9, hi=1.9, clear=0.05):
     out = []
     while len(out) < count:
         q = rng.uniform(lo, hi, size=func.dimension)
-        if func.dist(q) < clear:
-            continue
-        if any(np.max(np.abs(m @ q)) > hi for m in mats):
-            continue
-        out.append(q)
+        if usable(func, q, hi, clear):
+            out.append(q)
     return np.array(out)
 
 
@@ -242,6 +244,48 @@ def _oracle_case(name):
         return RegularizedDistance.build(y, e, action=a, bbox=(-1.95, 1.96), max_depth=8)
     y, e, a = slab_pair()
     return RegularizedDistance.build(y, e, action=a, max_depth=6)
+
+
+def brute_force_touching(dec):
+    """Per-cube count of touching cubes and the largest depth gap between
+    touching cubes, from every pair of closed boxes on the finest grid."""
+    scale = np.left_shift(1, dec.depth.max() - dec.depth)
+    lo = dec.coords * scale[:, None]
+    hi = lo + scale[:, None]
+    counts = np.zeros(dec.count, dtype=np.int64)
+    gap = 0
+    for i in range(dec.count):
+        touch = np.all((lo[i] <= hi) & (lo <= hi[i]), axis=1)
+        touch[i] = False
+        counts[i] = touch.sum()
+        if touch.any():
+            gap = max(gap, int(np.abs(dec.depth[touch] - dec.depth[i]).max()))
+    return counts, gap
+
+
+def _scan_case(name):
+    if name == "slab":
+        y, e, a = slab_pair()
+        return RegularizedDistance.build(y, e, action=a, max_depth=4).dec
+    sets = {
+        "point-1d": (ClosedSetSpec.points([[0.0]]), 7),
+        "points-1d": (ClosedSetSpec.points([[0.3], [-0.55]]), 9),
+        "axis-2d": (x_axis(), 6),
+        "diagonal-2d": (ClosedSetSpec.subspace(2, [[1.0, 1.0]]), 6),
+        "ball-and-point-2d": (ClosedSetSpec.ball([0.1, 0.2], 0.4).union(
+            ClosedSetSpec.points([[-0.6, 0.5]])), 6),
+        "tilted-plane-3d": (ClosedSetSpec.subspace(3, [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), 4),
+        "point-3d": (ClosedSetSpec.points([[0.0, 0.0, 0.0]]), 4),
+    }
+    x, max_depth = sets[name]
+    with pytest.warns(CoverageWarning):
+        return whitney_decompose(x, (-1.0, 1.0), max_depth=max_depth)
+
+
+def origin_complement(n, max_depth):
+    with pytest.warns(CoverageWarning):
+        return whitney_decompose(ClosedSetSpec.points([[0.0] * n]), (-1.0, 1.0),
+                                 max_depth=max_depth)
 
 
 class TestClosedSetSpec:
@@ -431,6 +475,51 @@ class TestWhitneyDecompose:
         bad = dec.with_extra_cube(depth=2, coords=(1,))
         with pytest.raises(ValidationError, match="diameter"):
             bad.check()
+
+    @pytest.mark.parametrize("name", ["point-1d", "points-1d", "axis-2d", "diagonal-2d",
+                                      "ball-and-point-2d", "slab", "tilted-plane-3d",
+                                      "point-3d"])
+    def test_touching_scan_matches_the_pairwise_scan(self, name):
+        dec = _scan_case(name)
+        counts, gap = brute_force_touching(dec)
+        report = dec.check()
+        assert gap > 0
+        assert report["neighbor_count_max"] == counts.max()
+        assert report["neighbor_diam_ratio"] == (2.0 ** -gap, 2.0 ** gap)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_checker_catches_overlaps_the_windows_let_through(self, n):
+        dec = origin_complement(n, max_depth=5)
+        # the cube [s, 2s]^n lies exactly one diameter from the origin
+        i = int(np.flatnonzero(np.all(dec.lo_corners() == dec.side[:, None], axis=1))[0])
+        twin = dec.with_extra_cube(depth=dec.depth[i], coords=dec.coords[i])
+        with pytest.raises(ValidationError, match="disjoint"):
+            twin.check()
+        # its corner cube two levels down, nearest the origin, sits exactly
+        # four of its diameters away: both distance windows pass it
+        inner = dec.with_extra_cube(depth=dec.depth[i] + 2, coords=4 * dec.coords[i])
+        lo, hi = inner.lo_corners()[-1:], inner.hi_corners()[-1:]
+        assert inner.X.dist_box(lo, hi)[0] == 4.0 * inner.diam()[-1]
+        with pytest.raises(ValidationError, match="disjoint"):
+            inner.check()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_touching_scan_refuses_cubes_three_levels_apart(self, n):
+        # the distance windows refuse such a cube first, so the scan is
+        # called by itself
+        dec = origin_complement(n, max_depth=4)
+        for i in np.flatnonzero(dec.depth == dec.depth.max()):
+            # three levels finer, just below the low face of cube i on the
+            # first axis, and outside every cube
+            coords = 8 * dec.coords[i]
+            coords[0] -= 1
+            extra = dec.with_extra_cube(depth=dec.depth[i] + 3, coords=coords)
+            if dec.locate(extra.centers()[-1]) is None:
+                break
+        else:
+            pytest.fail("no free cell next to a finest cube")
+        with pytest.raises(ValidationError, match="factor of four"):
+            extra._touching_scan()
 
     def test_point_location_and_star_lookup_match_brute_force(self):
         with pytest.warns(CoverageWarning):
@@ -698,6 +787,66 @@ class TestBatchedPath:
         seen.clear()
         res.func.grad(np.array(queries[0]))
         assert [len(p) for p in seen] == [2 * 3 * 2]
+
+    @pytest.mark.parametrize("name", ["far", "two-point", "orbit", "tilted", "slab"])
+    def test_points_on_and_near_cell_faces_match_the_oracle(self, name):
+        # the star lookup skips the cells across a face farther than 1/8 of
+        # a side away; probe both sides of that margin, the faces, and the
+        # ends of a neighbor's bump (0.05 of a side) and star (1/16)
+        func = _oracle_case(name)
+        oracle = PointwiseOracle(func)
+        dec = func.dec
+        rng = np.random.default_rng(43)
+        pts = []
+        for q in interior_queries(rng, func, 6):
+            for s in dec.depth_sides:
+                axis = int(rng.integers(dec.n))
+                face = dec.lo0[axis] + np.round((q[axis] - dec.lo0[axis]) / s) * s
+                for delta in (0.0, 1e-12, -1e-12, s / 8 + 1e-9, s / 8 - 1e-9,
+                              -s / 8 + 1e-9, -s / 8 - 1e-9, 0.04 * s, -0.06 * s):
+                    p = q.copy()
+                    p[axis] = face + delta
+                    if usable(func, p, clear=0.02):
+                        pts.append(p)
+        pts = np.array(pts)
+        assert len(pts) >= 60
+        assert np.array_equal(func.values(pts), [oracle.value(p) for p in pts])
+        some = pts[::5]
+        _, grads, hessians = func.jets(some)
+        assert np.array_equal(grads, [oracle.grad(p) for p in some])
+        assert np.array_equal(hessians, [oracle.hess(p) for p in some])
+        centers = dec.centers()
+        for p in pts:
+            support = np.all(np.abs(p - centers) < (9.0 / 16.0) * dec.side[:, None], axis=1)
+            assert dec.star_cubes(p) == oracle.star_cubes(p)
+            assert set(dec.star_cubes(p)) == set(np.flatnonzero(support).tolist())
+
+    def test_cube_lookups_stay_with_the_cells_that_can_matter(self, monkeypatch):
+        looked_up = []
+        original = regdist.WhitneyDecomposition._lookup
+
+        def counting(self, keys):
+            looked_up.append(np.size(keys))
+            return original(self, keys)
+
+        monkeypatch.setattr(regdist.WhitneyDecomposition, "_lookup", counting)
+        y, e, a = slab_pair()
+        func = RegularizedDistance.build(y, e, action=a, max_depth=6)
+        # 27 cells around every cube at every coarser depth: 2,347,920
+        assert sum(looked_up) <= 700_000
+        # the coincidence slab alternating with points between it and the
+        # poles, 200 queries of 19 stencil points and 2 images each
+        rng = np.random.default_rng([0, 0])
+        queries = []
+        for j in range(200):
+            lo, hi = (0.15, 0.4) if j % 2 == 0 else (0.45, 0.9)
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            queries.append([rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
+                            sign * rng.uniform(lo, hi)])
+        looked_up.clear()
+        func.jets(queries)
+        # 27 cells at each of 4 depths per point, and 4 to locate it: 851,200
+        assert sum(looked_up) <= 100_000
 
     def test_batched_locate_matches_the_pointwise_index(self):
         y, e, a = slab_pair()

@@ -40,10 +40,28 @@ from .hamflow import (
 )
 
 
+def _step_refusal(germ: HamiltonianGerm, N: int):
+    """Why N fails the step conditions of germ, or None where it passes.
+
+    adapted_N and then steps_graph_positive decide it once per germ instance
+    and N; the verdict is kept on the germ, as its variational solve is.
+    """
+    verdicts = germ._step_verdicts
+    if N not in verdicts:
+        if not adapted_N(germ, N):
+            verdicts[N] = f"N = {N} fails the sampled step condition"
+        elif not steps_graph_positive(germ, N):
+            verdicts[N] = (f"N = {N}: some substep family crosses the graph-condition "
+                           "boundary; increase N")
+        else:
+            verdicts[N] = None
+    return verdicts[N]
+
+
 def minimal_adapted_steps(germ: HamiltonianGerm, limit: int = 64) -> int:
     """Smallest N whose substep family passes both step conditions."""
     for N in range(1, limit + 1):
-        if adapted_N(germ, N) and steps_graph_positive(germ, N):
+        if _step_refusal(germ, N) is None:
             return N
     raise ResolutionError(f"no adapted N up to {limit}")
 
@@ -66,12 +84,9 @@ class DiscreteAction:
     def __post_init__(self):
         if self.k < 1 or self.N < 1:
             raise ConfigurationError("k and N must be positive integers")
-        if not adapted_N(self.germ, self.N):
-            raise ConfigurationError(f"N = {self.N} fails the sampled step condition")
-        if not steps_graph_positive(self.germ, self.N):
-            raise ConfigurationError(
-                f"N = {self.N}: some substep family crosses the graph-condition "
-                "boundary; increase N")
+        refusal = _step_refusal(self.germ, self.N)
+        if refusal is not None:
+            raise ConfigurationError(refusal)
 
     @property
     def n(self) -> int:
@@ -110,11 +125,14 @@ def evaluate(da: DiscreteAction, z, value: bool = True):
     """(A(z), grad A(z), D^2 A(z)) from one graph solve per slot.
 
     z is one point (dim,) or a batch (P, dim); a batch gives (P,), (P, dim)
-    and (P, dim, dim).  The slots that share a substep, over all rows, are
-    solved together: one stacked solve_slot per substep, N in all.  A(z) is
-    None when value is unset; the flows then skip the action integral.
-    Raises ShapeError for points of the wrong length and DomainError for a
-    row that is not finite.
+    and (P, dim, dim).  Every slot of every row is solved in one stacked
+    solve_slot, so each graph-Newton iteration integrates one stacked flow.
+    Slot i steps over the substep i mod N, which is the first substep
+    [0, 1/N] of the germ shifted in time by (i mod N)/N; the stack flows over
+    [0, 1/N] and the rows of slot i carry that shift (see integrate_flow).
+    A(z) is None when value is unset; the flows then skip the action
+    integral.  Raises ShapeError for points of the wrong length and
+    DomainError for a row that is not finite.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != da.dim:
@@ -128,17 +146,11 @@ def evaluate(da: DiscreteAction, z, value: bool = True):
     pairs = Z.reshape(P, slots, 2, n)
     xs, ys = pairs[:, :, 0], pairs[:, :, 1]
     ys1 = np.roll(ys, -1, axis=1)  # y_{i+1}, indices mod kN
-    S = np.empty((P, slots))
-    gS = np.empty((P, slots, 2 * n))
-    HS = np.empty((P, slots, 2 * n, 2 * n))
-    for j, gf in enumerate(da.S_list):
-        # slots j, j + N, ... of every row, as one batch of P k points
-        Sj, gj, Hj = gf.solve_slot(xs[:, j::da.N].reshape(-1, n), ys1[:, j::da.N].reshape(-1, n),
-                                   value=value)
-        gS[:, j::da.N] = gj.reshape(P, da.k, 2 * n)
-        HS[:, j::da.N] = Hj.reshape(P, da.k, 2 * n, 2 * n)
-        if value:
-            S[:, j::da.N] = Sj.reshape(P, da.k)
+    shift = np.tile(np.arange(slots) % da.N / da.N, P)
+    S, gS, HS = da.S_list[0].solve_slot(xs.reshape(-1, n), ys1.reshape(-1, n), value=value,
+                                        shift=shift)
+    S = S.reshape(P, slots) if value else None
+    gS, HS = gS.reshape(P, slots, 2 * n), HS.reshape(P, slots, 2 * n, 2 * n)
     total = np.zeros(P) if value else None
     g = np.zeros((P, da.dim))
     for i in range(slots):
@@ -392,7 +404,7 @@ def find_periodic_points(da: DiscreteAction, seeds):
 
     The seeds take their Newton steps in lockstep: each iteration makes one
     `evaluate` pass over the seeds still active, one stacked graph solve
-    per substep, and one stacked Newton step over the rows not yet
+    over every slot, and one stacked Newton step over the rows not yet
     converged (_newton_steps: solve where cond H < 1e12, lstsq elsewhere,
     each row bitwise its one-matrix step).  A seed stops once its residual is
     below newton_grad, after 50 steps, or when its point raises

@@ -67,22 +67,38 @@ def _json_object(x, what: str) -> dict:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """The monomial table behind HamiltonianGerm.jet.
+    """The monomial table behind HamiltonianGerm.jet and the flow right-hand side.
 
     Row r is one monomial prod_i z_i^e_ri times the time factor of mode
     mode_of[r], one row per distinct (exponents, time mode) among H_t and its
     first and second partial derivatives.  The power table holds z_i^p at
     [i, p], so flat[r, i] = i * len(powers) + e_ri.  W[k, r] is the sum of
     coefficient times derivative multiplicity with which row r enters output
-    k: 0 is H_t, 1..d are grad H_t, and 1 + d + j d + l is the (j, l) entry of
-    D^2 H_t.  Since the rows (j, l) and (l, j) of W are equal, so are the
-    Hessian entries.
+    k: 0..d-1 are grad H_t, d + j d + l is the (j, l) entry of D^2 H_t and the
+    last one, d + d^2, is H_t.  Since the rows (j, l) and (l, j) of W are
+    equal, so are the Hessian entries.  H_t comes last: W has an odd number
+    1 + d + d^2 of rows, so a blocked matrix-vector product over all rows but
+    the last (the flow without its action integral) groups, and rounds, each
+    of them as the product over all rows does.
     """
     flat: np.ndarray  # (R, d)
     powers: np.ndarray  # 0, 1, ..., the largest exponent
     mode_of: np.ndarray  # (R,)
     times: tuple  # (f or None, 2 pi freq) per distinct time mode
-    W: np.ndarray  # (1 + d + d^2, R)
+    W: np.ndarray  # (d + d^2 + 1, R)
+
+    def mode_factors(self, t: float) -> np.ndarray:
+        """The factor of every distinct time mode at time t."""
+        return np.array([1.0 if f is None else f(w * t) for f, w in self.times])
+
+    def time_factors(self, t: float) -> np.ndarray:
+        """(R,): the time factor of every row at time t."""
+        return self.mode_factors(t)[self.mode_of]
+
+    def monomials(self, Z) -> np.ndarray:
+        """(P, R): the monomial of every row at every point of Z (P, d)."""
+        table = (Z[:, :, None] ** self.powers).reshape(len(Z), -1)
+        return table[:, self.flat].prod(axis=2)
 
 
 @dataclass(frozen=True)
@@ -147,17 +163,17 @@ class HamiltonianGerm:
             key = (term.mode, term.freq if term.mode != "const" else 0)
             mode = mode_ids.setdefault(key, len(mode_ids))
             m = term.m
-            add(0, m, mode, term.c)
+            add(d + d * d, m, mode, term.c)
             for j in range(d):
                 if not m[j]:
                     continue
                 mj = m[:j] + (m[j] - 1,) + m[j + 1:]
-                add(1 + j, mj, mode, term.c * m[j])
+                add(j, mj, mode, term.c * m[j])
                 for l in range(d):
                     if mj[l]:
                         mjl = mj[:l] + (mj[l] - 1,) + mj[l + 1:]
-                        add(1 + d + j * d + l, mjl, mode, term.c * m[j] * mj[l])
-        W = np.zeros((1 + d + d * d, len(rows)))
+                        add(d + j * d + l, mjl, mode, term.c * m[j] * mj[l])
+        W = np.zeros((d + d * d + 1, len(rows)))
         for out, r, coef in entries:
             W[out, r] += coef
         exps = np.array([e for e, _ in rows], dtype=np.intp).reshape(len(rows), d)
@@ -187,6 +203,12 @@ class HamiltonianGerm:
 
         return one_period, one_period(1.0)
 
+    @cached_property
+    def _step_verdicts(self) -> dict:
+        """N -> why N fails the step conditions, or None where it passes;
+        filled by dact, so that they run once per germ instance and N."""
+        return {}
+
     def jet(self, z, t: float):
         """(H_t, grad H_t, D^2 H_t) at one point (d,) or at every row of a batch (P, d).
 
@@ -205,11 +227,9 @@ class HamiltonianGerm:
         d = 2 * self.n
         z = np.asarray(z, dtype=float)
         Z = z.reshape(-1, d)
-        table = (Z[:, :, None] ** k.powers).reshape(len(Z), -1)
-        tf = np.array([1.0 if f is None else f(w * t) for f, w in k.times])
-        rows = table[:, k.flat].prod(axis=2) * tf[k.mode_of]
+        rows = k.monomials(Z) * k.time_factors(t)
         out = (k.W @ rows[:, :, None])[:, :, 0]
-        H, grad, hess = out[:, 0], out[:, 1:d + 1], out[:, d + 1:].reshape(-1, d, d)
+        grad, hess, H = out[:, :d], out[:, d:-1].reshape(-1, d, d), out[:, -1]
         if z.ndim == 1:
             return float(H[0]), grad[0], hess[0]
         return H, grad, hess
@@ -253,34 +273,60 @@ class HamiltonianGerm:
 _MAX_STACK = 1024
 
 
-def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray, rows: int, action: bool):
+def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray, rows: int, action: bool, shift=None):
     """Right-hand side of rows stacked flows, each with its Jacobian and, with
-    action set, its action integral: one batched jet call per evaluation."""
+    action set, its action integral.
+
+    One product of the germ's monomial kernel over all rows per evaluation
+    gives -J grad H_t and -J D^2 H_t at every row, and H_t only with action
+    set.  -J is a signed permutation, entry i of -J v being
+    sign_i v_{source_i}; so the weights of the kernel's rows are negated
+    where the sign is -1 and the product is read through one gather.  For one
+    row that rounds exactly as -J @ grad and -J @ D^2H from
+    HamiltonianGerm.jet; the rows of a stack share one matrix product, which
+    may round each of them differently from its one-row product.  Row i
+    reads the time factors of H at t + shift[i], and at t itself without a
+    shift.
+    """
     n = germ.n
     d = 2 * n
-    minus_J = -J
-    jet = germ.jet
+    k = germ._kernel
     width = d + d * d + int(action)
+    minus_J = -J
+    source = np.abs(minus_J).argmax(axis=1)
+    sign = minus_J[np.arange(d), source]
+    # -J grad H, the rows of -J D^2H, then H_t, as rows of the kernel's output
+    read = np.concatenate([source, d + (source[:, None] * d + np.arange(d)).ravel(),
+                           [d + d * d]])[:width]
+    W = k.W[:width].copy()
+    W[read[:d + d * d]] *= np.concatenate([sign, np.repeat(sign, d)])[:, None]
+    factors = k.time_factors
+    if np.any(shift) and any(f is not None for f, _ in k.times):
+        offsets, group = np.unique(shift, return_inverse=True)
+        # (rows, R): where each row's time factors sit among those of the offsets
+        where = group[:, None] * len(k.times) + k.mode_of
+
+        def factors(t):
+            return np.concatenate([k.mode_factors(t + s) for s in offsets])[where]
 
     def rhs(t, y):
         Y = y.reshape(rows, width)
         z = Y[:, :d]
         Phi = Y[:, d:d + d * d].reshape(rows, d, d)
-        H, g, h = jet(z, t)
+        F = ((k.monomials(z) * factors(t)) @ W.T)[:, read]
         out = np.empty_like(Y)
-        dz = (minus_J @ g[:, :, None])[:, :, 0]
-        out[:, :d] = dz
-        out[:, d:d + d * d] = (minus_J @ h @ Phi).reshape(rows, d * d)
+        out[:, :d] = F[:, :d]
+        out[:, d:d + d * d] = (F[:, d:d + d * d].reshape(rows, d, d) @ Phi).reshape(rows, d * d)
         if action:
             # integrand of the action integral: x . ydot + H_t
-            out[:, -1] = row_dots(z[:, :n], dz[:, n:]) + H
+            out[:, -1] = row_dots(z[:, :n], F[:, n:d]) + F[:, -1]
         return out.ravel()
 
     return rhs
 
 
 def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
-                   action: bool = False):
+                   action: bool = False, shift=None):
     """Flow z from time t0 to t1; returns (phi(z), dphi(z)).
 
     z is one point (d,) or a batch (P, d) whose rows are flowed together as
@@ -293,6 +339,12 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
     flow alone.  The rows share the adaptive steps, so a row's result
     depends on its batch mates below the ODE tolerance; a batch of one is
     the one-point flow.
+
+    shift, one start-time shift per row, lets one stack hold flows over
+    different time intervals: row i is flowed from t0 + shift[i] to
+    t1 + shift[i].  The stack integrates over [t0, t1], and row i reads the
+    time factors of H_t at t + shift[i]; a row with shift 0 reads them at t
+    itself, as without a shift.
 
     With action set, the action integral s = int_{t0}^{t1} (x . ydot + H_t) dt
     along the trajectory rides along as one more ODE state, and the return
@@ -307,6 +359,7 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
     d = 2 * germ.n
     z = np.asarray(z, dtype=float)
     Z = z.reshape(-1, d)
+    shift = np.broadcast_to(np.asarray(0.0 if shift is None else shift, dtype=float), (len(Z),))
     bad = ~np.isfinite(Z).all(axis=1)
     if bad.any():
         i = int(bad.argmax())
@@ -322,7 +375,7 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
         for lo in range(0, len(Z), _MAX_STACK):
             part = slice(lo, lo + _MAX_STACK)
             phi[part], dphi[part], s[part] = _stacked_flow(germ, t0, t1, Z[part], radius,
-                                                           action, lo, len(Z))
+                                                           action, shift[part], lo, len(Z))
     if z.ndim == 1:
         phi, dphi, s = phi[0], dphi[0], float(s[0])
     return (phi, dphi, s) if action else (phi, dphi)
@@ -333,9 +386,10 @@ def _row(i, rows):
     return "" if rows == 1 else f"row {i}: "
 
 
-def _stacked_flow(germ, t0, t1, Z, radius, action, first, total):
-    # one DOP853 integration of the rows of Z; first and total place them in
-    # the caller's batch for error messages
+def _stacked_flow(germ, t0, t1, Z, radius, action, shift, first, total):
+    # one DOP853 integration of the rows of Z, each shifted in time by its
+    # entry of shift; first and total place them in the caller's batch for
+    # error messages
     P, d = Z.shape
     width = d + d * d + int(action)
 
@@ -346,7 +400,7 @@ def _stacked_flow(germ, t0, t1, Z, radius, action, first, total):
     y0[:, :d] = Z
     y0[:, d:d + d * d] = np.eye(d).ravel()
     scale = math.sqrt(P)
-    run = dop853(_flow_rhs(germ, standard_symplectic(germ.n), P, action), t0, t1,
+    run = dop853(_flow_rhs(germ, standard_symplectic(germ.n), P, action, shift), t0, t1,
                  y0.ravel(), rtol=1e-12 / scale, atol=1e-13 / scale, exit=exit_norm)
     if run.status == EXITED:
         # the row farthest out at the end of the step in which the largest
@@ -400,8 +454,9 @@ class FlowMap:
     t1: float
     radius: float = DEFAULT_TRUST_RADIUS
 
-    def __call__(self, z, action: bool = False):
-        return integrate_flow(self.germ, self.t0, self.t1, z, radius=self.radius, action=action)
+    def __call__(self, z, action: bool = False, shift=None):
+        return integrate_flow(self.germ, self.t0, self.t1, z, radius=self.radius, action=action,
+                              shift=shift)
 
     @cached_property
     def jacobian_at_zero(self) -> np.ndarray:
@@ -498,7 +553,7 @@ class GeneratingFunction:
     def m(self) -> int:
         return self.psi.germ.n
 
-    def solve_graph(self, x, Y, action: bool = False):
+    def solve_graph(self, x, Y, action: bool = False, shift=None):
         """Solve psi(x, y) = (X, Y) for (y, X) by Newton.
 
         Returns (y, X, dpsi at (x, y), s), where s is the action integral
@@ -510,17 +565,25 @@ class GeneratingFunction:
         step over the rows not yet converged, and a row retires once its
         residual is below gen2_newton.  If a stacked solve fails, the rows are
         solved one at a time, and the first failing row raises its own error.
+
+        shift, one start-time shift per row, solves row i for the substep
+        shifted by shift[i], phi^{t0 + shift[i] -> t1 + shift[i]}; each
+        Newton flow carries the rows' shifts (see integrate_flow), so graph
+        equations of different substeps share one lockstep solve.
         """
         m = self.m
         one = np.ndim(x) == 1
         x = np.asarray(x, dtype=float).reshape(-1, m)
         Y = np.asarray(Y, dtype=float).reshape(-1, m)
+        shift = np.broadcast_to(np.asarray(0.0 if shift is None else shift, dtype=float),
+                                (len(x),))
         try:
-            out = self._graph_newton(x, Y, action)
+            out = self._graph_newton(x, Y, action, shift)
         except (ResolutionError, ValidationError):
             if len(x) == 1:
                 raise
-            rows = [self._graph_newton(x[i:i + 1], Y[i:i + 1], action) for i in range(len(x))]
+            rows = [self._graph_newton(x[i:i + 1], Y[i:i + 1], action, shift[i:i + 1])
+                    for i in range(len(x))]
             out = tuple(None if part[0] is None else np.concatenate(part)
                         for part in zip(*rows))
         if one:
@@ -528,7 +591,7 @@ class GeneratingFunction:
             return y[0], X[0], dphi[0], (None if s is None else float(s[0]))
         return out
 
-    def _graph_newton(self, x, Y, action):
+    def _graph_newton(self, x, Y, action, shift):
         # the lockstep Newton of solve_graph on a batch (P, m)
         m = self.m
         P = len(x)
@@ -540,7 +603,7 @@ class GeneratingFunction:
                 if not len(active):
                     break
                 phi, dphi, *flow_s = self.psi(np.concatenate([x[active], y[active]], axis=1),
-                                              action=action)
+                                              action=action, shift=shift[active])
                 F = phi[:, m:] - Y[active]
                 done = row_norms(F) < tol("gen2_newton")
                 X[active[done]], dpsi[active[done]] = phi[done, :m], dphi[done]
@@ -554,7 +617,7 @@ class GeneratingFunction:
             raise TrustRegionError("no convergence solving the graph equations")
         return y, X, dpsi, s
 
-    def solve_slot(self, x, Y, value: bool = True):
+    def solve_slot(self, x, Y, value: bool = True, shift=None):
         """(S, grad S, D^2 S) at (x, Y) from one graph solve.
 
         grad S = (grad_1 S, grad_2 S) = (y - Y, X - x) as one vector of
@@ -562,13 +625,14 @@ class GeneratingFunction:
         and is None when value is unset, which spares the flows the H_t
         evaluations the integral needs.  D^2 S is assembled from the blocks
         of dpsi at the solved point.  A batch (P, m) of (x, Y) gives (P,),
-        (P, 2m) and (P, 2m, 2m) from one lockstep graph solve.
+        (P, 2m) and (P, 2m, 2m) from one lockstep graph solve, whose rows
+        may be shifted in time as in solve_graph.
         """
         m = self.m
         one = np.ndim(x) == 1
         x = np.asarray(x, dtype=float).reshape(-1, m)
         Y = np.asarray(Y, dtype=float).reshape(-1, m)
-        y, X, dphi, s = self.solve_graph(x, Y, action=value)
+        y, X, dphi, s = self.solve_graph(x, Y, action=value, shift=shift)
         S = row_dots(x, y - Y) + s if value else None
         A, B = dphi[:, :m, :m], dphi[:, :m, m:]
         C, D = dphi[:, m:, :m], dphi[:, m:, m:]

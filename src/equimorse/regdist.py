@@ -508,7 +508,8 @@ class WhitneyDecomposition:
         )
 
     def check(self, samples: int = 0, seed: int = 0) -> dict:
-        """Verify disjointness, distance windows and neighbor bounds.
+        """Verify that the cubes lie in the box, disjointness, distance
+        windows and neighbor bounds.
 
         Raises ValidationError on any violation; returns measured statistics.
         The touching scan finds each pair from its finer cube, around that
@@ -533,6 +534,12 @@ class WhitneyDecomposition:
                 "neighbor_diam_ratio": (1.0, 1.0), "star_ratio": (1.0, 1.0),
             })
             return report
+
+        # the cell keys cap an index past the top edge, so a cube outside the
+        # box would share keys with the cells beside it
+        cells_per_axis = np.left_shift(1, self.depth)[:, None]
+        if np.any((self.coords < 0) | (self.coords >= cells_per_axis)):
+            raise ValidationError("a cube lies outside the decomposition box")
 
         # distance-to-diameter window for the cubes themselves
         d = self.X.dist_box(self.lo_corners(), self.hi_corners())
@@ -771,7 +778,9 @@ class RegularizedDistance:
 
         Each row adds its cube terms in the order of the per-point sum --
         depth ascending, then neighbor offsets in ``itertools.product``
-        order -- so its sums do not depend on the batch it came in.
+        order -- so its sums do not depend on the batch it came in.  Only
+        the candidates that hold a cube are added: an absent one would add
+        an exact zero.
         """
         dec = self.dec
         n = self.dimension
@@ -786,15 +795,21 @@ class RegularizedDistance:
             x = pts[start:start + step]
             idx = dec.star_candidates(x)
             rows, cols = np.nonzero(idx >= 0)
+            if not len(rows):
+                continue
             i, s = idx[rows, cols], side[cols]
             center = dec.lo0 + (dec.coords[i] + 0.5) * s[:, None]
             phi = _bump_rows((x[rows] - center) / s[:, None])
             u = self.in_u[i]
-            terms = np.zeros((3,) + idx.shape)
-            terms[0, rows, cols] = phi
-            terms[1, rows[u], cols[u]] = phi[u]
-            terms[2, rows[~u], cols[~u]] = cube_diam[cols[~u]] * phi[~u]
-            # accumulate adds left to right; absent cubes add an exact zero
+            # np.nonzero lists each row's cubes together, in column order;
+            # rank numbers them within their row
+            live = np.bincount(rows, minlength=len(x))
+            rank = np.arange(len(rows)) - (np.cumsum(live) - live)[rows]
+            terms = np.zeros((3, len(x), live.max()))
+            terms[0, rows, rank] = phi
+            terms[1, rows[u], rank[u]] = phi[u]
+            terms[2, rows[~u], rank[~u]] = cube_diam[cols[~u]] * phi[~u]
+            # accumulate adds left to right; the padding adds exact zeros
             sums[:, start:start + step] = np.add.accumulate(terms, axis=2)[:, :, -1]
         return sums
 

@@ -356,6 +356,65 @@ def test_evaluate_on_a_batch_stacks_each_substep_over_rows_and_slots(monkeypatch
         assert np.abs(g[i] - gi).max() < 1e-12 and np.abs(H[i] - Hi).max() < 1e-11
 
 
+@pytest.mark.parametrize("k, N", [(2, 2), (1, 3)])
+def test_an_evaluate_pass_flows_one_stack_per_graph_newton_iteration(k, N, monkeypatch):
+    from equimorse import hamflow
+
+    da = DiscreteAction(resonant_germ(), k, N)
+    Z = 0.05 * np.random.default_rng(21).standard_normal((3, da.dim))
+    solves = _count_graph_solves(monkeypatch)
+    stacks = []
+    solve = hamflow.dop853
+
+    def counted(fun, t0, t1, y0, **kwargs):
+        if "_flow_rhs" in fun.__qualname__:
+            stacks.append((t0, t1, len(y0) // 6))  # d + d^2 = 6 entries a row
+        return solve(fun, t0, t1, y0, **kwargs)
+
+    monkeypatch.setattr(hamflow, "dop853", counted)
+    dact.evaluate(da, Z, value=False)
+    # one graph solve over every slot of every row; each of its Newton
+    # iterations flows the rows still active over the first substep, so
+    # the first stack holds them all and no later one holds more
+    assert solves[0] == 3 * da.slots
+    assert len(stacks) > 1
+    assert all((t0, t1) == (0.0, 1.0 / N) for t0, t1, _ in stacks)
+    rows = [P for _, _, P in stacks]
+    assert rows[0] == 3 * da.slots
+    assert all(a >= b for a, b in zip(rows, rows[1:]))
+
+
+def test_the_step_conditions_run_once_per_germ_instance_and_N(monkeypatch):
+    calls = {"adapted": 0, "positive": 0}
+    adapted, positive = dact.adapted_N, dact.steps_graph_positive
+
+    def counted_adapted(germ, N):
+        calls["adapted"] += 1
+        return adapted(germ, N)
+
+    def counted_positive(germ, N):
+        calls["positive"] += 1
+        return positive(germ, N)
+
+    monkeypatch.setattr(dact, "adapted_N", counted_adapted)
+    monkeypatch.setattr(dact, "steps_graph_positive", counted_positive)
+    germ = resonant_germ()
+    for k in range(1, 5):
+        DiscreteAction(germ, k, 2)
+    assert calls == {"adapted": 1, "positive": 1}
+    # a refused N is refused again without checking again
+    rot = HamiltonianGerm.rotation(0.3)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="N = 1: some substep family"):
+            DiscreteAction(rot, 1, 1)
+    assert calls == {"adapted": 2, "positive": 2}
+    assert minimal_adapted_steps(rot) == 2
+    assert calls == {"adapted": 3, "positive": 3}
+    # an equal germ is another input
+    DiscreteAction(resonant_germ(), 1, 2)
+    assert calls == {"adapted": 4, "positive": 4}
+
+
 def test_evaluate_rejects_points_of_the_wrong_length():
     da = DiscreteAction(quartic_germ(), 2, 1)
     for bad in (np.zeros(da.dim - 1), np.zeros(da.dim + 2), np.zeros((3, da.dim + 1)),

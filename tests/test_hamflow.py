@@ -648,6 +648,28 @@ def test_every_row_of_a_stack_is_its_one_point_flow(name, rows):
         assert symplectic_residual(dphi[i]) < tol("symplectic_flow")
 
 
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("name", ["resonant_4_1", "sin_n2"])
+def test_every_row_of_a_shifted_stack_is_its_own_substep_flow(name, N):
+    germ = KERNEL_GERMS[name]()
+    d = 2 * germ.n
+    Z = 0.15 * np.random.default_rng(N).uniform(-1.0, 1.0, size=(3 * N, d))
+    j = np.arange(3 * N) % N
+    phi, dphi, s = integrate_flow(germ, 0.0, 1.0 / N, Z, action=True, shift=j / N)
+    for i, z in enumerate(Z):
+        one = FlowMap(germ, j[i] / N, (j[i] + 1) / N)(z, action=True)
+        assert np.abs(phi[i] - one[0]).max() < 1e-12
+        assert np.abs(dphi[i] - one[1]).max() < 1e-12
+        assert abs(s[i] - one[2]) < 1e-12
+    # a row with shift 0 reads the germ at t itself: alone, it is the
+    # unshifted flow bitwise
+    for action in (False, True):
+        got = integrate_flow(germ, 0.0, 1.0 / N, Z[0], action=action, shift=0.0)
+        want = integrate_flow(germ, 0.0, 1.0 / N, Z[0], action=action)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 def test_a_large_batch_is_integrated_in_capped_stacks(monkeypatch):
     germ = quartic_germ()
     Z = 0.3 * np.random.default_rng(3).uniform(-1.0, 1.0, size=(hamflow._MAX_STACK + 6, 2))

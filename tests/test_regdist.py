@@ -476,6 +476,16 @@ class TestWhitneyDecompose:
         with pytest.raises(ValidationError, match="diameter"):
             bad.check()
 
+    def test_checker_refuses_a_cube_outside_the_box(self):
+        with pytest.warns(CoverageWarning):
+            dec = whitney_decompose(ClosedSetSpec.points([[0.0]]), (-1.0, 1.0), max_depth=7)
+        # [1, 2) at depth 1, past the top edge: its cell key is capped onto
+        # the cell beside it, so only the box test sees it
+        with pytest.raises(ValidationError, match="outside the decomposition box"):
+            dec.with_extra_cube(1, (2,)).check()
+        with pytest.raises(ValidationError, match="outside the decomposition box"):
+            dec.with_extra_cube(1, (-1,)).check()
+
     @pytest.mark.parametrize("name", ["point-1d", "points-1d", "axis-2d", "diagonal-2d",
                                       "ball-and-point-2d", "slab", "tilted-plane-3d",
                                       "point-3d"])

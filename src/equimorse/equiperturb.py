@@ -22,6 +22,7 @@ from .config import null_space, tol
 from .errors import (
     DegeneracyError,
     IsolationError,
+    ParameterError,
     ResolutionError,
     ValidationError,
 )
@@ -35,6 +36,7 @@ from .lochom import (
     _poly_grad,
     _poly_hess,
     _poly_value,
+    _require_positive,
     _row_dots,
     _row_norms,
     critical_points,
@@ -46,6 +48,7 @@ _MORSE_FLOOR = 1e-8
 _STRATUM_TOL = 1e-6
 _INVARIANCE_TOL = 1e-9
 _MARGIN_FRACTION = 0.9
+_OUT_NAME = "invariant morse perturbation"
 
 
 class _StageFailure(Exception):
@@ -539,8 +542,12 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
     Returns the perturbed function together with a certificate recording the
     measured invariance residual, the stratum assignment of every critical
     point, the normal hessian margins, and the sampled C2 distance.  The
+    certificate's census of critical points is the free stage's last Newton
+    sweep, which is a sweep of the returned function itself.  The
     construction pushes normal directions down, so it expects the second
-    order normal data of f at the origin to vanish.
+    order normal data of f at the origin to vanish.  A radius or epsilon
+    that is not finite and positive, or attempts below one, raises
+    ParameterError.
     """
     if not isinstance(action, CyclicAction):
         if k is None:
@@ -551,8 +558,9 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
         raise ValidationError("action dimension does not match the function")
     if n > 3:
         raise ValidationError("only dimensions up to three are supported")
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    _require_positive(radius, epsilon=epsilon)
+    if not isinstance(attempts, (int, np.integer)) or attempts < 1:
+        raise ParameterError(f"attempts must be a positive integer, got {attempts!r}")
     if _check_invariance(f, action, radius) > _INVARIANCE_TOL:
         raise ValidationError("function is not invariant under the action")
     if np.linalg.norm(np.asarray(f.grad(np.zeros(n)))) > 1e-8:
@@ -598,7 +606,7 @@ def _build(f, strat, epsilon, radius, rng, max_depth):
                             "skipped": "stratum already handled"})
             continue
         if m == n:
-            rec = _free_stage(f, terms, strat, d, handled, radius, rng, epsilon)
+            rec, swept = _free_stage(f, terms, strat, d, handled, radius, rng, epsilon)
         elif m == 0:
             c = epsilon / 4.0
             terms.append(_quadratic_term(np.eye(n), c))
@@ -611,8 +619,13 @@ def _build(f, strat, epsilon, radius, rng, max_depth):
                               epsilon, max_depth)
         records.append(rec)
         handled.append((d, p, basis, rec.get("c")))
-    out = _assemble(f, terms, action, name="invariant morse perturbation")
-    cert = _certify(f, out, strat, records, handled, epsilon, radius)
+    # The free stage is the last stage that adds a term, so the function it
+    # swept last is the returned one and its census is the certificate's.
+    # The free stage runs at d = ord(A), the first divisor with A^d = I; any
+    # later divisor d' has Fix(A^d') = Fix(A^gcd(d', ord A)), a stratum of a
+    # smaller divisor, and is skipped above.
+    out, crits = swept
+    cert = _certify(f, out, crits, strat, records, handled, epsilon, radius)
     return out, cert
 
 
@@ -671,10 +684,16 @@ def _base_stage(f, terms, strat, d, radius, rng, epsilon):
 
 def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
     """Top stratum: break any remaining degeneracy off the earlier strata
-    with an averaged cutoff polynomial."""
+    with an averaged cutoff polynomial.
+
+    Returns the stage record and the pair (function, census) of the last
+    sweep: f plus every term when no bump is needed, else the accepted
+    trial.  Each is assembled flat from f and the term list, so it is
+    bitwise the function that _build returns.
+    """
     n = f.d
     action = strat.action
-    cur = _assemble(f, terms, action)
+    cur = _assemble(f, terms, action, name=_OUT_NAME)
     crits = _critical_points(cur, radius, fine=15, fine_width=0.16)
 
     def prev_distance(z):
@@ -698,7 +717,8 @@ def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
         eta = min(1e-2, epsilon / (8.0 * scale_est))
         accepted = False
         for _ in range(6):
-            trial = _assemble(cur, [_scaled(alpha, eta)], action)
+            term = _scaled(alpha, eta)
+            trial = _assemble(f, terms + [term], action, name=_OUT_NAME)
             crits_t = _critical_points(trial, radius, fine=15, fine_width=0.16)
             free_t = [z for z in crits_t if prev_distance(z) > _STRATUM_TOL]
             if free_t and _is_morse(trial, free_t):
@@ -707,10 +727,12 @@ def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
             eta /= 8.0
         if not accepted:
             raise _StageFailure(f"stage d={d}: free critical points stay degenerate")
-        terms.append(_scaled(alpha, eta))
+        terms.append(term)
+        cur, crits = trial, crits_t
         eta_used = eta
-    return {"divisor": int(d), "dimension": int(n), "c": None,
-            "h_scale": None, "alpha_scale": float(eta_used)}
+    rec = {"divisor": int(d), "dimension": int(n), "c": None,
+           "h_scale": None, "alpha_scale": float(eta_used)}
+    return rec, (cur, crits)
 
 
 def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
@@ -785,7 +807,9 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
             "well": {k: float(v) for k, v in info.items()}}
 
 
-def _certify(f, out, strat, records, handled, epsilon, radius):
+def _certify(f, out, crits, strat, records, handled, epsilon, radius):
+    """Certificate of out.  crits is its census: the free stage's last
+    sweep was of out itself, so out is not swept again here."""
     n = f.d
     action = strat.action
     rng = np.random.default_rng(1234)
@@ -795,7 +819,6 @@ def _certify(f, out, strat, records, handled, epsilon, radius):
 
     # min_abs_eig, morse_floor and euler are reported, not gated: they show
     # how marginal each point is and what the census sums to
-    crits = _critical_points(out, radius, fine=15, fine_width=0.16)
     hessians = out.hess(np.array(crits)) if crits else np.empty((0, n, n))
     points = []
     worst_assign = 0.0
@@ -867,6 +890,7 @@ def _certify(f, out, strat, records, handled, epsilon, radius):
 def verify_morse_smale_2d(f, action, radius=1.2, seed=0):
     """Shoot saddle separatrices of the antigradient flow and report where
     they land, plus the gradient tangency residual on the fixed strata."""
+    _require_positive(radius)
     if not isinstance(action, CyclicAction):
         raise ValidationError("a cyclic action is required")
     if f.d != 2:

@@ -596,10 +596,10 @@ def _vertex_values(f, axis, pts, in_ball, coarse):
     return V
 
 
-def _require_positive(radius, h=None):
-    # ParameterError unless the radius, and the grid step h when given, are
-    # finite and positive
-    for name, v in (("radius", radius), ("grid step h", h)):
+def _require_positive(radius, h=None, **named):
+    # ParameterError unless the radius, the grid step h when given, and each
+    # further named value are finite and positive
+    for name, v in (("radius", radius), ("grid step h", h), *named.items()):
         if v is not None and not (math.isfinite(v) and v > 0):
             raise ParameterError(f"{name} must be finite and positive, got {v!r}")
 

@@ -30,6 +30,7 @@ from equimorse.equiperturb import (
 from equimorse.errors import (
     DegeneracyError,
     IsolationError,
+    ParameterError,
     ResolutionError,
     ValidationError,
 )
@@ -143,6 +144,15 @@ class TestStrata:
                 [rotation(2 * math.pi / 3), np.zeros((2, 1))],
                 [np.zeros((1, 2)), -np.ones((1, 1))],
             ]), 6),
+            # k a proper multiple of the order: with j = ord A the identity
+            # reads Fix(A^i) = Fix(A^gcd(i, ord A)), so no stratum past the
+            # whole space is new and the free stage adds the last term
+            (np.diag([1.0, -1.0]), 6),
+            (rotation(math.pi / 2), 12),
+            (np.block([
+                [rotation(2 * math.pi / 3), np.zeros((2, 1))],
+                [np.zeros((1, 2)), -np.ones((1, 1))],
+            ]), 18),
         ]
         for mat, k in catalog:
             s = strata(mat, k)
@@ -459,6 +469,89 @@ class TestPerturbPipeline:
         action = reflection2()
         with pytest.raises(ResolutionError, match="stage"):
             perturb_invariant_morse(quartic_bowl(), action, epsilon=1e-10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"radius": -1.0}, {"radius": 0.0}, {"radius": math.nan},
+    {"epsilon": math.inf}, {"epsilon": math.nan},
+    {"attempts": 0}, {"attempts": 1.5},
+])
+def test_pipeline_rejects_inadmissible_parameters(bad):
+    kwargs = {"epsilon": 0.05, **bad}
+    with pytest.raises(ParameterError):
+        perturb_invariant_morse(quartic_bowl(), reflection2(), **kwargs)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_morse_smale_check_rejects_inadmissible_radii(radius):
+    f, action = squeezed_ring_model(0.5, 0.1)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        verify_morse_smale_2d(f, action, radius=radius)
+
+
+def _counting_sweeps(monkeypatch):
+    """Patch equiperturb.critical_points to count the Newton sweeps."""
+    calls = []
+    sweep = equiperturb.critical_points
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(equiperturb, "critical_points", counted)
+    return calls
+
+
+# sweeps per run: the isolation check, one per stage census and one per
+# trial; the certificate makes none of its own
+_PIPELINE_SWEEPS = {
+    "antipodal bowl": (quartic_bowl, lambda: CyclicAction(-np.eye(2), 2), 3),
+    "reflection bowl": (quartic_bowl, reflection2, 6),
+    "quarter turn quartic": (axes_quartic,
+                             lambda: CyclicAction(rotation(math.pi / 2), 4), 2),
+    "trivial action saddle": (lambda: FunctionSpec.make(2, [(1.0, (2, 0)), (-1.0, (0, 2))]),
+                              lambda: CyclicAction(np.eye(2), 1), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_PIPELINE_SWEEPS))
+def test_the_certificate_reads_the_free_stage_census(case, monkeypatch):
+    make_f, make_action, sweeps = _PIPELINE_SWEEPS[case]
+    calls = _counting_sweeps(monkeypatch)
+    out, cert = perturb_invariant_morse(make_f(), make_action(), epsilon=0.05, seed=0)
+    assert cert["passed"]
+    assert len(calls) == sweeps
+    # the last sweep was of the returned function itself
+    assert calls[-1] is out
+    monkeypatch.undo()
+    census = [p["point"] for p in cert["items"]["critical_points_on_strata"]["points"]]
+    fresh = equiperturb._critical_points(out, 1.0, fine=15, fine_width=0.16)
+    assert len(census) == len(fresh) > 0
+    assert np.array_equal(np.array(census), np.array(fresh))
+
+
+def test_strata_after_the_free_stage_are_skipped(monkeypatch):
+    # diag(1, -1) has order 2, so under k = 4 and 6 every divisor past 2
+    # repeats an earlier stratum; the free stage stays the last that adds a
+    # term and the census is the one at k = 2
+    runs = {}
+    for k, skipped in ((2, []), (4, [4]), (6, [3, 6])):
+        calls = _counting_sweeps(monkeypatch)
+        out, cert = perturb_invariant_morse(
+            quartic_bowl(), CyclicAction(np.diag([1.0, -1.0]), k), epsilon=0.05, seed=0)
+        monkeypatch.undo()
+        assert cert["passed"]
+        stages = cert["stages"]
+        assert [s["divisor"] for s in stages if s.get("skipped")] == skipped
+        kept = [s for s in stages if not s.get("skipped")]
+        assert [s["divisor"] for s in kept] == [1, 2]
+        assert kept[-1]["dimension"] == 2
+        assert calls[-1] is out
+        points = [p["point"] for p in cert["items"]["critical_points_on_strata"]["points"]]
+        runs[k] = np.array(points), len(calls)
+    for k in (4, 6):
+        assert np.array_equal(runs[k][0], runs[2][0])
+        assert runs[k][1] == runs[2][1]
 
 
 class TestVerifyMorseSmale:

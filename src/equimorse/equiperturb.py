@@ -30,12 +30,12 @@ from .lochom import (
     CallableFunction,
     CyclicAction,
     FunctionSpec,
-    _batched,
     _grid_seeds,
     _mv,
     _poly_grad,
     _poly_hess,
     _poly_value,
+    _pullback,
     _require_positive,
     _row_dots,
     _row_norms,
@@ -96,17 +96,24 @@ class Stratification:
         return self.action.d
 
     def dim(self, j: int) -> int:
-        return self.bases[j].shape[0]
+        return self.basis(j).shape[0]
 
     def basis(self, j: int) -> np.ndarray:
+        self._require_divisor(j)
         return self.bases[j]
 
     def projection(self, j: int) -> np.ndarray:
+        self._require_divisor(j)
         return self.projections[j]
 
     def stratum_distance(self, x, j: int) -> float:
         x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.projections[j] @ x))
+        return float(np.linalg.norm(x - self.projection(j) @ x))
+
+    def _require_divisor(self, j):
+        if j not in self.divisors:
+            raise ValidationError(
+                f"{j!r} is not a divisor of the stratification; its divisors are {self.divisors}")
 
     def assign(self, x, cutoff=_STRATUM_TOL):
         """Smallest divisor whose stratum contains x up to the cutoff."""
@@ -221,7 +228,9 @@ def _step(u):
     return np.where(u <= 0.25, 0.0, np.where(u >= 1.0, 1.0, ramp))
 
 
-# small polynomials with radial cutoffs, as closed-form term dictionaries
+# small polynomials with radial cutoffs, as closed-form functions; every row
+# of a batch is bitwise the result at that point alone, which keeps the
+# critical point census of a Newton sweep independent of its batching
 
 def _monomials(m, max_degree=3, min_degree=0):
     out = []
@@ -234,17 +243,6 @@ def _monomials(m, max_degree=3, min_degree=0):
 def _frozen(a):
     a.flags.writeable = False
     return a
-
-
-# A term is a dictionary of value, grad and hess functions.  Each takes one
-# point (n,) or a batch (P, n) and returns one result per row; a single
-# point runs as a batch with P = 1, so there is one code path.  Every row of
-# a batch is bitwise equal to the result at that point alone, which keeps
-# the critical point census of a Newton sweep independent of its batching.
-
-def _term(value, grad, hess):
-    """Term from value, grad and hess functions of a (P, n) batch."""
-    return {"value": _batched(value), "grad": _batched(grad), "hess": _batched(hess)}
 
 
 def _bump_poly_term(centers, scale, coeffs, mons):
@@ -339,54 +337,28 @@ def _bump_poly_term(centers, scale, coeffs, mons):
         h[zero] = 0.0
         return h
 
-    return _term(value, grad, hess)
+    return CallableFunction(m, value, grad, hess)
 
 
 def _orbit_average(term, mats):
-    mats = [np.asarray(m, dtype=float) for m in mats]
-
-    def value(Z):
-        return sum(term["value"](_mv(m, Z)) for m in mats) / len(mats)
-
-    def grad(Z):
-        g = np.zeros(Z.shape)
-        for m in mats:
-            g += _mv(m.T, term["grad"](_mv(m, Z)))
-        return g / len(mats)
-
-    def hess(Z):
-        h = np.zeros((len(Z), Z.shape[1], Z.shape[1]))
-        for m in mats:
-            h += np.matmul(np.matmul(m.T, term["hess"](_mv(m, Z))), m)
-        return h / len(mats)
-
-    return _term(value, grad, hess)
+    """The mean of term(m z) over the group elements m."""
+    pulls = [_pullback(term, m) for m in mats]
+    return CallableFunction(term.d,
+                            lambda Z: sum(p.value(Z) for p in pulls) / len(pulls),
+                            lambda Z: sum(p.grad(Z) for p in pulls) / len(pulls),
+                            lambda Z: sum(p.hess(Z) for p in pulls) / len(pulls))
 
 
 def _scaled(term, factor):
-    return _term(lambda Z: factor * term["value"](Z),
-                 lambda Z: factor * term["grad"](Z),
-                 lambda Z: factor * term["hess"](Z))
-
-
-def _lifted(term, basis):
-    basis = np.asarray(basis, dtype=float)
-
-    def value(Z):
-        return term["value"](_mv(basis, Z))
-
-    def grad(Z):
-        return _mv(basis.T, term["grad"](_mv(basis, Z)))
-
-    def hess(Z):
-        return np.matmul(np.matmul(basis.T, term["hess"](_mv(basis, Z))), basis)
-
-    return _term(value, grad, hess)
+    return CallableFunction(term.d, lambda Z: factor * term.value(Z),
+                            lambda Z: factor * term.grad(Z),
+                            lambda Z: factor * term.hess(Z))
 
 
 def _quadratic_term(proj, c):
     q = np.asarray(proj, dtype=float)
-    return _term(
+    return CallableFunction(
+        len(q),
         lambda Z: -0.5 * c * _row_dots(np.matmul(Z[:, None, :], q)[:, 0], Z),
         lambda Z: -c * _mv(q, Z),
         lambda Z: np.repeat((-c * q)[None], len(Z), axis=0))
@@ -396,37 +368,21 @@ def _assemble(f, terms, action, name=""):
     terms = list(terms)
 
     def value(Z):
-        return f.value(Z) + sum(t["value"](Z) for t in terms)
+        return f.value(Z) + sum(t.value(Z) for t in terms)
 
     def grad(Z):
         g = np.array(f.grad(Z), dtype=float)
         for t in terms:
-            g = g + t["grad"](Z)
+            g = g + t.grad(Z)
         return g
 
     def hess(Z):
         h = np.array(f.hess(Z), dtype=float)
         for t in terms:
-            h = h + t["hess"](Z)
+            h = h + t.hess(Z)
         return h
 
     return CallableFunction(f.d, value, grad, hess, action=action, name=name)
-
-
-def _restrict(func, basis):
-    basis = np.asarray(basis, dtype=float)
-    m = basis.shape[0]
-
-    def value(Y):
-        return func.value(_mv(basis.T, Y))
-
-    def grad(Y):
-        return _mv(basis, func.grad(_mv(basis.T, Y)))
-
-    def hess(Y):
-        return np.matmul(np.matmul(basis, func.hess(_mv(basis.T, Y))), basis.T)
-
-    return CallableFunction(m, value, grad, hess)
 
 
 def normal_well(inner, n, stratum_vectors, action, *, delta=None,
@@ -639,7 +595,7 @@ def _base_stage(f, terms, strat, d, radius, rng, epsilon):
     q = np.eye(n) - p
     nbasis = _complement_basis(basis, n)
     c = epsilon / 4.0
-    restricted = _restrict(f, basis)
+    restricted = _pullback(f, basis.T)
     crits = _critical_points(restricted, radius)
 
     def normal_ok(points):
@@ -674,12 +630,17 @@ def _base_stage(f, terms, strat, d, radius, rng, epsilon):
             raise _StageFailure(
                 f"stage d={d}: could not make the restriction Morse within the margin budget")
         eta_used = eta
-        h_term = _scaled(_lifted(bump, basis), eta)
+        h_term = _scaled(_pullback(bump, basis), eta)
     if h_term is not None:
         terms.append(h_term)
     terms.append(_quadratic_term(q, c))
     return {"divisor": int(d), "dimension": int(m), "c": float(c),
             "h_scale": float(eta_used), "alpha_scale": None}
+
+
+def _handled_distance(z, handled):
+    """Distance from z to the nearest stratum already handled."""
+    return min((np.linalg.norm(z - ph @ z) for _, ph, _, _ in handled), default=math.inf)
 
 
 def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
@@ -696,15 +657,10 @@ def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
     cur = _assemble(f, terms, action, name=_OUT_NAME)
     crits = _critical_points(cur, radius, fine=15, fine_width=0.16)
 
-    def prev_distance(z):
-        if not handled:
-            return math.inf
-        return min(np.linalg.norm(z - ph @ z) for _, ph, _, _ in handled)
-
-    free = [z for z in crits if prev_distance(z) > _STRATUM_TOL]
+    free = [z for z in crits if _handled_distance(z, handled) > _STRATUM_TOL]
     eta_used = 0.0
     if free and not _is_morse(cur, free):
-        sep = min(prev_distance(z) for z in free)
+        sep = min(_handled_distance(z, handled) for z in free)
         sep = min(sep, 0.5 * radius)
         rho = 0.45 * sep
         mons = _monomials(n, max_degree=3, min_degree=0)
@@ -713,14 +669,14 @@ def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
         mats = [action.power(i) for i in range(action.k)]
         alpha = _orbit_average(raw, mats)
         probe = np.asarray(free[0], dtype=float)
-        scale_est = max(float(np.linalg.norm(alpha["hess"](probe), 2)), 1.0)
+        scale_est = max(float(np.linalg.norm(alpha.hess(probe), 2)), 1.0)
         eta = min(1e-2, epsilon / (8.0 * scale_est))
         accepted = False
         for _ in range(6):
             term = _scaled(alpha, eta)
             trial = _assemble(f, terms + [term], action, name=_OUT_NAME)
             crits_t = _critical_points(trial, radius, fine=15, fine_width=0.16)
-            free_t = [z for z in crits_t if prev_distance(z) > _STRATUM_TOL]
+            free_t = [z for z in crits_t if _handled_distance(z, handled) > _STRATUM_TOL]
             if free_t and _is_morse(trial, free_t):
                 accepted = True
                 break
@@ -744,17 +700,14 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
     m = basis.shape[0]
     nbasis = _complement_basis(basis, n)
     cur = _assemble(f, terms, action)
-    restricted = _restrict(cur, basis)
+    restricted = _pullback(cur, basis.T)
     crits_y = _critical_points(restricted, radius, fine=15, fine_width=0.16)
 
-    def prev_distance(z):
-        return min(np.linalg.norm(z - ph @ z) for _, ph, _, _ in handled)
-
     free_y = [y for y in crits_y
-              if prev_distance(basis.T @ y) > _STRATUM_TOL]
+              if _handled_distance(basis.T @ y, handled) > _STRATUM_TOL]
     eta_used = 0.0
     if free_y and not _is_morse(restricted, free_y):
-        sep = min(prev_distance(basis.T @ y) for y in free_y)
+        sep = min(_handled_distance(basis.T @ y, handled) for y in free_y)
         rho = 0.45 * min(sep, 0.5 * radius)
         mons = _monomials(m, max_degree=3, min_degree=0)
         coeffs = rng.standard_normal(len(mons))
@@ -768,7 +721,7 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
             trial = _assemble(restricted, [_scaled(alpha_y, eta)], None)
             crits_t = _critical_points(trial, radius, fine=15, fine_width=0.16)
             free_t = [y for y in crits_t
-                      if prev_distance(basis.T @ y) > _STRATUM_TOL]
+                      if _handled_distance(basis.T @ y, handled) > _STRATUM_TOL]
             if free_t and _is_morse(trial, free_t):
                 accepted = True
                 free_y = free_t
@@ -776,14 +729,14 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
             eta /= 8.0
         if not accepted:
             raise _StageFailure(f"stage d={d}: stratum critical points stay degenerate")
-        terms.append(_scaled(_lifted(alpha_y, basis), eta))
+        terms.append(_scaled(_pullback(alpha_y, basis), eta))
         eta_used = eta
     cur = _assemble(f, terms, action)
     c = epsilon / 4.0
     info = {}
     if free_y:
         lifts = [basis.T @ y for y in free_y]
-        sep = min(prev_distance(z) for z in lifts)
+        sep = min(_handled_distance(z, handled) for z in lifts)
         tube_r = min(0.25 * sep, 0.15 * radius)
         inner = None
         for _, ph, bh, _ in handled:
@@ -799,9 +752,7 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
                 c = 10.0 * float(np.linalg.norm(block, 2))
         if c > epsilon:
             raise _StageFailure(f"stage d={d}: curvature budget exceeded")
-        terms.append(_term(lambda Z: -0.5 * c * well.value(Z),
-                           lambda Z: -0.5 * c * well.grad(Z),
-                           lambda Z: -0.5 * c * well.hess(Z)))
+        terms.append(_scaled(well, -0.5 * c))
     return {"divisor": int(d), "dimension": int(m), "c": float(c),
             "h_scale": None, "alpha_scale": float(eta_used),
             "well": {k: float(v) for k, v in info.items()}}

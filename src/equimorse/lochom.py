@@ -351,6 +351,21 @@ class CallableFunction:
         return np.asarray(_on_rows(self.hess_fn, z), dtype=float)
 
 
+def _pullback(f, A, action=None) -> CallableFunction:
+    """z -> f(A z) for a (n, m) matrix A, with its chain-rule derivatives.
+
+    A is used in the layout given: a caller passing a transposed view gets
+    the rounding of that view, and A.T is its transpose again.
+    """
+    A = np.asarray(A, dtype=float)
+    return CallableFunction(
+        A.shape[1],
+        lambda Z: f.value(_mv(A, Z)),
+        lambda Z: _mv(A.T, f.grad(_mv(A, Z))),
+        lambda Z: np.matmul(np.matmul(A.T, f.hess(_mv(A, Z))), A),
+        action=action)
+
+
 def discrete_action_function(da) -> CallableFunction:
     """Wrap a discrete action as a function with its exact value and derivatives.
 
@@ -430,7 +445,9 @@ def critical_points(func, seeds, radius):
     came first.  When every row of a batch equals func at that point alone,
     the result is bitwise that of one seed at a time: norms are stacked
     matmuls like np.linalg.norm, and row_lstsq is np.linalg.lstsq per row.
+    A radius that is not finite and positive raises ParameterError.
     """
+    _require_positive(radius)
     n = func.d
     x = np.array(seeds, dtype=float).reshape(-1, n)
     grad_tol = tol("newton_grad")
@@ -999,6 +1016,7 @@ def _flow_until(f, z0, source, sign, crits, radius, t_budget):
 
 def morse_complex_2d(f, radius, seed_grid=11, flip=None, t_budget=500.0) -> GradedChainComplex:
     """Chain complex of a plane Morse function from shot trajectories."""
+    _require_positive(radius)
     if f.d != 2:
         raise ConfigurationError("trajectory complexes are two-dimensional")
     crits = []
@@ -1110,8 +1128,10 @@ def equivariant_split(f, n1: int, radius: float = 0.5) -> SplitResult:
     TrustRegionError; phi(A1 z1) = A2 phi(z1) within split_equivariance.
     The orientation of A2 on E- is read at 0.  phi solves a batch (P, n1)
     by lockstep Newton, one f.grad and one f.hess call per iteration, each
-    row bitwise its one-point Newton when f's rows are.
+    row bitwise its one-point Newton when f's rows are.  A radius that is
+    not finite and positive raises ParameterError.
     """
+    _require_positive(radius)
     d = f.d
     n2 = d - n1
     if n1 < 1 or n2 < 1:
@@ -1238,14 +1258,7 @@ def local_homology(f, radius: float = 0.5, h=None) -> LocalHomology:
             if np.abs(Arot[:K, K:]).max() > 1e-8:
                 raise ValidationError("action does not preserve the kernel splitting")
             g_action = CyclicAction(Arot, f.action.k)
-        frot = CallableFunction(
-            d=d,
-            value_fn=lambda W: f.value(_mv(Q, W)),
-            grad_fn=lambda W: _mv(Q.T, f.grad(_mv(Q, W))),
-            hess_fn=lambda W: np.matmul(np.matmul(Q.T, f.hess(_mv(Q, W))), Q),
-            action=g_action,
-            name="rotated")
-        split = equivariant_split(frot, K, radius=radius)
+        split = equivariant_split(_pullback(f, Q, action=g_action), K, radius=radius)
         g = split.g
         q = split.signature[1]
         orientation = split.orientation_preserved

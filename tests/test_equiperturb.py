@@ -13,7 +13,6 @@ from equimorse.config import tol
 from equimorse.equiperturb import (
     _MORSE_FLOOR,
     _bump_poly_term,
-    _lifted,
     _monomials,
     _orbit_average,
     _quadratic_term,
@@ -42,6 +41,7 @@ from equimorse.lochom import (
     _poly_hess,
     _mv,
     _poly_value,
+    _pullback,
     _row_dots,
     _row_norms,
     critical_points,
@@ -191,6 +191,18 @@ class TestStrata:
             strata(np.array([[1.0, 1.0], [0.0, 1.0]]), 2)
         with pytest.raises(ValidationError):
             strata(rotation(2 * math.pi / 3), 2)
+
+
+    def test_a_divisor_the_stratification_lacks_is_rejected(self):
+        s = strata(np.diag([1.0, -1.0]), 2)
+        f = FunctionSpec.make(2, [(1.0, (4, 0))])
+        calls = (s.dim, s.basis, s.projection,
+                 lambda j: s.stratum_distance(np.zeros(2), j),
+                 lambda j: normal_decreasing_extension(f, s, j))
+        for j in (0, 3):
+            for call in calls:
+                with pytest.raises(ValidationError, match=r"divisors are \(1, 2\)"):
+                    call(j)
 
 
 class TestNormalDecreasingExtension:
@@ -554,6 +566,26 @@ def test_strata_after_the_free_stage_are_skipped(monkeypatch):
         assert runs[k][1] == runs[2][1]
 
 
+def test_the_tube_stage_runs_and_refuses_a_collar_it_cannot_resolve(monkeypatch):
+    # under rot(2 pi / 3) + (-1) of order 6 the z-axis is the stratum of
+    # divisor 2; its bumped restriction has critical points at +-0.0559,
+    # a collar too thin for normal_well at the default Whitney depth
+    stages = []
+    tube = equiperturb._tube_stage
+
+    def counted(f, terms, strat, d, *args):
+        stages.append(d)
+        return tube(f, terms, strat, d, *args)
+
+    monkeypatch.setattr(equiperturb, "_tube_stage", counted)
+    c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
+    action = CyclicAction(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, -1.0]]), 6)
+    f = FunctionSpec.make(3, [(1.0, (2, 0, 0)), (1.0, (0, 2, 0)), (1.0, (0, 0, 4))])
+    with pytest.raises(ResolutionError, match="transition width is below the unresolved collar"):
+        perturb_invariant_morse(f, action, epsilon=0.05, seed=0)
+    assert stages == [2]
+
+
 class TestVerifyMorseSmale:
     def test_squeezed_ring_has_no_saddle_connections(self):
         f, action = squeezed_ring_model(0.5, 0.1)
@@ -731,7 +763,7 @@ def test_bump_term_matches_the_per_center_oracle(m):
     for kind, z, centers in _bump_cases(m, rng, scale):
         term = _bump_poly_term(centers, scale, coeffs, mons)
         want = _oracle_bump_poly(z, centers, scale, coeffs, mons)
-        got = (term["value"](z), term["grad"](z), term["hess"](z))
+        got = (term.value(z), term.grad(z), term.hess(z))
         for a, b in zip(got, want):
             assert _close(a, b), kind
         if kind == "outside":
@@ -752,26 +784,26 @@ def test_bump_term_cache_hands_out_fresh_arrays(m):
         term = _bump_poly_term(centers, 0.4, coeffs, mons)
         want = _oracle_bump_poly(z, centers, 0.4, coeffs, mons)
         for _ in range(2):
-            g, h = term["grad"](z), term["hess"](z)
+            g, h = term.grad(z), term.hess(z)
             assert _close(g, want[1], rel=1e-12) and _close(h, want[2], rel=1e-12), kind
             g[:] = np.nan
             h[:] = np.nan
         for w in rng.uniform(-0.3, 0.3, size=(12, m)):
-            term["hess"](w)
-        assert _close(term["value"](z), want[0]) and _close(term["grad"](z), want[1]), kind
+            term.hess(w)
+        assert _close(term.value(z), want[0]) and _close(term.grad(z), want[1]), kind
     # the same for a batch, against its rows one at a time
     term, rows = _bump(m, rng)
     kinds = ("value", "grad", "hess")
-    want = [np.array([term[k](z) for z in rows]) for k in kinds]
+    want = [np.array([getattr(term, k)(z) for z in rows]) for k in kinds]
     for _ in range(2):
         for k, w in zip(kinds, want):
-            got = term[k](rows)
+            got = getattr(term, k)(rows)
             assert np.array_equal(got, w), k
             got[...] = np.nan
     for w in rng.uniform(-0.3, 0.3, size=(12, 5, m)):
-        term["hess"](w)
+        term.hess(w)
     for k, w in zip(kinds, want):
-        assert np.array_equal(term[k](rows), w), k
+        assert np.array_equal(getattr(term, k)(rows), w), k
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -788,9 +820,9 @@ def test_bump_term_derivatives_match_central_differences_on_the_ramp(m):
         for i in range(m):
             e = np.zeros(m)
             e[i] = h
-            fd_g[i] = (term["value"](z + e) - term["value"](z - e)) / (2.0 * h)
-            fd_h[:, i] = (term["grad"](z + e) - term["grad"](z - e)) / (2.0 * h)
-        g, hs = term["grad"](z), term["hess"](z)
+            fd_g[i] = (term.value(z + e) - term.value(z - e)) / (2.0 * h)
+            fd_h[:, i] = (term.grad(z + e) - term.grad(z - e)) / (2.0 * h)
+        g, hs = term.grad(z), term.hess(z)
         assert np.abs(g).max() > 1.0, kind  # the ramp term dominates
         assert np.allclose(g, fd_g, rtol=1e-6, atol=1e-6 * np.abs(g).max()), kind
         assert np.allclose(hs, fd_h, rtol=1e-6, atol=1e-6 * np.abs(hs).max()), kind
@@ -808,7 +840,7 @@ def test_single_center_bump_of_the_base_stage_matches_the_oracle(m):
     for t in (0.0, 0.2, 0.5, 0.505, 0.52, 0.549, 0.55, 0.8):
         z = t * scale * _unit(rng, m)
         want = _oracle_bump_poly(z, centers, scale, coeffs, mons)
-        got = (term["value"](z), term["grad"](z), term["hess"](z))
+        got = (term.value(z), term.grad(z), term.hess(z))
         for a, b in zip(got, want):
             assert _close(a, b), t
 
@@ -964,7 +996,7 @@ def test_batched_polynomial_and_bump_are_bitwise_the_one_point_loops(m):
     term = _bump_poly_term(centers, 0.4, coeffs, mons)
     want = [_one_point_bump(z, centers, 0.4, list(zip(coeffs, mons))) for z in rows]
     for k, kind in enumerate(("value", "grad", "hess")):
-        assert np.array_equal(term[kind](rows), np.array([w[k] for w in want])), kind
+        assert np.array_equal(getattr(term, kind)(rows), np.array([w[k] for w in want])), kind
 
 
 def test_row_helpers_are_bitwise_the_one_point_forms():
@@ -1005,7 +1037,7 @@ def _bump(m, rng, scale=0.4):
 
 
 def _kinds(rng):
-    """(name, value/grad/hess functions, batch) for every batched term kind."""
+    """(name, function, batch) for every batched term kind."""
     out = []
     for m in (1, 2, 3):
         term, rows = _bump(m, rng)
@@ -1017,7 +1049,7 @@ def _kinds(rng):
     bump1, rows1 = _bump(1, rng)
     basis = np.array([[0.6, 0.8]])
     lifted_rows = rows1 * basis[0] + rng.uniform(-0.2, 0.2, size=(len(rows1), 1)) * [0.8, -0.6]
-    out.append(("lifted", _lifted(bump1, basis), lifted_rows))
+    out.append(("lifted", _pullback(bump1, basis), lifted_rows))
     proj = np.diag([1.0, 0.0, 1.0])
     cloud = rng.uniform(-1.0, 1.0, size=(9, 3))
     out.append(("quadratic", _quadratic_term(proj, 0.3), cloud))
@@ -1025,15 +1057,15 @@ def _kinds(rng):
                                  (2.0, (2, 2, 0)), (0.5, (0, 0, 0))])
     out.append(("function spec", spec, cloud))
     terms = [(1.3, (3, 0)), (-0.2, (1, 4)), (0.9, (0, 2)), (4.0, (0, 0))]
-    out.append(("poly", {"value": lambda z: _poly_value(z, terms),
-                         "grad": lambda z: _poly_grad(z, terms),
-                         "hess": lambda z: _poly_hess(z, terms)}, rows2))
+    out.append(("poly", CallableFunction(2, lambda Z: _poly_value(Z, terms),
+                                         lambda Z: _poly_grad(Z, terms),
+                                         lambda Z: _poly_hess(Z, terms)), rows2))
     bowl = quartic_bowl()
     assembled = equiperturb._assemble(
         bowl, [_scaled(bump2, 0.01), _quadratic_term(np.diag([0.0, 1.0]), 0.02)],
         reflection2())
     out.append(("assemble", assembled, rows2))
-    out.append(("restrict", equiperturb._restrict(assembled, basis), rows1))
+    out.append(("restrict", _pullback(assembled, basis.T), rows1))
     ext = normal_decreasing_extension(FunctionSpec.make(2, [(1.0, (4, 0))]),
                                       strata(np.diag([1.0, -1.0]), 2), 1)
     out.append(("normal decreasing extension", ext, rows2))
@@ -1043,23 +1075,16 @@ def _kinds(rng):
     return out
 
 
-def _functions(kind):
-    if isinstance(kind, dict):
-        return kind["value"], kind["grad"], kind["hess"]
-    return kind.value, kind.grad, kind.hess
-
-
 def test_every_term_kind_gives_a_batch_equal_to_its_stacked_points():
     for name, kind, batch in _kinds(np.random.default_rng(70)):
-        for fn in _functions(kind):
+        for fn in (kind.value, kind.grad, kind.hess):
             got = fn(batch)
             want = np.array([fn(z) for z in batch])
             assert got.shape == want.shape, name
             assert np.array_equal(got, want), name
-        if not isinstance(kind, dict):
-            # the function protocol: a float at one point, an array for a batch
-            assert isinstance(kind.value(batch[0]), float), name
-            assert kind.value(batch[:1]).shape == (1,), name
+        # the function protocol: a float at one point, an array for a batch
+        assert isinstance(kind.value(batch[0]), float), name
+        assert kind.value(batch[:1]).shape == (1,), name
 
 
 def _sweep_cases():

@@ -10,6 +10,7 @@ from split_oracle import sample_cloud, straightening_map
 from equimorse import dact, exactalg, lochom
 from equimorse.config import tol
 from equimorse.dact import DiscreteAction
+from equimorse.equiperturb import squeezed_ring_model
 from equimorse.errors import (
     BoundaryError,
     ConfigurationError,
@@ -26,6 +27,7 @@ from equimorse.lochom import (
     CallableFunction,
     CyclicAction,
     FunctionSpec,
+    critical_points,
     discrete_action_function,
     equivariant_split,
     gromoll_meyer_pair,
@@ -684,6 +686,20 @@ def test_pair_builders_reject_a_bad_radius_or_step(radius, h):
     if h is None:
         with pytest.raises(ParameterError, match="finite and positive"):
             gromoll_meyer_pair_polar(f, radius)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_split_complex_and_sweep_reject_a_bad_radius(radius):
+    # radius 0 once split on a sample cloud of zeros, gave the squeezed ring
+    # the complex {2: ['p0']} and made the sweep drop or keep points silently
+    f = FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 2))])
+    ring, _ = squeezed_ring_model(0.5, 0.1)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        equivariant_split(f, 1, radius=radius)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        morse_complex_2d(ring, radius)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        critical_points(ring, lochom._grid_seeds(1.2, 7, 2), radius)
 
 
 def test_lochom_doctest():

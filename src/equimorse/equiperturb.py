@@ -39,9 +39,9 @@ from .lochom import (
     _require_positive,
     _row_dots,
     _row_norms,
+    _shoot,
     critical_points,
 )
-from .ode import dop853
 from .regdist import ClosedSetSpec, RegularizedDistance, fd_grads, fd_jets
 
 _MORSE_FLOOR = 1e-8
@@ -838,9 +838,15 @@ def _certify(f, out, crits, strat, records, handled, epsilon, radius):
             "radius": float(radius), "stages": records, "items": items}
 
 
-def verify_morse_smale_2d(f, action, radius=1.2, seed=0):
+def verify_morse_smale_2d(f, action, radius=1.2):
     """Shoot saddle separatrices of the antigradient flow and report where
-    they land, plus the gradient tangency residual on the fixed strata."""
+    they land, plus the gradient tangency residual on the fixed strata.
+
+    lochom._shoot lands each one within 1e-3 radius of a minimum, or of a
+    point where |grad f| < 1e-9: a saddle there is a saddle connection.  So
+    every separatrix has a terminus or "exit": True; one that does neither
+    within lochom._T_BUDGET raises BoundaryError.
+    """
     _require_positive(radius)
     if not isinstance(action, CyclicAction):
         raise ValidationError("a cyclic action is required")
@@ -864,7 +870,7 @@ def verify_morse_smale_2d(f, action, radius=1.2, seed=0):
                      "stratum": int(j),
                      "eigenvalues": [float(e) for e in eigs],
                      "_vecs": vecs})
-    positions = [np.asarray(c["point"]) for c in data]
+    indices = [c["index"] for c in data]
     separatrices = []
     connections = []
     for i, c in enumerate(data):
@@ -872,11 +878,11 @@ def verify_morse_smale_2d(f, action, radius=1.2, seed=0):
             continue
         vec = c["_vecs"][:, 0]  # eigenvector of the negative eigenvalue
         for sign in (1.0, -1.0):
-            x = positions[i] + sign * 1e-4 * vec
-            terminus, exited = _flow_to_rest(f, x, positions, data, i, radius)
+            x = crits[i] + sign * 1e-4 * vec
+            terminus, _ = _shoot(f, x, -1.0, crits, indices, crits[i], radius)
             separatrices.append({"saddle": int(i), "direction": int(sign),
-                                 "terminus": terminus, "exit": bool(exited)})
-            if terminus is not None and data[terminus]["index"] == 1:
+                                 "terminus": terminus, "exit": terminus is None})
+            if terminus is not None and indices[terminus] == 1:
                 connections.append({"from": int(i), "to": int(terminus)})
     for c in data:
         del c["_vecs"]
@@ -897,29 +903,6 @@ def verify_morse_smale_2d(f, action, radius=1.2, seed=0):
         "tangency_residual": float(residual),
         "radius": float(radius),
     }
-
-
-def _flow_to_rest(f, x0, positions, data, source, radius, chunk=10.0, chunks=400):
-    """Integrate the antigradient flow until it settles at a critical point
-    or leaves the ball."""
-
-    def rhs(_, x):
-        return -np.asarray(f.grad(x), dtype=float)
-
-    x = np.asarray(x0, dtype=float)
-    bound = 1.5 * radius + 0.5
-    for _ in range(chunks):
-        x = dop853(rhs, 0.0, chunk, x, rtol=1e-9, atol=1e-12).y
-        if np.linalg.norm(x) > bound:
-            return None, True
-        for i, p in enumerate(positions):
-            d = np.linalg.norm(x - p)
-            idx = data[i]["index"]
-            if idx == 0 and d < 1e-3:
-                return i, False
-            if idx == 1 and d < 1e-5 and i != source:
-                return i, False
-    return None, False
 
 
 def squeezed_ring_model(t=0.5, squeeze=0.1):

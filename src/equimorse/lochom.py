@@ -974,10 +974,19 @@ def sublevel_homology(f, radius, a=None, b=None, h=None, invariant=False,
 
 # -- two-dimensional Morse complexes -------------------------------------
 
-def _flow_until(f, z0, source, sign, crits, radius, t_budget):
-    """Integrate zdot = sign * grad f until exit, capture, or budget."""
+_T_BUDGET = 500.0  # flow time one _shoot may spend
+
+
+def _shoot(f, z0, sign, points, indices, source, radius):
+    """Follow zdot = sign * grad f from z0; return (i, z) where it stops.
+
+    i indexes points, or is None when the flow leaves the ball.  Once 10
+    r_cap from source, the flow rests at the nearest point within r_cap =
+    1e-3 radius that is its sink (index 0 down, 2 up) or has |grad f| < 1e-9.
+    """
     r_cap = 1e-3 * radius
     chunk = 2.0
+    sink = 0 if sign < 0 else 2
 
     def rhs(t, z):
         return sign * f.grad(z)
@@ -986,41 +995,38 @@ def _flow_until(f, z0, source, sign, crits, radius, t_budget):
         return np.linalg.norm(z) - radius
 
     z = np.array(z0, dtype=float)
-    t = 0.0
     armed = False
-    while t < t_budget:
+    for _ in range(int(_T_BUDGET / chunk)):
         run = dop853(rhs, 0.0, chunk, z, rtol=1e-10, atol=1e-12, exit=crossed)
         if run.status == EXITED:
-            return "exit", None, run.y
+            return None, run.y
         if run.status != REACHED:
             raise TrustRegionError("flow integration failed on a trajectory")
         z = run.y
-        t += chunk
         if np.linalg.norm(z) > radius:
-            return "exit", None, z
-        if not armed and np.linalg.norm(z - source) > 10 * r_cap:
-            armed = True
-        if not armed:
-            continue
-        dists = [np.linalg.norm(z - c["z"]) for c in crits]
+            return None, z
+        armed = armed or np.linalg.norm(z - source) > 10 * r_cap
+        dists = [np.linalg.norm(z - p) for p in points]
         i = int(np.argmin(dists))
-        if dists[i] < r_cap:
-            want = 0 if sign < 0 else 2
-            if crits[i]["index"] == want:
-                return "hit", i, z
-            if np.linalg.norm(f.grad(z)) < 1e-9:
-                raise MorseSmaleError(
-                    "saddle-to-saddle connection detected; the flow is not Morse-Smale")
+        if armed and dists[i] < r_cap and (
+                indices[i] == sink or np.linalg.norm(f.grad(z)) < 1e-9):
+            return i, z
     raise BoundaryError("a trajectory was not classified within the time budget")
 
 
-def morse_complex_2d(f, radius, seed_grid=11, flip=None, t_budget=500.0) -> GradedChainComplex:
-    """Chain complex of a plane Morse function from shot trajectories."""
+def morse_complex_2d(f, radius, flip=None) -> GradedChainComplex:
+    """Chain complex of a plane Morse function from shot trajectories.
+
+    Newton runs from a fixed 11 x 11 seed grid.  _shoot follows each saddle's
+    separatrices, each within _T_BUDGET, else BoundaryError; one that rests
+    at a saddle raises MorseSmaleError.  flip maps saddle numbers (0, 1, ...
+    in label order) to the sign +-1 of their arrows, else ParameterError.
+    """
     _require_positive(radius)
     if f.d != 2:
         raise ConfigurationError("trajectory complexes are two-dimensional")
     crits = []
-    for z in critical_points(f, _grid_seeds(radius, seed_grid, 2), radius):
+    for z in critical_points(f, _grid_seeds(radius, 11, 2), radius):
         if np.linalg.norm(z) > radius * (1 + 1e-9):
             continue
         H = f.hess(z)
@@ -1028,28 +1034,38 @@ def morse_complex_2d(f, radius, seed_grid=11, flip=None, t_budget=500.0) -> Grad
         if np.min(np.abs(evals)) <= tol("hyperbolic_eig"):
             raise DegeneracyError(
                 f"critical point near {np.round(z, 6).tolist()} is not hyperbolic")
-        crits.append({"z": z, "index": int((evals < 0).sum()),
-                      "evals": evals, "evecs": evecs})
+        crits.append({"z": z, "index": int((evals < 0).sum()), "evecs": evecs})
     crits.sort(key=lambda c: (c["index"], round(c["z"][0], 9), round(c["z"][1], 9)))
     for i, c in enumerate(crits):
         c["label"] = f"p{i}"
     saddles = [c for c in crits if c["index"] == 1]
     flip = flip or {}
+    for j, s in flip.items():
+        if j not in range(len(saddles)) or s not in (1, -1):
+            raise ParameterError(f"flip must map saddle numbers below {len(saddles)} to +-1")
     for j, c in enumerate(saddles):
-        down = c["evecs"][:, 0] if c["evals"][0] < 0 else c["evecs"][:, 1]
+        down, c["up"] = c["evecs"].T  # eigh puts the negative eigenvalue first
         lead = int(np.argmax(np.abs(down) > 1e-8))
-        if down[lead] < 0:
-            down = -down
-        c["arrow"] = down * flip.get(j, 1)
-        c["up"] = c["evecs"][:, 1] if c["evals"][0] < 0 else c["evecs"][:, 0]
+        lead_sign = -1 if down[lead] < 0 else 1
+        c["arrow"] = down * (lead_sign * flip.get(j, 1))
+    points = [c["z"] for c in crits]
+    indices = [c["index"] for c in crits]
+
+    def land(z0, c, sign):
+        i, z = _shoot(f, z0, sign, points, indices, c["z"], radius)
+        if i is not None and indices[i] == 1:
+            raise MorseSmaleError(
+                "saddle-to-saddle connection detected; the flow is not Morse-Smale")
+        return i, z
+
     delta = 1e-4 * radius
     diff = {}
     for c in saddles:
         out = {}
         for s_br in (1, -1):
             z0 = c["z"] + delta * s_br * c["arrow"]
-            kind, i, _ = _flow_until(f, z0, c["z"], -1.0, crits, radius, t_budget)
-            if kind == "hit":
+            i, _ = land(z0, c, -1.0)
+            if i is not None:
                 lab = crits[i]["label"]
                 out[lab] = out.get(lab, 0) + s_br
         row = {l: v for l, v in out.items() if v}
@@ -1058,8 +1074,8 @@ def morse_complex_2d(f, radius, seed_grid=11, flip=None, t_budget=500.0) -> Grad
     for c in saddles:
         for s_br in (1, -1):
             z0 = c["z"] + delta * s_br * c["up"]
-            kind, i, z_end = _flow_until(f, z0, c["z"], 1.0, crits, radius, t_budget)
-            if kind != "hit":
+            i, z_end = land(z0, c, 1.0)
+            if i is None:
                 continue
             top = crits[i]
             dvec = z_end - top["z"]

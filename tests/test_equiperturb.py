@@ -27,6 +27,7 @@ from equimorse.equiperturb import (
     verify_morse_smale_2d,
 )
 from equimorse.errors import (
+    BoundaryError,
     DegeneracyError,
     IsolationError,
     ParameterError,
@@ -586,10 +587,16 @@ def test_the_tube_stage_runs_and_refuses_a_collar_it_cannot_resolve(monkeypatch)
     assert stages == [2]
 
 
+def _every_separatrix_lands_or_exits(report):
+    for sep in report["separatrices"]:
+        assert sep["terminus"] is not None or sep["exit"] is True
+
+
 class TestVerifyMorseSmale:
     def test_squeezed_ring_has_no_saddle_connections(self):
         f, action = squeezed_ring_model(0.5, 0.1)
         report = verify_morse_smale_2d(f, action, radius=1.2)
+        _every_separatrix_lands_or_exits(report)
         pts = {tuple(np.round(c["point"], 6)): c["index"]
                for c in report["critical_points"]}
         r_min = math.sqrt(0.5)
@@ -614,6 +621,7 @@ class TestVerifyMorseSmale:
     def test_double_well_ring_forces_connections_on_the_fixed_axis(self):
         f, action = double_well_ring_model()
         report = verify_morse_smale_2d(f, action, radius=2.0)
+        _every_separatrix_lands_or_exits(report)
         assert len(report["critical_points"]) == 7
         conns = report["saddle_connections"]
         assert len(conns) == 2
@@ -637,6 +645,13 @@ class TestVerifyMorseSmale:
         assert report["saddle_connections"] == []
         assert report["separatrices"] == []
 
+    def test_a_separatrix_that_neither_lands_nor_exits_raises(self):
+        # the descending separatrices along v take about 4,600 time units
+        # to leave the unit ball, past the shooter's budget
+        f = FunctionSpec.make(2, [(1e-3, (2, 0)), (-1e-3, (0, 2))])
+        with pytest.raises(BoundaryError, match="budget"):
+            verify_morse_smale_2d(f, reflection2(), radius=1.0)
+
     def test_degenerate_input_is_rejected(self):
         with pytest.raises((DegeneracyError, ValidationError)):
             verify_morse_smale_2d(quartic_bowl(), reflection2(), radius=1.0)
@@ -644,6 +659,7 @@ class TestVerifyMorseSmale:
     def test_obstruction_demo_reports_the_forced_connection(self):
         demo = obstruction_demo()
         report = demo["report"]
+        _every_separatrix_lands_or_exits(report)
         assert len(report["saddle_connections"]) == 2
         assert demo["connections_on_fixed_stratum"] == 2
         blob = json.dumps(demo)

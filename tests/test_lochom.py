@@ -404,6 +404,52 @@ def test_morse_complex_saddle_saddle_error():
         morse_complex_2d(f, 1.3)
 
 
+@pytest.mark.parametrize("flip", [{0: 0}, {0: 2}, {0: 0.5}, {7: -1}],
+                         ids=["zero", "two", "half", "no saddle 7"])
+def test_morse_complex_rejects_a_flip_that_is_not_a_saddle_sign(flip):
+    # ring_model(0.5) has two saddles, numbered 0 and 1
+    with pytest.raises(ParameterError, match="flip"):
+        morse_complex_2d(ring_model(0.5), 1.0, flip=flip)
+
+
+def test_shoot_returns_none_when_the_flow_leaves_the_ball():
+    bowl = FunctionSpec.make(2, [(1.0, (2, 0)), (1.0, (0, 2))])
+    origin = np.zeros(2)
+    i, z = lochom._shoot(bowl, [0.1, 0.0], 1.0, [origin], [0], origin, 1.0)
+    assert i is None
+    assert np.linalg.norm(z) >= 1.0 - 1e-9
+
+
+def test_shoot_rests_at_the_minimum_of_a_descending_flow():
+    bowl = FunctionSpec.make(2, [(1.0, (2, 0)), (1.0, (0, 2))])
+    z0 = np.array([0.5, 0.3])
+    i, z = lochom._shoot(bowl, z0, -1.0, [np.zeros(2)], [0], z0, 1.0)
+    assert i == 0
+    assert np.linalg.norm(z) < 1e-3
+
+
+def test_shoot_rests_at_a_saddle_along_its_stable_axis():
+    # zdot = -grad(u^2 - v^2) = (-2u, 2v) keeps the u axis and shrinks u
+    saddle = FunctionSpec.make(2, [(1.0, (2, 0)), (-1.0, (0, 2))])
+    z0 = np.array([0.5, 0.0])
+    i, z = lochom._shoot(saddle, z0, -1.0, [np.zeros(2)], [1], z0, 1.0)
+    assert i == 0
+    assert np.linalg.norm(saddle.grad(z)) < 1e-9
+
+
+def test_shoot_does_not_capture_at_its_source_before_arming():
+    # from 1e-12 off the saddle the gradient is below 1e-9 for the first
+    # chunks: a flow whose source is the saddle leaves the ball, while the
+    # same start shot from elsewhere rests at the saddle at once
+    saddle = FunctionSpec.make(2, [(1.0, (2, 0)), (-1.0, (0, 2))])
+    origin = np.zeros(2)
+    z0 = np.array([0.0, 1e-12])
+    i, _ = lochom._shoot(saddle, z0, -1.0, [origin], [1], origin, 1.0)
+    assert i is None
+    i, _ = lochom._shoot(saddle, z0, -1.0, [origin], [1], np.array([0.5, 0.0]), 1.0)
+    assert i == 0
+
+
 def test_split_already_separated():
     f = FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 2))])
     out = equivariant_split(f, 1)

@@ -21,12 +21,12 @@ TOLERANCES = {
     "symplectic_flow": 1e-7,      # integrated flow Jacobians, same residual
     "eig_threshold": 1e-8,        # relative eigen/singular value threshold
     "gen1_det": 1e-8,             # graph-condition determinant threshold
-    "gen2_newton": 1e-12,         # Newton solve of the graph equations
+    "gen2_newton": 1e-12,         # lockstep_newton on the graph equations
     "hessian_sym": 1e-8,          # symmetry residual of assembled Hessians
-    # Newton convergence on gradients, read by lochom.critical_points (the
-    # isolation check, Morse complexes and equiperturb's sweeps), by
-    # dact.find_periodic_points, and by the fiber Newton of equivariant_split
-    # and its check of the fiber gradient on the graph of phi
+    # the lockstep_newton tolerance on gradients: lochom.critical_points (the
+    # isolation check, Morse complexes and equiperturb's sweeps),
+    # dact.find_periodic_points and the fiber Newton of equivariant_split,
+    # which also checks the fiber gradient on the graph of phi against it
     "newton_grad": 1e-10,
     "dedup": 1e-6,                # dedup distance of critical/periodic points
     "offdiag": 1e-8,              # off-diagonal residual of split Hessians
@@ -94,6 +94,83 @@ def row_lstsq(H, G):
         x = _umath_linalg.lstsq(H, G[..., None], np.finfo(float).eps * n,
                                 signature="ddd->ddid")[0]
     return x[..., 0]
+
+
+def rows_or_errors(fn, rows, Z, retry):
+    """fn(rows, Z), a tuple of per-row arrays, stacked over the rows of Z
+    that answer (None if none does), and {i: error} for each row i that
+    raises an error listed in retry: a batch that raises is evaluated again
+    one row at a time, so each row keeps the error it raises alone."""
+    try:
+        return fn(rows, Z), {}
+    except retry as exc:
+        if len(Z) == 1:
+            return None, {0: exc}
+    outs, failed = [], {}
+    for i in range(len(Z)):
+        try:
+            outs.append(fn(rows[i:i + 1], Z[i:i + 1]))
+        except retry as exc:
+            failed[i] = exc
+    parts = tuple(None if part[0] is None else np.concatenate(part) for part in zip(*outs))
+    return parts or None, failed
+
+
+def lockstep_newton(residual, X, step, tolerance, max_iter, jacobian=None, retry=(),
+                    leaves=None):
+    """Newton's method from every row of X in lockstep.
+
+    Each of at most max_iter iterations makes one residual(rows, Z) call on
+    the points Z of the active rows `rows` of X, a tuple (F, *parts); rows
+    with |F| < tolerance retire converged.  Unless all did, jacobian(rows,
+    Z), if given, is evaluated on the same batch and appended to the parts,
+    one step(F, *parts) call over the other rows moves them to X - step,
+    and leaves(Z), if given, retires the moved rows it marks.  A batch that
+    raises an error listed in retry is evaluated again row by row
+    (rows_or_errors); a row that raises alone retires with its error, but a
+    converged row whose Jacobian raises stays converged.  An empty X makes
+    no call.  Returns X, the converged mask, the error of each row or None,
+    and the parts at the converged rows (None if no row answered).
+    """
+    X = np.array(X, dtype=float)
+    converged = np.zeros(len(X), dtype=bool)
+    errors = [None] * len(X)
+    kept = None
+    active = np.arange(len(X))
+    for _ in range(max_iter):
+        if not len(active):
+            break
+        parts, failed = rows_or_errors(residual, active, X[active], retry)
+        if failed:
+            for i, exc in failed.items():
+                errors[active[i]] = exc
+            active = np.delete(active, list(failed))
+        if parts is None:
+            break
+        done = row_norms(parts[0]) < tolerance
+        kept = kept or tuple(p if p is None else np.empty((len(X),) + p.shape[1:]) for p in parts)
+        for store, p in zip(kept, parts):
+            if store is not None:
+                store[active[done]] = p[done]
+        converged[active[done]] = True
+        if done.all():
+            break
+        stepping, jac = ~done, ()
+        if jacobian is not None:
+            J, failed = rows_or_errors(lambda r, Z: (jacobian(r, Z),), active, X[active], retry)
+            answered = np.ones(len(active), dtype=bool)
+            answered[list(failed)] = False
+            for i, exc in failed.items():
+                if not done[i]:
+                    errors[active[i]] = exc
+            stepping &= answered
+            jac = (J[0][stepping[answered]],) if J else ()
+        active = active[stepping]
+        if len(active):
+            X[active] = X[active] - step(*(None if p is None else p[stepping] for p in parts), *jac)
+        if leaves is not None:
+            active = active[~leaves(X[active])]
+    return X, converged, errors, kept
 
 
 def null_space(m, cutoff=1e-10):

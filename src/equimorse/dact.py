@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TRUST_RADIUS, null_space, row_dots, row_lstsq, row_norms, tol
+from .config import (DEFAULT_TRUST_RADIUS, lockstep_newton, null_space, row_dots, row_lstsq,
+                     rows_or_errors, tol)
 from .errors import (
     AmbiguityError,
     ConfigurationError,
@@ -366,32 +367,11 @@ def seed_from_point(da: DiscreteAction, w) -> np.ndarray:
     return z[0] if w.ndim == 1 else z
 
 
-def _orbit_of(da: DiscreteAction, z: np.ndarray) -> np.ndarray:
-    return z.reshape(da.slots, 2 * da.n).copy()
-
-
-def _evaluate_or_fail(da: DiscreteAction, Z: np.ndarray):
-    """g and H of evaluate on the rows of Z, and per row the DomainError or
-    TrustRegionError that row raises alone, or None.  A batch that raises
-    one of them is evaluated again one row at a time."""
-    try:
-        _, g, H = evaluate(da, Z, value=False)
-        return g, H, [None] * len(Z)
-    except (DomainError, TrustRegionError) as exc:
-        if len(Z) == 1:
-            return np.full((1, da.dim), np.nan), np.full((1, da.dim, da.dim), np.nan), [exc]
-    rows = [_evaluate_or_fail(da, z[None]) for z in Z]
-    return (np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows]),
-            [r[2][0] for r in rows])
-
-
-def _newton_steps(H, g):
+def _newton_steps(g, H):
     """Per row, np.linalg.solve(h, g) where cond h < 1e12 and
     np.linalg.lstsq(h, g, rcond=None)[0] elsewhere, in stacked calls; each
     stacked call is bitwise the one-matrix call on every row."""
     step = np.empty(g.shape)
-    if not len(g):
-        return step
     well = np.linalg.cond(H) < 1e12
     if well.any():
         step[well] = np.linalg.solve(H[well], g[well][:, :, None])[:, :, 0]
@@ -402,19 +382,16 @@ def _newton_steps(H, g):
 def find_periodic_points(da: DiscreteAction, seeds):
     """Newton on the gradient from each seed; deduplicated by shift orbit.
 
-    The seeds take their Newton steps in lockstep: each iteration makes one
-    `evaluate` pass over the seeds still active, one stacked graph solve
-    over every slot, and one stacked Newton step over the rows not yet
-    converged (_newton_steps: solve where cond H < 1e12, lstsq elsewhere,
-    each row bitwise its one-matrix step).  A seed stops once its residual is
-    below newton_grad, after 50 steps, or when its point raises
-    DomainError or TrustRegionError: a batch that raises is evaluated again
-    one row at a time, so a failing seed reports the message it would get
-    alone and its batch mates go on.  Non-convergence is reported per seed,
-    not raised; a seed still active after 50 steps reports the residual at
-    its last point, inf if that point fails.  The rows share the adaptive
-    steps of the stacked flows, so a seed's point depends on its batch
-    mates below the ODE tolerance; a single seed is the one-seed Newton.
+    config.lockstep_newton runs 50 iterations, each one `evaluate` pass (one
+    stacked graph solve over every slot) over the seeds still active and one
+    stacked _newton_steps call over the rows not yet converged.  A seed
+    whose point raises DomainError or TrustRegionError reports the message
+    it would get alone while its batch mates go on.  Non-convergence is
+    reported per seed, not raised: a seed still active after 50 steps
+    reports the residual of one more pass at its last point, inf if that
+    point fails.  The rows share the adaptive steps of the stacked flows, so
+    a seed's point depends on its batch mates below the ODE tolerance; a
+    single seed is the one-seed Newton.
 
     Converged points carry the orbit samples and local Morse data, which
     reuse the H of their last step; they are deduplicated in seed order.
@@ -427,58 +404,42 @@ def find_periodic_points(da: DiscreteAction, seeds):
                              f"{da.dim}, got an array of shape {seed.shape}")
     if not seeds:
         return []
-    Z = np.array([seed.reshape(da.dim) for seed in seeds])
-    status: list[CriticalPoint | None] = [None] * len(Z)
-    last_H = [None] * len(Z)
-    active = np.arange(len(Z))
-    for _ in range(50):
-        if not len(active):
-            break
-        g, H, errors = _evaluate_or_fail(da, Z[active])
-        res = row_norms(g)
-        failed = np.array([exc is not None for exc in errors])
-        done = ~failed & (res < tol("newton_grad"))
-        for i in np.flatnonzero(failed | done):
-            si = int(active[i])
-            if failed[i]:
-                status[si] = CriticalPoint(Z[si].copy(), math.inf, False, [si], str(errors[i]))
-            else:
-                status[si] = CriticalPoint(Z[si].copy(), float(res[i]), True, [si])
-                last_H[si] = H[i]
-        stepping = ~(failed | done)
-        active = active[stepping]
-        Z[active] = Z[active] - _newton_steps(H[stepping], g[stepping])
-    if len(active):
+
+    def residual(rows, Z):
+        return evaluate(da, Z, value=False)[1:]
+
+    fails = (DomainError, TrustRegionError)
+    Z, converged, errors, kept = lockstep_newton(
+        residual, [seed.reshape(da.dim) for seed in seeds], _newton_steps, tol("newton_grad"), 50,
+        retry=fails)
+    res = [float(np.linalg.norm(kept[0][i])) if ok else math.inf for i, ok in enumerate(converged)]
+    rest = np.flatnonzero([exc is None and not ok for exc, ok in zip(errors, converged)])
+    if len(rest):
         # the residual after the last step; inf where that point fails
-        g, _, errors = _evaluate_or_fail(da, Z[active])
-        for si, gi, exc in zip(active.tolist(), g, errors):
-            res = math.inf if exc is not None else float(np.linalg.norm(gi))
-            status[si] = CriticalPoint(Z[si].copy(), res, False, [si],
-                                       "no convergence in 50 steps")
+        last, failed = rows_or_errors(residual, rest, Z[rest], fails)
+        answered = [si for i, si in enumerate(rest.tolist()) if i not in failed]
+        for si, g in zip(answered, last[0] if last else ()):
+            res[si] = float(np.linalg.norm(g))
     results: list[CriticalPoint] = []
     tau = shift_matrix(da)
-    for si, point in enumerate(status):
-        if point.converged:
-            merged = False
-            for prev in results:
-                if not prev.converged:
-                    continue
-                cand = point.z
-                for _ in range(da.k):
-                    if np.linalg.norm(cand - prev.z) < tol("dedup"):
-                        prev.seeds.append(si)
-                        merged = True
-                        break
-                    cand = tau @ cand
-                if merged:
-                    break
-            if merged:
-                continue
-            try:
-                neg, zero, _ = _signature_counts(np.linalg.eigvalsh(last_H[si]))
-                point.morse_index, point.nullity = neg, zero
-            except AmbiguityError as exc:
-                point.message = str(exc)
-            point.orbit = _orbit_of(da, point.z)
+    for si, exc in enumerate(errors):
+        if not converged[si]:
+            message = "no convergence in 50 steps" if exc is None else str(exc)
+            results.append(CriticalPoint(Z[si].copy(), res[si], False, [si], message))
+            continue
+        images = [Z[si].copy()]
+        for _ in range(da.k - 1):
+            images.append(tau @ images[-1])
+        twin = next((prev for prev in results if prev.converged and any(
+            np.linalg.norm(z - prev.z) < tol("dedup") for z in images)), None)
+        if twin is not None:
+            twin.seeds.append(si)
+            continue
+        point = CriticalPoint(images[0], res[si], True, [si])
+        try:
+            point.morse_index, point.nullity, _ = _signature_counts(np.linalg.eigvalsh(kept[1][si]))
+        except AmbiguityError as err:
+            point.message = str(err)
+        point.orbit = point.z.reshape(da.slots, 2 * da.n).copy()
         results.append(point)
     return results

@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import (
     DEFAULT_TRUST_RADIUS,
+    lockstep_newton,
     row_dots,
     row_norms,
     standard_symplectic,
@@ -30,6 +31,7 @@ from .errors import (
     ConfigurationError,
     DomainError,
     ResolutionError,
+    ShapeError,
     StiffnessError,
     TrustRegionError,
     ValidationError,
@@ -561,60 +563,49 @@ class GeneratingFunction:
         set and None otherwise; each Newton flow then carries it.
 
         (x, Y) is one point, two arrays (m,), or a batch, two arrays (P, m),
-        whose rows take their Newton steps in lockstep: one stacked flow per
-        step over the rows not yet converged, and a row retires once its
-        residual is below gen2_newton.  If a stacked solve fails, the rows are
-        solved one at a time, and the first failing row raises its own error.
+        solved by config.lockstep_newton: one stacked flow and one plain
+        solve on the y block of dpsi per step, and a row converges once its
+        residual is below gen2_newton.  The first row that fails raises its
+        own error: TrustRegionError if its flow leaves the trust region or
+        it does not converge in 50 steps.
 
-        shift, one start-time shift per row, solves row i for the substep
-        shifted by shift[i], phi^{t0 + shift[i] -> t1 + shift[i]}; each
-        Newton flow carries the rows' shifts (see integrate_flow), so graph
-        equations of different substeps share one lockstep solve.
+        shift, a number or one start-time shift per row, solves row i for
+        the substep shifted by shift[i], phi^{t0 + shift[i] -> t1 + shift[i]};
+        each Newton flow carries the rows' shifts (see integrate_flow), so
+        graph equations of different substeps share one lockstep solve.  x
+        and Y of different row counts, or a shift of another length, raise
+        ShapeError.
         """
         m = self.m
         one = np.ndim(x) == 1
         x = np.asarray(x, dtype=float).reshape(-1, m)
         Y = np.asarray(Y, dtype=float).reshape(-1, m)
-        shift = np.broadcast_to(np.asarray(0.0 if shift is None else shift, dtype=float),
-                                (len(x),))
-        try:
-            out = self._graph_newton(x, Y, action, shift)
-        except (ResolutionError, ValidationError):
-            if len(x) == 1:
-                raise
-            rows = [self._graph_newton(x[i:i + 1], Y[i:i + 1], action, shift[i:i + 1])
-                    for i in range(len(x))]
-            out = tuple(None if part[0] is None else np.concatenate(part)
-                        for part in zip(*rows))
-        if one:
-            y, X, dphi, s = out
-            return y[0], X[0], dphi[0], (None if s is None else float(s[0]))
-        return out
+        shift = np.asarray(0.0 if shift is None else shift, dtype=float)
+        if len(Y) != len(x) or shift.shape not in ((), (len(x),)):
+            raise ShapeError(f"graph equations of {len(x)} x rows, {len(Y)} Y rows and "
+                             f"shifts of shape {shift.shape}")
+        shift = np.broadcast_to(shift, (len(x),))
 
-    def _graph_newton(self, x, Y, action, shift):
-        # the lockstep Newton of solve_graph on a batch (P, m)
-        m = self.m
-        P = len(x)
-        y, X = Y.copy(), np.empty_like(x)
-        dpsi, s = np.empty((P, 2 * m, 2 * m)), (np.empty(P) if action else None)
-        active = np.arange(P)
-        try:
-            for _ in range(50):
-                if not len(active):
-                    break
-                phi, dphi, *flow_s = self.psi(np.concatenate([x[active], y[active]], axis=1),
-                                              action=action, shift=shift[active])
-                F = phi[:, m:] - Y[active]
-                done = row_norms(F) < tol("gen2_newton")
-                X[active[done]], dpsi[active[done]] = phi[done, :m], dphi[done]
-                if action:
-                    s[active[done]] = flow_s[0][done]
-                active, dphi, F = active[~done], dphi[~done], F[~done]
-                y[active] -= np.linalg.solve(dphi[:, m:, m:], F[:, :, None])[:, :, 0]
-        except DomainError as exc:
-            raise TrustRegionError(f"graph solve left the trust region: {exc}") from exc
-        if len(active):
-            raise TrustRegionError("no convergence solving the graph equations")
+        def residual(rows, y):
+            try:
+                phi, dphi, *flow_s = self.psi(np.concatenate([x[rows], y], axis=1),
+                                              action=action, shift=shift[rows])
+            except DomainError as exc:
+                raise TrustRegionError(f"graph solve left the trust region: {exc}") from exc
+            return phi[:, m:] - Y[rows], phi[:, :m], dphi, (flow_s[0] if action else None)
+
+        def step(F, X, dphi, s):
+            return np.linalg.solve(dphi[:, m:, m:], F[:, :, None])[:, :, 0]
+
+        y, converged, errors, kept = lockstep_newton(residual, Y, step, tol("gen2_newton"), 50,
+                                                     retry=(ResolutionError, ValidationError))
+        if not converged.all():
+            exc = errors[int(np.argmin(converged))]
+            raise exc or TrustRegionError("no convergence solving the graph equations")
+        # only an empty batch keeps nothing
+        _, X, dpsi, s = kept or (None, y, np.empty((0, 2 * m, 2 * m)), y[:, 0] if action else None)
+        if one:
+            return y[0], X[0], dpsi[0], (None if s is None else float(s[0]))
         return y, X, dpsi, s
 
     def solve_slot(self, x, Y, value: bool = True, shift=None):

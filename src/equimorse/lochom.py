@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dact as _dact
-from .config import row_dots as _row_dots, row_lstsq as _row_lstsq, row_norms as _row_norms, tol
+from .config import (lockstep_newton, row_dots as _row_dots, row_lstsq as _row_lstsq,
+                     row_norms as _row_norms, tol)
 from .errors import (
     BoundaryError,
     ConfigurationError,
@@ -26,6 +27,7 @@ from .errors import (
     MorseSmaleError,
     ParameterError,
     ResolutionError,
+    ShapeError,
     TrustRegionError,
     ValidationError,
 )
@@ -431,48 +433,36 @@ _KEEP_FACTOR = 1.02
 def critical_points(func, seeds, radius):
     """Critical points of func by damped Newton from all seeds in lockstep.
 
-    Each iteration makes one grad call on the active rows and, unless all of
-    them are below newton_grad, one hess call on the same rows, so a
-    function caching per batch reads its cache for the Hessians; the
-    Hessians of the rows already below newton_grad are dropped.  The
-    other rows take their minimum-norm lstsq steps in one stacked LAPACK
-    call (config.row_lstsq), capped at 0.25 * max(radius, 1).  A row retires
-    when it converges, leaves the ball of radius 3 * radius or has made
-    _MAX_ITER steps; a batch that raises ResolutionError is retried row by
-    row, and the rows that raise retire, except a converged row whose
-    Hessian raises, which is kept.  Converged points within
+    config.lockstep_newton runs _MAX_ITER iterations on func.grad and
+    func.hess, retrying a batch that raises ResolutionError row by row, with
+    minimum-norm lstsq steps (config.row_lstsq) capped at 0.25 * max(radius,
+    1).  A row also retires once it leaves the ball of radius 3 * radius;
+    rows that fail or do not converge are dropped.  Converged points within
     _KEEP_FACTOR * radius are kept in seed order unless one within dedup
     came first.  When every row of a batch equals func at that point alone,
-    the result is bitwise that of one seed at a time: norms are stacked
-    matmuls like np.linalg.norm, and row_lstsq is np.linalg.lstsq per row.
-    A radius that is not finite and positive raises ParameterError.
+    the result is bitwise that of one seed at a time.  A radius that is not
+    finite and positive raises ParameterError, a seed whose length is not
+    func.d ShapeError.
     """
     _require_positive(radius)
     n = func.d
-    x = np.array(seeds, dtype=float).reshape(-1, n)
-    grad_tol = tol("newton_grad")
+    for si, seed in enumerate(seeds):
+        if np.size(seed) != n:
+            raise ShapeError(f"seed {si}: points of the function have length {n}, "
+                             f"got an array of shape {np.shape(seed)}")
     cap = 0.25 * max(radius, 1.0)
-    ok = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
-    for _ in range(_MAX_ITER):
-        if not len(active):
-            break
-        g, answered = _rows_or_retire(func.grad, x[active], (n,))
-        active = active[answered]
-        done = _row_norms(g) < grad_tol
-        ok[active[done]] = True
-        if done.all():
-            break
-        h, answered = _rows_or_retire(func.hess, x[active], (n, n))
-        h = h[~done[answered]]
-        stepping = answered & ~done
-        active, g = active[stepping], g[stepping]
+
+    def capped_lstsq(g, h):
         step = _row_lstsq(h, g)
         size = _row_norms(step)
         big = size > cap
         step[big] *= (cap / size[big])[:, None]
-        x[active] = x[active] - step
-        active = active[~(_row_norms(x[active]) > 3.0 * radius)]
+        return step
+
+    x, ok, _, _ = lockstep_newton(
+        lambda rows, Z: (func.grad(Z),), np.array(seeds, dtype=float).reshape(-1, n),
+        capped_lstsq, tol("newton_grad"), _MAX_ITER, jacobian=lambda rows, Z: func.hess(Z),
+        retry=(ResolutionError,), leaves=lambda Z: _row_norms(Z) > 3.0 * radius)
     dedup = tol("dedup")
     kept = x[ok]
     kept = kept[~(_row_norms(kept) > _KEEP_FACTOR * radius)]
@@ -483,26 +473,6 @@ def critical_points(func, seeds, radius):
             found[count] = z
             count += 1
     return list(found[:count])
-
-
-def _rows_or_retire(fn, x, shape):
-    """fn on the batch x, one result of the given shape per answered row,
-    and the mask of the rows it answered.  On ResolutionError the rows are
-    tried one at a time; an empty batch makes no call."""
-    if not len(x):
-        return np.empty((0,) + shape), np.ones(0, dtype=bool)
-    try:
-        return fn(x), np.ones(len(x), dtype=bool)
-    except ResolutionError:
-        pass
-    answered = np.ones(len(x), dtype=bool)
-    out = []
-    for i, z in enumerate(x):
-        try:
-            out.append(fn(z[None])[0])
-        except ResolutionError:
-            answered[i] = False
-    return np.array(out).reshape((-1,) + shape), answered
 
 
 def _grid_seeds(radius, per_axis, d):
@@ -1143,9 +1113,10 @@ def equivariant_split(f, n1: int, radius: float = 0.5) -> SplitResult:
     the signature (p, q), each |eigenvalue| above kernel_eig, else
     TrustRegionError; phi(A1 z1) = A2 phi(z1) within split_equivariance.
     The orientation of A2 on E- is read at 0.  phi solves a batch (P, n1)
-    by lockstep Newton, one f.grad and one f.hess call per iteration, each
-    row bitwise its one-point Newton when f's rows are.  A radius that is
-    not finite and positive raises ParameterError.
+    through config.lockstep_newton on the fiber blocks of f.grad and f.hess
+    with plain solves, each row bitwise its one-point Newton when f's rows
+    are; a row not converged in 50 iterations raises TrustRegionError.  A
+    radius that is not finite and positive raises ParameterError.
     """
     _require_positive(radius)
     d = f.d
@@ -1170,18 +1141,16 @@ def equivariant_split(f, n1: int, radius: float = 0.5) -> SplitResult:
         A1, A2 = A[:n1, :n1], A[n1:, n1:]
 
     def phi(Z1):
-        W = np.zeros((len(Z1), n2))
-        active = np.arange(len(Z1))
-        for _ in range(50):
-            Z = np.concatenate([Z1[active], W[active]], axis=1)
-            G2 = f.grad(Z)[:, n1:]
-            stepping = ~(_row_norms(G2) < tol("newton_grad"))
-            active = active[stepping]
-            if not len(active):
-                return W
-            H22 = f.hess(Z[stepping])[:, n1:, n1:]
-            W[active] = W[active] - np.linalg.solve(H22, G2[stepping][:, :, None])[:, :, 0]
-        raise TrustRegionError("implicit solve for the fiber critical point did not converge")
+        def at(rows, W):
+            return np.concatenate([Z1[rows], W], axis=1)
+
+        W, converged, _, _ = lockstep_newton(
+            lambda rows, W: (f.grad(at(rows, W))[:, n1:],), np.zeros((len(Z1), n2)),
+            lambda G2, H22: np.linalg.solve(H22, G2[:, :, None])[:, :, 0], tol("newton_grad"), 50,
+            jacobian=lambda rows, W: f.hess(at(rows, W))[:, n1:, n1:])
+        if not converged.all():
+            raise TrustRegionError("implicit solve for the fiber critical point did not converge")
+        return W
 
     def graph(Z1):
         return np.concatenate([Z1, phi(Z1)], axis=1)

@@ -15,6 +15,7 @@ from equimorse.config import rotation, standard_symplectic, symplectic_residual,
 from equimorse.errors import (
     ConfigurationError,
     DomainError,
+    ShapeError,
     StiffnessError,
     TrustRegionError,
     ValidationError,
@@ -830,3 +831,15 @@ def test_batched_graph_solves_match_one_point_solves():
         Si, gi, Hi = gf.solve_slot(x[i], Y[i])
         assert abs(S[i] - Si) < 1e-12
         assert np.abs(g[i] - gi).max() < 1e-12 and np.abs(H[i] - Hi).max() < 1e-11
+
+
+def test_graph_solves_refuse_mismatched_rows_and_shifts():
+    gf = GeneratingFunction(FlowMap(resonant_germ(), 0.5, 1.0))
+    with pytest.raises(ShapeError, match="3 x rows, 2 Y rows"):
+        gf.solve_graph(np.zeros((3, 1)), np.zeros((2, 1)))
+    with pytest.raises(ShapeError, match=r"shifts of shape \(2,\)"):
+        gf.solve_graph(np.zeros((3, 1)), np.zeros((3, 1)), shift=[0.0, 0.5])
+    # a number, or one shift per row, is accepted
+    y, X, _, _ = gf.solve_graph(np.zeros((3, 1)), np.zeros((3, 1)), shift=0.5)
+    assert np.array_equal(y, np.zeros((3, 1))) and np.array_equal(X, np.zeros((3, 1)))
+    assert gf.solve_graph(np.zeros((3, 1)), np.zeros((3, 1)), shift=[0.0, 0.5, 0.0])[0].shape == (3, 1)

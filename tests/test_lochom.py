@@ -19,6 +19,7 @@ from equimorse.errors import (
     MorseSmaleError,
     ParameterError,
     ResolutionError,
+    ShapeError,
     TrustRegionError,
     ValidationError,
 )
@@ -752,3 +753,13 @@ def test_lochom_doctest():
     results = doctest.testmod(lochom)
     assert results.failed == 0
     assert results.attempted >= 1
+
+
+def test_critical_points_refuses_a_seed_of_the_wrong_length_by_its_index():
+    # a flat reshape used to split a length-4 seed into two 2-D seeds
+    f = FunctionSpec.make(2, [(1.0, (2, 0)), (1.0, (0, 2))])
+    with pytest.raises(ShapeError, match="seed 0: .* length 2"):
+        critical_points(f, [[0.1, 0.2, 0.3, 0.4]], 1.0)
+    with pytest.raises(ShapeError, match="seed 1: .* length 2"):
+        critical_points(f, [[0.1, 0.2], [0.1, 0.2, 0.3]], 1.0)
+    assert [z.tolist() for z in critical_points(f, [[0.1, 0.2]], 1.0)] == [[0.0, 0.0]]

@@ -131,8 +131,12 @@ def evaluate(da: DiscreteAction, z, value: bool = True):
     Slot i steps over the substep i mod N, which is the first substep
     [0, 1/N] of the germ shifted in time by (i mod N)/N; the stack flows over
     [0, 1/N] and the rows of slot i carry that shift (see integrate_flow).
-    A(z) is None when value is unset; the flows then skip the action
-    integral.  Raises ShapeError for points of the wrong length and
+    The graph Newton of slot i starts at the point's own y_i.  Its solution
+    y'_i of psi(x_i, y'_i) = (X, y_{i+1}) satisfies y'_i - y_i = dA/dx_i
+    (the x_i-block of grad A below), so the start is exact at a critical
+    point and at every unbroken slot of a seed chain, and off by the
+    gradient elsewhere.  A(z) is None when value is unset; the flows then
+    skip the action integral.  Raises ShapeError for points of the wrong length and
     DomainError for a row that is not finite.
     """
     z = np.asarray(z, dtype=float)
@@ -149,7 +153,7 @@ def evaluate(da: DiscreteAction, z, value: bool = True):
     ys1 = np.roll(ys, -1, axis=1)  # y_{i+1}, indices mod kN
     shift = np.tile(np.arange(slots) % da.N / da.N, P)
     S, gS, HS = da.S_list[0].solve_slot(xs.reshape(-1, n), ys1.reshape(-1, n), value=value,
-                                        shift=shift)
+                                        shift=shift, start=ys.reshape(-1, n))
     S = S.reshape(P, slots) if value else None
     gS, HS = gS.reshape(P, slots, 2 * n), HS.reshape(P, slots, 2 * n, 2 * n)
     total = np.zeros(P) if value else None
@@ -345,6 +349,11 @@ def seed_from_point(da: DiscreteAction, w) -> np.ndarray:
     the adaptive steps of that flow, so a row depends on its batch mates
     below the ODE tolerance; a batch of one is the one-point seed.
 
+    The closing slot kN - 1 -> kN is not flowed: its image is no slot of
+    the seed.  The first flow of that slot's graph solve in evaluate is the
+    same flow, so a start whose closing step leaves the trust region gives
+    a seed, and find_periodic_points reports the error for that seed alone.
+
     >>> da = DiscreteAction(HamiltonianGerm.rotation(0.3), 1, 2)
     >>> Z = seed_from_point(da, [[0.1, 0.0], [0.0, 0.05]])
     >>> Z.shape
@@ -361,9 +370,9 @@ def seed_from_point(da: DiscreteAction, w) -> np.ndarray:
     cur = w.reshape(-1, b)
     z = np.zeros((len(cur), da.dim))
     for i in range(da.slots):
+        if i:
+            cur, _ = integrate_flow(da.germ, (i - 1) / da.N, i / da.N, cur, radius=da.radius)
         z[:, b * i:b * (i + 1)] = cur
-        cur, _ = integrate_flow(da.germ, i / da.N, (i + 1) / da.N, cur,
-                                radius=da.radius)
     return z[0] if w.ndim == 1 else z
 
 
@@ -384,7 +393,11 @@ def find_periodic_points(da: DiscreteAction, seeds):
 
     config.lockstep_newton runs 50 iterations, each one `evaluate` pass (one
     stacked graph solve over every slot) over the seeds still active and one
-    stacked _newton_steps call over the rows not yet converged.  A seed
+    stacked _newton_steps call over the rows not yet converged.  Each slot's
+    graph Newton starts at the iterate's own y_i, off its solution by
+    exactly dA/dx_i (y'_i - y_i = dA/dx_i, see evaluate); after one Newton
+    step that gradient, and with it the start error, is quadratically
+    small, so late passes take few flows per graph solve.  A seed
     whose point raises DomainError or TrustRegionError reports the message
     it would get alone while its batch mates go on.  Non-convergence is
     reported per seed, not raised: a seed still active after 50 steps

@@ -201,7 +201,7 @@ class HamiltonianGerm:
             raise StiffnessError(f"variational integration underflowed its step at t = {run.t}")
 
         def one_period(t):
-            return run.sol(t).reshape(d, d)
+            return run.sol(t).reshape(np.shape(t) + (d, d))
 
         return one_period, one_period(1.0)
 
@@ -433,17 +433,24 @@ def zero_jacobian_path(germ: HamiltonianGerm, T: float):
     and takes the rest from the powers of the monodromy Phi(1).  T does not
     change the solve; the path is accurate to the ODE tolerance times the
     number of periods.
+
+    t is one time, giving (d, d), or an array of times, giving (..., d, d)
+    from one dense-output pass and one matrix power per whole period; each
+    sample is bitwise the one-time call.
     """
     d = 2 * germ.n
     if not germ.terms:
-        return lambda t: np.eye(d)
+        return lambda t: np.broadcast_to(np.eye(d), np.shape(t) + (d, d)).copy()
     one_period, monodromy = germ._period_path
 
     def Phi(t):
-        if t == 0.0:
-            return np.eye(d)
-        m = math.ceil(t) - 1  # t - m in (0, 1]
-        return one_period(t - m) @ np.linalg.matrix_power(monodromy, m)
+        t = np.asarray(t, dtype=float)
+        # t - m in (0, 1], or t = m = 0, where the dense output is the identity
+        m = np.maximum(np.ceil(t) - 1, 0).astype(int)
+        first = m.min()
+        powers = np.array([np.linalg.matrix_power(monodromy, p)
+                           for p in range(first, m.max() + 1)])
+        return one_period(t - m) @ powers[m - first]
 
     return Phi
 
@@ -499,8 +506,7 @@ def adapted_N(germ: HamiltonianGerm, N: int, gap=None) -> bool:
         raise ConfigurationError("N must be a positive integer")
     gap = 1.0 / (2 * N) if gap is None else float(gap)
     grid = 4 * N
-    Phi = zero_jacobian_path(germ, 1.0)
-    mats = [Phi(j / grid) for j in range(grid + 1)]
+    mats = zero_jacobian_path(germ, 1.0)(np.arange(grid + 1) / grid)
     max_span = int(round(gap * grid))
     for i in range(grid + 1):
         inv_i = np.linalg.inv(mats[i])
@@ -521,12 +527,12 @@ def steps_graph_positive(germ: HamiltonianGerm, N: int, subres: int = 8) -> bool
     if N < 1:
         raise ConfigurationError("N must be a positive integer")
     Phi = zero_jacobian_path(germ, 1.0 + 1.0 / N)
-    starts = [i / (4 * N) for i in range(4 * N + 1)]
-    for t0 in starts:
-        inv0 = np.linalg.inv(Phi(t0))
-        for j in range(1, subres + 1):
-            M = Phi(t0 + j / (subres * N)) @ inv0
-            if np.linalg.det(_gen1_matrix(M)) <= tol("gen1_det"):
+    starts = np.arange(4 * N + 1) / (4 * N)
+    ends = Phi(starts[:, None] + np.arange(1, subres + 1) / (subres * N))
+    for start, at_ends in zip(Phi(starts), ends):
+        inv0 = np.linalg.inv(start)
+        for end in at_ends:
+            if np.linalg.det(_gen1_matrix(end @ inv0)) <= tol("gen1_det"):
                 return False
     return True
 
@@ -555,8 +561,14 @@ class GeneratingFunction:
     def m(self) -> int:
         return self.psi.germ.n
 
-    def solve_graph(self, x, Y, action: bool = False, shift=None):
+    def solve_graph(self, x, Y, action: bool = False, shift=None, start=None):
         """Solve psi(x, y) = (X, Y) for (y, X) by Newton.
+
+        Newton starts at y = start, of the shape of Y, and at y = Y without
+        one.  A start of another shape raises ShapeError.  dact.evaluate
+        starts each slot at the point's own y_i, which differs from the
+        solution y'_i by exactly the x_i-block of grad A (y'_i - y_i =
+        dA/dx_i), so the start is exact at a critical point of A.
 
         Returns (y, X, dpsi at (x, y), s), where s is the action integral
         int (x . ydot + H_t) dt along the solved trajectory when action is
@@ -585,6 +597,11 @@ class GeneratingFunction:
             raise ShapeError(f"graph equations of {len(x)} x rows, {len(Y)} Y rows and "
                              f"shifts of shape {shift.shape}")
         shift = np.broadcast_to(shift, (len(x),))
+        if start is None:
+            start = Y
+        elif np.shape(start) != ((m,) if one else Y.shape):
+            raise ShapeError(f"a Newton start of shape {np.shape(start)} for graph "
+                             f"equations of {len(x)} rows of length {m}")
 
         def residual(rows, y):
             try:
@@ -597,7 +614,8 @@ class GeneratingFunction:
         def step(F, X, dphi, s):
             return np.linalg.solve(dphi[:, m:, m:], F[:, :, None])[:, :, 0]
 
-        y, converged, errors, kept = lockstep_newton(residual, Y, step, tol("gen2_newton"), 50,
+        y, converged, errors, kept = lockstep_newton(residual, np.reshape(start, Y.shape), step,
+                                                     tol("gen2_newton"), 50,
                                                      retry=(ResolutionError, ValidationError))
         if not converged.all():
             exc = errors[int(np.argmin(converged))]
@@ -608,8 +626,9 @@ class GeneratingFunction:
             return y[0], X[0], dpsi[0], (None if s is None else float(s[0]))
         return y, X, dpsi, s
 
-    def solve_slot(self, x, Y, value: bool = True, shift=None):
-        """(S, grad S, D^2 S) at (x, Y) from one graph solve.
+    def solve_slot(self, x, Y, value: bool = True, shift=None, start=None):
+        """(S, grad S, D^2 S) at (x, Y) from one graph solve started at start
+        (see solve_graph; y = Y without one).
 
         grad S = (grad_1 S, grad_2 S) = (y - Y, X - x) as one vector of
         length 2m; S comes from the action identity in the class docstring
@@ -621,9 +640,9 @@ class GeneratingFunction:
         """
         m = self.m
         one = np.ndim(x) == 1
-        x = np.asarray(x, dtype=float).reshape(-1, m)
-        Y = np.asarray(Y, dtype=float).reshape(-1, m)
-        y, X, dphi, s = self.solve_graph(x, Y, action=value, shift=shift)
+        y, X, dphi, s = self.solve_graph(x, Y, action=value, shift=shift, start=start)
+        x, Y, y, X = (np.asarray(a, dtype=float).reshape(-1, m) for a in (x, Y, y, X))
+        dphi = dphi.reshape(-1, 2 * m, 2 * m)
         S = row_dots(x, y - Y) + s if value else None
         A, B = dphi[:, :m, :m], dphi[:, :m, m:]
         C, D = dphi[:, m:, :m], dphi[:, m:, m:]
@@ -697,5 +716,4 @@ def linearized_path(germ: HamiltonianGerm, periods: int = 1, samples_per_period:
 
     Phi = zero_jacobian_path(germ, float(periods))
     ts = np.linspace(0.0, float(periods), samples_per_period * periods + 1)
-    return SymplecticPath(germ.n, [(t, Phi(t)) for t in ts],
-                          source=Phi, germ=germ, periods=int(periods))
+    return SymplecticPath(germ.n, zip(ts, Phi(ts)), source=Phi, germ=germ, periods=int(periods))

@@ -216,8 +216,9 @@ def _error_norm(K, h, scale):
 
 
 def _interpolant(fun, K, t_old, h, y_old, y, f):
-    """The 7th-degree dense output over the step from (t_old, y_old) to y;
-    K holds the step's 13 slopes and takes the 3 extra ones."""
+    """The 7th-degree dense output over the step from (t_old, y_old) to y,
+    as (t_old, h, y_old, F) for _dense; K holds the step's 13 slopes and
+    takes the 3 extra ones."""
     for s in range(_STAGES + 1, 16):
         K[s] = fun(t_old + _C[s] * h, y_old + np.dot(K[:s].T, _A[s, :s]) * h)
     F = np.empty((7, len(y)))
@@ -226,29 +227,38 @@ def _interpolant(fun, K, t_old, h, y_old, y, f):
     F[1] = h * K[0] - delta
     F[2] = 2 * delta - h * (f + K[0])
     F[3:] = h * np.dot(_D, K)
-
-    def at(t):
-        x = (t - t_old) / h
-        out = np.zeros_like(y_old)
-        for i, row in enumerate(F[::-1]):
-            out += row
-            out *= x if i % 2 == 0 else 1 - x
-        return out + y_old
-
-    return at
+    return t_old, h, y_old, F
 
 
 def _dense(ts, pieces):
     """t -> y(t) from the interpolants of consecutive steps; a step end
-    belongs to the earlier step, as in scipy's OdeSolution."""
+    belongs to the earlier step, as in scipy's OdeSolution.
+
+    t is one time or an array of times, evaluated in one broadcast pass
+    over the interpolants they fall in; each sample rounds as the one-time
+    call does, and as scipy's dense output does.
+    """
     forward = ts[-1] >= ts[0]
     ordered = np.array(ts if forward else ts[::-1])
     last = len(pieces) - 1
+    t_old, h, y_old, F = (np.array(part) for part in zip(*pieces))
+    F = F[:, ::-1]  # the rows of each interpolant, highest power first
 
     def sol(t):
-        i = int(np.searchsorted(ordered, t, side="left" if forward else "right"))
-        i = min(max(i - 1, 0), last)
-        return pieces[i if forward else last - i](t)
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(ordered, t, side="left" if forward else "right") - 1
+        i = np.minimum(np.maximum(i, 0), last)
+        if not forward:
+            i = last - i
+        x = (t - t_old[i]) / h[i]
+        if t.ndim:
+            x = x[..., None]
+        rows = F[i]
+        out = np.zeros_like(rows[..., 0, :])
+        for r in range(F.shape[1]):
+            out += rows[..., r, :]
+            out *= x if r % 2 == 0 else 1 - x
+        return out + y_old[i]
 
     return sol
 

@@ -49,9 +49,12 @@ class SymplecticPath:
         for t, M in self.samples:
             if M.shape != (2 * self.n, 2 * self.n):
                 raise ValidationError(f"sample at t={t} has shape {M.shape}")
-            res = symplectic_residual(M)
-            if res > tol("symplectic_sample"):
-                raise ValidationError(f"sample at t={t} has symplectic residual {res:.2e}")
+        res = symplectic_residual(np.stack([M for _, M in self.samples]))
+        bad = res > tol("symplectic_sample")
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValidationError(f"sample at t={self.samples[i][0]} has symplectic residual "
+                                  f"{res[i]:.2e}")
 
     @property
     def T(self) -> float:

@@ -258,7 +258,7 @@ def test_seed_from_point_chains_a_batch_through_each_substep(monkeypatch):
 
     monkeypatch.setattr(dact, "integrate_flow", counted)
     Z = seed_from_point(da, W)
-    assert Z.shape == (5, da.dim) and flows == [5] * da.slots
+    assert Z.shape == (5, da.dim) and flows == [5] * (da.slots - 1)
     for z, e in zip(Z, expected):
         assert np.abs(z - e).max() < 1e-12
     assert np.array_equal(seed_from_point(da, W[:1]), expected[0][None])
@@ -266,6 +266,22 @@ def test_seed_from_point_chains_a_batch_through_each_substep(monkeypatch):
     for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2))):
         with pytest.raises(ShapeError):
             seed_from_point(da, bad)
+
+
+def test_a_closing_step_leaving_the_trust_region_fails_only_its_seed():
+    # the hyperbolic flow doubles x over a period: from x = 0.3 the first
+    # half step ends at 0.42, inside the trust radius 0.5, and the closing
+    # one at 0.6, outside it
+    da = DiscreteAction(hyperbolic_germ(), 1, 2)
+    starts = [[0.02, -0.03], [0.3, 0.0], [-0.05, 0.01]]
+    seeds = seed_from_point(da, starts)
+    assert np.abs(seeds[1] - [0.3, 0.0, 0.3 * math.sqrt(2.0), 0.0]).max() < 1e-9
+    out = find_periodic_points(da, seeds)
+    (alone,) = find_periodic_points(da, seeds[1:2])
+    assert [p.seeds for p in out] == [[0, 2], [1]]
+    assert out[0].converged and np.linalg.norm(out[0].z) < 1e-12
+    assert not out[1].converged and out[1].message == alone.message
+    assert "trust region" in alone.message
 
 
 def _count_graph_solves(monkeypatch):
@@ -494,6 +510,52 @@ def test_resonant_orbits_match_direct_fixed_point_solve(resonant):
         assert res < 1e-11
         assert np.linalg.norm(polished - w) < 1e-6
         assert p.morse_index is not None
+
+
+def _count_flows(monkeypatch):
+    from equimorse import hamflow
+
+    count = [0]
+    solve = hamflow.dop853
+
+    def counted(fun, *args, **kwargs):
+        if "_flow_rhs" in fun.__qualname__:
+            count[0] += 1
+        return solve(fun, *args, **kwargs)
+
+    monkeypatch.setattr(hamflow, "dop853", counted)
+    return count
+
+
+def test_every_resonant_seed_lands_on_a_necklace_in_few_flows(resonant, monkeypatch):
+    # each slot's graph Newton starts at the point's own y_i; from the Y =
+    # y_{i+1} start the four seeds took 85 flows and the fourth left the
+    # trust region
+    da, seeds, points = resonant
+    assert [p.seeds for p in points] == [[0, 1, 3], [2]]
+    radii = sorted(np.linalg.norm(p.orbit[0]) for p in points if p.converged)
+    assert np.abs(np.subtract(radii, [0.2289648053251, 0.2797652934624])).max() < 1e-9
+    flows = _count_flows(monkeypatch)
+    again = find_periodic_points(da, seeds)
+    assert flows[0] <= 22
+    _same_points(again, points, 0)
+
+
+def test_a_one_slot_evaluate_is_bitwise_the_evaluate_started_at_y_next(monkeypatch):
+    # with k = N = 1 the slot's own y_0 is y_{i+1}, so the start changes nothing
+    da = DiscreteAction(quartic_germ(), 1, 1)
+    Z = 0.05 * np.random.default_rng(17).standard_normal((4, da.dim))
+    got = [dact.evaluate(da, Z), dact.evaluate(da, Z[1]), dact.evaluate(da, Z, value=False)]
+    solve_slot = GeneratingFunction.solve_slot
+
+    def started_at_y_next(self, x, Y, value=True, shift=None, start=None):
+        return solve_slot(self, x, Y, value=value, shift=shift)
+
+    monkeypatch.setattr(GeneratingFunction, "solve_slot", started_at_y_next)
+    want = [dact.evaluate(da, Z), dact.evaluate(da, Z[1]), dact.evaluate(da, Z, value=False)]
+    for a, b in zip(got, want):
+        assert (a[0] is None and b[0] is None) or np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
 # -- the per-seed Newton loop that the lockstep replaced, kept as its oracle --

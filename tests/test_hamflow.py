@@ -739,6 +739,37 @@ def test_dense_output_is_bitwise_scipys_on_either_direction(t0, t1):
         assert np.array_equal(run.sol(t), sol.sol(t))
 
 
+def test_dense_output_on_an_array_of_times_is_bitwise_each_time():
+    y0 = np.concatenate([[0.2, -0.1], np.eye(2).ravel()])
+    rhs = _one_point_rhs(cos_germ(), J2, False)
+    for t0, t1 in ((-0.5, 1.0), (1.0, -0.5)):
+        run = ode.dop853(rhs, t0, t1, y0, rtol=1e-12, atol=1e-13, dense=True)
+        sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12, atol=1e-13,
+                        dense_output=True)
+        ts = np.concatenate([np.linspace(t0, t1, 41), sol.t])
+        stacked = run.sol(ts)
+        assert stacked.shape == (len(ts), len(y0))
+        assert np.array_equal(stacked, [run.sol(t) for t in ts])
+        assert np.array_equal(stacked, sol.sol(ts).T)
+
+
+@pytest.mark.parametrize("make", [resonant_germ, lambda: HamiltonianGerm.rotation(0.3),
+                                  floquet_germ, HamiltonianGerm.zero],
+                         ids=["resonant", "rot03", "floquet", "zero"])
+def test_the_linearized_path_samples_every_time_in_one_pass(make):
+    germ = make()
+    Phi = zero_jacobian_path(germ, 4.0)
+    ts = np.linspace(0.0, 4.0, 4 * 64 + 1)
+    stacked = Phi(ts)
+    assert stacked.shape == (len(ts), 2, 2)
+    # each sample is the one-time call, the period ends and t = 0 included
+    assert np.array_equal(stacked, [Phi(t) for t in ts])
+    assert np.array_equal(stacked[0], np.eye(2))
+    path = linearized_path(germ, 4)
+    assert [t for t, _ in path.samples] == ts.tolist()
+    assert np.array_equal([M for _, M in path.samples], stacked)
+
+
 def _scipy_exit_row(germ, t0, t1, Z, radius=0.5):
     # the stacked flow's exit as a terminal scipy event, located by root finding
     P, d = Z.shape
@@ -843,3 +874,37 @@ def test_graph_solves_refuse_mismatched_rows_and_shifts():
     y, X, _, _ = gf.solve_graph(np.zeros((3, 1)), np.zeros((3, 1)), shift=0.5)
     assert np.array_equal(y, np.zeros((3, 1))) and np.array_equal(X, np.zeros((3, 1)))
     assert gf.solve_graph(np.zeros((3, 1)), np.zeros((3, 1)), shift=[0.0, 0.5, 0.0])[0].shape == (3, 1)
+
+
+def test_a_graph_solve_started_at_its_solution_takes_one_flow(monkeypatch):
+    gf = GeneratingFunction(FlowMap(resonant_germ(), 0.5, 1.0))
+    rng = np.random.default_rng(37)
+    x, Y = 0.2 * rng.uniform(-1, 1, size=(6, 1)), 0.2 * rng.uniform(-1, 1, size=(6, 1))
+    y, X, dpsi, _ = gf.solve_graph(x, Y)
+    y0, X0, dpsi0, s0 = gf.solve_graph(x[0], Y[0], action=True)
+    flows = _count_flow_solves(monkeypatch)
+    got = gf.solve_graph(x, Y, start=y)
+    assert flows[0] == 1
+    assert np.array_equal(got[0], y) and np.abs(got[1] - X).max() < 1e-12
+    # one row flows alone either way, so its start gives back every bit
+    one = gf.solve_graph(x[0], Y[0], action=True, start=y0)
+    assert flows[0] == 2
+    assert np.array_equal(one[0], y0) and np.array_equal(one[1], X0)
+    assert np.array_equal(one[2], dpsi0) and one[3] == s0
+    # solve_slot passes the start through
+    _, g, _ = gf.solve_slot(x, Y, start=y)
+    assert flows[0] == 3 and np.array_equal(g[:, :1], y - Y)
+
+
+def test_a_newton_start_of_another_shape_is_refused():
+    gf = GeneratingFunction(FlowMap(resonant_germ(), 0.5, 1.0))
+    x = Y = np.zeros((3, 1))
+    for bad in (np.zeros((2, 1)), np.zeros(3), np.zeros((3, 2)), np.zeros((1, 3, 1))):
+        with pytest.raises(ShapeError, match="Newton start"):
+            gf.solve_graph(x, Y, start=bad)
+        with pytest.raises(ShapeError, match="Newton start"):
+            gf.solve_slot(x, Y, start=bad)
+    with pytest.raises(ShapeError, match="Newton start"):
+        gf.solve_graph(x[0], Y[0], start=np.zeros((1, 1)))
+    y, _, _, _ = gf.solve_graph(x[0], Y[0], start=np.full(1, 0.01))
+    assert y.shape == (1,) and np.abs(y).max() < 1e-12

@@ -50,6 +50,18 @@ def _bump_rows(t):
     return out
 
 
+def _column_norm(cols):
+    # sqrt(d0*d0 + d1*d1 + ...) over the columns, added left to right as a
+    # row sum of squares over at most three columns is, so bitwise equal to
+    # np.sqrt((d ** 2).sum(axis=1)) without a (rows, n) temporary
+    cols = iter(cols)
+    d = next(cols)
+    acc = d * d
+    for d in cols:
+        acc = acc + d * d
+    return np.sqrt(acc)
+
+
 class _Ball:
     kind = "ball"
 
@@ -87,13 +99,14 @@ class _Points:
     def dist_many(self, pts):
         best = np.full(len(pts), np.inf)
         for p in self.pts:
-            best = np.minimum(best, np.sqrt(((pts - p) ** 2).sum(axis=1)))
+            best = np.minimum(best, _column_norm(c - x for c, x in zip(pts.T, p)))
         return best
 
     def dist_box(self, lo, hi):
         best = np.full(lo.shape[0], np.inf)
         for p in self.pts:
-            best = np.minimum(best, np.sqrt(((np.clip(p, lo, hi) - p) ** 2).sum(axis=1)))
+            best = np.minimum(best, _column_norm(np.clip(x, a, b) - x
+                                                 for a, b, x in zip(lo.T, hi.T, p)))
         return best
 
     def contains_box(self, lo, hi):
@@ -518,7 +531,16 @@ class WhitneyDecomposition:
         the cell's low face on every axis with o_i = -1 and on its high face
         where o_i = +1: elsewhere the closed boxes are apart on that axis.
         So the scan looks up only those offsets and the zero offset, whose
-        cube would overlap, and misses no touching pair.
+        cube would overlap, and misses no touching pair.  Conversely every
+        cube found at such a live offset touches the finer one, so a hit
+        needs no box test.  The lookups run per depth pair and per offset
+        in ascending key order (see ``_touching_scan``).
+
+        Errors come in a fixed order: a cube outside the box, the two
+        distance windows, then the depth pairs (j, j2), j2 <= j, in
+        ascending order, where an overlap at a pair comes before touching
+        cubes three or more levels apart at the same pair, and last a cube
+        with more than 12^n neighbors.
         """
         n = self.n
         report = {
@@ -581,59 +603,95 @@ class WhitneyDecomposition:
 
     def _touching_scan(self) -> dict:
         """Disjointness and neighbor bounds of the closed cubes on the integer
-        grid (the face rule is in ``check``); at equal depth the zero offset
-        and the offsets after it see every pair once."""
+        grid, as ``check`` reports them, read by ascending lookups in the
+        sorted key table.
+
+        For each depth pair (j, j2) with j2 <= j the depth-j cubes are taken
+        in key order, as the run of the table that depth owns, a block at a
+        time.  The keys of their ancestor cells at depth j2 are built and
+        sorted once per block.  A key is linear in its digits, so the cell at
+        offset o of an ancestor has the ancestor's key plus one constant per
+        offset; for cubes in the box the digits run from 0 to 2**j2 + 1 and
+        the cap of ``_cell_keys`` never applies.  Offset by offset the
+        queries then ascend, and they search only the depth-j2 slice of the
+        table.
+
+        The face rule in ``check`` picks the live offsets, and a hit at a
+        live offset always touches its cube: the finer cube lies on the
+        ancestor's low face on every axis with o_i = -1, on its high face
+        where o_i = +1 and inside it where o_i = 0, so the closed boxes meet
+        on every axis.  At equal depth the zero offset and the offsets after
+        it see every pair once.
+        """
+        counts, gap_max = self._neighbor_counts()
+        if counts.max(initial=0) > 12 ** self.n:
+            raise ValidationError("a cube touches more than 12^n others")
+        return {"neighbor_count_max": int(counts.max(initial=0)),
+                "neighbor_diam_ratio": (2.0 ** (-gap_max), 2.0 ** gap_max)}
+
+    def _neighbor_counts(self):
+        """Per-cube count of touching cubes and the largest depth gap between
+        touching cubes: the pass behind ``_touching_scan``, which raises on
+        overlaps and far pairs in the order ``check`` names."""
+        neighbor_count = np.zeros(self.count, dtype=np.int64)
+        gap_max = 0
+        if not self.count:
+            return neighbor_count, gap_max
         n = self.n
         offsets = _OFFSETS[n]
         zero_off = len(offsets) // 2
         same_depth = np.arange(len(offsets)) >= zero_off
-        depths = self.depths.tolist()
-        jmax = depths[-1]
+        # live offsets by face code, one row per offset
+        face_live = np.ascontiguousarray(_FACE_OFFSETS[n].T)
+        # the run of the table each depth owns is bounds[j]:bounds[j + 1]
+        bounds = np.append(np.searchsorted(self._keys, self._key_base), self.count)
         step = max(1, _BATCH_CELLS // len(offsets))
-        neighbor_count = np.zeros(self.count, dtype=np.int64)
-        gap_max = 0
+        depths = self.depths.tolist()
         for j in depths:
-            fine_j = np.flatnonzero(self.depth == j)
-            scale_f = 1 << (jmax - j)
-            for j2 in depths:
-                if j2 > j:
-                    break
+            fine_j = self._cube[bounds[j]:bounds[j + 1]]
+            keys_j = self._keys[bounds[j]:bounds[j + 1]]
+            coords_j = self.coords[fine_j]
+            for j2 in depths[:depths.index(j) + 1]:
                 gap = j - j2
-                too_far = False
+                keys2 = self._keys[bounds[j2]:bounds[j2 + 1]]
+                cube2 = self._cube[bounds[j2]:bounds[j2 + 1]]
+                weights = ((1 << j2) + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+                key_off = offsets @ weights
+                touched = False
                 for start in range(0, len(fine_j), step):
                     fine = fine_j[start:start + step]
-                    cf = self.coords[fine]
-                    base = cf >> gap
                     if gap:
-                        pos = cf - (base << gap)
-                        live = _FACE_OFFSETS[n][_face_codes(pos == 0, pos == (1 << gap) - 1)]
+                        cf = coords_j[start:start + step]
+                        kb = self._key_base[j2] + ((cf >> gap) + 1) @ weights
+                        order = np.argsort(kb, kind="stable")
+                        fine, kb = fine[order], kb[order]
+                        pos = cf[order] & ((1 << gap) - 1)
+                        live = face_live[:, _face_codes(pos == 0, pos == (1 << gap) - 1)]
                     else:
-                        live = np.broadcast_to(same_depth, (len(fine), len(offsets)))
-                    rows, offs = np.nonzero(live)
-                    found = self._lookup(self._cell_keys(base[rows] + offsets[offs], j2))
-                    hit = found >= 0
-                    rows, offs, other = rows[hit], offs[hit], found[hit]
-                    a = fine[rows]
-                    zero = offs == zero_off
-                    if np.any(zero & (other != a)):
+                        # each cube is its own ancestor, already in key order
+                        kb = keys_j[start:start + step]
+                        live = np.repeat(same_depth[:, None], len(fine), axis=1)
+                    # offset-major, each offset's queries ascending
+                    cand = np.flatnonzero(live)
+                    query = (kb + key_off[:, None]).ravel()[cand]
+                    at = np.minimum(np.searchsorted(keys2, query), len(keys2) - 1)
+                    hit = keys2[at] == query
+                    offs, rows = np.divmod(cand[hit], len(fine))
+                    a, other = fine[rows], cube2[at[hit]]
+                    if np.any((offs == zero_off) & (other != a)):
                         raise ValidationError("cubes are not pairwise disjoint")
-                    scale_b = 1 << (jmax - j2)
-                    lo_f, lo_b = cf[rows] * scale_f, self.coords[other] * scale_b
-                    touch = np.all((lo_f <= lo_b + scale_b) & (lo_b <= lo_f + scale_f), axis=1)
-                    keep = touch & (other != a)
+                    keep = other != a
                     if keep.any():
-                        too_far |= gap > 2
-                        gap_max = max(gap_max, gap)
+                        touched = True
                         neighbor_count += np.bincount(np.concatenate([a[keep], other[keep]]),
                                                       minlength=self.count)
-                # overlaps anywhere at this pair of depths take precedence
-                if too_far:
-                    raise ValidationError(
-                        "touching cubes differ in diameter by more than a factor of four")
-        if neighbor_count.max(initial=0) > 12 ** n:
-            raise ValidationError("a cube touches more than 12^n others")
-        return {"neighbor_count_max": int(neighbor_count.max(initial=0)),
-                "neighbor_diam_ratio": (2.0 ** (-gap_max), 2.0 ** gap_max)}
+                if touched:
+                    # overlaps anywhere at this pair of depths take precedence
+                    if gap > 2:
+                        raise ValidationError(
+                            "touching cubes differ in diameter by more than a factor of four")
+                    gap_max = max(gap_max, gap)
+        return neighbor_count, gap_max
 
 
 def whitney_decompose(X: ClosedSetSpec, bbox, min_depth: int = 0, max_depth=None) -> WhitneyDecomposition:

@@ -288,6 +288,46 @@ def origin_complement(n, max_depth):
                                  max_depth=max_depth)
 
 
+def three_levels_below(dec):
+    """A finest cube i and a copy of dec with one more cube three levels
+    finer, just below the low face of cube i on the first axis and outside
+    every cube."""
+    for i in np.flatnonzero(dec.depth == dec.depth.max()):
+        coords = 8 * dec.coords[i]
+        coords[0] -= 1
+        extra = dec.with_extra_cube(depth=dec.depth[i] + 3, coords=coords)
+        if dec.locate(extra.centers()[-1]) is None:
+            return i, extra
+    pytest.fail("no free cell next to a finest cube")
+
+
+def extra_cube_faults(dec):
+    """Depth pairs (finer, coarser) at which the last cube overlaps another
+    or touches, without overlap, one more than two levels apart, from its box and every other
+    box on the finest grid; the other cubes passed ``check`` together, so
+    every fault involves the last one."""
+    scale = np.left_shift(1, dec.depth.max() - dec.depth)
+    lo = dec.coords * scale[:, None]
+    hi = lo + scale[:, None]
+    others = np.arange(dec.count) < dec.count - 1
+    overlap = np.all((lo[-1] < hi) & (lo < hi[-1]), axis=1) & others
+    touch = np.all((lo[-1] <= hi) & (lo <= hi[-1]), axis=1) & others
+    far = touch & ~overlap & (np.abs(dec.depth - dec.depth[-1]) > 2)
+    faults = {}
+    for mask, kind in ((overlap, "disjoint"), (far, "factor of four")):
+        for d in np.unique(dec.depth[mask]).tolist():
+            pair = (max(d, int(dec.depth[-1])), min(d, int(dec.depth[-1])))
+            faults.setdefault(pair, set()).add(kind)
+    return faults
+
+
+def scan_error(faults):
+    """The message the touching scan must raise for these faults: the first
+    depth pair decides, and an overlap there beats a far pair."""
+    first = faults[min(faults)]
+    return "disjoint" if "disjoint" in first else "factor of four"
+
+
 class TestClosedSetSpec:
     def test_ball_distance_and_membership(self):
         s = ClosedSetSpec.ball([0.0, 0.0], 1.0)
@@ -300,6 +340,31 @@ class TestClosedSetSpec:
         s = ClosedSetSpec.points([[1.0, 0.0], [-1.0, 0.0]])
         assert s.dist([0.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
         assert s.dist([1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_point_set_distances_are_bitwise_the_row_sums(self, n):
+        rng = np.random.default_rng(30 + n)
+        centers = rng.normal(size=(4, n))
+        centers[0] = -0.0
+        pts = rng.uniform(-3.0, 3.0, size=(600, n))
+        pts[:100] *= 1e6
+        pts[100:200, 0] = -0.0
+        lo = rng.uniform(-3.0, 3.0, size=(600, n))
+        hi = lo + rng.uniform(0.0, 2.0, size=(600, n))
+        lo[:100] += 1e7
+        hi[:100] += 1e7
+        lo[100:200], hi[100:200] = -0.0, 0.0
+        lo[200:300, -1], hi[200:300, -1] = -0.0, -0.0
+        # the row-sum form the column arithmetic replaces
+        want_many = np.full(len(pts), np.inf)
+        want_box = np.full(len(lo), np.inf)
+        for p in centers:
+            want_many = np.minimum(want_many, np.sqrt(((pts - p) ** 2).sum(axis=1)))
+            want_box = np.minimum(want_box, np.sqrt(((np.clip(p, lo, hi) - p) ** 2).sum(axis=1)))
+        (prim,) = ClosedSetSpec.points(centers).primitives
+        for got, want in ((prim.dist_many(pts), want_many), (prim.dist_box(lo, hi), want_box)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_axis_subspace_distance_is_exact(self):
         e = x_axis()
@@ -496,6 +561,9 @@ class TestWhitneyDecompose:
         assert gap > 0
         assert report["neighbor_count_max"] == counts.max()
         assert report["neighbor_diam_ratio"] == (2.0 ** -gap, 2.0 ** gap)
+        got, got_gap = dec._neighbor_counts()
+        assert np.array_equal(got, counts)
+        assert got_gap == gap
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_checker_catches_overlaps_the_windows_let_through(self, n):
@@ -517,19 +585,92 @@ class TestWhitneyDecompose:
     def test_touching_scan_refuses_cubes_three_levels_apart(self, n):
         # the distance windows refuse such a cube first, so the scan is
         # called by itself
-        dec = origin_complement(n, max_depth=4)
-        for i in np.flatnonzero(dec.depth == dec.depth.max()):
-            # three levels finer, just below the low face of cube i on the
-            # first axis, and outside every cube
-            coords = 8 * dec.coords[i]
-            coords[0] -= 1
-            extra = dec.with_extra_cube(depth=dec.depth[i] + 3, coords=coords)
-            if dec.locate(extra.centers()[-1]) is None:
-                break
-        else:
-            pytest.fail("no free cell next to a finest cube")
+        _, extra = three_levels_below(origin_complement(n, max_depth=4))
         with pytest.raises(ValidationError, match="factor of four"):
             extra._touching_scan()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_an_overlap_beats_a_far_pair_at_the_same_depth_pair(self, n):
+        dec = origin_complement(n, max_depth=4)
+        i, far = three_levels_below(dec)
+        # three levels finer again, strictly inside cube i: it overlaps cube i
+        # and nothing else, at the depth pair of the far pair
+        both = far.with_extra_cube(depth=far.depth[-1], coords=8 * dec.coords[i] + 3)
+        pair = (int(far.depth[-1]), int(dec.depth[i]))
+        assert extra_cube_faults(far) == {pair: {"factor of four"}}
+        assert extra_cube_faults(both) == {pair: {"disjoint"}}
+        with pytest.raises(ValidationError, match="disjoint"):
+            both._touching_scan()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_far_pair_beats_an_overlap_at_a_later_depth_pair(self, n):
+        i, far = three_levels_below(origin_complement(n, max_depth=4))
+        # a twin of the far cube overlaps it at the later pair (j, j)
+        twin = far.with_extra_cube(depth=far.depth[-1], coords=far.coords[-1])
+        j = int(far.depth[-1])
+        assert extra_cube_faults(twin) == {(j, int(far.depth[i])): {"factor of four"},
+                                           (j, j): {"disjoint"}}
+        with pytest.raises(ValidationError, match="factor of four"):
+            twin._touching_scan()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_twin_cube_is_an_overlap(self, n):
+        dec = origin_complement(n, max_depth=4)
+        # the first and last cubes of the key table and a finest cube
+        for i in (int(dec._cube[0]), int(dec._cube[-1]), int(dec.depth.argmax())):
+            twin = dec.with_extra_cube(depth=dec.depth[i], coords=dec.coords[i])
+            with pytest.raises(ValidationError, match="disjoint"):
+                twin._touching_scan()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_scan_of_one_extra_cube_matches_the_pairwise_oracle(self, n):
+        x, max_depth = {
+            1: (ClosedSetSpec.points([[0.3], [-0.55]]), 7),
+            2: (ClosedSetSpec.ball([0.1, 0.2], 0.4).union(
+                ClosedSetSpec.points([[-0.6, 0.5]])), 5),
+            3: (ClosedSetSpec.points([[0.0, 0.0, 0.0]]), 3),
+        }[n]
+        with pytest.warns(CoverageWarning):
+            dec = whitney_decompose(x, (-1.0, 1.0), max_depth=max_depth)
+        rng = np.random.default_rng(40 + n)
+        seen = set()
+        for trial in range(45):
+            if trial % 3 == 0:
+                depth = int(rng.integers(0, max_depth + 4))
+                coords = rng.integers(0, 2 ** depth, n)
+            else:
+                # a finer cube in the uncovered collar, where it may fit
+                depth = max_depth + (int(rng.integers(1, 3)) if trial % 3 == 1 else 3)
+                p = rng.uniform(-1.0, 1.0, n)
+                while dec.locate(p) is not None:
+                    p = rng.uniform(-1.0, 1.0, n)
+                coords = np.floor((p + 1.0) * 2.0 ** (depth - 1)).astype(np.int64)
+                if trial % 3 == 2:
+                    # or, at a corner of its cell at max_depth, touch the
+                    # cubes around that cell three levels up
+                    coords = (coords >> 3 << 3) + 7 * rng.integers(0, 2, n)
+            bad = dec.with_extra_cube(depth, coords)
+            faults = extra_cube_faults(bad)
+            if faults:
+                seen.add(scan_error(faults))
+                with pytest.raises(ValidationError, match=scan_error(faults)):
+                    bad._touching_scan()
+                continue
+            seen.add("none")
+            counts, gap = brute_force_touching(bad)
+            got, got_gap = bad._neighbor_counts()
+            assert np.array_equal(got, counts) and got_gap == gap
+            assert bad._touching_scan() == {"neighbor_count_max": counts.max(),
+                                            "neighbor_diam_ratio": (2.0 ** -gap, 2.0 ** gap)}
+        assert seen == {"disjoint", "factor of four", "none"}
+
+    def test_the_scan_of_the_empty_decomposition_reports_no_neighbors(self):
+        dec = whitney_decompose(ClosedSetSpec.ball([0.0, 0.0], 10.0), (-1.0, 1.0))
+        assert dec.count == 0
+        scan = dec._touching_scan()
+        assert scan == {"neighbor_count_max": 0, "neighbor_diam_ratio": (1.0, 1.0)}
+        report = dec.check()
+        assert {k: report[k] for k in scan} == scan
 
     def test_point_location_and_star_lookup_match_brute_force(self):
         with pytest.warns(CoverageWarning):

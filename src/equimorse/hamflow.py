@@ -74,7 +74,7 @@ class _Kernel:
     Row r is one monomial prod_i z_i^e_ri times the time factor of mode
     mode_of[r], one row per distinct (exponents, time mode) among H_t and its
     first and second partial derivatives.  The power table holds z_i^p at
-    [i, p], so flat[r, i] = i * len(powers) + e_ri.  W[k, r] is the sum of
+    [i, p], so flat[r, i] = i * (degree + 1) + e_ri.  W[k, r] is the sum of
     coefficient times derivative multiplicity with which row r enters output
     k: 0..d-1 are grad H_t, d + j d + l is the (j, l) entry of D^2 H_t and the
     last one, d + d^2, is H_t.  Since the rows (j, l) and (l, j) of W are
@@ -84,7 +84,7 @@ class _Kernel:
     of them as the product over all rows does.
     """
     flat: np.ndarray  # (R, d)
-    powers: np.ndarray  # 0, 1, ..., the largest exponent
+    degree: int  # the largest exponent
     mode_of: np.ndarray  # (R,)
     times: tuple  # (f or None, 2 pi freq) per distinct time mode
     W: np.ndarray  # (d + d^2 + 1, R)
@@ -98,9 +98,22 @@ class _Kernel:
         return self.mode_factors(t)[self.mode_of]
 
     def monomials(self, Z) -> np.ndarray:
-        """(P, R): the monomial of every row at every point of Z (P, d)."""
-        table = (Z[:, :, None] ** self.powers).reshape(len(Z), -1)
-        return table[:, self.flat].prod(axis=2)
+        """(P, R): the monomial of every row at every point of Z (P, d).
+
+        z_i^p is the running product 1 * z_i * ... * z_i and a row multiplies
+        the powers of its coordinates from z_0 to z_{d-1}, so every entry is
+        the left fold of float products, with no pow call whose rounding
+        depends on the library or its SIMD dispatch.
+        """
+        P, d = Z.shape
+        table = np.empty((P, d, self.degree + 1))
+        table[:, :, 0] = 1.0
+        table[:, :, 1:] = Z[:, :, None]
+        table = np.multiply.accumulate(table, axis=2).reshape(P, -1)
+        out = table[:, self.flat[:, 0]]
+        for i in range(1, d):
+            out *= table[:, self.flat[:, i]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -181,7 +194,7 @@ class HamiltonianGerm:
         exps = np.array([e for e, _ in rows], dtype=np.intp).reshape(len(rows), d)
         degree = int(exps.max(initial=0))
         times = tuple((_MODES[mode], 2.0 * math.pi * freq) for mode, freq in mode_ids)
-        return _Kernel(flat=np.arange(d) * (degree + 1) + exps, powers=np.arange(degree + 1),
+        return _Kernel(flat=np.arange(d) * (degree + 1) + exps, degree=degree,
                        mode_of=np.array([mode for _, mode in rows], dtype=np.intp),
                        times=times, W=W)
 
@@ -196,7 +209,8 @@ class HamiltonianGerm:
         def rhs(t, y):
             return (minus_J @ self.jet(origin, t)[2] @ y.reshape(d, d)).ravel()
 
-        run = dop853(rhs, 0.0, 1.0, np.eye(d).ravel(), rtol=1e-12, atol=1e-13, dense=True)
+        run = dop853(rhs, 0.0, 1.0, np.eye(d).ravel(), rtol=1e-12, atol=1e-13, dense=True,
+                     first_step=1.0)
         if run.status != REACHED:
             raise StiffnessError(f"variational integration underflowed its step at t = {run.t}")
 
@@ -302,20 +316,25 @@ def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray, rows: int, action: bool, shi
                            [d + d * d]])[:width]
     W = k.W[:width].copy()
     W[read[:d + d * d]] *= np.concatenate([sign, np.repeat(sign, d)])[:, None]
+    timed = any(f is not None for f, _ in k.times)
     factors = k.time_factors
-    if np.any(shift) and any(f is not None for f, _ in k.times):
+    if timed and np.any(shift):
         offsets, group = np.unique(shift, return_inverse=True)
+        offsets = offsets.tolist()
         # (rows, R): where each row's time factors sit among those of the offsets
         where = group[:, None] * len(k.times) + k.mode_of
 
         def factors(t):
-            return np.concatenate([k.mode_factors(t + s) for s in offsets])[where]
+            return np.array([1.0 if f is None else f(w * (t + s))
+                             for s in offsets for f, w in k.times])[where]
 
     def rhs(t, y):
         Y = y.reshape(rows, width)
         z = Y[:, :d]
         Phi = Y[:, d:d + d * d].reshape(rows, d, d)
-        F = ((k.monomials(z) * factors(t)) @ W.T)[:, read]
+        # every factor of a germ without time modes is 1.0, whose product is exact
+        terms = k.monomials(z) * factors(t) if timed else k.monomials(z)
+        F = (terms @ W.T)[:, read]
         out = np.empty_like(Y)
         out[:, :d] = F[:, :d]
         out[:, d:d + d * d] = (F[:, d:d + d * d].reshape(rows, d, d) @ Phi).reshape(rows, d * d)
@@ -334,13 +353,23 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
     z is one point (d,) or a batch (P, d) whose rows are flowed together as
     one stacked state, up to _MAX_STACK rows per integration; a batch gives
     (P, d) images and (P, d, d) Jacobians.  The package's own DOP853
-    (ode.dop853, bitwise scipy's DOP853 at the same tolerances) controls the
-    step by an RMS error norm over the whole stacked state, so the
-    tolerances of a stack of P rows are rtol = 1e-12 / sqrt(P) and
-    atol = 1e-13 / sqrt(P), which bound each row's error norm by that of its
-    flow alone.  The rows share the adaptive steps, so a row's result
+    (ode.dop853, bitwise scipy's DOP853 at the same tolerances and first
+    step) controls the step by an RMS error norm over the whole stacked
+    state, so the tolerances of a stack of P rows are rtol = 1e-12 / sqrt(P)
+    and atol = 1e-13 / sqrt(P), which bound each row's error norm by that of
+    its flow alone.  The rows share the adaptive steps, so a row's result
     depends on its batch mates below the ODE tolerance; a batch of one is
     the one-point flow.
+
+    Each integration tries the whole span |t1 - t0| as its first step, as
+    scipy's first_step would, and keeps it only if it passes the error test:
+    a slow flow takes one step (13 RHS calls), while a fast one pays one
+    rejected step (12 RHS calls) before the controller shrinks the step to
+    its usual size.  The trust radius is read at the end of every accepted
+    step, so an excursion out of the ball and back within one accepted step
+    goes unseen; a long step is accepted only where the flow is slow and
+    smooth over it, and an orbit that turns out of the ball and back within
+    the span is still caught (see the tests).
 
     shift, one start-time shift per row, lets one stack hold flows over
     different time intervals: row i is flowed from t0 + shift[i] to
@@ -403,7 +432,8 @@ def _stacked_flow(germ, t0, t1, Z, radius, action, shift, first, total):
     y0[:, d:d + d * d] = np.eye(d).ravel()
     scale = math.sqrt(P)
     run = dop853(_flow_rhs(germ, standard_symplectic(germ.n), P, action, shift), t0, t1,
-                 y0.ravel(), rtol=1e-12 / scale, atol=1e-13 / scale, exit=exit_norm)
+                 y0.ravel(), rtol=1e-12 / scale, atol=1e-13 / scale, exit=exit_norm,
+                 first_step=abs(t1 - t0))
     if run.status == EXITED:
         # the row farthest out at the end of the step in which the largest
         # norm crossed the radius
@@ -432,7 +462,9 @@ def zero_jacobian_path(germ: HamiltonianGerm, T: float):
     period [0, 1], solved once per germ instance (HamiltonianGerm._period_path),
     and takes the rest from the powers of the monodromy Phi(1).  T does not
     change the solve; the path is accurate to the ODE tolerance times the
-    number of periods.
+    number of periods.  The solve tries the whole period as its first step
+    (see integrate_flow), at the cost of one rejected step where the
+    linearized flow is fast.
 
     t is one time, giving (d, d), or an array of times, giving (..., d, d)
     from one dense-output pass and one matrix power per whole period; each

@@ -5,9 +5,9 @@ dense output (Hairer, Norsett and Wanner, Solving Ordinary Differential
 Equations I, sec. II.10).  The step control, initial step and error norm
 repeat the arithmetic of scipy.integrate's DOP853 operation for operation, so
 a solve here is bitwise the scipy solve with method="DOP853" and the same
-tolerances; the tests keep scipy as that oracle.  The coefficients are those
-of scipy/integrate/_ivp/dop853_coefficients.py at full precision (SciPy,
-BSD-3-Clause license).
+tolerances and first_step; the tests keep scipy as that oracle.  The
+coefficients are those of scipy/integrate/_ivp/dop853_coefficients.py at
+full precision (SciPy, BSD-3-Clause license).
 """
 from __future__ import annotations
 
@@ -263,15 +263,24 @@ def _dense(ts, pieces):
     return sol
 
 
-def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False) -> Integration:
+def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False,
+           first_step=None) -> Integration:
     """Integrate y' = fun(t, y) from y(t0) = y0 (1-D) to t1 with DOP853.
 
     The local error of each step is held below atol + rtol |y| in the RMS
     norm over y.  With exit set, exit(y) is read at the end of every accepted
     step and the solve stops after the first step across which it goes from
     <= 0 to >= 0; the crossing is not located inside the step.  With dense
-    set, the result carries the dense output.  Raises ConfigurationError if
-    rtol is below RTOL_FLOOR or atol is negative.
+    set, the result carries the dense output.
+
+    The first step tried is first_step when it is given, as scipy's
+    first_step, and else the Hairer-Norsett-Wanner estimate, which costs one
+    more fun call.  A step is kept only if it passes the error test, so a
+    first step that is too long costs one rejected step (12 fun calls)
+    before the controller shrinks it by a factor of at least 0.2.
+
+    Raises ConfigurationError if rtol is below RTOL_FLOOR, atol is negative
+    or first_step is not a finite number in (0, |t1 - t0|].
     """
     if not rtol >= RTOL_FLOOR:
         raise ConfigurationError(f"relative tolerance {rtol!r} is below the floor "
@@ -279,6 +288,8 @@ def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False) -> Integration:
     if not atol >= 0:
         raise ConfigurationError(f"absolute tolerance {atol!r} is negative")
     t0, t1 = float(t0), float(t1)
+    if first_step is not None and not 0 < first_step <= abs(t1 - t0):
+        raise ConfigurationError(f"first step {first_step!r} is not in (0, {abs(t1 - t0)!r}]")
     t, y = t0, np.asarray(y0, dtype=float)
     ts, pieces = [t], []
 
@@ -292,7 +303,10 @@ def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False) -> Integration:
     direction = np.sign(t1 - t0)
     f = fun(t, y)
     g = None if exit is None else exit(y)
-    h_abs = _initial_step(fun, t, y, t1, f, direction, rtol, atol)
+    if first_step is None:
+        h_abs = _initial_step(fun, t, y, t1, f, direction, rtol, atol)
+    else:
+        h_abs = float(first_step)
     K = np.empty((16, len(y)))
     while direction * (t - t1) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)

@@ -447,6 +447,27 @@ def test_jet_matches_the_loop_oracle(name):
         assert H[i] == Hi and np.array_equal(g[i], gi) and np.array_equal(h[i], hi)
 
 
+@pytest.mark.parametrize("name", ["quartic", "resonant_4_1", "sin_n2", "hyperbolic"])
+def test_the_monomial_table_is_the_left_fold_of_float_products(name):
+    # z_i^p is z_i * ... * z_i from 1.0 and a row multiplies its coordinates'
+    # powers from z_0 on, so no entry depends on how a pow call rounds
+    k = KERNEL_GERMS[name]()._kernel
+    d = k.flat.shape[1]
+    exps = k.flat - np.arange(d) * (k.degree + 1)
+    Z = 0.4 * np.random.default_rng(41).uniform(-1.0, 1.0, size=(9, d))
+    table = k.monomials(Z)
+    assert table.shape == (len(Z), len(exps))
+    for p, z in enumerate(Z.tolist()):
+        for r, row in enumerate(exps.tolist()):
+            out = None
+            for zi, e in zip(z, row):
+                power = 1.0
+                for _ in range(e):
+                    power *= zi
+                out = power if out is None else out * power
+            assert table[p, r] == out
+
+
 def test_flows_evaluate_the_germ_only_through_jet(monkeypatch):
     germ = resonant_germ()
     expected = integrate_flow(germ, 0.0, 0.5, [0.1, 0.05], action=True)
@@ -475,7 +496,7 @@ def _direct_zero_jacobian_path(germ, T):
         return (minus_J @ germ.jet(origin, t)[2] @ y.reshape(d, d)).ravel()
 
     sol = solve_ivp(rhs, (0.0, float(T)), np.eye(d).ravel(), method="DOP853",
-                    rtol=1e-12, atol=1e-13, dense_output=True)
+                    rtol=1e-12, atol=1e-13, dense_output=True, first_step=float(T))
     assert sol.success
     return lambda t: sol.sol(t).reshape(d, d)
 
@@ -609,7 +630,8 @@ def _one_point_flow(germ, t0, t1, z, action=False, radius=0.5):
     exit_event.direction = 1.0
     y0 = np.concatenate([z, np.eye(d).ravel(), [0.0] if action else []])
     sol = solve_ivp(_one_point_rhs(germ, standard_symplectic(germ.n), action), (t0, t1), y0,
-                    method="DOP853", rtol=1e-12, atol=1e-13, events=exit_event)
+                    method="DOP853", rtol=1e-12, atol=1e-13, events=exit_event,
+                    first_step=abs(t1 - t0))
     assert sol.status == 0
     yf = sol.y[:, -1]
     phi, dphi = yf[:d], yf[d:d + d * d].reshape(d, d)
@@ -784,7 +806,7 @@ def _scipy_exit_row(germ, t0, t1, Z, radius=0.5):
     scale = math.sqrt(P)
     sol = solve_ivp(hamflow._flow_rhs(germ, standard_symplectic(germ.n), P, False), (t0, t1),
                     y0, method="DOP853", rtol=1e-12 / scale, atol=1e-13 / scale,
-                    events=exit_event)
+                    events=exit_event, first_step=abs(t1 - t0))
     assert sol.status == 1
     return int(np.argmax(np.linalg.norm(sol.y_events[0][0].reshape(P, width)[:, :d], axis=1)))
 
@@ -825,6 +847,92 @@ def test_dop853_refuses_tolerances_it_cannot_honour(rtol, atol):
     # the floor itself is accepted
     run = ode.dop853(lambda t, y: -y, 0.0, 1.0, np.ones(2), rtol=RTOL_FLOOR, atol=0.0)
     assert run.status == REACHED and np.abs(run.y - math.exp(-1.0)).max() < 1e-12
+
+
+@pytest.mark.parametrize("first_step", ["span", 0.1, 1e-3])
+@pytest.mark.parametrize("t0, t1", [(-0.5, 1.0), (1.0, -0.5)], ids=["forward", "backward"])
+def test_a_given_first_step_is_bitwise_scipys(t0, t1, first_step):
+    first_step = abs(t1 - t0) if first_step == "span" else first_step
+    y0 = np.concatenate([[0.2, -0.1], np.eye(2).ravel()])
+    rhs = _one_point_rhs(cos_germ(), J2, False)
+    run = ode.dop853(rhs, t0, t1, y0, rtol=1e-12, atol=1e-13, dense=True,
+                     first_step=first_step)
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12, atol=1e-13,
+                    dense_output=True, first_step=first_step)
+    assert run.status == REACHED and run.t == sol.t[-1]
+    assert np.array_equal(run.y, sol.y[:, -1])
+    ts = np.concatenate([np.linspace(t0, t1, 41), sol.t])
+    assert np.array_equal(run.sol(ts), sol.sol(ts).T)
+
+
+@pytest.mark.parametrize("first_step", [0.0, -1.0, 1.0 + 1e-12, math.inf, math.nan])
+def test_dop853_refuses_a_first_step_outside_the_span(first_step):
+    with pytest.raises(ConfigurationError, match="first step"):
+        ode.dop853(lambda t, y: -y, 0.0, 1.0, np.ones(2), rtol=1e-12, atol=1e-13,
+                   first_step=first_step)
+    with pytest.raises(ConfigurationError, match="first step"):
+        ode.dop853(lambda t, y: -y, 1.0, 0.0, np.ones(2), rtol=1e-12, atol=1e-13,
+                   first_step=first_step)
+    # the whole span is accepted either way
+    for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
+        run = ode.dop853(lambda t, y: -y, t0, t1, np.ones(2), rtol=1e-12, atol=1e-13,
+                         first_step=1.0)
+        assert run.status == REACHED and run.t == t1
+
+
+def _count_rhs_calls(monkeypatch):
+    calls = [0]
+    solve = hamflow.dop853
+
+    def counted(fun, *args, **kwargs):
+        def rhs(t, y):
+            calls[0] += 1
+            return fun(t, y)
+
+        return solve(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(hamflow, "dop853", counted)
+    return calls
+
+
+def test_a_slow_stack_takes_the_whole_span_in_one_step(monkeypatch):
+    # |z| <= 0.25 turns each circle of the quartic flow by at most 1/16 rad
+    # over [0, 1]; one accepted step is the slope at t0 and 12 stages
+    rng = np.random.default_rng(43)
+    u = rng.standard_normal((12, 2))
+    Z = 0.25 * rng.uniform(0.0, 1.0, size=(12, 1)) * u / np.linalg.norm(u, axis=1)[:, None]
+    calls = _count_rhs_calls(monkeypatch)
+    phi, dphi = integrate_flow(quartic_germ(), 0.0, 1.0, Z)
+    assert calls[0] == 13
+    # the closed form phi = R(|z|^2) z, dphi = R(|z|^2) (I + J0 z (2z)^T)
+    for i, z in enumerate(Z):
+        R = rotation(z @ z)
+        assert np.abs(phi[i] - R @ z).max() < 1e-13
+        assert np.abs(dphi[i] - R @ (np.eye(2) + J2 @ np.outer(z, 2 * z))).max() < 1e-13
+
+
+def test_a_resonant_flow_over_half_a_period_is_the_one_point_oracle():
+    germ = resonant_germ()
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        z = 0.25 * rng.uniform(-1.0, 1.0, size=2)
+        for action in (False, True):
+            got = integrate_flow(germ, 0.0, 0.5, z, action=action)
+            want = _one_point_flow(germ, 0.0, 0.5, z, action=action)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+def test_an_orbit_that_leaves_the_ball_and_returns_within_the_span_is_caught():
+    # H = -pi (x^2 + 4 y^2) turns (0, 0.3) through (-0.6, 0) at t = 1/8 back
+    # to (0, -0.3) at t = 1/4; the exit is read at the end of each accepted
+    # step, and no accepted step spans the excursion
+    germ = HamiltonianGerm.make(1, [(-math.pi, (2, 0)), (-4 * math.pi, (0, 2))])
+    phi, _ = integrate_flow(germ, 0.0, 0.25, [0.0, 0.3], radius=np.inf)
+    assert np.abs(phi - [0.0, -0.3]).max() < 1e-10
+    with pytest.raises(DomainError, match="flow left the trust region"):
+        integrate_flow(germ, 0.0, 0.25, [0.0, 0.3], radius=0.5)
+
 
 def test_non_finite_starts_raise_a_domain_error_naming_the_row():
     with pytest.raises(DomainError, match="start point 0 is not finite"):

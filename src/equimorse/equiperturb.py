@@ -32,9 +32,6 @@ from .lochom import (
     FunctionSpec,
     _grid_seeds,
     _mv,
-    _poly_grad,
-    _poly_hess,
-    _poly_value,
     _pullback,
     _require_positive,
     _row_dots,
@@ -42,7 +39,9 @@ from .lochom import (
     _shoot,
     critical_points,
 )
-from .regdist import ClosedSetSpec, RegularizedDistance, fd_grads, fd_jets
+from .hamflow import _polynomial_kernel
+from .regdist import (ClosedSetSpec, RegularizedDistance, _quintic_d1, _quintic_d2,
+                      _quintic_step, fd_grads, fd_jets)
 
 _MORSE_FLOOR = 1e-8
 _STRATUM_TOL = 1e-6
@@ -204,33 +203,25 @@ def normal_decreasing_extension(f, stratification: Stratification, j: int) -> Ca
     return CallableFunction(n, value, grad, hess, name="normal decreasing extension")
 
 
-# smooth profiles: a decreasing cutoff for bumps and an increasing step for
-# the distance well, both quintic so second derivatives stay continuous
-
-def _quintic(u):
-    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
-def _quintic_d1(u):
-    return 30.0 * u * u * (1.0 - u) ** 2
-
-
-def _quintic_d2(u):
-    return 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
-
+# the bumps and the distance well read regdist's quintic profile: a
+# decreasing cutoff for bumps and an increasing step for the well, so second
+# derivatives stay continuous
 
 _RAMP_LO, _RAMP_HI = 0.5, 0.55
 
 
 def _step(u):
     """0 up to 1/4, a quintic ramp, then 1 from 1 on; elementwise."""
-    ramp = _quintic((np.clip(u, 0.25, 1.0) - 0.25) / 0.75)
+    ramp = _quintic_step((np.clip(u, 0.25, 1.0) - 0.25) / 0.75)
     return np.where(u <= 0.25, 0.0, np.where(u >= 1.0, 1.0, ramp))
 
 
 # small polynomials with radial cutoffs, as closed-form functions; every row
 # of a batch is bitwise the result at that point alone, which keeps the
-# critical point census of a Newton sweep independent of its batching
+# critical point census of a Newton sweep independent of its batching: the
+# bump sum adds each row's centers in one stacked product per ramp count, and
+# the polynomial is the package's one kernel (hamflow._Kernel), whose rows do
+# not depend on their batch mates
 
 def _monomials(m, max_degree=3, min_degree=0):
     out = []
@@ -255,21 +246,23 @@ def _bump_poly_term(centers, scale, coeffs, mons):
     count to the value, and the ramp, its gradient and its Hessian are
     evaluated on the centers strictly inside the ramp alone.  Rows with the
     same number R of ramp centers share one stacked (1, R) @ (R, m) product;
-    padding the rows to a common R would change the rounding.
+    padding the rows to a common R would change the rounding.  The
+    polynomial's kernel is built once, here, and read only at the rows that
+    some bump reaches.
     """
     centers = np.asarray(centers, dtype=float)
     m = centers.shape[1]
-    terms = tuple(zip(coeffs, mons))
+    kernel = _polynomial_kernel(m, list(zip(coeffs, mons)))
     width = _RAMP_HI - _RAMP_LO
     eye = np.eye(m)
 
     # A Newton sweep (lochom.critical_points) asks for grad and then hess on
-    # the same batch, so the bump sum and the polynomial's value and gradient
-    # are cached per term, keyed by the bytes of the batch, and the hess call
-    # reads what the grad call built.  The cached arrays are read-only: value,
-    # grad and hess only build new arrays from them.
+    # the same batch, so the bump sum and the polynomial's jet are cached per
+    # term, keyed by the bytes of the batch, and the hess call reads what the
+    # grad call built.  The cached arrays are read-only: value, grad and hess
+    # only build new arrays from them.
     @functools.lru_cache(maxsize=8)
-    def parts(key):
+    def jet(key):
         Z = np.frombuffer(key).reshape(-1, m)
         W = Z[:, None, :] - centers
         r = np.sqrt(np.einsum("pki,pki->pk", W, W))
@@ -291,51 +284,31 @@ def _bump_poly_term(centers, scale, coeffs, mons):
             d2 = _quintic_d2(s) / (width * scale) ** 2
             u = W[ij].reshape(-1, R, m) / rr[..., None]
             radial = d2 - d1 / rr
-            bv[rows] += np.sum(_quintic(s), axis=1)
+            bv[rows] += np.sum(_quintic_step(s), axis=1)
             bg[rows] = np.matmul(d1[:, None, :], u)[:, 0]
             bh[rows] = (np.matmul(np.swapaxes(u * radial[..., None], 1, 2), u)
                         + np.sum(d1 / rr, axis=1)[:, None, None] * eye)
-        return _frozen(bv), _frozen(bg), _frozen(bh)
-
-    @functools.lru_cache(maxsize=8)
-    def poly_value(key):
-        return _frozen(_poly_value(np.frombuffer(key).reshape(-1, m), terms))
-
-    @functools.lru_cache(maxsize=8)
-    def poly_grad(key):
-        return _frozen(_poly_grad(np.frombuffer(key).reshape(-1, m), terms))
-
-    # rows outside every bump are exact zeros, and so is a batch of them
-    # without evaluating the polynomial
+        # rows outside every bump (bv = 0: a ramp center adds a positive
+        # quintic) keep a zero polynomial, so their value and derivatives are
+        # exact zeros
+        pv, pg, ph = np.zeros(len(Z)), np.zeros(Z.shape), np.zeros(bh.shape)
+        live = bv != 0.0
+        if live.any():
+            pv[live], pg[live], ph[live] = kernel.jet(Z[live])
+        return tuple(_frozen(a) for a in (bv, bg, bh, pv, pg, ph))
 
     def value(Z):
-        key = Z.tobytes()
-        bv, _, _ = parts(key)
-        if not bv.any():
-            return np.zeros(len(Z))
-        return np.where(bv == 0.0, 0.0, poly_value(key) * bv)
+        bv, _, _, pv, _, _ = jet(Z.tobytes())
+        return pv * bv
 
     def grad(Z):
-        key = Z.tobytes()
-        bv, bg, _ = parts(key)
-        zero = (bv == 0.0) & ~bg.any(axis=1)
-        if zero.all():
-            return np.zeros(Z.shape)
-        g = bv[:, None] * poly_grad(key) + poly_value(key)[:, None] * bg
-        g[zero] = 0.0
-        return g
+        bv, bg, _, pv, pg, _ = jet(Z.tobytes())
+        return bv[:, None] * pg + pv[:, None] * bg
 
     def hess(Z):
-        key = Z.tobytes()
-        bv, bg, bh = parts(key)
-        zero = (bv == 0.0) & ~bg.any(axis=1) & ~bh.any(axis=(1, 2))
-        if zero.all():
-            return np.zeros(bh.shape)
-        cross = poly_grad(key)[:, :, None] * bg[:, None, :]
-        h = (bv[:, None, None] * _poly_hess(Z, terms) + cross + np.swapaxes(cross, 1, 2)
-             + poly_value(key)[:, None, None] * bh)
-        h[zero] = 0.0
-        return h
+        bv, bg, bh, pv, pg, ph = jet(Z.tobytes())
+        cross = pg[:, :, None] * bg[:, None, :]
+        return bv[:, None, None] * ph + cross + np.swapaxes(cross, 1, 2) + pv[:, None, None] * bh
 
     return CallableFunction(m, value, grad, hess)
 

@@ -13,6 +13,7 @@ nothing else loads scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,13 +53,30 @@ class Term:
     freq: int = 1
 
 
-def _json_int(x, what: str) -> int:
-    # JSON numbers may arrive as floats; only whole ones name an integer
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise ConfigurationError(f"{what} must be an integer, got {x!r}")
+def _integer(x, what: str, error=ConfigurationError) -> int:
+    """x as an int: an integral number, or a whole float as JSON may send it.
+
+    Bools are not numbers here, and a float with a fraction is refused, not
+    truncated.
+    """
+    if not isinstance(x, (bool, np.bool_)):
+        if isinstance(x, numbers.Integral):
+            return int(x)
+        if isinstance(x, numbers.Real) and float(x).is_integer():
+            return int(x)
+    raise error(f"{what} must be an integer, got {x!r}")
+
+
+def _exponents(m, d: int, error) -> tuple:
+    """The exponents of one monomial on R^d as a tuple of d nonnegative ints.
+
+    HamiltonianGerm and lochom.FunctionSpec check their terms here, each
+    raising its own error type, before their monomial kernels are built.
+    """
+    m = tuple(_integer(e, "monomial exponent", error) for e in m)
+    if len(m) != d or any(e < 0 for e in m):
+        raise error(f"monomial exponents {m} must be {d} nonnegative integers")
+    return m
 
 
 def _json_object(x, what: str) -> dict:
@@ -69,19 +87,23 @@ def _json_object(x, what: str) -> dict:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """The monomial table behind HamiltonianGerm.jet and the flow right-hand side.
+    """The package's one polynomial kernel: a monomial table and its weights.
 
-    Row r is one monomial prod_i z_i^e_ri times the time factor of mode
-    mode_of[r], one row per distinct (exponents, time mode) among H_t and its
-    first and second partial derivatives.  The power table holds z_i^p at
-    [i, p], so flat[r, i] = i * (degree + 1) + e_ri.  W[k, r] is the sum of
-    coefficient times derivative multiplicity with which row r enters output
-    k: 0..d-1 are grad H_t, d + j d + l is the (j, l) entry of D^2 H_t and the
-    last one, d + d^2, is H_t.  Since the rows (j, l) and (l, j) of W are
-    equal, so are the Hessian entries.  H_t comes last: W has an odd number
-    1 + d + d^2 of rows, so a blocked matrix-vector product over all rows but
-    the last (the flow without its action integral) groups, and rounds, each
-    of them as the product over all rows does.
+    Built by _polynomial_kernel, it evaluates every polynomial of the
+    package: the germs of HamiltonianGerm.jet and the flow right-hand side,
+    lochom.FunctionSpec, and the polynomial factor of equiperturb's bump
+    terms.  Row r is one monomial prod_i z_i^e_ri times the time factor of
+    mode mode_of[r], one row per distinct (exponents, time mode) among the
+    polynomial and its first and second partial derivatives.  The power
+    table holds z_i^p at [i, p], so flat[r, i] = i * (degree + 1) + e_ri.
+    W[k, r] is the sum of coefficient times derivative multiplicity with
+    which row r enters output k: 0..d-1 are the gradient, d + j d + l is the
+    (j, l) entry of the Hessian and the last one, d + d^2, is the value.
+    Since the rows (j, l) and (l, j) of W are equal, so are the Hessian
+    entries.  The value comes last: W has an odd number 1 + d + d^2 of rows,
+    so a blocked matrix-vector product over all rows but the last (the flow
+    without its action integral) groups, and rounds, each of them as the
+    product over all rows does.
     """
     flat: np.ndarray  # (R, d)
     degree: int  # the largest exponent
@@ -115,6 +137,65 @@ class _Kernel:
             out *= table[:, self.flat[:, i]]
         return out
 
+    def jet(self, z, factors=None):
+        """(value, gradient, Hessian) at one point (d,) or at every row of a batch (P, d).
+
+        factors holds the time factor of every row (time_factors); without
+        it every factor is 1, as for a polynomial of constant terms.  One
+        power table, one gather and product per monomial row and one
+        matrix-vector product per point, so a row's jet does not depend on
+        its batch mates.  One point is a batch of one and gives (float, (d,),
+        (d, d)); a batch gives ((P,), (P, d), (P, d, d)).
+        """
+        d = self.flat.shape[1]
+        z = np.asarray(z, dtype=float)
+        Z = z.reshape(-1, d)
+        rows = self.monomials(Z)
+        if factors is not None:
+            rows = rows * factors
+        out = (self.W @ rows[:, :, None])[:, :, 0]
+        grad, hess, H = out[:, :d], out[:, d:-1].reshape(-1, d, d), out[:, -1]
+        if z.ndim == 1:
+            return float(H[0]), grad[0], hess[0]
+        return H, grad, hess
+
+
+def _polynomial_kernel(d: int, terms) -> _Kernel:
+    """The kernel of the polynomial sum c z^m f(t) on R^d.
+
+    A term is (c, m) or (c, m, mode, freq), m a tuple of d nonnegative ints;
+    a term without a time mode is constant.  HamiltonianGerm, FunctionSpec
+    and equiperturb's bump terms build their kernels here, after their own
+    checks of the terms.
+    """
+    mode_ids, rows, entries = {}, {}, []
+
+    def add(out, exps, mode, coef):
+        entries.append((out, rows.setdefault((exps, mode), len(rows)), coef))
+
+    for c, m, *time in terms:
+        kind, freq = time or ("const", 0)
+        mode = mode_ids.setdefault((kind, freq if kind != "const" else 0), len(mode_ids))
+        add(d + d * d, m, mode, c)
+        for j in range(d):
+            if not m[j]:
+                continue
+            mj = m[:j] + (m[j] - 1,) + m[j + 1:]
+            add(j, mj, mode, c * m[j])
+            for l in range(d):
+                if mj[l]:
+                    mjl = mj[:l] + (mj[l] - 1,) + mj[l + 1:]
+                    add(d + j * d + l, mjl, mode, c * m[j] * mj[l])
+    W = np.zeros((d + d * d + 1, len(rows)))
+    for out, r, coef in entries:
+        W[out, r] += coef
+    exps = np.array([e for e, _ in rows], dtype=np.intp).reshape(len(rows), d)
+    degree = int(exps.max(initial=0))
+    times = tuple((_MODES[mode], 2.0 * math.pi * freq) for mode, freq in mode_ids)
+    return _Kernel(flat=np.arange(d) * (degree + 1) + exps, degree=degree,
+                   mode_of=np.array([mode for _, mode in rows], dtype=np.intp),
+                   times=times, W=W)
+
 
 @dataclass(frozen=True)
 class HamiltonianGerm:
@@ -131,19 +212,19 @@ class HamiltonianGerm:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigurationError("half-dimension n must be positive")
+        terms = []
         for term in self.terms:
             if not math.isfinite(term.c):
                 raise ConfigurationError(f"coefficient {term.c!r} is not finite")
-            if len(term.m) != 2 * self.n:
-                raise ConfigurationError("monomial exponents must have length 2n")
-            if any((not isinstance(e, int)) or e < 0 for e in term.m):
-                raise ConfigurationError("monomial exponents must be nonnegative integers")
-            if sum(term.m) < 2:
+            m = _exponents(term.m, 2 * self.n, ConfigurationError)
+            if sum(m) < 2:
                 raise ConfigurationError("every monomial needs total degree >= 2")
             if not isinstance(term.mode, str) or term.mode not in _MODES:
                 raise ConfigurationError(f"unknown time mode {term.mode!r}")
-            if term.mode != "const" and not isinstance(term.freq, int):
-                raise ConfigurationError("time frequency must be an integer")
+            freq = term.freq if term.mode == "const" else _integer(term.freq, "time frequency")
+            terms.append(Term(term.c, m, term.mode, freq))
+        # exponents and frequencies as ints, so that equal germs compare equal
+        object.__setattr__(self, "terms", tuple(terms))
 
     @classmethod
     def make(cls, n, terms):
@@ -168,35 +249,7 @@ class HamiltonianGerm:
 
     @cached_property
     def _kernel(self) -> _Kernel:
-        d = 2 * self.n
-        mode_ids, rows, entries = {}, {}, []
-
-        def add(out, exps, mode, coef):
-            entries.append((out, rows.setdefault((exps, mode), len(rows)), coef))
-
-        for term in self.terms:
-            key = (term.mode, term.freq if term.mode != "const" else 0)
-            mode = mode_ids.setdefault(key, len(mode_ids))
-            m = term.m
-            add(d + d * d, m, mode, term.c)
-            for j in range(d):
-                if not m[j]:
-                    continue
-                mj = m[:j] + (m[j] - 1,) + m[j + 1:]
-                add(j, mj, mode, term.c * m[j])
-                for l in range(d):
-                    if mj[l]:
-                        mjl = mj[:l] + (mj[l] - 1,) + mj[l + 1:]
-                        add(d + j * d + l, mjl, mode, term.c * m[j] * mj[l])
-        W = np.zeros((d + d * d + 1, len(rows)))
-        for out, r, coef in entries:
-            W[out, r] += coef
-        exps = np.array([e for e, _ in rows], dtype=np.intp).reshape(len(rows), d)
-        degree = int(exps.max(initial=0))
-        times = tuple((_MODES[mode], 2.0 * math.pi * freq) for mode, freq in mode_ids)
-        return _Kernel(flat=np.arange(d) * (degree + 1) + exps, degree=degree,
-                       mode_of=np.array([mode for _, mode in rows], dtype=np.intp),
-                       times=times, W=W)
+        return _polynomial_kernel(2 * self.n, [(t.c, t.m, t.mode, t.freq) for t in self.terms])
 
     @cached_property
     def _period_path(self):
@@ -228,11 +281,9 @@ class HamiltonianGerm:
     def jet(self, z, t: float):
         """(H_t, grad H_t, D^2 H_t) at one point (d,) or at every row of a batch (P, d).
 
-        One power table z_i^p for p <= degree, one gather and product per
-        monomial row, one time factor per distinct mode, one matrix-vector
-        product per point, so a row's jet does not depend on its batch mates.
-        One point is a batch of one and gives (float, (d,), (d, d)); a batch
-        gives ((P,), (P, d), (P, d, d)).
+        The germ's kernel (_Kernel.jet) with one time factor per distinct
+        mode, so a row's jet does not depend on its batch mates.  One point
+        gives (float, (d,), (d, d)); a batch gives ((P,), (P, d), (P, d, d)).
 
         >>> g = HamiltonianGerm.make(1, [(1.0, (3, 0)), (0.5, (1, 1), "cos", 2)])
         >>> H, grad, hess = g.jet([2.0, 1.0], 0.25)
@@ -240,15 +291,7 @@ class HamiltonianGerm:
         (7.0, [11.5, -1.0], [[12.0, -0.5], [-0.5, 0.0]])
         """
         k = self._kernel
-        d = 2 * self.n
-        z = np.asarray(z, dtype=float)
-        Z = z.reshape(-1, d)
-        rows = k.monomials(Z) * k.time_factors(t)
-        out = (k.W @ rows[:, :, None])[:, :, 0]
-        grad, hess, H = out[:, :d], out[:, d:-1].reshape(-1, d, d), out[:, -1]
-        if z.ndim == 1:
-            return float(H[0]), grad[0], hess[0]
-        return H, grad, hess
+        return k.jet(z, k.time_factors(t))
 
     def value(self, z, t: float) -> float:
         return self.jet(z, t)[0]
@@ -271,14 +314,13 @@ class HamiltonianGerm:
     @classmethod
     def from_json(cls, data: dict):
         try:
-            n = _json_int(data["n"], "n")
+            n = _integer(data["n"], "n")
             terms = []
             for raw in data["terms"]:
                 raw = _json_object(raw, "term")
                 time = _json_object(raw.get("time", {"mode": "const"}), "term time")
-                terms.append(Term(float(raw["c"]), tuple(_json_int(e, "exponent") for e in raw["m"]),
-                                  time.get("mode", "const"),
-                                  _json_int(time.get("freq", 1), "time frequency")))
+                terms.append(Term(float(raw["c"]), tuple(raw["m"]), time.get("mode", "const"),
+                                  _integer(time.get("freq", 1), "time frequency")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed Hamiltonian description: {exc}") from exc
         return cls(n, tuple(terms))

@@ -37,6 +37,7 @@ from .exactalg import (
     invariant_betti_from_columns,
     sparse_rank,  # noqa: F401  (perfbench/selftest.py checks this binding)
 )
+from .hamflow import _exponents, _integer, _polynomial_kernel
 from .ode import EXITED, REACHED, dop853
 
 
@@ -131,10 +132,7 @@ def _json_fields(doc, what, *keys):
 
 def _json_int(v, what) -> int:
     """An int or a whole float as an int; bools are not numbers here."""
-    if not ((isinstance(v, int) and not isinstance(v, bool))
-            or (isinstance(v, float) and v.is_integer())):
-        raise ValidationError(f"{what} must be an integer, got {v!r}")
-    return int(v)
+    return _integer(v, what, ValidationError)
 
 
 def _on_rows(fn, z, *args):
@@ -148,16 +146,6 @@ def _on_rows(fn, z, *args):
     return out if z.ndim > 1 else out[0]
 
 
-def _batched(kernel):
-    """Let a kernel on a (P, d) batch also take one point (d,)."""
-
-    @functools.wraps(kernel)
-    def call(z, *args):
-        return _on_rows(kernel, z, *args)
-
-    return call
-
-
 # Batched linear algebra whose rows are bitwise equal to the one-point
 # forms: a stacked matmul makes one BLAS call per row, as `A @ z` and
 # np.linalg.norm do, where `Z @ A.T` or np.linalg.norm(Z, axis=1) round
@@ -166,82 +154,6 @@ def _batched(kernel):
 def _mv(A, Z):
     """A @ z for every row z of Z."""
     return np.matmul(A, Z[..., None])[..., 0]
-
-
-@functools.lru_cache(maxsize=256)
-def _poly_table(terms, d, order):
-    """Monomial table of the order-th derivative (0, 1 or 2) of a polynomial.
-
-    Entry t of the derivative is coeff[t] times its factors z_i ** p, added
-    to one output slot (the value, a gradient or a Hessian entry).  Entries
-    come in the order of the loops over terms and exponents, and factors in
-    coordinate order, so that a row is bitwise equal to multiplying and
-    summing one monomial at a time.  Returns the coordinates and exponents
-    of the power columns, the K factor columns of every entry, padded with
-    a column of ones, the coefficients, and the entries of every slot, led
-    and padded by a zero entry T; multiplying by 1.0 and adding a trailing
-    0.0 are exact.
-    """
-    entries = []  # (slot, coefficient, exponent of every coordinate)
-    for coeff, exps in terms:
-        for slot, ij in enumerate(itertools.product(range(d), repeat=order)):
-            c, pows = coeff, list(exps)
-            for k in ij:
-                c *= pows[k]
-                pows[k] -= 1
-            # a negative exponent marks a derivative of a constant factor
-            if min(pows) >= 0:
-                entries.append((slot, c, pows))
-    factors = [[(l, p) for l, p in enumerate(pows) if p] for _, _, pows in entries]
-    # the last power column is z_0 ** 0 = 1.0, which pads short entries
-    cols = sorted({f for fs in factors for f in fs}) + [(0, 0)]
-    col = {f: k for k, f in enumerate(cols)}
-    # entry T is the zero that leads and pads every slot
-    index = np.full((len(entries) + 1, max([1] + [len(fs) for fs in factors])), len(cols) - 1)
-    for t, fs in enumerate(factors):
-        index[t, :len(fs)] = [col[f] for f in fs]
-    coeffs = np.array([c for _, c, _ in entries] + [0.0], dtype=float)
-    slots = [[len(entries)] for _ in range(d ** order)]
-    for t, (slot, _, _) in enumerate(entries):
-        slots[slot].append(t)
-    width = max(len(s) for s in slots)
-    gather = np.array([s + [len(entries)] * (width - len(s)) for s in slots])
-    return (np.array([i for i, _ in cols]), [float(p) for _, p in cols],
-            list(index.T.copy()), coeffs, gather)
-
-
-def _poly_eval(Z, terms, order):
-    """The order-th derivative of the polynomial at every row, (P, d ** order).
-
-    Powers are taken by math.pow: a scalar z[i] ** p calls libm pow, and
-    numpy's array power differs from it in the last bit on some inputs.
-    The slot sums are running sums, which add in entry order.
-    """
-    coords, exps, factor, coeffs, gather = _poly_table(tuple(terms), Z.shape[1], order)
-    P, C = len(Z), len(exps)
-    pw = np.fromiter(map(math.pow, Z[:, coords].ravel().tolist(), exps * P),
-                     float, P * C).reshape(P, C)
-    m = coeffs * pw[:, factor[0]]
-    for k in factor[1:]:
-        m = m * pw[:, k]
-    return np.add.accumulate(m[:, gather], axis=2)[:, :, -1]
-
-
-@_batched
-def _poly_value(Z, terms):
-    """Sum of coeff * prod z_i^e_i over (coeff, exponents) terms, per row."""
-    return _poly_eval(Z, terms, 0)[:, 0]
-
-
-@_batched
-def _poly_grad(Z, terms):
-    return _poly_eval(Z, terms, 1)
-
-
-@_batched
-def _poly_hess(Z, terms):
-    P, d = Z.shape
-    return _poly_eval(Z, terms, 2).reshape(P, d, d)
 
 
 def _as_value(out):
@@ -256,11 +168,17 @@ def _json_term(t):
         raise ValidationError(f"coefficient must be a number, got {coeff!r}")
     if not isinstance(exps, list):
         raise ValidationError(f"exponents must be a list of integers, got {exps!r}")
-    return coeff, tuple(_json_int(e, "exponent") for e in exps)
+    return coeff, exps
 
 
 class FunctionSpec:
     """Polynomial with a critical point at the origin, optionally symmetric.
+
+    Terms are (coefficient, exponents) pairs; an exponent is an integral
+    number or a whole float, and a bool or a fractional float is refused.
+    value, grad and hess read the package's one polynomial kernel
+    (hamflow._Kernel), built once per function, so a FunctionSpec rounds
+    exactly as a HamiltonianGerm of constant terms with the same terms does.
 
     >>> f = FunctionSpec.make(2, [(1.0, (2, 0)), (1.0, (0, 2))])
     >>> round(f.value([1.0, 2.0]), 10)
@@ -273,9 +191,7 @@ class FunctionSpec:
         self.d = int(d)
         clean = []
         for coeff, exps in terms:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.d or any(e < 0 for e in exps):
-                raise ValidationError(f"exponent tuple {exps} does not fit dimension {d}")
+            exps = _exponents(exps, self.d, ValidationError)
             c = float(coeff)
             if not math.isfinite(c):
                 raise ValidationError(f"coefficient {coeff!r} of term {exps} is not finite")
@@ -297,16 +213,21 @@ class FunctionSpec:
     def make(cls, d, terms, action=None) -> "FunctionSpec":
         return cls(d, terms, action)
 
-    # value, grad and hess take one point (d,) or a batch (P, d)
+    @functools.cached_property
+    def _kernel(self):
+        return _polynomial_kernel(self.d, self.terms)
+
+    # value, grad and hess take one point (d,) or a batch (P, d); each reads
+    # its part of the kernel's jet
 
     def value(self, z):
-        return _as_value(_poly_value(z, self.terms))
+        return self._kernel.jet(z)[0]
 
     def grad(self, z) -> np.ndarray:
-        return _poly_grad(z, self.terms)
+        return self._kernel.jet(z)[1]
 
     def hess(self, z) -> np.ndarray:
-        return _poly_hess(z, self.terms)
+        return self._kernel.jet(z)[2]
 
     def to_json(self) -> dict:
         doc = {

@@ -34,8 +34,17 @@ _S_LO, _S_HI = 0.5, 0.55
 
 
 def _quintic_step(u):
-    # C^2 ramp from 0 to 1 on [0, 1]
+    # C^2 ramp from 0 to 1 on [0, 1]; the one cutoff profile of the package,
+    # which equiperturb's bumps and distance well read too
     return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+
+
+def _quintic_d1(u):
+    return 30.0 * u * u * (1.0 - u) ** 2
+
+
+def _quintic_d2(u):
+    return 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
 
 
 def _bump_rows(t):

@@ -38,16 +38,14 @@ from equimorse.lochom import (
     CallableFunction,
     CyclicAction,
     FunctionSpec,
-    _poly_grad,
-    _poly_hess,
     _mv,
-    _poly_value,
     _pullback,
     _row_dots,
     _row_norms,
     critical_points,
 )
-from equimorse.regdist import ClosedSetSpec, RegularizedDistance
+from equimorse.hamflow import _polynomial_kernel
+from equimorse.regdist import ClosedSetSpec, RegularizedDistance, _quintic_step
 
 
 def _rowwise(fn):
@@ -315,7 +313,7 @@ def _pointwise_well(inner, d0, d1, info):
         u = d0.value(z) ** 2 / info["delta"]
         if u <= 0.25:
             return 0.0
-        w = 1.0 if u >= 1.0 else equiperturb._quintic((u - 0.25) / 0.75)
+        w = 1.0 if u >= 1.0 else _quintic_step((u - 0.25) / 0.75)
         t = d1.value(z)
         return w * t * t
 
@@ -741,11 +739,11 @@ def _oracle_bump_poly(z, centers, scale, coeffs, mons):
         v, g, h = _oracle_bump_parts(z, np.asarray(c, dtype=float), scale)
         bv, bg, bh = bv + v, bg + g, bh + h
     terms = list(zip(coeffs, mons))
-    pv = _poly_value(z, terms)
-    pg = _poly_grad(z, terms)
+    pv = _loop_value(z, terms)
+    pg = _loop_grad(z, terms)
     cross = np.outer(pg, bg)
     return (pv * bv, bv * pg + pv * bg,
-            bv * _poly_hess(z, terms) + cross + cross.T + pv * bh)
+            bv * _loop_hess(z, terms) + cross + cross.T + pv * bh)
 
 
 def _unit(rng, m):
@@ -785,7 +783,8 @@ def test_bump_term_matches_the_per_center_oracle(m):
         if kind == "outside":
             assert got[0] == 0.0 and not got[1].any() and not got[2].any()
         if kind == "plateau":
-            assert got[0] == pytest.approx(_poly_value(z, list(zip(coeffs, mons))), rel=1e-14)
+            # one plateau center weighs exactly 1
+            assert got[0] == _polynomial_kernel(m, list(zip(coeffs, mons))).jet(z)[0]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -909,8 +908,10 @@ def _per_seed_critical_points(func, seeds, radius):
     return found
 
 
-# The one-point polynomial loops that the batch kernel replaced: one libm
-# power z[i] ** e and one product per factor, summed term by term.
+# One-point polynomial loops: one libm power z[i] ** e and one product per
+# factor, summed term by term.  An independent route to the polynomial
+# kernel, which rounds differently (running-product powers, one weighted sum
+# per output), so they agree within a tolerance, not bitwise.
 
 def _loop_value(z, terms):
     total = 0.0
@@ -967,7 +968,8 @@ def _loop_hess(z, terms):
 
 def _one_point_bump(z, centers, scale, terms):
     """Value, gradient and Hessian of a bump term at one point: the sum over
-    the (K, m) centers with a 1-D ramp, as the batch must reproduce bitwise."""
+    the (K, m) centers with a 1-D ramp and the polynomial kernel at z alone,
+    as the batch must reproduce bitwise."""
     m = len(z)
     w = z - centers
     r = np.sqrt(np.einsum("ki,ki->k", w, w))
@@ -982,30 +984,53 @@ def _one_point_bump(z, centers, scale, terms):
         d1 = -30.0 * s * s * (1.0 - s) ** 2 / (width * scale)
         d2 = 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / (width * scale) ** 2
         u = w[ramp] / r[:, None]
-        bv += float(np.sum(s * s * s * (10.0 + s * (-15.0 + 6.0 * s))))
+        bv += float(np.sum(s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)))
         bg = d1 @ u
         bh = (u * (d2 - d1 / r)[:, None]).T @ u + float(np.sum(d1 / r)) * np.eye(m)
-    pv, pg = _loop_value(z, terms), _loop_grad(z, terms)
     if bv == 0.0 and not bg.any() and not bh.any():
         return 0.0, np.zeros(m), np.zeros((m, m))
+    pv, pg, ph = _polynomial_kernel(m, terms).jet(z)
     cross = np.outer(pg, bg)
-    return (pv * bv, bv * pg + pv * bg,
-            bv * _loop_hess(z, terms) + cross + cross.T + pv * bh)
+    return (pv * bv, bv * pg + pv * bg, bv * ph + cross + cross.T + pv * bh)
+
+
+def _random_terms(m, rng):
+    """Up to 8 terms of exponents 0..5 on R^m, every third with coefficient 0."""
+    return [(float(rng.standard_normal()) if k % 3 else 0.0,
+             tuple(int(e) for e in rng.integers(0, 6, m)))
+            for k in range(int(rng.integers(1, 9)))]
+
+
+# The loops and the kernel round differently; their difference is bounded
+# by a few dozen eps times the sum of the absolute values of the terms,
+# which is the loops' result for |coefficients| at |z|.
+_LOOP_RTOL = 1e-13
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_batched_polynomial_and_bump_are_bitwise_the_one_point_loops(m):
-    # the census of a perturbation moves with rounding, so the batch kernels
-    # must round exactly like the one-point code they replaced
+def test_polynomial_kernel_matches_the_one_point_loops(m):
     rng = np.random.default_rng(90 + m)
     for _ in range(20):
-        terms = [(float(rng.standard_normal()) if k % 3 else 0.0,
-                  tuple(int(e) for e in rng.integers(0, 6, m)))
-                 for k in range(int(rng.integers(1, 9)))]
+        terms = _random_terms(m, rng)
+        absolute = [(abs(c), e) for c, e in terms]
+        kernel = _polynomial_kernel(m, terms)
+        for z in rng.uniform(-2.0, 2.0, size=(6, m)):
+            got = kernel.jet(z)
+            for part, loop in zip(got, (_loop_value, _loop_grad, _loop_hess)):
+                bound = _LOOP_RTOL * loop(np.abs(z), absolute)
+                assert np.all(np.abs(part - loop(z, terms)) <= bound), loop.__name__
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_polynomial_and_bump_are_bitwise_their_one_point_calls(m):
+    # the census of a perturbation moves with rounding, so every row of a
+    # batch must round exactly as the same point alone
+    rng = np.random.default_rng(90 + m)
+    for _ in range(20):
+        kernel = _polynomial_kernel(m, _random_terms(m, rng))
         z = rng.uniform(-2.0, 2.0, size=(6, m))
-        for fn, loop in ((_poly_value, _loop_value), (_poly_grad, _loop_grad),
-                         (_poly_hess, _loop_hess)):
-            assert np.array_equal(fn(z, terms), np.array([loop(p, terms) for p in z]))
+        for k, part in enumerate(kernel.jet(z)):
+            assert np.array_equal(part, np.array([kernel.jet(p)[k] for p in z]))
     mons = _monomials(m, max_degree=3, min_degree=0)
     coeffs = rng.standard_normal(len(mons))
     centers, rows = _ramp_batch(m, rng)
@@ -1073,9 +1098,10 @@ def _kinds(rng):
                                  (2.0, (2, 2, 0)), (0.5, (0, 0, 0))])
     out.append(("function spec", spec, cloud))
     terms = [(1.3, (3, 0)), (-0.2, (1, 4)), (0.9, (0, 2)), (4.0, (0, 0))]
-    out.append(("poly", CallableFunction(2, lambda Z: _poly_value(Z, terms),
-                                         lambda Z: _poly_grad(Z, terms),
-                                         lambda Z: _poly_hess(Z, terms)), rows2))
+    kernel = _polynomial_kernel(2, terms)
+    out.append(("poly", CallableFunction(2, lambda Z: kernel.jet(Z)[0],
+                                         lambda Z: kernel.jet(Z)[1],
+                                         lambda Z: kernel.jet(Z)[2]), rows2))
     bowl = quartic_bowl()
     assembled = equiperturb._assemble(
         bowl, [_scaled(bump2, 0.01), _quadratic_term(np.diag([0.0, 1.0]), 0.02)],

@@ -169,6 +169,53 @@ def test_function_from_json_accepts_whole_float_exponents():
     assert FunctionSpec.from_json(doc).terms == ((1.0, (2, 0)), (1.0, (0, 2)))
 
 
+_MAKERS = {"function spec": (lambda terms: FunctionSpec.make(2, terms), ValidationError),
+           "germ": (lambda terms: HamiltonianGerm.make(1, terms), ConfigurationError)}
+
+
+def _exponents_of(f):
+    return f.terms[0][1] if isinstance(f, FunctionSpec) else f.terms[0].m
+
+
+@pytest.mark.parametrize("kind", list(_MAKERS))
+@pytest.mark.parametrize("exps", [
+    (2, 0), (2.0, 0), (np.int64(2), 0), np.array([2, 0]), (np.float64(2.0), np.uint8(0)),
+    (2.5, 0), (True, 1), (np.bool_(True), 1), ("2", 0), (math.inf, 0),
+], ids=["int", "whole float", "numpy int", "numpy array", "numpy whole float",
+        "fraction", "bool", "numpy bool", "string", "infinity"])
+def test_terms_take_integral_exponents_and_refuse_bools_and_fractions(kind, exps):
+    make, error = _MAKERS[kind]
+    if any(isinstance(e, (bool, np.bool_, str)) or not float(e).is_integer() for e in exps):
+        with pytest.raises(error, match="exponent"):
+            make([(1.0, exps)])
+    else:
+        got = _exponents_of(make([(1.0, exps)]))
+        assert got == (2, 0) and all(type(e) is int for e in got)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_function_spec_is_bitwise_the_constant_germ_with_its_terms(n):
+    # FunctionSpec and HamiltonianGerm evaluate one polynomial kernel
+    rng = np.random.default_rng(70 + n)
+    d = 2 * n
+    terms = []
+    while len(terms) < 8:
+        m = tuple(int(e) for e in rng.integers(0, 5, d))
+        if sum(m) >= 2:
+            terms.append((float(rng.standard_normal()), m))
+    spec = FunctionSpec.make(d, terms)
+    germ = HamiltonianGerm.make(n, terms)
+    Z = rng.uniform(-1.5, 1.5, size=(2000, d))
+    H, grad, hess = germ.jet(Z, 0.3)
+    assert np.array_equal(spec.value(Z), H)
+    assert np.array_equal(spec.grad(Z), grad)
+    assert np.array_equal(spec.hess(Z), hess)
+    for z in Z[:20]:
+        assert spec.value(z) == germ.value(z, 0.3)
+        assert np.array_equal(spec.grad(z), germ.grad(z, 0.3))
+        assert np.array_equal(spec.hess(z), germ.hess(z, 0.3))
+
+
 def test_function_requires_critical_origin():
     with pytest.raises(ValidationError, match="critical point"):
         FunctionSpec.make(2, [(1.0, (1, 0)), (1.0, (0, 2))])

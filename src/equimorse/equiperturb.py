@@ -40,8 +40,8 @@ from .lochom import (
     critical_points,
 )
 from .hamflow import _polynomial_kernel
-from .regdist import (ClosedSetSpec, RegularizedDistance, _quintic_d1, _quintic_d2,
-                      _quintic_step, fd_grads, fd_jets)
+from .regdist import (_S_HI, _S_LO, ClosedSetSpec, RegularizedDistance, _outer,
+                      _quintic_d1, _quintic_d2, _quintic_step)
 
 _MORSE_FLOOR = 1e-8
 _STRATUM_TOL = 1e-6
@@ -203,17 +203,21 @@ def normal_decreasing_extension(f, stratification: Stratification, j: int) -> Ca
     return CallableFunction(n, value, grad, hess, name="normal decreasing extension")
 
 
-# the bumps and the distance well read regdist's quintic profile: a
-# decreasing cutoff for bumps and an increasing step for the well, so second
-# derivatives stay continuous
-
-_RAMP_LO, _RAMP_HI = 0.5, 0.55
-
+# the bumps and the distance well read regdist's quintic profile and ramp
+# ends: a decreasing cutoff for bumps and an increasing step for the well, so
+# second derivatives stay continuous
 
 def _step(u):
     """0 up to 1/4, a quintic ramp, then 1 from 1 on; elementwise."""
     ramp = _quintic_step((np.clip(u, 0.25, 1.0) - 0.25) / 0.75)
     return np.where(u <= 0.25, 0.0, np.where(u >= 1.0, 1.0, ramp))
+
+
+def _step_derivatives(u):
+    # first and second derivatives of _step; the quintic's vanish at both
+    # ends of the ramp, so the clipped argument gives exact zeros off it
+    s = (np.clip(u, 0.25, 1.0) - 0.25) / 0.75
+    return _quintic_d1(s) / 0.75, _quintic_d2(s) / 0.75 ** 2
 
 
 # small polynomials with radial cutoffs, as closed-form functions; every row
@@ -253,7 +257,7 @@ def _bump_poly_term(centers, scale, coeffs, mons):
     centers = np.asarray(centers, dtype=float)
     m = centers.shape[1]
     kernel = _polynomial_kernel(m, list(zip(coeffs, mons)))
-    width = _RAMP_HI - _RAMP_LO
+    width = _S_HI - _S_LO
     eye = np.eye(m)
 
     # A Newton sweep (lochom.critical_points) asks for grad and then hess on
@@ -267,10 +271,10 @@ def _bump_poly_term(centers, scale, coeffs, mons):
         W = Z[:, None, :] - centers
         r = np.sqrt(np.einsum("pki,pki->pk", W, W))
         t = r / scale
-        bv = np.add.reduce(t <= _RAMP_LO, axis=1, dtype=float)
+        bv = np.add.reduce(t <= _S_LO, axis=1, dtype=float)
         bg = np.zeros(Z.shape)
         bh = np.zeros((len(Z), m, m))
-        ramp = (t > _RAMP_LO) & (t < _RAMP_HI)
+        ramp = (t > _S_LO) & (t < _S_HI)
         counts = np.add.reduce(ramp, axis=1)
         row, center = np.nonzero(ramp)
         for R in set(counts[row].tolist()):
@@ -279,7 +283,7 @@ def _bump_poly_term(centers, scale, coeffs, mons):
             ij = row[at], center[at]
             # the ramp sits away from r = 0, so the radial chain rule is regular
             rr = r[ij].reshape(-1, R)
-            s = (_RAMP_HI - t[ij].reshape(-1, R)) / width
+            s = (_S_HI - t[ij].reshape(-1, R)) / width
             d1 = -_quintic_d1(s) / (width * scale)
             d2 = _quintic_d2(s) / (width * scale) ** 2
             u = W[ij].reshape(-1, R, m) / rr[..., None]
@@ -364,7 +368,9 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
     distance to a stratum away from it.
 
     Returns the well as a function together with the chosen transition
-    parameters.  The inner set must be invariant and contain the origin.
+    parameters; its gradient and Hessian are exact, by the chain rule
+    through the step and the jets of the two regularized distances.  The
+    inner set must be invariant and contain the origin.
     """
     if inner.n != n:
         raise ValidationError("inner set dimension does not match")
@@ -405,10 +411,37 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
         out[far[on]] = w[on] * t * t
         return out
 
+    # grad and hess of a Newton sweep come on the same batch: the chain rule
+    # through w(d0^2 / delta) d1^2 runs once per batch, keyed by its bytes,
+    # on the rows where the value is not an exact zero of w; elsewhere w and
+    # its derivatives vanish together
+    @functools.lru_cache(maxsize=8)
+    def jet(key):
+        Z = np.frombuffer(key).reshape(-1, n)
+        grads, hessians = np.zeros(Z.shape), np.zeros((len(Z), n, n))
+        far = np.flatnonzero(~(inner.dist_many(Z) <= rho0))
+        r0, g0, h0 = d0.jets(Z[far])
+        u = np.array([math.pow(r, 2.0) for r in r0.tolist()]) / delta
+        w = _step(u)
+        on = w != 0.0
+        rows, u, w, r0, g0, h0 = far[on], u[on], w[on], r0[on], g0[on], h0[on]
+        t, g1, h1 = d1.jets(Z[rows])
+        w1, w2 = _step_derivatives(u)
+        # the derivatives of u = d0^2 / delta
+        g_u = (2.0 / delta) * r0[:, None] * g0
+        h_u = (2.0 / delta) * (_outer(g0, g0) + r0[:, None, None] * h0)
+        tt = (t * t)[:, None, None]
+        grads[rows] = (w1 * t * t)[:, None] * g_u + (2.0 * w * t)[:, None] * g1
+        cross = _outer(g_u, g1)
+        hessians[rows] = (tt * (w2[:, None, None] * _outer(g_u, g_u) + w1[:, None, None] * h_u)
+                          + (2.0 * w1 * t)[:, None, None] * (cross + np.swapaxes(cross, 1, 2))
+                          + (2.0 * w)[:, None, None] * (_outer(g1, g1) + t[:, None, None] * h1))
+        return _frozen(grads), _frozen(hessians)
+
     func = CallableFunction(
         n, value,
-        grad_fn=lambda Z: fd_grads(value, Z),
-        hess_fn=lambda Z: fd_jets(value, Z)[2],
+        grad_fn=lambda Z: jet(Z.tobytes())[0].copy(),
+        hess_fn=lambda Z: jet(Z.tobytes())[1].copy(),
         action=action, name="normal well")
     info = {
         "delta": float(delta),

@@ -47,16 +47,42 @@ def _quintic_d2(u):
     return 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
 
 
-def _bump_rows(t):
-    # product over coordinates of the profile, identically 1 up to _S_LO and
-    # dead from _S_HI on; one bump per row of t
+def _bump_rows(t, side=None):
+    """Product over coordinates of the profile, identically 1 up to _S_LO
+    and dead from _S_HI on; one bump per row of t.
+
+    With the cube sides of the rows, t being (x - center) / side, also the
+    gradients (T, n) and Hessians (T, n, n) in x by the product rule: entry
+    (k, l) multiplies the profile's derivative of order [k = m] + [l = m]
+    at every coordinate m.  The profile's derivatives vanish off the ramp,
+    and at its ends too, where the quintic meets 0 and 1 to second order.
+    """
     a = np.abs(t)
-    ramp = _quintic_step((_S_HI - a) / (_S_HI - _S_LO))
-    v = np.where(a >= _S_HI, 0.0, np.where(a <= _S_LO, 1.0, ramp))
-    out = v[:, 0]
-    for col in v.T[1:]:
-        out = out * col
-    return out
+    u = (_S_HI - a) / (_S_HI - _S_LO)
+    v = np.where(a >= _S_HI, 0.0, np.where(a <= _S_LO, 1.0, _quintic_step(u)))
+    if side is None:
+        out = v[:, 0]
+        for col in v.T[1:]:
+            out = out * col
+        return out
+    ramp = (a > _S_LO) & (a < _S_HI)
+    scale = (_S_HI - _S_LO) * side[:, None]
+    parts = (v, np.where(ramp, -np.sign(t) * _quintic_d1(u), 0.0) / scale,
+             np.where(ramp, _quintic_d2(u), 0.0) / (scale * scale))
+    n = t.shape[1]
+
+    def product(*axes):
+        orders = [axes.count(m) for m in range(n)]
+        out = parts[orders[0]][:, 0]
+        for m in range(1, n):
+            out = out * parts[orders[m]][:, m]
+        return out
+
+    grads = np.stack([product(k) for k in range(n)], axis=1)
+    hessians = np.empty((len(t), n, n))
+    for k, l in zip(*np.triu_indices(n)):
+        hessians[:, k, l] = hessians[:, l, k] = product(k, l)
+    return product(), grads, hessians
 
 
 def _column_norm(cols):
@@ -163,6 +189,15 @@ class _Subspace:
         # differently from the vector product of a single point)
         proj = np.matmul(np.matmul(pts[:, None, :], self.basis.T), self.basis)[:, 0, :]
         return np.linalg.norm(pts - proj, axis=1)
+
+    def dist_jets(self, pts, d):
+        """Gradients P x / d and Hessians (P - g g^T) / d of the distance at
+        rows off the subspace, from their distances d, where P projects onto
+        the orthogonal complement.  The product by P rounds per row; on an
+        axis-aligned subspace P is a 0/1 diagonal, so it is exact."""
+        perp = np.eye(self.n) - self.basis.T @ self.basis
+        g = np.matmul(perp, pts[:, :, None])[:, :, 0] / d[:, None]
+        return g, (perp - g[:, :, None] * g[:, None, :]) / d[:, None, None]
 
     def dist_box(self, lo, hi):
         if self.axis_aligned:
@@ -483,11 +518,6 @@ class WhitneyDecomposition:
         first = hit.argmax(axis=1)
         return np.where(hit.any(axis=1), idx[np.arange(len(pts)), first], -1)
 
-    def locate(self, x):
-        """Index of the cube whose half-open box contains x, or None."""
-        i = int(self.locate_many(x)[0])
-        return None if i < 0 else i
-
     def star_candidates(self, pts) -> np.ndarray:
         """Cube index (or -1) of the 3^n cells around each row of pts at every
         depth: shape (P, depths * 3^n), depth ascending, then offsets.
@@ -518,16 +548,6 @@ class WhitneyDecomposition:
         center = self.lo0 + (self.coords[i] + 0.5) * s[:, None]
         near = np.max(np.abs(x - center), axis=1) < (9.0 / 16.0) * s
         return i[near].tolist()
-
-    def with_extra_cube(self, depth: int, coords) -> "WhitneyDecomposition":
-        """Copy with one appended cube; exercises the property checker."""
-        c2 = np.vstack([self.coords, np.asarray(coords, dtype=np.int64)[None, :]])
-        d2 = np.append(self.depth, int(depth))
-        return WhitneyDecomposition(
-            X=self.X, lo0=self.lo0, side0=self.side0, coords=c2, depth=d2,
-            truncated=self.truncated, uncovered_cells=self.uncovered_cells,
-            max_depth=self.max_depth,
-        )
 
     def check(self, samples: int = 0, seed: int = 0) -> dict:
         """Verify that the cubes lie in the box, disjointness, distance
@@ -840,24 +860,27 @@ class RegularizedDistance:
             return ValidationError(f"query has a non-finite coordinate: {x.tolist()}")
         return ValidationError("query outside the decomposition box")
 
-    def _star_sums(self, pts) -> np.ndarray:
-        """phi_total, phi_U and the diameter part at each row of pts, (3, P).
+    def _star_sums(self, pts, jets=False):
+        """phi_total, phi_U and the diameter part at each row of pts, (3, P);
+        with jets, a tuple that adds their gradients (3, P, n) and Hessians
+        (3, P, n, n), from the same cube terms in the same pass.
 
         Each row adds its cube terms in the order of the per-point sum --
         depth ascending, then neighbor offsets in ``itertools.product``
         order -- so its sums do not depend on the batch it came in.  Only
         the candidates that hold a cube are added: an absent one would add
-        an exact zero.
+        an exact zero, and so would its derivatives, since a candidate left
+        out lies past the end of its bump.
         """
         dec = self.dec
         n = self.dimension
-        sums = np.zeros((3, len(pts)))
-        width = len(dec.depths) * 3 ** n
-        if not width:
-            return sums
+        # per row and sum: the value, then the gradient, then the Hessian
+        width = 1 + n + n * n if jets else 1
+        sums = np.zeros((3, width, len(pts)))
+        cells = len(dec.depths) * 3 ** n
         side = np.repeat(dec.depth_sides, 3 ** n)
         cube_diam = side * math.sqrt(n)
-        step = max(1, _BATCH_CELLS // width)
+        step = max(1, _BATCH_CELLS // max(cells, 1))
         for start in range(0, len(pts), step):
             x = pts[start:start + step]
             idx = dec.star_candidates(x)
@@ -866,25 +889,40 @@ class RegularizedDistance:
                 continue
             i, s = idx[rows, cols], side[cols]
             center = dec.lo0 + (dec.coords[i] + 0.5) * s[:, None]
-            phi = _bump_rows((x[rows] - center) / s[:, None])
+            t = (x[rows] - center) / s[:, None]
+            if jets:
+                phi, g, h = _bump_rows(t, s)
+                parts = np.concatenate([phi[:, None], g, h.reshape(-1, n * n)], axis=1)
+            else:
+                parts = _bump_rows(t)[:, None]
+            # every cube adds to phi_total, and to phi_U or, times its
+            # diameter, to the diameter part
             u = self.in_u[i]
-            # np.nonzero lists each row's cubes together, in column order;
-            # rank numbers them within their row
-            live = np.bincount(rows, minlength=len(x))
-            rank = np.arange(len(rows)) - (np.cumsum(live) - live)[rows]
-            terms = np.zeros((3, len(x), live.max()))
-            terms[0, rows, rank] = phi
-            terms[1, rows[u], rank[u]] = phi[u]
-            terms[2, rows[~u], rank[~u]] = cube_diam[cols[~u]] * phi[~u]
-            # accumulate adds left to right; the padding adds exact zeros
-            sums[:, start:start + step] = np.add.accumulate(terms, axis=2)[:, :, -1]
-        return sums
+            bins = np.concatenate([3 * rows, 3 * rows + np.where(u, 1, 2)])
+            weights = np.concatenate(
+                [parts, np.where(u[:, None], parts, cube_diam[cols][:, None] * parts)]).T
+            # np.nonzero lists each row's cubes together, in column order, and
+            # bincount adds each bin's weights left to right
+            for c, w in enumerate(weights):
+                sums[:, c, start:start + len(x)] = np.bincount(
+                    bins, w, minlength=3 * len(x)).reshape(-1, 3).T
+        if not jets:
+            return sums[:, 0]
+        return (sums[:, 0], np.moveaxis(sums[:, 1:1 + n], 1, -1),
+                np.moveaxis(sums[:, 1 + n:], 1, -1).reshape(3, len(pts), n, n))
 
-    def _raw_values(self, pts) -> np.ndarray:
-        """The quotient construction at each row of pts, before averaging.
+    def _raw_values(self, pts, jets=False):
+        """The quotient construction at each row of pts, before averaging;
+        with jets, a tuple that adds its exact gradients and Hessians.
 
         Rows are taken in order: the first one outside the box or in the
         unresolved collar next to Y raises, as a point-by-point loop would.
+        Rows on the set keep zero derivatives.  Where the value is the
+        distance to E -- the clamp and the rows no diameter term reaches --
+        so are the derivatives: a cube off U adds nothing there, and with
+        its bump's derivatives, which vanish where the bump does.  The
+        other covered rows take the quotient rule on
+        (diam_part + d_E phi_U) / phi_total.
         """
         ok = self._in_box(pts)
         x = pts[ok]
@@ -904,12 +942,35 @@ class RegularizedDistance:
                 raise self._box_error(pts[first])
             raise ResolutionError(
                 "query sits in the unresolved collar next to the set; raise max_depth")
+        # every row is in the box from here on, so x is pts
         out = np.where(clamp, d_e, 0.0)
-        total, phi_u, diam_part = self._star_sums(pts[cov])
+        sums = self._star_sums(x[cov], jets)
+        total, phi_u, diam_part = sums[0] if jets else sums
         # where every active cube carries the exact distance to E the
         # quotient collapses to it
         out[cov] = np.where(diam_part == 0.0, d_e[cov], (diam_part + d_e[cov] * phi_u) / total)
-        return out
+        if not jets:
+            return out
+        n = self.dimension
+        grads, hessians = np.zeros((len(x), n)), np.zeros((len(x), n, n))
+        q = diam_part != 0.0
+        quot = np.flatnonzero(cov)[q]
+        e_rows = off.copy()
+        e_rows[quot] = False
+        dist_jets = self.E.primitives[0].dist_jets
+        grads[e_rows], hessians[e_rows] = dist_jets(x[e_rows], d_e[e_rows])
+        (g_t, g_u, g_d), (h_t, h_u, h_d) = sums[1][:, q], sums[2][:, q]
+        phi, u, v, de = total[q], phi_u[q], out[quot], d_e[quot]
+        g_e, h_e = dist_jets(x[quot], de)
+        # numerator N = diam_part + d_E phi_U, then (N / phi)'s derivatives
+        g_n = g_d + u[:, None] * g_e + de[:, None] * g_u
+        h_n = (h_d + u[:, None, None] * h_e + _outer(g_e, g_u) + _outer(g_u, g_e)
+               + de[:, None, None] * h_u)
+        g_v = (g_n - v[:, None] * g_t) / phi[:, None]
+        grads[quot] = g_v
+        hessians[quot] = (h_n - v[:, None, None] * h_t - _outer(g_v, g_t)
+                          - _outer(g_t, g_v)) / phi[:, None, None]
+        return out, grads, hessians
 
     def raw_value(self, x) -> float:
         """The quotient construction before group averaging."""
@@ -927,6 +988,28 @@ class RegularizedDistance:
             out.append(np.matmul(self.action.matrix, out[-1][:, :, None])[:, :, 0])
         return np.stack(out, axis=1)
 
+    def _averaged(self, pts, jets=False):
+        # the group mean of the raw construction over each row's orbit; image
+        # j is A^j x, so its derivatives pull back by (A^j)^T . A^j
+        n = self.dimension
+        pts = np.asarray(pts, dtype=float).reshape(-1, n)
+        orbits = self._orbits(pts)
+        raw = self._raw_values(orbits.reshape(-1, n), jets)
+        parts = [a.reshape(orbits.shape[:2] + a.shape[1:]) for a in (raw if jets else (raw,))]
+        if orbits.shape[1] == 1:
+            out = [a[:, 0] for a in parts]
+        else:
+            out = [np.zeros((len(pts),) + a.shape[2:]) for a in parts]
+            jac = np.eye(n)
+            for j in range(self.action.k):
+                out[0] = out[0] + parts[0][:, j]
+                if jets:
+                    out[1] = out[1] + np.matmul(jac.T, parts[1][:, j, :, None])[:, :, 0]
+                    out[2] = out[2] + np.matmul(np.matmul(jac.T, parts[2][:, j]), jac)
+                    jac = self.action.matrix @ jac
+            out = [a / self.action.k for a in out]
+        return tuple(out) if jets else out[0]
+
     def values(self, pts) -> np.ndarray:
         """Group-averaged value at each row of pts, in one batched pass.
 
@@ -936,94 +1019,59 @@ class RegularizedDistance:
         >>> f.values([[0.5, 0.25], [-0.75, -0.125]]).tolist()
         [0.25, 0.125]
         """
-        pts = np.asarray(pts, dtype=float).reshape(-1, self.dimension)
-        orbits = self._orbits(pts)
-        raw = self._raw_values(orbits.reshape(-1, self.dimension)).reshape(orbits.shape[:2])
-        if orbits.shape[1] == 1:
-            return raw[:, 0]
-        total = np.zeros(len(pts))
-        for col in raw.T:
-            total = total + col
-        return total / self.action.k
+        return self._averaged(pts)
 
     def value(self, x) -> float:
         return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
 
-    def grad(self, x, h: float = 1e-4) -> np.ndarray:
-        return fd_grads(self.values, np.asarray(x, dtype=float)[None, :], h)[0]
+    def grad(self, x) -> np.ndarray:
+        return self.jets(np.asarray(x, dtype=float)[None, :])[1][0]
 
-    def hess(self, x, h: float = 1e-4) -> np.ndarray:
-        return self.jets(np.asarray(x, dtype=float)[None, :], h)[2][0]
+    def hess(self, x) -> np.ndarray:
+        return self.jets(np.asarray(x, dtype=float)[None, :])[2][0]
 
-    def jets(self, queries, h: float = 1e-4):
-        """Values, central-difference gradients and Hessians at each query.
+    def jets(self, queries):
+        """Values with their exact gradients and Hessians at each query, in
+        one batched pass over each query's orbit; the values are those of
+        ``values``, and each row's jets do not depend on its batch.
 
         >>> y = ClosedSetSpec.points([[0.0, 1.0], [0.0, -1.0]])
         >>> e = ClosedSetSpec.subspace(2, [[1.0, 0.0]])
         >>> f = RegularizedDistance.build(y, e, max_depth=6)
         >>> vals, grads, hessians = f.jets([[0.5, 0.25]])
-        >>> vals.tolist(), grads.round(9).tolist(), hessians.round(6).tolist()
+        >>> vals.tolist(), grads.tolist(), hessians.tolist()
         ([0.25], [[0.0, 1.0]], [[[0.0, 0.0], [0.0, 0.0]]])
         """
-        x = np.asarray(queries, dtype=float).reshape(-1, self.dimension)
-        return fd_jets(self.values, x, h)
+        return self._averaged(queries, jets=True)
 
 
-def fd_grads(values, X, h=1e-4):
-    """Central-difference gradients at each row of X, from one call of
-    values, a map of (P, n) arrays to P values, on every x +- h e_i."""
-    m, n = X.shape
-    step = h * np.eye(n)
-    v = values(np.stack([X[:, None, :] + step, X[:, None, :] - step], axis=2).reshape(-1, n))
-    v = v.reshape(m, n, 2)
-    return (v[:, :, 0] - v[:, :, 1]) / (2.0 * h)
-
-
-def fd_jets(values, X, h=1e-4):
-    """Values, central-difference gradients and Hessians at each row of X.
-
-    values maps a (P, n) array to P values.  It is called once, on every
-    distinct stencil point: x, x +- h e_i and x +- h e_i +- h e_j for i < j,
-    1 + 2n + 2n(n - 1) in all.
-    """
-    m, n = X.shape
-    step = h * np.eye(n)
-    plus = X[:, None, :] + step
-    minus = X[:, None, :] - step
-    i, j = np.triu_indices(n, 1)
-    diag = np.stack([plus[:, i] + step[j], plus[:, i] - step[j],
-                     minus[:, i] + step[j], minus[:, i] - step[j]], axis=2)
-    stencil = np.concatenate([X[:, None, :],
-                              np.stack([plus, minus], axis=2).reshape(m, 2 * n, n),
-                              diag.reshape(m, 4 * len(i), n)], axis=1)
-    v = values(stencil.reshape(-1, n)).reshape(m, stencil.shape[1])
-    v0, vp, vm = v[:, 0], v[:, 1:1 + 2 * n:2], v[:, 2:2 + 2 * n:2]
-    grads = (vp - vm) / (2.0 * h)
-    hessians = np.zeros((m, n, n))
-    k = np.arange(n)
-    hessians[:, k, k] = (vp - 2.0 * v0[:, None] + vm) / h ** 2
-    d = v[:, 1 + 2 * n:].reshape(m, len(i), 4)
-    cross = (d[:, :, 0] - d[:, :, 1] - d[:, :, 2] + d[:, :, 3]) / (4.0 * h ** 2)
-    hessians[:, i, j] = cross
-    hessians[:, j, i] = cross
-    return v0, grads, hessians
+def _outer(a, b):
+    # a_i b_j for every row of a and b
+    return a[:, :, None] * b[:, None, :]
 
 
 @dataclass
 class RegdistResult:
+    """Values, gradients and Hessians at the queries, with the measured
+    constants of the derivative bounds over the queries off the set:
+    c1 = max |grad|, and c2 = max dist * max |Hessian entry|, the scaled
+    Hessian that a regularized distance bounds independently of the set."""
+
     values: np.ndarray
     grads: np.ndarray
     hessians: np.ndarray
     inside: np.ndarray
     func: RegularizedDistance
+    c1: float
+    c2: float
 
 
 def regularized_distance(Y: ClosedSetSpec, E: ClosedSetSpec, action=None, queries=(),
                          bbox=(-2.0, 2.0), min_depth: int = 2, max_depth=None) -> RegdistResult:
-    """Build the function and evaluate it with finite-difference derivatives.
+    """Build the function and evaluate it with its exact derivatives.
 
-    Queries on the set itself report value zero with a zero gradient and the
-    inside flag set; the others are evaluated together by
+    Queries on the set itself report value zero with zero derivatives and
+    the inside flag set; the others are evaluated together by
     ``RegularizedDistance.jets``.
     """
     func = RegularizedDistance.build(Y, E, action=action, bbox=bbox,
@@ -1037,8 +1085,11 @@ def regularized_distance(Y: ClosedSetSpec, E: ClosedSetSpec, action=None, querie
     values = np.zeros(m)
     grads = np.zeros((m, n))
     hessians = np.zeros((m, n, n))
-    inside = func.X.dist_many(queries) <= _MEMBERSHIP_TOL
+    dist = func.X.dist_many(queries)
+    inside = dist <= _MEMBERSHIP_TOL
     off = ~inside
     values[off], grads[off], hessians[off] = func.jets(queries[off])
+    c1 = np.linalg.norm(grads[off], axis=1).max(initial=0.0)
+    c2 = (dist[off] * np.abs(hessians[off]).max(axis=(1, 2), initial=0.0)).max(initial=0.0)
     return RegdistResult(values=values, grads=grads, hessians=hessians,
-                         inside=inside, func=func)
+                         inside=inside, func=func, c1=float(c1), c2=float(c2))

@@ -46,6 +46,7 @@ from equimorse.lochom import (
 )
 from equimorse.hamflow import _polynomial_kernel
 from equimorse.regdist import ClosedSetSpec, RegularizedDistance, _quintic_step
+from fd_oracle import assert_jets_match, pointwise, richardson_jets
 
 
 def _rowwise(fn):
@@ -266,42 +267,11 @@ class TestNormalWell:
             q = rng.uniform(-1.6, 1.6, size=2)
             worst = max(worst, abs(g.value(action.matrix @ q) - g.value(q)))
         assert worst < 1e-10
-        # finite difference curvature stays bounded across the transition zone
+        # the curvature stays bounded across the transition zone
         for u in np.linspace(0.32, 1.2, 12):
             h = g.hess(np.array([u, 0.1]))
             assert np.all(np.isfinite(h))
             assert np.max(np.abs(h)) < 1e3
-
-
-# The pointwise finite differences that the shared batch stencil replaced in
-# the normal well: one value call per stencil point.
-
-def _fd_grad(fn, z, h=1e-4):
-    z = np.asarray(z, dtype=float)
-    g = np.zeros(len(z))
-    for i in range(len(z)):
-        e = np.zeros(len(z))
-        e[i] = h
-        g[i] = (fn(z + e) - fn(z - e)) / (2.0 * h)
-    return g
-
-
-def _fd_hess(fn, z, h=1e-4):
-    z = np.asarray(z, dtype=float)
-    n = len(z)
-    out = np.zeros((n, n))
-    v0 = fn(z)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        out[i, i] = (fn(z + ei) - 2.0 * v0 + fn(z - ei)) / h ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            out[i, j] = out[j, i] = (
-                fn(z + ei + ej) - fn(z + ei - ej)
-                - fn(z - ei + ej) + fn(z - ei - ej)) / (4.0 * h ** 2)
-    return out
 
 
 def _pointwise_well(inner, d0, d1, info):
@@ -342,9 +312,14 @@ def test_normal_well_equals_its_pointwise_oracle(case, monkeypatch):
     g, info = normal_well(inner, 2, [[1.0, 0.0]], reflection2(), **kw)
     d0, d1 = built
     value = _pointwise_well(inner, d0, d1, info)
-    want = [(value(z), _fd_grad(value, z), _fd_hess(value, z)) for z in pts]
-    for got, ref in zip((g.value(pts), g.grad(pts), g.hess(pts)), zip(*want)):
-        assert np.array_equal(got, np.array(ref))
+    assert np.array_equal(g.value(pts), [value(z) for z in pts])
+    # the chain rule against the pointwise differences, extrapolated; the
+    # well is steeper than either distance, so its step is finer (its
+    # Hessian entries reach 5e4)
+    grads, hessians = g.grad(pts), g.hess(pts)
+    assert_jets_match(richardson_jets(pointwise(value), pts, 2.5e-5), grads, hessians)
+    for z, gz, hz in zip(pts[::10], grads[::10], hessians[::10]):
+        assert np.array_equal(g.grad(z), gz) and np.array_equal(g.hess(z), hz)
     # the points reach every branch: near the inner set, below, on and
     # above the step's ramp
     far = inner.dist_many(pts) > info["rho0"]

@@ -1,7 +1,10 @@
-"""Importing the package loads no scipy, and neither does integrating a flow."""
+"""Importing the package loads no scipy, and neither does integrating a flow;
+and no module of the package takes a derivative by finite differences."""
 from __future__ import annotations
 
+import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,3 +75,39 @@ def test_no_flow_loads_scipy():
     assert out["variational"] == []
     assert out["localhom_plain"] == {"2": 1} and out["localhom"] == []
     assert out["separatrices"] == 4 and out["morse_smale"] == []
+
+
+# the words and names of a difference stencil: the package's derivatives are
+# all exact, and the tests keep the differences that check them
+_STENCIL_WORDS = re.compile(r"finite[- ]differenc|central[- ]differenc|stencil|\bfd_", re.I)
+
+
+def stencil_findings(package):
+    """Lines of the modules in package that name a difference stencil, and
+    difference quotients (f(a) - f(b)) / c of two calls of one function."""
+    found = []
+    for path in sorted(Path(package).glob("*.py")):
+        text = path.read_text()
+        for i, line in enumerate(text.splitlines(), 1):
+            if _STENCIL_WORDS.search(line):
+                found.append(f"{path.name}:{i}: {line.strip()}")
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+                continue
+            diff = node.left
+            if (isinstance(diff, ast.BinOp) and isinstance(diff.op, ast.Sub)
+                    and isinstance(diff.left, ast.Call) and isinstance(diff.right, ast.Call)
+                    and ast.dump(diff.left.func) == ast.dump(diff.right.func)):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_takes_finite_differences():
+    assert stencil_findings(SRC / "equimorse") == []
+
+
+def test_the_stencil_guard_sees_a_difference_quotient(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def slope(f, x, h):\n    return (f(x + h) - f(x - h)) / (2.0 * h)\n\n\n"
+        "def fd_jets(values, X, h):\n    pass\n")
+    assert sorted(f.split(":")[1] for f in stencil_findings(tmp_path)) == ["2", "5"]

@@ -18,11 +18,14 @@ from equimorse.regdist import (
     regularized_distance,
     whitney_decompose,
 )
+from fd_oracle import assert_jets_match, pointwise, richardson_jets
 
 # One constant certifies both derivative bounds |grad| <= M and
-# |hess| <= M / dist across the whole query catalog below.  Measured once
-# on the frozen seeds (grad 22.8, scaled hess 3704), then fixed with
-# headroom; the scale of the hessian term comes from the narrow bump ramp.
+# |hess| <= M / dist across the whole query catalog below, the c1 and c2 of
+# regularized_distance.  Measured once on the frozen seeds (grad 22.8,
+# scaled hess 3704, the same from the exact jets as from the differences
+# they replaced), then fixed with headroom; the scale of the hessian term
+# comes from the narrow bump ramp.
 CATALOG_M = 8000.0
 
 
@@ -85,6 +88,21 @@ def _derivative_catalog():
     yield RegularizedDistance.build(y, e, action=a, bbox=(-2.0, 2.0), max_depth=8)
 
 
+def with_extra_cube(dec, depth, coords):
+    """Copy of dec with one appended cube, for the property checker."""
+    return regdist.WhitneyDecomposition(
+        X=dec.X, lo0=dec.lo0, side0=dec.side0,
+        coords=np.vstack([dec.coords, np.asarray(coords, dtype=np.int64)[None, :]]),
+        depth=np.append(dec.depth, int(depth)), truncated=dec.truncated,
+        uncovered_cells=dec.uncovered_cells, max_depth=dec.max_depth)
+
+
+def locate(dec, x):
+    """Index of the cube whose half-open box contains x, or None."""
+    i = int(dec.locate_many(x)[0])
+    return None if i < 0 else i
+
+
 def tilted_pair():
     # the diagonal line with two points swapped by the reflection across it
     y = ClosedSetSpec.points([[1.0, -1.0], [-1.0, 1.0]])
@@ -100,9 +118,14 @@ def slab_pair():
 
 # -- point-by-point oracle ------------------------------------------------
 # The construction one point and one cube at a time: a dict of cells per
-# depth, the scalar bump profile, and finite differences made of single
-# values.  The batched path must reproduce it bit for bit.
+# depth and the scalar bump profile.  The batched values must reproduce it
+# bit for bit.  Its derivatives are central differences of single values,
+# extrapolated from steps h and h/2, which the exact jets must match
+# (fd_oracle.assert_jets_match).  The extrapolation cancels the h^2 term
+# only where the function is smooth across the stencil: not within a step
+# of the profile's ends, where its third derivative jumps.
 
+FD_STEP = 1e-4
 _S_LO, _S_HI = 0.5, 0.55
 
 
@@ -189,41 +212,42 @@ class PointwiseOracle:
             return func.E.dist(x)
         return (diam_part + func.E.dist(x) * phi_u) / phi_total
 
-    def value(self, x):
+    def orbit(self, x):
         action = self.func.action
-        if action is None or action.is_trivial:
-            return self.raw_value(x)
-        z, total = np.asarray(x, dtype=float), 0.0
-        for _ in range(action.k):
+        out = [np.asarray(x, dtype=float)]
+        if action is not None and not action.is_trivial:
+            for _ in range(action.k - 1):
+                out.append(action.matrix @ out[-1])
+        return out
+
+    def value(self, x):
+        images, total = self.orbit(x), 0.0
+        for z in images:
             total += self.raw_value(z)
-            z = action.matrix @ z
-        return total / action.k
+        return total / len(images)
 
-    def grad(self, x, h=1e-4):
-        n = self.dec.n
-        g = np.zeros(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            g[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
-        return g
+    def kink_distance(self, x):
+        """Distance from the orbit of x to the nearest end of a bump ramp,
+        |t| = _S_LO or _S_HI on some axis of a cube whose star holds the
+        image; a cube outside the star is 1/80 of its side short of its
+        bump at the least."""
+        dec, out = self.dec, math.inf
+        for z in self.orbit(x):
+            for i in self.star_cubes(z):
+                s = dec.side[i]
+                a = np.abs(z - (dec.lo0 + (dec.coords[i] + 0.5) * s))
+                out = min(out, np.abs(a - _S_LO * s).min(), np.abs(a - _S_HI * s).min(),
+                          (9.0 / 16.0 - _S_HI) * s)
+        return out
 
-    def hess(self, x, h=1e-4):
-        n = self.dec.n
-        H = np.zeros((n, n))
-        v0 = self.value(x)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            H[i, i] = (self.value(x + ei) - 2.0 * v0 + self.value(x - ei)) / h ** 2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                H[i, j] = H[j, i] = (
-                    self.value(x + ei + ej) - self.value(x + ei - ej)
-                    - self.value(x - ei + ej) + self.value(x - ei - ej)
-                ) / (4.0 * h ** 2)
-        return H
+    def jets(self, pts):
+        return richardson_jets(pointwise(self.value), pts, FD_STEP)
+
+
+def smooth_rows(oracle, pts, h=FD_STEP):
+    # rows whose stencil, each of its points within sqrt(n) h of the row and
+    # of each image, keeps clear of every ramp end
+    return np.array([oracle.kink_distance(p) > 2.0 * h for p in pts], dtype=bool)
 
 
 def _oracle_case(name):
@@ -295,8 +319,8 @@ def three_levels_below(dec):
     for i in np.flatnonzero(dec.depth == dec.depth.max()):
         coords = 8 * dec.coords[i]
         coords[0] -= 1
-        extra = dec.with_extra_cube(depth=dec.depth[i] + 3, coords=coords)
-        if dec.locate(extra.centers()[-1]) is None:
+        extra = with_extra_cube(dec, depth=dec.depth[i] + 3, coords=coords)
+        if locate(dec, extra.centers()[-1]) is None:
             return i, extra
     pytest.fail("no free cell next to a finest cube")
 
@@ -533,11 +557,11 @@ class TestWhitneyDecompose:
         with pytest.warns(CoverageWarning):
             dec = whitney_decompose(x, (-1.0, 1.0), max_depth=6)
         # a depth-3 cube contained in the accepted depth-2 cube [0.5, 1)
-        bad = dec.with_extra_cube(depth=3, coords=(6,))
+        bad = with_extra_cube(dec, depth=3, coords=(6,))
         with pytest.raises(ValidationError, match="disjoint"):
             bad.check()
         # a cube closer to the set than its own diameter
-        bad = dec.with_extra_cube(depth=2, coords=(1,))
+        bad = with_extra_cube(dec, depth=2, coords=(1,))
         with pytest.raises(ValidationError, match="diameter"):
             bad.check()
 
@@ -547,9 +571,9 @@ class TestWhitneyDecompose:
         # [1, 2) at depth 1, past the top edge: its cell key is capped onto
         # the cell beside it, so only the box test sees it
         with pytest.raises(ValidationError, match="outside the decomposition box"):
-            dec.with_extra_cube(1, (2,)).check()
+            with_extra_cube(dec, 1, (2,)).check()
         with pytest.raises(ValidationError, match="outside the decomposition box"):
-            dec.with_extra_cube(1, (-1,)).check()
+            with_extra_cube(dec, 1, (-1,)).check()
 
     @pytest.mark.parametrize("name", ["point-1d", "points-1d", "axis-2d", "diagonal-2d",
                                       "ball-and-point-2d", "slab", "tilted-plane-3d",
@@ -570,12 +594,12 @@ class TestWhitneyDecompose:
         dec = origin_complement(n, max_depth=5)
         # the cube [s, 2s]^n lies exactly one diameter from the origin
         i = int(np.flatnonzero(np.all(dec.lo_corners() == dec.side[:, None], axis=1))[0])
-        twin = dec.with_extra_cube(depth=dec.depth[i], coords=dec.coords[i])
+        twin = with_extra_cube(dec, depth=dec.depth[i], coords=dec.coords[i])
         with pytest.raises(ValidationError, match="disjoint"):
             twin.check()
         # its corner cube two levels down, nearest the origin, sits exactly
         # four of its diameters away: both distance windows pass it
-        inner = dec.with_extra_cube(depth=dec.depth[i] + 2, coords=4 * dec.coords[i])
+        inner = with_extra_cube(dec, depth=dec.depth[i] + 2, coords=4 * dec.coords[i])
         lo, hi = inner.lo_corners()[-1:], inner.hi_corners()[-1:]
         assert inner.X.dist_box(lo, hi)[0] == 4.0 * inner.diam()[-1]
         with pytest.raises(ValidationError, match="disjoint"):
@@ -595,7 +619,7 @@ class TestWhitneyDecompose:
         i, far = three_levels_below(dec)
         # three levels finer again, strictly inside cube i: it overlaps cube i
         # and nothing else, at the depth pair of the far pair
-        both = far.with_extra_cube(depth=far.depth[-1], coords=8 * dec.coords[i] + 3)
+        both = with_extra_cube(far, depth=far.depth[-1], coords=8 * dec.coords[i] + 3)
         pair = (int(far.depth[-1]), int(dec.depth[i]))
         assert extra_cube_faults(far) == {pair: {"factor of four"}}
         assert extra_cube_faults(both) == {pair: {"disjoint"}}
@@ -606,7 +630,7 @@ class TestWhitneyDecompose:
     def test_a_far_pair_beats_an_overlap_at_a_later_depth_pair(self, n):
         i, far = three_levels_below(origin_complement(n, max_depth=4))
         # a twin of the far cube overlaps it at the later pair (j, j)
-        twin = far.with_extra_cube(depth=far.depth[-1], coords=far.coords[-1])
+        twin = with_extra_cube(far, depth=far.depth[-1], coords=far.coords[-1])
         j = int(far.depth[-1])
         assert extra_cube_faults(twin) == {(j, int(far.depth[i])): {"factor of four"},
                                            (j, j): {"disjoint"}}
@@ -618,7 +642,7 @@ class TestWhitneyDecompose:
         dec = origin_complement(n, max_depth=4)
         # the first and last cubes of the key table and a finest cube
         for i in (int(dec._cube[0]), int(dec._cube[-1]), int(dec.depth.argmax())):
-            twin = dec.with_extra_cube(depth=dec.depth[i], coords=dec.coords[i])
+            twin = with_extra_cube(dec, depth=dec.depth[i], coords=dec.coords[i])
             with pytest.raises(ValidationError, match="disjoint"):
                 twin._touching_scan()
 
@@ -642,14 +666,14 @@ class TestWhitneyDecompose:
                 # a finer cube in the uncovered collar, where it may fit
                 depth = max_depth + (int(rng.integers(1, 3)) if trial % 3 == 1 else 3)
                 p = rng.uniform(-1.0, 1.0, n)
-                while dec.locate(p) is not None:
+                while locate(dec, p) is not None:
                     p = rng.uniform(-1.0, 1.0, n)
                 coords = np.floor((p + 1.0) * 2.0 ** (depth - 1)).astype(np.int64)
                 if trial % 3 == 2:
                     # or, at a corner of its cell at max_depth, touch the
                     # cubes around that cell three levels up
                     coords = (coords >> 3 << 3) + 7 * rng.integers(0, 2, n)
-            bad = dec.with_extra_cube(depth, coords)
+            bad = with_extra_cube(dec, depth, coords)
             faults = extra_cube_faults(bad)
             if faults:
                 seen.add(scan_error(faults))
@@ -683,7 +707,7 @@ class TestWhitneyDecompose:
         for q in pts:
             inside = np.all((lo <= q) & (q < hi), axis=1)
             want = int(np.flatnonzero(inside)[0]) if inside.any() else None
-            assert dec.locate(q) == want
+            assert locate(dec, q) == want
             support = np.all(
                 np.abs(q - centers) < (9.0 / 16.0) * dec.side[:, None], axis=1
             )
@@ -707,10 +731,9 @@ class TestRegularizedDistance:
         for x, yv in zip(qx, qy):
             q = np.array([x, yv])
             assert func.value(q) == abs(yv)
-            g = func.grad(q)
-            assert abs(g[0]) < 1e-10
-            assert abs(g[1] - math.copysign(1.0, yv)) < 1e-10
-            assert np.abs(func.hess(q)).max() < 1e-6
+            # every cube is in U, so the jets are the axis distance's own
+            assert func.grad(q).tolist() == [0.0, math.copysign(1.0, yv)]
+            assert not func.hess(q).any()
 
     def test_reflection_symmetric_construction_is_exactly_invariant(self):
         y, e = two_point_pair()
@@ -787,16 +810,16 @@ class TestRegularizedDistance:
 
     def test_derivative_bounds_hold_with_one_constant(self):
         rng = np.random.default_rng(23)
-        worst_grad = 0.0
-        worst_scaled_hess = 0.0
         for func in _derivative_catalog():
-            for q in interior_queries(rng, func, 120):
-                g = np.linalg.norm(func.grad(q))
-                h = np.abs(func.hess(q)).max()
-                worst_grad = max(worst_grad, g)
-                worst_scaled_hess = max(worst_scaled_hess, h * func.dist(q))
-        assert worst_grad <= CATALOG_M
-        assert worst_scaled_hess <= CATALOG_M
+            queries = interior_queries(rng, func, 120)
+            res = regularized_distance(func.Y, func.E, action=func.action, queries=queries,
+                                       max_depth=func.dec.max_depth)
+            dist = np.array([func.dist(q) for q in queries])
+            assert res.c1 == pytest.approx(max(np.linalg.norm(g) for g in res.grads), rel=1e-12)
+            assert res.c2 == pytest.approx(
+                max(d * np.abs(h).max() for d, h in zip(dist, res.hessians)), rel=1e-12)
+            assert res.c1 <= CATALOG_M
+            assert res.c2 <= CATALOG_M
 
     def test_three_dimensional_symmetric_pair(self):
         yv = ClosedSetSpec.points([[0.0, 0.0, 1.2], [0.0, 0.0, -1.2]])
@@ -841,15 +864,16 @@ class TestBatchedPath:
         queries = interior_queries(rng, func, 25, clear=0.02)
         vals, grads, hessians = func.jets(queries)
         assert np.array_equal(vals, [oracle.value(q) for q in queries])
-        assert np.array_equal(grads, [oracle.grad(q) for q in queries])
-        assert np.array_equal(hessians, [oracle.hess(q) for q in queries])
+        smooth = smooth_rows(oracle, queries)
+        assert smooth.sum() >= 20
+        assert_jets_match(oracle.jets(queries[smooth]), grads[smooth], hessians[smooth])
         assert np.array_equal(func.values(queries), vals)
-        for q in queries[:8]:
+        for i, q in enumerate(queries[:8]):
             assert func.value(q) == oracle.value(q)
             assert func.raw_value(q) == oracle.raw_value(q)
-            assert np.array_equal(func.grad(q), oracle.grad(q))
-            assert np.array_equal(func.hess(q), oracle.hess(q))
-            assert func.dec.locate(q) == oracle.locate(q)
+            assert np.array_equal(func.grad(q), grads[i])
+            assert np.array_equal(func.hess(q), hessians[i])
+            assert locate(func.dec, q) == oracle.locate(q)
             assert func.dec.star_cubes(q) == oracle.star_cubes(q)
         # many more single values, down to the collar, where the bump ramps
         # of the finest cubes overlap
@@ -884,6 +908,37 @@ class TestBatchedPath:
         assert res.values[:2].tolist() == [0.0, 0.0]
         assert np.all(res.grads[:2] == 0.0) and np.all(res.hessians[:2] == 0.0)
 
+    def test_the_distance_to_e_branches_return_its_exact_jets(self):
+        y, e = two_point_pair()
+        func = RegularizedDistance.build(y, e, max_depth=9)
+        # below the finest cubes, where the value clamps to the axis
+        # distance, then two points that only cubes of U reach
+        pts = np.array([[0.3, 0.004], [0.3, 0.05], [-0.2, -0.03]])
+        assert locate(func.dec, pts[0]) is None
+        assert func._star_sums(pts[1:])[2].tolist() == [0.0, 0.0]
+        vals, grads, hessians = func.jets(pts)
+        assert vals.tolist() == [0.004, 0.05, 0.03]
+        assert grads.tolist() == [[0.0, 1.0], [0.0, 1.0], [0.0, -1.0]]
+        assert not hessians.any()
+
+    def test_a_batch_of_every_branch_raises_no_warning(self):
+        y, e = two_point_pair()
+        a = CyclicAction(np.diag([1.0, -1.0]), 2)
+        # on Y, on E, the clamp, U alone, and the quotient inside a ramp
+        pts = [[1.0, 0.0], [0.7, 0.0], [0.3, 0.004], [0.3, 0.05], [0.61, 0.37]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = regularized_distance(y, e, action=a, queries=pts, max_depth=9)
+            vals, grads, hessians = res.func.jets(pts[2:])
+        assert res.inside.tolist() == [True, True, False, False, False]
+        assert not res.values[:2].any()
+        assert not res.grads[:2].any() and not res.hessians[:2].any()
+        assert np.array_equal(res.values[2:], vals)
+        assert np.array_equal(res.grads[2:], grads)
+        assert np.array_equal(res.hessians[2:], hessians)
+        assert res.func._star_sums(np.array(pts[4:]))[2, 0] > 0.0
+        assert np.abs(hessians[2]).max() > 1e3
+
     def test_a_batch_raises_the_first_error_of_the_pointwise_loop(self):
         y, e = two_point_pair()
         func = RegularizedDistance.build(y, e, max_depth=9)
@@ -915,29 +970,26 @@ class TestBatchedPath:
             with pytest.raises(ValidationError, match="non-finite"):
                 regularized_distance(y, e, queries=[[0.3, 0.5], q], max_depth=6)
 
-    def test_one_batched_pass_over_the_distinct_stencil_points(self, monkeypatch):
+    def test_one_batched_pass_over_the_orbit_of_each_query(self, monkeypatch):
         seen = []
         original = RegularizedDistance._raw_values
 
-        def counting(self, pts):
+        def counting(self, pts, *args):
             seen.append(np.array(pts))
-            return original(self, pts)
+            return original(self, pts, *args)
 
         monkeypatch.setattr(RegularizedDistance, "_raw_values", counting)
         y, e, a = slab_pair()
         queries = [[0.2, 0.3, 0.25], [-0.4, 0.1, -0.6], [0.5, -0.5, 0.0], [0.1, 0.7, 0.8]]
         res = regularized_distance(y, e, action=a, queries=queries, max_depth=6)
         assert res.inside.tolist() == [False, False, True, False]
-        # 1 + 2n + 2n(n - 1) = 19 points per off-set query, each with its
-        # k = 2 images
-        assert [len(p) for p in seen] == [3 * 19 * 2]
-        assert len(np.unique(seen[0], axis=0)) == 3 * 19 * 2
-        seen.clear()
-        res.func.value(np.array(queries[0]))
-        assert [len(p) for p in seen] == [2]
-        seen.clear()
-        res.func.grad(np.array(queries[0]))
-        assert [len(p) for p in seen] == [2 * 3 * 2]
+        # each off-set query with its k = 2 images, values and jets together
+        assert [len(p) for p in seen] == [3 * 2]
+        assert len(np.unique(seen[0], axis=0)) == 3 * 2
+        for method in (res.func.value, res.func.grad, res.func.hess):
+            seen.clear()
+            method(np.array(queries[0]))
+            assert [len(p) for p in seen] == [2]
 
     @pytest.mark.parametrize("name", ["far", "two-point", "orbit", "tilted", "slab"])
     def test_points_on_and_near_cell_faces_match_the_oracle(self, name):
@@ -964,8 +1016,13 @@ class TestBatchedPath:
         assert np.array_equal(func.values(pts), [oracle.value(p) for p in pts])
         some = pts[::5]
         _, grads, hessians = func.jets(some)
-        assert np.array_equal(grads, [oracle.grad(p) for p in some])
-        assert np.array_equal(hessians, [oracle.hess(p) for p in some])
+        for p, g, h in zip(some, grads, hessians):
+            assert np.array_equal(func.grad(p), g) and np.array_equal(func.hess(p), h)
+        # the faces themselves sit on ramp ends, where the differences only
+        # converge at first order; the other points must match
+        smooth = smooth_rows(oracle, some)
+        assert smooth.sum() >= len(some) // 2
+        assert_jets_match(oracle.jets(some[smooth]), grads[smooth], hessians[smooth])
         centers = dec.centers()
         for p in pts:
             support = np.all(np.abs(p - centers) < (9.0 / 16.0) * dec.side[:, None], axis=1)
@@ -986,7 +1043,7 @@ class TestBatchedPath:
         # 27 cells around every cube at every coarser depth: 2,347,920
         assert sum(looked_up) <= 700_000
         # the coincidence slab alternating with points between it and the
-        # poles, 200 queries of 19 stencil points and 2 images each
+        # poles, 200 queries of 2 images each
         rng = np.random.default_rng([0, 0])
         queries = []
         for j in range(200):
@@ -996,8 +1053,8 @@ class TestBatchedPath:
                             sign * rng.uniform(lo, hi)])
         looked_up.clear()
         func.jets(queries)
-        # 27 cells at each of 4 depths per point, and 4 to locate it: 851,200
-        assert sum(looked_up) <= 100_000
+        # 27 cells at each of 4 depths per point, and 4 to locate it: 44,800
+        assert sum(looked_up) <= 10_000
 
     def test_batched_locate_matches_the_pointwise_index(self):
         y, e, a = slab_pair()

@@ -116,21 +116,20 @@ def rows_or_errors(fn, rows, Z, retry):
     return parts or None, failed
 
 
-def lockstep_newton(residual, X, step, tolerance, max_iter, jacobian=None, retry=(),
-                    leaves=None):
+def lockstep_newton(residual, X, step, tolerance, max_iter, retry=(), leaves=None):
     """Newton's method from every row of X in lockstep.
 
     Each of at most max_iter iterations makes one residual(rows, Z) call on
-    the points Z of the active rows `rows` of X, a tuple (F, *parts); rows
-    with |F| < tolerance retire converged.  Unless all did, jacobian(rows,
-    Z), if given, is evaluated on the same batch and appended to the parts,
-    one step(F, *parts) call over the other rows moves them to X - step,
-    and leaves(Z), if given, retires the moved rows it marks.  A batch that
+    the points Z of the active rows `rows` of X, a tuple (F, *parts) that
+    carries whatever the step needs, such as the Jacobian: one jet per
+    iteration.  Rows with |F| < tolerance retire converged.  Unless all did,
+    one step(F, *parts) call over the other rows moves them to X - step, and
+    leaves(Z), if given, retires the moved rows it marks.  A batch that
     raises an error listed in retry is evaluated again row by row
-    (rows_or_errors); a row that raises alone retires with its error, but a
-    converged row whose Jacobian raises stays converged.  An empty X makes
-    no call.  Returns X, the converged mask, the error of each row or None,
-    and the parts at the converged rows (None if no row answered).
+    (rows_or_errors); a row that raises alone retires with its error.  An
+    empty X makes no call.  Returns X, the converged mask, the error of each
+    row or None, and the parts at the converged rows (None if no row
+    answered).
     """
     X = np.array(X, dtype=float)
     converged = np.zeros(len(X), dtype=bool)
@@ -155,19 +154,10 @@ def lockstep_newton(residual, X, step, tolerance, max_iter, jacobian=None, retry
         converged[active[done]] = True
         if done.all():
             break
-        stepping, jac = ~done, ()
-        if jacobian is not None:
-            J, failed = rows_or_errors(lambda r, Z: (jacobian(r, Z),), active, X[active], retry)
-            answered = np.ones(len(active), dtype=bool)
-            answered[list(failed)] = False
-            for i, exc in failed.items():
-                if not done[i]:
-                    errors[active[i]] = exc
-            stepping &= answered
-            jac = (J[0][stepping[answered]],) if J else ()
+        stepping = ~done
         active = active[stepping]
         if len(active):
-            X[active] = X[active] - step(*(None if p is None else p[stepping] for p in parts), *jac)
+            X[active] = X[active] - step(*(None if p is None else p[stepping] for p in parts))
         if leaves is not None:
             active = active[~leaves(X[active])]
     return X, converged, errors, kept

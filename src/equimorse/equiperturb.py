@@ -11,7 +11,6 @@ the symmetry forces onto fixed strata.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -190,17 +189,12 @@ def normal_decreasing_extension(f, stratification: Stratification, j: int) -> Ca
             raise ValidationError(
                 "function is not invariant under the induced action on the stratum")
 
-    def value(Z):
+    def jet(Z):
+        v, g, h = f.jet(_mv(p, Z))
         W = _mv(q, Z)
-        return f.value(_mv(p, Z)) - _row_dots(W, W)
+        return v - _row_dots(W, W), _mv(p, g) - 2.0 * W, np.matmul(np.matmul(p, h), p) - 2.0 * q
 
-    def grad(Z):
-        return _mv(p, f.grad(_mv(p, Z))) - 2.0 * _mv(q, Z)
-
-    def hess(Z):
-        return np.matmul(np.matmul(p, f.hess(_mv(p, Z))), p) - 2.0 * q
-
-    return CallableFunction(n, value, grad, hess, name="normal decreasing extension")
+    return CallableFunction(n, jet, name="normal decreasing extension")
 
 
 # the bumps and the distance well read regdist's quintic profile and ramp
@@ -235,24 +229,19 @@ def _monomials(m, max_degree=3, min_degree=0):
     return out
 
 
-def _frozen(a):
-    a.flags.writeable = False
-    return a
-
-
 def _bump_poly_term(centers, scale, coeffs, mons):
     """Polynomial times a sum of radial bumps, one bump per center.
 
     Each bump is profile(|z - c| / scale): exactly 1 on the plateau
     t <= 0.5, a decreasing quintic ramp for 0.5 < t < 0.55, and 0 beyond.
-    The bump sum is taken over the (P, K, m) array of differences between
-    the points and the centers in one pass: plateau centers only add their
-    count to the value, and the ramp, its gradient and its Hessian are
-    evaluated on the centers strictly inside the ramp alone.  Rows with the
-    same number R of ramp centers share one stacked (1, R) @ (R, m) product;
-    padding the rows to a common R would change the rounding.  The
-    polynomial's kernel is built once, here, and read only at the rows that
-    some bump reaches.
+    The jet of a batch takes the bump sum over the (P, K, m) array of
+    differences between the points and the centers in one pass: plateau
+    centers only add their count to the value, and the ramp, its gradient
+    and its Hessian are evaluated on the centers strictly inside the ramp
+    alone.  Rows with the same number R of ramp centers share one stacked
+    (1, R) @ (R, m) product; padding the rows to a common R would change the
+    rounding.  The polynomial's kernel is built once, here, and read only at
+    the rows that some bump reaches.
     """
     centers = np.asarray(centers, dtype=float)
     m = centers.shape[1]
@@ -260,14 +249,7 @@ def _bump_poly_term(centers, scale, coeffs, mons):
     width = _S_HI - _S_LO
     eye = np.eye(m)
 
-    # A Newton sweep (lochom.critical_points) asks for grad and then hess on
-    # the same batch, so the bump sum and the polynomial's jet are cached per
-    # term, keyed by the bytes of the batch, and the hess call reads what the
-    # grad call built.  The cached arrays are read-only: value, grad and hess
-    # only build new arrays from them.
-    @functools.lru_cache(maxsize=8)
-    def jet(key):
-        Z = np.frombuffer(key).reshape(-1, m)
+    def jet(Z):
         W = Z[:, None, :] - centers
         r = np.sqrt(np.einsum("pki,pki->pk", W, W))
         t = r / scale
@@ -299,67 +281,51 @@ def _bump_poly_term(centers, scale, coeffs, mons):
         live = bv != 0.0
         if live.any():
             pv[live], pg[live], ph[live] = kernel.jet(Z[live])
-        return tuple(_frozen(a) for a in (bv, bg, bh, pv, pg, ph))
-
-    def value(Z):
-        bv, _, _, pv, _, _ = jet(Z.tobytes())
-        return pv * bv
-
-    def grad(Z):
-        bv, bg, _, pv, pg, _ = jet(Z.tobytes())
-        return bv[:, None] * pg + pv[:, None] * bg
-
-    def hess(Z):
-        bv, bg, bh, pv, pg, ph = jet(Z.tobytes())
         cross = pg[:, :, None] * bg[:, None, :]
-        return bv[:, None, None] * ph + cross + np.swapaxes(cross, 1, 2) + pv[:, None, None] * bh
+        return (pv * bv, bv[:, None] * pg + pv[:, None] * bg,
+                bv[:, None, None] * ph + cross + np.swapaxes(cross, 1, 2) + pv[:, None, None] * bh)
 
-    return CallableFunction(m, value, grad, hess)
+    return CallableFunction(m, jet)
 
 
 def _orbit_average(term, mats):
     """The mean of term(m z) over the group elements m."""
     pulls = [_pullback(term, m) for m in mats]
-    return CallableFunction(term.d,
-                            lambda Z: sum(p.value(Z) for p in pulls) / len(pulls),
-                            lambda Z: sum(p.grad(Z) for p in pulls) / len(pulls),
-                            lambda Z: sum(p.hess(Z) for p in pulls) / len(pulls))
+
+    def jet(Z):
+        parts = zip(*(p.jet(Z) for p in pulls))
+        return tuple(sum(part) / len(pulls) for part in parts)
+
+    return CallableFunction(term.d, jet)
 
 
 def _scaled(term, factor):
-    return CallableFunction(term.d, lambda Z: factor * term.value(Z),
-                            lambda Z: factor * term.grad(Z),
-                            lambda Z: factor * term.hess(Z))
+    return CallableFunction(term.d, lambda Z: tuple(factor * part for part in term.jet(Z)))
 
 
 def _quadratic_term(proj, c):
     q = np.asarray(proj, dtype=float)
     return CallableFunction(
         len(q),
-        lambda Z: -0.5 * c * _row_dots(np.matmul(Z[:, None, :], q)[:, 0], Z),
-        lambda Z: -c * _mv(q, Z),
-        lambda Z: np.repeat((-c * q)[None], len(Z), axis=0))
+        lambda Z: (-0.5 * c * _row_dots(np.matmul(Z[:, None, :], q)[:, 0], Z), -c * _mv(q, Z),
+                   np.repeat((-c * q)[None], len(Z), axis=0)))
 
 
 def _assemble(f, terms, action, name=""):
     terms = list(terms)
 
-    def value(Z):
-        return f.value(Z) + sum(t.value(Z) for t in terms)
+    def jet(Z):
+        v, g, h = f.jet(Z)
+        jets = [t.jet(Z) for t in terms]
+        # the value adds the sum of the terms to f, the derivatives add one
+        # term at a time; the census of a degenerate function such as the
+        # perturbed antipodal bowl moves with the last bit, so keep both orders
+        v = v + sum(tv for tv, _, _ in jets)
+        for _, tg, th in jets:
+            g, h = g + tg, h + th
+        return v, g, h
 
-    def grad(Z):
-        g = np.array(f.grad(Z), dtype=float)
-        for t in terms:
-            g = g + t.grad(Z)
-        return g
-
-    def hess(Z):
-        h = np.array(f.hess(Z), dtype=float)
-        for t in terms:
-            h = h + t.hess(Z)
-        return h
-
-    return CallableFunction(f.d, value, grad, hess, action=action, name=name)
+    return CallableFunction(f.d, jet, action=action, name=name)
 
 
 def normal_well(inner, n, stratum_vectors, action, *, delta=None,
@@ -397,28 +363,12 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
         raise ResolutionError(
             "transition width is below the unresolved collar; raise max_depth")
 
-    def value(Z):
-        # d0 and d1 only on the rows that read them; libm squares, as for a
-        # float ** 2, where numpy's array square differs in the last bit
-        out = np.zeros(len(Z))
-        far = np.flatnonzero(~(inner.dist_many(Z) <= rho0))
-        if not len(far):
-            return out
-        r0 = d0.values(Z[far])
-        w = _step(np.array([math.pow(r, 2.0) for r in r0.tolist()]) / delta)
-        on = w != 0.0
-        t = d1.values(Z[far[on]])
-        out[far[on]] = w[on] * t * t
-        return out
-
-    # grad and hess of a Newton sweep come on the same batch: the chain rule
-    # through w(d0^2 / delta) d1^2 runs once per batch, keyed by its bytes,
-    # on the rows where the value is not an exact zero of w; elsewhere w and
-    # its derivatives vanish together
-    @functools.lru_cache(maxsize=8)
-    def jet(key):
-        Z = np.frombuffer(key).reshape(-1, n)
-        grads, hessians = np.zeros(Z.shape), np.zeros((len(Z), n, n))
+    # the chain rule through w(d0^2 / delta) d1^2 runs on the rows where w
+    # is not an exact zero, and reads d0 and d1 only there; elsewhere w and
+    # its derivatives vanish together.  libm squares d0, as for a float ** 2,
+    # where numpy's array square differs in the last bit
+    def jet(Z):
+        values, grads, hessians = np.zeros(len(Z)), np.zeros(Z.shape), np.zeros((len(Z), n, n))
         far = np.flatnonzero(~(inner.dist_many(Z) <= rho0))
         r0, g0, h0 = d0.jets(Z[far])
         u = np.array([math.pow(r, 2.0) for r in r0.tolist()]) / delta
@@ -431,18 +381,15 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
         g_u = (2.0 / delta) * r0[:, None] * g0
         h_u = (2.0 / delta) * (_outer(g0, g0) + r0[:, None, None] * h0)
         tt = (t * t)[:, None, None]
+        values[rows] = w * t * t
         grads[rows] = (w1 * t * t)[:, None] * g_u + (2.0 * w * t)[:, None] * g1
         cross = _outer(g_u, g1)
         hessians[rows] = (tt * (w2[:, None, None] * _outer(g_u, g_u) + w1[:, None, None] * h_u)
                           + (2.0 * w1 * t)[:, None, None] * (cross + np.swapaxes(cross, 1, 2))
                           + (2.0 * w)[:, None, None] * (_outer(g1, g1) + t[:, None, None] * h1))
-        return _frozen(grads), _frozen(hessians)
+        return values, grads, hessians
 
-    func = CallableFunction(
-        n, value,
-        grad_fn=lambda Z: jet(Z.tobytes())[0].copy(),
-        hess_fn=lambda Z: jet(Z.tobytes())[1].copy(),
-        action=action, name="normal well")
+    func = CallableFunction(n, jet, action=action, name="normal well")
     info = {
         "delta": float(delta),
         "rho0": float(rho0),
@@ -824,9 +771,10 @@ def _certify(f, out, crits, strat, records, handled, epsilon, radius):
                    "required_fraction": _MARGIN_FRACTION, "points": margins}
 
     z = np.array([_ball_point(rng, n, radius) for _ in range(60)])
-    dv = np.abs(out.value(z) - f.value(z))
-    dg = _row_norms(out.grad(z) - f.grad(z))
-    dh = np.linalg.norm(out.hess(z) - f.hess(z), 2, axis=(1, 2))
+    (ov, og, oh), (fv, fg, fh) = out.jet(z), f.jet(z)
+    dv = np.abs(ov - fv)
+    dg = _row_norms(og - fg)
+    dh = np.linalg.norm(oh - fh, 2, axis=(1, 2))
     worst_c2 = 0.0
     for dvi, dgi, dhi in zip(dv.tolist(), dg.tolist(), dh.tolist()):
         worst_c2 = max(worst_c2, dvi, dgi, dhi)

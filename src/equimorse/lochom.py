@@ -135,15 +135,13 @@ def _json_int(v, what) -> int:
     return _integer(v, what, ValidationError)
 
 
-def _on_rows(fn, z, *args):
-    """fn on a (P, d) batch of points; one point (d,) runs as a batch of one.
-
-    Returns fn's result for a batch and its only row for one point, so a
-    single point goes through the same code as a batch.
-    """
+def _points(z, d):
+    """z as an array of one point (d,) or of a batch (P, d); ShapeError otherwise."""
     z = np.asarray(z, dtype=float)
-    out = fn(z.reshape(-1, z.shape[-1]), *args)
-    return out if z.ndim > 1 else out[0]
+    if z.ndim not in (1, 2) or z.shape[-1] != d:
+        raise ShapeError(f"points of the function have length {d}, "
+                         f"got an array of shape {z.shape}")
+    return z
 
 
 # Batched linear algebra whose rows are bitwise equal to the one-point
@@ -154,11 +152,6 @@ def _on_rows(fn, z, *args):
 def _mv(A, Z):
     """A @ z for every row z of Z."""
     return np.matmul(A, Z[..., None])[..., 0]
-
-
-def _as_value(out):
-    """A float for the value at one point, the array of values for a batch."""
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _json_term(t):
@@ -176,9 +169,10 @@ class FunctionSpec:
 
     Terms are (coefficient, exponents) pairs; an exponent is an integral
     number or a whole float, and a bool or a fractional float is refused.
-    value, grad and hess read the package's one polynomial kernel
-    (hamflow._Kernel), built once per function, so a FunctionSpec rounds
-    exactly as a HamiltonianGerm of constant terms with the same terms does.
+    jet is the package's one polynomial kernel (hamflow._Kernel), built once
+    per function, so a FunctionSpec rounds exactly as a HamiltonianGerm of
+    constant terms with the same terms does; value, grad and hess are its
+    parts, as for CallableFunction.
 
     >>> f = FunctionSpec.make(2, [(1.0, (2, 0)), (1.0, (0, 2))])
     >>> round(f.value([1.0, 2.0]), 10)
@@ -217,17 +211,20 @@ class FunctionSpec:
     def _kernel(self):
         return _polynomial_kernel(self.d, self.terms)
 
-    # value, grad and hess take one point (d,) or a batch (P, d); each reads
-    # its part of the kernel's jet
+    def jet(self, z):
+        return self._kernel.jet(_points(z, self.d))
+
+    # the views live in the class body, not in a shared base, because
+    # perfbench/tracer.py patches them by name on this class
 
     def value(self, z):
-        return self._kernel.jet(z)[0]
+        return self.jet(z)[0]
 
     def grad(self, z) -> np.ndarray:
-        return self._kernel.jet(z)[1]
+        return self.jet(z)[1]
 
     def hess(self, z) -> np.ndarray:
-        return self._kernel.jet(z)[2]
+        return self.jet(z)[2]
 
     def to_json(self) -> dict:
         doc = {
@@ -249,29 +246,44 @@ class FunctionSpec:
 
 @dataclass
 class CallableFunction:
-    """Function protocol backed by callables for the value and its derivatives.
+    """Function protocol backed by one callable for the value and its derivatives.
 
-    The callables take a batch of points, a (P, d) array, and return one
-    result per row: values (P,), gradients (P, d) and Hessians (P, d, d).
-    value, grad and hess take one point (d,) or a batch; value gives a
-    float for one point.
+    jet_fn takes a batch of points, a (P, d) array, and returns the jet of
+    every row: values (P,), gradients (P, d) and Hessians (P, d, d).  jet
+    takes one point (d,), which gives (float, (d,), (d, d)), or a batch (P,
+    d); any other shape raises ShapeError.  value, grad and hess are the
+    parts of jet.
+
+    >>> f = CallableFunction(2, lambda Z: (np.sum(Z * Z, axis=1), 2.0 * Z,
+    ...                                    np.broadcast_to(2.0 * np.eye(2), (len(Z), 2, 2))))
+    >>> v, g, h = f.jet([1.0, 2.0])
+    >>> v, g.tolist(), h.tolist()
+    (5.0, [2.0, 4.0], [[2.0, 0.0], [0.0, 2.0]])
+    >>> f.value([[1.0, 0.0], [0.0, 3.0]]).tolist()
+    [1.0, 9.0]
     """
 
     d: int
-    value_fn: Callable
-    grad_fn: Callable
-    hess_fn: Callable
+    jet_fn: Callable
     action: Optional[CyclicAction] = None
     name: str = ""
 
+    def jet(self, z):
+        z = _points(z, self.d)
+        v, g, h = (np.asarray(part, dtype=float) for part in self.jet_fn(z.reshape(-1, self.d)))
+        return (float(v[0]), g[0], h[0]) if z.ndim == 1 else (v, g, h)
+
+    # the views live in the class body, not in a shared base, because
+    # perfbench/tracer.py patches them by name on this class
+
     def value(self, z):
-        return _as_value(np.asarray(_on_rows(self.value_fn, z), dtype=float))
+        return self.jet(z)[0]
 
     def grad(self, z) -> np.ndarray:
-        return np.asarray(_on_rows(self.grad_fn, z), dtype=float)
+        return self.jet(z)[1]
 
     def hess(self, z) -> np.ndarray:
-        return np.asarray(_on_rows(self.hess_fn, z), dtype=float)
+        return self.jet(z)[2]
 
 
 def _pullback(f, A, action=None) -> CallableFunction:
@@ -281,12 +293,12 @@ def _pullback(f, A, action=None) -> CallableFunction:
     the rounding of that view, and A.T is its transpose again.
     """
     A = np.asarray(A, dtype=float)
-    return CallableFunction(
-        A.shape[1],
-        lambda Z: f.value(_mv(A, Z)),
-        lambda Z: _mv(A.T, f.grad(_mv(A, Z))),
-        lambda Z: np.matmul(np.matmul(A.T, f.hess(_mv(A, Z))), A),
-        action=action)
+
+    def jet(Z):
+        v, g, h = f.jet(_mv(A, Z))
+        return v, _mv(A.T, g), np.matmul(np.matmul(A.T, h), A)
+
+    return CallableFunction(A.shape[1], jet, action=action)
 
 
 def discrete_action_function(da) -> CallableFunction:
@@ -295,35 +307,14 @@ def discrete_action_function(da) -> CallableFunction:
     The value is dact.eval: each step generating function contributes the
     action identity S_i(x, Y) = x . (y - Y) + int (x . ydot + H_t) dt along
     its solved substep trajectory (sign convention i_{X_H} omega0 = dH).
-    Value, gradient and Hessian at one z share one dact.evaluate pass, one
-    graph solve per slot, and the rows of a batch not seen before go to one
-    dact.evaluate call.  The passes of the last batch are kept, keyed by the
-    bytes of each row, so a Newton sweep asking for grad and then hess on
-    the same batch solves once per row.
+    The jet of a batch is one dact.evaluate pass, one stacked graph solve
+    over every slot of every row.
     """
-    last = {}
-
-    def rows(Z, part):
-        keys = [z.tobytes() for z in Z]
-        passes = {key: last[key] for key in keys if key in last}
-        fresh = {key: z for key, z in zip(keys, Z) if key not in passes}
-        if fresh:
-            value, grad, hess = _dact.evaluate(da, np.array(list(fresh.values())))
-            passes.update(zip(fresh, zip(value, grad, hess)))
-        last.clear()
-        last.update(passes)
-        return np.array([passes[key][part] for key in keys], dtype=float)
-
     action = None
     if da.k > 1:
         action = CyclicAction(_dact.shift_matrix(da), da.k)
-    return CallableFunction(
-        d=da.dim,
-        value_fn=lambda Z: rows(Z, 0),
-        grad_fn=lambda Z: rows(Z, 1),
-        hess_fn=lambda Z: rows(Z, 2),
-        action=action,
-        name=f"discrete-action k={da.k} N={da.N}")
+    return CallableFunction(da.dim, lambda Z: _dact.evaluate(da, Z), action=action,
+                            name=f"discrete-action k={da.k} N={da.N}")
 
 
 # radial cutoff: 0 on the inner half of the ball, 1 from 3/4 of the radius out
@@ -354,10 +345,11 @@ _KEEP_FACTOR = 1.02
 def critical_points(func, seeds, radius):
     """Critical points of func by damped Newton from all seeds in lockstep.
 
-    config.lockstep_newton runs _MAX_ITER iterations on func.grad and
-    func.hess, retrying a batch that raises ResolutionError row by row, with
-    minimum-norm lstsq steps (config.row_lstsq) capped at 0.25 * max(radius,
-    1).  A row also retires once it leaves the ball of radius 3 * radius;
+    config.lockstep_newton runs _MAX_ITER iterations, one func.jet per
+    iteration whose gradient and Hessian are the residual's parts, retrying
+    a batch that raises ResolutionError row by row, with minimum-norm lstsq
+    steps (config.row_lstsq) capped at 0.25 * max(radius, 1).  A row also
+    retires once it leaves the ball of radius 3 * radius;
     rows that fail or do not converge are dropped.  Converged points within
     _KEEP_FACTOR * radius are kept in seed order unless one within dedup
     came first.  When every row of a batch equals func at that point alone,
@@ -381,9 +373,9 @@ def critical_points(func, seeds, radius):
         return step
 
     x, ok, _, _ = lockstep_newton(
-        lambda rows, Z: (func.grad(Z),), np.array(seeds, dtype=float).reshape(-1, n),
-        capped_lstsq, tol("newton_grad"), _MAX_ITER, jacobian=lambda rows, Z: func.hess(Z),
-        retry=(ResolutionError,), leaves=lambda Z: _row_norms(Z) > 3.0 * radius)
+        lambda rows, Z: func.jet(Z)[1:], np.array(seeds, dtype=float).reshape(-1, n),
+        capped_lstsq, tol("newton_grad"), _MAX_ITER, retry=(ResolutionError,),
+        leaves=lambda Z: _row_norms(Z) > 3.0 * radius)
     dedup = tol("dedup")
     kept = x[ok]
     kept = kept[~(_row_norms(kept) > _KEEP_FACTOR * radius)]
@@ -433,16 +425,12 @@ def _well_depths(f, a, b, vertex_values):
     return float(a), float(b)
 
 
-def _flow_leak_check(f, a, b, radius, points):
+def _flow_leak_check(a, b, radius, z, g):
     # the descending flow of f - (a+b) beta0 must not carry exit-set points
     # back into the pair: its gradient has to keep a forward component along
-    # grad f wherever the cutoff slopes
-    z = np.asarray(points, dtype=float).reshape(-1, f.d)
-    if not len(z):
-        return
+    # g = grad f at the points z wherever the cutoff slopes
     r = _row_norms(z)
     slope = np.array([_beta0_d1(float(ri), radius) for ri in r])
-    g = f.grad(z)
     gF = g - (a + b) * slope[:, None] * (z / r[:, None])
     if np.any(_row_dots(gF, g) < -1e-9):
         raise ParameterError(
@@ -463,10 +451,11 @@ class CubicalPair:
     b: float
     action: Optional[CyclicAction] = None
     kind: str = "cubical"
-    # grid coordinates along each axis; f at every vertex in the ball, +inf
-    # at the vertices outside it
+    # grid coordinates along each axis; f and its gradient at every vertex
+    # in the ball, +inf and nan at the vertices outside it
     axis: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
+    grads: Optional[np.ndarray] = None
 
 
 def _corner_extrema(V, d, reducer):
@@ -487,21 +476,22 @@ def _vertex_incidence(cells, d):
     return out
 
 
-def _vertex_values(f, axis, pts, in_ball, coarse):
-    # f at every vertex in the ball and +inf outside it, where no value is
-    # read; a grid that bisects the coarse pair's grid takes the values at
-    # its even vertices from the coarse pair
+def _vertex_jets(f, axis, pts, in_ball, coarse):
+    # f and its gradient at every vertex in the ball from one jet, and +inf
+    # and nan outside it, where neither is read; a grid that bisects the
+    # coarse pair's grid takes both at its even vertices from the coarse pair
     V = np.full(in_ball.shape, np.inf)
+    G = np.full(in_ball.shape + (f.d,), np.nan)
     fresh = in_ball.copy()
     if coarse is not None:
         if not np.array_equal(axis[::2], coarse.axis):
             raise ValidationError("the grid does not bisect the coarse grid whose values it reuses")
         even = (slice(None, None, 2),) * in_ball.ndim
-        V[even] = coarse.values
+        V[even], G[even] = coarse.values, coarse.grads
         fresh[even] = False
     if fresh.any():
-        V[fresh] = f.value(pts[fresh.ravel()])
-    return V
+        V[fresh], G[fresh], _ = f.jet(pts[fresh.ravel()])
+    return V, G
 
 
 def _require_positive(radius, h=None, **named):
@@ -530,7 +520,7 @@ def gromoll_meyer_pair(f, radius, a=None, b=None, h=None,
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     R = np.sqrt(sum(g * g for g in mesh))
     in_ball_v = R <= radius + 1e-9
-    V = _vertex_values(f, axis, pts, in_ball_v, _coarse)
+    V, G = _vertex_jets(f, axis, pts, in_ball_v, _coarse)
     a, b = _well_depths(f, a, b, V[in_ball_v])
     beta = np.vectorize(lambda r: _beta0(r, radius))(R)
     F = V - (a + b) * beta
@@ -545,11 +535,10 @@ def gromoll_meyer_pair(f, radius, a=None, b=None, h=None,
         if wm.any() and (w & ~wm).any():
             cand = (_vertex_incidence(wm, d) & _vertex_incidence(w & ~wm, d)
                     & (R > _B0_LO * radius) & (R < _B0_HI * radius))
-            grid_pts = pts.reshape([m + 1] * d + [d])
-            _flow_leak_check(f, a, b, radius, grid_pts[cand])
+            _flow_leak_check(a, b, radius, pts.reshape([m + 1] * d + [d])[cand], G[cand])
     pair = CubicalPair(h=h, lo=np.full(d, -radius), shape=(m,) * d,
                        w_mask=w, wminus_mask=wm, radius=radius, a=a, b=b,
-                       axis=axis, values=V)
+                       axis=axis, values=V, grads=G)
     if f.action is not None and signed_permutation_data(f.action.matrix) is not None:
         pair.action = f.action
         _check_mask_equivariance(pair)
@@ -741,7 +730,9 @@ def gromoll_meyer_pair_polar(f, radius, a=None, b=None, rings=8, sectors=None,
                 cells = [(bi, sj % sectors) for bi in bands for sj in (j - 1, j)]
                 if any(wm[c] for c in cells) and any(diffc[c] for c in cells):
                     leak_pts.append(z)
-            _flow_leak_check(f, a, b, radius, leak_pts)
+            if leak_pts:
+                z = np.array(leak_pts)
+                _flow_leak_check(a, b, radius, z, f.grad(z))
     pair = PolarPair(radius=radius, rings=rings, sectors=sectors, shift=shift,
                      k=k, w_mask=w, wminus_mask=wm, a=a, b=b,
                      action=f.action if k > 1 else None)
@@ -1029,15 +1020,17 @@ def equivariant_split(f, n1: int, radius: float = 0.5) -> SplitResult:
 
     The shifting theorem gives C_*(f, 0) = C_{*-q}(g, 0), (p, q) the normal
     signature at 0 (Chang 1993, ch. I).  Its hypotheses, checked on seeded
-    z1 within 0.6 * radius: the fiber gradient on the graph of phi, read by
-    its own f.grad call, is below newton_grad; the fiber Hessian there keeps
-    the signature (p, q), each |eigenvalue| above kernel_eig, else
-    TrustRegionError; phi(A1 z1) = A2 phi(z1) within split_equivariance.
+    z1 within 0.6 * radius: the fiber gradient on the graph of phi is below
+    newton_grad; the fiber Hessian there keeps the signature (p, q), each
+    |eigenvalue| above kernel_eig, else TrustRegionError; phi(A1 z1) = A2
+    phi(z1) within split_equivariance.
     The orientation of A2 on E- is read at 0.  phi solves a batch (P, n1)
-    through config.lockstep_newton on the fiber blocks of f.grad and f.hess
-    with plain solves, each row bitwise its one-point Newton when f's rows
-    are; a row not converged in 50 iterations raises TrustRegionError.  A
-    radius that is not finite and positive raises ParameterError.
+    through config.lockstep_newton, one f.jet per iteration whose fiber
+    blocks are the residual's parts, with plain solves, each row bitwise its
+    one-point Newton when f's rows are; a row not converged in 50
+    iterations raises TrustRegionError.  The jet of g on a batch is one phi
+    solve: each row reads the f.jet of the iteration at which it converged.
+    A radius that is not finite and positive raises ParameterError.
     """
     _require_positive(radius)
     d = f.d
@@ -1061,42 +1054,48 @@ def equivariant_split(f, n1: int, radius: float = 0.5) -> SplitResult:
             raise ValidationError("action does not preserve the splitting blocks")
         A1, A2 = A[:n1, :n1], A[n1:, n1:]
 
-    def phi(Z1):
-        def at(rows, W):
-            return np.concatenate([Z1[rows], W], axis=1)
+    def fiber_solve(Z1):
+        # phi(Z1), and the jet of f on the graph from the Newton iteration at
+        # which each row converged: a converged row stays where it was read
+        def fiber(rows, W):
+            v, G, H = f.jet(np.concatenate([Z1[rows], W], axis=1))
+            return G[:, n1:], H[:, n1:, n1:], v, G, H
 
-        W, converged, _, _ = lockstep_newton(
-            lambda rows, W: (f.grad(at(rows, W))[:, n1:],), np.zeros((len(Z1), n2)),
-            lambda G2, H22: np.linalg.solve(H22, G2[:, :, None])[:, :, 0], tol("newton_grad"), 50,
-            jacobian=lambda rows, W: f.hess(at(rows, W))[:, n1:, n1:])
+        W, converged, _, kept = lockstep_newton(
+            fiber, np.zeros((len(Z1), n2)),
+            lambda G2, H22, *jet: np.linalg.solve(H22, G2[:, :, None])[:, :, 0],
+            tol("newton_grad"), 50)
         if not converged.all():
             raise TrustRegionError("implicit solve for the fiber critical point did not converge")
-        return W
+        # only an empty batch keeps nothing
+        return W, (kept[2:] if kept else f.jet(np.concatenate([Z1, W], axis=1)))
 
-    def graph(Z1):
-        return np.concatenate([Z1, phi(Z1)], axis=1)
+    def phi_of(z1):
+        z1 = _points(np.atleast_1d(z1), n1)
+        W = fiber_solve(z1.reshape(-1, n1))[0]
+        return W if z1.ndim > 1 else W[0]
 
-    def g_hess(Z1):
-        H = f.hess(graph(Z1))
-        return H[:, :n1, :n1] - H[:, :n1, n1:] @ np.linalg.solve(H[:, n1:, n1:], H[:, n1:, :n1])
+    def g_jet(Z1):
+        v, G, H = fiber_solve(Z1)[1]
+        return (v, G[:, :n1],
+                H[:, :n1, :n1] - H[:, :n1, n1:] @ np.linalg.solve(H[:, n1:, n1:], H[:, n1:, :n1]))
 
     rng = np.random.default_rng(_SPLIT_SEED)
     Z1 = rng.uniform(-0.6 * radius, 0.6 * radius, size=(_SPLIT_SAMPLES, d))[:, :n1]
     if has_action:
         Z1 = np.concatenate([Z1, _mv(A1, Z1)])
-    Z = graph(Z1)
-    residual = _row_norms(f.grad(Z)[:, n1:]).max()
+    W, (_, G, H) = fiber_solve(Z1)
+    residual = _row_norms(G[:, n1:]).max()
     if not residual < tol("newton_grad"):
         raise ValidationError(f"fiber gradient {residual:.2e} on the graph of phi "
                               "exceeds newton_grad")
-    fiber = np.linalg.eigvalsh(f.hess(Z)[:, n1:, n1:])
+    fiber = np.linalg.eigvalsh(H[:, n1:, n1:])
     if np.abs(fiber).min() <= tol("kernel_eig") or np.any((fiber < 0).sum(axis=1) != q):
         raise TrustRegionError(f"the fiber Hessian leaves the signature ({p}, {q}) of 0 "
                                "inside the sample cloud; shrink the radius")
     orientation = True
     g_action = None
     if has_action:
-        W = Z[:, n1:]
         drift = np.abs(W[_SPLIT_SAMPLES:] - _mv(A2, W[:_SPLIT_SAMPLES])).max()
         if drift > tol("split_equivariance"):
             raise ValidationError("phi does not commute with the action")
@@ -1107,11 +1106,8 @@ def equivariant_split(f, n1: int, radius: float = 0.5) -> SplitResult:
             raise ValidationError("action does not preserve the negative eigenspace")
         orientation = bool(np.linalg.det(Rm) > 0)
         g_action = CyclicAction(A1, f.action.k)
-    g = CallableFunction(d=n1, value_fn=lambda Z1: f.value(graph(Z1)),
-                         grad_fn=lambda Z1: f.grad(graph(Z1))[:, :n1], hess_fn=g_hess,
-                         action=g_action, name="reduced")
-    return SplitResult(g=g, signature=(p, q), orientation_preserved=orientation,
-                       phi=lambda z1: _on_rows(phi, np.atleast_1d(np.asarray(z1, float))))
+    return SplitResult(g=CallableFunction(n1, g_jet, action=g_action, name="reduced"),
+                       signature=(p, q), orientation_preserved=orientation, phi=phi_of)
 
 
 # -- orchestration --------------------------------------------------------

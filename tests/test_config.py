@@ -136,7 +136,7 @@ def test_an_empty_batch_makes_no_call():
         raise AssertionError("called on an empty batch")
 
     X, converged, errors, kept = lockstep_newton(never, np.empty((0, 2)), never, 1e-12, 50,
-                                                 jacobian=never, leaves=never)
+                                                 leaves=never)
     assert X.shape == (0, 2) and converged.shape == (0,) and errors == [] and kept is None
 
 
@@ -144,27 +144,25 @@ def test_a_batch_converged_at_its_first_evaluation_makes_one_call_and_no_step():
     calls = []
 
     def never(*args):
-        raise AssertionError("a converged batch asked for a Jacobian or a step")
+        raise AssertionError("a converged batch asked for a step")
 
     X, converged, _, (F, J) = lockstep_newton(
-        _square_root([4.0, 9.0], calls), [[2.0], [3.0]], never, 1e-12, 50, jacobian=never)
+        _square_root([4.0, 9.0], calls), [[2.0], [3.0]], never, 1e-12, 50)
     assert calls == [[0, 1]] and converged.all()
     assert X[:, 0].tolist() == [2.0, 3.0] and J[:, 0].tolist() == [4.0, 6.0]
 
 
 def test_critical_points_of_a_linear_function_make_max_iter_grad_and_hess_calls():
     # grad f = e1 never vanishes and the lstsq step of H = 0 is zero, so no
-    # row converges or leaves the ball: every iteration asks grad and hess
-    # once, and nothing more is evaluated after the last one
+    # row converges or leaves the ball: every iteration asks for one jet,
+    # whose gradient and Hessian are read together, and nothing more is
+    # evaluated after the last one
     calls = []
 
-    def recorded(kind, out):
-        def fn(Z):
-            calls.append(kind)
-            return np.broadcast_to(out, (len(Z),) + out.shape).copy()
-        return fn
+    def jet(Z):
+        calls.append(len(Z))
+        return np.zeros(len(Z)), np.tile([1.0, 0.0], (len(Z), 1)), np.zeros((len(Z), 2, 2))
 
-    f = CallableFunction(2, recorded("value", np.array(0.0)),
-                         recorded("grad", np.array([1.0, 0.0])), recorded("hess", np.zeros((2, 2))))
+    f = CallableFunction(2, jet)
     assert critical_points(f, [[0.1, 0.2], [-0.3, 0.0]], 1.0) == []
-    assert calls == ["grad", "hess"] * lochom._MAX_ITER
+    assert calls == [2] * lochom._MAX_ITER

@@ -325,38 +325,15 @@ def test_discrete_action_function_solves_each_slot_once(monkeypatch):
     f = discrete_action_function(da)
     solves = _count_graph_solves(monkeypatch)
     z = 0.05 * np.random.default_rng(2).standard_normal(da.dim)
-    f.value(z)
+    # value, gradient and Hessian at z come from one pass
+    f.jet(z)
     assert solves[0] == da.slots
-    # the derivatives at the same z come from the same pass
-    f.grad(z)
-    f.hess(z)
-    assert solves[0] == da.slots
-    f.grad(-z)
-    f.hess(-z)
-    assert solves[0] == 2 * da.slots
-
-
-def test_discrete_action_function_keeps_the_passes_of_the_last_batch(monkeypatch):
-    from equimorse.lochom import discrete_action_function
-
-    da = DiscreteAction(quartic_germ(), 1, 1)
-    f = discrete_action_function(da)
-    passes = [0]
-    evaluate = dact.evaluate
-
-    def counted(da, z, *args, **kwargs):
-        passes[0] += len(np.reshape(z, (-1, da.dim)))
-        return evaluate(da, z, *args, **kwargs)
-
-    monkeypatch.setattr(dact, "evaluate", counted)
-    Z = 0.05 * np.random.default_rng(6).standard_normal((2, da.dim))
-    g = f.grad(Z)
-    # a Newton sweep asks for the Hessian on the rows that did not converge
-    h = f.hess(Z[:1])
-    assert passes[0] == 2
-    _, grads, hessians = evaluate(da, Z)
-    assert np.array_equal(g, grads)
-    assert np.array_equal(h[0], hessians[0])
+    # so do those of each row of a batch, bitwise dact.evaluate on it
+    Z = np.stack([z, -z])
+    got = f.jet(Z)
+    assert solves[0] == 3 * da.slots
+    for part, want in zip(got, dact.evaluate(da, Z)):
+        assert np.array_equal(part, want)
 
 
 def test_evaluate_on_a_batch_stacks_each_substep_over_rows_and_slots(monkeypatch):

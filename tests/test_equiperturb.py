@@ -43,19 +43,21 @@ from equimorse.lochom import (
     _row_dots,
     _row_norms,
     critical_points,
+    equivariant_split,
 )
 from equimorse.hamflow import _polynomial_kernel
 from equimorse.regdist import ClosedSetSpec, RegularizedDistance, _quintic_step
 from fd_oracle import assert_jets_match, pointwise, richardson_jets
 
 
-def _rowwise(fn):
-    """Batch form of a function of one point: fn applied row by row."""
+def _rowwise(value, grad, hess):
+    """Batch jet of the functions value, grad and hess of one point, each
+    applied row by row."""
 
-    def batch(Z):
-        return np.array([fn(z) for z in Z], dtype=float)
+    def jet(Z):
+        return tuple(np.array([fn(z) for z in Z], dtype=float) for fn in (value, grad, hess))
 
-    return batch
+    return jet
 
 
 def rotation(theta):
@@ -88,11 +90,10 @@ def newton_sweep(func, radius, extra_seeds=(), grid=9, fine=0.16, tol=1e-11):
         x = seed.copy()
         ok = False
         for _ in range(80):
-            g = np.asarray(func.grad(x))
+            _, g, h = func.jet(x)
             if np.linalg.norm(g) < tol:
                 ok = True
                 break
-            h = np.asarray(func.hess(x))
             try:
                 step = np.linalg.solve(h, g)
             except np.linalg.LinAlgError:
@@ -861,11 +862,10 @@ def _per_seed_critical_points(func, seeds, radius):
         ok = False
         try:
             for _ in range(80):
-                g = np.asarray(func.grad(x), dtype=float)
+                _, g, h = func.jet(x)
                 if np.linalg.norm(g) < tol("newton_grad"):
                     ok = True
                     break
-                h = np.asarray(func.hess(x), dtype=float)
                 step = np.linalg.lstsq(h, g, rcond=None)[0]
                 size = np.linalg.norm(step)
                 cap = 0.25 * max(radius, 1.0)
@@ -1074,9 +1074,7 @@ def _kinds(rng):
     out.append(("function spec", spec, cloud))
     terms = [(1.3, (3, 0)), (-0.2, (1, 4)), (0.9, (0, 2)), (4.0, (0, 0))]
     kernel = _polynomial_kernel(2, terms)
-    out.append(("poly", CallableFunction(2, lambda Z: kernel.jet(Z)[0],
-                                         lambda Z: kernel.jet(Z)[1],
-                                         lambda Z: kernel.jet(Z)[2]), rows2))
+    out.append(("poly", CallableFunction(2, kernel.jet), rows2))
     bowl = quartic_bowl()
     assembled = equiperturb._assemble(
         bowl, [_scaled(bump2, 0.01), _quadratic_term(np.diag([0.0, 1.0]), 0.02)],
@@ -1089,16 +1087,24 @@ def _kinds(rng):
     well, _ = normal_well(ClosedSetSpec.ball([0.0, 0.0], 0.3), 2, [[1.0, 0.0]],
                           reflection2(), delta=0.05, max_depth=11)
     out.append(("normal well", well, rng.uniform(-1.2, 1.2, size=(7, 2))))
+    # the fiber equation of z3 takes several Newton steps at every (z1, z2)
+    fibered = FunctionSpec.make(3, [(1.0, (4, 0, 0)), (1.0, (0, 4, 0)), (1.0, (0, 0, 2)),
+                                    (1.0, (0, 0, 4)), (-1.0, (2, 0, 1)), (0.5, (1, 1, 1))])
+    out.append(("reduced", equivariant_split(fibered, 2).g, rng.uniform(-0.3, 0.3, size=(9, 2))))
     return out
 
 
 def test_every_term_kind_gives_a_batch_equal_to_its_stacked_points():
     for name, kind, batch in _kinds(np.random.default_rng(70)):
-        for fn in (kind.value, kind.grad, kind.hess):
-            got = fn(batch)
-            want = np.array([fn(z) for z in batch])
-            assert got.shape == want.shape, name
-            assert np.array_equal(got, want), name
+        jet = kind.jet(batch)
+        points = [kind.jet(z) for z in batch]
+        for i, fn in enumerate((kind.value, kind.grad, kind.hess)):
+            want = np.array([part[i] for part in points])
+            assert jet[i].shape == want.shape, name
+            assert np.array_equal(jet[i], want), name
+            # the views are the parts of the jet
+            assert np.array_equal(fn(batch), jet[i]), name
+            assert all(np.array_equal(fn(z), part[i]) for z, part in zip(batch, points)), name
         # the function protocol: a float at one point, an array for a batch
         assert isinstance(kind.value(batch[0]), float), name
         assert kind.value(batch[:1]).shape == (1,), name
@@ -1151,7 +1157,7 @@ def test_sweep_loses_exactly_the_seeds_whose_evaluation_fails():
             raise ResolutionError("unresolved region")
         return ring.hess(z)
 
-    f = CallableFunction(2, _rowwise(ring.value), _rowwise(grad), _rowwise(hess))
+    f = CallableFunction(2, _rowwise(ring.value, grad, hess))
     got = equiperturb._critical_points(f, 1.2, fine=15, fine_width=0.16)
     want = _per_seed_critical_points(f, _two_scale_seeds(2, 1.2, 15, 0.16), 1.2)
     assert len(got) == len(want)
@@ -1164,60 +1170,28 @@ def test_sweep_loses_exactly_the_seeds_whose_evaluation_fails():
     def unresolved(z):
         raise ResolutionError("unresolved everywhere")
 
-    nowhere = CallableFunction(2, _rowwise(ring.value), _rowwise(unresolved), _rowwise(hess))
+    nowhere = CallableFunction(2, _rowwise(ring.value, unresolved, hess))
     assert equiperturb._critical_points(nowhere, 1.2) == []
     assert _per_seed_critical_points(nowhere, _two_scale_seeds(2, 1.2, 13, 0.18), 1.2) == []
 
 
-def _recorded(kind, fn, calls):
-    """fn on a batch, with (kind, batch) appended to calls first."""
-
-    def batch(Z):
-        calls.append((kind, np.array(Z)))
-        return fn(Z)
-
-    return batch
-
-
 def test_each_sweep_iteration_asks_grad_and_hess_on_the_same_rows():
+    # one jet per iteration carries both; the last finds every row converged
     ring, _ = squeezed_ring_model(0.5, 0.1)
     calls = []
-    f = CallableFunction(2, ring.value, _recorded("grad", ring.grad, calls),
-                         _recorded("hess", ring.hess, calls))
+
+    def jet(Z):
+        calls.append(np.array(Z))
+        return ring.jet(Z)
+
     seeds = _two_scale_seeds(2, 1.2, 15, 0.16)
-    got = critical_points(f, seeds, 1.2)
-    kinds = [kind for kind, _ in calls]
-    # one grad and one hess per iteration; the last grad finds every row
-    # converged, so no hess follows it
-    assert len(kinds) > 10
-    assert kinds == ["grad", "hess"] * (len(kinds) // 2) + ["grad"]
-    for (_, at_grad), (_, at_hess) in zip(calls[::2], calls[1::2]):
-        assert np.array_equal(at_grad, at_hess)
-    assert np.all(_row_norms(ring.grad(calls[-1][1])) < tol("newton_grad"))
+    got = critical_points(CallableFunction(2, jet), seeds, 1.2)
+    # rows only retire, so the batches shrink
+    sizes = [len(Z) for Z in calls]
+    assert len(sizes) > 10 and sizes == sorted(sizes, reverse=True)
+    assert np.all(_row_norms(ring.grad(calls[-1])) < tol("newton_grad"))
     want = _per_seed_critical_points(ring, seeds, 1.2)
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
-
-def test_a_converged_row_whose_hessian_raises_is_kept():
-    ring, _ = squeezed_ring_model(0.5, 0.1)
-    raised = []
-
-    def hess(z):
-        # unresolved exactly where the sweep has converged, so only a
-        # Hessian asked for beside the gradient of a converged row raises
-        if np.linalg.norm(ring.grad(z)) < tol("newton_grad"):
-            raised.append(z)
-            raise ResolutionError("Hessian unresolved at a critical point")
-        return ring.hess(z)
-
-    f = CallableFunction(2, _rowwise(ring.value), _rowwise(ring.grad), _rowwise(hess))
-    seeds = _two_scale_seeds(2, 1.2, 15, 0.16)
-    got = critical_points(f, seeds, 1.2)
-    assert raised
-    want = _per_seed_critical_points(f, seeds, 1.2)
-    full = critical_points(ring, seeds, 1.2)
-    assert len(got) == len(want) == len(full) > 0
-    for a, b, c in zip(got, want, full):
-        assert np.array_equal(a, b) and np.array_equal(a, c)

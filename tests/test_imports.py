@@ -1,15 +1,19 @@
 """Importing the package loads no scipy, and neither does integrating a flow;
-and no module of the package takes a derivative by finite differences."""
+no module of the package takes a derivative by finite differences; and every
+function that the benchmark tracer patches is defined where it patches it."""
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 _PROBE = """
 import json, math, sys
@@ -111,3 +115,21 @@ def test_the_stencil_guard_sees_a_difference_quotient(tmp_path):
         "def slope(f, x, h):\n    return (f(x + h) - f(x - h)) / (2.0 * h)\n\n\n"
         "def fd_jets(values, X, h):\n    pass\n")
     assert sorted(f.split(":")[1] for f in stencil_findings(tmp_path)) == ["2", "5"]
+
+
+def _tracer_targets():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+def test_every_traced_name_is_defined_where_the_tracer_patches_it():
+    # perfbench/tracer.py patches owner.__dict__[attr]: a method it names
+    # must be defined in the body of its class, not inherited from a base
+    for name, (module, path) in _tracer_targets().items():
+        owner = importlib.import_module(f"equimorse.{module}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(attr)), f"{name}: {path} is not defined on {owner}"

@@ -619,6 +619,43 @@ def test_split_phi_of_a_batch_is_bitwise_the_one_point_newton(f):
         assert np.array_equal(w, _one_point_phi(f, 1, z1))
 
 
+def test_the_jet_of_the_reduced_function_runs_one_fiber_solve():
+    # the fiber equation 2 z2 + 4 z2^3 = z1^2 takes several Newton steps
+    f = FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 2)), (1.0, (0, 4)), (-1.0, (2, 1))])
+    batches = []
+
+    def jet(Z):
+        batches.append(np.array(Z))
+        return f.jet(Z)
+
+    out = equivariant_split(CallableFunction(2, jet), 1)
+    Z1 = np.linspace(-0.4, 0.4, 5)[:, None]
+    del batches[:]
+    out.phi(Z1)
+    # one Newton iteration per batch, the first at the fiber start 0
+    steps = len(batches)
+    assert steps > 2 and not batches[0][:, 1:].any()
+    del batches[:]
+    v, g, h = out.g.jet(Z1)
+    # one phi solve, whose converged rows give the jet of f on the graph
+    assert len(batches) == steps
+    assert sum(not Z[:, 1:].any() for Z in batches) == 1
+    graph = np.concatenate([Z1, out.phi(Z1)], axis=1)
+    assert np.array_equal(v, f.value(graph)) and np.array_equal(g, f.grad(graph)[:, :1])
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 2, 2), (3,), ()])
+def test_points_of_the_wrong_shape_raise_shape_error(shape):
+    spec = FunctionSpec.make(2, [(1.0, (4, 0)), (1.0, (0, 2))])
+    pulled = lochom._pullback(spec, np.array([[0.6, 0.8], [-0.8, 0.6]]))
+    acting = discrete_action_function(DiscreteAction(quartic_germ(), 1, 1))
+    for f in (spec, pulled, acting):
+        assert f.d == 2
+        for view in (f.jet, f.value, f.grad, f.hess):
+            with pytest.raises(ShapeError, match="length 2"):
+                view(np.zeros(shape))
+
+
 def test_local_homology_mixed_minimum():
     f = FunctionSpec.make(2, [(1.0, (2, 0)), (1.0, (0, 4))])
     out = local_homology(f, radius=1.0)
@@ -688,17 +725,20 @@ def test_discrete_action_adapter_consistency():
         assert np.allclose(f.grad(z), dact.gradient(da, z), atol=1e-12)
 
 
-def test_fine_pass_bisects_the_coarse_grid_and_reuses_its_values():
+def test_fine_pass_bisects_the_coarse_grid_and_reuses_its_values(monkeypatch):
     # radius / h is not a whole number, so h / 2 would not bisect the grid
     calls = [0]
     bowl = FunctionSpec.make(2, [(1.0, (4, 0)), (2.0, (2, 2)), (1.0, (0, 4))])
 
-    def value(z):
+    def jet(z):
         # a call evaluates a batch of vertices; count the vertices
         calls[0] += len(z)
-        return bowl.value(z)
+        return bowl.jet(z)
 
-    f = CallableFunction(d=2, value_fn=value, grad_fn=bowl.grad, hess_fn=bowl.hess)
+    f = CallableFunction(2, jet)
+    # without the Newton sweep of the isolation check, the pairs evaluate
+    # nothing but vertices: the flow leak check reads their gradients
+    monkeypatch.setattr(lochom, "_check_isolated", lambda *args: None)
     assert sublevel_homology(f, 0.5, h=0.14) == {0: 1}
     # a 9 x 9 coarse grid, then the 17 x 17 fine grid minus the shared
     # vertices, each evaluated only inside the ball of radius 0.5

@@ -323,23 +323,24 @@ _B0_LO, _B0_HI = 0.5, 0.75
 _TIE = 1e-12
 
 
-def _beta0(r: float, radius: float) -> float:
-    u = (r / radius - _B0_LO) / (_B0_HI - _B0_LO)
-    u = min(1.0, max(0.0, u))
+def _beta0(r, radius):
+    # elementwise, each entry bitwise the scalar u^2 (3 - 2u) at its radius
+    u = np.clip((r / radius - _B0_LO) / (_B0_HI - _B0_LO), 0.0, 1.0)
     return u * u * (3.0 - 2.0 * u)
 
 
-def _beta0_d1(r: float, radius: float) -> float:
-    w = (_B0_HI - _B0_LO) * radius
+def _beta0_d1(r, radius):
+    # the radial slope of _beta0, 0 off the open ramp
     u = (r / radius - _B0_LO) / (_B0_HI - _B0_LO)
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    return 6.0 * u * (1.0 - u) / w
+    w = (_B0_HI - _B0_LO) * radius
+    return np.where((u > 0.0) & (u < 1.0), 6.0 * u * (1.0 - u) / w, 0.0)
 
 
-# Newton steps per seed, and the radius factor within which points are kept
+# Newton steps per seed, the radius factor within which points are kept,
+# and the seeds per axis of the sweep that checks that 0 is isolated
 _MAX_ITER = 80
 _KEEP_FACTOR = 1.02
+_ISOLATION_SEEDS = 5
 
 
 def critical_points(func, seeds, radius):
@@ -394,8 +395,8 @@ def _grid_seeds(radius, per_axis, d):
     return np.array(list(itertools.product(axis, repeat=d)), dtype=float).reshape(-1, d)
 
 
-def _check_isolated(f, radius, seeds):
-    z0 = _grid_seeds(radius, seeds, f.d)
+def _check_isolated(f, radius):
+    z0 = _grid_seeds(radius, _ISOLATION_SEEDS, f.d)
     z0 = z0[~(_row_norms(z0) > radius + 1e-12)]
     z = np.array(critical_points(f, z0, radius)).reshape(-1, f.d)
     r = _row_norms(z)
@@ -430,68 +431,10 @@ def _flow_leak_check(a, b, radius, z, g):
     # back into the pair: its gradient has to keep a forward component along
     # g = grad f at the points z wherever the cutoff slopes
     r = _row_norms(z)
-    slope = np.array([_beta0_d1(float(ri), radius) for ri in r])
-    gF = g - (a + b) * slope[:, None] * (z / r[:, None])
+    gF = g - (a + b) * _beta0_d1(r, radius)[:, None] * (z / r[:, None])
     if np.any(_row_dots(gF, g) < -1e-9):
         raise ParameterError(
             "a, b too large: the exit set leaks back into the pair along the flow")
-
-
-@dataclass
-class CubicalPair:
-    """Rasterized sublevel pair on a cubical grid over a symmetric box."""
-
-    h: float
-    lo: np.ndarray
-    shape: tuple
-    w_mask: np.ndarray
-    wminus_mask: np.ndarray
-    radius: float
-    a: float
-    b: float
-    action: Optional[CyclicAction] = None
-    kind: str = "cubical"
-    # grid coordinates along each axis; f and its gradient at every vertex
-    # in the ball, +inf and nan at the vertices outside it
-    axis: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    grads: Optional[np.ndarray] = None
-
-
-def _corner_extrema(V, d, reducer):
-    # reduce vertex array V over the 2^d corners of every cell
-    out = None
-    for off in itertools.product((0, 1), repeat=d):
-        sl = tuple(slice(o, V.shape[i] - 1 + o) for i, o in enumerate(off))
-        out = V[sl].copy() if out is None else reducer(out, V[sl])
-    return out
-
-
-def _vertex_incidence(cells, d):
-    # vertices touching at least one marked cell
-    out = np.zeros(tuple(s + 1 for s in cells.shape), dtype=bool)
-    for off in itertools.product((0, 1), repeat=d):
-        sl = tuple(slice(o, cells.shape[i] + o) for i, o in enumerate(off))
-        out[sl] |= cells
-    return out
-
-
-def _vertex_jets(f, axis, pts, in_ball, coarse):
-    # f and its gradient at every vertex in the ball from one jet, and +inf
-    # and nan outside it, where neither is read; a grid that bisects the
-    # coarse pair's grid takes both at its even vertices from the coarse pair
-    V = np.full(in_ball.shape, np.inf)
-    G = np.full(in_ball.shape + (f.d,), np.nan)
-    fresh = in_ball.copy()
-    if coarse is not None:
-        if not np.array_equal(axis[::2], coarse.axis):
-            raise ValidationError("the grid does not bisect the coarse grid whose values it reuses")
-        even = (slice(None, None, 2),) * in_ball.ndim
-        V[even], G[even] = coarse.values, coarse.grads
-        fresh[even] = False
-    if fresh.any():
-        V[fresh], G[fresh], _ = f.jet(pts[fresh.ravel()])
-    return V, G
 
 
 def _require_positive(radius, h=None, **named):
@@ -502,70 +445,41 @@ def _require_positive(radius, h=None, **named):
             raise ParameterError(f"{name} must be finite and positive, got {v!r}")
 
 
-def gromoll_meyer_pair(f, radius, a=None, b=None, h=None,
-                       isolation_seeds=5, _skip_checks=False, _coarse=None) -> CubicalPair:
-    """Sublevel pair (f <= a, deformed exit collar) rasterized on a grid."""
-    _require_positive(radius, h)
-    d = f.d
-    if d < 1 or d > 3:
-        raise ConfigurationError(f"cubical rasterization supports dimensions 1 to 3, got {d}")
-    if not _skip_checks:
-        _check_isolated(f, radius, isolation_seeds)
-    if h is None:
-        h = radius / 8
-    m = max(2, 2 * round(radius / h))
-    h = 2 * radius / m
-    axis = np.linspace(-radius, radius, m + 1)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    R = np.sqrt(sum(g * g for g in mesh))
-    in_ball_v = R <= radius + 1e-9
-    V, G = _vertex_jets(f, axis, pts, in_ball_v, _coarse)
-    a, b = _well_depths(f, a, b, V[in_ball_v])
-    beta = np.vectorize(lambda r: _beta0(r, radius))(R)
-    F = V - (a + b) * beta
-    cell_in = _corner_extrema(in_ball_v.astype(float), d, np.minimum) > 0.5
-    # the tie slack keeps exact-threshold vertices on one side of the cut
-    w = cell_in & (_corner_extrema(V, d, np.maximum) <= a + _TIE)
-    wm = w & (_corner_extrema(F, d, np.maximum) <= -b + _TIE)
-    if not _skip_checks:
-        touch = _corner_extrema(R, d, np.maximum) >= 0.85 * radius
-        if (w & touch & ~wm).any():
-            raise ParameterError("a, b too large: the pair touches the boundary of the ball")
-        if wm.any() and (w & ~wm).any():
-            cand = (_vertex_incidence(wm, d) & _vertex_incidence(w & ~wm, d)
-                    & (R > _B0_LO * radius) & (R < _B0_HI * radius))
-            _flow_leak_check(a, b, radius, pts.reshape([m + 1] * d + [d])[cand], G[cand])
-    pair = CubicalPair(h=h, lo=np.full(d, -radius), shape=(m,) * d,
-                       w_mask=w, wminus_mask=wm, radius=radius, a=a, b=b,
-                       axis=axis, values=V, grads=G)
-    if f.action is not None and signed_permutation_data(f.action.matrix) is not None:
-        pair.action = f.action
-        _check_mask_equivariance(pair)
-    return pair
+# -- grids ----------------------------------------------------------------
 
+@dataclass
+class Grid:
+    """Cells that rasterize a ball, and their chain algebra.
 
-def _cell_image(cell, sp, m):
-    out = [None] * len(cell)
-    for axis, i in enumerate(cell):
-        t, s = sp[axis]
-        out[t] = i if s > 0 else m - 1 - i
-    return tuple(out)
+    points (V, d) are the vertices and radii (V,) their norms; corners
+    (C, K) holds the vertex index of each corner of each top cell, in the C
+    order of shape, a cell with fewer corners repeating one.  The pair may
+    reach the rim cells only inside its exit set.  faces(cell) lists the
+    closed top cell of index tuple cell; degree and boundary take a face.
+    With a cell action, act maps a face to (image, orientation sign) and
+    image (C,) holds the index of each top cell's image.  bisect() builds
+    the grid that halves every cell, whose even holds the index of each
+    vertex of this grid among its own.
+    """
 
-
-def _check_mask_equivariance(pair):
-    sp = signed_permutation_data(pair.action.matrix)
-    m = pair.shape[0]
-    for mask in (pair.w_mask, pair.wminus_mask):
-        for cell in zip(*np.nonzero(mask)):
-            if not mask[_cell_image(tuple(int(i) for i in cell), sp, m)]:
-                raise ValidationError("masks are not invariant under the cell action")
+    shape: tuple
+    points: np.ndarray
+    radii: np.ndarray
+    corners: np.ndarray
+    rim: np.ndarray
+    faces: Callable
+    degree: Callable
+    boundary: Callable
+    bisect: Callable
+    action: Optional[CyclicAction] = None
+    act: Optional[Callable] = None
+    image: Optional[np.ndarray] = None
+    even: Optional[np.ndarray] = None
 
 
 def _cube_faces(cell):
     # all elementary cubes in the closed cell; cube = ((start, extent), ...)
-    choices = [((i, 1), (i, 0), (i + 1, 0)) for i in cell]
-    return itertools.product(*choices)
+    return itertools.product(*[((i, 1), (i, 0), (i + 1, 0)) for i in cell])
 
 
 def _cube_boundary(cube):
@@ -587,46 +501,9 @@ def _cube_degree(cube):
     return sum(e for _, e in cube)
 
 
-def _chain_data(pair, faces, degree, boundary):
-    """Relative chains of a pair: labels and index per degree, sparse boundary columns.
-
-    The chains are the cells in the closure of w_mask that are not in the
-    closure of wminus_mask; faces(cell) lists the closed cell of a marked
-    mask entry, and faces outside the relative basis drop out of a boundary.
-    """
-    def closure(mask):
-        cells = set()
-        for cell in zip(*np.nonzero(mask)):
-            cells.update(faces(tuple(int(i) for i in cell)))
-        return cells
-
-    keep = closure(pair.w_mask) - closure(pair.wminus_mask)
-    by_deg = {}
-    for cell in keep:
-        by_deg.setdefault(degree(cell), []).append(cell)
-    labels = {q: sorted(cs) for q, cs in by_deg.items()}
-    index = {c: (q, i) for q, cs in labels.items() for i, c in enumerate(cs)}
-    cols = {}
-    for q, cs in labels.items():
-        cols[q] = []
-        for cell in cs:
-            col = {}
-            for face, sign in boundary(cell):
-                hit = index.get(face)
-                if hit is not None:
-                    col[hit[1]] = col.get(hit[1], 0) + sign
-            cols[q].append({r: v for r, v in col.items() if v})
-    return labels, index, cols
-
-
-def _cubical_chain_data(pair):
-    return _chain_data(pair, _cube_faces, _cube_degree, _cube_boundary)
-
-
-def _cubical_action_map(pair):
-    sp = signed_permutation_data(pair.action.matrix)
-    m = pair.shape[0]
-
+def _cubical_action_map(sp, m):
+    # the image of an elementary cube under the signed permutation sp of
+    # the axes of m cells each, with the sign it gives the cube's orientation
     def map_cube(cube):
         out = [None] * len(cube)
         tgt_axes = []
@@ -647,117 +524,57 @@ def _cubical_action_map(pair):
     return map_cube
 
 
-# -- polar pairs ---------------------------------------------------------
+def _cubical_grid(radius, d, m, action) -> Grid:
+    """The m^d cubes of [-radius, radius]^d; an action is a signed permutation."""
+    axis = np.linspace(-radius, radius, m + 1)
+    points = np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=-1)
+    radii = np.sqrt(sum(x * x for x in points.T))
+    cells = np.indices((m,) * d).reshape(d, -1)
+    offsets = np.array(list(itertools.product((0, 1), repeat=d))).T
+    corners = np.ravel_multi_index(tuple(cells[:, :, None] + offsets[:, None, :]), (m + 1,) * d)
 
-@dataclass
-class PolarPair:
-    """Sublevel pair on a disk split into rings and sectors."""
+    def bisect():
+        # the linspace of 2m cells holds the m-cell one bitwise at its even points
+        fine = _cubical_grid(radius, d, 2 * m, action)
+        fine.even = np.ravel_multi_index(tuple(2 * np.indices((m + 1,) * d).reshape(d, -1)),
+                                         (2 * m + 1,) * d)
+        return fine
 
-    radius: float
-    rings: int
-    sectors: int
-    shift: int
-    k: int
-    w_mask: np.ndarray
-    wminus_mask: np.ndarray
-    a: float
-    b: float
-    action: Optional[CyclicAction] = None
-    kind: str = "polar"
-
-
-def gromoll_meyer_pair_polar(f, radius, a=None, b=None, rings=8, sectors=None,
-                             isolation_seeds=5, _skip_checks=False) -> PolarPair:
-    """Polar variant of the sublevel pair; carries plane rotations exactly."""
-    _require_positive(radius)
-    if f.d != 2:
-        raise ConfigurationError("polar rasterization is two-dimensional")
-    k = 1
-    th = 0.0
-    if f.action is not None and not f.action.is_trivial:
-        th = rotation_angle_2d(f.action.matrix)
-        if th is None:
-            raise ConfigurationError("polar rasterization requires a plane rotation action")
-        k = f.action.k
-    if sectors is None:
-        sectors = 4 * max(k, 2)
-    shift = 0
-    if k > 1:
-        raw = (th % (2 * math.pi)) * sectors / (2 * math.pi)
-        shift = int(round(raw)) % sectors
-        if abs(raw - round(raw)) > 1e-6:
-            raise ConfigurationError("sector count does not resolve the rotation angle")
-    if not _skip_checks:
-        _check_isolated(f, radius, isolation_seeds)
-    verts = {}
-    for i in range(1, rings + 1):
-        r = radius * i / rings
-        for j in range(sectors):
-            t = 2 * math.pi * j / sectors
-            verts[(i, j)] = np.array([r * math.cos(t), r * math.sin(t)])
-    vals = {key: f.value(p) for key, p in verts.items()}
-    vals_c = f.value(np.zeros(2))
-    a, b = _well_depths(f, a, b, np.array(list(vals.values()) + [vals_c]))
-
-    def fval(key):
-        return vals_c if key == "c" else vals[key]
-
-    def collar_val(key):
-        if key == "c":
-            return vals_c
-        return vals[key] - (a + b) * _beta0(float(np.linalg.norm(verts[key])), radius)
-
-    w = np.zeros((rings, sectors), dtype=bool)
-    wm = np.zeros((rings, sectors), dtype=bool)
-    for i in range(rings):
-        for j in range(sectors):
-            jn = (j + 1) % sectors
-            corners = (["c", (1, j), (1, jn)] if i == 0
-                       else [(i, j), (i, jn), (i + 1, j), (i + 1, jn)])
-            w[i, j] = max(fval(c) for c in corners) <= a + _TIE
-            wm[i, j] = w[i, j] and max(collar_val(c) for c in corners) <= -b + _TIE
-    if not _skip_checks:
-        if (w[-1] & ~wm[-1]).any():
-            raise ParameterError("a, b too large: the pair touches the boundary of the ball")
-        diffc = w & ~wm
-        if wm.any() and diffc.any():
-            leak_pts = []
-            for (i, j), z in verts.items():
-                r = float(np.linalg.norm(z))
-                if not (_B0_LO * radius < r < _B0_HI * radius):
-                    continue
-                bands = [bi for bi in (i - 1, i) if 0 <= bi < rings]
-                cells = [(bi, sj % sectors) for bi in bands for sj in (j - 1, j)]
-                if any(wm[c] for c in cells) and any(diffc[c] for c in cells):
-                    leak_pts.append(z)
-            if leak_pts:
-                z = np.array(leak_pts)
-                _flow_leak_check(a, b, radius, z, f.grad(z))
-    pair = PolarPair(radius=radius, rings=rings, sectors=sectors, shift=shift,
-                     k=k, w_mask=w, wminus_mask=wm, a=a, b=b,
-                     action=f.action if k > 1 else None)
-    if pair.action is not None:
-        for mask in (w, wm):
-            if not np.array_equal(mask, np.roll(mask, shift, axis=1)):
-                raise ValidationError("masks are not invariant under the sector shift")
-    return pair
+    grid = Grid((m,) * d, points, radii, corners, radii[corners].max(axis=1) >= 0.85 * radius,
+                _cube_faces, _cube_degree, _cube_boundary, bisect)
+    if action is not None:
+        sp = signed_permutation_data(action.matrix)
+        image = np.empty_like(cells)
+        for source, (t, s) in enumerate(sp):
+            image[t] = cells[source] if s > 0 else m - 1 - cells[source]
+        grid.action, grid.act = action, _cubical_action_map(sp, m)
+        grid.image = np.ravel_multi_index(tuple(image), (m,) * d)
+    return grid
 
 
 _POLAR_DEGREE = {"f": 2, "ar": 1, "rd": 1, "v": 0, "c": 0}
 
 
-def _polar_chain_data(pair):
-    q = pair.sectors
+def _polar_grid(radius, rings, sectors, shift, action) -> Grid:
+    """The disk in rings x sectors cells, which action turns by shift sectors.
 
-    def faces(cell):
-        i, j = cell
-        jn = (j + 1) % q
-        if i == 0:
-            return [("f", 0, j), ("ar", 1, j), ("rd", 1, j), ("rd", 1, jn),
-                    ("v", 1, j), ("v", 1, jn), ("c", 0, 0)]
-        return [("f", i, j), ("ar", i, j), ("ar", i + 1, j),
-                ("rd", i + 1, j), ("rd", i + 1, jn),
-                ("v", i, j), ("v", i, jn), ("v", i + 1, j), ("v", i + 1, jn)]
+    Vertex 0 is the centre and vertex 1 + (i - 1) sectors + j lies on ring
+    i at sector j.  The cells of the inner ring are triangles, whose corner
+    rows repeat the centre.
+    """
+    q = sectors
+    angles = [2 * math.pi * j / q for j in range(q)]
+    points = np.array([(0.0, 0.0)] + [(r * math.cos(t), r * math.sin(t))
+                                    for r in (radius * i / rings for i in range(1, rings + 1))
+                                    for t in angles])
+    ring, sector = np.indices((rings, q)).reshape(2, -1)
+    nxt = (sector + 1) % q
+
+    def vertex(i, j):
+        return np.where(i > 0, 1 + (i - 1) * q + j, 0)
+
+    corners = np.stack([vertex(ring, sector), vertex(ring, nxt),
+                        vertex(ring + 1, sector), vertex(ring + 1, nxt)], axis=1)
 
     def boundary(cell):
         kind, i, j = cell
@@ -774,84 +591,223 @@ def _polar_chain_data(pair):
             return [(("v", i, j), 1), (low, -1)]
         return []
 
-    return _chain_data(pair, faces, lambda cell: _POLAR_DEGREE[cell[0]], boundary)
+    def faces(cell):
+        # the face ("f", i, j) and, recursively, the faces of its boundary
+        out, new = set(), {("f", *cell)}
+        while new:
+            out |= new
+            new = {face for c in new for face, _ in boundary(c)} - out
+        return out
 
-
-def _polar_action_map(pair):
-    s = pair.shift
-    q = pair.sectors
-
-    def map_cell(cell):
+    def act(cell):
         kind, i, j = cell
-        if kind == "c":
-            return cell, 1
-        return (kind, i, (j + s) % q), 1
+        return (cell if kind == "c" else (kind, i, (j + shift) % q)), 1
 
-    return map_cell
+    def bisect():
+        # ring 2i at sector 2j of the fine grid is ring i at sector j bitwise
+        fine = _polar_grid(radius, 2 * rings, 2 * q, 2 * shift, action)
+        fine.even = np.concatenate([[0], 1 + (2 * ring + 1) * 2 * q + 2 * sector])
+        return fine
+
+    return Grid((rings, q), points, _row_norms(points), corners, ring == rings - 1,
+                faces, lambda cell: _POLAR_DEGREE[cell[0]], boundary, bisect,
+                action=action, act=act, image=ring * q + (sector + shift) % q)
 
 
-def _cell_action(pair, labels, index, action_sign):
-    # per degree, the (position, sign) image of every relative cell
-    if pair.kind == "polar":
-        map_cell = _polar_action_map(pair)
+def _grid(f, radius, h):
+    # polar for a plane rotation that is no signed permutation, with 4k
+    # sectors; cubical otherwise, carrying a signed permutation action only
+    n = 8 if h is None else max(1, round(radius / h))
+    action = f.action
+    if action is not None and signed_permutation_data(action.matrix) is None:
+        th = rotation_angle_2d(action.matrix)
+        if th is not None:
+            q = 4 * action.k
+            shift = int(round((th % (2 * math.pi)) * q / (2 * math.pi))) % q
+            return _polar_grid(radius, n, q, shift, action)
+        action = None
+    if f.d < 1 or f.d > 3:
+        raise ConfigurationError(f"cubical rasterization supports dimensions 1 to 3, got {f.d}")
+    return _cubical_grid(radius, f.d, 2 * n, action)
+
+
+# -- Gromoll-Meyer pairs --------------------------------------------------
+
+@dataclass
+class GromollMeyerPair:
+    """Sublevel pair of f rasterized on a grid.
+
+    w_mask and wminus_mask, of grid.shape, mark the top cells of W and of
+    the exit set W-.  values and grads hold f and its gradient at every
+    vertex, +inf and nan at the vertices outside the ball.
+    """
+
+    grid: Grid
+    w_mask: np.ndarray
+    wminus_mask: np.ndarray
+    radius: float
+    a: float
+    b: float
+    values: np.ndarray
+    grads: np.ndarray
+
+    @functools.cached_property
+    def chains(self):
+        """Relative chains: labels and index per degree, sparse boundary columns.
+
+        The chains are the cells in the closure of w_mask that are not in
+        the closure of wminus_mask; faces outside the relative basis drop
+        out of a boundary.  They are built once, for both groups.
+        """
+        grid = self.grid
+
+        def closure(mask):
+            cells = set()
+            for cell in zip(*np.nonzero(mask)):
+                cells.update(grid.faces(tuple(int(i) for i in cell)))
+            return cells
+
+        keep = closure(self.w_mask) - closure(self.wminus_mask)
+        by_deg = {}
+        for cell in keep:
+            by_deg.setdefault(grid.degree(cell), []).append(cell)
+        labels = {q: sorted(cs) for q, cs in by_deg.items()}
+        index = {c: (q, i) for q, cs in labels.items() for i, c in enumerate(cs)}
+        cols = {}
+        for q, cs in labels.items():
+            cols[q] = []
+            for cell in cs:
+                col = {}
+                for face, sign in grid.boundary(cell):
+                    hit = index.get(face)
+                    if hit is not None:
+                        col[hit[1]] = col.get(hit[1], 0) + sign
+                cols[q].append({r: v for r, v in col.items() if v})
+        return labels, index, cols
+
+
+def _vertex_jets(f, grid, in_ball, coarse):
+    # f and its gradient at every vertex in the ball from one jet, and +inf
+    # and nan outside it, where neither is read; the bisection of the coarse
+    # pair's grid takes both at the coarse vertices from the coarse pair
+    V = np.full(len(in_ball), np.inf)
+    G = np.full((len(in_ball), f.d), np.nan)
+    fresh = in_ball.copy()
+    if coarse is not None:
+        V[grid.even], G[grid.even] = coarse.values, coarse.grads
+        fresh[grid.even] = False
+    if fresh.any():
+        V[fresh], G[fresh], _ = f.jet(grid.points[fresh])
+    return V, G
+
+
+def gromoll_meyer_pair(f, radius, a=None, b=None, h=None, _coarse=None) -> GromollMeyerPair:
+    """Sublevel pair (f <= a, deformed exit collar) rasterized on a grid.
+
+    The grid follows f.action.  A plane rotation that is not a signed
+    permutation gets a polar grid of round(radius / h) rings and 4k
+    sectors, which carries the rotation.  Anything else gets a cubical grid
+    of 2 round(radius / h) cells per axis over [-radius, radius]^d, d from
+    1 to 3, which carries a signed permutation action and no other.  h
+    defaults to radius / 8, and one pair serves the plain and the invariant
+    group.
+
+    W holds the cells in the ball with f <= a at every corner, W- those
+    where also F = f - (a + b) beta0 <= -b; a and b default to 0.05 max |f|
+    over the vertices in the ball, which one f.jet evaluates.  The checks:
+    0 is the only critical point in the ball (IsolationError); W reaches
+    the rim of the ball only inside W-, and the descending flow of F does
+    not carry W- back into W (ParameterError); both masks are invariant
+    under the cell action (ValidationError).  Given the _coarse pair, the
+    grid bisects its grid, f at the shared vertices is read from it, and
+    only the last check runs.
+    """
+    _require_positive(radius, h)
+    if _coarse is None:
+        grid = _grid(f, radius, h)
+        _check_isolated(f, radius)
     else:
-        map_cell = _cubical_action_map(pair)
-    act = {}
-    for q, cs in labels.items():
-        entries = []
-        for c in cs:
-            img, s = map_cell(c)
-            hit = index.get(img)
-            if hit is None or hit[0] != q:
-                raise ValidationError("cell action leaves the relative basis")
-            entries.append((hit[1], s * action_sign))
-        act[q] = entries
-    return act
+        grid = _coarse.grid.bisect()
+    in_ball = grid.radii <= radius + 1e-9
+    V, G = _vertex_jets(f, grid, in_ball, _coarse)
+    a, b = _well_depths(f, a, b, V[in_ball])
+    F = V - (a + b) * _beta0(grid.radii, radius)
+    corners = grid.corners
+    # the tie slack keeps exact-threshold vertices on one side of the cut
+    w = in_ball[corners].all(axis=1) & (V[corners].max(axis=1) <= a + _TIE)
+    wm = w & (F[corners].max(axis=1) <= -b + _TIE)
+    if _coarse is None:
+        if (w & grid.rim & ~wm).any():
+            raise ParameterError("a, b too large: the pair touches the boundary of the ball")
+        if wm.any() and (w & ~wm).any():
+            # vertices of a cell of W- and of a cell of W - W- on the ramp
+            vertex = np.arange(len(V))
+            cand = (np.isin(vertex, corners[wm]) & np.isin(vertex, corners[w & ~wm])
+                    & (grid.radii > _B0_LO * radius) & (grid.radii < _B0_HI * radius))
+            _flow_leak_check(a, b, radius, grid.points[cand], G[cand])
+    if grid.image is not None:
+        for mask in (w, wm):
+            if not np.array_equal(mask[grid.image], mask):
+                raise ValidationError("masks are not invariant under the cell action")
+    return GromollMeyerPair(grid=grid, w_mask=w.reshape(grid.shape),
+                            wminus_mask=wm.reshape(grid.shape), radius=radius, a=a, b=b,
+                            values=V, grads=G)
 
 
 def relative_homology(pair, invariant: bool = False, action_sign: int = 1) -> dict:
-    """Relative homology of the pair over Q; invariant mode averages the cells."""
-    if pair.kind == "polar":
-        labels, index, cols = _polar_chain_data(pair)
-    else:
-        labels, index, cols = _cubical_chain_data(pair)
+    """Relative homology of the pair over Q; invariant mode averages the cells.
+
+    Both modes read the pair's relative chains, built once per pair.  The
+    invariant group needs a cell action on the grid: a polar grid carries
+    its plane rotation, a cubical grid a signed permutation action, and
+    any other action raises ConfigurationError.
+    """
+    labels, index, cols = pair.chains
     if not invariant:
         return betti_from_columns(cols)
-    if pair.action is None:
+    if pair.grid.action is None:
         raise ConfigurationError("invariant homology requires a cell action on the pair")
-    act = _cell_action(pair, labels, index, action_sign)
-    return invariant_betti_from_columns(pair.action.k, cols, act)
+    # per degree, the (position, sign) image of every relative cell
+    act = {}
+    for q, cs in labels.items():
+        act[q] = []
+        for c in cs:
+            img, s = pair.grid.act(c)
+            hit = index.get(img)
+            if hit is None or hit[0] != q:
+                raise ValidationError("cell action leaves the relative basis")
+            act[q].append((hit[1], s * action_sign))
+    return invariant_betti_from_columns(pair.grid.action.k, cols, act)
+
+
+def _refined_groups(f, radius, a, b, h, modes, action_sign):
+    # per mode (False plain, True invariant), the Betti numbers of one
+    # coarse pair, each equal to those of the pair on its bisection
+    coarse = gromoll_meyer_pair(f, radius, a, b, h)
+    fine = gromoll_meyer_pair(f, radius, coarse.a, coarse.b, _coarse=coarse)
+    out = []
+    for invariant in modes:
+        got = relative_homology(coarse, invariant, action_sign)
+        ref = relative_homology(fine, invariant, action_sign)
+        if got != ref:
+            raise ResolutionError(f"betti numbers changed under grid refinement: {got} vs {ref}")
+        out.append(got)
+    return out
 
 
 def sublevel_homology(f, radius, a=None, b=None, h=None, invariant=False,
-                      action_sign=1, isolation_seeds=5) -> dict:
-    """Pair homology with a built-in refinement check at h and h/2."""
-    _require_positive(radius, h)
-    polar = False
-    if f.action is not None and not f.action.is_trivial:
-        if signed_permutation_data(f.action.matrix) is None:
-            if invariant and f.d == 2 and rotation_angle_2d(f.action.matrix) is not None:
-                polar = True
-            elif invariant:
-                raise ConfigurationError(
-                    "the action is not compatible with a cubical or polar grid")
-    if polar:
-        coarse = gromoll_meyer_pair_polar(f, radius, a, b,
-                                          isolation_seeds=isolation_seeds)
-        fine = gromoll_meyer_pair_polar(f, radius, coarse.a, coarse.b, rings=16,
-                                        sectors=2 * coarse.sectors, _skip_checks=True)
-    else:
-        h0 = h if h is not None else radius / 8
-        coarse = gromoll_meyer_pair(f, radius, a, b, h=h0,
-                                    isolation_seeds=isolation_seeds)
-        # halving the coarse pair's effective step bisects its grid exactly
-        fine = gromoll_meyer_pair(f, radius, coarse.a, coarse.b, h=coarse.h / 2,
-                                  _skip_checks=True, _coarse=coarse)
-    got = relative_homology(coarse, invariant, action_sign)
-    ref = relative_homology(fine, invariant, action_sign)
-    if got != ref:
-        raise ResolutionError(f"betti numbers changed under grid refinement: {got} vs {ref}")
-    return got
+                      action_sign=1) -> dict:
+    """Pair homology with a built-in refinement check on the bisected grid.
+
+    gromoll_meyer_pair picks the grid from f.action: polar (h sets the ring
+    width) for a plane rotation that is not a signed permutation, cubical
+    (h sets the step) otherwise.  The same pair gives the plain group and,
+    when its grid carries the action, the invariant one; an action that
+    neither grid carries raises ConfigurationError in invariant mode.  The
+    Betti numbers must not change on the grid that halves every cell, else
+    ResolutionError.
+    """
+    return _refined_groups(f, radius, a, b, h, (invariant,), action_sign)[0]
 
 
 # -- two-dimensional Morse complexes -------------------------------------
@@ -1123,7 +1079,13 @@ def local_homology(f, radius: float = 0.5, h=None) -> LocalHomology:
     """Plain and invariant local homology of the isolated critical point at 0.
 
     The grid step h is used only when the Hessian at 0 vanishes; a split f
-    is rasterized within 0.4 * radius at the default step.
+    is rasterized within 0.4 * radius at the default step.  The reduced
+    function gets one coarse pair and its bisection (gromoll_meyer_pair),
+    whose relative chains give the plain and the invariant group.  The grid
+    follows the action: polar for a plane rotation that is not a signed
+    permutation, where h sets the ring width, and cubical otherwise, where
+    h sets the step; an action that neither grid carries raises
+    ConfigurationError.
     """
     _require_positive(radius, h)
     d = f.d
@@ -1165,12 +1127,10 @@ def local_homology(f, radius: float = 0.5, h=None) -> LocalHomology:
         q = split.signature[1]
         orientation = split.orientation_preserved
         r_red, h_red = 0.4 * radius, None
-    plain_red = sublevel_homology(g, r_red, h=h_red)
-    if not has_action:
-        inv_red = dict(plain_red)
-    else:
-        sign = 1 if orientation else -1
-        inv_red = sublevel_homology(g, r_red, h=h_red, invariant=True, action_sign=sign)
+    # one pair and its bisection give both groups; without an action they agree
+    modes = (False, True) if has_action else (False,)
+    groups = _refined_groups(g, r_red, None, None, h_red, modes, 1 if orientation else -1)
+    plain_red, inv_red = groups[0], groups[-1]
     return LocalHomology(
         plain={deg + q: r for deg, r in plain_red.items()},
         invariant={deg + q: r for deg, r in inv_red.items()},

@@ -1,6 +1,7 @@
 """Importing the package loads no scipy, and neither does integrating a flow;
-no module of the package takes a derivative by finite differences; and every
-function that the benchmark tracer patches is defined where it patches it."""
+no module of the package takes a derivative by finite differences; every
+function that the benchmark tracer patches is defined where it patches it;
+and every console script that pyproject.toml declares imports."""
 from __future__ import annotations
 
 import ast
@@ -11,6 +12,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -133,3 +136,16 @@ def test_every_traced_name_is_defined_where_the_tracer_patches_it():
         for part in outer:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(attr)), f"{name}: {path} is not defined on {owner}"
+
+
+def test_every_declared_script_imports():
+    # an installed console script imports its module and calls the named
+    # attribute, so a target that does not import ships a broken command
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{name}: {target} is not callable"

@@ -32,7 +32,6 @@ from equimorse.lochom import (
     discrete_action_function,
     equivariant_split,
     gromoll_meyer_pair,
-    gromoll_meyer_pair_polar,
     local_homology,
     morse_complex_2d,
     relative_homology,
@@ -338,8 +337,10 @@ def test_polar_pair_matches_cartesian_on_quadratics():
         2, [(1.0, (2, 0)), (1.0, (0, 2))], action=rotation_action(3))
     fmax = FunctionSpec.make(
         2, [(-1.0, (2, 0)), (-1.0, (0, 2))], action=rotation_action(3))
-    pmin = gromoll_meyer_pair_polar(fmin, 1.0, a=0.1, b=0.1)
-    pmax = gromoll_meyer_pair_polar(fmax, 1.0, a=0.1, b=0.1)
+    # the 3-fold rotation is no signed permutation: 8 rings of 12 sectors
+    pmin = gromoll_meyer_pair(fmin, 1.0, a=0.1, b=0.1)
+    pmax = gromoll_meyer_pair(fmax, 1.0, a=0.1, b=0.1)
+    assert pmin.w_mask.shape == pmax.w_mask.shape == (8, 12)
     assert relative_homology(pmin) == {0: 1}
     assert relative_homology(pmax) == {2: 1}
     # the rotation preserves the plane orientation, so the top class survives
@@ -351,7 +352,7 @@ PAIRS = {
     "swap": lambda: gromoll_meyer_pair(swap_saddle_model(0.0), 1.0),
     "axis": lambda: gromoll_meyer_pair(axis_saddle_model(0.0), 1.0),
     "ring": lambda: gromoll_meyer_pair(ring_model(0.0), 1.0),
-    "polar monkey": lambda: gromoll_meyer_pair_polar(monkey(action=rotation_action(3)), 1.0),
+    "polar monkey": lambda: gromoll_meyer_pair(monkey(action=rotation_action(3)), 1.0),
 }
 
 
@@ -360,10 +361,10 @@ def test_pair_homology_matches_the_dense_oracle(make):
     # the same relative chains and cell action, through dense ranks and the
     # averaging projector instead of sparse ranks and orbit sums
     pair = make()
-    chain_data = lochom._polar_chain_data if pair.kind == "polar" else lochom._cubical_chain_data
-    labels, index, cols = chain_data(pair)
-    act = lochom._cell_action(pair, labels, index, 1)
-    oracle = DenseComplex.from_columns(pair.action.k, cols, act)
+    labels, index, cols = pair.chains
+    act = {q: [(index[pair.grid.act(c)[0]][1], pair.grid.act(c)[1]) for c in cs]
+           for q, cs in labels.items()}
+    oracle = DenseComplex.from_columns(pair.grid.action.k, cols, act)
     assert relative_homology(pair) == oracle.homology_betti()
     assert relative_homology(pair, invariant=True) == oracle.invariant_homology_betti()
 
@@ -746,14 +747,82 @@ def test_fine_pass_bisects_the_coarse_grid_and_reuses_its_values(monkeypatch):
     in_ball = np.hypot(*np.meshgrid(axis, axis, indexing="ij")) <= 0.5 + 1e-9
     assert calls[0] == int(in_ball.sum()) == 197
     coarse = gromoll_meyer_pair(f, 0.5, h=0.14)
-    fine = gromoll_meyer_pair(f, 0.5, coarse.a, coarse.b, h=coarse.h / 2,
-                              _skip_checks=True, _coarse=coarse)
-    fresh = gromoll_meyer_pair(f, 0.5, coarse.a, coarse.b, h=coarse.h / 2, _skip_checks=True)
+    fine = gromoll_meyer_pair(f, 0.5, coarse.a, coarse.b, _coarse=coarse)
+    # 2 round(0.5 / 0.0625) = 16 cells per axis, evaluated afresh
+    fresh = gromoll_meyer_pair(f, 0.5, coarse.a, coarse.b, h=0.0625)
+    assert np.array_equal(fine.grid.points[fine.grid.even], coarse.grid.points)
+    assert np.array_equal(fine.grid.points, fresh.grid.points)
     assert np.array_equal(fine.values, fresh.values)
     assert np.array_equal(fine.w_mask, fresh.w_mask)
-    with pytest.raises(ValidationError, match="bisect"):
-        gromoll_meyer_pair(f, 0.5, coarse.a, coarse.b, h=0.07, _skip_checks=True,
-                           _coarse=coarse)
+
+
+def test_polar_pairs_take_one_jet_batch_per_grid(monkeypatch):
+    # the invariant monkey saddle once made one jet call per polar vertex
+    batches = []
+    saddle = monkey(action=rotation_action(3))
+
+    def jet(z):
+        batches.append(len(z))
+        return saddle.jet(z)
+
+    f = CallableFunction(2, jet, action=saddle.action)
+    monkeypatch.setattr(lochom, "_check_isolated", lambda *args: None)
+    assert sublevel_homology(f, 1.0, invariant=True) == {}
+    # the centre and 8 rings of 12 sectors, then the 16 x 24 fine vertices
+    # that are not at an even ring and an even sector
+    assert batches == [1 + 8 * 12, 16 * 24 - 8 * 12]
+    coarse = gromoll_meyer_pair(f, 1.0)
+    fine = gromoll_meyer_pair(f, 1.0, coarse.a, coarse.b, _coarse=coarse)
+    ring, sector = np.indices((8, 12)).reshape(2, -1) + [[1], [0]]
+    even = np.concatenate([[0], 1 + (2 * ring - 1) * 24 + 2 * sector])
+    assert np.array_equal(fine.grid.even, even)
+    assert np.array_equal(fine.grid.points[even], coarse.grid.points)
+    assert np.array_equal(fine.values[even], coarse.values)
+    # each vertex value is bitwise the value of f at that point alone
+    for pair in (coarse, fine):
+        assert pair.values.tolist() == [saddle.value(z) for z in pair.grid.points]
+
+
+@pytest.mark.parametrize("model", [swap_saddle_model, axis_saddle_model])
+def test_local_homology_builds_one_pair_and_its_bisection(model, monkeypatch):
+    # the plain and the invariant group read the same two pairs, and the
+    # coarse one alone runs the isolation sweep
+    calls = {"pair": 0, "sweep": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(lochom, "gromoll_meyer_pair", counted("pair", lochom.gromoll_meyer_pair))
+    monkeypatch.setattr(lochom, "_check_isolated", counted("sweep", lochom._check_isolated))
+    out = local_homology(model(0.0), radius=1.0)
+    assert calls == {"pair": 2, "sweep": 1}
+    assert out.plain == {1: 1}
+    assert out.invariant == ({1: 1} if model is swap_saddle_model else {})
+
+
+def test_cutoff_arrays_are_bitwise_the_scalar_formula():
+    radius = 0.7
+    lo, hi = lochom._B0_LO, lochom._B0_HI
+    r = np.concatenate([[0.0, lo * radius, hi * radius, radius],
+                        np.nextafter(lo * radius, [0.0, 1.0]),
+                        np.nextafter(hi * radius, [0.0, 1.0]),
+                        np.linspace(0.0, 1.2 * radius, 97)])
+
+    def scalar(ri):
+        u = min(1.0, max(0.0, (ri / radius - lo) / (hi - lo)))
+        return u * u * (3.0 - 2.0 * u)
+
+    def scalar_d1(ri):
+        u = (ri / radius - lo) / (hi - lo)
+        return 0.0 if u <= 0.0 or u >= 1.0 else 6.0 * u * (1.0 - u) / ((hi - lo) * radius)
+
+    assert lochom._beta0(r, radius).tolist() == [scalar(float(ri)) for ri in r]
+    assert lochom._beta0_d1(r, radius).tolist() == [scalar_d1(float(ri)) for ri in r]
+    ends = lochom._beta0(np.array([lo, hi]) * radius, radius)
+    assert ends.tolist() == [0.0, 1.0]
 
 
 def test_local_homology_discrete_action_quartic():
@@ -817,9 +886,11 @@ def test_pair_builders_reject_a_bad_radius_or_step(radius, h):
         sublevel_homology(f, radius, h=h)
     with pytest.raises(ParameterError, match="finite and positive"):
         gromoll_meyer_pair(f, radius, h=h)
-    if h is None:
-        with pytest.raises(ParameterError, match="finite and positive"):
-            gromoll_meyer_pair_polar(f, radius)
+    # |z|^4 under the 3-fold rotation gets the polar grid, whose rings h sets
+    polar = FunctionSpec.make(2, [(1.0, (4, 0)), (2.0, (2, 2)), (1.0, (0, 4))],
+                              action=rotation_action(3))
+    with pytest.raises(ParameterError, match="finite and positive"):
+        gromoll_meyer_pair(polar, radius, h=h)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])

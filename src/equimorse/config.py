@@ -17,7 +17,7 @@ DEFAULT_TRUST_RADIUS = 0.5
 # Every tolerance used by a contract, by name.  Values are absolute unless the
 # consuming check states otherwise.
 TOLERANCES = {
-    "symplectic_sample": 1e-8,    # path samples: ||M^T J0 M - J0||_inf
+    "symplectic_sample": 1e-8,    # path samples: ||M^T J0 M - J0||_inf / max(1, ||M||_max^2)
     "symplectic_flow": 1e-7,      # integrated flow Jacobians, same residual
     "eig_threshold": 1e-8,        # relative eigen/singular value threshold
     "gen1_det": 1e-8,             # graph-condition determinant threshold
@@ -54,11 +54,18 @@ def standard_symplectic(n: int) -> np.ndarray:
     return J
 
 
-def symplectic_residual(M: np.ndarray):
-    """||M^T J0 M - J0||_inf of one matrix (a float) or of each of a stack (an array)."""
+def symplectic_residual(M: np.ndarray, relative: bool = False):
+    """||M^T J0 M - J0||_inf of one matrix (a float) or of each of a stack (an array).
+
+    relative divides by max(1, max|M_ij|^2): rounding in M^T J0 M grows with
+    the square of the entries, so a long hyperbolic iterate carries an
+    absolute residual of order eps |M|^2 however exactly it was computed.
+    """
     M = np.asarray(M)
     J = standard_symplectic(M.shape[-1] // 2)
     res = np.abs(np.swapaxes(M, -1, -2) @ J @ M - J).max(axis=(-2, -1))
+    if relative:
+        res = res / np.maximum(1.0, np.abs(M).max(axis=(-2, -1)) ** 2)
     return float(res) if M.ndim == 2 else res
 
 

@@ -49,7 +49,7 @@ class SymplecticPath:
         for t, M in self.samples:
             if M.shape != (2 * self.n, 2 * self.n):
                 raise ValidationError(f"sample at t={t} has shape {M.shape}")
-        res = symplectic_residual(np.stack([M for _, M in self.samples]))
+        res = symplectic_residual(np.stack([M for _, M in self.samples]), relative=True)
         bad = res > tol("symplectic_sample")
         if bad.any():
             i = int(bad.argmax())
@@ -146,7 +146,7 @@ def classify_iteration(M, k: int) -> IterationClass:
     """Admissible: no eigenvalue other than 1 is a k-th root of unity.
     Good: the counts of eigenvalues in (-1, 0) for M and M^k have equal parity."""
     M = np.asarray(M, dtype=float)
-    if symplectic_residual(M) > tol("symplectic_sample"):
+    if symplectic_residual(M, relative=True) > tol("symplectic_sample"):
         raise ValidationError("matrix is not symplectic within tolerance")
     k = int(k)
     if k < 1:

@@ -145,6 +145,16 @@ def test_parity_under_good_admissible_iteration(k, data):
     assert (cz_index(it) - cz_index(path)) % 2 == 0
 
 
+def test_long_hyperbolic_iterate_passes_sample_check():
+    # M(1)^6 has entries near 1e4, so M^T J0 M - J0 rounds to about 1e-8
+    # absolute; the sample check must scale with |M|^2 to accept it.
+    S = np.array([[1.125, -1.1875], [-1.1875, -1.1875]])
+    path = SymplecticPath.from_generator_matrix(J2 @ S, 1.0)
+    it = iterate_path(path, 6)
+    assert np.abs(it.endpoint()).max() > 1e4
+    assert (cz_index(it) - cz_index(path)) % 2 == 0
+
+
 def test_nullity_examples():
     assert nullity(np.eye(2)) == 2
     assert nullity(rotation(2 * np.pi * 0.3)) == 0

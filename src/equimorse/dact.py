@@ -9,17 +9,20 @@ S_i(x, Y) = x . (y - Y) + int (x . ydot + H_t) dt along the solved substep
 trajectory from (x, y) to (X, Y), under the sign convention
 i_{X_H} omega0 = dH.  One graph solve per slot therefore gives the value,
 the gradient and the Hessian of A together (`evaluate`).
+
+At 0 the Hessian splits over the roots omega^k = 1 into the twisted one-period
+blocks `hessian_at_zero(da, omega)` (Bott's iteration formula: Bott 1956; Long
+2002, ch. 9-10), and `diagonal_split` reads the iterate's splitting from them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .config import (DEFAULT_TRUST_RADIUS, lockstep_newton, null_space, row_dots, row_lstsq,
-                     rows_or_errors, tol)
+from .config import DEFAULT_TRUST_RADIUS, lockstep_newton, row_dots, row_lstsq, rows_or_errors, tol
 from .errors import (
     AmbiguityError,
     ConfigurationError,
@@ -114,12 +117,7 @@ class DiscreteAction:
 
 def shift_matrix(da: DiscreteAction) -> np.ndarray:
     """Permutation moving the last N slots to the front."""
-    P = np.zeros((da.dim, da.dim))
-    b = 2 * da.n
-    for j in range(da.slots):
-        src = (j - da.N) % da.slots
-        P[b * j:b * (j + 1), b * src:b * (src + 1)] = np.eye(b)
-    return P
+    return np.roll(np.eye(da.dim), 2 * da.n * da.N, axis=0)
 
 
 def evaluate(da: DiscreteAction, z, value: bool = True):
@@ -173,38 +171,41 @@ def evaluate(da: DiscreteAction, z, value: bool = True):
     return total, g, H
 
 
-def eval(da: DiscreteAction, z) -> float:
-    return evaluate(da, z)[0]
-
-
 def gradient(da: DiscreteAction, z) -> np.ndarray:
     return evaluate(da, z, value=False)[1]
 
 
-def _assemble_hessian(da: DiscreteAction, blocks) -> np.ndarray:
+def _assemble_hessian(da: DiscreteAction, blocks, omega=1.0) -> np.ndarray:
     # blocks[..., i, :, :] = D^2 S_i at the step's own point, acting on
     # (x_i, y_{i+1}); leading batch axes carry through to the result
     n, dim = da.n, da.dim
     blocks = np.asarray(blocks)
-    H = np.zeros(blocks.shape[:-3] + (dim, dim))
+    H = np.zeros(blocks.shape[:-3] + (dim, dim), dtype=np.result_type(blocks, omega))
     eye = np.eye(n)
     for i in range(da.slots):
         bx = 2 * n * i
         byy = bx + n
         by1 = 2 * n * ((i + 1) % da.slots) + n
         B = blocks[..., i, :, :]
+        w = omega if i == da.slots - 1 else 1.0
         H[..., bx:bx + n, bx:bx + n] += B[..., :n, :n]
-        H[..., bx:bx + n, by1:by1 + n] += B[..., :n, n:] + eye
-        H[..., by1:by1 + n, bx:bx + n] += B[..., n:, :n] + eye
+        H[..., bx:bx + n, by1:by1 + n] += w * (B[..., :n, n:] + eye)
+        H[..., by1:by1 + n, bx:bx + n] += np.conj(w) * (B[..., n:, :n] + eye)
         H[..., by1:by1 + n, by1:by1 + n] += B[..., n:, n:]
         H[..., bx:bx + n, byy:byy + n] += -eye
         H[..., byy:byy + n, bx:bx + n] += -eye
     return H
 
 
-def hessian_at_zero(da: DiscreteAction) -> np.ndarray:
+def hessian_at_zero(da: DiscreteAction, omega=1.0) -> np.ndarray:
+    """D^2 A(0) with the coupling of x_{kN-1} to y_0 multiplied by omega, a
+    point of the unit circle, and its transpose by conj(omega).
+
+    omega = 1 gives D^2 A(0) itself and omega = -1 a real matrix; any other
+    omega gives a complex Hermitian one.
+    """
     blocks = [hessian_S_at_zero(da.step_gf(i)) for i in range(da.slots)]
-    return _assemble_hessian(da, blocks)
+    return _assemble_hessian(da, blocks, omega)
 
 
 def hessian_at(da: DiscreteAction, z) -> np.ndarray:
@@ -249,83 +250,42 @@ def diagonal_split(da: DiscreteAction, m: int = 1):
     The action da must cover k*m periods; returns (dim E_-, shift preserves
     orientation on E_-) where E_- is the negative space of the block
     perpendicular to the diagonal.
+
+    Bott's route: the Hessian splits into H_w = hessian_at_zero(replace(da,
+    k=m), w) over w^k = 1, w = 1 being the diagonal, so dim E_- sums index H_w
+    over w != 1.  The shift acts as w on H_w's part, where conjugate roots have
+    equal indices, so it reverses E_- exactly when k is even and index H_{-1}
+    is odd.  ValidationError where the pooled block spectrum misses the
+    Hessian's by more than tol("offdiag") * max(scale, 1).
     """
     if da.k % m:
         raise ConfigurationError("da must cover a multiple of m periods")
     k = da.k // m
-    Hm = hessian_at_zero(da)
-    block = 2 * da.n * m * da.N
-    copies = k
-    D = np.zeros((da.dim, block))
-    for c in range(copies):
-        D[c * block:(c + 1) * block, :] = np.eye(block)
-    D /= math.sqrt(copies)
-    perp = null_space(D.T).T
-    if perp.shape[1]:
-        off = np.abs(D.T @ Hm @ perp).max()
-        if off > tol("offdiag"):
-            raise ValidationError(f"diagonal and complement couple: off-block {off:.3g}")
-    scale = np.abs(np.linalg.eigvalsh(Hm)).max()
-    eig_d, _ = np.linalg.eigh(D.T @ Hm @ D)
-    eig_p, vec_p = (np.linalg.eigh(perp.T @ Hm @ perp) if perp.shape[1]
-                    else (np.zeros(0), np.zeros((0, 0))))
+    base = replace(da, k=m)
+    spectra = [np.linalg.eigvalsh(hessian_at_zero(base, w))
+               for w in np.exp(2j * np.pi * np.arange(k) / k)]
+    full = np.linalg.eigvalsh(hessian_at_zero(da))
+    scale = np.abs(full).max()
+    drift = np.abs(np.sort(np.concatenate(spectra)) - full).max()
+    if drift > tol("offdiag") * max(scale, 1.0):
+        raise ValidationError(f"Bott blocks miss the Hessian spectrum by {drift:.3g}")
+    eig_p = np.concatenate(spectra[1:] + [np.zeros(0)])
     thr = tol("eig_threshold") * max(scale, 1e-300)
-    if np.any(np.abs(eig_d) < 10 * thr):
+    if np.any(np.abs(spectra[0]) < 10 * thr):
         raise DegeneracyError(
             "Hessian degenerate along the diagonal: the base periodic point "
             "is degenerate")
-    if eig_p.size and np.any(np.abs(eig_p) < 10 * thr):
+    if np.any(np.abs(eig_p) < 10 * thr):
         raise DegeneracyError(
             "Hessian degenerate transverse to the diagonal: the iterate is "
             "not admissible")
-    d_minus = int(np.sum(eig_p < 0))
-    if d_minus == 0:
-        return 0, True
-    basis = perp @ vec_p[:, eig_p < 0]
-    sigma = np.zeros((da.dim, da.dim))
-    for c in range(copies):
-        src = (c - 1) % copies
-        sigma[c * block:(c + 1) * block, src * block:(src + 1) * block] = np.eye(block)
-    R = basis.T @ sigma @ basis
-    if np.abs(sigma @ basis - basis @ R).max() > 1e-6:
-        raise ValidationError("negative space is not invariant under the shift")
-    return d_minus, bool(np.linalg.det(R) > 0)
-
-
-def _auxiliary_shift_orientation(n: int, k: int) -> bool:
-    """Shift orientation on the negative space of sum_j xi_j . zeta_j.
-
-    Variables are k blocks of pairs (xi, zeta) in R^{2n} x R^{2n}; the
-    negative space of each pairing is {xi = -zeta} and the k-cycle permutes
-    whole blocks.
-    """
-    if k == 1:
-        return True
-    blk = 4 * n  # (xi, zeta), each in R^{2n}
-    dim = blk * k
-    basis = np.zeros((dim, 2 * n * k))
-    col = 0
-    for j in range(k):
-        for i in range(2 * n):
-            v = np.zeros(dim)
-            v[j * blk + i] = 1.0 / math.sqrt(2.0)
-            v[j * blk + 2 * n + i] = -1.0 / math.sqrt(2.0)
-            basis[:, col] = v
-            col += 1
-    sigma = np.zeros((dim, dim))
-    for j in range(k):
-        src = (j - 1) % k
-        sigma[j * blk:(j + 1) * blk, src * blk:(src + 1) * blk] = np.eye(blk)
-    R = basis.T @ sigma @ basis
-    return bool(np.linalg.det(R) > 0)
+    reverses = k % 2 == 0 and int(np.sum(spectra[k // 2] < 0)) % 2 == 1
+    return int(np.sum(eig_p < 0)), not reverses
 
 
 def inflation_index_shift(germ: HamiltonianGerm, k: int, N: int):
     """(index(N+1) - index(N), index(N+2) - index(N)); contract (nk, 2nk)."""
-    actions = [DiscreteAction(germ, k, N + j) for j in range(3)]
-    if not _auxiliary_shift_orientation(germ.n, k):
-        raise ValidationError("auxiliary pairing shift reversed orientation")
-    i0, i1, i2 = (index_of_quadratic_action(a) for a in actions)
+    i0, i1, i2 = map(index_of_quadratic_action, [DiscreteAction(germ, k, N + j) for j in range(3)])
     return i1 - i0, i2 - i0
 
 

@@ -734,15 +734,6 @@ class GeneratingFunction:
             return (None if S is None else float(S[0])), g[0], H[0]
         return S, g, H
 
-    def gradient(self, x, Y):
-        """(grad_1 S, grad_2 S) at (x, Y)."""
-        _, g, _ = self.solve_slot(x, Y, value=False)
-        return g[:self.m], g[self.m:]
-
-    def hessian_at(self, x, Y) -> np.ndarray:
-        """D^2 S(x, Y) from the blocks of dpsi at the solved point."""
-        return self.solve_slot(x, Y, value=False)[2]
-
 
 def eval_S(gf: GeneratingFunction, x, Y):
     """(S, grad_1 S, grad_2 S) at (x, Y) from one graph solve.

@@ -304,9 +304,10 @@ def _pullback(f, A, action=None) -> CallableFunction:
 def discrete_action_function(da) -> CallableFunction:
     """Wrap a discrete action as a function with its exact value and derivatives.
 
-    The value is dact.eval: each step generating function contributes the
-    action identity S_i(x, Y) = x . (y - Y) + int (x . ydot + H_t) dt along
-    its solved substep trajectory (sign convention i_{X_H} omega0 = dH).
+    The value is the first output of dact.evaluate: each step generating
+    function contributes the action identity S_i(x, Y) = x . (y - Y) +
+    int (x . ydot + H_t) dt along its solved substep trajectory (sign
+    convention i_{X_H} omega0 = dH).
     The jet of a batch is one dact.evaluate pass, one stacked graph solve
     over every slot of every row.
     """
@@ -963,6 +964,14 @@ _SPLIT_SAMPLES = 25
 _SPLIT_SEED = 0
 
 
+def _negative_space_orientation(Vm, A) -> bool:
+    """Whether A keeps the orientation of span Vm, which it must map to itself."""
+    Rm = Vm.T @ A @ Vm
+    if np.abs(A @ Vm - Vm @ Rm).max(initial=0.0) > 1e-8:
+        raise ValidationError("action does not preserve the negative eigenspace")
+    return bool(np.linalg.det(Rm) > 0)
+
+
 @dataclass
 class SplitResult:
     g: CallableFunction
@@ -1055,12 +1064,7 @@ def equivariant_split(f, n1: int, radius: float = 0.5) -> SplitResult:
         drift = np.abs(W[_SPLIT_SAMPLES:] - _mv(A2, W[:_SPLIT_SAMPLES])).max()
         if drift > tol("split_equivariance"):
             raise ValidationError("phi does not commute with the action")
-        # an empty E- has determinant 1
-        Vm = evecs[:, evals < 0]
-        Rm = Vm.T @ A2 @ Vm
-        if np.abs(A2 @ Vm - Vm @ Rm).max(initial=0.0) > 1e-8:
-            raise ValidationError("action does not preserve the negative eigenspace")
-        orientation = bool(np.linalg.det(Rm) > 0)
+        orientation = _negative_space_orientation(evecs[:, evals < 0], A2)
         g_action = CyclicAction(A1, f.action.k)
     return SplitResult(g=CallableFunction(n1, g_jet, action=g_action, name="reduced"),
                        signature=(p, q), orientation_preserved=orientation, phi=phi_of)
@@ -1098,10 +1102,7 @@ def local_homology(f, radius: float = 0.5, h=None) -> LocalHomology:
     has_action = f.action is not None and not f.action.is_trivial
     if K == 0:
         q = int((evals < 0).sum())
-        orientation = True
-        if has_action and q > 0:
-            Vm = evecs[:, evals < 0]
-            orientation = bool(np.linalg.det(Vm.T @ f.action.matrix @ Vm) > 0)
+        orientation = not has_action or _negative_space_orientation(evecs[:, :q], f.action.matrix)
         return LocalHomology(
             plain={q: 1},
             invariant={q: 1} if orientation else {},

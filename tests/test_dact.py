@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from diagonal_oracle import dense_diagonal_split
+
 from equimorse import dact
 from equimorse.config import tol
 from equimorse.dact import (
     CriticalPoint,
     DiscreteAction,
+    _signature_counts,
     diagonal_split,
     find_periodic_points,
     gradient,
@@ -29,6 +32,7 @@ from equimorse.errors import (
     DomainError,
     ShapeError,
     TrustRegionError,
+    ValidationError,
 )
 from equimorse.hamflow import (
     GeneratingFunction,
@@ -111,8 +115,8 @@ def test_eval_zero_germ_formula():
     z = 0.1 * rng.standard_normal(8)
     xs, ys = z.reshape(4, 2)[:, 0], z.reshape(4, 2)[:, 1]
     expected = sum(xs[i] * (ys[(i + 1) % 4] - ys[i]) for i in range(4))
-    assert dact.eval(da, z) == pytest.approx(expected, abs=1e-12)
-    assert dact.eval(da, np.zeros(8)) == 0.0
+    assert dact.evaluate(da, z)[0] == pytest.approx(expected, abs=1e-12)
+    assert dact.evaluate(da, np.zeros(8))[0] == 0.0
 
 
 def test_shift_invariance_and_equivariance():
@@ -121,7 +125,7 @@ def test_shift_invariance_and_equivariance():
     assert np.allclose(tau @ tau @ tau, np.eye(da.dim))
     rng = np.random.default_rng(11)
     z = 0.05 * rng.standard_normal(da.dim)
-    assert abs(dact.eval(da, tau @ z) - dact.eval(da, z)) < 1e-9
+    assert abs(dact.evaluate(da, tau @ z)[0] - dact.evaluate(da, z)[0]) < 1e-9
     assert np.linalg.norm(gradient(da, tau @ z) - tau @ gradient(da, z)) < 1e-8
 
 
@@ -142,7 +146,7 @@ def test_gradient_matches_finite_differences():
     for j in range(da.dim):
         e = np.zeros(da.dim)
         e[j] = h
-        fd = (dact.eval(da, z + e) - dact.eval(da, z - e)) / (2 * h)
+        fd = (dact.evaluate(da, z + e)[0] - dact.evaluate(da, z - e)[0]) / (2 * h)
         assert abs(fd - g[j]) < 1e-6
 
 
@@ -165,26 +169,68 @@ def test_diagonal_split_degeneracy_paths():
         diagonal_split(DiscreteAction(HamiltonianGerm.rotation(1.0 / 3.0), 3, 2), 1)
 
 
-def _split_or_error(da, m):
+def _split_or_error(split, da, m):
     try:
-        return diagonal_split(da, m)
-    except DegeneracyError as exc:
+        return split(da, m)
+    except (DegeneracyError, ValidationError) as exc:
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("make", [resonant_germ, quartic_germ], ids=["resonant", "quartic"])
-def test_diagonal_split_agrees_with_the_scipy_null_space(make, monkeypatch):
-    from scipy.linalg import null_space
-
+@pytest.mark.parametrize("make", [
+    resonant_germ, quartic_germ, hyperbolic_germ, lambda: ROT03,
+    lambda: HamiltonianGerm.rotation(1.0 / 3.0),
+], ids=["resonant", "quartic", "log2xy", "rotation03", "rotation13"])
+def test_diagonal_split_agrees_with_the_scipy_null_space(make):
+    # Bott's blocks against the dense split of tests/diagonal_oracle.py,
+    # outputs or error types and messages, at every m | k <= 8 and N <= 3
     germ = make()
-    for k in range(1, 5):
-        da = DiscreteAction(germ, k, 2)
-        for m in (m for m in range(1, k + 1) if k % m == 0):
-            got = _split_or_error(da, m)
-            with monkeypatch.context() as patch:
-                # scipy's basis is one vector per column, the numpy one per row
-                patch.setattr(dact, "null_space", lambda a: null_space(a).T)
-                assert _split_or_error(da, m) == got
+    compared = 0
+    for N in (1, 2, 3):
+        try:
+            DiscreteAction(germ, 1, N)
+        except ConfigurationError:
+            continue
+        for k in range(1, 9):
+            da = DiscreteAction(germ, k, N)
+            for m in (m for m in range(1, k + 1) if k % m == 0):
+                assert _split_or_error(diagonal_split, da, m) == \
+                    _split_or_error(dense_diagonal_split, da, m)
+                compared += 1
+    assert compared >= 40
+
+
+def test_diagonal_split_refuses_blocks_without_the_twist(monkeypatch):
+    # every block taken at omega = 1 repeats the diagonal's spectrum k times
+    untwisted = dact.hessian_at_zero
+    monkeypatch.setattr(dact, "hessian_at_zero", lambda da, omega=1.0: untwisted(da))
+    with pytest.raises(ValidationError, match="Bott blocks miss the Hessian spectrum"):
+        diagonal_split(DiscreteAction(ROT03, 3, 2), 1)
+
+
+@pytest.mark.parametrize("germ, N", [
+    (hyperbolic_germ(), 1), (ROT03, 2), (HamiltonianGerm.rotation(1.0 / 3.0), 2),
+    (ZERO, 2), (quartic_germ(), 1),
+], ids=["log2xy", "rotation03", "rotation13", "zero", "quartic"])
+def test_bott_blocks_of_one_period_give_every_iterate(germ, N):
+    # over omega^k = 1 the twisted one-period Hessians pool to the k-th
+    # iterate's spectrum, index and nullity (Bott's iteration formula)
+    one = DiscreteAction(germ, 1, N)
+    H = hessian_at_zero(one)
+    assert H.dtype == float and hessian_at_zero(one, -1.0).dtype == float
+    twisted = hessian_at_zero(one, 1.0 + 0.0j)
+    assert np.array_equal(twisted.real, H) and not twisted.imag.any()
+    Hc = hessian_at_zero(one, np.exp(0.6j))
+    assert np.abs(Hc - Hc.conj().T).max() < 1e-15
+    for k in range(1, 9):
+        da = DiscreteAction(germ, k, N)
+        full = np.linalg.eigvalsh(hessian_at_zero(da))
+        blocks = [np.linalg.eigvalsh(hessian_at_zero(one, w))
+                  for w in np.exp(2j * np.pi * np.arange(k) / k)]
+        drift = np.abs(np.sort(np.concatenate(blocks)) - full).max()
+        assert drift < 1e-12 * max(np.abs(full).max(), 1.0)
+        counts = np.array([_signature_counts(b) for b in blocks]).sum(axis=0)
+        assert counts[0] == index_of_quadratic_action(da)
+        assert counts[1] == nullity_at_zero(da)
 
 
 def test_inflation_index_shift():

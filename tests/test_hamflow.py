@@ -190,7 +190,7 @@ def test_hessian_S_rotation_closed_form():
     expected = np.array([[-s, 1 - c], [1 - c, -s]]) / c
     H = hessian_S_at_zero(gf)
     assert np.allclose(H, expected, atol=1e-9)
-    assert np.allclose(gf.hessian_at([0.0], [0.0]), expected, atol=1e-9)
+    assert np.allclose(gf.solve_slot([0.0], [0.0], value=False)[2], expected, atol=1e-9)
 
 
 def test_hessian_S_lemma_identity_hyperbolic():
@@ -201,7 +201,7 @@ def test_hessian_S_lemma_identity_hyperbolic():
     dT[0, 0] = 1.0
     dT[1, :] = M[1, :]
     assert np.abs((M - np.eye(2)) - (-J2) @ H @ dT).max() < 1e-10
-    assert np.allclose(gf.hessian_at([0.0], [0.0]), H, atol=1e-9)
+    assert np.allclose(gf.solve_slot([0.0], [0.0], value=False)[2], H, atol=1e-9)
 
 
 def test_hessian_S_identity_and_kernel_dims():
@@ -238,11 +238,17 @@ def test_eval_S_quadratic_form_matches_hessian():
         assert np.allclose(np.concatenate([g1, g2]), H @ w, atol=1e-8)
 
 
+def slot_gradient(gf, x, Y):
+    """(grad_1 S, grad_2 S) at (x, Y) from one graph solve."""
+    g = gf.solve_slot(x, Y, value=False)[1]
+    return g[:gf.m], g[gf.m:]
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
 def test_gen2_round_trip_quartic(x, Y):
     gf = GeneratingFunction(FlowMap(quartic_germ(), 0.0, 1.0))
-    g1, g2 = gf.gradient([x], [Y])
+    g1, g2 = slot_gradient(gf, [x], [Y])
     y = Y + g1
     X = x + g2
     phi, _ = integrate_flow(quartic_germ(), 0.0, 1.0, np.concatenate([[x], y]))
@@ -255,8 +261,10 @@ def test_eval_S_path_independence():
     S, _, _ = eval_S(gf, [x], [Y])
     nodes, weights = np.polynomial.legendre.leggauss(32)
     s_vals = 0.5 * (nodes + 1.0)
-    leg1 = 0.5 * sum(w * (gf.gradient([s * x], [0.0])[0] @ [x]) for w, s in zip(weights, s_vals))
-    leg2 = 0.5 * sum(w * (gf.gradient([x], [s * Y])[1] @ [Y]) for w, s in zip(weights, s_vals))
+    leg1 = 0.5 * sum(w * (slot_gradient(gf, [s * x], [0.0])[0] @ [x])
+                     for w, s in zip(weights, s_vals))
+    leg2 = 0.5 * sum(w * (slot_gradient(gf, [x], [s * Y])[1] @ [Y])
+                     for w, s in zip(weights, s_vals))
     assert abs(S - (leg1 + leg2)) < 1e-8
 
 
@@ -277,13 +285,13 @@ def test_eval_S_action_identity_time_dependent_substep():
     for x, Y in ((0.1, 0.05), (0.2, -0.1)):
         S, _, _ = eval_S(gf, [x], [Y])
         radial = 0.5 * sum(
-            w * (np.concatenate(gf.gradient([s * x], [s * Y])) @ [x, Y])
+            w * (np.concatenate(slot_gradient(gf, [s * x], [s * Y])) @ [x, Y])
             for w, s in zip(weights, 0.5 * (nodes + 1.0)))
         assert abs(S - radial) < 1e-12
     # and the gradient and Hessian of the same solve are its derivatives
     x, Y, h = -0.12, 0.08, 1e-5
     _, g1, g2 = eval_S(gf, [x], [Y])
-    g, H = np.concatenate([g1, g2]), gf.hessian_at([x], [Y])
+    g, H = np.concatenate([g1, g2]), gf.solve_slot([x], [Y], value=False)[2]
     for j, e in enumerate(np.eye(2) * h):
         Sp, gp1, gp2 = eval_S(gf, [x + e[0]], [Y + e[1]])
         Sm, gm1, gm2 = eval_S(gf, [x - e[0]], [Y - e[1]])

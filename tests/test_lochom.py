@@ -9,7 +9,7 @@ from split_oracle import sample_cloud, straightening_map
 
 from equimorse import dact, exactalg, lochom
 from equimorse.config import tol
-from equimorse.dact import DiscreteAction
+from equimorse.dact import DiscreteAction, diagonal_split
 from equimorse.equiperturb import squeezed_ring_model
 from equimorse.errors import (
     BoundaryError,
@@ -722,8 +722,31 @@ def test_discrete_action_adapter_consistency():
     f = discrete_action_function(da)
     rng = np.random.default_rng(8)
     for z in rng.uniform(-0.2, 0.2, size=(3, 2)):
-        assert abs(f.value(z) - dact.eval(da, z)) < 1e-9
+        assert abs(f.value(z) - dact.evaluate(da, z)[0]) < 1e-9
         assert np.allclose(f.grad(z), dact.gradient(da, z), atol=1e-12)
+
+
+def test_local_homology_orientation_is_the_diagonal_split_character():
+    # the K == 0 route and Bott's blocks read one character of the shift
+    germ = HamiltonianGerm.make(1, [(math.log(2.0), (1, 1))])
+    seen = set()
+    for k in range(1, 5):
+        for N in range(1, 5):
+            da = DiscreteAction(germ, k, N)
+            out = local_homology(discrete_action_function(da))
+            assert out.trace["kernel_dim"] == 0
+            assert out.trace["orientation_preserved"] == diagonal_split(da, 1)[1]
+            seen.add(out.trace["orientation_preserved"])
+    assert seen == {True, False}
+
+
+def test_local_homology_refuses_an_action_that_moves_the_negative_space():
+    # the quarter turn maps x^2 - y^2 to its negative, so the negative
+    # eigenspace at 0 is not invariant and there is no character to read
+    saddle = FunctionSpec.make(2, [(1.0, (2, 0)), (-1.0, (0, 2))])
+    f = CallableFunction(2, saddle.jet, action=rotation_action(4))
+    with pytest.raises(ValidationError, match="negative eigenspace"):
+        local_homology(f)
 
 
 def test_fine_pass_bisects_the_coarse_grid_and_reuses_its_values(monkeypatch):

@@ -31,7 +31,6 @@ TOLERANCES = {
     "dedup": 1e-6,                # dedup distance of critical/periodic points
     "offdiag": 1e-8,              # off-diagonal residual of split Hessians
     "split_equivariance": 1e-8,   # phi(A1 z1) = A2 phi(z1) residual
-    "endpoint_identity": 1e-8,    # loop endpoint = identity
     "hyperbolic_eig": 1e-6,       # Hessian eigenvalue magnitude for Morse points
     "kernel_eig": 1e-6,           # Hessian eigenvalue magnitude counted as kernel
     "action_sample": 1e-10,       # sampled invariance of functions under actions

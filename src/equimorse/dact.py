@@ -12,12 +12,14 @@ the gradient and the Hessian of A together (`evaluate`).
 
 At 0 the Hessian splits over the roots omega^k = 1 into the twisted one-period
 blocks `hessian_at_zero(da, omega)` (Bott's iteration formula: Bott 1956; Long
-2002, ch. 9-10), and `diagonal_split` reads the iterate's splitting from them.
+2002, ch. 9-10).  `bott_data` reads the iteration theory of the rest point
+from the blocks of one period: the Conley-Zehnder index of every iterate, the
+good and admissible verdicts and the mean index.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +28,6 @@ from .config import DEFAULT_TRUST_RADIUS, lockstep_newton, row_dots, row_lstsq, 
 from .errors import (
     AmbiguityError,
     ConfigurationError,
-    DegeneracyError,
     DomainError,
     ResolutionError,
     ShapeError,
@@ -212,19 +213,17 @@ def hessian_at(da: DiscreteAction, z) -> np.ndarray:
     return evaluate(da, z, value=False)[2]
 
 
-def _signature_counts(eigs: np.ndarray, strict: bool = True):
-    """(negative, zero, positive) with the 1e-8-relative threshold.
-
-    With strict counting, eigenvalues inside the band [thr, 10 thr) are
-    refused: the integer invariants must not depend on the cut.
+def _signature_counts(eigs: np.ndarray):
+    """(negative, zero, positive) with the 1e-8 threshold relative to the
+    largest magnitude or to 1, whichever is larger: 1 is the scale of the
+    coupling x_i (y_{i+1} - y_i), whose entries -1 sit in every Hessian of two
+    or more slots.  Eigenvalues inside the band [thr, 10 thr) are refused:
+    the integer invariants must not depend on the cut.
     """
     eigs = np.asarray(eigs, dtype=float)
-    scale = np.abs(eigs).max() if eigs.size else 0.0
-    if scale == 0.0:
-        return 0, eigs.size, 0
-    thr = tol("eig_threshold") * scale
     mags = np.abs(eigs)
-    if strict and np.any((mags >= thr) & (mags < 10 * thr)):
+    thr = tol("eig_threshold") * max(mags.max(initial=0.0), 1.0)
+    if np.any((mags >= thr) & (mags < 10 * thr)):
         raise AmbiguityError(
             "eigenvalue magnitudes fall inside the threshold band; the "
             "signature is not trustworthy at this resolution")
@@ -244,49 +243,92 @@ def nullity_at_zero(da: DiscreteAction) -> int:
     return zero
 
 
-def diagonal_split(da: DiscreteAction, m: int = 1):
-    """Split the Hessian at 0 along the k-fold diagonal of m-period blocks.
+def _roots(k: int) -> np.ndarray:
+    """The k-th roots of unity, omega = 1 first."""
+    if k < 1:
+        raise ValidationError("k must be positive")
+    return np.exp(2j * np.pi * np.arange(k) / k)
 
-    The action da must cover k*m periods; returns (dim E_-, shift preserves
-    orientation on E_-) where E_- is the negative space of the block
-    perpendicular to the diagonal.
 
-    Bott's route: the Hessian splits into H_w = hessian_at_zero(replace(da,
-    k=m), w) over w^k = 1, w = 1 being the diagonal, so dim E_- sums index H_w
-    over w != 1.  The shift acts as w on H_w's part, where conjugate roots have
-    equal indices, so it reverses E_- exactly when k is even and index H_{-1}
-    is odd.  ValidationError where the pooled block spectrum misses the
-    Hessian's by more than tol("offdiag") * max(scale, 1).
+def _omega_index(action: DiscreteAction, omega):
+    neg, zero, _ = _signature_counts(np.linalg.eigvalsh(hessian_at_zero(action, omega)))
+    return neg - action.n * action.N, zero
+
+
+@dataclass(frozen=True)
+class BottData:
+    """Bott's iteration data of the rest point 0, read from the twisted blocks
+    H_omega = hessian_at_zero(action, omega) of the one-period action.
+
+    jumps are the angles / 2 pi in [0, 1) of the monodromy's eigenvalues on
+    the unit circle, the only omega where H_omega is singular.  arcs are
+    (start, end, index) for the arcs between consecutive jumps, in turns (the
+    last one wraps past 1), each with the index of its midpoint block; the
+    index is constant on an arc.  mean_index is the length-weighted sum of
+    the arcs' indices, the mean of index(omega) over the circle.
     """
-    if da.k % m:
-        raise ConfigurationError("da must cover a multiple of m periods")
-    k = da.k // m
-    base = replace(da, k=m)
-    spectra = [np.linalg.eigvalsh(hessian_at_zero(base, w))
-               for w in np.exp(2j * np.pi * np.arange(k) / k)]
-    full = np.linalg.eigvalsh(hessian_at_zero(da))
-    scale = np.abs(full).max()
-    drift = np.abs(np.sort(np.concatenate(spectra)) - full).max()
-    if drift > tol("offdiag") * max(scale, 1.0):
-        raise ValidationError(f"Bott blocks miss the Hessian spectrum by {drift:.3g}")
-    eig_p = np.concatenate(spectra[1:] + [np.zeros(0)])
-    thr = tol("eig_threshold") * max(scale, 1e-300)
-    if np.any(np.abs(spectra[0]) < 10 * thr):
-        raise DegeneracyError(
-            "Hessian degenerate along the diagonal: the base periodic point "
-            "is degenerate")
-    if np.any(np.abs(eig_p) < 10 * thr):
-        raise DegeneracyError(
-            "Hessian degenerate transverse to the diagonal: the iterate is "
-            "not admissible")
-    reverses = k % 2 == 0 and int(np.sum(spectra[k // 2] < 0)) % 2 == 1
-    return int(np.sum(eig_p < 0)), not reverses
+    action: DiscreteAction
+    jumps: tuple
+    arcs: tuple
+    mean_index: float
+
+    def index(self, omega):
+        """(index H_omega - nN, nullity H_omega); AmbiguityError for an
+        eigenvalue inside the threshold band."""
+        return _omega_index(self.action, omega)
+
+    def cz(self, k: int) -> int:
+        """Conley-Zehnder index of the k-th iterate (lower semicontinuous
+        where it is degenerate): index(omega) summed over omega^k = 1."""
+        return sum(self.index(w)[0] for w in _roots(k))
+
+    def admissible(self, k: int) -> bool:
+        """H_omega is nondegenerate at every omega^k = 1 other than 1."""
+        return all(self.index(w)[1] == 0 for w in _roots(k)[1:])
+
+    def good(self, k: int) -> bool:
+        """cz(k) and cz(1) have equal parity: conjugate roots carry equal
+        indices, so k is odd or index(-1) is even."""
+        return _roots(k).size % 2 == 1 or self.index(-1.0)[0] % 2 == 0
 
 
-def inflation_index_shift(germ: HamiltonianGerm, k: int, N: int):
-    """(index(N+1) - index(N), index(N+2) - index(N)); contract (nk, 2nk)."""
-    i0, i1, i2 = map(index_of_quadratic_action, [DiscreteAction(germ, k, N + j) for j in range(3)])
-    return i1 - i0, i2 - i0
+def bott_data(germ: HamiltonianGerm, N: int | None = None) -> BottData:
+    """BottData of germ from its one-period action with N steps, by default
+    minimal_adapted_steps.
+
+    Eigenvalues of the monodromy within tol("eig_threshold") of the unit
+    circle give the jumps, and angles that close in turns are one jump.
+    Raises ValidationError where a jump's block is nondegenerate, and
+    AmbiguityError where an arc's midpoint block is degenerate: the arc lies
+    between eigenvalues too close to resolve, or the blocks miss one.
+
+    >>> bd = bott_data(HamiltonianGerm.rotation(0.3))
+    >>> [round(t, 9) for t in bd.jumps], round(bd.mean_index, 9), bd.cz(1), bd.cz(4)
+    ([0.3, 0.7], 0.6, 1, 3)
+    """
+    action = DiscreteAction(germ, 1, minimal_adapted_steps(germ) if N is None else N)
+    thr = tol("eig_threshold")
+    lam = np.linalg.eigvals(FlowMap(germ, 0.0, 1.0).jacobian_at_zero)
+    jumps = []
+    for t in np.sort(np.angle(lam[np.abs(np.abs(lam) - 1.0) < thr]) / (2 * np.pi) % 1.0):
+        if not jumps or t - jumps[-1] >= thr:
+            jumps.append(float(t))
+    if len(jumps) > 1 and jumps[0] + 1.0 - jumps[-1] < thr:
+        jumps.pop()
+    for t in jumps:
+        if _omega_index(action, np.exp(2j * np.pi * t))[1] == 0:
+            raise ValidationError(f"H_omega is nondegenerate at the jump {t:.12g} turns, "
+                                  "an eigenvalue of the monodromy")
+    ends = jumps + [jumps[0] + 1.0] if jumps else [0.0, 1.0]
+    arcs = []
+    for a, b in zip(ends, ends[1:]):
+        index, zero = _omega_index(action, np.exp(1j * np.pi * (a + b)))
+        if zero:
+            raise AmbiguityError(f"H_omega is degenerate at {(a + b) / 2 % 1.0:.12g} turns, "
+                                 "between eigenvalues of the monodromy")
+        arcs.append((a, b, index))
+    return BottData(action, tuple(jumps), tuple(arcs),
+                    float(sum((b - a) * index for a, b, index in arcs)))
 
 
 @dataclass

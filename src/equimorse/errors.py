@@ -60,10 +60,6 @@ class BoundaryError(ResolutionError):
     """A trajectory ran out of budget without converging or exiting cleanly."""
 
 
-class BudgetError(ResolutionError):
-    """Iteration/refinement budget exceeded before convergence."""
-
-
 class TrustRegionError(ResolutionError):
     """Newton or quadrature failed to converge inside the trust region."""
 

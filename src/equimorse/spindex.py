@@ -1,27 +1,25 @@
-"""Indices of symplectic paths: Conley-Zehnder, mean index, nullity, iteration classes.
+"""Sampled symplectic paths, their nullity and their Conley-Zehnder index by winding.
 
 Paths that split into planar blocks (all catalog linearizations do) get an
 exact index: the polar winding stays within pi/2 of the true rotation number,
 and the endpoint pins the rotation number mod 2pi, so snapping is exact.
 Coupled blocks in dimension four and up fall back to parity-correct rounding
 of the polar winding.
+
+The iteration theory of a germ's rest point (the index of every iterate, the
+good and admissible verdicts and the mean index) comes from Bott's twisted
+blocks, `dact.bott_data`.  `cz_index` is the route it is checked against: a
+winding number, or at a degenerate endpoint the index of the whole iterate's
+Hessian rather than its blocks.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
 from .config import standard_symplectic, symplectic_residual, tol
-from .errors import (
-    AmbiguityError,
-    BudgetError,
-    DegeneracyError,
-    DomainError,
-    ResolutionError,
-    ValidationError,
-)
+from .errors import DegeneracyError, ResolutionError, ValidationError
 
 MAX_SAMPLES = 1 << 14
 
@@ -92,83 +90,12 @@ class SymplecticPath:
                               source=self.source, germ=self.germ, periods=self.periods)
 
 
-def iterate_path(path: SymplecticPath, k: int) -> SymplecticPath:
-    """Extend a one-period path by the group law M(t + j) = M(t) M(1)^j."""
-    if abs(path.T - 1.0) > 1e-12:
-        raise ValidationError("iterate_path needs a path over one period [0, 1]")
-    E = path.endpoint()
-    samples = []
-    P = np.eye(2 * path.n)
-    for j in range(int(k)):
-        for t, M in path.samples:
-            if j > 0 and t == 0.0:
-                continue
-            samples.append((t + j, M @ P))
-        P = E @ P
-    src = None
-    if path.source is not None:
-        base = path.source
-
-        def src(t, base=base, E=E):
-            j = min(int(k) - 1, max(0, int(math.floor(t))))
-            return base(t - j) @ np.linalg.matrix_power(E, j)
-
-    periods = None if path.periods is None else path.periods * int(k)
-    return SymplecticPath(path.n, samples, source=src, germ=path.germ, periods=periods)
-
-
 def nullity(M) -> int:
     """dim ker(M - I), singular values below a relative threshold."""
     M = np.asarray(M, dtype=float)
     sv = np.linalg.svd(M - np.eye(M.shape[0]), compute_uv=False)
     cut = tol("eig_threshold") * max(1.0, float(np.linalg.norm(M, 2)))
     return int(np.sum(sv < cut))
-
-
-@dataclasses.dataclass(frozen=True)
-class IterationClass:
-    k: int
-    admissible: bool
-    good: bool
-
-
-def _negative_real_count(eigs, guard) -> int:
-    count = 0
-    for lam in eigs:
-        if abs(lam.imag) < guard and -1.0 < lam.real < 0.0:
-            if abs(lam + 1.0) < guard:
-                raise AmbiguityError(f"eigenvalue {lam} too close to -1 to classify")
-            count += 1
-    return count
-
-
-def classify_iteration(M, k: int) -> IterationClass:
-    """Admissible: no eigenvalue other than 1 is a k-th root of unity.
-    Good: the counts of eigenvalues in (-1, 0) for M and M^k have equal parity."""
-    M = np.asarray(M, dtype=float)
-    if symplectic_residual(M, relative=True) > tol("symplectic_sample"):
-        raise ValidationError("matrix is not symplectic within tolerance")
-    k = int(k)
-    if k < 1:
-        raise ValidationError("k must be positive")
-    if k == 1:
-        return IterationClass(1, True, True)
-    eigs = np.linalg.eigvals(M)
-    guard = tol("eig_threshold")
-    admissible = True
-    for lam in eigs:
-        if abs(lam - 1.0) < guard:
-            continue
-        dists = [abs(lam - np.exp(2j * np.pi * j / k)) for j in range(k)]
-        d = min(dists)
-        if d < guard:
-            admissible = False
-        elif d < 10 * guard:
-            raise AmbiguityError(
-                f"eigenvalue {lam} within {d:.2e} of a {k}-th root of unity; not resolvable")
-    c1 = _negative_real_count(eigs, guard)
-    ck = _negative_real_count(eigs**k, guard)
-    return IterationClass(k, admissible, (c1 - ck) % 2 == 0)
 
 
 def _polar_angle_full(M: np.ndarray) -> complex:
@@ -303,48 +230,3 @@ def cz_index(path: SymplecticPath) -> int:
     da = dact.DiscreteAction(path.germ, path.periods, N)
     idx = dact.index_of_quadratic_action(da)
     return idx - path.n * path.periods * N
-
-
-def mean_index(path: SymplecticPath):
-    """(mean index estimate, m_final); estimate accurate to 2n/m_final."""
-    if abs(path.T - 1.0) > 1e-12:
-        raise ValidationError("mean_index needs a path over one period [0, 1]")
-    I = np.eye(2 * path.n)
-    if all(np.abs(M - I).max() <= tol("symplectic_sample") for _, M in path.samples):
-        return 0.0, 1
-    estimates = []
-    m = 1
-    while m <= 2048:
-        it = iterate_path(path, m) if m > 1 else path
-        if nullity(it.endpoint()) > 0:
-            m += 1
-            continue
-        estimates.append((_cz_nondegenerate(it) / m, m))
-        if len(estimates) >= 2:
-            (prev, _), (cur, mf) = estimates[-2], estimates[-1]
-            if abs(cur - prev) < 2 * path.n / mf:
-                return cur, mf
-        m *= 2
-    raise BudgetError("mean index did not converge within the iteration budget")
-
-
-def maslov_loop_index(path: SymplecticPath) -> int:
-    """Winding number of a loop based at the identity."""
-    if np.abs(path.endpoint() - np.eye(2 * path.n)).max() > tol("endpoint_identity"):
-        raise DomainError("loop endpoint is not the identity")
-    attempt = path
-    while True:
-        try:
-            dets = [_polar_angle_full(M) for _, M in attempt.samples]
-            w = _winding(dets) / (2 * math.pi)
-            break
-        except ResolutionError:
-            if attempt.source is None or len(attempt.samples) >= MAX_SAMPLES:
-                raise ResolutionError(
-                    f"samples too coarse; resample with at least "
-                    f"{2 * len(attempt.samples)} points") from None
-            attempt = attempt.refined(2)
-    m = round(w)
-    if abs(w - m) > 0.25:
-        raise ResolutionError(f"loop winding {w:.3f} is not close to an integer; refine the loop")
-    return int(m)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from diagonal_oracle import dense_diagonal_split
+from diagonal_oracle import bott_split, dense_diagonal_split
 
 from equimorse import dact
 from equimorse.config import tol
@@ -14,13 +14,12 @@ from equimorse.dact import (
     CriticalPoint,
     DiscreteAction,
     _signature_counts,
-    diagonal_split,
+    bott_data,
     find_periodic_points,
     gradient,
     hessian_at,
     hessian_at_zero,
     index_of_quadratic_action,
-    inflation_index_shift,
     minimal_adapted_steps,
     nullity_at_zero,
     seed_from_point,
@@ -156,22 +155,22 @@ def test_hessian_at_zero_matches_general_assembly():
 
 
 def test_diagonal_split_frozen():
-    assert diagonal_split(DiscreteAction(ROT03, 3, 2), 1) == (4, True)
-    assert diagonal_split(DiscreteAction(ROT03, 1, 2), 1) == (0, True)
-    assert diagonal_split(DiscreteAction(hyperbolic_germ(), 2, 2), 1) == (2, True)
-    assert diagonal_split(DiscreteAction(ROT03, 4, 2), 2) == (6, True)
+    assert bott_split(bott_data(ROT03, 2), 3) == (4, True)
+    assert bott_split(bott_data(ROT03, 2), 1) == (0, True)
+    assert bott_split(bott_data(hyperbolic_germ(), 2), 2) == (2, True)
+    assert bott_split(bott_data(ROT03, 2), 4, 2) == (6, True)
 
 
 def test_diagonal_split_degeneracy_paths():
     with pytest.raises(DegeneracyError, match="diagonal"):
-        diagonal_split(DiscreteAction(ZERO, 2, 2), 1)
+        bott_split(bott_data(ZERO, 2), 2)
     with pytest.raises(DegeneracyError, match="admissible"):
-        diagonal_split(DiscreteAction(HamiltonianGerm.rotation(1.0 / 3.0), 3, 2), 1)
+        bott_split(bott_data(HamiltonianGerm.rotation(1.0 / 3.0), 2), 3)
 
 
-def _split_or_error(split, da, m):
+def _split_or_error(split, *args):
     try:
-        return split(da, m)
+        return split(*args)
     except (DegeneracyError, ValidationError) as exc:
         return type(exc), str(exc)
 
@@ -187,24 +186,25 @@ def test_diagonal_split_agrees_with_the_scipy_null_space(make):
     compared = 0
     for N in (1, 2, 3):
         try:
-            DiscreteAction(germ, 1, N)
+            bd = bott_data(germ, N)
         except ConfigurationError:
             continue
         for k in range(1, 9):
             da = DiscreteAction(germ, k, N)
             for m in (m for m in range(1, k + 1) if k % m == 0):
-                assert _split_or_error(diagonal_split, da, m) == \
+                assert _split_or_error(bott_split, bd, k, m) == \
                     _split_or_error(dense_diagonal_split, da, m)
                 compared += 1
     assert compared >= 40
 
 
 def test_diagonal_split_refuses_blocks_without_the_twist(monkeypatch):
-    # every block taken at omega = 1 repeats the diagonal's spectrum k times
+    # every block taken at omega = 1 is nondegenerate at the monodromy's
+    # eigenvalues e^(+-0.6 pi i), so the jumps find no singular block
     untwisted = dact.hessian_at_zero
     monkeypatch.setattr(dact, "hessian_at_zero", lambda da, omega=1.0: untwisted(da))
-    with pytest.raises(ValidationError, match="Bott blocks miss the Hessian spectrum"):
-        diagonal_split(DiscreteAction(ROT03, 3, 2), 1)
+    with pytest.raises(ValidationError, match="nondegenerate at the jump"):
+        bott_data(ROT03, 2)
 
 
 @pytest.mark.parametrize("germ, N", [
@@ -234,12 +234,18 @@ def test_bott_blocks_of_one_period_give_every_iterate(germ, N):
 
 
 def test_inflation_index_shift():
-    assert inflation_index_shift(ROT03, 1, 2) == (1, 2)
-    assert inflation_index_shift(ROT03, 3, 2) == (3, 6)
-    assert inflation_index_shift(ZERO, 2, 2) == (2, 4)
+    # N -> N + 1 and N + 2 leave every twisted block's normalized index and
+    # nullity alone and raise the iterate's raw index by nk and then 2nk
+    for germ in (ROT03, ZERO, hyperbolic_germ()):
+        blocks = [bott_data(germ, 2 + j) for j in range(3)]
+        for k in range(1, 5):
+            for w in np.exp(2j * np.pi * np.arange(k) / k):
+                assert len({bd.index(w) for bd in blocks}) == 1
+            raw = [index_of_quadratic_action(DiscreteAction(germ, k, 2 + j)) for j in range(3)]
+            assert (raw[1] - raw[0], raw[2] - raw[0]) == (germ.n * k, 2 * germ.n * k)
     assert {nullity_at_zero(DiscreteAction(ZERO, 2, N)) for N in (2, 3, 4)} == {2}
     with pytest.raises(ConfigurationError):
-        inflation_index_shift(ROT03, 1, 1)
+        bott_data(ROT03, 1)
 
 
 def test_find_periodic_points_flat_manifold():

@@ -1,7 +1,8 @@
 """Importing the package loads no scipy, and neither does integrating a flow;
 no module of the package takes a derivative by finite differences; every
 function that the benchmark tracer patches is defined where it patches it;
-and every console script that pyproject.toml declares imports."""
+every name that the benchmark imports from the package exists; and every
+console script that pyproject.toml declares imports."""
 from __future__ import annotations
 
 import ast
@@ -136,6 +137,46 @@ def test_every_traced_name_is_defined_where_the_tracer_patches_it():
         for part in outer:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(attr)), f"{name}: {path} is not defined on {owner}"
+
+
+def package_imports(directory):
+    """(file:line, module, name) of each `from equimorse... import name` in
+    the modules of directory, at any depth of their syntax trees."""
+    found = []
+    for path in sorted(Path(directory).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "equimorse"):
+                found += [(f"{path.name}:{node.lineno}", node.module, alias.name)
+                          for alias in node.names]
+    return found
+
+
+def unresolved(imports):
+    """The imports whose name is neither an attribute nor a submodule of its module."""
+    missing = []
+    for where, module, name in imports:
+        if hasattr(importlib.import_module(module), name):
+            continue
+        try:
+            importlib.import_module(f"{module}.{name}")
+        except ModuleNotFoundError:
+            missing.append(f"{where}: {module}.{name}")
+    return missing
+
+
+def test_every_benchmark_import_resolves():
+    # the benchmark imports the package inside its workload and oracle
+    # functions, so a deleted or renamed name fails only when that code runs
+    imports = package_imports(ROOT / "perfbench")
+    assert {"equimorse.dact", "equimorse.spindex"} <= {module for _, module, _ in imports}
+    assert unresolved(imports) == []
+
+
+def test_the_import_guard_sees_a_missing_name(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def run():\n    from equimorse.spindex import cz_index, classify_iteration\n")
+    assert unresolved(package_imports(tmp_path)) == ["mod.py:2: equimorse.spindex.classify_iteration"]
 
 
 def test_every_declared_script_imports():

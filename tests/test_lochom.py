@@ -9,7 +9,7 @@ from split_oracle import sample_cloud, straightening_map
 
 from equimorse import dact, exactalg, lochom
 from equimorse.config import tol
-from equimorse.dact import DiscreteAction, diagonal_split
+from equimorse.dact import DiscreteAction, bott_data
 from equimorse.equiperturb import squeezed_ring_model
 from equimorse.errors import (
     BoundaryError,
@@ -727,15 +727,17 @@ def test_discrete_action_adapter_consistency():
 
 
 def test_local_homology_orientation_is_the_diagonal_split_character():
-    # the K == 0 route and Bott's blocks read one character of the shift
+    # the K == 0 route and Bott's blocks read one character of the shift:
+    # it acts as -1 on the block H_-1, whose raw index is index(-1) + nN
     germ = HamiltonianGerm.make(1, [(math.log(2.0), (1, 1))])
     seen = set()
-    for k in range(1, 5):
-        for N in range(1, 5):
-            da = DiscreteAction(germ, k, N)
-            out = local_homology(discrete_action_function(da))
+    for N in range(1, 5):
+        raw_minus = bott_data(germ, N).index(-1.0)[0] + N
+        for k in range(1, 5):
+            out = local_homology(discrete_action_function(DiscreteAction(germ, k, N)))
             assert out.trace["kernel_dim"] == 0
-            assert out.trace["orientation_preserved"] == diagonal_split(da, 1)[1]
+            reverses = k % 2 == 0 and raw_minus % 2 == 1
+            assert out.trace["orientation_preserved"] == (not reverses)
             seen.add(out.trace["orientation_preserved"])
     assert seen == {True, False}
 

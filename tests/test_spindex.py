@@ -9,18 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equimorse.config import rotation, standard_symplectic
-from equimorse.errors import AmbiguityError, DomainError, ResolutionError, ValidationError
-from equimorse.spindex import (
-    SymplecticPath,
-    classify_iteration,
-    cz_index,
-    iterate_path,
-    maslov_loop_index,
-    mean_index,
-    nullity,
-)
+from equimorse.dact import bott_data
+from equimorse.errors import AmbiguityError, ResolutionError, ValidationError
+from equimorse.hamflow import HamiltonianGerm, linearized_path
+from equimorse.spindex import SymplecticPath, cz_index, nullity
 
 J2 = standard_symplectic(1)
+ROT03 = HamiltonianGerm.rotation(0.3)
 
 
 def rot_path(alpha, T=1.0, num=None):
@@ -30,6 +25,31 @@ def rot_path(alpha, T=1.0, num=None):
 def hyp_path(lam=math.log(2.0), T=1.0):
     B = np.array([[lam, 0.0], [0.0, -lam]])
     return SymplecticPath.from_generator_matrix(B, T)
+
+
+def quadratic_germ(S):
+    """The germ H = -z.Sz/2, whose linearized flow is exp(t J0 S)."""
+    return HamiltonianGerm.make(1, [(-0.5 * S[0, 0], (2, 0)), (-S[0, 1], (1, 1)),
+                                    (-0.5 * S[1, 1], (0, 2))])
+
+
+def negative_hyperbolic_germ(a=0.3):
+    """A half turn with a hyperbolic term co-rotating at frequency 1,
+    H = -(pi/2)|z|^2 + a (cos 2 pi t xy + sin 2 pi t (y^2 - x^2) / 2): its
+    monodromy has the eigenvalues -e^(+-a)."""
+    return HamiltonianGerm.make(1, [(-math.pi / 2, (2, 0)), (-math.pi / 2, (0, 2)),
+                                    (-a / 2, (2, 0), "sin", 1), (a / 2, (0, 2), "sin", 1),
+                                    (a, (1, 1), "cos", 1)])
+
+
+def on_plane(germ, i):
+    """The terms of a germ on R^2 moved to the (x_i, y_i) plane of R^4."""
+    terms = []
+    for t in germ.terms:
+        m = [0, 0, 0, 0]
+        m[i], m[2 + i] = t.m
+        terms.append((t.c, tuple(m), t.mode, t.freq))
+    return terms
 
 
 def product_path(S1, S2, T=1.0):
@@ -72,7 +92,7 @@ def test_cz_rotation_normalization():
 
 def test_cz_rotation_fourth_iterate():
     assert cz_index(rot_path(0.3, T=4.0)) == 3
-    assert cz_index(iterate_path(rot_path(0.3), 4)) == 3
+    assert bott_data(ROT03).cz(4) == 3
 
 
 def test_cz_constant_identity():
@@ -136,11 +156,12 @@ def test_parity_under_good_admissible_iteration(k, data):
     M = path.endpoint()
     assume(nullity(M) == 0)
     try:
-        cls = classify_iteration(M, k)
+        bd = bott_data(quadratic_germ(S))
+        admissible, good = bd.admissible(k), bd.good(k)
     except AmbiguityError:
         assume(False)
-    assume(cls.admissible and cls.good)
-    it = iterate_path(path, k)
+    assume(admissible and good)
+    it = SymplecticPath.from_generator_matrix(J2 @ S, k)
     assume(nullity(it.endpoint()) == 0)
     assert (cz_index(it) - cz_index(path)) % 2 == 0
 
@@ -150,7 +171,7 @@ def test_long_hyperbolic_iterate_passes_sample_check():
     # absolute; the sample check must scale with |M|^2 to accept it.
     S = np.array([[1.125, -1.1875], [-1.1875, -1.1875]])
     path = SymplecticPath.from_generator_matrix(J2 @ S, 1.0)
-    it = iterate_path(path, 6)
+    it = SymplecticPath.from_generator_matrix(J2 @ S, 6.0)
     assert np.abs(it.endpoint()).max() > 1e4
     assert (cz_index(it) - cz_index(path)) % 2 == 0
 
@@ -165,71 +186,102 @@ def test_nullity_examples():
 
 
 def test_classify_examples():
-    R = rotation(2 * np.pi * 0.3)
-    c3 = classify_iteration(R, 3)
-    assert (c3.admissible, c3.good) == (True, True)
-    c10 = classify_iteration(R, 10)
-    assert (c10.admissible, c10.good) == (False, True)
-    M = np.diag([-0.5, -2.0])
-    c2 = classify_iteration(M, 2)
-    assert (c2.admissible, c2.good) == (True, False)
+    rot = bott_data(ROT03)
+    assert (rot.admissible(3), rot.good(3)) == (True, True)
+    assert (rot.admissible(10), rot.good(10)) == (False, True)
+    # the monodromy is conjugate to diag(-1/2, -2)
+    neg = bott_data(negative_hyperbolic_germ(math.log(2.0)))
+    assert (neg.admissible(2), neg.good(2)) == (True, False)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-1.4, 1.4), st.floats(-1.4, 1.4), st.floats(-1.4, 1.4))
 def test_classify_k_one_always_trivial(a, b, c):
-    from scipy.linalg import expm
-
-    S = np.array([[a, b], [b, c]])
-    M = expm(J2 @ S)
-    cls = classify_iteration(M, 1)
-    assert cls.admissible and cls.good
+    # near a threshold (an eigenvalue of a twisted block inside the band, or
+    # two eigenvalues of the monodromy too close to resolve) bott_data
+    # refuses, as the parity test's verdicts do
+    try:
+        bd = bott_data(quadratic_germ(np.array([[a, b], [b, c]])))
+    except AmbiguityError:
+        assume(False)
+    assert bd.admissible(1) and bd.good(1)
 
 
 def test_classify_ambiguity_guard():
-    theta = 2 * np.pi / 3 + 3e-8
+    # the eigenvalue sits 3e-7 rad past the cube root of unity: its block
+    # eigenvalue falls inside the threshold band (at 3e-8 it reads as zero)
+    bd = bott_data(HamiltonianGerm.rotation(1.0 / 3.0 + 3e-7 / (2 * np.pi)))
     with pytest.raises(AmbiguityError):
-        classify_iteration(rotation(theta), 3)
-
-
-def test_maslov_loop():
-    loop = SymplecticPath.from_function(1, lambda t: rotation(2 * np.pi * t), 1.0, num=65)
-    assert maslov_loop_index(loop) == 1
-    const = SymplecticPath(1, [(0.0, np.eye(2)), (1.0, np.eye(2))])
-    assert maslov_loop_index(const) == 0
-    samples = [(t, rotation(2 * np.pi * t)) for t in np.linspace(0, 1, 65)]
-    samples += [(1 + t, rotation(2 * np.pi * (1 - t))) for t in np.linspace(0, 1, 65)[1:]]
-    assert maslov_loop_index(SymplecticPath(1, samples)) == 0
-
-
-def test_maslov_needs_identity_endpoint():
-    with pytest.raises(DomainError):
-        maslov_loop_index(rot_path(0.3))
+        bd.admissible(3)
 
 
 def test_mean_index_rotation():
-    val, mf = mean_index(rot_path(0.3))
-    assert abs(val - 0.6) <= 2.0 / mf
+    # the jumps are the monodromy's eigen-angles, so the mean index is exact
+    for alpha in (0.3, math.sqrt(2.0) - 1.0, 1.0 / math.pi, math.e / 2.0):
+        assert abs(bott_data(HamiltonianGerm.rotation(alpha)).mean_index - 2 * alpha) < 1e-9
+    assert bott_data(HamiltonianGerm.rotation(math.e / 2.0)).action.N == 6
 
 
 def test_mean_index_identity_and_hyperbolic():
-    I = np.eye(2)
-    path = SymplecticPath(1, [(0.0, I), (1.0, I)])
-    assert mean_index(path) == (0.0, 1)
-    val, mf = mean_index(hyp_path())
-    assert abs(val) <= 2.0 / mf
+    assert bott_data(HamiltonianGerm.zero(1)).mean_index == 0.0
+    assert bott_data(HamiltonianGerm.make(1, [(math.log(2.0), (1, 1))])).mean_index == 0.0
+
+
+_CATALOG = {
+    "rotation03": ROT03, "rotation13": HamiltonianGerm.rotation(1.0 / 3.0),
+    "rotation1": HamiltonianGerm.rotation(1.0), "zero": HamiltonianGerm.zero(1),
+    "log2xy": HamiltonianGerm.make(1, [(math.log(2.0), (1, 1))]),
+    "quartic": HamiltonianGerm.make(1, [(-0.25, (4, 0)), (-0.5, (2, 2)), (-0.25, (0, 4))]),
+    "negative_hyperbolic": negative_hyperbolic_germ(),
+}
 
 
 def test_cz_interval_contains_iterates():
-    for path, delta in ((rot_path(0.3), 0.6), (hyp_path(), 0.0)):
-        val, mf = mean_index(path)
-        slack = 2.0 / mf
-        for k in range(1, 7):
-            it = iterate_path(path, k)
-            if nullity(it.endpoint()) > 0:
-                continue
-            cz = cz_index(it)
-            assert k * (val - slack) - 1 <= cz <= k * (val + slack) + 1
+    # |cz(k) - k Delta| <= n on the catalog, and Bott's cz(k) is the winding
+    # index of the k-th iterate (lower semicontinuous where it is degenerate)
+    for name, germ in _CATALOG.items():
+        bd = bott_data(germ)
+        for k in range(1, 9):
+            assert abs(bd.cz(k) - k * bd.mean_index) <= germ.n, (name, k)
+            assert bd.cz(k) == cz_index(linearized_path(germ, k)), (name, k)
+
+
+def test_full_turn_and_the_half_turn_iterate():
+    # rotation(1.0): M = I up to rounding, one jump at 0 after the two
+    # eigen-angles 0 and 0.999... are merged
+    full = bott_data(HamiltonianGerm.rotation(1.0))
+    assert len(full.jumps) == 1 and abs(full.mean_index - 2.0) < 1e-9 and full.cz(1) == 1
+    # rotation(0.3) at k = 5: M^5 = -I, still admissible and good
+    rot = bott_data(ROT03)
+    assert (rot.admissible(5), rot.good(5), rot.cz(5)) == (True, True, 3)
+    assert cz_index(linearized_path(ROT03, 5)) == 3
+
+
+def test_negative_hyperbolic_germ_has_bad_even_iterates():
+    germ = negative_hyperbolic_germ()
+    bd = bott_data(germ)
+    assert bd.action.N == 3 and bd.jumps == () and abs(bd.mean_index - 1.0) < 1e-9
+    assert bd.index(-1.0)[0] % 2 == 1
+    assert not bd.good(2) and not bd.good(4)
+    assert bd.good(1) and bd.good(3)
+    for k in range(1, 5):
+        assert bd.admissible(k)
+        assert bd.cz(k) == cz_index(linearized_path(germ, k)) == k
+
+
+@pytest.mark.parametrize("first, good_even", [("rotation03", False), ("negative_hyperbolic", True)])
+def test_bott_data_of_direct_sums(first, good_even):
+    # (first) + (negative hyperbolic) on R^4: the mean indices add, the odd
+    # index(-1) of one negative hyperbolic block makes even iterates bad and
+    # two of them make them good again
+    bad = negative_hyperbolic_germ()
+    germ = HamiltonianGerm.make(2, on_plane(_CATALOG[first], 0) + on_plane(bad, 1))
+    bd = bott_data(germ)
+    assert abs(bd.mean_index - bott_data(_CATALOG[first]).mean_index - 1.0) < 1e-9
+    for k in range(1, 5):
+        assert bd.good(k) == (k % 2 == 1 or good_even)
+        assert bd.cz(k) == cz_index(linearized_path(germ, k))
+        assert abs(bd.cz(k) - k * bd.mean_index) <= germ.n
 
 
 def test_resolution_error_on_coarse_samples():

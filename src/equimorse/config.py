@@ -1,8 +1,6 @@
 """Global numeric conventions: sign convention, tolerance table, shared helpers."""
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from numpy.linalg import _umath_linalg
 
@@ -38,10 +36,7 @@ TOLERANCES = {
 
 
 def tol(name: str) -> float:
-    """Tolerance by name; EQUIMORSE_TOL_<NAME> overrides a single entry."""
-    override = os.environ.get("EQUIMORSE_TOL_" + name.upper())
-    if override is not None:
-        return float(override)
+    """Tolerance by name."""
     return TOLERANCES[name]
 
 

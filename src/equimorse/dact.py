@@ -38,7 +38,6 @@ from .hamflow import (
     FlowMap,
     GeneratingFunction,
     HamiltonianGerm,
-    adapted_N,
     hessian_S_at_zero,
     integrate_flow,
     steps_graph_positive,
@@ -46,29 +45,27 @@ from .hamflow import (
 
 
 def _step_refusal(germ: HamiltonianGerm, N: int):
-    """Why N fails the step conditions of germ, or None where it passes.
+    """Why N fails the step condition of germ, or None where it passes.
 
-    adapted_N and then steps_graph_positive decide it once per germ instance
-    and N; the verdict is kept on the germ, as its variational solve is.
+    steps_graph_positive decides it once per germ instance and N; the
+    verdict is kept on the germ, as its variational solve is.
     """
     verdicts = germ._step_verdicts
     if N not in verdicts:
-        if not adapted_N(germ, N):
-            verdicts[N] = f"N = {N} fails the sampled step condition"
-        elif not steps_graph_positive(germ, N):
-            verdicts[N] = (f"N = {N}: some substep family crosses the graph-condition "
-                           "boundary; increase N")
-        else:
-            verdicts[N] = None
+        verdicts[N] = None if steps_graph_positive(germ, N) else (
+            f"N = {N}: some substep family crosses the graph-condition boundary; increase N")
     return verdicts[N]
 
 
-def minimal_adapted_steps(germ: HamiltonianGerm, limit: int = 64) -> int:
-    """Smallest N whose substep family passes both step conditions."""
-    for N in range(1, limit + 1):
+_MAX_STEPS = 64  # the largest N that minimal_adapted_steps tries
+
+
+def minimal_adapted_steps(germ: HamiltonianGerm) -> int:
+    """Smallest N whose substep family passes the step condition."""
+    for N in range(1, _MAX_STEPS + 1):
         if _step_refusal(germ, N) is None:
             return N
-    raise ResolutionError(f"no adapted N up to {limit}")
+    raise ResolutionError(f"no adapted N up to {_MAX_STEPS}")
 
 
 @dataclass(frozen=True)

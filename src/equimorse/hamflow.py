@@ -274,8 +274,8 @@ class HamiltonianGerm:
 
     @cached_property
     def _step_verdicts(self) -> dict:
-        """N -> why N fails the step conditions, or None where it passes;
-        filled by dact, so that they run once per germ instance and N."""
+        """N -> why N fails the step condition, or None where it passes;
+        filled by dact, so that it runs once per germ instance and N."""
         return {}
 
     def jet(self, z, t: float):
@@ -494,19 +494,18 @@ def _stacked_flow(germ, t0, t1, Z, radius, action, shift, first, total):
     return yf[:, :d], dphi, (yf[:, -1] if action else 0.0)
 
 
-def zero_jacobian_path(germ: HamiltonianGerm, T: float):
-    """Callable t -> dphi^{0->t}(0) for t in [0, T].
+def zero_jacobian_path(germ: HamiltonianGerm):
+    """Callable t -> dphi^{0->t}(0) for t >= 0.
 
     0 is a rest point, so the Jacobian obeys the linear variational
     equation dPhi/dt = -J0 D^2H_t(0) Phi on its own.  Every germ is
     1-periodic in t, so the Floquet identity Phi(t + m) = Phi(t) Phi(1)^m
     holds exactly for whole m: the path reads one dense solution over the
     period [0, 1], solved once per germ instance (HamiltonianGerm._period_path),
-    and takes the rest from the powers of the monodromy Phi(1).  T does not
-    change the solve; the path is accurate to the ODE tolerance times the
-    number of periods.  The solve tries the whole period as its first step
-    (see integrate_flow), at the cost of one rejected step where the
-    linearized flow is fast.
+    and takes the rest from the powers of the monodromy Phi(1), so it is
+    accurate to the ODE tolerance times the number of periods.  The solve
+    tries the whole period as its first step (see integrate_flow), at the
+    cost of one rejected step where the linearized flow is fast.
 
     t is one time, giving (d, d), or an array of times, giving (..., d, d)
     from one dense-output pass and one matrix power per whole period; each
@@ -546,7 +545,7 @@ class FlowMap:
         """dphi^{t0 -> t1}(0) = Phi(t1) Phi(t0)^{-1} from zero_jacobian_path,
         so it integrates no flow; raises ValidationError if it fails the
         symplectic check of integrated flow Jacobians."""
-        Phi = zero_jacobian_path(self.germ, max(self.t0, self.t1))
+        Phi = zero_jacobian_path(self.germ)
         dphi = Phi(self.t1) @ np.linalg.inv(Phi(self.t0))
         res = symplectic_residual(dphi)
         if res > tol("symplectic_flow"):
@@ -554,61 +553,26 @@ class FlowMap:
         return dphi
 
 
-def _gen1_matrix(M: np.ndarray) -> np.ndarray:
-    # columns: basis of R^m x 0, then images of the 0 x R^m basis
-    d = M.shape[0]
-    m = d // 2
-    G = np.zeros((d, d))
-    G[:m, :m] = np.eye(m)
-    G[:, m:] = M[:, m:]
-    return G
+_SPANS_PER_STEP = 8  # substep spans that steps_graph_positive samples per step
 
 
-def check_gen1(psi) -> bool:
-    """Graph condition: R^{2m} splits as (R^m x 0) + dpsi(0)(0 x R^m)."""
-    M = psi if isinstance(psi, np.ndarray) else psi.jacobian_at_zero
-    return bool(abs(np.linalg.det(_gen1_matrix(M))) > tol("gen1_det"))
+def steps_graph_positive(germ: HamiltonianGerm, N: int) -> bool:
+    """The step condition: does every substep family of N steps stay graph-like?
 
-
-def adapted_N(germ: HamiltonianGerm, N: int, gap=None) -> bool:
-    """Do all substep flows with t1 - t0 <= gap satisfy the graph condition?
-
-    The default gap is 1/(2N); substeps are sampled on a grid of 4N points
-    per unit period.
+    From each start i/4N, det dpsi(0)_yy of the substep flow psi (the graph
+    condition, see GeneratingFunction) is sampled at _SPANS_PER_STEP growing
+    spans up to a full step 1/N.  It equals 1 at span 0, so a sample below
+    gen1_det certifies that some substep crosses the graph-condition
+    boundary even when the endpoints of the family pass it.
     """
     if N < 1:
         raise ConfigurationError("N must be a positive integer")
-    gap = 1.0 / (2 * N) if gap is None else float(gap)
-    grid = 4 * N
-    mats = zero_jacobian_path(germ, 1.0)(np.arange(grid + 1) / grid)
-    max_span = int(round(gap * grid))
-    for i in range(grid + 1):
-        inv_i = np.linalg.inv(mats[i])
-        for j in range(i + 1, min(i + max_span, grid) + 1):
-            if not check_gen1(mats[j] @ inv_i):
-                return False
-    return True
-
-
-def steps_graph_positive(germ: HamiltonianGerm, N: int, subres: int = 8) -> bool:
-    """Does the graph-condition determinant stay positive along growing gaps?
-
-    Substep Jacobians are sampled for gaps up to a full step 1/N.  The
-    determinant equals 1 at gap 0, so a nonpositive sample certifies that
-    some intermediate substep violates the graph condition even when the
-    endpoints of the family satisfy it.
-    """
-    if N < 1:
-        raise ConfigurationError("N must be a positive integer")
-    Phi = zero_jacobian_path(germ, 1.0 + 1.0 / N)
+    m = germ.n
+    Phi = zero_jacobian_path(germ)
     starts = np.arange(4 * N + 1) / (4 * N)
-    ends = Phi(starts[:, None] + np.arange(1, subres + 1) / (subres * N))
-    for start, at_ends in zip(Phi(starts), ends):
-        inv0 = np.linalg.inv(start)
-        for end in at_ends:
-            if np.linalg.det(_gen1_matrix(end @ inv0)) <= tol("gen1_det"):
-                return False
-    return True
+    ends = Phi(starts[:, None] + np.arange(1, _SPANS_PER_STEP + 1) / (_SPANS_PER_STEP * N))
+    dpsi = ends @ np.linalg.inv(Phi(starts))[:, None]
+    return bool((np.linalg.det(dpsi[..., m:, m:]) > tol("gen1_det")).all())
 
 
 @dataclass(frozen=True)
@@ -628,7 +592,9 @@ class GeneratingFunction:
     radius: float = DEFAULT_TRUST_RADIUS
 
     def __post_init__(self):
-        if not check_gen1(self.psi):
+        # the graph condition R^{2m} = (R^m x 0) + dpsi(0)(0 x R^m): dpsi(0)_yy is invertible
+        m = self.m
+        if abs(np.linalg.det(self.psi.jacobian_at_zero[m:, m:])) <= tol("gen1_det"):
             raise ValidationError("substep flow fails the graph condition")
 
     @property
@@ -707,32 +673,40 @@ class GeneratingFunction:
         grad S = (grad_1 S, grad_2 S) = (y - Y, X - x) as one vector of
         length 2m; S comes from the action identity in the class docstring
         and is None when value is unset, which spares the flows the H_t
-        evaluations the integral needs.  D^2 S is assembled from the blocks
-        of dpsi at the solved point.  A batch (P, m) of (x, Y) gives (P,),
-        (P, 2m) and (P, 2m, 2m) from one lockstep graph solve, whose rows
-        may be shifted in time as in solve_graph.
+        evaluations the integral needs.  D^2 S is _slot_hessians of dpsi at
+        the solved point.  A batch (P, m) of (x, Y) gives (P,), (P, 2m) and
+        (P, 2m, 2m) from one lockstep graph solve, whose rows may be shifted
+        in time as in solve_graph.
         """
         m = self.m
         one = np.ndim(x) == 1
         y, X, dphi, s = self.solve_graph(x, Y, action=value, shift=shift, start=start)
         x, Y, y, X = (np.asarray(a, dtype=float).reshape(-1, m) for a in (x, Y, y, X))
-        dphi = dphi.reshape(-1, 2 * m, 2 * m)
         S = row_dots(x, y - Y) + s if value else None
-        A, B = dphi[:, :m, :m], dphi[:, :m, m:]
-        C, D = dphi[:, m:, :m], dphi[:, m:, m:]
-        Dinv = np.linalg.inv(D)
-        eye = np.eye(m)
-        H = np.concatenate([np.concatenate([-Dinv @ C, Dinv - eye], axis=2),
-                            np.concatenate([A - B @ Dinv @ C - eye, B @ Dinv], axis=2)], axis=1)
-        asym = np.abs(H - np.swapaxes(H, 1, 2)).max(axis=(1, 2))
-        if (asym > tol("hessian_sym")).any():
-            i = int((asym > tol("hessian_sym")).argmax())
-            raise ValidationError(f"{_row(i, len(x))}generating-function Hessian "
-                                  f"asymmetry {asym[i]:.3g}")
-        g, H = np.concatenate([y - Y, X - x], axis=1), 0.5 * (H + np.swapaxes(H, 1, 2))
+        H = _slot_hessians(dphi.reshape(-1, 2 * m, 2 * m))
+        g = np.concatenate([y - Y, X - x], axis=1)
         if one:
             return (None if S is None else float(S[0])), g[0], H[0]
         return S, g, H
+
+
+def _slot_hessians(dpsi: np.ndarray) -> np.ndarray:
+    """D^2 S, symmetrized, from each dpsi = [[A, B], [C, D]] (P, 2m, 2m) at a
+    solved point: [[-D^-1 C, D^-1 - I], [A - B D^-1 C - I, B D^-1]].  Raises
+    ValidationError, naming the row, where the asymmetry exceeds hessian_sym."""
+    m = dpsi.shape[-1] // 2
+    A, B = dpsi[:, :m, :m], dpsi[:, :m, m:]
+    C, D = dpsi[:, m:, :m], dpsi[:, m:, m:]
+    Dinv = np.linalg.inv(D)
+    eye = np.eye(m)
+    H = np.concatenate([np.concatenate([-Dinv @ C, Dinv - eye], axis=2),
+                        np.concatenate([A - B @ Dinv @ C - eye, B @ Dinv], axis=2)], axis=1)
+    asym = np.abs(H - np.swapaxes(H, 1, 2)).max(axis=(1, 2))
+    if (asym > tol("hessian_sym")).any():
+        i = int((asym > tol("hessian_sym")).argmax())
+        raise ValidationError(f"{_row(i, len(dpsi))}generating-function Hessian "
+                              f"asymmetry {asym[i]:.3g}")
+    return 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
 def eval_S(gf: GeneratingFunction, x, Y):
@@ -752,33 +726,17 @@ def eval_S(gf: GeneratingFunction, x, Y):
 
 
 def hessian_S_at_zero(gf: GeneratingFunction) -> np.ndarray:
-    """D^2 S(0) = J0 (dpsi(0) - I) dT(0)^{-1} with T(x, y) = (x, Y)."""
-    m = gf.m
-    M = gf.psi.jacobian_at_zero
-    J = standard_symplectic(m)
-    dT = np.zeros((2 * m, 2 * m))
-    dT[:m, :m] = np.eye(m)
-    dT[m:, :] = M[m:, :]
-    if abs(np.linalg.det(dT[m:, m:])) <= tol("gen1_det"):
-        raise ValidationError("graph condition fails: dT(0) is singular")
-    H = J @ (M - np.eye(2 * m)) @ np.linalg.inv(dT)
-    asym = np.abs(H - H.T).max()
-    if asym > tol("hessian_sym"):
-        raise ValidationError(f"generating-function Hessian asymmetry {asym:.3g}")
-    return 0.5 * (H + H.T)
+    """D^2 S(0): _slot_hessians of dpsi(0), as solve_slot assembles it at a solved point."""
+    return _slot_hessians(gf.psi.jacobian_at_zero[None])[0]
 
 
-def substep_jacobians_at_zero(germ: HamiltonianGerm, N: int):
-    """Jacobians dpsi_i(0) of the N substep flows psi_i = phi^{i/N} (phi^{(i-1)/N})^{-1}."""
-    Phi = zero_jacobian_path(germ, 1.0)
-    grid = [Phi(i / N) for i in range(N + 1)]
-    return [grid[i] @ np.linalg.inv(grid[i - 1]) for i in range(1, N + 1)]
+_SAMPLES_PER_PERIOD = 64  # samples of linearized_path per period
 
 
-def linearized_path(germ: HamiltonianGerm, periods: int = 1, samples_per_period: int = 64):
+def linearized_path(germ: HamiltonianGerm, periods: int = 1):
     """The linearized flow at 0 over [0, periods] as a spindex.SymplecticPath."""
     from .spindex import SymplecticPath
 
-    Phi = zero_jacobian_path(germ, float(periods))
-    ts = np.linspace(0.0, float(periods), samples_per_period * periods + 1)
+    Phi = zero_jacobian_path(germ)
+    ts = np.linspace(0.0, float(periods), _SAMPLES_PER_PERIOD * periods + 1)
     return SymplecticPath(germ.n, zip(ts, Phi(ts)), source=Phi, germ=germ, periods=int(periods))

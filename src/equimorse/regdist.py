@@ -34,8 +34,8 @@ _S_LO, _S_HI = 0.5, 0.55
 
 
 def _quintic_step(u):
-    # C^2 ramp from 0 to 1 on [0, 1]; the one cutoff profile of the package,
-    # which equiperturb's bumps and distance well read too
+    # C^2 ramp from 0 to 1 on [0, 1], which equiperturb's bumps and distance
+    # well read too; lochom's radial cutoff _beta0 is a C^1 cubic
     return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 

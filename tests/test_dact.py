@@ -78,7 +78,7 @@ def test_nullity_matches_linearized_flow():
              (hyperbolic_germ(), 2, 1), (HamiltonianGerm.rotation(1.0), 1, 5)]
     for germ, k, N in cases:
         da = DiscreteAction(germ, k, N)
-        M = np.linalg.matrix_power(zero_jacobian_path(germ, 1.0)(1.0), k)
+        M = np.linalg.matrix_power(zero_jacobian_path(germ)(1.0), k)
         assert nullity_at_zero(da) == nullity(M)
 
 
@@ -430,34 +430,29 @@ def test_an_evaluate_pass_flows_one_stack_per_graph_newton_iteration(k, N, monke
 
 
 def test_the_step_conditions_run_once_per_germ_instance_and_N(monkeypatch):
-    calls = {"adapted": 0, "positive": 0}
-    adapted, positive = dact.adapted_N, dact.steps_graph_positive
+    calls = [0]
+    positive = dact.steps_graph_positive
 
-    def counted_adapted(germ, N):
-        calls["adapted"] += 1
-        return adapted(germ, N)
-
-    def counted_positive(germ, N):
-        calls["positive"] += 1
+    def counted(germ, N):
+        calls[0] += 1
         return positive(germ, N)
 
-    monkeypatch.setattr(dact, "adapted_N", counted_adapted)
-    monkeypatch.setattr(dact, "steps_graph_positive", counted_positive)
+    monkeypatch.setattr(dact, "steps_graph_positive", counted)
     germ = resonant_germ()
     for k in range(1, 5):
         DiscreteAction(germ, k, 2)
-    assert calls == {"adapted": 1, "positive": 1}
+    assert calls[0] == 1
     # a refused N is refused again without checking again
     rot = HamiltonianGerm.rotation(0.3)
     for _ in range(2):
         with pytest.raises(ConfigurationError, match="N = 1: some substep family"):
             DiscreteAction(rot, 1, 1)
-    assert calls == {"adapted": 2, "positive": 2}
+    assert calls[0] == 2
     assert minimal_adapted_steps(rot) == 2
-    assert calls == {"adapted": 3, "positive": 3}
+    assert calls[0] == 3
     # an equal germ is another input
     DiscreteAction(resonant_germ(), 1, 2)
-    assert calls == {"adapted": 4, "positive": 4}
+    assert calls[0] == 4
 
 
 def test_evaluate_rejects_points_of_the_wrong_length():

@@ -24,14 +24,11 @@ from equimorse.hamflow import (
     FlowMap,
     GeneratingFunction,
     HamiltonianGerm,
-    adapted_N,
-    check_gen1,
     eval_S,
     hessian_S_at_zero,
     integrate_flow,
     linearized_path,
     steps_graph_positive,
-    substep_jacobians_at_zero,
     zero_jacobian_path,
 )
 from equimorse.ode import REACHED, RTOL_FLOOR, UNDERFLOW
@@ -96,7 +93,7 @@ def test_flow_hyperbolic():
 
 def test_flow_time_dependent_oracle():
     # H = c cos(2 pi t) |z|^2 integrates to the rotation by -c sin(2 pi t) / pi
-    Phi = zero_jacobian_path(cos_germ(), 1.0)
+    Phi = zero_jacobian_path(cos_germ())
     for t in (0.25, 0.4, 1.0):
         assert np.allclose(Phi(t), rotation(-0.1 * math.sin(2 * math.pi * t)), atol=1e-9)
     g = HamiltonianGerm.make(1, [(0.1 * math.pi, (2, 0), "sin", 1),
@@ -160,15 +157,21 @@ def test_germ_json_round_trip():
 
 
 def test_check_gen1_examples():
-    assert check_gen1(FlowMap(HamiltonianGerm.zero(1), 0.0, 1.0))
-    assert check_gen1(FlowMap(HamiltonianGerm.rotation(0.3), 0.0, 1.0))
-    assert not check_gen1(FlowMap(HamiltonianGerm.rotation(0.25), 0.0, 1.0))
+    # the graph condition of one substep flow, checked as its generating
+    # function is built
+    GeneratingFunction(FlowMap(HamiltonianGerm.zero(1), 0.0, 1.0))
+    GeneratingFunction(FlowMap(HamiltonianGerm.rotation(0.3), 0.0, 1.0))
+    with pytest.raises(ValidationError, match="graph condition"):
+        GeneratingFunction(FlowMap(HamiltonianGerm.rotation(0.25), 0.0, 1.0))
 
 
 def test_adapted_N_examples():
-    assert adapted_N(HamiltonianGerm.rotation(0.3), 1)
-    assert adapted_N(HamiltonianGerm.zero(1), 1)
-    assert not adapted_N(HamiltonianGerm.rotation(3.0), 1)
+    from equimorse.dact import DiscreteAction
+
+    rot3 = HamiltonianGerm.rotation(3.0)
+    assert not steps_graph_positive(rot3, 1)
+    with pytest.raises(ConfigurationError, match="N = 1: some substep family"):
+        DiscreteAction(rot3, 1, 1)
 
 
 def test_steps_graph_positive_quarter_turn_rule():
@@ -302,9 +305,8 @@ def test_eval_S_action_identity_time_dependent_substep():
 
 def test_substep_jacobians():
     g = HamiltonianGerm.rotation(0.3)
-    steps = substep_jacobians_at_zero(g, 5)
-    assert len(steps) == 5
-    for M in steps:
+    for i in range(5):
+        M = FlowMap(g, i / 5, (i + 1) / 5).jacobian_at_zero
         assert np.allclose(M, rotation(0.12 * math.pi), atol=1e-9)
 
 
@@ -479,7 +481,7 @@ def test_the_monomial_table_is_the_left_fold_of_float_products(name):
 def test_flows_evaluate_the_germ_only_through_jet(monkeypatch):
     germ = resonant_germ()
     expected = integrate_flow(germ, 0.0, 0.5, [0.1, 0.05], action=True)
-    Phi_expected = zero_jacobian_path(germ, 1.0)(0.7)
+    Phi_expected = zero_jacobian_path(germ)(0.7)
 
     def refuse(self, z, t):
         raise AssertionError("the flow evaluated the germ outside jet")
@@ -490,7 +492,7 @@ def test_flows_evaluate_the_germ_only_through_jet(monkeypatch):
     assert np.array_equal(phi, expected[0]) and np.array_equal(dphi, expected[1])
     assert s == expected[2]
     # a fresh instance, since the path of germ was solved before the patch
-    assert np.array_equal(zero_jacobian_path(resonant_germ(), 1.0)(0.7), Phi_expected)
+    assert np.array_equal(zero_jacobian_path(resonant_germ())(0.7), Phi_expected)
 
 
 # -- the dense solve over [0, T] that the one-period path replaced, kept as its oracle --
@@ -521,7 +523,7 @@ def floquet_germ():
 def test_one_period_path_matches_a_direct_solve_over_several_periods(make):
     germ = make()
     for T in (0.6, 1.0, 2.5, 4.0):
-        Phi, oracle = zero_jacobian_path(germ, T), _direct_zero_jacobian_path(germ, T)
+        Phi, oracle = zero_jacobian_path(germ), _direct_zero_jacobian_path(germ, T)
         assert np.array_equal(Phi(0.0), np.eye(2))
         for t in np.linspace(0.0, T, 41)[1:]:
             assert np.abs(Phi(t) - oracle(t)).max() < 1e-10
@@ -601,7 +603,7 @@ def test_jacobian_at_zero_matches_a_one_row_flow(make):
 def test_jacobian_at_zero_keeps_the_symplectic_check(monkeypatch):
     # a path that scales by 1 + t is not symplectic
     monkeypatch.setattr(hamflow, "zero_jacobian_path",
-                        lambda germ, T: (lambda t: (1.0 + t) * np.eye(2)))
+                        lambda germ: (lambda t: (1.0 + t) * np.eye(2)))
     with pytest.raises(ValidationError, match="symplecticity residual"):
         FlowMap(HamiltonianGerm.rotation(0.3), 0.0, 1.0).jacobian_at_zero
 
@@ -788,7 +790,7 @@ def test_dense_output_on_an_array_of_times_is_bitwise_each_time():
                          ids=["resonant", "rot03", "floquet", "zero"])
 def test_the_linearized_path_samples_every_time_in_one_pass(make):
     germ = make()
-    Phi = zero_jacobian_path(germ, 4.0)
+    Phi = zero_jacobian_path(germ)
     ts = np.linspace(0.0, 4.0, 4 * 64 + 1)
     stacked = Phi(ts)
     assert stacked.shape == (len(ts), 2, 2)

@@ -1,5 +1,6 @@
 """Importing the package loads no scipy, and neither does integrating a flow;
-no module of the package takes a derivative by finite differences; every
+no module of the package takes a derivative by finite differences or reads
+the process environment; every
 function that the benchmark tracer patches is defined where it patches it;
 every name that the benchmark imports from the package exists; and every
 console script that pyproject.toml declares imports."""
@@ -119,6 +120,37 @@ def test_the_stencil_guard_sees_a_difference_quotient(tmp_path):
         "def slope(f, x, h):\n    return (f(x + h) - f(x - h)) / (2.0 * h)\n\n\n"
         "def fd_jets(values, X, h):\n    pass\n")
     assert sorted(f.split(":")[1] for f in stencil_findings(tmp_path)) == ["2", "5"]
+
+
+# the package's settings are its arguments and config.TOLERANCES: no module
+# reads one from the process environment
+_ENVIRONMENT_READS = {"environ", "getenv"}
+
+
+def environment_findings(package):
+    """Lines of the modules in package that read os.environ or os.getenv,
+    as attributes of os or imported from it."""
+    found = []
+    for path in sorted(Path(package).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READS
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno}: from os import {alias.name}"
+                          for alias in node.names if alias.name in _ENVIRONMENT_READS]
+    return found
+
+
+def test_no_module_reads_the_environment():
+    assert environment_findings(SRC / "equimorse") == []
+
+
+def test_the_environment_guard_sees_a_read(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import os\nfrom os import getenv\n\n\n"
+        "def scale(name):\n    return float(os.environ.get(name, os.getenv(name, 1.0)))\n")
+    assert sorted(f.split(":")[1] for f in environment_findings(tmp_path)) == ["2", "6", "6"]
 
 
 def _tracer_targets():

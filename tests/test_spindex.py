@@ -269,6 +269,23 @@ def test_negative_hyperbolic_germ_has_bad_even_iterates():
         assert bd.cz(k) == cz_index(linearized_path(germ, k)) == k
 
 
+@pytest.mark.parametrize("term, index1, cz", [((-0.5, (0, 2)), (0, 1), 0),
+                                              ((0.7, (2, 0)), (-1, 1), -1)],
+                         ids=["shear_y", "shear_x"])
+def test_a_jordan_block_monodromy(term, index1, cz):
+    # a shear: M has the double eigenvalue 1, but ker(M - I) is a line
+    germ = HamiltonianGerm.make(1, [term])
+    M = linearized_path(germ).endpoint()
+    assert np.allclose(np.linalg.eigvals(M), [1.0, 1.0], atol=1e-12)
+    assert nullity(M) == 1
+    bd = bott_data(germ)
+    assert bd.jumps == (0.0,) and bd.mean_index == 0.0
+    assert bd.index(1.0) == index1
+    for k in range(1, 4):
+        assert bd.cz(k) == cz_index(linearized_path(germ, k)) == cz, k
+        assert bd.admissible(k) and bd.good(k)
+
+
 @pytest.mark.parametrize("first, good_even", [("rotation03", False), ("negative_hyperbolic", True)])
 def test_bott_data_of_direct_sums(first, good_even):
     # (first) + (negative hyperbolic) on R^4: the mean indices add, the odd

@@ -48,18 +48,18 @@ def standard_symplectic(n: int) -> np.ndarray:
     return J
 
 
-def symplectic_residual(M: np.ndarray, relative: bool = False):
-    """||M^T J0 M - J0||_inf of one matrix (a float) or of each of a stack (an array).
+def symplectic_residual(M: np.ndarray):
+    """||M^T J0 M - J0||_inf / max(1, max|M_ij|^2) of one matrix (a float) or
+    of each of a stack (an array).
 
-    relative divides by max(1, max|M_ij|^2): rounding in M^T J0 M grows with
-    the square of the entries, so a long hyperbolic iterate carries an
-    absolute residual of order eps |M|^2 however exactly it was computed.
+    Rounding in M^T J0 M grows with the square of the entries, so a long
+    hyperbolic iterate carries an absolute residual of order eps |M|^2
+    however exactly it was computed; relative to that size, it does not.
     """
     M = np.asarray(M)
     J = standard_symplectic(M.shape[-1] // 2)
     res = np.abs(np.swapaxes(M, -1, -2) @ J @ M - J).max(axis=(-2, -1))
-    if relative:
-        res = res / np.maximum(1.0, np.abs(M).max(axis=(-2, -1)) ** 2)
+    res = res / np.maximum(1.0, np.abs(M).max(axis=(-2, -1)) ** 2)
     return float(res) if M.ndim == 2 else res
 
 
@@ -164,16 +164,39 @@ def lockstep_newton(residual, X, step, tolerance, max_iter, retry=(), leaves=Non
     return X, converged, errors, kept
 
 
-def null_space(m, cutoff=1e-10):
-    """Orthonormal basis of the kernel of m, one vector per row.
+def smooth_step(s):
+    """The C^2 cutoff ramp q(s) = s^3 (10 - 15 s + 6 s^2) with q' and q'',
+    elementwise.
 
-    A right singular vector is in the kernel when its singular value is at
-    most cutoff * max(1, largest singular value); one SVD, numpy only.
+    The argument is clipped to [0, 1], so q is exactly 0 for s <= 0 and
+    exactly 1 for s >= 1, where q' and q'' vanish: the quintic meets 0 and 1
+    to second order.
     """
+    s = np.clip(s, 0.0, 1.0)
+    return (s * s * s * (10.0 - 15.0 * s + 6.0 * s * s),
+            30.0 * s * s * (1.0 - s) ** 2,
+            60.0 * s * (1.0 - s) * (1.0 - 2.0 * s))
+
+
+def _rank_split(m):
+    # one full SVD of m: its rank, counting the singular values above
+    # 1e-10 * max(1, largest), and the right singular vectors
     m = np.atleast_2d(np.asarray(m, dtype=float))
     _, sing, vt = np.linalg.svd(m)
-    sing = np.concatenate([sing, np.zeros(vt.shape[0] - sing.size)])
-    return vt[sing <= cutoff * max(1.0, sing[0] if sing.size else 0.0)]
+    return int(np.sum(sing > 1e-10 * max(1.0, sing[0] if sing.size else 0.0))), vt
+
+
+def null_space(m):
+    """Orthonormal basis of the kernel of m, one vector per row."""
+    rank, vt = _rank_split(m)
+    return vt[rank:]
+
+
+def row_space(m):
+    """Orthonormal basis of the row space of m, one vector per row; with
+    null_space(m), an orthonormal basis of the whole space."""
+    rank, vt = _rank_split(m)
+    return vt[:rank]
 
 
 def rotation(theta: float) -> np.ndarray:

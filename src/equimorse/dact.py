@@ -214,13 +214,14 @@ def _signature_counts(eigs: np.ndarray):
     """(negative, zero, positive) with the 1e-8 threshold relative to the
     largest magnitude or to 1, whichever is larger: 1 is the scale of the
     coupling x_i (y_{i+1} - y_i), whose entries -1 sit in every Hessian of two
-    or more slots.  Eigenvalues inside the band [thr, 10 thr) are refused:
-    the integer invariants must not depend on the cut.
+    or more slots.  Eigenvalues inside the band [thr / 10, 10 thr) are
+    refused, on either side of the cut: the integer invariants must not
+    depend on it.
     """
     eigs = np.asarray(eigs, dtype=float)
     mags = np.abs(eigs)
     thr = tol("eig_threshold") * max(mags.max(initial=0.0), 1.0)
-    if np.any((mags >= thr) & (mags < 10 * thr)):
+    if np.any((mags >= thr / 10) & (mags < 10 * thr)):
         raise AmbiguityError(
             "eigenvalue magnitudes fall inside the threshold band; the "
             "signature is not trustworthy at this resolution")

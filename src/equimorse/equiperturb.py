@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import null_space, tol
+from .config import null_space, row_space, smooth_step, tol
 from .errors import (
     DegeneracyError,
     IsolationError,
-    ParameterError,
     ResolutionError,
     ValidationError,
 )
@@ -39,13 +38,13 @@ from .lochom import (
     critical_points,
 )
 from .hamflow import _polynomial_kernel
-from .regdist import (_S_HI, _S_LO, ClosedSetSpec, RegularizedDistance, _outer,
-                      _quintic_d1, _quintic_d2, _quintic_step)
+from .regdist import _S_HI, _S_LO, ClosedSetSpec, RegularizedDistance, _outer
 
 _MORSE_FLOOR = 1e-8
 _STRATUM_TOL = 1e-6
 _INVARIANCE_TOL = 1e-9
 _MARGIN_FRACTION = 0.9
+_ATTEMPTS = 3  # seeded draws of the perturbation before it gives up
 _OUT_NAME = "invariant morse perturbation"
 
 
@@ -55,22 +54,6 @@ class _StageFailure(Exception):
 
 def _divisors(k: int):
     return tuple(j for j in range(1, k + 1) if k % j == 0)
-
-
-def _complement_basis(basis, n):
-    if basis.size == 0:
-        return np.eye(n)
-    _, sing, vt = np.linalg.svd(basis, full_matrices=True)
-    return vt[basis.shape[0]:]
-
-
-def _row_space(rows, cutoff=1e-10):
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
-    _, sing, vt = np.linalg.svd(rows)
-    rank = int(np.sum(sing > cutoff * max(1.0, sing[0])))
-    return vt[:rank]
 
 
 @dataclass
@@ -113,11 +96,11 @@ class Stratification:
             raise ValidationError(
                 f"{j!r} is not a divisor of the stratification; its divisors are {self.divisors}")
 
-    def assign(self, x, cutoff=_STRATUM_TOL):
-        """Smallest divisor whose stratum contains x up to the cutoff."""
+    def assign(self, x):
+        """Smallest divisor whose stratum contains x up to _STRATUM_TOL."""
         for j in self.divisors:
             d = self.stratum_distance(x, j)
-            if d <= cutoff:
+            if d <= _STRATUM_TOL:
                 return j, d
         j = self.divisors[-1]
         return j, self.stratum_distance(x, j)
@@ -136,7 +119,7 @@ class Stratification:
                 inter = null_space(stacked)
                 pi = inter.T @ inter if inter.size else np.zeros((n, n))
                 gcd_res = max(gcd_res, float(np.linalg.norm(pi - self.projections[g], 2)))
-                moved = _row_space(self.bases[i] @ (np.eye(n) - self.projections[g]))
+                moved = row_space(self.bases[i] @ (np.eye(n) - self.projections[g]))
                 if moved.size and self.bases[j].size:
                     orth_res = max(orth_res, float(np.linalg.norm(moved @ self.bases[j].T, 2)))
         return {
@@ -197,23 +180,6 @@ def normal_decreasing_extension(f, stratification: Stratification, j: int) -> Ca
     return CallableFunction(n, jet, name="normal decreasing extension")
 
 
-# the bumps and the distance well read regdist's quintic profile and ramp
-# ends: a decreasing cutoff for bumps and an increasing step for the well, so
-# second derivatives stay continuous
-
-def _step(u):
-    """0 up to 1/4, a quintic ramp, then 1 from 1 on; elementwise."""
-    ramp = _quintic_step((np.clip(u, 0.25, 1.0) - 0.25) / 0.75)
-    return np.where(u <= 0.25, 0.0, np.where(u >= 1.0, 1.0, ramp))
-
-
-def _step_derivatives(u):
-    # first and second derivatives of _step; the quintic's vanish at both
-    # ends of the ramp, so the clipped argument gives exact zeros off it
-    s = (np.clip(u, 0.25, 1.0) - 0.25) / 0.75
-    return _quintic_d1(s) / 0.75, _quintic_d2(s) / 0.75 ** 2
-
-
 # small polynomials with radial cutoffs, as closed-form functions; every row
 # of a batch is bitwise the result at that point alone, which keeps the
 # critical point census of a Newton sweep independent of its batching: the
@@ -221,10 +187,11 @@ def _step_derivatives(u):
 # the polynomial is the package's one kernel (hamflow._Kernel), whose rows do
 # not depend on their batch mates
 
-def _monomials(m, max_degree=3, min_degree=0):
+def _monomials(m, min_degree=0):
+    # the exponents of the monomials of degree min_degree to 3 in m variables
     out = []
-    for exps in itertools.product(range(max_degree + 1), repeat=m):
-        if min_degree <= sum(exps) <= max_degree:
+    for exps in itertools.product(range(4), repeat=m):
+        if min_degree <= sum(exps) <= 3:
             out.append(exps)
     return out
 
@@ -233,7 +200,8 @@ def _bump_poly_term(centers, scale, coeffs, mons):
     """Polynomial times a sum of radial bumps, one bump per center.
 
     Each bump is profile(|z - c| / scale): exactly 1 on the plateau
-    t <= 0.5, a decreasing quintic ramp for 0.5 < t < 0.55, and 0 beyond.
+    t <= 0.5, the quintic ramp config.smooth_step decreasing for
+    0.5 < t < 0.55, and 0 beyond.
     The jet of a batch takes the bump sum over the (P, K, m) array of
     differences between the points and the centers in one pass: plateau
     centers only add their count to the value, and the ramp, its gradient
@@ -265,12 +233,12 @@ def _bump_poly_term(centers, scale, coeffs, mons):
             ij = row[at], center[at]
             # the ramp sits away from r = 0, so the radial chain rule is regular
             rr = r[ij].reshape(-1, R)
-            s = (_S_HI - t[ij].reshape(-1, R)) / width
-            d1 = -_quintic_d1(s) / (width * scale)
-            d2 = _quintic_d2(s) / (width * scale) ** 2
+            q, d1, d2 = smooth_step((_S_HI - t[ij].reshape(-1, R)) / width)
+            d1 = -d1 / (width * scale)
+            d2 = d2 / (width * scale) ** 2
             u = W[ij].reshape(-1, R, m) / rr[..., None]
             radial = d2 - d1 / rr
-            bv[rows] += np.sum(_quintic_step(s), axis=1)
+            bv[rows] += np.sum(q, axis=1)
             bg[rows] = np.matmul(d1[:, None, :], u)[:, 0]
             bh[rows] = (np.matmul(np.swapaxes(u * radial[..., None], 1, 2), u)
                         + np.sum(d1 / rr, axis=1)[:, None, None] * eye)
@@ -333,10 +301,14 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
     """Smooth well that vanishes near an inner set and equals squared
     distance to a stratum away from it.
 
-    Returns the well as a function together with the chosen transition
-    parameters; its gradient and Hessian are exact, by the chain rule
-    through the step and the jets of the two regularized distances.  The
-    inner set must be invariant and contain the origin.
+    The well is w(d0^2 / delta) d1^2, with d0 and d1 the regularized
+    distances to the origin and to the stratum, and the step w 0 up to 1/4,
+    the quintic ramp config.smooth_step, then 1 from 1 on, so second
+    derivatives stay continuous.  Returns the well as a function together
+    with the chosen transition parameters; its gradient and Hessian are
+    exact, by the chain rule through the step and the jets of the two
+    regularized distances.  The inner set must be invariant and contain
+    the origin.
     """
     if inner.n != n:
         raise ValidationError("inner set dimension does not match")
@@ -372,11 +344,11 @@ def normal_well(inner, n, stratum_vectors, action, *, delta=None,
         far = np.flatnonzero(~(inner.dist_many(Z) <= rho0))
         r0, g0, h0 = d0.jets(Z[far])
         u = np.array([math.pow(r, 2.0) for r in r0.tolist()]) / delta
-        w = _step(u)
+        w, w1, w2 = smooth_step((u - 0.25) / 0.75)
         on = w != 0.0
-        rows, u, w, r0, g0, h0 = far[on], u[on], w[on], r0[on], g0[on], h0[on]
+        rows, w, r0, g0, h0 = far[on], w[on], r0[on], g0[on], h0[on]
+        w1, w2 = w1[on] / 0.75, w2[on] / 0.75 ** 2
         t, g1, h1 = d1.jets(Z[rows])
-        w1, w2 = _step_derivatives(u)
         # the derivatives of u = d0^2 / delta
         g_u = (2.0 / delta) * r0[:, None] * g0
         h_u = (2.0 / delta) * (_outer(g0, g0) + r0[:, None, None] * h0)
@@ -445,7 +417,7 @@ def _min_separation(points):
 
 
 def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
-                            attempts=3, max_depth=None):
+                            max_depth=None):
     """Invariant Morse perturbation of f near an isolated critical origin.
 
     Returns the perturbed function together with a certificate recording the
@@ -454,9 +426,9 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
     certificate's census of critical points is the free stage's last Newton
     sweep, which is a sweep of the returned function itself.  The
     construction pushes normal directions down, so it expects the second
-    order normal data of f at the origin to vanish.  A radius or epsilon
-    that is not finite and positive, or attempts below one, raises
-    ParameterError.
+    order normal data of f at the origin to vanish.  It makes
+    _ATTEMPTS = 3 seeded draws before it raises ResolutionError.  A radius or epsilon
+    that is not finite and positive raises ParameterError.
     """
     if not isinstance(action, CyclicAction):
         if k is None:
@@ -468,8 +440,6 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
     if n > 3:
         raise ValidationError("only dimensions up to three are supported")
     _require_positive(radius, epsilon=epsilon)
-    if not isinstance(attempts, (int, np.integer)) or attempts < 1:
-        raise ParameterError(f"attempts must be a positive integer, got {attempts!r}")
     if _check_invariance(f, action, radius) > _INVARIANCE_TOL:
         raise ValidationError("function is not invariant under the action")
     if np.linalg.norm(np.asarray(f.grad(np.zeros(n)))) > 1e-8:
@@ -482,7 +452,7 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
                 f"origin is not isolated: critical point near {np.round(c, 6).tolist()}")
     strat = strata(action)
     failures = []
-    for attempt in range(attempts):
+    for attempt in range(_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         try:
             out, cert = _build(f, strat, epsilon, radius, rng, max_depth)
@@ -497,7 +467,7 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
                         if not item["passed"])
         failures.append(f"certificate after the stage loop: {bad}")
     raise ResolutionError(
-        f"perturbation failed after {attempts} draws: {failures[-1]}")
+        f"perturbation failed after {_ATTEMPTS} draws: {failures[-1]}")
 
 
 def _build(f, strat, epsilon, radius, rng, max_depth):
@@ -546,7 +516,7 @@ def _base_stage(f, terms, strat, d, radius, rng, epsilon):
     m = basis.shape[0]
     p = strat.projection(d)
     q = np.eye(n) - p
-    nbasis = _complement_basis(basis, n)
+    nbasis = null_space(basis)
     c = epsilon / 4.0
     restricted = _pullback(f, basis.T)
     crits = _critical_points(restricted, radius)
@@ -562,7 +532,7 @@ def _base_stage(f, terms, strat, d, radius, rng, epsilon):
     eta_used = 0.0
     h_term = None
     if not (crits and _is_morse(restricted, crits) and normal_ok(crits)):
-        mons = _monomials(m, max_degree=3, min_degree=1)
+        mons = _monomials(m, min_degree=1)
         coeffs = rng.standard_normal(len(mons))
         plateau = 0.45 * radius
         bump = _bump_poly_term([np.zeros(m)], 2.0 * plateau, coeffs, mons)
@@ -616,7 +586,7 @@ def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
         sep = min(_handled_distance(z, handled) for z in free)
         sep = min(sep, 0.5 * radius)
         rho = 0.45 * sep
-        mons = _monomials(n, max_degree=3, min_degree=0)
+        mons = _monomials(n)
         coeffs = rng.standard_normal(len(mons))
         raw = _bump_poly_term(free, 2.0 * rho, coeffs, mons)
         mats = [action.power(i) for i in range(action.k)]
@@ -651,7 +621,7 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
     action = strat.action
     basis = strat.basis(d)
     m = basis.shape[0]
-    nbasis = _complement_basis(basis, n)
+    nbasis = null_space(basis)
     cur = _assemble(f, terms, action)
     restricted = _pullback(cur, basis.T)
     crits_y = _critical_points(restricted, radius, fine=15, fine_width=0.16)
@@ -662,7 +632,7 @@ def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
     if free_y and not _is_morse(restricted, free_y):
         sep = min(_handled_distance(basis.T @ y, handled) for y in free_y)
         rho = 0.45 * min(sep, 0.5 * radius)
-        mons = _monomials(m, max_degree=3, min_degree=0)
+        mons = _monomials(m)
         coeffs = rng.standard_normal(len(mons))
         raw = _bump_poly_term(free_y, 2.0 * rho, coeffs, mons)
         induced = basis @ action.matrix @ basis.T
@@ -755,7 +725,7 @@ def _certify(f, out, crits, strat, records, handled, epsilon, radius):
             if np.linalg.norm(ph - pj) < 1e-9:
                 c_used = cc
                 break
-        nbasis = _complement_basis(strat.basis(j), n)
+        nbasis = null_space(strat.basis(j))
         block = nbasis @ hz @ nbasis.T
         top = float(np.max(np.linalg.eigvalsh(block)))
         margin = -top

@@ -796,8 +796,7 @@ def _refined_groups(f, radius, a, b, h, modes, action_sign):
     return out
 
 
-def sublevel_homology(f, radius, a=None, b=None, h=None, invariant=False,
-                      action_sign=1) -> dict:
+def sublevel_homology(f, radius, a=None, b=None, h=None, invariant=False) -> dict:
     """Pair homology with a built-in refinement check on the bisected grid.
 
     gromoll_meyer_pair picks the grid from f.action: polar (h sets the ring
@@ -808,7 +807,7 @@ def sublevel_homology(f, radius, a=None, b=None, h=None, invariant=False,
     Betti numbers must not change on the grid that halves every cell, else
     ResolutionError.
     """
-    return _refined_groups(f, radius, a, b, h, (invariant,), action_sign)[0]
+    return _refined_groups(f, radius, a, b, h, (invariant,), 1)[0]
 
 
 # -- two-dimensional Morse complexes -------------------------------------

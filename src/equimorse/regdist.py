@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import row_space, smooth_step
 from .errors import ResolutionError, ValidationError
 from .lochom import CyclicAction, _json_fields, _json_int
 
@@ -27,24 +28,12 @@ class CoverageWarning(UserWarning):
 
 _MEMBERSHIP_TOL = 1e-12
 _DEFAULT_MAX_DEPTH = {1: 16, 2: 14, 3: 10}
-# bump profile: identically 1 up to 1/2, dead from _S_HI on; keeping the
-# support strictly inside the 9/8-dilated cube leaves room for the strict
-# inclusion supp(phi) in int(Q*)
+# bump profile: identically 1 up to 1/2, the quintic ramp config.smooth_step
+# down to 0 at _S_HI; keeping the support strictly inside the 9/8-dilated
+# cube leaves room for the strict inclusion supp(phi) in int(Q*)
 _S_LO, _S_HI = 0.5, 0.55
-
-
-def _quintic_step(u):
-    # C^2 ramp from 0 to 1 on [0, 1], which equiperturb's bumps and distance
-    # well read too; lochom's radial cutoff _beta0 is a C^1 cubic
-    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
-
-
-def _quintic_d1(u):
-    return 30.0 * u * u * (1.0 - u) ** 2
-
-
-def _quintic_d2(u):
-    return 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
+# the coarsest depth at which the regularized distance accepts a cube
+_MIN_DEPTH = 2
 
 
 def _bump_rows(t, side=None):
@@ -57,18 +46,14 @@ def _bump_rows(t, side=None):
     at every coordinate m.  The profile's derivatives vanish off the ramp,
     and at its ends too, where the quintic meets 0 and 1 to second order.
     """
-    a = np.abs(t)
-    u = (_S_HI - a) / (_S_HI - _S_LO)
-    v = np.where(a >= _S_HI, 0.0, np.where(a <= _S_LO, 1.0, _quintic_step(u)))
+    v, d1, d2 = smooth_step((_S_HI - np.abs(t)) / (_S_HI - _S_LO))
     if side is None:
         out = v[:, 0]
         for col in v.T[1:]:
             out = out * col
         return out
-    ramp = (a > _S_LO) & (a < _S_HI)
     scale = (_S_HI - _S_LO) * side[:, None]
-    parts = (v, np.where(ramp, -np.sign(t) * _quintic_d1(u), 0.0) / scale,
-             np.where(ramp, _quintic_d2(u), 0.0) / (scale * scale))
+    parts = (v, -np.sign(t) * d1 / scale, d2 / (scale * scale))
     n = t.shape[1]
 
     def product(*axes):
@@ -156,13 +141,7 @@ class _Subspace:
 
     def __init__(self, n, vectors):
         n = int(n)
-        V = np.asarray(vectors, dtype=float).reshape(-1, n) if len(vectors) else np.zeros((0, n))
-        if V.size:
-            _, sing, vt = np.linalg.svd(V)
-            rank = int((sing > 1e-10 * max(sing[0], 1.0)).sum())
-            B = vt[:rank]
-        else:
-            B = np.zeros((0, n))
+        B = row_space(np.asarray(vectors, dtype=float).reshape(-1, n))
         self.n = n
         self.basis = B
         nz = np.abs(B) > 1e-12
@@ -320,12 +299,6 @@ class ClosedSetSpec:
         return cls(center.size, [_Ball(center, radius)], action=action)
 
     @classmethod
-    def balls(cls, centers, radii, action=None):
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        prims = [_Ball(c, r) for c, r in zip(centers, radii)]
-        return cls(centers.shape[1], prims, action=action)
-
-    @classmethod
     def points(cls, pts, action=None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return cls(pts.shape[1], [_Points(pts)], action=action)
@@ -390,10 +363,11 @@ class ClosedSetSpec:
                    action=action)
 
 
-def check_invariance(spec: ClosedSetSpec, action: CyclicAction, samples: int = 64, seed: int = 0):
-    """Sampled check that dist(., spec) is invariant under the action."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3.0, 3.0, size=(samples, spec.n))
+def check_invariance(spec: ClosedSetSpec, action: CyclicAction):
+    """Sampled check, at 64 points of [-3, 3]^n, that dist(., spec) is
+    invariant under the action."""
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-3.0, 3.0, size=(64, spec.n))
     base = spec.dist_many(pts)
     moved = spec.dist_many(pts @ action.matrix.T)
     if np.abs(base - moved).max() > 1e-9:
@@ -803,7 +777,7 @@ class RegularizedDistance:
 
     @classmethod
     def build(cls, Y: ClosedSetSpec, E: ClosedSetSpec, action=None,
-              bbox=(-2.0, 2.0), min_depth: int = 2, max_depth=None) -> "RegularizedDistance":
+              bbox=(-2.0, 2.0), max_depth=None) -> "RegularizedDistance":
         if Y.n != E.n:
             raise ValidationError("Y and E must live in the same dimension")
         if len(E.primitives) != 1 or not isinstance(E.primitives[0], _Subspace):
@@ -818,7 +792,7 @@ class RegularizedDistance:
             # truncation at the set itself is inherent; evaluation clamps or
             # raises instead
             warnings.simplefilter("ignore", CoverageWarning)
-            dec = whitney_decompose(X, bbox, min_depth=min_depth, max_depth=max_depth)
+            dec = whitney_decompose(X, bbox, min_depth=_MIN_DEPTH, max_depth=max_depth)
         if dec.count:
             centers = dec.centers()
             rstar = (9.0 / 16.0) * dec.diam()
@@ -1067,15 +1041,14 @@ class RegdistResult:
 
 
 def regularized_distance(Y: ClosedSetSpec, E: ClosedSetSpec, action=None, queries=(),
-                         bbox=(-2.0, 2.0), min_depth: int = 2, max_depth=None) -> RegdistResult:
+                         bbox=(-2.0, 2.0), max_depth=None) -> RegdistResult:
     """Build the function and evaluate it with its exact derivatives.
 
     Queries on the set itself report value zero with zero derivatives and
     the inside flag set; the others are evaluated together by
     ``RegularizedDistance.jets``.
     """
-    func = RegularizedDistance.build(Y, E, action=action, bbox=bbox,
-                                     min_depth=min_depth, max_depth=max_depth)
+    func = RegularizedDistance.build(Y, E, action=action, bbox=bbox, max_depth=max_depth)
     n = func.dimension
     queries = np.asarray(queries, dtype=float).reshape(-1, n)
     finite = np.all(np.isfinite(queries), axis=1)

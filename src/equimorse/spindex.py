@@ -47,7 +47,7 @@ class SymplecticPath:
         for t, M in self.samples:
             if M.shape != (2 * self.n, 2 * self.n):
                 raise ValidationError(f"sample at t={t} has shape {M.shape}")
-        res = symplectic_residual(np.stack([M for _, M in self.samples]), relative=True)
+        res = symplectic_residual(np.stack([M for _, M in self.samples]))
         bad = res > tol("symplectic_sample")
         if bad.any():
             i = int(bad.argmax())
@@ -80,11 +80,13 @@ class SymplecticPath:
 
         return cls.from_function(n, lambda t: expm(t * B), T, num=num, **kw)
 
-    def refined(self, factor=2):
+    def refined(self):
+        """The path resampled from its source at half the sample spacing, at
+        most MAX_SAMPLES samples."""
         if self.source is None:
             raise ResolutionError(
                 f"samples too coarse; resample with at least {2 * len(self.samples)} points")
-        num = min(MAX_SAMPLES, factor * (len(self.samples) - 1) + 1)
+        num = min(MAX_SAMPLES, 2 * (len(self.samples) - 1) + 1)
         ts = np.linspace(0.0, self.T, num)
         return SymplecticPath(self.n, [(t, self.source(t)) for t in ts],
                               source=self.source, germ=self.germ, periods=self.periods)
@@ -208,7 +210,7 @@ def _cz_nondegenerate(path: SymplecticPath) -> int:
                 raise ResolutionError(
                     f"samples too coarse for crossing detection; resample with at least "
                     f"{2 * len(attempt.samples)} points") from None
-            attempt = attempt.refined(2)
+            attempt = attempt.refined()
 
 
 def cz_index(path: SymplecticPath) -> int:

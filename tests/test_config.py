@@ -7,8 +7,10 @@ import pytest
 
 import equimorse
 from equimorse import config, lochom
-from equimorse.config import TOLERANCES, lockstep_newton, row_lstsq
+from equimorse.config import (TOLERANCES, lockstep_newton, null_space, row_lstsq, row_space,
+                              smooth_step)
 from equimorse.lochom import CallableFunction, critical_points
+from fd_oracle import assert_jets_match, richardson_jets
 
 
 def test_every_tolerance_entry_is_read():
@@ -159,3 +161,45 @@ def test_critical_points_of_a_linear_function_make_max_iter_grad_and_hess_calls(
     f = CallableFunction(2, jet)
     assert critical_points(f, [[0.1, 0.2], [-0.3, 0.0]], 1.0) == []
     assert calls == [2] * lochom._MAX_ITER
+
+
+def test_smooth_step_is_exactly_flat_at_and_beyond_its_ends():
+    q, d1, d2 = smooth_step(np.array([-np.inf, -3.0, -1e-300, 0.0, 1.0, 1.0 + 1e-15, 7.0, np.inf]))
+    assert q.tolist() == [0.0] * 4 + [1.0] * 4
+    assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
+
+
+def _scalar_quintic(u):
+    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+
+
+def test_smooth_step_on_its_ramp_is_bitwise_the_scalar_formula():
+    s = np.random.default_rng(3).uniform(0.0, 1.0, 2000)
+    q, _, _ = smooth_step(s)
+    assert q.tolist() == [_scalar_quintic(u) for u in s.tolist()]
+    # the ramp rises from 0 to 1
+    assert np.all((q > 0.0) & (q < 1.0)) and np.all(np.diff(q[np.argsort(s)]) >= 0.0)
+
+
+def test_smooth_step_derivatives_match_the_extrapolated_differences():
+    # away from the ends, where the third derivative jumps
+    s = np.linspace(0.01, 0.99, 99)[:, None]
+    _, d1, d2 = smooth_step(s[:, 0])
+    want = richardson_jets(lambda X: np.array([_scalar_quintic(u) for u in X[:, 0].tolist()]),
+                           s, 1e-4)
+    assert_jets_match(want, d1[:, None], d2[:, None, None])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_null_space_and_row_space_split_the_whole_space(n):
+    rng = np.random.default_rng(n)
+    low = rng.standard_normal((n, 1)) * rng.standard_normal((1, n))
+    cases = [rng.standard_normal((k, n)) for k in range(1, n + 2)]
+    cases += [low, np.zeros((2, n)), np.zeros((0, n)), np.eye(n), np.vstack([low, low])]
+    for m in cases:
+        kernel, rows = null_space(m), row_space(m)
+        basis = np.vstack([rows, kernel])
+        assert basis.shape == (n, n)
+        assert np.abs(basis @ basis.T - np.eye(n)).max() < 1e-12
+        assert np.abs(m @ kernel.T).max(initial=0.0) < 1e-12 * max(1.0, np.abs(m).max(initial=0.0))
+        assert len(rows) == (np.linalg.matrix_rank(m) if m.size else 0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from equimorse import hamflow, ode
 from equimorse.config import rotation, standard_symplectic, symplectic_residual, tol
@@ -606,6 +607,18 @@ def test_jacobian_at_zero_keeps_the_symplectic_check(monkeypatch):
                         lambda germ: (lambda t: (1.0 + t) * np.eye(2)))
     with pytest.raises(ValidationError, match="symplecticity residual"):
         FlowMap(HamiltonianGerm.rotation(0.3), 0.0, 1.0).jacobian_at_zero
+
+
+def test_jacobian_at_zero_of_a_strongly_hyperbolic_germ_passes_the_relative_check():
+    # exp(J0 S) has entries of 3.0e5, so rounding alone leaves an absolute
+    # residual of 1.4e-6 in M^T J0 M - J0; relative to |M|^2 it is 1.6e-17
+    germ = HamiltonianGerm.make(1, [(1.3436, (2, 0)), (13.1603, (1, 1)), (2.7631, (0, 2))])
+    S = -np.array([[2.0 * 1.3436, 13.1603], [13.1603, 2.0 * 2.7631]])
+    want = expm(J2 @ S)
+    M = FlowMap(germ, 0.0, 1.0).jacobian_at_zero
+    assert np.abs(want).max() > 2.9e5
+    assert np.abs(M - want).max() < 1e-10 * np.abs(want).max()
+    assert symplectic_residual(M) < 1e-15
 
 
 # -- the one-point flow that the stacked flow replaced, kept as its oracle --

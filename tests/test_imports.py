@@ -1,6 +1,6 @@
 """Importing the package loads no scipy, and neither does integrating a flow;
 no module of the package takes a derivative by finite differences or reads
-the process environment; every
+the process environment, and only config spells the quintic cutoff ramp; every
 function that the benchmark tracer patches is defined where it patches it;
 every name that the benchmark imports from the package exists; and every
 console script that pyproject.toml declares imports."""
@@ -151,6 +151,35 @@ def test_the_environment_guard_sees_a_read(tmp_path):
         "import os\nfrom os import getenv\n\n\n"
         "def scale(name):\n    return float(os.environ.get(name, os.getenv(name, 1.0)))\n")
     assert sorted(f.split(":")[1] for f in environment_findings(tmp_path)) == ["2", "6", "6"]
+
+
+# the C^2 cutoff ramp q(s) = s^3 (10 - 15 s + 6 s^2) has one definition,
+# config.smooth_step, which the bumps and wells of regdist and equiperturb read
+_QUINTIC = re.compile(r"10\.0\s*-\s*15\.0")
+
+
+def quintic_findings(package):
+    """Lines of the modules in package, other than config.py, that spell the
+    quintic ramp."""
+    found = []
+    for path in sorted(Path(package).glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            if _QUINTIC.search(line):
+                found.append(f"{path.name}:{i}: {line.strip()}")
+    return found
+
+
+def test_only_config_spells_the_quintic_ramp():
+    assert quintic_findings(SRC / "equimorse") == []
+
+
+def test_the_quintic_guard_sees_a_copy(tmp_path):
+    ramp = "def ramp(u):\n    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)\n"
+    (tmp_path / "mod.py").write_text("\n\n" + ramp)
+    (tmp_path / "config.py").write_text(ramp)
+    assert [f.split(":")[:2] for f in quintic_findings(tmp_path)] == [["mod.py", "4"]]
 
 
 def _tracer_targets():

@@ -208,11 +208,23 @@ def test_classify_k_one_always_trivial(a, b, c):
 
 
 def test_classify_ambiguity_guard():
-    # the eigenvalue sits 3e-7 rad past the cube root of unity: its block
-    # eigenvalue falls inside the threshold band (at 3e-8 it reads as zero)
-    bd = bott_data(HamiltonianGerm.rotation(1.0 / 3.0 + 3e-7 / (2 * np.pi)))
+    # the eigenvalue sits 3e-7 or 3e-8 rad past the cube root of unity: its
+    # block eigenvalue falls inside the threshold band, above or below the
+    # cut (at 3e-9 it reads as zero)
+    for offset in (3e-7, 3e-8):
+        bd = bott_data(HamiltonianGerm.rotation(1.0 / 3.0 + offset / (2 * np.pi)))
+        with pytest.raises(AmbiguityError):
+            bd.admissible(3)
+
+
+def test_an_eigenvalue_just_below_the_cut_is_refused():
+    # H_1 of this germ has the eigenvalue -7.4e-9, within a factor of ten
+    # below the cut 1e-8: counted as null it gave cz(k) = -1 at every k
+    S = np.array([[-0.014920650476540568, -3.986628205656941e-07],
+                  [-3.986628205656941e-07, 7.409705335253066e-09]])
     with pytest.raises(AmbiguityError):
-        bd.admissible(3)
+        bd = bott_data(quadratic_germ(S), 1)
+        [bd.cz(k) for k in (1, 2, 3)]
 
 
 def test_mean_index_rotation():

@@ -384,9 +384,28 @@ _OFFSETS = {n: np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=np.
 _FACE_OFFSETS = {n: np.array([np.all((off == 0) | (off == 2 * np.array(code) - 3), axis=1)
                               for code in itertools.product(range(3), repeat=n)])
                  for n, off in _OFFSETS.items()}
+
+
+def _ragged_offsets(live):
+    # the offsets each row of a live mask marks, as one ragged list with the
+    # zero offset first in every run: (offset indices, run starts, run sizes)
+    zero = len(live[0]) // 2
+    runs = [[zero] + [o for o in np.flatnonzero(row).tolist() if o != zero] for row in live]
+    sizes = np.array([len(r) for r in runs], dtype=np.int64)
+    return np.concatenate(runs), np.cumsum(sizes) - sizes, sizes
+
+
+# _FACE_OFFSETS as ragged runs for the touching scan, with one more code,
+# 3^n, for a cube against its own depth: the zero offset and those after it,
+# which see each equal-depth pair once
+_LIVE_OFFSETS = {n: _ragged_offsets(np.vstack([live, np.arange(3 ** n) >= 3 ** n // 2]))
+                 for n, live in _FACE_OFFSETS.items()}
 # candidate cells per chunk of the batched star pass, the touching scan and
 # the star window of ``check``; bounds their temporaries
 _BATCH_CELLS = 1 << 16
+# the largest packed key range that gets a dense cell table, 16 MiB of int32;
+# past it, lookups search the sorted keys
+_TABLE_KEYS = 1 << 22
 
 
 def _face_codes(low, high):
@@ -400,9 +419,11 @@ class WhitneyDecomposition:
 
     Cubes are half-open products of intervals; ``coords`` holds the integer
     cell index of each cube at its own depth and ``side0 * 2**-depth`` its
-    side length.  All lookups read one sorted table of packed cell keys:
-    depth j owns the key range starting at ``_key_base[j]``, and a cell packs
-    its digits ``coords + 1`` in base ``2**j + 2``.
+    side length.  Lookups go by packed cell keys: depth j owns the key range
+    starting at ``_key_base[j]``, and a cell packs its digits ``coords + 1``
+    in base ``2**j + 2``.  Where the whole key range holds at most
+    ``_TABLE_KEYS`` keys, a dense table maps every key to its cube;
+    otherwise the lookups search the keys sorted.
     """
 
     X: ClosedSetSpec
@@ -427,8 +448,18 @@ class WhitneyDecomposition:
             raise ValidationError(f"depth {top} is too deep for 64-bit cube keys")
         self._key_base = np.array(base, dtype=np.int64)
         keys = self._cell_keys(self.coords, self.depth)
-        self._cube = np.argsort(keys, kind="stable")
-        self._keys = keys[self._cube]
+        # cubes that share a key (only a doctored decomposition has them):
+        # either route returns the first
+        if size <= _TABLE_KEYS:
+            index = np.arange(self.count, dtype=np.int32)
+            self._table = np.full(size, -1, dtype=np.int32)
+            self._table[keys] = index
+            lost = self._table[keys] != index
+            np.minimum.at(self._table, keys[lost], index[lost])
+        else:
+            self._table = None
+            self._cube = np.argsort(keys, kind="stable")
+            self._keys = keys[self._cube]
 
     @property
     def n(self) -> int:
@@ -457,19 +488,22 @@ class WhitneyDecomposition:
         """Table keys of integer cells (last axis) at depths broadcast to them."""
         depth = np.asarray(depth, dtype=np.int64)
         radix = (np.int64(1) << depth) + 2
-        # cells run from -1 (an offset below cell 0) to 2**j + 1 (rounding at
-        # the top edge plus an offset); the cap keeps the top one from
-        # carrying into the next digit, and no cube owns either
-        digits = np.minimum(np.asarray(cells) + 1, radix[..., None] - 1)
+        # cells in the box run from -1 (an offset below cell 0) to 2**j + 1
+        # (rounding at the top edge plus an offset); clipping to those keeps
+        # every key inside its depth's range, for cells outside the box too,
+        # and no cube owns either end
+        digits = np.clip(np.asarray(cells) + 1, 0, radix[..., None] - 1)
         packed = np.zeros(digits.shape[:-1], dtype=np.int64)
         for col in np.moveaxis(digits, -1, 0):
             packed = packed * radix + col
         return self._key_base[depth] + packed
 
     def _lookup(self, keys) -> np.ndarray:
-        """Cube index of every key, -1 where no cube has it."""
-        if not self.count:
-            return np.full(np.shape(keys), -1, dtype=np.int64)
+        """Cube index of every key, -1 where no cube has it: one gather from
+        the dense cell table where ``__post_init__`` built it, else a search
+        in the sorted keys.  The only place that chooses between the two."""
+        if self._table is not None:
+            return self._table[keys]
         pos = np.minimum(np.searchsorted(self._keys, keys), self.count - 1)
         return np.where(self._keys[pos] == keys, self._cube[pos], -1)
 
@@ -487,7 +521,7 @@ class WhitneyDecomposition:
         pts = np.asarray(pts, dtype=float).reshape(-1, self.n)
         if not self.count:
             return np.full(len(pts), -1, dtype=np.int64)
-        idx = self._lookup(self._cell_keys(self._cells(pts), self.depths))
+        idx = self._lookup(self._cell_keys(self._cells(pts), self.depths)).astype(np.int64)
         hit = idx >= 0
         first = hit.argmax(axis=1)
         return np.where(hit.any(axis=1), idx[np.arange(len(pts)), first], -1)
@@ -536,8 +570,8 @@ class WhitneyDecomposition:
         So the scan looks up only those offsets and the zero offset, whose
         cube would overlap, and misses no touching pair.  Conversely every
         cube found at such a live offset touches the finer one, so a hit
-        needs no box test.  The lookups run per depth pair and per offset
-        in ascending key order (see ``_touching_scan``).
+        needs no box test.  The lookups run per depth pair, a block of finer
+        cubes at a time (see ``_touching_scan``).
 
         Errors come in a fixed order: a cube outside the box, the two
         distance windows, then the depth pairs (j, j2), j2 <= j, in
@@ -606,18 +640,16 @@ class WhitneyDecomposition:
 
     def _touching_scan(self) -> dict:
         """Disjointness and neighbor bounds of the closed cubes on the integer
-        grid, as ``check`` reports them, read by ascending lookups in the
-        sorted key table.
+        grid, as ``check`` reports them, read by cube lookups (``_lookup``).
 
         For each depth pair (j, j2) with j2 <= j the depth-j cubes are taken
-        in key order, as the run of the table that depth owns, a block at a
-        time.  The keys of their ancestor cells at depth j2 are built and
-        sorted once per block.  A key is linear in its digits, so the cell at
-        offset o of an ancestor has the ancestor's key plus one constant per
-        offset; for cubes in the box the digits run from 0 to 2**j2 + 1 and
-        the cap of ``_cell_keys`` never applies.  Offset by offset the
-        queries then ascend, and they search only the depth-j2 slice of the
-        table.
+        a block at a time, and the keys of their ancestor cells at depth j2
+        are built once per block.  A key is linear in its digits, so the cell
+        at offset o of an ancestor has the ancestor's key plus one constant
+        per offset; for cubes in the box, which ``check`` verifies first, the
+        digits run from 0 to 2**j2 + 1 and the clip of ``_cell_keys`` never
+        applies.  Each cube looks up only its live offsets, a run of
+        ``_LIVE_OFFSETS`` picked by its face code.
 
         The face rule in ``check`` picks the live offsets, and a hit at a
         live offset always touches its cube: the finer cube lies on the
@@ -638,56 +670,45 @@ class WhitneyDecomposition:
         overlaps and far pairs in the order ``check`` names."""
         neighbor_count = np.zeros(self.count, dtype=np.int64)
         gap_max = 0
-        if not self.count:
-            return neighbor_count, gap_max
         n = self.n
         offsets = _OFFSETS[n]
-        zero_off = len(offsets) // 2
-        same_depth = np.arange(len(offsets)) >= zero_off
-        # live offsets by face code, one row per offset
-        face_live = np.ascontiguousarray(_FACE_OFFSETS[n].T)
-        # the run of the table each depth owns is bounds[j]:bounds[j + 1]
-        bounds = np.append(np.searchsorted(self._keys, self._key_base), self.count)
+        live, live_start, live_size = _LIVE_OFFSETS[n]
         step = max(1, _BATCH_CELLS // len(offsets))
         depths = self.depths.tolist()
         for j in depths:
-            fine_j = self._cube[bounds[j]:bounds[j + 1]]
-            keys_j = self._keys[bounds[j]:bounds[j + 1]]
+            fine_j = np.flatnonzero(self.depth == j)
             coords_j = self.coords[fine_j]
             for j2 in depths[:depths.index(j) + 1]:
                 gap = j - j2
-                keys2 = self._keys[bounds[j2]:bounds[j2 + 1]]
-                cube2 = self._cube[bounds[j2]:bounds[j2 + 1]]
                 weights = ((1 << j2) + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-                key_off = offsets @ weights
+                live_keys = (offsets @ weights)[live]
                 touched = False
                 for start in range(0, len(fine_j), step):
-                    fine = fine_j[start:start + step]
+                    fine, cf = fine_j[start:start + step], coords_j[start:start + step]
+                    kb = self._key_base[j2] + ((cf >> gap) + 1) @ weights
                     if gap:
-                        cf = coords_j[start:start + step]
-                        kb = self._key_base[j2] + ((cf >> gap) + 1) @ weights
-                        order = np.argsort(kb, kind="stable")
-                        fine, kb = fine[order], kb[order]
-                        pos = cf[order] & ((1 << gap) - 1)
-                        live = face_live[:, _face_codes(pos == 0, pos == (1 << gap) - 1)]
+                        pos = cf & ((1 << gap) - 1)
+                        code = _face_codes(pos == 0, pos == (1 << gap) - 1)
                     else:
-                        # each cube is its own ancestor, already in key order
-                        kb = keys_j[start:start + step]
-                        live = np.repeat(same_depth[:, None], len(fine), axis=1)
-                    # offset-major, each offset's queries ascending
-                    cand = np.flatnonzero(live)
-                    query = (kb + key_off[:, None]).ravel()[cand]
-                    at = np.minimum(np.searchsorted(keys2, query), len(keys2) - 1)
-                    hit = keys2[at] == query
-                    offs, rows = np.divmod(cand[hit], len(fine))
-                    a, other = fine[rows], cube2[at[hit]]
-                    if np.any((offs == zero_off) & (other != a)):
+                        code = np.full(len(fine), 3 ** n)
+                    # each cube's run of live offsets, the zero offset first
+                    size = live_size[code]
+                    first = np.cumsum(size) - size
+                    slot = np.repeat(live_start[code] - first, size) + np.arange(size.sum())
+                    other = self._lookup(np.repeat(kb, size) + live_keys[slot])
+                    zero = other[first]
+                    if np.any((zero >= 0) & (zero != fine)):
                         raise ValidationError("cubes are not pairwise disjoint")
-                    keep = other != a
-                    if keep.any():
+                    # past that test the zero offset finds the cube itself
+                    # (at equal depth) or nothing
+                    other[first] = -1
+                    hit = other >= 0
+                    if hit.any():
                         touched = True
-                        neighbor_count += np.bincount(np.concatenate([a[keep], other[keep]]),
-                                                      minlength=self.count)
+                        # both cubes of each touching pair count it; add.at
+                        # costs the hits, where a bincount costs every cube
+                        neighbor_count[fine] += np.add.reduceat(hit, first, dtype=np.int64)
+                        np.add.at(neighbor_count, other[hit], 1)
                 if touched:
                     # overlaps anywhere at this pair of depths take precedence
                     if gap > 2:
@@ -1028,8 +1049,9 @@ def _outer(a, b):
 class RegdistResult:
     """Values, gradients and Hessians at the queries, with the measured
     constants of the derivative bounds over the queries off the set:
-    c1 = max |grad|, and c2 = max dist * max |Hessian entry|, the scaled
-    Hessian that a regularized distance bounds independently of the set."""
+    c1 = max |grad|, and c2 = the maximum over those queries of
+    dist * max |Hessian entry| at the query, the scaled Hessian that a
+    regularized distance bounds independently of the set."""
 
     values: np.ndarray
     grads: np.ndarray

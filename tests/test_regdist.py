@@ -1,4 +1,5 @@
 """Whitney cube decompositions and regularized distance functions."""
+import dataclasses
 import doctest
 import itertools
 import json
@@ -352,6 +353,52 @@ def scan_error(faults):
     return "disjoint" if "disjoint" in first else "factor of four"
 
 
+_SCAN_CASES = ["point-1d", "points-1d", "axis-2d", "diagonal-2d", "ball-and-point-2d", "slab",
+               "tilted-plane-3d", "point-3d"]
+
+
+def doctored_cases():
+    """Decompositions with one or two extra cubes in the box, each of which
+    the touching scan refuses, named by what they hold."""
+    cases = {}
+    for n in (1, 2, 3):
+        dec = origin_complement(n, max_depth=4)
+        keys = dec._cell_keys(dec.coords, dec.depth)
+        for i in (int(keys.argmin()), int(keys.argmax()), int(dec.depth.argmax())):
+            cases[f"twin-{n}d-{i}"] = with_extra_cube(dec, dec.depth[i], dec.coords[i])
+        i, far = three_levels_below(dec)
+        cases[f"far-{n}d"] = far
+        cases[f"far-and-inside-{n}d"] = with_extra_cube(
+            far, far.depth[-1], 8 * dec.coords[i] + 3)
+        cases[f"far-and-twin-{n}d"] = with_extra_cube(far, far.depth[-1], far.coords[-1])
+    for n in (2, 3):
+        dec = origin_complement(n, max_depth=5)
+        i = int(np.flatnonzero(np.all(dec.lo_corners() == dec.side[:, None], axis=1))[0])
+        cases[f"corner-inside-{n}d"] = with_extra_cube(dec, dec.depth[i] + 2, 4 * dec.coords[i])
+    cases["inside-1d"] = with_extra_cube(origin_complement(1, max_depth=6), 3, (6,))
+    return cases
+
+
+def both_routes(dec, monkeypatch):
+    """dec rebuilt with its dense cell table and, with the table's gate at
+    zero, with the sorted keys."""
+    table = dataclasses.replace(dec)
+    with monkeypatch.context() as m:
+        m.setattr(regdist, "_TABLE_KEYS", 0)
+        searched = dataclasses.replace(dec)
+    assert table._table is not None and searched._table is None
+    return table, searched
+
+
+def scan_outcome(dec):
+    """The neighbor counts and the largest gap, or the scan's error text."""
+    try:
+        dec._touching_scan()
+    except ValidationError as exc:
+        return str(exc)
+    return dec._neighbor_counts()
+
+
 class TestClosedSetSpec:
     def test_ball_distance_and_membership(self):
         s = ClosedSetSpec.ball([0.0, 0.0], 1.0)
@@ -575,9 +622,7 @@ class TestWhitneyDecompose:
         with pytest.raises(ValidationError, match="outside the decomposition box"):
             with_extra_cube(dec, 1, (-1,)).check()
 
-    @pytest.mark.parametrize("name", ["point-1d", "points-1d", "axis-2d", "diagonal-2d",
-                                      "ball-and-point-2d", "slab", "tilted-plane-3d",
-                                      "point-3d"])
+    @pytest.mark.parametrize("name", _SCAN_CASES)
     def test_touching_scan_matches_the_pairwise_scan(self, name):
         dec = _scan_case(name)
         counts, gap = brute_force_touching(dec)
@@ -640,8 +685,9 @@ class TestWhitneyDecompose:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_a_twin_cube_is_an_overlap(self, n):
         dec = origin_complement(n, max_depth=4)
-        # the first and last cubes of the key table and a finest cube
-        for i in (int(dec._cube[0]), int(dec._cube[-1]), int(dec.depth.argmax())):
+        # the first and last cubes in key order and a finest cube
+        keys = dec._cell_keys(dec.coords, dec.depth)
+        for i in (int(keys.argmin()), int(keys.argmax()), int(dec.depth.argmax())):
             twin = with_extra_cube(dec, depth=dec.depth[i], coords=dec.coords[i])
             with pytest.raises(ValidationError, match="disjoint"):
                 twin._touching_scan()
@@ -695,6 +741,46 @@ class TestWhitneyDecompose:
         assert scan == {"neighbor_count_max": 0, "neighbor_diam_ratio": (1.0, 1.0)}
         report = dec.check()
         assert {k: report[k] for k in scan} == scan
+
+    @pytest.mark.parametrize("name", _SCAN_CASES + ["doctored"])
+    def test_the_cell_table_and_the_sorted_keys_agree(self, name, monkeypatch):
+        cases = doctored_cases() if name == "doctored" else {name: _scan_case(name)}
+        rng = np.random.default_rng(47)
+        for case, dec in cases.items():
+            table, searched = both_routes(dec, monkeypatch)
+            got, want = scan_outcome(table), scan_outcome(searched)
+            assert isinstance(want, str) == (name == "doctored")
+            if case.startswith("twin"):
+                # the table holds one of the two cubes with the key; the other
+                # finds it at its own cell
+                assert got == want == "cubes are not pairwise disjoint"
+            elif isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            # points in the box and a margin around it, and every cube center
+            side = dec.side0
+            pts = np.vstack([rng.uniform(dec.lo0 - 0.1 * side, dec.lo0 + 1.1 * side,
+                                         size=(300, dec.n)), dec.centers()])
+            assert np.array_equal(table.locate_many(pts), searched.locate_many(pts))
+            assert np.array_equal(table.star_candidates(pts), searched.star_candidates(pts))
+
+    def test_the_cell_table_stays_within_its_gate(self, monkeypatch):
+        # a key range one past the gate gets no table
+        dec = _scan_case("point-3d")
+        with monkeypatch.context() as m:
+            m.setattr(regdist, "_TABLE_KEYS", dec._table.size - 1)
+            assert dataclasses.replace(dec)._table is None
+        for name in _SCAN_CASES:
+            table = _scan_case(name)._table
+            assert table is not None and table.size <= regdist._TABLE_KEYS
+        # the 3-D pair at depth 6 packs 333,939 keys and gets its table; the
+        # x-axis at the default 2-D depth 14 would need 358M keys
+        y, e, a = slab_pair()
+        assert RegularizedDistance.build(y, e, action=a, max_depth=6).dec._table.size == 333_939
+        with pytest.warns(CoverageWarning):
+            dec = whitney_decompose(x_axis(), (-1.0, 1.0))
+        assert dec.max_depth == 14 and dec._table is None
 
     def test_point_location_and_star_lookup_match_brute_force(self):
         with pytest.warns(CoverageWarning):

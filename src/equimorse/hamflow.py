@@ -119,22 +119,30 @@ class _Kernel:
         """(R,): the time factor of every row at time t."""
         return self.mode_factors(t)[self.mode_of]
 
-    def monomials(self, Z) -> np.ndarray:
+    def power_table(self, P: int) -> np.ndarray:
+        """A (P, d, degree + 1) power table for monomials, column 0 ones."""
+        table = np.empty((P, self.flat.shape[1], self.degree + 1))
+        table[:, :, 0] = 1.0
+        return table
+
+    def monomials(self, Z, table=None) -> np.ndarray:
         """(P, R): the monomial of every row at every point of Z (P, d).
 
         z_i^p is the running product 1 * z_i * ... * z_i and a row multiplies
         the powers of its coordinates from z_0 to z_{d-1}, so every entry is
         the left fold of float products, with no pow call whose rounding
-        depends on the library or its SIMD dispatch.
+        depends on the library or its SIMD dispatch.  table, a power_table(P)
+        that a caller keeps between calls, is refilled and folded in place;
+        without it a new one is built.
         """
         P, d = Z.shape
-        table = np.empty((P, d, self.degree + 1))
-        table[:, :, 0] = 1.0
+        if table is None:
+            table = self.power_table(P)
         table[:, :, 1:] = Z[:, :, None]
-        table = np.multiply.accumulate(table, axis=2).reshape(P, -1)
-        out = table[:, self.flat[:, 0]]
+        powers = np.multiply.accumulate(table, axis=2, out=table).reshape(P, -1)
+        out = powers[:, self.flat[:, 0]]
         for i in range(1, d):
-            out *= table[:, self.flat[:, i]]
+            out *= powers[:, self.flat[:, i]]
         return out
 
     def jet(self, z, factors=None):
@@ -345,6 +353,11 @@ def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray, rows: int, action: bool, shi
     may round each of them differently from its one-row product.  Row i
     reads the time factors of H at t + shift[i], and at t itself without a
     shift.
+
+    The closure builds its gather, its weights, the time modes of its shifts
+    and one power table once, and a call only does arithmetic.  The power
+    table is refilled and folded in place (_Kernel.monomials) on every call;
+    each call returns a new array, which no later call writes.
     """
     n = germ.n
     d = 2 * n
@@ -358,32 +371,33 @@ def _flow_rhs(germ: HamiltonianGerm, J: np.ndarray, rows: int, action: bool, shi
                            [d + d * d]])[:width]
     W = k.W[:width].copy()
     W[read[:d + d * d]] *= np.concatenate([sign, np.repeat(sign, d)])[:, None]
+    WT = W.T
+    table = k.power_table(rows)
     timed = any(f is not None for f, _ in k.times)
     factors = k.time_factors
     if timed and np.any(shift):
         offsets, group = np.unique(shift, return_inverse=True)
-        offsets = offsets.tolist()
+        modes = [(f, w, s) for s in offsets.tolist() for f, w in k.times]
         # (rows, R): where each row's time factors sit among those of the offsets
         where = group[:, None] * len(k.times) + k.mode_of
 
         def factors(t):
-            return np.array([1.0 if f is None else f(w * (t + s))
-                             for s in offsets for f, w in k.times])[where]
+            return np.array([1.0 if f is None else f(w * (t + s)) for f, w, s in modes])[where]
 
     def rhs(t, y):
         Y = y.reshape(rows, width)
         z = Y[:, :d]
         Phi = Y[:, d:d + d * d].reshape(rows, d, d)
-        # every factor of a germ without time modes is 1.0, whose product is exact
-        terms = k.monomials(z) * factors(t) if timed else k.monomials(z)
-        F = (terms @ W.T)[:, read]
-        out = np.empty_like(Y)
-        out[:, :d] = F[:, :d]
-        out[:, d:d + d * d] = (F[:, d:d + d * d].reshape(rows, d, d) @ Phi).reshape(rows, d * d)
+        # every factor of a germ without time modes is 1.0, whose product is
+        # exact; the product must be a new array and not an in-place one,
+        # whose memory order would change how the matrix product rounds
+        terms = k.monomials(z, table) * factors(t) if timed else k.monomials(z, table)
+        F = (terms @ WT)[:, read]
+        parts = [F[:, :d], (F[:, d:d + d * d].reshape(rows, d, d) @ Phi).reshape(rows, d * d)]
         if action:
             # integrand of the action integral: x . ydot + H_t
-            out[:, -1] = row_dots(z[:, :n], F[:, n:d]) + F[:, -1]
-        return out.ravel()
+            parts.append((row_dots(z[:, :n], F[:, n:d]) + F[:, -1])[:, None])
+        return np.concatenate(parts, axis=1).ravel()
 
     return rhs
 
@@ -407,11 +421,14 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
     scipy's first_step would, and keeps it only if it passes the error test:
     a slow flow takes one step (13 RHS calls), while a fast one pays one
     rejected step (12 RHS calls) before the controller shrinks the step to
-    its usual size.  The trust radius is read at the end of every accepted
-    step, so an excursion out of the ball and back within one accepted step
-    goes unseen; a long step is accepted only where the flow is slow and
-    smooth over it, and an orbit that turns out of the ball and back within
-    the span is still caught (see the tests).
+    its usual size.  Flows that run back to back, as the slots of a seed,
+    go through flow_chain instead, which starts each flow after the first at
+    the step that its predecessor's controller proposed.  The trust radius
+    is read at the end of every accepted step, so an excursion out of the
+    ball and back within one accepted step goes unseen; a long step is
+    accepted only where the flow is slow and smooth over it, and an orbit
+    that turns out of the ball and back within the span is still caught
+    (see the tests).
 
     shift, one start-time shift per row, lets one stack hold flows over
     different time intervals: row i is flowed from t0 + shift[i] to
@@ -433,6 +450,63 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
     z = np.asarray(z, dtype=float)
     Z = z.reshape(-1, d)
     shift = np.broadcast_to(np.asarray(0.0 if shift is None else shift, dtype=float), (len(Z),))
+    _check_starts(Z, radius)
+    phi, dphi, s = Z.copy(), np.tile(np.eye(d), (len(Z), 1, 1)), np.zeros(len(Z))
+    if t0 != t1 and germ.terms:
+        for lo in range(0, len(Z), _MAX_STACK):
+            part = slice(lo, lo + _MAX_STACK)
+            phi[part], dphi[part], s[part], _ = _stacked_flow(germ, t0, t1, Z[part], radius,
+                                                              action, shift[part], lo, len(Z))
+    if z.ndim == 1:
+        phi, dphi, s = phi[0], dphi[0], float(s[0])
+    return (phi, dphi, s) if action else (phi, dphi)
+
+
+def flow_chain(germ: HamiltonianGerm, times, Z, radius=None) -> np.ndarray:
+    """(P, len(times), d): from each row z of Z (P, d), the chain z_0 = z,
+    z_j = phi^{times[j-1] -> times[j]}(z_{j-1}).
+
+    Each link is the flow of integrate_flow with every one of its checks:
+    the start of every link is refused where it is not finite or lies
+    outside the trust radius, and each link's stacked integration (up to
+    _MAX_STACK rows, at the tolerances scaled by 1 / sqrt(P)) refuses an
+    exit from the trust radius, an underflow of its step and a Jacobian,
+    integrated from the identity, that fails the symplectic check.  Errors
+    name the row of the batch.
+
+    The links run back to back: the first one tries its whole span as its
+    first step, as integrate_flow does, and every later one starts at the
+    step that the controller of the one before proposed (ode.Integration.h,
+    capped at the link's span), so a link pays no rejected whole-span step
+    where the flow is fast.  A link's result therefore differs from its
+    integrate_flow below the ODE tolerance, and a row's chain depends on its
+    stack mates below it.
+    """
+    radius = DEFAULT_TRUST_RADIUS if radius is None else float(radius)
+    Z = np.asarray(Z, dtype=float)
+    times = [float(t) for t in times]
+    chain = np.empty((len(Z), len(times), Z.shape[1]))
+    chain[:, 0] = Z
+    unshifted = np.zeros(len(Z))
+    steps = {}  # first row of a stack -> the step its last integration proposed
+    for j, (t0, t1) in enumerate(zip(times, times[1:]), 1):
+        cur = chain[:, j - 1]
+        _check_starts(cur, radius)
+        chain[:, j] = cur
+        if t0 == t1 or not germ.terms:
+            continue
+        span = abs(t1 - t0)
+        for lo in range(0, len(Z), _MAX_STACK):
+            part = slice(lo, lo + _MAX_STACK)
+            chain[part, j], _, _, steps[lo] = _stacked_flow(
+                germ, t0, t1, cur[part], radius, False, unshifted[part], lo, len(Z),
+                first_step=min(steps.get(lo, span), span))
+    return chain
+
+
+def _check_starts(Z, radius):
+    """Refuse, naming the first such row, a start that is not finite or lies
+    outside the trust radius."""
     bad = ~np.isfinite(Z).all(axis=1)
     if bad.any():
         i = int(bad.argmax())
@@ -443,15 +517,6 @@ def integrate_flow(germ: HamiltonianGerm, t0: float, t1: float, z, radius=None,
         i = int(far.argmax())
         raise DomainError(f"{_row(i, len(Z))}start point has |z| = {norms[i]:.3g} "
                           f"> trust radius {radius}")
-    phi, dphi, s = Z.copy(), np.tile(np.eye(d), (len(Z), 1, 1)), np.zeros(len(Z))
-    if t0 != t1 and germ.terms:
-        for lo in range(0, len(Z), _MAX_STACK):
-            part = slice(lo, lo + _MAX_STACK)
-            phi[part], dphi[part], s[part] = _stacked_flow(germ, t0, t1, Z[part], radius,
-                                                           action, shift[part], lo, len(Z))
-    if z.ndim == 1:
-        phi, dphi, s = phi[0], dphi[0], float(s[0])
-    return (phi, dphi, s) if action else (phi, dphi)
 
 
 def _row(i, rows):
@@ -459,10 +524,12 @@ def _row(i, rows):
     return "" if rows == 1 else f"row {i}: "
 
 
-def _stacked_flow(germ, t0, t1, Z, radius, action, shift, first, total):
+def _stacked_flow(germ, t0, t1, Z, radius, action, shift, first, total, first_step=None):
     # one DOP853 integration of the rows of Z, each shifted in time by its
-    # entry of shift; first and total place them in the caller's batch for
-    # error messages
+    # entry of shift, from first_step or else the whole span; first and total
+    # place the rows in the caller's batch for error messages.  Returns the
+    # images, the Jacobians, the action integrals (0.0 without action) and
+    # the step the controller proposes next
     P, d = Z.shape
     width = d + d * d + int(action)
 
@@ -475,7 +542,7 @@ def _stacked_flow(germ, t0, t1, Z, radius, action, shift, first, total):
     scale = math.sqrt(P)
     run = dop853(_flow_rhs(germ, standard_symplectic(germ.n), P, action, shift), t0, t1,
                  y0.ravel(), rtol=1e-12 / scale, atol=1e-13 / scale, exit=exit_norm,
-                 first_step=abs(t1 - t0))
+                 first_step=abs(t1 - t0) if first_step is None else first_step)
     if run.status == EXITED:
         # the row farthest out at the end of the step in which the largest
         # norm crossed the radius
@@ -491,7 +558,7 @@ def _stacked_flow(germ, t0, t1, Z, radius, action, shift, first, total):
         i = int((res > tol("symplectic_flow")).argmax())
         raise ValidationError(f"{_row(first + i, total)}flow Jacobian symplecticity "
                               f"residual {res[i]:.3g}")
-    return yf[:, :d], dphi, (yf[:, -1] if action else 0.0)
+    return yf[:, :d], dphi, (yf[:, -1] if action else 0.0), run.h
 
 
 def zero_jacobian_path(germ: HamiltonianGerm):

@@ -177,11 +177,15 @@ class Integration(NamedTuple):
     in the step that ended at t) or UNDERFLOW (the step size fell below ten
     spacings of t; y is the last accepted state).  sol is the dense output
     t -> y(t) over the accepted steps when it was asked for, else None.
+    h is the size of the step that the controller proposes after the last
+    accepted one, the first_step of a solve that goes on from (t, y); it is
+    nan where t0 == t1, and the step that fell too small on UNDERFLOW.
     """
     status: int
     t: float
     y: np.ndarray
     sol: Optional[Callable]
+    h: float
 
 
 def _rms(x):
@@ -277,7 +281,10 @@ def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False,
     first_step, and else the Hairer-Norsett-Wanner estimate, which costs one
     more fun call.  A step is kept only if it passes the error test, so a
     first step that is too long costs one rejected step (12 fun calls)
-    before the controller shrinks it by a factor of at least 0.2.
+    before the controller shrinks it by a factor of at least 0.2.  The
+    result's h, the step the controller proposes after the last accepted
+    one, is a first_step for a solve that goes on from where this one
+    stopped.
 
     Raises ConfigurationError if rtol is below RTOL_FLOOR, atol is negative
     or first_step is not a finite number in (0, |t1 - t0|].
@@ -292,11 +299,13 @@ def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False,
         raise ConfigurationError(f"first step {first_step!r} is not in (0, {abs(t1 - t0)!r}]")
     t, y = t0, np.asarray(y0, dtype=float)
     ts, pieces = [t], []
+    h_abs = np.nan  # no step proposed yet
 
     def stop(status):
         if not dense:
-            return Integration(status, t, y, None)
-        return Integration(status, t, y, _dense(ts, pieces) if pieces else (lambda _: y))
+            return Integration(status, t, y, None, float(h_abs))
+        return Integration(status, t, y, _dense(ts, pieces) if pieces else (lambda _: y),
+                           float(h_abs))
 
     if t0 == t1:
         return stop(REACHED)

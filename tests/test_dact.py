@@ -8,8 +8,8 @@ import pytest
 
 from diagonal_oracle import bott_split, dense_diagonal_split
 
-from equimorse import dact
-from equimorse.config import tol
+from equimorse import dact, hamflow, ode
+from equimorse.config import standard_symplectic, tol
 from equimorse.dact import (
     CriticalPoint,
     DiscreteAction,
@@ -287,34 +287,66 @@ def test_find_periodic_points_rejects_seeds_of_the_wrong_length(monkeypatch):
     assert not calls
 
 
-def _one_point_seed(da, w):
-    # the one-point chain that the batch form replaced, kept as its oracle
-    z = np.zeros(da.dim)
-    cur = np.asarray(w, dtype=float)
+def _restarted_seed(da, W):
+    # the seed chain before flows carried their step: one integrate_flow per
+    # substep, each started at its whole span
+    b = 2 * da.n
+    cur = np.asarray(W, dtype=float).reshape(-1, b)
+    z = np.zeros((len(cur), da.dim))
     for i in range(da.slots):
-        z[2 * da.n * i:2 * da.n * (i + 1)] = cur
-        cur, _ = integrate_flow(da.germ, i / da.N, (i + 1) / da.N, cur, radius=da.radius)
+        if i:
+            cur, _ = integrate_flow(da.germ, (i - 1) / da.N, i / da.N, cur, radius=da.radius)
+        z[:, b * i:b * (i + 1)] = cur
+    return z
+
+
+def _carried_step_seed(da, W):
+    # the seed chain as plain dop853 runs: each substep flows the stacked rows
+    # with their Jacobians from the identity, at the stack's tolerances, and
+    # starts at the step that the run before it proposed
+    b = 2 * da.n
+    W = np.asarray(W, dtype=float).reshape(-1, b)
+    P = len(W)
+    rhs = hamflow._flow_rhs(da.germ, standard_symplectic(da.n), P, False)
+    z = np.zeros((P, da.dim))
+    z[:, :b] = W
+    step = math.inf
+    for i in range(1, da.slots):
+        t0, t1 = (i - 1) / da.N, i / da.N
+        y0 = np.concatenate([z[:, b * (i - 1):b * i], np.tile(np.eye(b).ravel(), (P, 1))], axis=1)
+        run = ode.dop853(rhs, t0, t1, y0.ravel(), rtol=1e-12 / math.sqrt(P),
+                         atol=1e-13 / math.sqrt(P), first_step=min(step, abs(t1 - t0)))
+        assert run.status == ode.REACHED
+        z[:, b * i:b * (i + 1)] = run.y.reshape(P, b + b * b)[:, :b]
+        step = run.h
     return z
 
 
 def test_seed_from_point_chains_a_batch_through_each_substep(monkeypatch):
+    # every substep after the first starts at the step its predecessor
+    # proposed, so a slot is no longer integrate_flow's flow bitwise: it is
+    # the carried-step chain of dop853 runs bitwise, and the restarted chain
+    # below the ODE tolerance
     da = DiscreteAction(resonant_germ(), 2, 2)
     W = 0.2 * np.random.default_rng(13).uniform(-1.0, 1.0, size=(5, 2))
-    expected = [_one_point_seed(da, w) for w in W]
-    flows = []
-    integrate = dact.integrate_flow
+    stacks = []
+    solve = hamflow.dop853
 
-    def counted(germ, t0, t1, z, **kwargs):
-        flows.append(len(np.reshape(z, (-1, 2))))
-        return integrate(germ, t0, t1, z, **kwargs)
+    def counted(fun, t0, t1, y0, **kwargs):
+        stacks.append(len(y0) // 6)  # d + d^2 = 6 entries a row
+        return solve(fun, t0, t1, y0, **kwargs)
 
-    monkeypatch.setattr(dact, "integrate_flow", counted)
+    monkeypatch.setattr(hamflow, "dop853", counted)
     Z = seed_from_point(da, W)
-    assert Z.shape == (5, da.dim) and flows == [5] * (da.slots - 1)
-    for z, e in zip(Z, expected):
-        assert np.abs(z - e).max() < 1e-12
-    assert np.array_equal(seed_from_point(da, W[:1]), expected[0][None])
-    assert np.array_equal(seed_from_point(da, W[0]), expected[0])
+    monkeypatch.undo()
+    assert Z.shape == (5, da.dim) and stacks == [5] * (da.slots - 1)
+    assert np.array_equal(Z, _carried_step_seed(da, W))
+    assert np.abs(Z - _restarted_seed(da, W)).max() < 1e-12
+    one = [seed_from_point(da, w) for w in W]
+    assert np.array_equal(one[0], _carried_step_seed(da, W[:1])[0])
+    assert np.array_equal(seed_from_point(da, W[:1]), one[0][None])
+    for z, o in zip(Z, one):
+        assert np.abs(z - o).max() < 1e-12
     for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2))):
         with pytest.raises(ShapeError):
             seed_from_point(da, bad)
@@ -403,8 +435,6 @@ def test_evaluate_on_a_batch_stacks_each_substep_over_rows_and_slots(monkeypatch
 
 @pytest.mark.parametrize("k, N", [(2, 2), (1, 3)])
 def test_an_evaluate_pass_flows_one_stack_per_graph_newton_iteration(k, N, monkeypatch):
-    from equimorse import hamflow
-
     da = DiscreteAction(resonant_germ(), k, N)
     Z = 0.05 * np.random.default_rng(21).standard_normal((3, da.dim))
     solves = _count_graph_solves(monkeypatch)
@@ -511,15 +541,49 @@ def _direct_fourth_iterate_solve(germ, w0, radius=0.5):
     return w, float(np.linalg.norm(F))
 
 
-@pytest.fixture(scope="module")
-def resonant():
-    # the 4:1 germ on 8 slots, four starts between its two necklaces, seeded
-    # as one batch and solved in one lockstep
-    da = DiscreteAction(resonant_germ(), 4, 2)
+def _resonant_starts():
+    # four starts between the two necklaces of the 4:1 germ
     r0 = math.sqrt(2 * math.pi * 0.01)
     angles = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8]
-    seeds = seed_from_point(da, [r0 * np.array([math.cos(t), math.sin(t)]) for t in angles])
+    return np.array([r0 * np.array([math.cos(t), math.sin(t)]) for t in angles])
+
+
+@pytest.fixture(scope="module")
+def resonant():
+    # the 4:1 germ on 8 slots, its four starts seeded as one batch and
+    # solved in one lockstep
+    da = DiscreteAction(resonant_germ(), 4, 2)
+    seeds = seed_from_point(da, _resonant_starts())
     return da, seeds, find_periodic_points(da, seeds)
+
+
+def test_the_necklaces_are_reached_from_carried_step_seeds_as_from_restarted_ones(
+        resonant, monkeypatch):
+    # the seeds of flows that carry their step differ from those of flows
+    # restarted at the whole span below the ODE tolerance; Newton reaches
+    # the same points, with the same Morse data, in as many evaluate passes
+    da, seeds, _ = resonant
+    restarted = _restarted_seed(da, _resonant_starts())
+    assert np.abs(seeds - restarted).max() < 1e-12
+    passes = [0]
+    evaluate = dact.evaluate
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(dact, "evaluate", counted)
+    found = []
+    for start in (seeds, restarted):
+        passes[0] = 0
+        found.append((find_periodic_points(da, start), passes[0]))
+    (carried, carried_passes), (before, before_passes) = found
+    assert carried_passes == before_passes
+    assert [p.seeds for p in carried] == [p.seeds for p in before] == [[0, 1, 3], [2]]
+    for a, b in zip(carried, before):
+        assert a.converged and b.converged
+        assert np.abs(a.z - b.z).max() < 1e-12
+        assert (a.morse_index, a.nullity) == (b.morse_index, b.nullity)
 
 
 def test_resonant_orbits_match_direct_fixed_point_solve(resonant):
@@ -537,8 +601,6 @@ def test_resonant_orbits_match_direct_fixed_point_solve(resonant):
 
 
 def _count_flows(monkeypatch):
-    from equimorse import hamflow
-
     count = [0]
     solve = hamflow.dop853
 

@@ -903,6 +903,59 @@ def test_dop853_refuses_a_first_step_outside_the_span(first_step):
         assert run.status == REACHED and run.t == t1
 
 
+@pytest.mark.parametrize("first_step", [None, "span", 0.01])
+@pytest.mark.parametrize("t0, t1", [(-0.5, 1.0), (1.0, -0.5)], ids=["forward", "backward"])
+def test_the_reported_step_is_the_one_scipys_controller_proposes(t0, t1, first_step):
+    from scipy.integrate import DOP853
+
+    first_step = abs(t1 - t0) if first_step == "span" else first_step
+    y0 = np.concatenate([[0.2, -0.1], np.eye(2).ravel()])
+    rhs = _one_point_rhs(cos_germ(), J2, False)
+    run = ode.dop853(rhs, t0, t1, y0, rtol=1e-12, atol=1e-13, first_step=first_step)
+    solver = DOP853(rhs, t0, y0, t1, rtol=1e-12, atol=1e-13, first_step=first_step)
+    while solver.status == "running":
+        solver.step()
+    assert solver.status == "finished" and run.status == REACHED
+    assert run.t == solver.t and np.array_equal(run.y, solver.y)
+    assert run.h == solver.h_abs
+    # an empty span takes no step and proposes none
+    assert math.isnan(ode.dop853(rhs, t0, t0, y0, rtol=1e-12, atol=1e-13).h)
+
+
+@pytest.mark.parametrize("z", [[0.2, 0.1], [0.3, -0.2]])
+def test_a_run_started_at_the_reported_step_rejects_none(z):
+    # the resonant flow over the first half period, then over the second
+    # from where it stopped: started at the step the first run proposed, the
+    # second run accepts every step it tries, one slope and 12 fun calls a
+    # step; started at its whole span it pays rejected steps
+    germ = resonant_germ()
+    rhs = _one_point_rhs(germ, J2, False)
+    y0 = np.concatenate([z, np.eye(2).ravel()])
+    first = ode.dop853(rhs, 0.0, 0.5, y0, rtol=1e-12, atol=1e-13, first_step=0.5)
+    assert 0.0 < first.h < 0.5
+
+    def go_on(first_step):
+        calls, steps = [0], [-1]  # exit is read at the start and after every step
+
+        def counted(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+
+        def each_step(y):
+            steps[0] += 1
+            return -1.0
+
+        run = ode.dop853(counted, 0.5, 1.0, first.y, rtol=1e-12, atol=1e-13, exit=each_step,
+                         first_step=first_step)
+        assert run.status == REACHED
+        return calls[0], steps[0]
+
+    calls, steps = go_on(first.h)
+    assert calls == 12 * steps + 1
+    restarted, _ = go_on(0.5)
+    assert restarted > calls and (restarted - 1) % 12 == 0
+
+
 def _count_rhs_calls(monkeypatch):
     calls = [0]
     solve = hamflow.dop853
@@ -1039,3 +1092,123 @@ def test_a_newton_start_of_another_shape_is_refused():
         gf.solve_graph(x[0], Y[0], start=np.zeros((1, 1)))
     y, _, _, _ = gf.solve_graph(x[0], Y[0], start=np.full(1, 0.01))
     assert y.shape == (1,) and np.abs(y).max() < 1e-12
+
+
+@pytest.mark.parametrize("shift", [None, [0.0, 0.25, 0.5]], ids=["unshifted", "shifted"])
+@pytest.mark.parametrize("action", [False, True])
+def test_a_flow_rhs_call_returns_a_new_array_that_later_calls_leave_alone(action, shift):
+    # the closure reuses its power table from call to call; no result may
+    # share it, and a later call must leave an earlier result as it was
+    germ = KERNEL_GERMS["resonant_4_1"]()
+    width = 6 + int(action)
+    rng = np.random.default_rng(59)
+    y1, y2 = (0.2 * rng.uniform(-1.0, 1.0, size=3 * width) for _ in range(2))
+    rhs = hamflow._flow_rhs(germ, J2, 3, action, shift)
+    first = rhs(0.1, y1)
+    kept = first.copy()
+    second = rhs(0.3, y2)
+    assert second is not first and not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    # each call is the call of a new closure
+    assert np.array_equal(second, hamflow._flow_rhs(germ, J2, 3, action, shift)(0.3, y2))
+
+
+# -- flow_chain: flows back to back, each started at its predecessor's step --
+
+def _record_flows(monkeypatch):
+    # (rows, first step tried, step proposed) of every stacked flow
+    runs = []
+    solve = hamflow.dop853
+
+    def recorded(fun, t0, t1, y0, **kwargs):
+        run = solve(fun, t0, t1, y0, **kwargs)
+        runs.append((len(y0) // 6, kwargs["first_step"], run.h))
+        return run
+
+    monkeypatch.setattr(hamflow, "dop853", recorded)
+    return runs
+
+
+def test_a_chain_starts_each_flow_at_the_step_its_predecessor_proposed(monkeypatch):
+    germ = resonant_germ()
+    Z = 0.2 * np.random.default_rng(61).uniform(-1.0, 1.0, size=(5, 2))
+    times = [0.0, 0.5, 1.0, 1.5, 2.0]
+    # two stacks of 2 rows and one of 1, each carrying its own step
+    monkeypatch.setattr(hamflow, "_MAX_STACK", 2)
+    runs = _record_flows(monkeypatch)
+    chain = hamflow.flow_chain(germ, times, Z)
+    assert chain.shape == (5, len(times), 2) and np.array_equal(chain[:, 0], Z)
+    assert [P for P, _, _ in runs] == [2, 2, 1] * (len(times) - 1)
+    for link in range(1, len(times) - 1):
+        for stack in range(3):
+            _, tried, _ = runs[3 * link + stack]
+            assert tried == min(runs[3 * (link - 1) + stack][2], 0.5)
+    assert all(tried == 0.5 for _, tried, _ in runs[:3])
+    # the first link is integrate_flow's flow, bitwise, stack by stack
+    for rows in (slice(0, 2), slice(2, 4), slice(4, 5)):
+        assert np.array_equal(chain[rows, 1], integrate_flow(germ, 0.0, 0.5, Z[rows])[0])
+    # and every later link is its flow below the ODE tolerance
+    for j in range(2, len(times)):
+        want, _ = integrate_flow(germ, times[j - 1], times[j], chain[:, j - 1])
+        assert np.abs(chain[:, j] - want).max() < 1e-12
+
+
+def test_a_chain_of_no_flow_leaves_the_points_where_they_are(monkeypatch):
+    runs = _record_flows(monkeypatch)
+    Z = np.array([[0.15, -0.1], [0.0, 0.2]])
+    for germ, times in ((HamiltonianGerm.zero(), [0.0, 0.5, 1.0]), (resonant_germ(), [0.5, 0.5])):
+        chain = hamflow.flow_chain(germ, times, Z)
+        assert np.array_equal(chain, np.repeat(Z[:, None], len(times), axis=1))
+    assert runs == []
+
+
+def test_a_chain_refuses_a_start_that_is_not_finite(monkeypatch):
+    runs = _record_flows(monkeypatch)
+    Z = np.full((3, 2), 0.1)
+    Z[2, 0] = math.nan
+    with pytest.raises(DomainError, match="start point 2 is not finite"):
+        hamflow.flow_chain(quartic_germ(), [0.0, 0.5, 1.0], Z)
+    with pytest.raises(DomainError, match="start point 0 is not finite"):
+        hamflow.flow_chain(quartic_germ(), [0.0, 0.5], [[math.inf, 0.0]])
+    assert runs == []
+
+
+def test_a_chain_refuses_a_start_outside_the_trust_radius(monkeypatch):
+    runs = _record_flows(monkeypatch)
+    Z = np.array([[0.1, 0.0], [0.0, 0.6], [0.2, 0.2]])
+    with pytest.raises(DomainError,
+                       match=r"^row 1: start point has \|z\| = 0.6 > trust radius 0.5"):
+        hamflow.flow_chain(quartic_germ(), [0.0, 0.5, 1.0], Z)
+    with pytest.raises(DomainError, match=r"^start point has \|z\| = 0.6"):
+        hamflow.flow_chain(quartic_germ(), [0.0, 0.5], Z[1:2])
+    assert runs == []
+
+
+def test_a_chain_names_the_row_that_leaves_the_trust_region_mid_chain(monkeypatch):
+    # the hyperbolic flow doubles x over a period: the row at x = 0.3 is at
+    # 0.42 after the first link and at 0.6, outside radius 0.5, in the second
+    runs = _record_flows(monkeypatch)
+    Z = np.array([[0.02, -0.03], [0.3, 0.0], [-0.05, 0.01]])
+    with pytest.raises(DomainError, match="^row 1: flow left the trust region"):
+        hamflow.flow_chain(hyperbolic_germ(), [0.0, 0.5, 1.0, 1.5], Z)
+    assert len(runs) == 2
+
+
+def test_a_chain_refuses_an_underflow_mid_chain(monkeypatch):
+    # H = x^2 y gives xdot = x^2, which blows up from x = 1 at t = 1
+    runs = _record_flows(monkeypatch)
+    g = HamiltonianGerm.make(1, [(1.0, (2, 1))])
+    with pytest.raises(StiffnessError, match="underflowed its step"):
+        hamflow.flow_chain(g, [0.0, 0.5, 2.0], [[1.0, 0.0]], radius=np.inf)
+    assert len(runs) == 2
+
+
+def test_a_chain_keeps_the_symplectic_check_on_every_flow(monkeypatch):
+    # a tolerance that every Jacobian fails from the second flow on
+    runs = _record_flows(monkeypatch)
+    monkeypatch.setattr(hamflow, "tol", lambda name: (
+        -1.0 if name == "symplectic_flow" and len(runs) > 1 else tol(name)))
+    Z = 0.2 * np.random.default_rng(67).uniform(-1.0, 1.0, size=(3, 2))
+    with pytest.raises(ValidationError, match="^row 0: flow Jacobian symplecticity residual"):
+        hamflow.flow_chain(resonant_germ(), [0.0, 0.5, 1.0, 1.5], Z)
+    assert len(runs) == 2

@@ -251,3 +251,12 @@ def test_every_declared_script_imports():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{name}: {target} is not callable"
+
+
+def test_dact_keeps_the_integrate_flow_binding_that_the_selftest_checks():
+    # dact integrates its seeds through flow_chain and calls integrate_flow
+    # no more; perfbench/selftest.py asserts that the tracer patches this
+    # binding, so its removal must fail here first
+    from equimorse import dact, hamflow
+
+    assert dact.integrate_flow is hamflow.integrate_flow

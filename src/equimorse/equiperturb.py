@@ -2,10 +2,12 @@
 
 The fixed subspaces of the powers of an orthogonal finite-order matrix form a
 stratification indexed by divisors.  An invariant function with an isolated
-critical point is made Morse stratum by stratum: the restriction to a fixed
-subspace is perturbed with a small cutoff polynomial, then extended to the
-ambient space so that every normal direction strictly decreases.  Each run is
-summarized by a certificate with measured residuals and margins, and a
+critical point is made Morse stratum by stratum, from the smallest fixed
+subspace up to the whole space: each stage sweeps the restriction to its
+stratum, breaks the degenerate critical points off the strata already handled
+with a small invariant cutoff polynomial, and makes every normal direction
+strictly decrease.  The first proper stratum keeps a policy of its own.  Each
+run is summarized by a certificate with measured residuals and margins, and a
 two-dimensional checker shoots saddle separatrices to report connections that
 the symmetry forces onto fixed strata.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import null_space, row_space, smooth_step, tol
+from .config import null_space, row_dots, row_norms, row_space, smooth_step, tol
 from .errors import (
     DegeneracyError,
     IsolationError,
@@ -32,8 +34,6 @@ from .lochom import (
     _mv,
     _pullback,
     _require_positive,
-    _row_dots,
-    _row_norms,
     _shoot,
     critical_points,
 )
@@ -175,7 +175,7 @@ def normal_decreasing_extension(f, stratification: Stratification, j: int) -> Ca
     def jet(Z):
         v, g, h = f.jet(_mv(p, Z))
         W = _mv(q, Z)
-        return v - _row_dots(W, W), _mv(p, g) - 2.0 * W, np.matmul(np.matmul(p, h), p) - 2.0 * q
+        return v - row_dots(W, W), _mv(p, g) - 2.0 * W, np.matmul(np.matmul(p, h), p) - 2.0 * q
 
     return CallableFunction(n, jet, name="normal decreasing extension")
 
@@ -275,7 +275,7 @@ def _quadratic_term(proj, c):
     q = np.asarray(proj, dtype=float)
     return CallableFunction(
         len(q),
-        lambda Z: (-0.5 * c * _row_dots(np.matmul(Z[:, None, :], q)[:, 0], Z), -c * _mv(q, Z),
+        lambda Z: (-0.5 * c * row_dots(np.matmul(Z[:, None, :], q)[:, 0], Z), -c * _mv(q, Z),
                    np.repeat((-c * q)[None], len(Z), axis=0)))
 
 
@@ -423,17 +423,15 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
     Returns the perturbed function together with a certificate recording the
     measured invariance residual, the stratum assignment of every critical
     point, the normal hessian margins, and the sampled C2 distance.  The
-    certificate's census of critical points is the free stage's last Newton
-    sweep, which is a sweep of the returned function itself.  The
+    certificate's census of critical points is the last Newton sweep of the
+    top stratum's stage, which is a sweep of the returned function itself.  The
     construction pushes normal directions down, so it expects the second
     order normal data of f at the origin to vanish.  It makes
     _ATTEMPTS = 3 seeded draws before it raises ResolutionError.  A radius or epsilon
     that is not finite and positive raises ParameterError.
     """
-    if not isinstance(action, CyclicAction):
-        if k is None:
-            raise ValidationError("order k is required with a bare matrix")
-        action = CyclicAction(np.asarray(action, dtype=float), int(k))
+    strat = strata(action, k)
+    action = strat.action
     n = f.d
     if action.d != n:
         raise ValidationError("action dimension does not match the function")
@@ -450,7 +448,6 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
         if np.linalg.norm(c) > 5e-3:
             raise IsolationError(
                 f"origin is not isolated: critical point near {np.round(c, 6).tolist()}")
-    strat = strata(action)
     failures = []
     for attempt in range(_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -463,46 +460,34 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
             cert["attempt"] = attempt
             cert["seed"] = seed
             return out, cert
-        bad = ", ".join(name for name, item in cert["items"].items()
-                        if not item["passed"])
+        bad = ", ".join(name for name, item in cert["items"].items() if not item["passed"])
         failures.append(f"certificate after the stage loop: {bad}")
-    raise ResolutionError(
-        f"perturbation failed after {_ATTEMPTS} draws: {failures[-1]}")
+    raise ResolutionError(f"perturbation failed after {_ATTEMPTS} draws: {failures[-1]}")
 
 
 def _build(f, strat, epsilon, radius, rng, max_depth):
     n = f.d
-    action = strat.action
     terms = []
     records = []
     handled = []  # (divisor, projection, basis, c)
     for d in strat.divisors:
         p = strat.projection(d)
         m = strat.dim(d)
-        basis = strat.basis(d)
         if any(np.linalg.norm(p - ph) < 1e-9 for _, ph, _, _ in handled):
             records.append({"divisor": int(d), "dimension": int(m),
                             "skipped": "stratum already handled"})
             continue
-        if m == n:
-            rec, swept = _free_stage(f, terms, strat, d, handled, radius, rng, epsilon)
-        elif m == 0:
-            c = epsilon / 4.0
-            terms.append(_quadratic_term(np.eye(n), c))
-            rec = {"divisor": int(d), "dimension": 0, "c": float(c),
-                   "h_scale": 0.0, "alpha_scale": None}
-        elif d == 1:
+        if d == 1 and 0 < m < n:
             rec = _base_stage(f, terms, strat, d, radius, rng, epsilon)
         else:
-            rec = _tube_stage(f, terms, strat, d, handled, radius, rng,
-                              epsilon, max_depth)
+            rec, swept = _stage(f, terms, strat, d, handled, radius, rng,
+                                epsilon, max_depth)
         records.append(rec)
-        handled.append((d, p, basis, rec.get("c")))
-    # The free stage is the last stage that adds a term, so the function it
-    # swept last is the returned one and its census is the certificate's.
-    # The free stage runs at d = ord(A), the first divisor with A^d = I; any
-    # later divisor d' has Fix(A^d') = Fix(A^gcd(d', ord A)), a stratum of a
-    # smaller divisor, and is skipped above.
+        handled.append((d, p, strat.basis(d), rec.get("c")))
+    # The top stratum's stage adds the last term, so the function it swept
+    # last is the returned one and its census is the certificate's.  It runs
+    # at d = ord(A), the first divisor with A^d = I; any later divisor d' has
+    # Fix(A^d') = Fix(A^gcd(d', ord A)), an earlier stratum, skipped above.
     out, crits = swept
     cert = _certify(f, out, crits, strat, records, handled, epsilon, radius)
     return out, cert
@@ -522,40 +507,30 @@ def _base_stage(f, terms, strat, d, radius, rng, epsilon):
     crits = _critical_points(restricted, radius)
 
     def normal_ok(points):
-        for y in points:
-            z = basis.T @ y
-            block = nbasis @ np.asarray(f.hess(z), dtype=float) @ nbasis.T
-            if np.linalg.norm(block, 2) > c / 10.0:
-                return False
-        return True
+        blocks = (nbasis @ np.asarray(f.hess(basis.T @ y), dtype=float) @ nbasis.T for y in points)
+        return not any(np.linalg.norm(b, 2) > c / 10.0 for b in blocks)
 
     eta_used = 0.0
-    h_term = None
     if not (crits and _is_morse(restricted, crits) and normal_ok(crits)):
         mons = _monomials(m, min_degree=1)
         coeffs = rng.standard_normal(len(mons))
         plateau = 0.45 * radius
         bump = _bump_poly_term([np.zeros(m)], 2.0 * plateau, coeffs, mons)
         eta = 1e-2
-        accepted = False
         for _ in range(24):
-            trial_y = _scaled(bump, eta)
-            trial = _assemble(restricted, [trial_y], None)
+            trial = _assemble(restricted, [_scaled(bump, eta)], None)
             crits_t = _critical_points(trial, radius)
             inside = all(np.linalg.norm(y) <= plateau for y in crits_t)
             if (crits_t and inside and _is_morse(trial, crits_t)
                     and _min_separation(crits_t) > 10.0 * tol("dedup")
                     and normal_ok(crits_t)):
-                accepted = True
                 break
             eta /= 8.0
-        if not accepted:
+        else:
             raise _StageFailure(
                 f"stage d={d}: could not make the restriction Morse within the margin budget")
         eta_used = eta
-        h_term = _scaled(_pullback(bump, basis), eta)
-    if h_term is not None:
-        terms.append(h_term)
+        terms.append(_scaled(_pullback(bump, basis), eta))
     terms.append(_quadratic_term(q, c))
     return {"divisor": int(d), "dimension": int(m), "c": float(c),
             "h_scale": float(eta_used), "alpha_scale": None}
@@ -566,124 +541,110 @@ def _handled_distance(z, handled):
     return min((np.linalg.norm(z - ph @ z) for _, ph, _, _ in handled), default=math.inf)
 
 
-def _free_stage(f, terms, strat, d, handled, radius, rng, epsilon):
-    """Top stratum: break any remaining degeneracy off the earlier strata
-    with an averaged cutoff polynomial.
+def _stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
+    """One stratum F_d = Fix(A^d) of the induction, in three steps.
 
-    Returns the stage record and the pair (function, census) of the last
-    sweep: f plus every term when no bump is needed, else the accepted
-    trial.  Each is assembled flat from f and the term list, so it is
-    bitwise the function that _build returns.
+    1. Sweep f plus the terms so far, restricted to F_d.
+    2. If the census points off the handled strata are degenerate, add one
+       cutoff polynomial around them, averaged over the d powers of the
+       induced action, and scale it down by 8 until they are Morse.
+    3. Push the normal directions down: -(c/2)|z|^2 when F_d = {0}, the
+       well of _well_step off the handled strata, nothing on the top stratum.
+
+    The top stratum is swept as it is, not through its basis, and every
+    trial is assembled flat from f and the term list, so the top stratum's
+    last sweep is of the function that _build returns.  Returns the stage
+    record and the pair (function, census) of the last sweep.
     """
-    n = f.d
-    action = strat.action
-    cur = _assemble(f, terms, action, name=_OUT_NAME)
-    crits = _critical_points(cur, radius, fine=15, fine_width=0.16)
-
-    free = [z for z in crits if _handled_distance(z, handled) > _STRATUM_TOL]
-    eta_used = 0.0
-    if free and not _is_morse(cur, free):
-        sep = min(_handled_distance(z, handled) for z in free)
-        sep = min(sep, 0.5 * radius)
-        rho = 0.45 * sep
-        mons = _monomials(n)
-        coeffs = rng.standard_normal(len(mons))
-        raw = _bump_poly_term(free, 2.0 * rho, coeffs, mons)
-        mats = [action.power(i) for i in range(action.k)]
-        alpha = _orbit_average(raw, mats)
-        probe = np.asarray(free[0], dtype=float)
-        scale_est = max(float(np.linalg.norm(alpha.hess(probe), 2)), 1.0)
-        eta = min(1e-2, epsilon / (8.0 * scale_est))
-        accepted = False
-        for _ in range(6):
-            term = _scaled(alpha, eta)
-            trial = _assemble(f, terms + [term], action, name=_OUT_NAME)
-            crits_t = _critical_points(trial, radius, fine=15, fine_width=0.16)
-            free_t = [z for z in crits_t if _handled_distance(z, handled) > _STRATUM_TOL]
-            if free_t and _is_morse(trial, free_t):
-                accepted = True
-                break
-            eta /= 8.0
-        if not accepted:
-            raise _StageFailure(f"stage d={d}: free critical points stay degenerate")
-        terms.append(term)
-        cur, crits = trial, crits_t
-        eta_used = eta
-    rec = {"divisor": int(d), "dimension": int(n), "c": None,
-           "h_scale": None, "alpha_scale": float(eta_used)}
-    return rec, (cur, crits)
-
-
-def _tube_stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
-    """Intermediate stratum: perturb its free part, then extend with a
-    distance well that vanishes near the earlier strata."""
     n = f.d
     action = strat.action
     basis = strat.basis(d)
     m = basis.shape[0]
-    nbasis = null_space(basis)
-    cur = _assemble(f, terms, action)
-    restricted = _pullback(cur, basis.T)
-    crits_y = _critical_points(restricted, radius, fine=15, fine_width=0.16)
+    if m == n:
+        restrict = lift = up = lambda x: x
+        induced = action.matrix
+    else:
+        restrict = lambda func: _pullback(func, basis.T)
+        lift = lambda func: _pullback(func, basis)
+        up = lambda y: basis.T @ y
+        induced = basis @ action.matrix @ basis.T
 
-    free_y = [y for y in crits_y
-              if _handled_distance(basis.T @ y, handled) > _STRATUM_TOL]
+    def off_handled(points):
+        return [y for y in points if _handled_distance(up(y), handled) > _STRATUM_TOL]
+
+    cur = _assemble(f, terms, action, name=_OUT_NAME)
+    swept = restrict(cur)
+    # on F_d = {0} the origin is the one point, and it cannot degenerate
+    crits = _critical_points(swept, radius, fine=15, fine_width=0.16) if m else []
+    free = off_handled(crits)
     eta_used = 0.0
-    if free_y and not _is_morse(restricted, free_y):
-        sep = min(_handled_distance(basis.T @ y, handled) for y in free_y)
+    if free and not _is_morse(swept, free):
+        sep = min(_handled_distance(up(y), handled) for y in free)
         rho = 0.45 * min(sep, 0.5 * radius)
         mons = _monomials(m)
         coeffs = rng.standard_normal(len(mons))
-        raw = _bump_poly_term(free_y, 2.0 * rho, coeffs, mons)
-        induced = basis @ action.matrix @ basis.T
-        mats = [np.linalg.matrix_power(induced, i) for i in range(d)]
-        alpha_y = _orbit_average(raw, mats)
-        eta = 1e-4
-        accepted = False
-        for _ in range(8):
-            trial = _assemble(restricted, [_scaled(alpha_y, eta)], None)
-            crits_t = _critical_points(trial, radius, fine=15, fine_width=0.16)
-            free_t = [y for y in crits_t
-                      if _handled_distance(basis.T @ y, handled) > _STRATUM_TOL]
-            if free_t and _is_morse(trial, free_t):
-                accepted = True
-                free_y = free_t
+        raw = _bump_poly_term(free, 2.0 * rho, coeffs, mons)
+        alpha = _orbit_average(raw, [np.linalg.matrix_power(induced, i) for i in range(d)])
+        probe = np.asarray(free[0], dtype=float)
+        scale_est = max(float(np.linalg.norm(alpha.hess(probe), 2)), 1.0)
+        eta = min(1e-2, epsilon / (8.0 * scale_est))
+        for _ in range(6):
+            term = _scaled(lift(alpha), eta)
+            trial = _assemble(f, terms + [term], action, name=_OUT_NAME)
+            swept = restrict(trial)
+            crits = _critical_points(swept, radius, fine=15, fine_width=0.16)
+            free = off_handled(crits)
+            if free and _is_morse(swept, free):
                 break
             eta /= 8.0
-        if not accepted:
-            raise _StageFailure(f"stage d={d}: stratum critical points stay degenerate")
-        terms.append(_scaled(_pullback(alpha_y, basis), eta))
-        eta_used = eta
-    cur = _assemble(f, terms, action)
+        else:
+            raise _StageFailure(f"stage d={d}: free critical points stay degenerate")
+        terms.append(term)
+        cur, eta_used = trial, eta
     c = epsilon / 4.0
     info = {}
-    if free_y:
-        lifts = [basis.T @ y for y in free_y]
-        sep = min(_handled_distance(z, handled) for z in lifts)
-        tube_r = min(0.25 * sep, 0.15 * radius)
-        inner = None
-        for _, ph, bh, _ in handled:
-            spec = ClosedSetSpec.tube(n, bh.tolist(), tube_r)
-            inner = spec if inner is None else inner.union(spec)
-        box = 2.0 * max(1.0, radius)
-        well, info = normal_well(inner, n, basis.tolist(), action,
-                                 plateau_points=lifts, bbox=(-box, box),
-                                 max_depth=max_depth)
-        for z in lifts:
-            block = nbasis @ np.asarray(cur.hess(z), dtype=float) @ nbasis.T
-            if np.linalg.norm(block, 2) > c / 10.0:
-                c = 10.0 * float(np.linalg.norm(block, 2))
-        if c > epsilon:
-            raise _StageFailure(f"stage d={d}: curvature budget exceeded")
-        terms.append(_scaled(well, -0.5 * c))
-    return {"divisor": int(d), "dimension": int(m), "c": float(c),
-            "h_scale": None, "alpha_scale": float(eta_used),
-            "well": {k: float(v) for k, v in info.items()}}
+    if m == 0:
+        terms.append(_quadratic_term(np.eye(n), c))
+    elif m < n and free:
+        term, c, info = _well_step(cur, strat, d, handled, [up(y) for y in free],
+                                   radius, epsilon, max_depth)
+        terms.append(term)
+    rec = {"divisor": int(d), "dimension": int(m), "c": float(c) if m < n else None,
+           # F_d = {0} reports an empty stratum polynomial, not a bump
+           "h_scale": None if m else 0.0, "alpha_scale": float(eta_used) if m else None}
+    if 0 < m < n:
+        rec["well"] = {k: float(v) for k, v in info.items()}
+    return rec, (cur, crits)
+
+
+def _well_step(cur, strat, d, handled, lifts, radius, epsilon, max_depth):
+    """Normal push of a stratum between the handled ones and the top:
+    -(c/2) times a normal_well that vanishes on tubes around the handled
+    strata and has its plateau at the lifted census points.  c starts at
+    epsilon / 4 and is raised to ten times the normal curvature of cur
+    there.  Returns the term, c and the well's transition parameters."""
+    n = cur.d
+    basis = strat.basis(d)
+    nbasis = null_space(basis)
+    sep = min(_handled_distance(z, handled) for z in lifts)
+    tube_r = min(0.25 * sep, 0.15 * radius)
+    inner = None
+    for _, _, bh, _ in handled:
+        spec = ClosedSetSpec.tube(n, bh.tolist(), tube_r)
+        inner = spec if inner is None else inner.union(spec)
+    box = 2.0 * max(1.0, radius)
+    well, info = normal_well(inner, n, basis.tolist(), strat.action,
+                             plateau_points=lifts, bbox=(-box, box), max_depth=max_depth)
+    normal = [nbasis @ np.asarray(cur.hess(z), dtype=float) @ nbasis.T for z in lifts]
+    c = max([epsilon / 4.0, *(10.0 * float(np.linalg.norm(b, 2)) for b in normal)])
+    if c > epsilon:
+        raise _StageFailure(f"stage d={d}: curvature budget exceeded")
+    return _scaled(well, -0.5 * c), c, info
 
 
 def _certify(f, out, crits, strat, records, handled, epsilon, radius):
-    """Certificate of out.  crits is its census: the free stage's last
-    sweep was of out itself, so out is not swept again here."""
+    """Certificate of out.  crits is its census: the top stratum's stage
+    swept out itself last, so out is not swept again here."""
     n = f.d
     action = strat.action
     rng = np.random.default_rng(1234)
@@ -709,22 +670,16 @@ def _certify(f, out, crits, strat, records, handled, epsilon, radius):
                  "tolerance": _STRATUM_TOL, "morse_floor": _MORSE_FLOOR,
                  "euler": int(euler), "points": points}
 
-    stage_c = {}
-    for dd, ph, _, cc in handled:
-        if cc is not None:
-            stage_c[dd] = (ph, cc)
     margins = []
     margins_ok = True
     for entry, hz in zip(points, hessians):
         j = entry["stratum"]
         if strat.dim(j) == n:
             continue
-        c_used = None
+        # the c of the stage that handled the point's stratum
         pj = strat.projection(j)
-        for dd, (ph, cc) in stage_c.items():
-            if np.linalg.norm(ph - pj) < 1e-9:
-                c_used = cc
-                break
+        c_used = next((cc for _, ph, _, cc in handled
+                       if cc is not None and np.linalg.norm(ph - pj) < 1e-9), None)
         nbasis = null_space(strat.basis(j))
         block = nbasis @ hz @ nbasis.T
         top = float(np.max(np.linalg.eigvalsh(block)))
@@ -743,11 +698,9 @@ def _certify(f, out, crits, strat, records, handled, epsilon, radius):
     z = np.array([_ball_point(rng, n, radius) for _ in range(60)])
     (ov, og, oh), (fv, fg, fh) = out.jet(z), f.jet(z)
     dv = np.abs(ov - fv)
-    dg = _row_norms(og - fg)
+    dg = row_norms(og - fg)
     dh = np.linalg.norm(oh - fh, 2, axis=(1, 2))
-    worst_c2 = 0.0
-    for dvi, dgi, dhi in zip(dv.tolist(), dg.tolist(), dh.tolist()):
-        worst_c2 = max(worst_c2, dvi, dgi, dhi)
+    worst_c2 = max([0.0, *dv.tolist(), *dg.tolist(), *dh.tolist()])
     item_c2 = {"passed": bool(worst_c2 < epsilon),
                "measured": float(worst_c2), "epsilon": float(epsilon)}
 

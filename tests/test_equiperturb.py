@@ -521,15 +521,16 @@ def test_the_certificate_reads_the_free_stage_census(case, monkeypatch):
     assert np.array_equal(np.array(census), np.array(fresh))
 
 
-def test_strata_after_the_free_stage_are_skipped(monkeypatch):
-    # diag(1, -1) has order 2, so under k = 4 and 6 every divisor past 2
-    # repeats an earlier stratum; the free stage stays the last that adds a
-    # term and the census is the one at k = 2
+def _skipped_strata_keep_the_census_at_k_2(matrix, monkeypatch):
+    # matrix has order 2, so under k = 4 and 6 every divisor past 2 repeats
+    # an earlier stratum; the top stratum's stage stays the last that adds a
+    # term, it averages over ord(A) = 2 group elements whatever k, and the
+    # census is the one at k = 2
     runs = {}
     for k, skipped in ((2, []), (4, [4]), (6, [3, 6])):
         calls = _counting_sweeps(monkeypatch)
         out, cert = perturb_invariant_morse(
-            quartic_bowl(), CyclicAction(np.diag([1.0, -1.0]), k), epsilon=0.05, seed=0)
+            quartic_bowl(), CyclicAction(matrix, k), epsilon=0.05, seed=0)
         monkeypatch.undo()
         assert cert["passed"]
         stages = cert["stages"]
@@ -545,18 +546,29 @@ def test_strata_after_the_free_stage_are_skipped(monkeypatch):
         assert runs[k][1] == runs[2][1]
 
 
+def test_strata_after_the_free_stage_are_skipped(monkeypatch):
+    _skipped_strata_keep_the_census_at_k_2(np.diag([1.0, -1.0]), monkeypatch)
+
+
+def test_the_antipodal_census_does_not_depend_on_the_k_of_the_action(monkeypatch):
+    # the antipodal bowl's census moves with the last bit of its top-stratum
+    # bump, so it holds only if the bump averages over the same ord(A) group
+    # elements whatever k
+    _skipped_strata_keep_the_census_at_k_2(-np.eye(2), monkeypatch)
+
+
 def test_the_tube_stage_runs_and_refuses_a_collar_it_cannot_resolve(monkeypatch):
     # under rot(2 pi / 3) + (-1) of order 6 the z-axis is the stratum of
     # divisor 2; its bumped restriction has critical points at +-0.0559,
     # a collar too thin for normal_well at the default Whitney depth
     stages = []
-    tube = equiperturb._tube_stage
+    well_step = equiperturb._well_step
 
-    def counted(f, terms, strat, d, *args):
+    def counted(cur, strat, d, *args):
         stages.append(d)
-        return tube(f, terms, strat, d, *args)
+        return well_step(cur, strat, d, *args)
 
-    monkeypatch.setattr(equiperturb, "_tube_stage", counted)
+    monkeypatch.setattr(equiperturb, "_well_step", counted)
     c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
     action = CyclicAction(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, -1.0]]), 6)
     f = FunctionSpec.make(3, [(1.0, (2, 0, 0)), (1.0, (0, 2, 0)), (1.0, (0, 0, 4))])

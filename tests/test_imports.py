@@ -2,8 +2,9 @@
 no module of the package takes a derivative by finite differences or reads
 the process environment, and only config spells the quintic cutoff ramp; every
 function that the benchmark tracer patches is defined where it patches it;
-every name that the benchmark imports from the package exists; and every
-console script that pyproject.toml declares imports."""
+every name that the benchmark imports from the package exists; every relative
+import inside the package names a definition of the module it imports from;
+and every console script that pyproject.toml declares imports."""
 from __future__ import annotations
 
 import ast
@@ -238,6 +239,60 @@ def test_the_import_guard_sees_a_missing_name(tmp_path):
     (tmp_path / "mod.py").write_text(
         "def run():\n    from equimorse.spindex import cz_index, classify_iteration\n")
     assert unresolved(package_imports(tmp_path)) == ["mod.py:2: equimorse.spindex.classify_iteration"]
+
+
+def defined_names(tree):
+    """Names that a module binds itself at its top level, through def, class
+    or assignment, also inside top-level if, try and with blocks; names it
+    only imports are not among them."""
+    names = set()
+    body = list(tree.body)
+    while body:
+        node = body.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            body += node.body + getattr(node, "orelse", []) + getattr(node, "finalbody", [])
+            body += [stmt for h in getattr(node, "handlers", []) for stmt in h.body]
+    return names
+
+
+def relative_import_findings(package):
+    """Each `from .m import name` in the modules of package where m does not
+    define name itself: a name that m only re-exports, or one that it lacks.
+    `from . import name` must name a module of the package."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(Path(package).glob("*.py"))}
+    defined = {name: defined_names(tree) for name, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    ok = alias.name in trees
+                else:
+                    ok = alias.name in defined.get(node.module, set())
+                if not ok:
+                    found.append(f"{module}.py:{node.lineno}: .{node.module or ''} {alias.name}")
+    return found
+
+
+def test_every_relative_import_names_a_definition_of_its_module():
+    # a private alias read through a second module hides where a name lives
+    assert relative_import_findings(SRC / "equimorse") == []
+
+
+def test_the_relative_import_guard_sees_a_re_export(tmp_path):
+    (tmp_path / "base.py").write_text("def norm(x):\n    return x\n\n\nSCALE = 2.0\n")
+    (tmp_path / "mid.py").write_text("from .base import norm as _norm, SCALE\n")
+    (tmp_path / "top.py").write_text(
+        "from . import base, gone\nfrom .mid import _norm\nfrom .base import norm, SIZE\n")
+    assert relative_import_findings(tmp_path) == [
+        "top.py:1: . gone", "top.py:2: .mid _norm", "top.py:3: .base SIZE"]
 
 
 def test_every_declared_script_imports():

@@ -164,6 +164,13 @@ def lockstep_newton(residual, X, step, tolerance, max_iter, retry=(), leaves=Non
     return X, converged, errors, kept
 
 
+# the bump profile of regdist's cubes and equiperturb's radial bumps: 1 up to
+# _S_LO, then smooth_step down to 0 at _S_HI; for a cube, keeping the support
+# strictly inside the 9/8-dilated cube leaves room for the strict inclusion
+# supp(phi) in int(Q*)
+_S_LO, _S_HI = 0.5, 0.55
+
+
 def smooth_step(s):
     """The C^2 cutoff ramp q(s) = s^3 (10 - 15 s + 6 s^2) with q' and q'',
     elementwise.

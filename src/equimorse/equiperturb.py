@@ -6,10 +6,13 @@ critical point is made Morse stratum by stratum, from the smallest fixed
 subspace up to the whole space: each stage sweeps the restriction to its
 stratum, breaks the degenerate critical points off the strata already handled
 with a small invariant cutoff polynomial, and makes every normal direction
-strictly decrease.  The first proper stratum keeps a policy of its own.  Each
-run is summarized by a certificate with measured residuals and margins, and a
-two-dimensional checker shoots saddle separatrices to report connections that
-the symmetry forces onto fixed strata.
+strictly decrease.  The first proper stratum keeps a policy of its own.  Near
+a fixed point of a linear action every stratum is a linear subspace, so the
+normal push of a stratum is a polynomial in squared distances to subspaces
+(normal_well) and needs no regularized distance.  Each run is summarized by a
+certificate with measured residuals and margins, and a two-dimensional
+checker shoots saddle separatrices to report connections that the symmetry
+forces onto fixed strata.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import null_space, row_dots, row_norms, row_space, smooth_step, tol
+from .config import _S_HI, _S_LO, null_space, row_dots, row_norms, row_space, smooth_step, tol
 from .errors import (
     DegeneracyError,
     IsolationError,
@@ -38,7 +41,6 @@ from .lochom import (
     critical_points,
 )
 from .hamflow import _polynomial_kernel
-from .regdist import _S_HI, _S_LO, ClosedSetSpec, RegularizedDistance, _outer
 
 _MORSE_FLOOR = 1e-8
 _STRATUM_TOL = 1e-6
@@ -249,11 +251,17 @@ def _bump_poly_term(centers, scale, coeffs, mons):
         live = bv != 0.0
         if live.any():
             pv[live], pg[live], ph[live] = kernel.jet(Z[live])
-        cross = pg[:, :, None] * bg[:, None, :]
-        return (pv * bv, bv[:, None] * pg + pv[:, None] * bg,
-                bv[:, None, None] * ph + cross + np.swapaxes(cross, 1, 2) + pv[:, None, None] * bh)
+        return _product((pv, pg, ph), (bv, bg, bh))
 
     return CallableFunction(m, jet)
+
+
+def _product(a, b):
+    # the jet (values, gradients, Hessians) of a product from its factors' jets
+    (av, ag, ah), (bv, bg, bh) = a, b
+    cross = ag[:, :, None] * bg[:, None, :]
+    return (av * bv, bv[:, None] * ag + av[:, None] * bg,
+            bv[:, None, None] * ah + cross + np.swapaxes(cross, 1, 2) + av[:, None, None] * bh)
 
 
 def _orbit_average(term, mats):
@@ -296,79 +304,44 @@ def _assemble(f, terms, action, name=""):
     return CallableFunction(f.d, jet, action=action, name=name)
 
 
-def normal_well(inner, n, stratum_vectors, action, *, delta=None,
-                plateau_points=(), bbox=None, max_depth=None):
-    """Smooth well that vanishes near an inner set and equals squared
-    distance to a stratum away from it.
+def normal_well(handled, projection, action, plateau_points):
+    """The well prod_e q((|Q_e z|^2 / delta - 1/4) / (3/4)) |Q z|^2 of a
+    stratum, with Q_e = I - P_e for the projections P_e onto the handled
+    strata, Q = I - P for the projection P onto the stratum, q the ramp
+    config.smooth_step, and delta the smallest |Q_e p|^2 over the plateau
+    points p, divided by 1.3, so every factor is 1 there.
 
-    The well is w(d0^2 / delta) d1^2, with d0 and d1 the regularized
-    distances to the origin and to the stratum, and the step w 0 up to 1/4,
-    the quintic ramp config.smooth_step, then 1 from 1 on, so second
-    derivatives stay continuous.  Returns the well as a function together
-    with the chosen transition parameters; its gradient and Hessian are
-    exact, by the chain rule through the step and the jets of the two
-    regularized distances.  The inner set must be invariant and contain
-    the origin.
+    It is exactly 0 where some |Q_e z|^2 <= delta / 4 and exactly |Q z|^2
+    where every |Q_e z|^2 >= delta, has exact jets by the product rule, and
+    is invariant under an orthogonal action that commutes with the
+    projections.  Returns the well and {"delta": delta}.
+
+    >>> well, _ = normal_well([np.zeros((2, 2))], np.diag([1.0, 0.0]),
+    ...                       CyclicAction(np.diag([1.0, -1.0]), 2), [[0.5, 0.0]])
+    >>> well.value(np.array([0.5, 0.25])), well.value(np.array([0.1, 0.1]))
+    (0.0625, 0.0)
     """
-    if inner.n != n:
-        raise ValidationError("inner set dimension does not match")
-    if inner.dist(np.zeros(n)) > 1e-9:
-        raise ValidationError("inner set must contain the origin")
-    if bbox is None:
-        bbox = (-2.0, 2.0)
-    origin = ClosedSetSpec.subspace(n, [])
-    stratum = ClosedSetSpec.subspace(n, stratum_vectors)
-    d0 = RegularizedDistance.build(inner, origin, action=action, bbox=bbox,
-                                   max_depth=max_depth)
-    d1 = RegularizedDistance.build(inner, stratum, action=action, bbox=bbox,
-                                   max_depth=max_depth)
-    rho0 = 4.0 * max(d0.collar, d1.collar)
-    # the regularized distance is at most four times the true one, so the
-    # short circuit below rho0 is consistent once delta >= 64 rho0^2
-    delta_min = 64.0 * rho0 ** 2
-    if delta is None:
-        if not len(plateau_points):
-            raise ValidationError("either delta or plateau points are required")
-        probe = min(d0.value(np.asarray(p, dtype=float)) ** 2 for p in plateau_points)
-        delta = probe / 1.3
-    if delta < delta_min:
-        raise ResolutionError(
-            "transition width is below the unresolved collar; raise max_depth")
+    # the jet of |Q z|^2 = z.Qz, 2 Q z and 2 Q, for an orthogonal projection Q
+    squared = [_quadratic_term(np.eye(len(p)) - p, -2.0).jet for p in [projection, *handled]]
+    if not len(plateau_points):
+        raise ValidationError("the well needs a plateau point")
+    pts = np.asarray(plateau_points, dtype=float)
+    delta = min((np.min(sq(pts)[0]) for sq in squared[1:]), default=math.inf) / 1.3
+    if not delta > 0.0:
+        raise ValidationError("delta must be positive: a plateau point lies on a handled stratum")
 
-    # the chain rule through w(d0^2 / delta) d1^2 runs on the rows where w
-    # is not an exact zero, and reads d0 and d1 only there; elsewhere w and
-    # its derivatives vanish together.  libm squares d0, as for a float ** 2,
-    # where numpy's array square differs in the last bit
     def jet(Z):
-        values, grads, hessians = np.zeros(len(Z)), np.zeros(Z.shape), np.zeros((len(Z), n, n))
-        far = np.flatnonzero(~(inner.dist_many(Z) <= rho0))
-        r0, g0, h0 = d0.jets(Z[far])
-        u = np.array([math.pow(r, 2.0) for r in r0.tolist()]) / delta
-        w, w1, w2 = smooth_step((u - 0.25) / 0.75)
-        on = w != 0.0
-        rows, w, r0, g0, h0 = far[on], w[on], r0[on], g0[on], h0[on]
-        w1, w2 = w1[on] / 0.75, w2[on] / 0.75 ** 2
-        t, g1, h1 = d1.jets(Z[rows])
-        # the derivatives of u = d0^2 / delta
-        g_u = (2.0 / delta) * r0[:, None] * g0
-        h_u = (2.0 / delta) * (_outer(g0, g0) + r0[:, None, None] * h0)
-        tt = (t * t)[:, None, None]
-        values[rows] = w * t * t
-        grads[rows] = (w1 * t * t)[:, None] * g_u + (2.0 * w * t)[:, None] * g1
-        cross = _outer(g_u, g1)
-        hessians[rows] = (tt * (w2[:, None, None] * _outer(g_u, g_u) + w1[:, None, None] * h_u)
-                          + (2.0 * w1 * t)[:, None, None] * (cross + np.swapaxes(cross, 1, 2))
-                          + (2.0 * w)[:, None, None] * (_outer(g1, g1) + t[:, None, None] * h1))
-        return values, grads, hessians
+        out = squared[0](Z)
+        for sq in squared[1:]:
+            u, g, h = sq(Z)
+            w, w1, w2 = smooth_step((u / delta - 0.25) / 0.75)
+            w1, w2 = w1 / (0.75 * delta), w2 / (0.75 * delta) ** 2
+            out = _product((w, w1[:, None] * g, w2[:, None, None] * g[:, :, None] * g[:, None, :]
+                            + w1[:, None, None] * h), out)
+        return out
 
-    func = CallableFunction(n, jet, action=action, name="normal well")
-    info = {
-        "delta": float(delta),
-        "rho0": float(rho0),
-        "collar": float(max(d0.collar, d1.collar)),
-        "max_depth": int(d0.dec.max_depth),
-    }
-    return func, info
+    return CallableFunction(len(projection), jet, action=action, name="normal well"), \
+        {"delta": float(delta)}
 
 
 # seeds per axis of the coarse grid in one or two and in three dimensions
@@ -402,6 +375,18 @@ def _ball_point(rng, n, radius):
     return radius * rng.uniform() ** (1.0 / n) * v
 
 
+def _shell_points(rng, projection, delta, radius):
+    # 60 draws of points at squared distance t delta, t uniform in [1/4, 1],
+    # from the stratum of an orthogonal projection, kept in the ball: a
+    # well's ramp around that stratum
+    n, count = len(projection), 60
+    feet = np.array([_ball_point(rng, n, radius) for _ in range(count)]) @ projection
+    normal = rng.standard_normal((count, n)) @ (np.eye(n) - projection)
+    z = feet + np.sqrt(rng.uniform(0.25, 1.0, count) * delta)[:, None] \
+        * normal / row_norms(normal)[:, None]
+    return z[row_norms(z) <= radius]
+
+
 def _is_morse(func, points):
     if not len(points):
         return True
@@ -416,17 +401,21 @@ def _min_separation(points):
                for a, b in itertools.combinations(points, 2))
 
 
-def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
-                            max_depth=None):
+def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0):
     """Invariant Morse perturbation of f near an isolated critical origin.
 
     Returns the perturbed function together with a certificate recording the
     measured invariance residual, the stratum assignment of every critical
-    point, the normal hessian margins, and the sampled C2 distance.  The
+    point, the normal hessian margins, and the C2 distance sampled on the
+    ball and on the ramp shells of every well around the strata handled
+    before it.  The
     certificate's census of critical points is the last Newton sweep of the
     top stratum's stage, which is a sweep of the returned function itself.  The
-    construction pushes normal directions down, so it expects the second
-    order normal data of f at the origin to vanish.  It makes
+    construction pushes normal directions down: past the first proper
+    stratum, each stage below the top sets its normal curvature c to
+    max(epsilon / 4, 10 lambda_max) over the normal Hessian blocks at its
+    census points (the origin for F_d = {0}), and refuses a c above epsilon
+    with "curvature budget exceeded".  It makes
     _ATTEMPTS = 3 seeded draws before it raises ResolutionError.  A radius or epsilon
     that is not finite and positive raises ParameterError.
     """
@@ -452,7 +441,7 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
     for attempt in range(_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         try:
-            out, cert = _build(f, strat, epsilon, radius, rng, max_depth)
+            out, cert = _build(f, strat, epsilon, radius, rng)
         except _StageFailure as exc:
             failures.append(str(exc))
             continue
@@ -460,30 +449,38 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0,
             cert["attempt"] = attempt
             cert["seed"] = seed
             return out, cert
-        bad = ", ".join(name for name, item in cert["items"].items() if not item["passed"])
+        bad = ", ".join(f"{name} ({_measured(item)})"
+                        for name, item in cert["items"].items() if not item["passed"])
         failures.append(f"certificate after the stage loop: {bad}")
     raise ResolutionError(f"perturbation failed after {_ATTEMPTS} draws: {failures[-1]}")
 
 
-def _build(f, strat, epsilon, radius, rng, max_depth):
+def _measured(item):
+    # the measured value of a failed certificate item, for the refusal
+    for key in ("residual", "max_distance", "measured"):
+        if key in item:
+            return f"{key} {item[key]:.4g}"
+    return f"margin {min(p['margin'] for p in item['points'] if not p['passed']):.4g}"
+
+
+def _build(f, strat, epsilon, radius, rng):
     n = f.d
     terms = []
     records = []
-    handled = []  # (divisor, projection, basis, c)
+    handled = []  # (projection, c)
     for d in strat.divisors:
         p = strat.projection(d)
         m = strat.dim(d)
-        if any(np.linalg.norm(p - ph) < 1e-9 for _, ph, _, _ in handled):
+        if any(np.linalg.norm(p - ph) < 1e-9 for ph, _ in handled):
             records.append({"divisor": int(d), "dimension": int(m),
                             "skipped": "stratum already handled"})
             continue
         if d == 1 and 0 < m < n:
             rec = _base_stage(f, terms, strat, d, radius, rng, epsilon)
         else:
-            rec, swept = _stage(f, terms, strat, d, handled, radius, rng,
-                                epsilon, max_depth)
+            rec, swept = _stage(f, terms, strat, d, handled, radius, rng, epsilon)
         records.append(rec)
-        handled.append((d, p, strat.basis(d), rec.get("c")))
+        handled.append((p, rec.get("c")))
     # The top stratum's stage adds the last term, so the function it swept
     # last is the returned one and its census is the certificate's.  It runs
     # at d = ord(A), the first divisor with A^d = I; any later divisor d' has
@@ -536,20 +533,16 @@ def _base_stage(f, terms, strat, d, radius, rng, epsilon):
             "h_scale": float(eta_used), "alpha_scale": None}
 
 
-def _handled_distance(z, handled):
-    """Distance from z to the nearest stratum already handled."""
-    return min((np.linalg.norm(z - ph @ z) for _, ph, _, _ in handled), default=math.inf)
-
-
-def _stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
+def _stage(f, terms, strat, d, handled, radius, rng, epsilon):
     """One stratum F_d = Fix(A^d) of the induction, in three steps.
 
     1. Sweep f plus the terms so far, restricted to F_d.
     2. If the census points off the handled strata are degenerate, add one
        cutoff polynomial around them, averaged over the d powers of the
        induced action, and scale it down by 8 until they are Morse.
-    3. Push the normal directions down: -(c/2)|z|^2 when F_d = {0}, the
-       well of _well_step off the handled strata, nothing on the top stratum.
+    3. Below the top stratum, push the normal directions down by the well
+       of _well_step: -(c/2)|z|^2 at the census point 0 when F_d = {0},
+       nothing when every census point lies on a handled stratum.
 
     The top stratum is swept as it is, not through its basis, and every
     trial is assembled flat from f and the term list, so the top stratum's
@@ -569,8 +562,12 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
         up = lambda y: basis.T @ y
         induced = basis @ action.matrix @ basis.T
 
+    def gap(y):
+        # the distance from the lift of y to the nearest handled stratum
+        return min((np.linalg.norm(up(y) - ph @ up(y)) for ph, _ in handled), default=math.inf)
+
     def off_handled(points):
-        return [y for y in points if _handled_distance(up(y), handled) > _STRATUM_TOL]
+        return [y for y in points if gap(y) > _STRATUM_TOL]
 
     cur = _assemble(f, terms, action, name=_OUT_NAME)
     swept = restrict(cur)
@@ -579,7 +576,7 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
     free = off_handled(crits)
     eta_used = 0.0
     if free and not _is_morse(swept, free):
-        sep = min(_handled_distance(up(y), handled) for y in free)
+        sep = min(gap(y) for y in free)
         rho = 0.45 * min(sep, 0.5 * radius)
         mons = _monomials(m)
         coeffs = rng.standard_normal(len(mons))
@@ -601,44 +598,34 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon, max_depth):
             raise _StageFailure(f"stage d={d}: free critical points stay degenerate")
         terms.append(term)
         cur, eta_used = trial, eta
-    c = epsilon / 4.0
-    info = {}
-    if m == 0:
-        terms.append(_quadratic_term(np.eye(n), c))
-    elif m < n and free:
-        term, c, info = _well_step(cur, strat, d, handled, [up(y) for y in free],
-                                   radius, epsilon, max_depth)
+    c, info = epsilon / 4.0, {}
+    # on F_d = {0} nothing is handled yet, so the well is |z|^2
+    lifts = [up(y) for y in free] if m else [np.zeros(n)]
+    if m < n and lifts:
+        term, c, info = _well_step(cur, strat, d, handled, lifts, epsilon)
         terms.append(term)
     rec = {"divisor": int(d), "dimension": int(m), "c": float(c) if m < n else None,
            # F_d = {0} reports an empty stratum polynomial, not a bump
            "h_scale": None if m else 0.0, "alpha_scale": float(eta_used) if m else None}
     if 0 < m < n:
-        rec["well"] = {k: float(v) for k, v in info.items()}
+        rec["well"] = info
     return rec, (cur, crits)
 
 
-def _well_step(cur, strat, d, handled, lifts, radius, epsilon, max_depth):
-    """Normal push of a stratum between the handled ones and the top:
-    -(c/2) times a normal_well that vanishes on tubes around the handled
-    strata and has its plateau at the lifted census points.  c starts at
-    epsilon / 4 and is raised to ten times the normal curvature of cur
-    there.  Returns the term, c and the well's transition parameters."""
-    n = cur.d
-    basis = strat.basis(d)
-    nbasis = null_space(basis)
-    sep = min(_handled_distance(z, handled) for z in lifts)
-    tube_r = min(0.25 * sep, 0.15 * radius)
-    inner = None
-    for _, _, bh, _ in handled:
-        spec = ClosedSetSpec.tube(n, bh.tolist(), tube_r)
-        inner = spec if inner is None else inner.union(spec)
-    box = 2.0 * max(1.0, radius)
-    well, info = normal_well(inner, n, basis.tolist(), strat.action,
-                             plateau_points=lifts, bbox=(-box, box), max_depth=max_depth)
-    normal = [nbasis @ np.asarray(cur.hess(z), dtype=float) @ nbasis.T for z in lifts]
-    c = max([epsilon / 4.0, *(10.0 * float(np.linalg.norm(b, 2)) for b in normal)])
-    if c > epsilon:
-        raise _StageFailure(f"stage d={d}: curvature budget exceeded")
+def _well_step(cur, strat, d, handled, lifts, epsilon):
+    """-(c/2) times the normal_well of F_d with its plateau at the lifted
+    census points, and c = max(epsilon / 4, 10 lambda_max(N)) over the
+    normal Hessian blocks N of cur there: a negative block keeps epsilon / 4,
+    and a c above epsilon refuses before any well is built, naming the
+    point and its lambda_max.  Returns the term, c and the well's delta."""
+    nbasis = null_space(strat.basis(d))
+    tops = np.max(np.linalg.eigvalsh(nbasis @ cur.hess(np.array(lifts)) @ nbasis.T), axis=1)
+    i = int(np.argmax(tops))
+    if 10.0 * tops[i] > epsilon:
+        raise _StageFailure(f"stage d={d}: curvature budget exceeded: the normal Hessian at "
+                            f"{np.round(lifts[i], 6).tolist()} has lambda_max {tops[i]:.4g}")
+    c = max(epsilon / 4.0, 10.0 * float(tops[i]))
+    well, info = normal_well([ph for ph, _ in handled], strat.projection(d), strat.action, lifts)
     return _scaled(well, -0.5 * c), c, info
 
 
@@ -678,7 +665,7 @@ def _certify(f, out, crits, strat, records, handled, epsilon, radius):
             continue
         # the c of the stage that handled the point's stratum
         pj = strat.projection(j)
-        c_used = next((cc for _, ph, _, cc in handled
+        c_used = next((cc for ph, cc in handled
                        if cc is not None and np.linalg.norm(ph - pj) < 1e-9), None)
         nbasis = null_space(strat.basis(j))
         block = nbasis @ hz @ nbasis.T
@@ -695,7 +682,14 @@ def _certify(f, out, crits, strat, records, handled, epsilon, radius):
     item_margin = {"passed": bool(margins_ok),
                    "required_fraction": _MARGIN_FRACTION, "points": margins}
 
-    z = np.array([_ball_point(rng, n, radius) for _ in range(60)])
+    # besides the ball, the ramp shells of each well around the strata
+    # handled before it, where the well's Hessian peaks and a sample of the
+    # ball rarely lands; handled runs parallel to the stages not skipped
+    z = [np.array([_ball_point(rng, n, radius) for _ in range(60)])]
+    for k, rec in enumerate(r for r in records if "skipped" not in r):
+        if rec.get("well"):
+            z += [_shell_points(rng, ph, rec["well"]["delta"], radius) for ph, _ in handled[:k]]
+    z = np.concatenate(z)
     (ov, og, oh), (fv, fg, fh) = out.jet(z), f.jet(z)
     dv = np.abs(ov - fv)
     dg = row_norms(og - fg)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import row_space, smooth_step
+from .config import _S_HI, _S_LO, row_space, smooth_step
 from .errors import ResolutionError, ValidationError
 from .lochom import CyclicAction, _json_fields, _json_int
 
@@ -28,10 +28,6 @@ class CoverageWarning(UserWarning):
 
 _MEMBERSHIP_TOL = 1e-12
 _DEFAULT_MAX_DEPTH = {1: 16, 2: 14, 3: 10}
-# bump profile: identically 1 up to 1/2, the quintic ramp config.smooth_step
-# down to 0 at _S_HI; keeping the support strictly inside the 9/8-dilated
-# cube leaves room for the strict inclusion supp(phi) in int(Q*)
-_S_LO, _S_HI = 0.5, 0.55
 # the coarsest depth at which the regularized distance accepts a cube
 _MIN_DEPTH = 2
 

@@ -46,7 +46,6 @@ from equimorse.lochom import (
     equivariant_split,
 )
 from equimorse.hamflow import _polynomial_kernel
-from equimorse.regdist import ClosedSetSpec, RegularizedDistance
 from fd_oracle import assert_jets_match, pointwise, richardson_jets
 
 
@@ -244,35 +243,96 @@ class TestNormalDecreasingExtension:
             normal_decreasing_extension(bad, s, 4)
 
 
+def _rotation_and_flip():
+    # rot(2 pi / 3) + (-1) on R^3, of order 6: F_1 = {0}, F_2 the z-axis,
+    # F_3 the xy-plane
+    c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
+    return CyclicAction(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, -1.0]]), 6)
+
+
+def _well_case(case):
+    """(handled projections, stratum projection, action, plateau points) of
+    a normal well with delta = 0.013 / 1.3, about 0.01: the reflection's axis
+    with the origin handled, or the xy-plane of the rotation and flip with
+    the origin and the z-axis handled."""
+    if case == "ball":
+        return [np.zeros((2, 2))], np.diag([1.0, 0.0]), reflection2(), [[math.sqrt(0.013), 0.0]]
+    return ([np.zeros((3, 3)), np.diag([0.0, 0.0, 1.0])], np.diag([1.0, 1.0, 0.0]),
+            _rotation_and_flip(), [[0.0, math.sqrt(0.013), 0.0]])
+
+
+def _squared_distances(handled, Z):
+    # |z - P_e z|^2 for every handled projection P_e (columns) and row z of Z
+    return np.stack([np.sum((Z - Z @ p) ** 2, axis=1) for p in handled], axis=1)
+
+
+def _well_points(case, rng):
+    # points on the handled strata, on the zero set around them, across the
+    # ramps and on the plateau
+    if case == "ball":
+        r, th = rng.uniform(0.0, 0.16, 160), rng.uniform(0.0, 2.0 * math.pi, 160)
+        return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    rho, th = rng.uniform(0.0, 0.16, 160), rng.uniform(0.0, 2.0 * math.pi, 160)
+    return np.stack([rho * np.cos(th), rho * np.sin(th), rng.uniform(-0.3, 0.3, 160)], axis=1)
+
+
 class TestNormalWell:
     def test_well_vanishes_near_the_inner_set_and_matches_distance_squared(self):
-        action = reflection2()
-        inner = ClosedSetSpec.ball([0.0, 0.0], 0.3)
-        g, info = normal_well(inner, 2, [[1.0, 0.0]], action, delta=0.01)
-        # inside and just outside the inner set the well is identically zero
-        for pt in ([0.0, 0.0], [0.2, 0.1], [0.3, 0.0], [0.0, 0.301]):
-            assert g.value(np.array(pt)) == 0.0
-        # far from the inner set the well equals squared distance to the stratum
-        for u, v in ((0.9, 0.04), (1.3, -0.02), (-1.1, 0.05)):
-            assert abs(g.value(np.array([u, v])) - v * v) < 1e-12
-        assert info["delta"] == pytest.approx(0.01)
-        assert info["rho0"] > 0
+        # the inner set is where some factor is exactly 0: |z - P_e z|^2 <= delta / 4
+        for case in ("ball", "tube"):
+            handled, stratum, action, plateau = _well_case(case)
+            g, info = normal_well(handled, stratum, action, plateau)
+            delta = info["delta"]
+            assert delta == pytest.approx(0.01, rel=1e-15)
+            pts = _well_points(case, np.random.default_rng(5))
+            u = _squared_distances(handled, pts)
+            values, grads, hessians = g.jet(pts)
+            inner = np.any(u <= delta / 4, axis=1)
+            assert inner.any()
+            assert np.all(values[inner] == 0.0) and np.all(grads[inner] == 0.0)
+            assert np.all(hessians[inner] == 0.0)
+            # where every factor is 1 the well is the squared distance to the
+            # stratum, with its exact derivatives
+            plateau = np.all(u >= delta, axis=1)
+            assert plateau.any()
+            q = np.eye(len(stratum)) - stratum
+            normal = pts[plateau] @ q
+            assert np.array_equal(values[plateau], np.sum(normal * normal, axis=1))
+            assert np.array_equal(grads[plateau], 2.0 * normal)
+            assert np.all(hessians[plateau] == 2.0 * q)
+
+    @pytest.mark.parametrize("case", ["ball", "tube"])
+    def test_the_plateau_points_set_delta(self, case):
+        handled, stratum, action, _ = _well_case(case)
+        plateau = _well_points(case, np.random.default_rng(6))[:5]
+        g, info = normal_well(handled, stratum, action, plateau)
+        assert info["delta"] == np.min(_squared_distances(handled, plateau)) / 1.3
+        # every factor is 1 at the plateau points
+        q = np.eye(len(stratum)) - stratum
+        want = [(p @ q) @ (p @ q) for p in plateau]
+        assert np.allclose(g.value(plateau), want, rtol=1e-15, atol=0.0)
+        with pytest.raises(ValidationError, match="positive"):
+            normal_well(handled, stratum, action, [np.zeros(len(q))])
+        with pytest.raises(ValidationError, match="plateau point"):
+            normal_well(handled, stratum, action, [])
 
     def test_well_is_invariant_and_twice_differentiable(self):
-        action = reflection2()
-        inner = ClosedSetSpec.ball([0.0, 0.0], 0.3)
-        g, _ = normal_well(inner, 2, [[1.0, 0.0]], action, delta=0.01)
         rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(40):
-            q = rng.uniform(-1.6, 1.6, size=2)
-            worst = max(worst, abs(g.value(action.matrix @ q) - g.value(q)))
-        assert worst < 1e-10
-        # the curvature stays bounded across the transition zone
-        for u in np.linspace(0.32, 1.2, 12):
-            h = g.hess(np.array([u, 0.1]))
-            assert np.all(np.isfinite(h))
-            assert np.max(np.abs(h)) < 1e3
+        for case in ("ball", "tube"):
+            handled, stratum, action, plateau = _well_case(case)
+            g, info = normal_well(handled, stratum, action, plateau)
+            pts = _well_points(case, rng)
+            worst = np.max(np.abs(g.value(_mv(action.matrix, pts)) - g.value(pts)))
+            assert worst < 1e-15
+            # the Hessian is continuous across both ends of a ramp: the
+            # smallest |z - P_e z|^2 / delta crosses 1/4 and 1 along a ray
+            ray = np.ones(len(stratum)) / math.sqrt(len(stratum)) + np.eye(len(stratum))[0]
+            ray /= np.linalg.norm(ray)
+            for end in (0.25, 1.0):
+                nearest = np.min(_squared_distances(handled, ray[None]))
+                r = math.sqrt(info["delta"] * end / nearest)
+                inside, outside = g.hess((r * (1.0 - 1e-9)) * ray), g.hess((r * (1.0 + 1e-9)) * ray)
+                assert np.max(np.abs(inside - outside)) < 1e-5 * max(1.0, np.max(np.abs(inside)))
 
 
 def _quintic(u):
@@ -280,58 +340,35 @@ def _quintic(u):
     return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
-def _pointwise_well(inner, d0, d1, info):
-    # the well one point at a time, over the well's own regularized distances
+def _pointwise_well(handled, stratum, delta):
+    # the well one point at a time, as a product of scalar factors
 
     def value(z):
-        if inner.dist(z) <= info["rho0"]:
-            return 0.0
-        u = d0.value(z) ** 2 / info["delta"]
-        if u <= 0.25:
-            return 0.0
-        w = 1.0 if u >= 1.0 else _quintic((u - 0.25) / 0.75)
-        t = d1.value(z)
-        return w * t * t
+        out = float(z @ (np.eye(len(z)) - stratum) @ z)
+        for p in handled:
+            u = float(z @ (np.eye(len(z)) - p) @ z) / delta
+            out *= 0.0 if u <= 0.25 else 1.0 if u >= 1.0 else _quintic((u - 0.25) / 0.75)
+        return out
 
     return value
 
 
-@pytest.mark.parametrize("case", ["ball", "strip"])
-def test_normal_well_equals_its_pointwise_oracle(case, monkeypatch):
-    rng = np.random.default_rng(12)
-    if case == "ball":
-        inner, kw = ClosedSetSpec.ball([0.0, 0.0], 0.3), {"delta": 0.01}
-        # rings from inside the ball, across the transition, to the plateau
-        r, th = rng.uniform(0.28, 0.6, 120), rng.uniform(0.0, 2.0 * math.pi, 120)
-        pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-    else:
-        inner, kw = ClosedSetSpec.tube(2, [[0.0, 1.0]], 0.1), {"delta": 0.05, "max_depth": 11}
-        u = rng.choice([-1.0, 1.0], 80) * rng.uniform(0.05, 0.6, 80)
-        pts = np.stack([u, rng.uniform(-0.8, 0.8, 80)], axis=1)
-    built, build = [], RegularizedDistance.build
-
-    def keep(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(RegularizedDistance, "build", keep)
-    g, info = normal_well(inner, 2, [[1.0, 0.0]], reflection2(), **kw)
-    d0, d1 = built
-    value = _pointwise_well(inner, d0, d1, info)
-    assert np.array_equal(g.value(pts), [value(z) for z in pts])
-    # the chain rule against the pointwise differences, extrapolated; the
-    # well is steeper than either distance, so its step is finer (its
-    # Hessian entries reach 5e4)
+@pytest.mark.parametrize("case", ["ball", "tube"])
+def test_normal_well_equals_its_pointwise_oracle(case):
+    handled, stratum, action, plateau = _well_case(case)
+    g, info = normal_well(handled, stratum, action, plateau)
+    pts = _well_points(case, np.random.default_rng(12))
+    value = _pointwise_well(handled, stratum, info["delta"])
+    assert np.allclose(g.value(pts), [value(z) for z in pts], rtol=1e-13, atol=0.0)
+    # the product rule against the pointwise differences, extrapolated
     grads, hessians = g.grad(pts), g.hess(pts)
-    assert_jets_match(richardson_jets(pointwise(value), pts, 2.5e-5), grads, hessians)
+    assert_jets_match(richardson_jets(pointwise(value), pts, 1e-4), grads, hessians)
     for z, gz, hz in zip(pts[::10], grads[::10], hessians[::10]):
         assert np.array_equal(g.grad(z), gz) and np.array_equal(g.hess(z), hz)
-    # the points reach every branch: near the inner set, below, on and
-    # above the step's ramp
-    far = inner.dist_many(pts) > info["rho0"]
-    u = d0.values(pts[far]) ** 2 / info["delta"]
-    assert (~far).any() and (u <= 0.25).any() and (u >= 1.0).any()
-    assert ((u > 0.25) & (u < 1.0)).any()
+    # the points reach every branch: a zero factor, a ramp and the plateau
+    u = _squared_distances(handled, pts) / info["delta"]
+    assert np.any(u <= 0.25) and np.any((u > 0.25) & (u < 1.0))
+    assert np.any(np.all(u >= 1.0, axis=1))
 
 
 class TestPerturbPipeline:
@@ -557,10 +594,10 @@ def test_the_antipodal_census_does_not_depend_on_the_k_of_the_action(monkeypatch
     _skipped_strata_keep_the_census_at_k_2(-np.eye(2), monkeypatch)
 
 
-def test_the_tube_stage_runs_and_refuses_a_collar_it_cannot_resolve(monkeypatch):
-    # under rot(2 pi / 3) + (-1) of order 6 the z-axis is the stratum of
-    # divisor 2; its bumped restriction has critical points at +-0.0559,
-    # a collar too thin for normal_well at the default Whitney depth
+def _refusal(f, monkeypatch):
+    """The message of the ResolutionError of perturb_invariant_morse on f
+    under the rotation and flip, the divisor of each call of the well step
+    over its three draws."""
     stages = []
     well_step = equiperturb._well_step
 
@@ -569,12 +606,67 @@ def test_the_tube_stage_runs_and_refuses_a_collar_it_cannot_resolve(monkeypatch)
         return well_step(cur, strat, d, *args)
 
     monkeypatch.setattr(equiperturb, "_well_step", counted)
-    c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
-    action = CyclicAction(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, -1.0]]), 6)
-    f = FunctionSpec.make(3, [(1.0, (2, 0, 0)), (1.0, (0, 2, 0)), (1.0, (0, 0, 4))])
-    with pytest.raises(ResolutionError, match="transition width is below the unresolved collar"):
+    with pytest.raises(ResolutionError) as info:
+        perturb_invariant_morse(f, _rotation_and_flip(), epsilon=0.05, seed=0)
+    return str(info.value), stages
+
+
+def test_the_tube_stage_runs_and_refuses_a_curvature_budget_it_cannot_meet(monkeypatch):
+    # (x^2 + y^2)^2 + z^4 + 10 (x^2 + y^2) z^2 is flat at 0, so the well step
+    # of F_1 = {0} keeps c = epsilon / 4; the z-axis stage finds the critical
+    # points +-sqrt(epsilon / 16) = +-0.0559, where the normal Hessian is
+    # 20 z^2 - c = 0.05: c would have to be 0.5, above epsilon, so every draw
+    # refuses at the well step of F_2 before building a well
+    f = FunctionSpec.make(3, [(1.0, (4, 0, 0)), (2.0, (2, 2, 0)), (1.0, (0, 4, 0)),
+                              (1.0, (0, 0, 4)), (10.0, (2, 0, 2)), (10.0, (0, 2, 2))])
+    message, stages = _refusal(f, monkeypatch)
+    assert "stage d=2: curvature budget exceeded" in message
+    assert "[0.0, 0.0, -0.055902] has lambda_max 0.05" in message
+    assert stages == [1, 2] * 3
+    # x^2 + y^2 + z^4 and (x^2 + y^2)^2 + z^2 have a normal Hessian of +2 at
+    # their stratum points, which no C^2-small change flips: the well step
+    # of F_1 = {0} already reads lambda_max 2 at the origin and refuses
+    for terms in ([(1.0, (2, 0, 0)), (1.0, (0, 2, 0)), (1.0, (0, 0, 4))],
+                  [(1.0, (4, 0, 0)), (2.0, (2, 2, 0)), (1.0, (0, 4, 0)), (1.0, (0, 0, 2))]):
+        message, stages = _refusal(FunctionSpec.make(3, terms), monkeypatch)
+        assert "stage d=1: curvature budget exceeded" in message
+        assert "[0.0, 0.0, 0.0] has lambda_max 2" in message
+        assert stages == [1] * 3
+
+
+def test_the_certificate_samples_the_ramp_shell_of_a_three_dimensional_well():
+    # -(x^2 + y^2) + z^4: the normal block is negative at every stratum
+    # point, so every stage keeps c = epsilon / 4; the census is the origin
+    # (index 3) and the two points +-sqrt(epsilon / 16) of the z-axis
+    # (index 2), and Sum (-1)^index = 1 is the Euler characteristic of the
+    # germ's local homology {2: 1}
+    f = FunctionSpec.make(3, [(-1.0, (2, 0, 0)), (-1.0, (0, 2, 0)), (1.0, (0, 0, 4))])
+    action = _rotation_and_flip()
+    out, cert = equiperturb._build(f, strata(action), 0.05, 1.0, np.random.default_rng([0, 0]))
+    assert [s["c"] for s in cert["stages"] if s.get("c") is not None] == [0.0125] * 3
+    census = cert["items"]["critical_points_on_strata"]
+    points = np.array([p["point"] for p in census["points"]])
+    assert len(points) == 3 and np.all(np.abs(points[:, :2]) < 1e-12)
+    assert np.allclose(points[:, 2], [-math.sqrt(0.05 / 16), 0.0, math.sqrt(0.05 / 16)], atol=1e-9)
+    indices = [int(np.sum(np.linalg.eigvalsh(out.hess(z)) < 0.0)) for z in points]
+    assert indices == [2, 3, 2]
+    assert census["euler"] == 1
+    # the z-axis well ramps where |z|^2 / delta runs from 1/4 to 1 around the
+    # handled origin: at the xy-plane points of that shell its Hessian, times
+    # c / 2, moves D^2 f by more than 2 epsilon, in a shell that holds about
+    # 1e-4 of the ball's volume.  The certificate samples the shell and
+    # refuses what a sample of the ball alone would pass
+    delta = next(s["well"]["delta"] for s in cert["stages"] if s.get("well"))
+    r = np.sqrt(np.linspace(0.25, 1.0, 31) * delta)
+    shell = np.stack([r, np.zeros_like(r), np.zeros_like(r)], axis=1)
+    change = np.linalg.norm(out.hess(shell) - f.hess(shell), 2, axis=(1, 2))
+    assert np.max(change) > 2.0 * 0.05
+    item = cert["items"]["c2_distance"]
+    assert not item["passed"] and item["measured"] > 2.0 * 0.05
+    assert not cert["passed"]
+    with pytest.raises(ResolutionError, match=r"certificate after the stage loop: "
+                                              r"c2_distance \(measured"):
         perturb_invariant_morse(f, action, epsilon=0.05, seed=0)
-    assert stages == [2]
 
 
 def _every_separatrix_lands_or_exits(report):
@@ -1100,9 +1192,8 @@ def _kinds(rng):
     ext = normal_decreasing_extension(FunctionSpec.make(2, [(1.0, (4, 0))]),
                                       strata(np.diag([1.0, -1.0]), 2), 1)
     out.append(("normal decreasing extension", ext, rows2))
-    well, _ = normal_well(ClosedSetSpec.ball([0.0, 0.0], 0.3), 2, [[1.0, 0.0]],
-                          reflection2(), delta=0.05, max_depth=11)
-    out.append(("normal well", well, rng.uniform(-1.2, 1.2, size=(7, 2))))
+    well, _ = normal_well(*_well_case("tube"))
+    out.append(("normal well", well, _well_points("tube", rng)[:9]))
     # the fiber equation of z3 takes several Newton steps at every (z1, z2)
     fibered = FunctionSpec.make(3, [(1.0, (4, 0, 0)), (1.0, (0, 4, 0)), (1.0, (0, 0, 2)),
                                     (1.0, (0, 0, 4)), (-1.0, (2, 0, 1)), (0.5, (1, 1, 1))])

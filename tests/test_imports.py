@@ -4,7 +4,8 @@ the process environment, and only config spells the quintic cutoff ramp; every
 function that the benchmark tracer patches is defined where it patches it;
 every name that the benchmark imports from the package exists; every relative
 import inside the package names a definition of the module it imports from;
-and every console script that pyproject.toml declares imports."""
+equiperturb imports nothing from regdist; and every console script that
+pyproject.toml declares imports."""
 from __future__ import annotations
 
 import ast
@@ -293,6 +294,36 @@ def test_the_relative_import_guard_sees_a_re_export(tmp_path):
         "from . import base, gone\nfrom .mid import _norm\nfrom .base import norm, SIZE\n")
     assert relative_import_findings(tmp_path) == [
         "top.py:1: . gone", "top.py:2: .mid _norm", "top.py:3: .base SIZE"]
+
+
+def module_imports(path, name):
+    """Lines of the module at path that import the package module name, in
+    any of the forms from .name, from . import name or import equimorse.name."""
+    found = []
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == name for m in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_perturbation_imports_nothing_from_regdist():
+    # near a fixed point of a linear action every stratum is a subspace, so
+    # the normal well is a polynomial in squared distances; the regularized
+    # distance stays the construction for general closed sets
+    assert module_imports(SRC / "equimorse" / "equiperturb.py", "regdist") == []
+
+
+def test_the_regdist_import_guard_sees_every_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy\nfrom .regdist import _outer\nfrom . import regdist\n"
+        "import equimorse.regdist\nfrom .config import tol\n")
+    assert module_imports(tmp_path / "mod.py", "regdist") == [2, 3, 4]
 
 
 def test_every_declared_script_imports():

@@ -99,13 +99,19 @@ class Stratification:
                 f"{j!r} is not a divisor of the stratification; its divisors are {self.divisors}")
 
     def assign(self, x):
-        """Smallest divisor whose stratum contains x up to _STRATUM_TOL."""
-        for j in self.divisors:
-            d = self.stratum_distance(x, j)
-            if d <= _STRATUM_TOL:
-                return j, d
-        j = self.divisors[-1]
-        return j, self.stratum_distance(x, j)
+        """Smallest divisor whose stratum contains x up to _STRATUM_TOL, or
+        the last divisor, and the distance from x to that stratum.
+
+        For a batch (P, n) it returns the divisors and distances of every
+        row as arrays, each row bitwise the point alone.
+        """
+        x = np.asarray(x, dtype=float)
+        Z = x.reshape(-1, self.ambient_dim)
+        dist = np.array([row_norms(Z - _mv(self.projection(j), Z)) for j in self.divisors])
+        on = dist <= _STRATUM_TOL
+        pick = np.where(on.any(axis=0), on.argmax(axis=0), len(self.divisors) - 1)
+        js, ds = np.array(self.divisors)[pick], dist[pick, np.arange(len(Z))]
+        return (int(js[0]), float(ds[0])) if x.ndim == 1 else (js, ds)
 
     def verify(self) -> dict:
         a = self.action.matrix
@@ -185,9 +191,10 @@ def normal_decreasing_extension(f, stratification: Stratification, j: int) -> Ca
 # small polynomials with radial cutoffs, as closed-form functions; every row
 # of a batch is bitwise the result at that point alone, which keeps the
 # critical point census of a Newton sweep independent of its batching: the
-# bump sum adds each row's centers in one stacked product per ramp count, and
-# the polynomial is the package's one kernel (hamflow._Kernel), whose rows do
-# not depend on their batch mates
+# bump sum reads each row's centers from a cell index and adds its ramp
+# centers, in ascending center order, in one stacked product per ramp count,
+# and the polynomial is the package's one kernel (hamflow._Kernel), whose
+# rows do not depend on their batch mates
 
 def _monomials(m, min_degree=0):
     # the exponents of the monomials of degree min_degree to 3 in m variables
@@ -198,59 +205,130 @@ def _monomials(m, min_degree=0):
     return out
 
 
+def _firsts(a):
+    # the index of the first of each run of equal values of a sorted array
+    return np.flatnonzero(np.concatenate([[len(a) > 0], a[1:] != a[:-1]]))
+
+
+def _near_pairs(centers, reach):
+    """The lookup Z -> (row, center) of the pairs of a batch Z and the (K, m)
+    centers that may lie within reach of each other, sorted by row, then
+    center.
+
+    The centers are filed in cells of side just above reach, each under the
+    3^m cells around its own, so the index holds 3^m K entries, and a row
+    reads the centers filed under its own cell.  The side exceeds reach by a
+    margin that covers the rounding of the distances and of the cell
+    coordinates, so every pair whose computed distance is below reach is
+    returned.  A row that is not finite, or lies more than a cell outside
+    the centers' bounding box, gets no pairs.
+    """
+    m = centers.shape[1]
+    lo = centers.min(axis=0)
+    span = float(np.max(centers.max(axis=0) - lo))
+    side = reach * (1.0 + 16.0 * np.finfo(float).eps * (span / reach + 4.0))
+    cells = np.floor((centers - lo) / side).astype(np.int64)
+    top = cells.max(axis=0) + 2
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=m)))
+    filed = (shifts[:, None, :] + cells).reshape(-1, m)
+    owner = np.tile(np.arange(len(centers)), len(shifts))
+    # a cell's key packs the ranks of its coordinates among the filed ones,
+    # at most 3K per axis, so keys fit in int64 for any K below 690,000;
+    # shifted past the range [-1, top) of the axes before it, the filed
+    # coordinates of all axes make one sorted list, so one search ranks
+    # every coordinate of a batch
+    shift = 1 + np.concatenate([[0], np.cumsum(top[:-1] + 1)])
+    coords = np.sort((filed + shift).ravel(), kind="stable")
+    coords = coords[_firsts(coords)]
+    start = np.searchsorted(coords, shift - 1)
+    strides = np.concatenate([[1], np.cumprod(np.diff(np.append(start, len(coords)))[:-1])])
+
+    def keys(c):
+        c = c + shift
+        at = np.minimum(np.searchsorted(coords, c), len(coords) - 1)
+        return (at - start) @ strides, np.all(coords[at] == c, axis=1)
+
+    filed = keys(filed)[0]
+    order = np.lexsort((owner, filed))
+    owner, filed = owner[order], filed[order]
+    first = _firsts(filed)
+    cell_keys, sizes = filed[first], np.diff(np.append(first, len(filed)))
+
+    def near(Z):
+        with np.errstate(over="ignore"):
+            q = (Z - lo) / side
+        rows = np.flatnonzero(np.all((q >= -1.0) & (q < top), axis=1))
+        key, hit = keys(np.floor(np.take(q, rows, axis=0)).astype(np.int64))
+        at = np.minimum(np.searchsorted(cell_keys, key), len(cell_keys) - 1)
+        hit &= cell_keys[at] == key
+        rows, at = rows[hit], at[hit]
+        n = sizes[at]
+        ends = np.cumsum(n)
+        return (np.repeat(rows, n),
+                owner[np.repeat(first[at] - ends + n, n) + np.arange(n.sum())])
+
+    return near
+
+
 def _bump_poly_term(centers, scale, coeffs, mons):
     """Polynomial times a sum of radial bumps, one bump per center.
 
     Each bump is profile(|z - c| / scale): exactly 1 on the plateau
     t <= 0.5, the quintic ramp config.smooth_step decreasing for
     0.5 < t < 0.55, and 0 beyond.
-    The jet of a batch takes the bump sum over the (P, K, m) array of
-    differences between the points and the centers in one pass: plateau
-    centers only add their count to the value, and the ramp, its gradient
-    and its Hessian are evaluated on the centers strictly inside the ramp
-    alone.  Rows with the same number R of ramp centers share one stacked
-    (1, R) @ (R, m) product; padding the rows to a common R would change the
-    rounding.  The polynomial's kernel is built once, here, and read only at
-    the rows that some bump reaches.
+    The jet of a batch reads the bump sum from the pairs of rows and centers
+    that a cell index (_near_pairs, built once per term) returns, so it
+    costs the centers within reach of each row, not all K.  Plateau centers
+    only add their count to the value.  The ramp, its gradient and its
+    Hessian are evaluated elementwise over all ramp pairs in one pass, on
+    the pairs ordered by (ramp count, row, center), so the rows with the
+    same number R of ramp centers share one contiguous block: one sum and
+    one stacked (1, R) @ (R, m) and (m, R) @ (R, m) product per R, each row
+    adding its centers in ascending order.  Padding the rows to a common R
+    would change the rounding.  The polynomial's kernel is built once, here,
+    and read only at the rows that some bump reaches.
     """
     centers = np.asarray(centers, dtype=float)
     m = centers.shape[1]
     kernel = _polynomial_kernel(m, list(zip(coeffs, mons)))
     width = _S_HI - _S_LO
     eye = np.eye(m)
+    near = _near_pairs(centers, _S_HI * scale)
 
     def jet(Z):
-        W = Z[:, None, :] - centers
-        r = np.sqrt(np.einsum("pki,pki->pk", W, W))
+        row, center = near(Z)
+        W = np.take(Z, row, axis=0) - np.take(centers, center, axis=0)
+        r = np.sqrt(np.einsum("ni,ni->n", W, W))
         t = r / scale
-        bv = np.add.reduce(t <= _S_LO, axis=1, dtype=float)
+        bv = np.bincount(row, weights=t <= _S_LO, minlength=len(Z))
         bg = np.zeros(Z.shape)
         bh = np.zeros((len(Z), m, m))
-        ramp = (t > _S_LO) & (t < _S_HI)
-        counts = np.add.reduce(ramp, axis=1)
-        row, center = np.nonzero(ramp)
-        for R in set(counts[row].tolist()):
-            rows = np.flatnonzero(counts == R)
-            at = counts[row] == R
-            ij = row[at], center[at]
-            # the ramp sits away from r = 0, so the radial chain rule is regular
-            rr = r[ij].reshape(-1, R)
-            q, d1, d2 = smooth_step((_S_HI - t[ij].reshape(-1, R)) / width)
-            d1 = -d1 / (width * scale)
-            d2 = d2 / (width * scale) ** 2
-            u = W[ij].reshape(-1, R, m) / rr[..., None]
-            radial = d2 - d1 / rr
-            bv[rows] += np.sum(q, axis=1)
-            bg[rows] = np.matmul(d1[:, None, :], u)[:, 0]
-            bh[rows] = (np.matmul(np.swapaxes(u * radial[..., None], 1, 2), u)
-                        + np.sum(d1 / rr, axis=1)[:, None, None] * eye)
+        ramp = np.flatnonzero((t > _S_LO) & (t < _S_HI))
+        counts = np.bincount(row[ramp], minlength=len(Z))
+        ramp = ramp[np.argsort(counts[row[ramp]], kind="stable")]
+        row, r = row[ramp], r[ramp]
+        # the ramp sits away from r = 0, so the radial chain rule is regular
+        q, d1, d2 = smooth_step((_S_HI - t[ramp]) / width)
+        d1 = -d1 / (width * scale)
+        d2 = d2 / (width * scale) ** 2
+        u = np.take(W, ramp, axis=0) / r[:, None]
+        radial, tangential = u * (d2 - d1 / r)[:, None], d1 / r
+        starts = _firsts(counts[row])
+        for R, a, b in zip(counts[row[starts]].tolist(), starts.tolist(),
+                           starts[1:].tolist() + [len(row)]):
+            rows = row[a:b:R]
+            ub = u[a:b].reshape(-1, R, m)
+            bv[rows] += np.sum(q[a:b].reshape(-1, R), axis=1)
+            bg[rows] = np.matmul(d1[a:b].reshape(-1, R)[:, None, :], ub)[:, 0]
+            bh[rows] = (np.matmul(np.swapaxes(radial[a:b].reshape(-1, R, m), 1, 2), ub)
+                        + np.sum(tangential[a:b].reshape(-1, R), axis=1)[:, None, None] * eye)
         # rows outside every bump (bv = 0: a ramp center adds a positive
         # quintic) keep a zero polynomial, so their value and derivatives are
         # exact zeros
         pv, pg, ph = np.zeros(len(Z)), np.zeros(Z.shape), np.zeros(bh.shape)
-        live = bv != 0.0
-        if live.any():
-            pv[live], pg[live], ph[live] = kernel.jet(Z[live])
+        live = np.flatnonzero(bv)
+        if len(live):
+            pv[live], pg[live], ph[live] = kernel.jet(np.take(Z, live, axis=0))
         return _product((pv, pg, ph), (bv, bg, bh))
 
     return CallableFunction(m, jet)
@@ -265,12 +343,22 @@ def _product(a, b):
 
 
 def _orbit_average(term, mats):
-    """The mean of term(m z) over the group elements m."""
-    pulls = [_pullback(term, m) for m in mats]
+    """The mean of term(m z) over the group elements m.
+
+    The jet of a batch stacks its images under every m and asks term for one
+    jet of the stack, then pulls each image's part back by the chain rule
+    and sums the parts in the order of mats.  Every row of term must not
+    depend on its batch mates (the bump sum's rows do not), so each image is
+    bitwise its own pullback z -> term(m z).
+    """
+    mats = [np.asarray(m, dtype=float) for m in mats]
 
     def jet(Z):
-        parts = zip(*(p.jet(Z) for p in pulls))
-        return tuple(sum(part) / len(pulls) for part in parts)
+        v, g, h = term.jet(np.concatenate([_mv(m, Z) for m in mats]))
+        image = [slice(k * len(Z), (k + 1) * len(Z)) for k in range(len(mats))]
+        parts = [(v[s], _mv(m.T, g[s]), np.matmul(np.matmul(m.T, h[s]), m))
+                 for m, s in zip(mats, image)]
+        return tuple(sum(part) / len(mats) for part in zip(*parts))
 
     return CallableFunction(term.d, jet)
 
@@ -416,8 +504,10 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0):
     max(epsilon / 4, 10 lambda_max) over the normal Hessian blocks at its
     census points (the origin for F_d = {0}), and refuses a c above epsilon
     with "curvature budget exceeded".  It makes
-    _ATTEMPTS = 3 seeded draws before it raises ResolutionError.  A radius or epsilon
-    that is not finite and positive raises ParameterError.
+    _ATTEMPTS = 3 seeded draws before it raises ResolutionError, whose message
+    lists every draw in order, each with the stage or certificate items it
+    failed and what they measured.  A radius or epsilon that is not finite
+    and positive raises ParameterError.
     """
     strat = strata(action, k)
     action = strat.action
@@ -452,7 +542,8 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0):
         bad = ", ".join(f"{name} ({_measured(item)})"
                         for name, item in cert["items"].items() if not item["passed"])
         failures.append(f"certificate after the stage loop: {bad}")
-    raise ResolutionError(f"perturbation failed after {_ATTEMPTS} draws: {failures[-1]}")
+    draws = "; ".join(f"draw {i}: {why}" for i, why in enumerate(failures))
+    raise ResolutionError(f"perturbation failed after {_ATTEMPTS} draws: {draws}")
 
 
 def _measured(item):
@@ -502,30 +593,45 @@ def _base_stage(f, terms, strat, d, radius, rng, epsilon):
     c = epsilon / 4.0
     restricted = _pullback(f, basis.T)
     crits = _critical_points(restricted, radius)
+    plateau = 0.45 * radius
 
-    def normal_ok(points):
-        blocks = (nbasis @ np.asarray(f.hess(basis.T @ y), dtype=float) @ nbasis.T for y in points)
-        return not any(np.linalg.norm(b, 2) > c / 10.0 for b in blocks)
+    def fault(func, points, trial):
+        # the first check that the census points of func fail, with what it
+        # measured, or None; a trial must also keep them on the bump's
+        # plateau and apart
+        if not points:
+            return "no critical point"
+        Y = np.array(points)
+        far, sep = (np.max(row_norms(Y)), _min_separation(points)) if trial else (0.0, math.inf)
+        if far > plateau:
+            return f"a critical point at |y| = {far:.4g}, off the plateau |y| <= {plateau:.4g}"
+        eig = np.min(np.abs(np.linalg.eigvalsh(func.hess(Y))))
+        if eig < _MORSE_FLOOR:
+            return f"min |eig| {eig:.4g}"
+        if not sep > 10.0 * tol("dedup"):
+            return f"a separation of {sep:.4g}"
+        blocks = np.matmul(np.matmul(nbasis, f.hess(_mv(basis.T, Y))), nbasis.T)
+        top = np.max(np.linalg.norm(blocks, 2, axis=(1, 2)))
+        if top > c / 10.0:
+            return f"a normal Hessian of norm {top:.4g} above c/10 = {c / 10.0:.4g}"
+        return None
 
     eta_used = 0.0
-    if not (crits and _is_morse(restricted, crits) and normal_ok(crits)):
+    if fault(restricted, crits, False):
         mons = _monomials(m, min_degree=1)
         coeffs = rng.standard_normal(len(mons))
-        plateau = 0.45 * radius
         bump = _bump_poly_term([np.zeros(m)], 2.0 * plateau, coeffs, mons)
         eta = 1e-2
         for _ in range(24):
             trial = _assemble(restricted, [_scaled(bump, eta)], None)
-            crits_t = _critical_points(trial, radius)
-            inside = all(np.linalg.norm(y) <= plateau for y in crits_t)
-            if (crits_t and inside and _is_morse(trial, crits_t)
-                    and _min_separation(crits_t) > 10.0 * tol("dedup")
-                    and normal_ok(crits_t)):
+            why = fault(trial, _critical_points(trial, radius), True)
+            if not why:
                 break
             eta /= 8.0
         else:
             raise _StageFailure(
-                f"stage d={d}: could not make the restriction Morse within the margin budget")
+                f"stage d={d}: could not make the restriction Morse within the margin budget: "
+                f"the last trial, at eta {8.0 * eta:.4g}, had {why}")
         eta_used = eta
         terms.append(_scaled(_pullback(bump, basis), eta))
     terms.append(_quadratic_term(q, c))
@@ -559,24 +665,25 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon):
     else:
         restrict = lambda func: _pullback(func, basis.T)
         lift = lambda func: _pullback(func, basis)
-        up = lambda y: basis.T @ y
+        up = lambda Y: _mv(basis.T, Y)
         induced = basis @ action.matrix @ basis.T
 
-    def gap(y):
-        # the distance from the lift of y to the nearest handled stratum
-        return min((np.linalg.norm(up(y) - ph @ up(y)) for ph, _ in handled), default=math.inf)
-
     def off_handled(points):
-        return [y for y in points if gap(y) > _STRATUM_TOL]
+        # the points whose lifts lie off every handled stratum, and the
+        # distance from each of their lifts to the nearest handled stratum
+        U = up(np.array(points, dtype=float).reshape(len(points), m))
+        gaps = np.min([row_norms(U - _mv(ph, U)) for ph, _ in handled]
+                      + [np.full(len(U), math.inf)], axis=0)
+        return [y for y, g in zip(points, gaps) if g > _STRATUM_TOL], gaps[gaps > _STRATUM_TOL]
 
     cur = _assemble(f, terms, action, name=_OUT_NAME)
     swept = restrict(cur)
     # on F_d = {0} the origin is the one point, and it cannot degenerate
     crits = _critical_points(swept, radius, fine=15, fine_width=0.16) if m else []
-    free = off_handled(crits)
+    free, gaps = off_handled(crits)
     eta_used = 0.0
     if free and not _is_morse(swept, free):
-        sep = min(gap(y) for y in free)
+        sep = np.min(gaps)
         rho = 0.45 * min(sep, 0.5 * radius)
         mons = _monomials(m)
         coeffs = rng.standard_normal(len(mons))
@@ -590,17 +697,19 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon):
             trial = _assemble(f, terms + [term], action, name=_OUT_NAME)
             swept = restrict(trial)
             crits = _critical_points(swept, radius, fine=15, fine_width=0.16)
-            free = off_handled(crits)
+            free, _ = off_handled(crits)
             if free and _is_morse(swept, free):
                 break
             eta /= 8.0
         else:
-            raise _StageFailure(f"stage d={d}: free critical points stay degenerate")
+            why = (f"min |eig| {np.min(np.abs(np.linalg.eigvalsh(swept.hess(np.array(free))))):.4g}"
+                   f" over {len(free)} free points" if free else "no free point is left")
+            raise _StageFailure(f"stage d={d}: free critical points stay degenerate: {why}")
         terms.append(term)
         cur, eta_used = trial, eta
     c, info = epsilon / 4.0, {}
     # on F_d = {0} nothing is handled yet, so the well is |z|^2
-    lifts = [up(y) for y in free] if m else [np.zeros(n)]
+    lifts = list(up(np.array(free).reshape(-1, m))) if m else [np.zeros(n)]
     if m < n and lifts:
         term, c, info = _well_step(cur, strat, d, handled, lifts, epsilon)
         terms.append(term)
@@ -642,36 +751,35 @@ def _certify(f, out, crits, strat, records, handled, epsilon, radius):
     # min_abs_eig, morse_floor and euler are reported, not gated: they show
     # how marginal each point is and what the census sums to
     hessians = out.hess(np.array(crits)) if crits else np.empty((0, n, n))
-    points = []
-    worst_assign = 0.0
-    euler = 0
-    for z, eigs in zip(crits, np.linalg.eigvalsh(hessians)):
-        j, dist_j = strat.assign(z)
-        worst_assign = max(worst_assign, dist_j)
-        euler += (-1) ** int(np.sum(eigs < 0.0))
-        points.append({"point": [float(v) for v in z],
-                       "stratum": int(j), "distance": float(dist_j),
-                       "min_abs_eig": float(np.min(np.abs(eigs)))})
+    eigs = np.linalg.eigvalsh(hessians)
+    on, dists = strat.assign(np.array(crits, dtype=float).reshape(-1, n))
+    points = [{"point": [float(v) for v in z], "stratum": int(j), "distance": float(dist),
+               "min_abs_eig": float(e)}
+              for z, j, dist, e in zip(crits, on, dists, np.min(np.abs(eigs), axis=1))]
+    worst_assign = max([0.0, *dists.tolist()])
     item_crit = {"passed": bool(worst_assign <= _STRATUM_TOL),
                  "max_distance": float(worst_assign),
                  "tolerance": _STRATUM_TOL, "morse_floor": _MORSE_FLOOR,
-                 "euler": int(euler), "points": points}
+                 "euler": int(np.sum((-1) ** np.sum(eigs < 0.0, axis=1))), "points": points}
 
+    # the top eigenvalue of the normal Hessian block of every point on a
+    # proper stratum, one stack per stratum, and the c of the stage that
+    # handled that stratum
+    low = {j for j in on.tolist() if strat.dim(j) < n}
+    tops, used = np.zeros(len(crits)), {}
+    for j in low:
+        nbasis = null_space(strat.basis(j))
+        blocks = np.matmul(np.matmul(nbasis, hessians[on == j]), nbasis.T)
+        tops[on == j] = np.max(np.linalg.eigvalsh(blocks), axis=1)
+        used[j] = next((cc for ph, cc in handled if cc is not None
+                        and np.linalg.norm(ph - strat.projection(j)) < 1e-9), None)
     margins = []
     margins_ok = True
-    for entry, hz in zip(points, hessians):
-        j = entry["stratum"]
-        if strat.dim(j) == n:
+    for entry, j, top in zip(points, on.tolist(), tops.tolist()):
+        if j not in low:
             continue
-        # the c of the stage that handled the point's stratum
-        pj = strat.projection(j)
-        c_used = next((cc for ph, cc in handled
-                       if cc is not None and np.linalg.norm(ph - pj) < 1e-9), None)
-        nbasis = null_space(strat.basis(j))
-        block = nbasis @ hz @ nbasis.T
-        top = float(np.max(np.linalg.eigvalsh(block)))
         margin = -top
-        required = _MARGIN_FRACTION * c_used if c_used is not None else None
+        required = _MARGIN_FRACTION * used[j] if used[j] is not None else None
         ok = bool(required is not None
                   and margin >= required * (1.0 - 1e-9))
         margins_ok = margins_ok and ok

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from equimorse import equiperturb
-from equimorse.config import tol
+from equimorse.config import smooth_step, tol
 from equimorse.equiperturb import (
     _MORSE_FLOOR,
     _bump_poly_term,
@@ -192,6 +192,22 @@ class TestStrata:
         with pytest.raises(ValidationError):
             strata(rotation(2 * math.pi / 3), 2)
 
+
+    def test_assign_of_a_batch_is_bitwise_its_points(self):
+        # rotation by 2 pi / 3 times a flip: F_1 = {0}, F_2 the z-axis, F_3 the
+        # xy-plane and F_6 everything
+        s = strata(_rotation_and_flip())
+        rng = np.random.default_rng(11)
+        Z = np.concatenate([rng.uniform(-1.0, 1.0, (6, 3)),
+                            [[0.0, 0.0, 0.3], [0.2, -0.1, 0.0], [0.0, 0.0, 0.0], [1e-7, 0.0, 0.4]]])
+        js, ds = s.assign(Z)
+        assert js.tolist() == [6] * 6 + [2, 3, 1, 2]
+        for z, j, d in zip(Z, js, ds):
+            one = s.assign(z)
+            assert one == (int(j), float(d)) and isinstance(one[0], int)
+            assert d == s.stratum_distance(z, int(j))
+        empty = s.assign(np.empty((0, 3)))
+        assert empty[0].shape == empty[1].shape == (0,)
 
     def test_a_divisor_the_stratification_lacks_is_rejected(self):
         s = strata(np.diag([1.0, -1.0]), 2)
@@ -936,12 +952,18 @@ def test_single_center_bump_of_the_base_stage_matches_the_oracle(m):
     scale = 2.0 * 0.45
     centers = [np.zeros(m)]
     term = _bump_poly_term(centers, scale, coeffs, mons)
+    rows = []
     for t in (0.0, 0.2, 0.5, 0.505, 0.52, 0.549, 0.55, 0.8):
         z = t * scale * _unit(rng, m)
         want = _oracle_bump_poly(z, centers, scale, coeffs, mons)
         got = (term.value(z), term.grad(z), term.hess(z))
         for a, b in zip(got, want):
             assert _close(a, b), t
+        rows.append(z)
+    # bitwise the dense one-point form, also on the edges of the cells of
+    # the bump's index, far away and at points that are not finite
+    rows = np.concatenate([rows, _index_rows(np.zeros((1, m)), scale, rng)])
+    _assert_bitwise_one_point(term, rows, centers, scale, list(zip(coeffs, mons)))
 
 
 def test_equiperturb_doctest():
@@ -1217,15 +1239,24 @@ def test_every_term_kind_gives_a_batch_equal_to_its_stacked_points():
         assert kind.value(batch[:1]).shape == (1,), name
 
 
-def _sweep_cases():
-    def perturbed(f, action):
-        return lambda: perturb_invariant_morse(f, action, epsilon=0.05, seed=0)[0]
+# the inputs whose perturbations (epsilon = 0.05, seed 0) the sweep and
+# oracle-route tests read; the antipodal bowl is also the input of the
+# benchmark's invariant_perturb workload
+_PERTURBED = {
+    "antipodal output": (quartic_bowl, lambda: CyclicAction(-np.eye(2), 2)),
+    "quarter turn output": (axes_quartic, lambda: CyclicAction(rotation(math.pi / 2), 4)),
+    "reflection bowl output": (quartic_bowl, reflection2),
+}
 
+
+def _perturbed(case):
+    make_f, make_action = _PERTURBED[case]
+    return perturb_invariant_morse(make_f(), make_action(), epsilon=0.05, seed=0)
+
+
+def _sweep_cases():
     return {
-        "antipodal output": (perturbed(quartic_bowl(), CyclicAction(-np.eye(2), 2)), 1.0),
-        "quarter turn output": (perturbed(axes_quartic(),
-                                          CyclicAction(rotation(math.pi / 2), 4)), 1.0),
-        "reflection bowl output": (perturbed(quartic_bowl(), reflection2()), 1.0),
+        **{case: (lambda case=case: _perturbed(case)[0], 1.0) for case in _PERTURBED},
         "squeezed ring": (lambda: squeezed_ring_model(0.5, 0.1)[0], 1.2),
         # the seeds of morse_complex_2d: an 11 x 11 grid over the box
         "squeezed ring, morse complex grid": (lambda: squeezed_ring_model(0.5, 0.1)[0], 1.2, 11),
@@ -1302,3 +1333,213 @@ def test_each_sweep_iteration_asks_grad_and_hess_on_the_same_rows():
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
+
+
+# -- the bump sum's cell index and the stacked orbit ----------------------
+
+def _dense_bump_poly_term(centers, scale, coeffs, mons):
+    """The bump term before its cell index: every row against all K centers
+    through the (P, K, m) table of differences, then one block per ramp
+    count R gathered from that table.  The oracle route of the bump sum."""
+    centers = np.asarray(centers, dtype=float)
+    m = centers.shape[1]
+    kernel = _polynomial_kernel(m, list(zip(coeffs, mons)))
+    width = _HI - _LO
+    eye = np.eye(m)
+
+    def jet(Z):
+        W = Z[:, None, :] - centers
+        r = np.sqrt(np.einsum("pki,pki->pk", W, W))
+        t = r / scale
+        bv = np.add.reduce(t <= _LO, axis=1, dtype=float)
+        bg = np.zeros(Z.shape)
+        bh = np.zeros((len(Z), m, m))
+        ramp = (t > _LO) & (t < _HI)
+        counts = np.add.reduce(ramp, axis=1)
+        row, center = np.nonzero(ramp)
+        for R in set(counts[row].tolist()):
+            rows = np.flatnonzero(counts == R)
+            at = counts[row] == R
+            ij = row[at], center[at]
+            rr = r[ij].reshape(-1, R)
+            q, d1, d2 = smooth_step((_HI - t[ij].reshape(-1, R)) / width)
+            d1 = -d1 / (width * scale)
+            d2 = d2 / (width * scale) ** 2
+            u = W[ij].reshape(-1, R, m) / rr[..., None]
+            radial = d2 - d1 / rr
+            bv[rows] += np.sum(q, axis=1)
+            bg[rows] = np.matmul(d1[:, None, :], u)[:, 0]
+            bh[rows] = (np.matmul(np.swapaxes(u * radial[..., None], 1, 2), u)
+                        + np.sum(d1 / rr, axis=1)[:, None, None] * eye)
+        pv, pg, ph = np.zeros(len(Z)), np.zeros(Z.shape), np.zeros(bh.shape)
+        live = bv != 0.0
+        if live.any():
+            pv[live], pg[live], ph[live] = kernel.jet(Z[live])
+        return equiperturb._product((pv, pg, ph), (bv, bg, bh))
+
+    return CallableFunction(m, jet)
+
+
+def _per_image_orbit_average(term, mats):
+    """The orbit average with one pullback jet per group element, summed in
+    the order of mats.  The oracle route of the stacked orbit average."""
+    pulls = [_pullback(term, m) for m in mats]
+
+    def jet(Z):
+        parts = zip(*(p.jet(Z) for p in pulls))
+        return tuple(sum(part) / len(pulls) for part in parts)
+
+    return CallableFunction(term.d, jet)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_bitwise_one_point(term, rows, centers, scale, terms):
+    want = [_one_point_bump(z, np.asarray(centers, dtype=float), scale, terms) for z in rows]
+    for k, part in enumerate(term.jet(rows)):
+        assert _same_bits(part, np.array([w[k] for w in want])), k
+
+
+def _index_rows(centers, scale, rng):
+    """Rows around the centers of a bump sum: on the plateau, in the ramp
+    and just past it of several centers, far outside every stencil, on and
+    next to the edges of cells of side reach = 0.55 scale, near the largest
+    float, and not finite."""
+    m = centers.shape[1]
+    reach = _HI * scale
+    rows = [c + t * scale * _unit(rng, m) for c in centers[::3]
+            for t in (0.2, 0.5, 0.51, 0.53, 0.549, 0.55, 0.56, 1.05)]
+    lo, hi = centers.min(axis=0), centers.max(axis=0)
+    rows += [hi + 2.5 * reach, lo - 2.5 * reach, hi + 3.0 * reach * np.eye(m)[0]]
+    # the corners of the cells, and points a rounding away from them
+    for k in rng.integers(-1, int((hi - lo).max() / reach) + 2, size=(12, m)):
+        edge = lo + k * reach
+        rows += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    # a center moved by exactly reach along an axis sits on the ramp's end
+    rows += [c + reach * np.eye(m)[0] for c in centers[:5]]
+    rows += [np.full(m, 1e308), np.full(m, -1e308)]
+    bad = [np.nan, np.inf, -np.inf, 0.0]
+    rows += [np.array([bad[(i + j) % 4] for j in range(m)]) for i in range(4)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_indexed_bump_is_bitwise_the_dense_one_point_form(m):
+    rng = np.random.default_rng(120 + m)
+    mons = _monomials(m)
+    coeffs = rng.standard_normal(len(mons))
+    terms = list(zip(coeffs, mons))
+    scale = 0.2
+    # centers spread over many cells of side 0.11, several in some cells
+    spread = rng.uniform(-0.6, 0.6, size=(30, m))
+    centers = np.concatenate([spread, spread[:10] + rng.uniform(-0.02, 0.02, size=(10, m))])
+    term = _bump_poly_term(centers, scale, coeffs, mons)
+    rows = _index_rows(centers, scale, rng)
+    _assert_bitwise_one_point(term, rows, centers, scale, terms)
+    # every kind of row occurs: plateau, ramp, outside, not finite
+    with np.errstate(over="ignore"):
+        t = np.linalg.norm(rows[:, None, :] - centers, axis=2) / scale
+    assert np.any(t <= _LO) and np.any((t > _LO) & (t < _HI))
+    assert np.any(np.all(t >= _HI, axis=1)) and not np.all(np.isfinite(rows))
+    value, grad, hess = term.jet(rows)
+    bad = ~np.all(np.isfinite(rows), axis=1)
+    assert not value[bad].any() and not grad[bad].any() and not hess[bad].any()
+    # a batch of one row, and an empty batch
+    _assert_bitwise_one_point(term, rows[:1], centers, scale, terms)
+    assert [part.shape for part in term.jet(np.empty((0, m)))] == [(0,), (0, m), (0, m, m)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_tiny_scale_builds_no_table_over_the_bounding_box(m):
+    # 50 centers over [-1, 1]^m at scale 1e-6: cells of side 5.5e-7, so a
+    # table over the bounding box would hold (3.6e6)^m cells, 29 MB of
+    # int64 at m = 1; the index holds 3^m entries per center, and building
+    # it and evaluating 200 rows stays under 1 MiB
+    import tracemalloc
+
+    rng = np.random.default_rng(140 + m)
+    mons = _monomials(m)
+    coeffs = rng.standard_normal(len(mons))
+    centers = rng.uniform(-1.0, 1.0, size=(50, m))
+    scale = 1e-6
+    rows = np.concatenate([_index_rows(centers, scale, rng), rng.uniform(-1.0, 1.0, (20, m))])
+    tracemalloc.start()
+    try:
+        term = _bump_poly_term(centers, scale, coeffs, mons)
+        term.jet(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    _assert_bitwise_one_point(term, rows, centers, scale, list(zip(coeffs, mons)))
+    assert np.count_nonzero(term.value(rows)) > len(rows) // 4
+
+
+def test_the_orbit_average_asks_its_term_once_per_batch():
+    rng = np.random.default_rng(150)
+    bump, rows = _bump(2, rng)
+    calls = []
+
+    def jet(Z):
+        calls.append(len(Z))
+        return bump.jet(Z)
+
+    counted = CallableFunction(2, jet)
+    quarter = [np.linalg.matrix_power(rotation(math.pi / 2), i) for i in range(4)]
+    got = _orbit_average(counted, quarter).jet(rows)
+    assert calls == [4 * len(rows)]
+    want = _per_image_orbit_average(bump, quarter).jet(rows)
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    # one point alone is one call too
+    calls.clear()
+    _orbit_average(counted, quarter).jet(rows[0])
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("case", list(_PERTURBED))
+def test_the_perturbation_is_bitwise_its_dense_oracle_route(case, monkeypatch):
+    # the indexed bump and the stacked orbit against the dense bump and one
+    # pullback per group element: the same certificate, census and output,
+    # bit for bit, on whatever CPU runs the suite
+    out, cert = _perturbed(case)
+    built = []
+
+    def dense(*args):
+        built.append(args)
+        return _dense_bump_poly_term(*args)
+
+    monkeypatch.setattr(equiperturb, "_bump_poly_term", dense)
+    monkeypatch.setattr(equiperturb, "_orbit_average", _per_image_orbit_average)
+    want_out, want_cert = _perturbed(case)
+    assert repr(cert) == repr(want_cert)
+    assert cert["passed"]
+    # the antipodal output carries the top stratum's orbit of bumps, the
+    # reflection output the base stage's bump, the quarter turn none
+    assert bool(built) == (case != "quarter turn output")
+    z = np.random.default_rng(160).uniform(-0.3, 0.3, size=(200, 2))
+    census = cert["items"]["critical_points_on_strata"]["points"]
+    z = np.concatenate([z, [p["point"] for p in census]])
+    assert all(_same_bits(a, b) for a, b in zip(out.jet(z), want_out.jet(z)))
+
+
+def test_the_refusal_lists_every_draw_in_order(monkeypatch):
+    # the quartic bowl under the trivial action fails c2_distance on each of
+    # its three draws, each with a measurement of its own
+    measured = []
+    build = equiperturb._build
+
+    def recorded(*args):
+        out, cert = build(*args)
+        measured.append(cert["items"]["c2_distance"]["measured"])
+        return out, cert
+
+    monkeypatch.setattr(equiperturb, "_build", recorded)
+    with pytest.raises(ResolutionError) as info:
+        perturb_invariant_morse(quartic_bowl(), CyclicAction(np.eye(2), 1), epsilon=0.05, seed=0)
+    assert len(measured) == 3 and len(set(measured)) == 3 and min(measured) > 0.05
+    draws = "; ".join(f"draw {i}: certificate after the stage loop: c2_distance (measured {x:.4g})"
+                      for i, x in enumerate(measured))
+    assert str(info.value) == f"perturbation failed after 3 draws: {draws}"

@@ -93,11 +93,18 @@ class SymplecticPath:
 
 
 def nullity(M) -> int:
-    """dim ker(M - I), singular values below a relative threshold."""
+    """dim ker(M - I), singular values of M - I below tol("eig_threshold").
+
+    The cut is absolute, not scaled by |M|, so the count adds over direct
+    sums: the singular values of a block-diagonal M - I are those of its
+    blocks.  A cut scaled by |M| counted a block's 1.5e-8 as nonzero alone
+    and as zero beside a block of norm e.  The rounding of M - I, about
+    eps |M|, stays far below the cut for the |M| up to 1e4 of the long
+    hyperbolic iterates.
+    """
     M = np.asarray(M, dtype=float)
     sv = np.linalg.svd(M - np.eye(M.shape[0]), compute_uv=False)
-    cut = tol("eig_threshold") * max(1.0, float(np.linalg.norm(M, 2)))
-    return int(np.sum(sv < cut))
+    return int(np.sum(sv < tol("eig_threshold")))
 
 
 def _polar_angle_full(M: np.ndarray) -> complex:

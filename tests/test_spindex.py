@@ -123,6 +123,17 @@ def test_cz_direct_sum_catalog():
     assert cz_index(direct_sum_path(p, q)) == cz_index(p) + cz_index(q) == 1
 
 
+def test_nullity_adds_over_a_direct_sum_near_the_cut():
+    # the product endpoint's smallest singular value of M - I is 1.49e-8,
+    # between 1e-8 and 1e-8 |M| of the sum with the hyperbolic block e^(+-1)
+    a = 6.103515625e-05
+    p = product_path(np.array([[0.0, a], [a, 0.0]]), np.diag([0.25, 0.0]))
+    q = hyp_path(1.0)
+    s = direct_sum_path(p, q)
+    assert nullity(p.endpoint()) == nullity(q.endpoint()) == nullity(s.endpoint()) == 0
+    assert cz_index(s) == cz_index(p) + cz_index(q)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from(["rot", "hyp", "prod"]),

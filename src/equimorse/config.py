@@ -1,8 +1,12 @@
 """Global numeric conventions: sign convention, tolerance table, shared helpers."""
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+from .errors import ValidationError
 
 # Fixed once for the whole package: contraction of the Hamiltonian vector
 # field into omega0 = sum dx_i ^ dy_i gives dH, coordinates ordered
@@ -33,6 +37,20 @@ TOLERANCES = {
     "kernel_eig": 1e-6,           # Hessian eigenvalue magnitude counted as kernel
     "action_sample": 1e-10,       # sampled invariance of functions under actions
 }
+
+
+def _integer(x, what: str, error=ValidationError) -> int:
+    """x as an int: an integral number, or a whole float as JSON may send it.
+
+    Bools are not numbers here, and a float with a fraction is refused, not
+    truncated.  The package reads every integer argument here.
+    """
+    if not isinstance(x, (bool, np.bool_)):
+        if isinstance(x, numbers.Integral):
+            return int(x)
+        if isinstance(x, numbers.Real) and float(x).is_integer():
+            return int(x)
+    raise error(f"{what} must be an integer, got {x!r}")
 
 
 def tol(name: str) -> float:

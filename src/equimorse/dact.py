@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TRUST_RADIUS, lockstep_newton, row_dots, row_lstsq, rows_or_errors, tol
+from .config import lockstep_newton, row_dots, row_lstsq, rows_or_errors, tol
 from .errors import (
     AmbiguityError,
     ConfigurationError,
@@ -82,7 +82,6 @@ class DiscreteAction:
     germ: HamiltonianGerm
     k: int
     N: int
-    radius: float = DEFAULT_TRUST_RADIUS
 
     def __post_init__(self):
         if self.k < 1 or self.N < 1:
@@ -106,8 +105,7 @@ class DiscreteAction:
     @cached_property
     def S_list(self):
         return tuple(
-            GeneratingFunction(FlowMap(self.germ, i / self.N, (i + 1) / self.N,
-                                       radius=self.radius), radius=self.radius)
+            GeneratingFunction(FlowMap(self.germ, i / self.N, (i + 1) / self.N))
             for i in range(self.N))
 
     def step_gf(self, i: int) -> GeneratingFunction:
@@ -373,7 +371,7 @@ def seed_from_point(da: DiscreteAction, w) -> np.ndarray:
         raise ShapeError(f"points of the phase space have length {b}, "
                          f"got an array of shape {w.shape}")
     times = [i / da.N for i in range(da.slots)]
-    z = flow_chain(da.germ, times, w.reshape(-1, b), radius=da.radius).reshape(-1, da.dim)
+    z = flow_chain(da.germ, times, w.reshape(-1, b)).reshape(-1, da.dim)
     return z[0] if w.ndim == 1 else z
 
 

@@ -35,6 +35,7 @@ from .lochom import (
     FunctionSpec,
     _grid_seeds,
     _mv,
+    _orbit_average,
     _pullback,
     _require_positive,
     _shoot,
@@ -144,7 +145,7 @@ def strata(action, k=None) -> Stratification:
     else:
         if k is None:
             raise ValidationError("order k is required with a bare matrix")
-        act = CyclicAction(np.asarray(action, dtype=float), int(k))
+        act = CyclicAction(np.asarray(action, dtype=float), k)
     n = act.d
     bases, projections = {}, {}
     for j in _divisors(act.k):
@@ -157,35 +158,6 @@ def strata(action, k=None) -> Stratification:
     if max(report.values()) > 1e-8:
         raise ValidationError("stratification identities fail for this matrix")
     return s
-
-
-def normal_decreasing_extension(f, stratification: Stratification, j: int) -> CallableFunction:
-    """Extend a function on a stratum so normal directions strictly decrease.
-
-    The extension z -> f(P_j z) - |z - P_j z|^2 keeps the critical points on
-    the stratum and turns every normal direction into a downward parabola.
-    """
-    n = stratification.ambient_dim
-    if f.d != n:
-        raise ValidationError("function dimension does not match the stratification")
-    p = stratification.projection(j)
-    q = np.eye(n) - p
-    basis = stratification.basis(j)
-    a = stratification.action.matrix
-    rng = np.random.default_rng(0)
-    for _ in range(16):
-        y = basis.T @ rng.uniform(-1.0, 1.0, size=basis.shape[0]) if basis.size \
-            else np.zeros(n)
-        if abs(f.value(a @ y) - f.value(y)) > _INVARIANCE_TOL:
-            raise ValidationError(
-                "function is not invariant under the induced action on the stratum")
-
-    def jet(Z):
-        v, g, h = f.jet(_mv(p, Z))
-        W = _mv(q, Z)
-        return v - row_dots(W, W), _mv(p, g) - 2.0 * W, np.matmul(np.matmul(p, h), p) - 2.0 * q
-
-    return CallableFunction(n, jet, name="normal decreasing extension")
 
 
 # small polynomials with radial cutoffs, as closed-form functions; every row
@@ -342,27 +314,6 @@ def _product(a, b):
             bv[:, None, None] * ah + cross + np.swapaxes(cross, 1, 2) + av[:, None, None] * bh)
 
 
-def _orbit_average(term, mats):
-    """The mean of term(m z) over the group elements m.
-
-    The jet of a batch stacks its images under every m and asks term for one
-    jet of the stack, then pulls each image's part back by the chain rule
-    and sums the parts in the order of mats.  Every row of term must not
-    depend on its batch mates (the bump sum's rows do not), so each image is
-    bitwise its own pullback z -> term(m z).
-    """
-    mats = [np.asarray(m, dtype=float) for m in mats]
-
-    def jet(Z):
-        v, g, h = term.jet(np.concatenate([_mv(m, Z) for m in mats]))
-        image = [slice(k * len(Z), (k + 1) * len(Z)) for k in range(len(mats))]
-        parts = [(v[s], _mv(m.T, g[s]), np.matmul(np.matmul(m.T, h[s]), m))
-                 for m, s in zip(mats, image)]
-        return tuple(sum(part) / len(mats) for part in zip(*parts))
-
-    return CallableFunction(term.d, jet)
-
-
 def _scaled(term, factor):
     return CallableFunction(term.d, lambda Z: tuple(factor * part for part in term.jet(Z)))
 
@@ -452,9 +403,7 @@ def _check_invariance(func, action, radius, samples=64):
     if action.is_trivial:
         return 0.0
     rng = np.random.default_rng(0)
-    z = np.array([_ball_point(rng, func.d, radius) for _ in range(samples)])
-    diff = np.abs(func.value(_mv(action.matrix, z)) - func.value(z))
-    return max([0.0, *diff.tolist()])
+    return action.residual(func.value, [_ball_point(rng, func.d, radius) for _ in range(samples)])
 
 
 def _ball_point(rng, n, radius):
@@ -645,7 +594,8 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon):
     1. Sweep f plus the terms so far, restricted to F_d.
     2. If the census points off the handled strata are degenerate, add one
        cutoff polynomial around them, averaged over the d powers of the
-       induced action, and scale it down by 8 until they are Morse.
+       induced action by lochom._orbit_average, the package's one group
+       average, and scale it down by 8 until they are Morse.
     3. Below the top stratum, push the normal directions down by the well
        of _well_step: -(c/2)|z|^2 at the census point 0 when F_d = {0},
        nothing when every census point lies on a handled stratum.
@@ -688,7 +638,7 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon):
         mons = _monomials(m)
         coeffs = rng.standard_normal(len(mons))
         raw = _bump_poly_term(free, 2.0 * rho, coeffs, mons)
-        alpha = _orbit_average(raw, [np.linalg.matrix_power(induced, i) for i in range(d)])
+        alpha = _orbit_average(raw, induced, d)
         probe = np.asarray(free[0], dtype=float)
         scale_est = max(float(np.linalg.norm(alpha.hess(probe), 2)), 1.0)
         eta = min(1e-2, epsilon / (8.0 * scale_est))

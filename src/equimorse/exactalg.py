@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .config import _integer
 from .errors import ConfigurationError, ShapeError, ValidationError
 
 
@@ -204,11 +205,11 @@ def invariant_betti_from_columns(k, cols, act) -> dict:
     return betti
 
 
-def _integer(v, what) -> int:
-    try:
-        return int(v)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} {v!r} is not an integer") from None
+def _degree(d) -> int:
+    # a degree; a JSON object key carries it as a string such as "1"
+    if isinstance(d, str) and d.removeprefix("-").isdecimal():
+        d = int(d)
+    return _integer(d, "degree")
 
 
 def _entries(rows) -> dict:
@@ -243,7 +244,7 @@ class GradedChainComplex:
         self.k = _integer(k, "order k")
         if self.k < 1:
             raise ValidationError(f"order k must be positive, got {k}")
-        self.generators = {_integer(d, "degree"): list(names)
+        self.generators = {_degree(d): list(names)
                            for d, names in generators.items() if names}
         self.degrees = sorted(self.generators)
         self._where = {}

@@ -13,7 +13,6 @@ nothing else loads scipy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .config import (
     DEFAULT_TRUST_RADIUS,
+    _integer,
     lockstep_newton,
     row_dots,
     row_norms,
@@ -51,20 +51,6 @@ class Term:
     m: tuple
     mode: str = "const"
     freq: int = 1
-
-
-def _integer(x, what: str, error=ConfigurationError) -> int:
-    """x as an int: an integral number, or a whole float as JSON may send it.
-
-    Bools are not numbers here, and a float with a fraction is refused, not
-    truncated.
-    """
-    if not isinstance(x, (bool, np.bool_)):
-        if isinstance(x, numbers.Integral):
-            return int(x)
-        if isinstance(x, numbers.Real) and float(x).is_integer():
-            return int(x)
-    raise error(f"{what} must be an integer, got {x!r}")
 
 
 def _exponents(m, d: int, error) -> tuple:
@@ -229,7 +215,8 @@ class HamiltonianGerm:
                 raise ConfigurationError("every monomial needs total degree >= 2")
             if not isinstance(term.mode, str) or term.mode not in _MODES:
                 raise ConfigurationError(f"unknown time mode {term.mode!r}")
-            freq = term.freq if term.mode == "const" else _integer(term.freq, "time frequency")
+            freq = term.freq if term.mode == "const" else \
+                _integer(term.freq, "time frequency", ConfigurationError)
             terms.append(Term(term.c, m, term.mode, freq))
         # exponents and frequencies as ints, so that equal germs compare equal
         object.__setattr__(self, "terms", tuple(terms))
@@ -322,13 +309,14 @@ class HamiltonianGerm:
     @classmethod
     def from_json(cls, data: dict):
         try:
-            n = _integer(data["n"], "n")
+            n = _integer(data["n"], "n", ConfigurationError)
             terms = []
             for raw in data["terms"]:
                 raw = _json_object(raw, "term")
                 time = _json_object(raw.get("time", {"mode": "const"}), "term time")
                 terms.append(Term(float(raw["c"]), tuple(raw["m"]), time.get("mode", "const"),
-                                  _integer(time.get("freq", 1), "time frequency")))
+                                  _integer(time.get("freq", 1), "time frequency",
+                                           ConfigurationError)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed Hamiltonian description: {exc}") from exc
         return cls(n, tuple(terms))
@@ -597,15 +585,14 @@ def zero_jacobian_path(germ: HamiltonianGerm):
 
 @dataclass(frozen=True)
 class FlowMap:
-    """Flow phi_H^{t0 -> t1} evaluable with Jacobian near 0."""
+    """Flow phi_H^{t0 -> t1} evaluable with Jacobian near 0, within the trust
+    radius config.DEFAULT_TRUST_RADIUS."""
     germ: HamiltonianGerm
     t0: float
     t1: float
-    radius: float = DEFAULT_TRUST_RADIUS
 
     def __call__(self, z, action: bool = False, shift=None):
-        return integrate_flow(self.germ, self.t0, self.t1, z, radius=self.radius, action=action,
-                              shift=shift)
+        return integrate_flow(self.germ, self.t0, self.t1, z, action=action, shift=shift)
 
     @cached_property
     def jacobian_at_zero(self) -> np.ndarray:
@@ -656,7 +643,6 @@ class GeneratingFunction:
     point, the integral changes by X dY - x dy, which gives dS above.
     """
     psi: FlowMap
-    radius: float = DEFAULT_TRUST_RADIUS
 
     def __post_init__(self):
         # the graph condition R^{2m} = (R^m x 0) + dpsi(0)(0 x R^m): dpsi(0)_yy is invertible
@@ -786,7 +772,7 @@ def eval_S(gf: GeneratingFunction, x, Y):
     m = gf.m
     x = np.asarray(x, dtype=float).reshape(m)
     Y = np.asarray(Y, dtype=float).reshape(m)
-    if np.linalg.norm(np.concatenate([x, Y])) > gf.radius * (1 + 1e-12):
+    if np.linalg.norm(np.concatenate([x, Y])) > DEFAULT_TRUST_RADIUS * (1 + 1e-12):
         raise DomainError("(x, Y) outside the trust region")
     S, g, _ = gf.solve_slot(x, Y)
     return S, g[:m], g[m:]
@@ -804,6 +790,7 @@ def linearized_path(germ: HamiltonianGerm, periods: int = 1):
     """The linearized flow at 0 over [0, periods] as a spindex.SymplecticPath."""
     from .spindex import SymplecticPath
 
+    periods = _integer(periods, "periods")
     Phi = zero_jacobian_path(germ)
     ts = np.linspace(0.0, float(periods), _SAMPLES_PER_PERIOD * periods + 1)
-    return SymplecticPath(germ.n, zip(ts, Phi(ts)), source=Phi, germ=germ, periods=int(periods))
+    return SymplecticPath(germ.n, zip(ts, Phi(ts)), source=Phi, germ=germ, periods=periods)

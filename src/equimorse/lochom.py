@@ -17,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dact as _dact
-from .config import (lockstep_newton, row_dots as _row_dots, row_lstsq as _row_lstsq,
-                     row_norms as _row_norms, tol)
+from .config import (_integer, lockstep_newton, row_dots as _row_dots,
+                     row_lstsq as _row_lstsq, row_norms as _row_norms, tol)
 from .errors import (
     BoundaryError,
     ConfigurationError,
@@ -37,7 +37,7 @@ from .exactalg import (
     invariant_betti_from_columns,
     sparse_rank,  # noqa: F401  (perfbench/selftest.py checks this binding)
 )
-from .hamflow import _exponents, _integer, _polynomial_kernel
+from .hamflow import _exponents, _polynomial_kernel
 from .ode import EXITED, REACHED, dop853
 
 
@@ -86,15 +86,16 @@ class CyclicAction:
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValidationError("action matrix must be square")
-        if int(k) < 1:
+        k = _integer(k, "order k")
+        if k < 1:
             raise ValidationError(f"order k must be positive, got {k}")
         d = A.shape[0]
         if np.abs(A.T @ A - np.eye(d)).max() > 1e-10:
             raise ValidationError("action matrix is not orthogonal")
-        if np.abs(np.linalg.matrix_power(A, int(k)) - np.eye(d)).max() > 1e-10:
+        if np.abs(np.linalg.matrix_power(A, k) - np.eye(d)).max() > 1e-10:
             raise ValidationError(f"action matrix does not have order dividing k={k}")
         self.matrix = A
-        self.k = int(k)
+        self.k = k
 
     @property
     def d(self) -> int:
@@ -107,6 +108,12 @@ class CyclicAction:
     def power(self, j: int) -> np.ndarray:
         return np.linalg.matrix_power(self.matrix, j % self.k)
 
+    def residual(self, values, Z) -> float:
+        """max |values(A z) - values(z)| over the rows z of Z, 0.0 for none:
+        the sampled invariance of a function of batches under the action."""
+        Z = np.asarray(Z, dtype=float)
+        return float(np.max(np.abs(values(_mv(self.matrix, Z)) - values(Z)), initial=0.0))
+
     def to_json(self) -> dict:
         return {"matrix": self.matrix.tolist(), "k": self.k}
 
@@ -117,7 +124,7 @@ class CyclicAction:
             matrix = np.array(matrix, dtype=float)
         except (TypeError, ValueError):
             raise ValidationError(f"action matrix must hold numbers, got {matrix!r}") from None
-        return cls(matrix, _json_int(k, "action order k"))
+        return cls(matrix, k)
 
 
 def _json_fields(doc, what, *keys):
@@ -128,11 +135,6 @@ def _json_fields(doc, what, *keys):
     if missing:
         raise ValidationError(f"{what} lacks the field(s) {', '.join(missing)}")
     return [doc[key] for key in keys]
-
-
-def _json_int(v, what) -> int:
-    """An int or a whole float as an int; bools are not numbers here."""
-    return _integer(v, what, ValidationError)
 
 
 def _points(z, d):
@@ -182,7 +184,7 @@ class FunctionSpec:
     """
 
     def __init__(self, d, terms, action: Optional[CyclicAction] = None):
-        self.d = int(d)
+        self.d = _integer(d, "dimension d")
         clean = []
         for coeff, exps in terms:
             exps = _exponents(exps, self.d, ValidationError)
@@ -198,10 +200,9 @@ class FunctionSpec:
         if action is not None:
             if action.d != self.d:
                 raise ValidationError("action dimension does not match the function")
-            rng = np.random.default_rng(0)
-            for z in rng.uniform(-0.5, 0.5, size=(16, self.d)):
-                if abs(self.value(action.matrix @ z) - self.value(z)) > tol("action_sample"):
-                    raise ValidationError("function is not invariant under the action")
+            Z = np.random.default_rng(0).uniform(-0.5, 0.5, size=(16, self.d))
+            if action.residual(self.value, Z) > tol("action_sample"):
+                raise ValidationError("function is not invariant under the action")
 
     @classmethod
     def make(cls, d, terms, action=None) -> "FunctionSpec":
@@ -241,7 +242,7 @@ class FunctionSpec:
         action = CyclicAction.from_json(doc["action"]) if doc.get("action") else None
         if not isinstance(terms, list):
             raise ValidationError(f"terms must be a list, got {terms!r}")
-        return cls(_json_int(d, "dimension d"), [_json_term(t) for t in terms], action)
+        return cls(d, [_json_term(t) for t in terms], action)
 
 
 @dataclass
@@ -299,6 +300,45 @@ def _pullback(f, A, action=None) -> CallableFunction:
         return v, _mv(A.T, g), np.matmul(np.matmul(A.T, h), A)
 
     return CallableFunction(A.shape[1], jet, action=action)
+
+
+def _orbit(Z, A, count):
+    """(P * count, d): each row z of Z followed by its images A z, A^2 z, ...,
+    A^(count - 1) z, each image A applied to the one before it.
+
+    A batch that raises in a pointwise evaluation of the stack raises the
+    error of its first failing row, as a point-by-point loop would.
+    """
+    images = [Z]
+    for _ in range(count - 1):
+        images.append(_mv(A, images[-1]))
+    return np.stack(images, axis=1).reshape(-1, Z.shape[-1])
+
+
+def _orbit_average(term, A, count):
+    """The mean of term(A^j z) over j = 0, ..., count - 1: the package's one
+    group average of a jet.
+
+    The jet of a batch asks term for one jet of the stack _orbit(Z, A,
+    count), then pulls image j back by A^T one factor at a time, so each part
+    is bitwise j nested _pullback(., A) of term, and sums the parts in the
+    order of j.  Every row of term must not depend on its batch mates (the
+    bump sum's and the regularized distance's rows do not).
+    """
+    A = np.asarray(A, dtype=float)
+
+    def jet(Z):
+        v, g, h = (part.reshape((len(Z), count) + part.shape[1:])
+                   for part in term.jet(_orbit(Z, A, count)))
+        parts = []
+        for j in range(count):
+            gj, hj = g[:, j], h[:, j]
+            for _ in range(j):
+                gj, hj = _mv(A.T, gj), np.matmul(np.matmul(A.T, hj), A)
+            parts.append((v[:, j], gj, hj))
+        return tuple(sum(part) / count for part in zip(*parts))
+
+    return CallableFunction(term.d, jet)
 
 
 def discrete_action_function(da) -> CallableFunction:

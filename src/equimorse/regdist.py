@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _S_HI, _S_LO, row_space, smooth_step
+from .config import _S_HI, _S_LO, _integer, row_space, smooth_step
 from .errors import ResolutionError, ValidationError
-from .lochom import CyclicAction, _json_fields, _json_int
+from .lochom import CallableFunction, CyclicAction, _json_fields, _orbit, _orbit_average
 
 
 class CoverageWarning(UserWarning):
@@ -136,7 +136,7 @@ class _Subspace:
     kind = "subspace"
 
     def __init__(self, n, vectors):
-        n = int(n)
+        n = _integer(n, "dimension n")
         B = row_space(np.asarray(vectors, dtype=float).reshape(-1, n))
         self.n = n
         self.basis = B
@@ -279,7 +279,7 @@ class ClosedSetSpec:
     """
 
     def __init__(self, n: int, primitives, action=None):
-        self.n = int(n)
+        self.n = _integer(n, "dimension n")
         if not 1 <= self.n <= 3:
             raise ValidationError(f"dimension must be 1, 2 or 3, got {n}")
         self.primitives = list(primitives)
@@ -355,18 +355,14 @@ class ClosedSetSpec:
         action = CyclicAction.from_json(data["action"]) if data.get("action") else None
         if not isinstance(prims, list):
             raise ValidationError(f"primitives must be a list, got {prims!r}")
-        return cls(_json_int(n, "dimension n"), [_primitive_from_json(p) for p in prims],
-                   action=action)
+        return cls(n, [_primitive_from_json(p) for p in prims], action=action)
 
 
 def check_invariance(spec: ClosedSetSpec, action: CyclicAction):
     """Sampled check, at 64 points of [-3, 3]^n, that dist(., spec) is
     invariant under the action."""
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-3.0, 3.0, size=(64, spec.n))
-    base = spec.dist_many(pts)
-    moved = spec.dist_many(pts @ action.matrix.T)
-    if np.abs(base - moved).max() > 1e-9:
+    pts = np.random.default_rng(0).uniform(-3.0, 3.0, size=(64, spec.n))
+    if action.residual(spec.dist_many, pts) > 1e-9:
         raise ValidationError("set is not invariant under the action")
 
 
@@ -728,7 +724,7 @@ def whitney_decompose(X: ClosedSetSpec, bbox, min_depth: int = 0, max_depth=None
         raise ValidationError("bbox upper end must exceed the lower end")
     if max_depth is None:
         max_depth = _DEFAULT_MAX_DEPTH.get(n, 10)
-    min_depth, max_depth = int(min_depth), int(max_depth)
+    min_depth, max_depth = _integer(min_depth, "min_depth"), _integer(max_depth, "max_depth")
     if not 0 <= min_depth <= max_depth:
         raise ValidationError("need 0 <= min_depth <= max_depth")
     side0 = hi - lo
@@ -781,7 +777,10 @@ class RegularizedDistance:
     Cube-wise weights use the dilated-star bump; cubes whose star sits where
     E is strictly closer than Y contribute the exact distance to E, the rest
     contribute their diameter, and the quotient by the partition sum is
-    averaged over the group when an action is attached.
+    averaged over the group when an action is attached, by the package's one
+    group average, lochom._orbit_average: each query is stacked with its
+    images A x, A(A x), ..., and image j pulls back by A^T one factor at a
+    time.
     """
 
     Y: ClosedSetSpec
@@ -968,38 +967,19 @@ class RegularizedDistance:
         x = np.asarray(x, dtype=float).reshape(1, self.dimension)
         return float(self._raw_values(x)[0])
 
-    def _orbits(self, pts):
-        # (P, images, n): each row followed by its images under the action;
-        # a stacked matrix-vector product rounds as `matrix @ z` does for one
-        # point, where a matrix-matrix product may not
-        if self.action is None or self.action.is_trivial:
-            return pts[:, None, :]
-        out = [pts]
-        for _ in range(self.action.k - 1):
-            out.append(np.matmul(self.action.matrix, out[-1][:, :, None])[:, :, 0])
-        return np.stack(out, axis=1)
-
     def _averaged(self, pts, jets=False):
-        # the group mean of the raw construction over each row's orbit; image
-        # j is A^j x, so its derivatives pull back by (A^j)^T . A^j
+        # the group mean of the raw construction over each row's orbit, by
+        # lochom._orbit_average; the values alone read the same images
         n = self.dimension
         pts = np.asarray(pts, dtype=float).reshape(-1, n)
-        orbits = self._orbits(pts)
-        raw = self._raw_values(orbits.reshape(-1, n), jets)
-        parts = [a.reshape(orbits.shape[:2] + a.shape[1:]) for a in (raw if jets else (raw,))]
-        if orbits.shape[1] == 1:
-            out = [a[:, 0] for a in parts]
-        else:
-            out = [np.zeros((len(pts),) + a.shape[2:]) for a in parts]
-            jac = np.eye(n)
-            for j in range(self.action.k):
-                out[0] = out[0] + parts[0][:, j]
-                if jets:
-                    out[1] = out[1] + np.matmul(jac.T, parts[1][:, j, :, None])[:, :, 0]
-                    out[2] = out[2] + np.matmul(np.matmul(jac.T, parts[2][:, j]), jac)
-                    jac = self.action.matrix @ jac
-            out = [a / self.action.k for a in out]
-        return tuple(out) if jets else out[0]
+        if self.action is None or self.action.is_trivial:
+            return self._raw_values(pts, jets)
+        A, k = self.action.matrix, self.action.k
+        if jets:
+            raw = CallableFunction(n, lambda Z: self._raw_values(Z, True))
+            return _orbit_average(raw, A, k).jet(pts)
+        raw = self._raw_values(_orbit(pts, A, k)).reshape(len(pts), k)
+        return sum(raw[:, j] for j in range(k)) / k
 
     def values(self, pts) -> np.ndarray:
         """Group-averaged value at each row of pts, in one batched pass.

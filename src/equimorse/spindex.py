@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .config import standard_symplectic, symplectic_residual, tol
+from .config import _integer, standard_symplectic, symplectic_residual, tol
 from .errors import DegeneracyError, ResolutionError, ValidationError
 
 MAX_SAMPLES = 1 << 14
@@ -33,7 +33,7 @@ class SymplecticPath:
     """
 
     def __init__(self, n, samples, source=None, germ=None, periods=None):
-        self.n = int(n)
+        self.n = _integer(n, "half-dimension n")
         self.samples = [(float(t), np.asarray(M, dtype=float)) for t, M in samples]
         self.samples.sort(key=lambda p: p[0])
         self.source = source

@@ -9,7 +9,7 @@ import pytest
 from diagonal_oracle import bott_split, dense_diagonal_split
 
 from equimorse import dact, hamflow, ode
-from equimorse.config import standard_symplectic, tol
+from equimorse.config import DEFAULT_TRUST_RADIUS, standard_symplectic, tol
 from equimorse.dact import (
     CriticalPoint,
     DiscreteAction,
@@ -295,7 +295,8 @@ def _restarted_seed(da, W):
     z = np.zeros((len(cur), da.dim))
     for i in range(da.slots):
         if i:
-            cur, _ = integrate_flow(da.germ, (i - 1) / da.N, i / da.N, cur, radius=da.radius)
+            cur, _ = integrate_flow(da.germ, (i - 1) / da.N, i / da.N, cur,
+                                    radius=DEFAULT_TRUST_RADIUS)
         z[:, b * i:b * (i + 1)] = cur
     return z
 

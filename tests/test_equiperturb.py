@@ -18,7 +18,6 @@ from equimorse.equiperturb import (
     _quadratic_term,
     _scaled,
     double_well_ring_model,
-    normal_decreasing_extension,
     normal_well,
     obstruction_demo,
     perturb_invariant_morse,
@@ -46,6 +45,7 @@ from equimorse.lochom import (
     equivariant_split,
 )
 from equimorse.hamflow import _polynomial_kernel
+from equimorse.regdist import ClosedSetSpec, RegularizedDistance
 from fd_oracle import assert_jets_match, pointwise, richardson_jets
 
 
@@ -211,52 +211,18 @@ class TestStrata:
 
     def test_a_divisor_the_stratification_lacks_is_rejected(self):
         s = strata(np.diag([1.0, -1.0]), 2)
-        f = FunctionSpec.make(2, [(1.0, (4, 0))])
         calls = (s.dim, s.basis, s.projection,
-                 lambda j: s.stratum_distance(np.zeros(2), j),
-                 lambda j: normal_decreasing_extension(f, s, j))
+                 lambda j: s.stratum_distance(np.zeros(2), j))
         for j in (0, 3):
             for call in calls:
                 with pytest.raises(ValidationError, match=r"divisors are \(1, 2\)"):
                     call(j)
 
-
-class TestNormalDecreasingExtension:
-    def test_quartic_on_axis_extends_to_saddle(self):
-        s = strata(np.diag([1.0, -1.0]), 2)
-        f = FunctionSpec.make(2, [(1.0, (4, 0))])
-        ext = normal_decreasing_extension(f, s, 1)
-        for u in (-0.8, -0.3, 0.0, 0.5, 1.1):
-            for v in (-0.7, 0.0, 0.4):
-                want = u ** 4 - v ** 2
-                assert abs(ext.value(np.array([u, v])) - want) < 1e-13
-
-    def test_extension_critical_points_stay_on_the_stratum(self):
-        s = strata(np.diag([1.0, -1.0]), 2)
-        for terms in ([(1.0, (4, 0))], [(1.0, (4, 0)), (-0.1, (2, 0))]):
-            ext = normal_decreasing_extension(FunctionSpec.make(2, terms), s, 1)
-            crits = newton_sweep(ext, 1.2)
-            assert crits
-            for c in crits:
-                assert abs(c[1]) < 1e-8
-
-    def test_extension_keeps_block_diagonal_hessians(self):
-        s = strata(np.diag([1.0, -1.0]), 2)
-        ext = normal_decreasing_extension(FunctionSpec.make(2, [(1.0, (2, 0))]), s, 1)
-        assert np.allclose(ext.hess(np.zeros(2)), np.diag([2.0, -2.0]), atol=1e-10)
-        mat = np.diag([1.0, 1.0, -1.0])
-        s3 = strata(mat, 2)
-        f3 = FunctionSpec.make(3, [(1.0, (2, 0, 0)), (3.0, (0, 2, 0))])
-        ext3 = normal_decreasing_extension(f3, s3, 1)
-        assert np.allclose(ext3.hess(np.zeros(3)), np.diag([2.0, 6.0, -2.0]), atol=1e-10)
-
-    def test_extension_requires_invariance_on_the_stratum(self):
-        s = strata(rotation(math.pi / 2), 4)
-        good = FunctionSpec.make(2, [(1.0, (2, 0)), (1.0, (0, 2))])
-        normal_decreasing_extension(good, s, 4)
-        bad = FunctionSpec.make(2, [(1.0, (2, 0))])
-        with pytest.raises(ValidationError):
-            normal_decreasing_extension(bad, s, 4)
+    def test_the_order_of_a_bare_matrix_must_be_an_integer(self):
+        # int() would read 2.7 as 2
+        with pytest.raises(ValidationError, match="order k must be an integer"):
+            strata(-np.eye(2), 2.7)
+        assert strata(-np.eye(2), 2.0).action.k == 2
 
 
 def _rotation_and_flip():
@@ -1189,8 +1155,7 @@ def _kinds(rng):
         term, rows = _bump(m, rng)
         out.append((f"bump m={m}", term, rows))
     bump2, rows2 = _bump(2, rng)
-    quarter = [np.linalg.matrix_power(rotation(math.pi / 2), i) for i in range(4)]
-    out.append(("orbit average", _orbit_average(bump2, quarter), rows2))
+    out.append(("orbit average", _orbit_average(bump2, rotation(math.pi / 2), 4), rows2))
     out.append(("scaled", _scaled(bump2, 0.37), rows2))
     bump1, rows1 = _bump(1, rng)
     basis = np.array([[0.6, 0.8]])
@@ -1211,9 +1176,6 @@ def _kinds(rng):
         reflection2())
     out.append(("assemble", assembled, rows2))
     out.append(("restrict", _pullback(assembled, basis.T), rows1))
-    ext = normal_decreasing_extension(FunctionSpec.make(2, [(1.0, (4, 0))]),
-                                      strata(np.diag([1.0, -1.0]), 2), 1)
-    out.append(("normal decreasing extension", ext, rows2))
     well, _ = normal_well(*_well_case("tube"))
     out.append(("normal well", well, _well_points("tube", rng)[:9]))
     # the fiber equation of z3 takes several Newton steps at every (z1, z2)
@@ -1380,10 +1342,13 @@ def _dense_bump_poly_term(centers, scale, coeffs, mons):
     return CallableFunction(m, jet)
 
 
-def _per_image_orbit_average(term, mats):
-    """The orbit average with one pullback jet per group element, summed in
-    the order of mats.  The oracle route of the stacked orbit average."""
-    pulls = [_pullback(term, m) for m in mats]
+def _per_image_orbit_average(term, A, count):
+    """The orbit average with one jet per group element, image j pulled back
+    by j nested one-step pullbacks z -> term(A z), summed in the order of j.
+    The oracle route of the stacked orbit average."""
+    pulls = [term]
+    for _ in range(count - 1):
+        pulls.append(_pullback(pulls[-1], A))
 
     def jet(Z):
         parts = zip(*(p.jet(Z) for p in pulls))
@@ -1488,15 +1453,58 @@ def test_the_orbit_average_asks_its_term_once_per_batch():
         return bump.jet(Z)
 
     counted = CallableFunction(2, jet)
-    quarter = [np.linalg.matrix_power(rotation(math.pi / 2), i) for i in range(4)]
-    got = _orbit_average(counted, quarter).jet(rows)
+    quarter = rotation(math.pi / 2)
+    got = _orbit_average(counted, quarter, 4).jet(rows)
     assert calls == [4 * len(rows)]
-    want = _per_image_orbit_average(bump, quarter).jet(rows)
+    want = _per_image_orbit_average(bump, quarter, 4).jet(rows)
     assert all(_same_bits(a, b) for a, b in zip(got, want))
     # one point alone is one call too
     calls.clear()
-    _orbit_average(counted, quarter).jet(rows[0])
+    _orbit_average(counted, quarter, 4).jet(rows[0])
     assert calls == [4]
+
+
+def _order_six_bump(rng):
+    # a bump sum over the orbits of its centers, so that every image of a
+    # row lies in some ramp
+    A = _rotation_and_flip().matrix
+    centers, rows = _ramp_batch(3, rng)
+    orbits = [np.linalg.matrix_power(A, j) @ c for c in centers for j in range(6)]
+    mons = _monomials(3)
+    return _bump_poly_term(np.array(orbits), 0.4, rng.standard_normal(len(mons)), mons), rows, None
+
+
+def _order_six_distance(rng):
+    # the raw construction of the regularized distance of the xy-plane and
+    # the poles (0, 0, +-1.2), at queries on both sides of the plane, and the
+    # regularized distance itself
+    func = RegularizedDistance.build(
+        ClosedSetSpec.points([[0.0, 0.0, 1.2], [0.0, 0.0, -1.2]]),
+        ClosedSetSpec.subspace(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        action=_rotation_and_flip(), max_depth=6)
+    queries = np.column_stack([rng.uniform(-0.8, 0.8, (40, 2)),
+                               rng.choice([-1.0, 1.0], 40) * rng.uniform(0.15, 0.9, 40)])
+    return CallableFunction(3, lambda Z: func._raw_values(Z, jets=True)), queries, func
+
+
+@pytest.mark.parametrize("make", [_order_six_bump, _order_six_distance],
+                         ids=["bump", "regularized distance"])
+def test_the_orbit_average_of_order_six_is_bitwise_its_nested_pullbacks(make):
+    # under rot(2 pi / 3) + (-1) images j = 4 and 5 pull back through four
+    # and five factors, where a matrix power and an iterated product first
+    # round differently
+    term, rows, func = make(np.random.default_rng(170))
+    A = _rotation_and_flip().matrix
+    got = _orbit_average(term, A, 6).jet(rows)
+    want = _per_image_orbit_average(term, A, 6).jet(rows)
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    # no image is a zero part: each has a row with a nonzero gradient
+    images = np.array([np.linalg.matrix_power(A, j) @ z for j in range(6) for z in rows])
+    assert np.all(np.any(term.grad(images).reshape(6, -1) != 0.0, axis=1))
+    if func is not None:
+        # the regularized distance's jets and values read the same average
+        assert all(_same_bits(a, b) for a, b in zip(func.jets(rows), got))
+        assert _same_bits(func.values(rows), got[0])
 
 
 @pytest.mark.parametrize("case", list(_PERTURBED))

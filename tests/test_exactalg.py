@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import doctest
+import json
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,24 @@ def test_json_round_trip():
         back = GradedChainComplex.from_json(doc)
         assert homology_betti(back) == homology_betti(cx)
         assert invariant_homology_betti(back) == invariant_homology_betti(cx)
+
+
+def test_json_round_trip_is_byte_identical():
+    for cx in (pitchfork_saddles(), ring_minima(), two_max_cell(), torus_cells()):
+        text = json.dumps(cx.to_json())
+        assert json.dumps(GradedChainComplex.from_json(json.loads(text)).to_json()) == text
+
+
+def test_an_order_and_a_degree_must_be_integers():
+    # int() would read k = 2.7 as a Z_2 complex and the degree 1.9 as 1
+    with pytest.raises(ValidationError, match="order k must be an integer"):
+        GradedChainComplex(k=2.7, generators={1: ["a"]})
+    for degree in (1.9, True, "1.0"):
+        with pytest.raises(ValidationError, match="degree must be an integer"):
+            GradedChainComplex(k=2, generators={degree: ["a"]})
+    # JSON object keys carry degrees as strings
+    cx = GradedChainComplex(k=2.0, generators={"1": ["a"], 0: ["b"]})
+    assert cx.k == 2 and cx.generators == {1: ["a"], 0: ["b"]}
 
 
 def _signed_cycle_action(names, cycle_lengths, signs, k):

@@ -355,6 +355,14 @@ def test_from_json_reads_whole_floats_as_integers():
     assert g == HamiltonianGerm.make(1, [(1.0, (2, 0), "sin", 2)])
 
 
+def test_linearized_path_refuses_periods_that_are_not_integers():
+    # int() would read True as one period; 1.5 periods made no path
+    for periods in (1.5, True):
+        with pytest.raises(ValidationError, match="periods must be an integer"):
+            linearized_path(HamiltonianGerm.rotation(0.3), periods)
+    assert linearized_path(HamiltonianGerm.rotation(0.3), 2.0).periods == 2
+
+
 # -- the per-term loops that HamiltonianGerm.jet replaced, kept as its oracle --
 
 def _time_factor(term, t):

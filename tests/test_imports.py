@@ -1,6 +1,7 @@
 """Importing the package loads no scipy, and neither does integrating a flow;
 no module of the package takes a derivative by finite differences or reads
-the process environment, and only config spells the quintic cutoff ramp; every
+the process environment, only config spells the quintic cutoff ramp, and no
+constructor or public function truncates an integer argument with int(); every
 function that the benchmark tracer patches is defined where it patches it;
 every name that the benchmark imports from the package exists; every relative
 import inside the package names a definition of the module it imports from;
@@ -182,6 +183,41 @@ def test_the_quintic_guard_sees_a_copy(tmp_path):
     (tmp_path / "mod.py").write_text("\n\n" + ramp)
     (tmp_path / "config.py").write_text(ramp)
     assert [f.split(":")[:2] for f in quintic_findings(tmp_path)] == [["mod.py", "4"]]
+
+
+# the package reads its integer arguments through config._integer, which
+# refuses a bool or a float with a fraction where int() would truncate it
+def bare_int_findings(package):
+    """Calls int(p) in the modules of package where p is a parameter of the
+    enclosing __init__ or public function."""
+    found = []
+    for path in sorted(Path(package).glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    fn.name != "__init__" and fn.name.startswith("_")):
+                continue
+            a = fn.args
+            params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                      if p is not None}
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "int"
+                        and any(isinstance(x, ast.Name) and x.id in params for x in node.args)):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_constructor_or_public_function_truncates_an_integer_argument():
+    assert bare_int_findings(SRC / "equimorse") == []
+
+
+def test_the_integer_guard_sees_a_truncation(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Action:\n    def __init__(self, matrix, k):\n        self.k = int(k)\n\n"
+        "    def _power(self, j):\n        return int(j)\n\n\n"
+        "def periods(t, *, count=1):\n    return [int(t)] * int(count) + [int(len(t))]\n")
+    assert sorted(f.split(":", 1)[1] for f in bare_int_findings(tmp_path)) == [
+        "10: int(count)", "10: int(t)", "3: int(k)"]
 
 
 def _tracer_targets():

@@ -946,3 +946,19 @@ def test_critical_points_refuses_a_seed_of_the_wrong_length_by_its_index():
     with pytest.raises(ShapeError, match="seed 1: .* length 2"):
         critical_points(f, [[0.1, 0.2], [0.1, 0.2, 0.3]], 1.0)
     assert [z.tolist() for z in critical_points(f, [[0.1, 0.2]], 1.0)] == [[0.0, 0.0]]
+
+
+def test_an_action_order_must_be_an_integer():
+    # int() would read 2.7 as 2 and True as 1
+    for k in (2.7, True, "2"):
+        with pytest.raises(ValidationError, match="order k must be an integer"):
+            CyclicAction(-np.eye(2), k)
+    assert CyclicAction(-np.eye(2), 2.0).k == 2 and CyclicAction(-np.eye(2), np.int64(4)).k == 4
+
+
+def test_a_function_dimension_must_be_an_integer():
+    # int() would read 2.7 as the plane
+    for d in (2.7, True):
+        with pytest.raises(ValidationError, match="dimension d must be an integer"):
+            FunctionSpec(d, [(1.0, (2, 0))])
+    assert FunctionSpec(2.0, [(1.0, (2, 0))]).d == 2

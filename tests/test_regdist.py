@@ -1159,3 +1159,24 @@ def test_regdist_doctest():
     results = doctest.testmod(regdist)
     assert results.failed == 0
     assert results.attempted >= 1
+
+
+def test_a_set_dimension_must_be_an_integer():
+    # int() would read 2.7 as the plane
+    with pytest.raises(ValidationError, match="dimension n must be an integer"):
+        ClosedSetSpec(2.7, [])
+    for kind, extra in (("subspace", {}), ("tube", {"radius": 0.1})):
+        doc = {"n": 2, "primitives": [{"kind": kind, "n": 2.7, "basis": [[1.0, 0.0]], **extra}]}
+        with pytest.raises(ValidationError, match="dimension n must be an integer"):
+            ClosedSetSpec.from_json(doc)
+    assert ClosedSetSpec.subspace(2.0, [[1.0, 0.0]]).n == 2
+
+
+def test_whitney_depths_must_be_integers():
+    X = ClosedSetSpec.points([[0.0, 0.0]])
+    for depths in ({"min_depth": 1.5}, {"max_depth": 4.5}, {"max_depth": True}):
+        with pytest.raises(ValidationError, match="depth must be an integer"):
+            whitney_decompose(X, (-1.0, 1.0), **depths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        assert whitney_decompose(X, (-1.0, 1.0), max_depth=4.0).max_depth == 4

@@ -339,3 +339,11 @@ def test_samples_must_be_symplectic():
     bad = np.diag([2.0, 2.0])
     with pytest.raises(ValidationError):
         SymplecticPath(1, [(0.0, np.eye(2)), (1.0, bad)])
+
+
+def test_a_path_half_dimension_must_be_an_integer():
+    # int() would read 1.5 as the plane
+    for n in (1.5, True):
+        with pytest.raises(ValidationError, match="half-dimension n must be an integer"):
+            SymplecticPath(n, [(0.0, np.eye(2))])
+    assert SymplecticPath(1.0, [(0.0, np.eye(2))]).n == 1

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import lockstep_newton, row_dots, row_lstsq, rows_or_errors, tol
+from .config import _integer, lockstep_newton, row_dots, row_lstsq, rows_or_errors, tol
 from .errors import (
     AmbiguityError,
     ConfigurationError,
@@ -84,6 +84,8 @@ class DiscreteAction:
     N: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer(self.k, "iterate count k", ConfigurationError))
+        object.__setattr__(self, "N", _integer(self.N, "step count N", ConfigurationError))
         if self.k < 1 or self.N < 1:
             raise ConfigurationError("k and N must be positive integers")
         refusal = _step_refusal(self.germ, self.N)

@@ -204,6 +204,7 @@ class HamiltonianGerm:
     terms: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "half-dimension n", ConfigurationError))
         if self.n < 1:
             raise ConfigurationError("half-dimension n must be positive")
         terms = []

@@ -441,14 +441,17 @@ def _check_isolated(f, radius):
     z0 = z0[~(_row_norms(z0) > radius + 1e-12)]
     z = np.array(critical_points(f, z0, radius)).reshape(-1, f.d)
     r = _row_norms(z)
-    z = z[(r <= radius * (1 + 1e-9)) & (r > 1e-7)]
+    kept = (r <= radius * (1 + 1e-9)) & (r > 1e-7)
+    z, r = z[kept], r[kept]
     if not len(z):
         return
-    # a shallow tail of the origin germ is not a separate point; a real one
-    # is fenced off from 0 by a gradient ridge at the midpoint
-    ridge = _row_norms(f.grad(z / 2)) > 1e-8
-    if ridge.any():
-        near = np.round(z[ridge.argmax()], 6).tolist()
+    # Newton stops anywhere in a halo of radius about grad_tol^(1/(p-1)) <
+    # 5e-3 around a germ of order p, a shallow tail, not a separate point; a
+    # real one lies beyond it, or is fenced off from 0 by a gradient ridge at
+    # the midpoint, which a line of critical points through 0 lacks
+    separate = (r > 5e-3) | (_row_norms(f.grad(z / 2)) > 1e-8)
+    if separate.any():
+        near = np.round(z[separate.argmax()], 6).tolist()
         raise IsolationError(
             f"critical point near {near} inside the working ball besides the origin")
 

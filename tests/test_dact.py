@@ -108,6 +108,16 @@ def test_construction_rejects_bad_steps():
         DiscreteAction(ROT03, 0, 2)
 
 
+@pytest.mark.parametrize("k, N", [(2.5, 3), (True, 3), (1, 3.5), (1, np.True_)])
+def test_construction_refuses_an_iterate_or_step_count_that_is_not_an_integer(k, N):
+    # k = 2.5 would give the action the dimension 2 n k N = 15.0
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        DiscreteAction(ROT03, k, N)
+    # a whole float, as JSON may send it, is read as its integer
+    da = DiscreteAction(ROT03, 2.0, 3)
+    assert type(da.k) is int and da.dim == 12
+
+
 def test_eval_zero_germ_formula():
     da = DiscreteAction(ZERO, 2, 2)
     rng = np.random.default_rng(7)

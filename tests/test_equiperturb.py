@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from equimorse import equiperturb
+from equimorse import equiperturb, lochom
 from equimorse.config import smooth_step, tol
 from equimorse.equiperturb import (
     _MORSE_FLOOR,
@@ -43,6 +43,7 @@ from equimorse.lochom import (
     _row_norms,
     critical_points,
     equivariant_split,
+    sublevel_homology,
 )
 from equimorse.hamflow import _polynomial_kernel
 from equimorse.regdist import ClosedSetSpec, RegularizedDistance
@@ -500,15 +501,17 @@ def test_morse_smale_check_rejects_inadmissible_radii(radius):
 
 
 def _counting_sweeps(monkeypatch):
-    """Patch equiperturb.critical_points to count the Newton sweeps."""
+    """Patch both bindings of critical_points, equiperturb's and the one
+    that lochom's isolation check reads, to count the Newton sweeps."""
     calls = []
-    sweep = equiperturb.critical_points
+    sweep = lochom.critical_points
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(equiperturb, "critical_points", counted)
+    for module in (equiperturb, lochom):
+        monkeypatch.setattr(module, "critical_points", counted)
     return calls
 
 
@@ -516,7 +519,7 @@ def _counting_sweeps(monkeypatch):
 # trial; the certificate makes none of its own
 _PIPELINE_SWEEPS = {
     "antipodal bowl": (quartic_bowl, lambda: CyclicAction(-np.eye(2), 2), 3),
-    "reflection bowl": (quartic_bowl, reflection2, 6),
+    "reflection bowl": (quartic_bowl, reflection2, 7),
     "quarter turn quartic": (axes_quartic,
                              lambda: CyclicAction(rotation(math.pi / 2), 4), 2),
     "trivial action saddle": (lambda: FunctionSpec.make(2, [(1.0, (2, 0)), (-1.0, (0, 2))]),
@@ -538,6 +541,41 @@ def test_the_certificate_reads_the_free_stage_census(case, monkeypatch):
     fresh = equiperturb._critical_points(out, 1.0, fine=15, fine_width=0.16)
     assert len(census) == len(fresh) > 0
     assert np.array_equal(np.array(census), np.array(fresh))
+
+
+@pytest.mark.parametrize("terms", [[(1.0, (4, 0)), (1.0, (0, 4))],
+                                   [(1.0, (4, 0)), (-1.0, (0, 2))]])
+def test_the_axis_stage_makes_a_degenerate_restriction_morse(terms):
+    # x^4 + y^4 (a minimum) and x^4 - y^2 (a saddle) restrict to x^4 on the
+    # fixed axis of the reflection: its stage bumps the degenerate origin
+    # until a trial's free points are Morse, within the curvature budget and
+    # C^2-close to f, and the census sums to the Euler characteristic of the
+    # germ's local homology
+    f = FunctionSpec.make(2, terms)
+    out, cert = perturb_invariant_morse(f, reflection2(), epsilon=0.05, seed=0)
+    assert cert["passed"]
+    assert cert["stages"][0]["dimension"] == 1 and cert["stages"][0]["alpha_scale"] > 0.0
+    chi = sum((-1) ** k * b for k, b in sublevel_homology(f, 1.0).items())
+    assert chi == (1 if terms[1][0] > 0 else -1)
+    assert cert["items"]["critical_points_on_strata"]["euler"] == chi
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_reflection_bowl_is_c2_close_on_a_dense_grid(seed):
+    # the axis stage's bump changes D^2 f most on its ramp, a shell 0.05 of
+    # its scale wide that a sample of the ball rarely meets, so its trials
+    # sample that ramp too: on a 201 x 201 grid of the ball the output stays
+    # within epsilon of f in value, gradient and Hessian
+    f = quartic_bowl()
+    out, cert = perturb_invariant_morse(f, reflection2(), epsilon=0.05, seed=seed)
+    assert cert["passed"]
+    axis = np.linspace(-1.0, 1.0, 201)
+    z = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    z = z[_row_norms(z) <= 1.0]
+    (ov, og, oh), (fv, fg, fh) = out.jet(z), f.jet(z)
+    assert np.max(np.abs(ov - fv)) < 0.05
+    assert np.max(_row_norms(og - fg)) < 0.05
+    assert np.max(np.linalg.norm(oh - fh, 2, axis=(1, 2))) < 0.05
 
 
 def _skipped_strata_keep_the_census_at_k_2(matrix, monkeypatch):
@@ -911,9 +949,10 @@ def test_bump_term_derivatives_match_central_differences_on_the_ramp(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_single_center_bump_of_the_base_stage_matches_the_oracle(m):
-    # the base stage bumps one center at the origin with a degree 1..3 polynomial
+    # one center at the origin with a polynomial of degree 1 to 3, which
+    # vanishes there
     rng = np.random.default_rng(60 + m)
-    mons = _monomials(m, min_degree=1)
+    mons = [exps for exps in _monomials(m) if sum(exps) >= 1]
     coeffs = rng.standard_normal(len(mons))
     scale = 2.0 * 0.45
     centers = [np.zeros(m)]
@@ -1272,7 +1311,7 @@ def test_sweep_loses_exactly_the_seeds_whose_evaluation_fails():
 
     nowhere = CallableFunction(2, _rowwise(ring.value, unresolved, hess))
     assert equiperturb._critical_points(nowhere, 1.2) == []
-    assert _per_seed_critical_points(nowhere, _two_scale_seeds(2, 1.2, 13, 0.18), 1.2) == []
+    assert _per_seed_critical_points(nowhere, _two_scale_seeds(2, 1.2, 15, 0.16), 1.2) == []
 
 
 def test_each_sweep_iteration_asks_grad_and_hess_on_the_same_rows():
@@ -1525,7 +1564,7 @@ def test_the_perturbation_is_bitwise_its_dense_oracle_route(case, monkeypatch):
     assert repr(cert) == repr(want_cert)
     assert cert["passed"]
     # the antipodal output carries the top stratum's orbit of bumps, the
-    # reflection output the base stage's bump, the quarter turn none
+    # reflection output the axis stage's bump, the quarter turn none
     assert bool(built) == (case != "quarter turn output")
     z = np.random.default_rng(160).uniform(-0.3, 0.3, size=(200, 2))
     census = cert["items"]["critical_points_on_strata"]["points"]

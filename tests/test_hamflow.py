@@ -148,6 +148,10 @@ def test_germ_validation():
         HamiltonianGerm.make(1, [(1.0, (2, 0, 0))])
     with pytest.raises(ConfigurationError):
         HamiltonianGerm.make(1, [(1.0, (2, 0), "tan")])
+    for n in (1.5, True):
+        with pytest.raises(ConfigurationError, match="half-dimension n must be an integer"):
+            HamiltonianGerm(n, ())
+    assert type(HamiltonianGerm(2.0, ()).n) is int
 
 
 def test_germ_json_round_trip():

@@ -1,8 +1,10 @@
 """Importing the package loads no scipy, and neither does integrating a flow;
 no module of the package takes a derivative by finite differences or reads
-the process environment, only config spells the quintic cutoff ramp, and no
-constructor or public function truncates an integer argument with int(); every
-function that the benchmark tracer patches is defined where it patches it;
+the process environment, only config spells the quintic cutoff ramp, no
+constructor or public function truncates an integer argument with int(), and
+every int field that a dataclass's __post_init__ reads goes through
+config._integer; every function that the benchmark tracer patches is defined
+where it patches it;
 every name that the benchmark imports from the package exists; every relative
 import inside the package names a definition of the module it imports from;
 equiperturb imports nothing from regdist; and every console script that
@@ -187,12 +189,45 @@ def test_the_quintic_guard_sees_a_copy(tmp_path):
 
 # the package reads its integer arguments through config._integer, which
 # refuses a bool or a float with a fraction where int() would truncate it
+def _self_attribute(node):
+    return (node.attr if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self" else None)
+
+
+def dataclass_int_findings(tree):
+    """The int fields of the dataclasses of a module tree that their
+    __post_init__ reads but never passes, as self.<field>, to _integer."""
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef)
+                and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+            continue
+        ints = {s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)
+                and isinstance(s.target, ast.Name) and ast.unparse(s.annotation) == "int"}
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                continue
+            read = {}
+            for node in ast.walk(fn):
+                if _self_attribute(node) in ints:
+                    read[node.attr] = min(read.get(node.attr, node.lineno), node.lineno)
+            checked = {_self_attribute(call.args[0]) for call in ast.walk(fn)
+                       if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id == "_integer" and call.args}
+            found += [(line, f"{cls.name}.{name}") for name, line in read.items()
+                      if name not in checked]
+    return found
+
+
 def bare_int_findings(package):
     """Calls int(p) in the modules of package where p is a parameter of the
-    enclosing __init__ or public function."""
+    enclosing __init__ or public function, and the int fields of dataclasses
+    that __post_init__ reads around _integer."""
     found = []
     for path in sorted(Path(package).glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line}: {field}" for line, field in dataclass_int_findings(tree)]
+        for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
                     fn.name != "__init__" and fn.name.startswith("_")):
                 continue
@@ -218,6 +253,19 @@ def test_the_integer_guard_sees_a_truncation(tmp_path):
         "def periods(t, *, count=1):\n    return [int(t)] * int(count) + [int(len(t))]\n")
     assert sorted(f.split(":", 1)[1] for f in bare_int_findings(tmp_path)) == [
         "10: int(count)", "10: int(t)", "3: int(k)"]
+
+
+def test_the_integer_guard_sees_a_truncating_field(tmp_path):
+    # k truncates, N passes through the reader, and a dataclass with no
+    # __post_init__ or a field that is not an int is not read at all
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass Action:\n"
+        "    k: int\n    N: int\n    name: str\n\n    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'k', int(self.k))\n"
+        "        object.__setattr__(self, 'N', _integer(self.N, 'N'))\n"
+        "        if self.k < 1 or self.N < 1 or not self.name:\n            raise ValueError\n\n\n"
+        "@dataclass\nclass Record:\n    count: int\n")
+    assert [f.split(":", 1)[1] for f in bare_int_findings(tmp_path)] == ["11: Action.k"]
 
 
 def _tracer_targets():

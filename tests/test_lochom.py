@@ -284,6 +284,15 @@ def test_pair_rejects_second_critical_point():
         gromoll_meyer_pair(f, 1.0)
 
 
+@pytest.mark.parametrize("terms", [[(1.0, (2, 0))], [(1.0, (2, 2))]])
+def test_a_line_of_critical_points_through_the_origin_is_not_isolated(terms):
+    # x^2 is critical on the whole y-axis and x^2 y^2 on both axes: the
+    # gradient at the midpoint of such a point and 0 vanishes too, so no
+    # ridge fences them off, but they lie far beyond a Newton halo of 0
+    with pytest.raises(IsolationError, match="besides the origin"):
+        sublevel_homology(FunctionSpec.make(2, terms), 0.5)
+
+
 def test_pair_rejects_large_well_depth():
     # wells this deep carve an exit set that the flow drags back into the pair
     f = FunctionSpec.make(2, [(1.0, (2, 0)), (1.0, (0, 2))])

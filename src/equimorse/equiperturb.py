@@ -377,19 +377,19 @@ def normal_well(handled, projection, action, plateau_points):
         {"delta": float(delta)}
 
 
-# seeds per axis of the coarse grid in one or two and in three dimensions
+# seeds per axis of the coarse grid over the ball's box, and of the fine
+# grid over [-_FINE_WIDTH, _FINE_WIDTH]^n, in one or two and in three dimensions
 _COARSE, _COARSE_3D = 7, 5
+_FINE, _FINE_3D, _FINE_WIDTH = 15, 5, 0.16
 
 
-def _critical_points(func, radius, fine=15, fine_width=0.16):
+def _critical_points(func, radius):
     """lochom.critical_points from a two-scale grid of seeds: a coarse grid
     over the ball's box, then a fine grid around the origin."""
     n = func.d
-    coarse = _COARSE if n <= 2 else _COARSE_3D
-    if n == 3:
-        fine = min(fine, 5)
+    coarse, fine = (_COARSE, _FINE) if n <= 2 else (_COARSE_3D, _FINE_3D)
     seeds = np.concatenate([_grid_seeds(radius, coarse, n),
-                            _grid_seeds(min(fine_width, radius), fine, n)])
+                            _grid_seeds(min(_FINE_WIDTH, radius), fine, n)])
     return critical_points(func, seeds, radius)
 
 
@@ -450,9 +450,10 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0):
     Returns the perturbed function together with a certificate recording the
     measured invariance residual, the stratum assignment of every critical
     point, the normal hessian margins, and the C2 distance sampled on the
-    ball and on the ramp shells of every well around the strata handled
-    before it.  Its census of critical points is the last Newton sweep of
-    the top stratum's stage, a sweep of the returned function itself.  Every
+    ball, on the ramps of the bumps below the top stratum, and on the ramp
+    shells of every well around the strata handled before it.  Its census
+    of critical points is the last Newton sweep of the top stratum's stage,
+    a sweep of the returned function itself.  Every
     stratum runs the one stage, _stage.  Below the top stratum its trial
     cutoff polynomial must leave the stratum's points Morse, with 10
     lambda_max of their normal Hessian blocks and its C2 change below
@@ -460,7 +461,8 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0):
     It makes _ATTEMPTS = 3 seeded draws before it raises ResolutionError,
     whose message lists every draw in order, each with the stage or
     certificate items it failed and what they measured.  Another critical
-    point in the ball raises IsolationError (lochom._check_isolated), and a
+    point in the ball raises IsolationError (lochom._check_isolated on the
+    points of one _critical_points sweep of f), and a
     radius or epsilon that is not finite and positive raises ParameterError.
     """
     strat = strata(action, k)
@@ -475,7 +477,7 @@ def perturb_invariant_morse(f, action, k=None, *, epsilon, radius=1.0, seed=0):
         raise ValidationError("function is not invariant under the action")
     if np.linalg.norm(np.asarray(f.grad(np.zeros(n)))) > 1e-8:
         raise ValidationError("origin is not a critical point")
-    _check_isolated(f, radius)
+    _check_isolated(f, radius, _critical_points(f, radius))
     failures = []
     for attempt in range(_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -506,6 +508,7 @@ def _measured(item):
 def _build(f, strat, epsilon, radius, rng):
     terms = []
     records = []
+    ramps = []  # the ramp points of the bumps of each stage, (P, n)
     handled = []  # (projection, c)
     for d in strat.divisors:
         p = strat.projection(d)
@@ -514,15 +517,16 @@ def _build(f, strat, epsilon, radius, rng):
             records.append({"divisor": int(d), "dimension": int(m),
                             "skipped": "stratum already handled"})
             continue
-        rec, swept = _stage(f, terms, strat, d, handled, radius, rng, epsilon)
+        rec, swept, bump_ramps = _stage(f, terms, strat, d, handled, radius, rng, epsilon)
         records.append(rec)
+        ramps.append(bump_ramps)
         handled.append((p, rec.get("c")))
     # The top stratum's stage adds the last term, so the function it swept
     # last is the returned one and its census is the certificate's.  It runs
     # at d = ord(A), the first divisor with A^d = I; any later divisor d' has
     # Fix(A^d') = Fix(A^gcd(d', ord A)), an earlier stratum, skipped above.
     out, crits = swept
-    cert = _certify(f, out, crits, strat, records, handled, epsilon, radius)
+    cert = _certify(f, out, crits, strat, records, handled, epsilon, radius, ramps)
     return out, cert
 
 
@@ -545,7 +549,8 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon):
     The top stratum is swept as it is, not through its basis, and every
     trial is assembled flat from f and the term list, so the top stratum's
     last sweep is of the function that _build returns.  Returns the stage
-    record and the pair (function, census) of the last sweep.
+    record, the pair (function, census) of the last sweep and, below the top
+    stratum, the ramp points of its bumps, which _certify reads again.
     """
     n = f.d
     action = strat.action
@@ -573,7 +578,7 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon):
     # on F_d = {0} the origin is the one point, and it cannot degenerate
     crits = _critical_points(swept, radius) if m else []
     free, gaps = off_handled(crits)
-    eta_used = 0.0
+    eta_used, ramps = 0.0, np.empty((0, n))
     if free and _min_abs_eig(swept, free) < _MORSE_FLOOR:
         sep = np.min(gaps)
         rho = 0.45 * min(sep, 0.5 * radius)
@@ -586,8 +591,8 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon):
         eta = min(1e-2, epsilon / (8.0 * scale_est))
         if m < n:
             # the bumps of the average sit at the images A^-j c of the centers
-            ramps = _orbit(_ramp_points(np.array(free), 2.0 * rho), induced.T, d)
-            sample = np.concatenate([_ball_sample(n, radius)[0], up(ramps)])
+            ramps = up(_orbit(_ramp_points(np.array(free), 2.0 * rho), induced.T, d))
+            sample = np.concatenate([_ball_sample(n, radius)[0], ramps])
 
         def fault(trial, swept, free):
             # the first check that a trial fails, with what it measured, or None
@@ -629,7 +634,7 @@ def _stage(f, terms, strat, d, handled, radius, rng, epsilon):
            "alpha_scale": float(eta_used) if m else None}
     if 0 < m < n:
         rec["well"] = info
-    return rec, (cur, crits)
+    return rec, (cur, crits), ramps
 
 
 def _curvature(cur, strat, d, lifts, epsilon):
@@ -656,9 +661,10 @@ def _well_step(cur, strat, d, handled, lifts, epsilon):
     return _scaled(well, -0.5 * c), c, info
 
 
-def _certify(f, out, crits, strat, records, handled, epsilon, radius):
+def _certify(f, out, crits, strat, records, handled, epsilon, radius, ramps):
     """Certificate of out.  crits is its census: the top stratum's stage
-    swept out itself last, so out is not swept again here."""
+    swept out itself last, so out is not swept again here.  ramps holds the
+    ramp points of each stage's bumps below the top stratum."""
     n = f.d
     action = strat.action
     inv = _check_invariance(out, action, radius, samples=120)
@@ -697,11 +703,12 @@ def _certify(f, out, crits, strat, records, handled, epsilon, radius):
     item_margin = {"passed": all(p["passed"] for p in margins),
                    "required_fraction": _MARGIN_FRACTION, "points": margins}
 
-    # besides the ball, the ramp shells of each well around the strata
-    # handled before it, where the well's Hessian peaks and a sample of the
-    # ball rarely lands; handled runs parallel to the stages not skipped
+    # besides the ball, the ramps of the bumps below the top stratum and the
+    # ramp shells of each well around the strata handled before it, where
+    # the Hessians of the terms peak and a sample of the ball rarely lands;
+    # handled runs parallel to the stages not skipped
     ball, rng = _ball_sample(n, radius)
-    z = [ball]
+    z = [ball, *ramps]
     for k, rec in enumerate(r for r in records if "skipped" not in r):
         if rec.get("well"):
             z += [_shell_points(rng, ph, rec["well"]["delta"], radius) for ph, _ in handled[:k]]

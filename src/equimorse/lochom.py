@@ -436,20 +436,29 @@ def _grid_seeds(radius, per_axis, d):
     return np.array(list(itertools.product(axis, repeat=d)), dtype=float).reshape(-1, d)
 
 
-def _check_isolated(f, radius):
-    z0 = _grid_seeds(radius, _ISOLATION_SEEDS, f.d)
-    z0 = z0[~(_row_norms(z0) > radius + 1e-12)]
-    z = np.array(critical_points(f, z0, radius)).reshape(-1, f.d)
+def _check_isolated(f, radius, z=None):
+    # IsolationError unless 0 is the only critical point of f in the ball;
+    # z are the critical points found by the caller's own sweep, by default
+    # one from the _ISOLATION_SEEDS^d grid
+    if z is None:
+        z0 = _grid_seeds(radius, _ISOLATION_SEEDS, f.d)
+        z = critical_points(f, z0[~(_row_norms(z0) > radius + 1e-12)], radius)
+    z = np.array(z, dtype=float).reshape(-1, f.d)
     r = _row_norms(z)
     kept = (r <= radius * (1 + 1e-9)) & (r > 1e-7)
     z, r = z[kept], r[kept]
     if not len(z):
         return
-    # Newton stops anywhere in a halo of radius about grad_tol^(1/(p-1)) <
-    # 5e-3 around a germ of order p, a shallow tail, not a separate point; a
-    # real one lies beyond it, or is fenced off from 0 by a gradient ridge at
-    # the midpoint, which a line of critical points through 0 lacks
-    separate = (r > 5e-3) | (_row_norms(f.grad(z / 2)) > 1e-8)
+    # a shallow tail of the origin germ is not a separate point; a real one
+    # is fenced off from 0 by a gradient ridge at the midpoint.  A line of
+    # critical points through 0 has no ridge, but its gradient also vanishes
+    # halfway out to the rim along the ray, where a tail's grows like
+    # r^(p-1); a sweep finds such a line out to the rim, so only the rays of
+    # the points beyond a tenth of the radius are read
+    far = r > 0.1 * radius
+    g = _row_norms(f.grad(np.concatenate([z / 2, 0.5 * radius * z[far] / r[far, None]])))
+    separate = g[:len(z)] > 1e-8
+    separate[far] |= g[len(z):] < 1e-8
     if separate.any():
         near = np.round(z[separate.argmax()], 6).tolist()
         raise IsolationError(

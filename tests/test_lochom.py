@@ -288,9 +288,22 @@ def test_pair_rejects_second_critical_point():
 def test_a_line_of_critical_points_through_the_origin_is_not_isolated(terms):
     # x^2 is critical on the whole y-axis and x^2 y^2 on both axes: the
     # gradient at the midpoint of such a point and 0 vanishes too, so no
-    # ridge fences them off, but they lie far beyond a Newton halo of 0
+    # ridge fences them off, but it also vanishes halfway out to the rim
     with pytest.raises(IsolationError, match="besides the origin"):
         sublevel_homology(FunctionSpec.make(2, terms), 0.5)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_sixth_order_origin_is_isolated(sign):
+    # Newton creeps towards a sixth-order origin, x -> 0.8 x, and stops on
+    # the gradient tolerance at |x| about 6e-3 from the seed (0.5, 0): a tail
+    # without a ridge, whose gradient halfway out to the rim is about 6e-3
+    f = FunctionSpec.make(2, [(1.0, (6, 0)), (sign, (0, 6))])
+    tails = lochom.critical_points(f, [np.array([0.5, 0.0])], 0.5)
+    assert 5e-3 < np.linalg.norm(tails[0]) < 1e-2
+    gromoll_meyer_pair(f, 0.5)
+    if sign < 0:
+        assert sublevel_homology(f, 0.5) == {1: 1}
 
 
 def test_pair_rejects_large_well_depth():

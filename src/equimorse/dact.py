@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def _step_refusal(germ: HamiltonianGerm, N: int):
     """Why N fails the step condition of germ, or None where it passes.
 
     steps_graph_positive decides it once per germ instance and N; the
-    verdict is kept on the germ, as its variational solve is.
+    verdict is kept on the germ, as the link Jacobians it reads are.
     """
     verdicts = germ._step_verdicts
     if N not in verdicts:
@@ -296,8 +296,9 @@ def bott_data(germ: HamiltonianGerm, N: int | None = None) -> BottData:
     minimal_adapted_steps.
 
     Eigenvalues of the monodromy within tol("eig_threshold") of the unit
-    circle give the jumps, and angles that close in turns are one jump.
-    Raises ValidationError where a jump's block is nondegenerate, and
+    circle give the jumps, and angles that close in turns are one jump; the
+    monodromy is the product of the N substep Jacobians at 0 that the blocks
+    read.  Raises ValidationError where a jump's block is nondegenerate, and
     AmbiguityError where an arc's midpoint block is degenerate: the arc lies
     between eigenvalues too close to resolve, or the blocks miss one.
 
@@ -307,7 +308,8 @@ def bott_data(germ: HamiltonianGerm, N: int | None = None) -> BottData:
     """
     action = DiscreteAction(germ, 1, minimal_adapted_steps(germ) if N is None else N)
     thr = tol("eig_threshold")
-    lam = np.linalg.eigvals(FlowMap(germ, 0.0, 1.0).jacobian_at_zero)
+    monodromy = reduce(np.matmul, [gf.psi.jacobian_at_zero for gf in reversed(action.S_list)])
+    lam = np.linalg.eigvals(monodromy)
     jumps = []
     for t in np.sort(np.angle(lam[np.abs(np.abs(lam) - 1.0) < thr]) / (2 * np.pi) % 1.0):
         if not jumps or t - jumps[-1] >= thr:

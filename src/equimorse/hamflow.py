@@ -8,13 +8,15 @@ Every ODE of the package (lochom and equiperturb included) is integrated by
 the package's own numpy DOP853, ode.dop853, which this module names as
 dop853 so that tests can count its solves.  No flow loads scipy: scipy.linalg
 loads on the first spindex.SymplecticPath.from_generator_matrix call, and
-nothing else loads scipy.
+nothing else loads scipy.  Every Jacobian at 0 is a product of links that
+integrate_flow integrates at z = 0 from the identity (_zero_links).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -248,25 +250,10 @@ class HamiltonianGerm:
         return _polynomial_kernel(2 * self.n, [(t.c, t.m, t.mode, t.freq) for t in self.terms])
 
     @cached_property
-    def _period_path(self):
-        """(dense solution t -> Phi(t) on [0, 1], Phi(1)) of the variational
-        equation at 0; see zero_jacobian_path."""
-        d = 2 * self.n
-        minus_J = -standard_symplectic(self.n)
-        origin = np.zeros(d)
-
-        def rhs(t, y):
-            return (minus_J @ self.jet(origin, t)[2] @ y.reshape(d, d)).ravel()
-
-        run = dop853(rhs, 0.0, 1.0, np.eye(d).ravel(), rtol=1e-12, atol=1e-13, dense=True,
-                     first_step=1.0)
-        if run.status != REACHED:
-            raise StiffnessError(f"variational integration underflowed its step at t = {run.t}")
-
-        def one_period(t):
-            return run.sol(t).reshape(np.shape(t) + (d, d))
-
-        return one_period, one_period(1.0)
+    def _link_jacobians(self) -> dict:
+        """(t0, t1, count) -> the link Jacobians of _zero_links, kept so that
+        each is integrated once per germ instance."""
+        return {}
 
     @cached_property
     def _step_verdicts(self) -> dict:
@@ -550,36 +537,69 @@ def _stacked_flow(germ, t0, t1, Z, radius, action, shift, first, total, first_st
     return yf[:, :d], dphi, (yf[:, -1] if action else 0.0), run.h
 
 
+_LINKS_PER_STEP = 8  # links of a substep's Jacobian at 0, and spans per step of the step check
+_SAMPLES_PER_PERIOD = 64  # links of the period grid, and samples per period of linearized_path
+
+
+def _zero_links(germ: HamiltonianGerm, t0: float, t1: float, count: int) -> np.ndarray:
+    """(count, d, d): dphi(0) over each of count equal links of [t0, t1].
+
+    0 is a rest point, so one stacked integrate_flow at z = 0 integrates
+    every link from the identity over its own span (row i shifted to start
+    at t0 + i h, h = (t1 - t0) / count, negative for a backward span), with
+    the flow's symplectic check on every row.  Kept on the germ instance,
+    so a key is integrated once per instance; callers multiply links and
+    never invert one.
+    """
+    key = (t0, t1, count)
+    links = germ._link_jacobians
+    if key not in links:
+        h = (t1 - t0) / count
+        links[key] = integrate_flow(germ, 0.0, h, np.zeros((count, 2 * germ.n)),
+                                    shift=t0 + h * np.arange(count))[1]
+    return links[key]
+
+
+def _running_products(links: np.ndarray) -> np.ndarray:
+    """L_j ... L_1 L_0 for every j along axis -3 of the links (..., count, d, d)."""
+    return np.stack(list(accumulate(np.moveaxis(links, -3, 0), lambda P, L: L @ P)), axis=-3)
+
+
 def zero_jacobian_path(germ: HamiltonianGerm):
     """Callable t -> dphi^{0->t}(0) for t >= 0.
 
-    0 is a rest point, so the Jacobian obeys the linear variational
-    equation dPhi/dt = -J0 D^2H_t(0) Phi on its own.  Every germ is
+    On the grid j / _SAMPLES_PER_PERIOD of the period [0, 1], Phi is the
+    running product of the links of _zero_links(germ, 0, 1,
+    _SAMPLES_PER_PERIOD), one stacked flow per germ instance; a time off
+    the grid adds one flow at 0 from the grid point below it.  Every germ is
     1-periodic in t, so the Floquet identity Phi(t + m) = Phi(t) Phi(1)^m
-    holds exactly for whole m: the path reads one dense solution over the
-    period [0, 1], solved once per germ instance (HamiltonianGerm._period_path),
-    and takes the rest from the powers of the monodromy Phi(1), so it is
-    accurate to the ODE tolerance times the number of periods.  The solve
-    tries the whole period as its first step (see integrate_flow), at the
-    cost of one rejected step where the linearized flow is fast.
+    holds exactly for whole m, and whole periods come from the powers of
+    the monodromy Phi(1): the path is accurate to the ODE tolerance times
+    the number of periods.
 
     t is one time, giving (d, d), or an array of times, giving (..., d, d)
-    from one dense-output pass and one matrix power per whole period; each
-    sample is bitwise the one-time call.
+    with one matrix power per whole period; each sample is bitwise the
+    one-time call.
     """
     d = 2 * germ.n
-    if not germ.terms:
-        return lambda t: np.broadcast_to(np.eye(d), np.shape(t) + (d, d)).copy()
-    one_period, monodromy = germ._period_path
+    grid = np.concatenate([np.eye(d)[None], _running_products(
+        _zero_links(germ, 0.0, 1.0, _SAMPLES_PER_PERIOD))])
+    monodromy = grid[-1]
 
     def Phi(t):
         t = np.asarray(t, dtype=float)
-        # t - m in (0, 1], or t = m = 0, where the dense output is the identity
+        # t - m in (0, 1], or t = m = 0; scaling by a power of two is exact
         m = np.maximum(np.ceil(t) - 1, 0).astype(int)
+        s = ((t - m) * _SAMPLES_PER_PERIOD).reshape(-1)
+        j = np.floor(s).astype(int)
+        within = grid[j]
+        for i in np.flatnonzero(s != j):
+            within[i] = integrate_flow(germ, j[i] / _SAMPLES_PER_PERIOD,
+                                       s[i] / _SAMPLES_PER_PERIOD, np.zeros(d))[1] @ within[i]
         first = m.min()
         powers = np.array([np.linalg.matrix_power(monodromy, p)
                            for p in range(first, m.max() + 1)])
-        return one_period(t - m) @ powers[m - first]
+        return within.reshape(t.shape + (d, d)) @ powers[m - first]
 
     return Phi
 
@@ -597,36 +617,37 @@ class FlowMap:
 
     @cached_property
     def jacobian_at_zero(self) -> np.ndarray:
-        """dphi^{t0 -> t1}(0) = Phi(t1) Phi(t0)^{-1} from zero_jacobian_path,
-        so it integrates no flow; raises ValidationError if it fails the
-        symplectic check of integrated flow Jacobians."""
-        Phi = zero_jacobian_path(self.germ)
-        dphi = Phi(self.t1) @ np.linalg.inv(Phi(self.t0))
+        """dphi^{t0 -> t1}(0), the ordered product of the _LINKS_PER_STEP
+        links of _zero_links, each integrated from the identity, so no
+        inverse is taken and a germ instance integrates each substep's links
+        once; raises ValidationError if the product fails the symplectic
+        check of integrated flow Jacobians."""
+        dphi = _running_products(_zero_links(self.germ, self.t0, self.t1, _LINKS_PER_STEP))[-1]
         res = symplectic_residual(dphi)
         if res > tol("symplectic_flow"):
             raise ValidationError(f"flow Jacobian symplecticity residual {res:.3g}")
         return dphi
 
 
-_SPANS_PER_STEP = 8  # substep spans that steps_graph_positive samples per step
-
-
 def steps_graph_positive(germ: HamiltonianGerm, N: int) -> bool:
     """The step condition: does every substep family of N steps stay graph-like?
 
-    From each start i/4N, det dpsi(0)_yy of the substep flow psi (the graph
-    condition, see GeneratingFunction) is sampled at _SPANS_PER_STEP growing
-    spans up to a full step 1/N.  It equals 1 at span 0, so a sample below
-    gen1_det certifies that some substep crosses the graph-condition
-    boundary even when the endpoints of the family pass it.
+    The links of _zero_links over each substep [k/N, (k+1)/N] are those
+    whose product FlowMap(germ, k/N, (k+1)/N).jacobian_at_zero reads.  From
+    each start i/4N, det dpsi(0)_yy of the substep flow psi (the graph
+    condition, see GeneratingFunction) is sampled at _LINKS_PER_STEP growing
+    spans up to a full step 1/N, dpsi the product of the links from the
+    start, wrapped past 1 by 1-periodicity.  It equals 1 at span 0, so a
+    sample below gen1_det certifies that some substep crosses the
+    graph-condition boundary even when the endpoints of the family pass it.
     """
     if N < 1:
         raise ConfigurationError("N must be a positive integer")
     m = germ.n
-    Phi = zero_jacobian_path(germ)
-    starts = np.arange(4 * N + 1) / (4 * N)
-    ends = Phi(starts[:, None] + np.arange(1, _SPANS_PER_STEP + 1) / (_SPANS_PER_STEP * N))
-    dpsi = ends @ np.linalg.inv(Phi(starts))[:, None]
+    links = np.concatenate([_zero_links(germ, k / N, (k + 1) / N, _LINKS_PER_STEP)
+                            for k in range(N)])
+    starts = _LINKS_PER_STEP // 4 * np.arange(4 * N)
+    dpsi = _running_products(links[(starts[:, None] + np.arange(_LINKS_PER_STEP)) % len(links)])
     return bool((np.linalg.det(dpsi[..., m:, m:]) > tol("gen1_det")).all())
 
 
@@ -782,9 +803,6 @@ def eval_S(gf: GeneratingFunction, x, Y):
 def hessian_S_at_zero(gf: GeneratingFunction) -> np.ndarray:
     """D^2 S(0): _slot_hessians of dpsi(0), as solve_slot assembles it at a solved point."""
     return _slot_hessians(gf.psi.jacobian_at_zero[None])[0]
-
-
-_SAMPLES_PER_PERIOD = 64  # samples of linearized_path per period
 
 
 def linearized_path(germ: HamiltonianGerm, periods: int = 1):

@@ -1,23 +1,25 @@
 """The package's one ODE integrator: explicit Runge-Kutta DOP853 in numpy.
 
-DOP853 is the 8(5,3) embedded pair of Dormand and Prince with its 7th-degree
-dense output (Hairer, Norsett and Wanner, Solving Ordinary Differential
-Equations I, sec. II.10).  The step control, initial step and error norm
-repeat the arithmetic of scipy.integrate's DOP853 operation for operation, so
-a solve here is bitwise the scipy solve with method="DOP853" and the same
-tolerances and first_step; the tests keep scipy as that oracle.  The
-coefficients are those of scipy/integrate/_ivp/dop853_coefficients.py at
-full precision (SciPy, BSD-3-Clause license).
+DOP853 is the 8(5,3) embedded pair of Dormand and Prince (Hairer, Norsett
+and Wanner, Solving Ordinary Differential Equations I, sec. II.10).  The
+step control, initial step and error norm repeat the arithmetic of
+scipy.integrate's DOP853 operation for operation, so a solve here ends
+bitwise where the scipy solve with method="DOP853" and the same tolerances
+and first_step ends, with the same proposed next step; the tests keep scipy
+as that oracle.  There is no dense output: a caller that needs the solution
+at a time integrates to it.  The coefficients are the stepping rows of
+scipy/integrate/_ivp/dop853_coefficients.py at full precision (SciPy,
+BSD-3-Clause license).
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-_STAGES = 12  # stages of one step; stages 13-15 serve the dense output only
+_STAGES = 12  # stages of one step; the slope at its end makes 13
 
 _C = np.array([0.0,
                0.526001519587677318785587544488e-01,
@@ -31,13 +33,10 @@ _C = np.array([0.0,
                0.6,
                0.857142857142857142857142857142,
                1.0,
-               1.0,
-               0.1,
-               0.2,
-               0.777777777777777777777777777778])
+               1.0])
 
 # row s holds the weights of the stages before s; row 12 is the solution weights
-_A = np.zeros((16, 16))
+_A = np.zeros((_STAGES + 1, _STAGES))
 _A[1, [0]] = [5.26001519587677318785587544488e-2]
 _A[2, [0, 1]] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
 _A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
@@ -88,30 +87,6 @@ _A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [5.42937341165687622380535766363e-2,
                                       -1.52160949662516078556178806805e-1,
                                       2.01365400804030348374776537501e-1,
                                       4.47106157277725905176885569043e-2]
-_A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = [5.61675022830479523392909219681e-2,
-                                      2.53500210216624811088794765333e-1,
-                                      -2.46239037470802489917441475441e-1,
-                                      -1.24191423263816360469010140626e-1,
-                                      1.5329179827876569731206322685e-1,
-                                      8.20105229563468988491666602057e-3,
-                                      7.56789766054569976138603589584e-3,
-                                      -8.298e-3]
-_A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = [3.18346481635021405060768473261e-2,
-                                       2.83009096723667755288322961402e-2,
-                                       5.35419883074385676223797384372e-2,
-                                       -5.49237485713909884646569340306e-2,
-                                       -1.08347328697249322858509316994e-4,
-                                       3.82571090835658412954920192323e-4,
-                                       -3.40465008687404560802977114492e-4,
-                                       1.41312443674632500278074618366e-1]
-_A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [-4.28896301583791923408573538692e-1,
-                                       -4.69762141536116384314449447206,
-                                       7.68342119606259904184240953878,
-                                       4.06898981839711007970213554331,
-                                       3.56727187455281109270669543021e-1,
-                                       -1.39902416515901462129418009734e-3,
-                                       2.9475147891527723389556272149,
-                                       -9.15095847217987001081870187138]
 _B = _A[_STAGES, :_STAGES]
 
 # the 5th- and 3rd-order error estimators, over the stages and the new slope
@@ -130,37 +105,6 @@ _E3[0] -= 0.244094488188976377952755905512
 _E3[8] -= 0.733846688281611857341361741547
 _E3[11] -= 0.220588235294117647058823529412e-1
 
-# powers 3..6 of the dense output over all 16 stages
-_D = np.zeros((4, 16))
-_D[0, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
-    -0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
-    -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
-    0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
-    0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
-    -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
-    -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1]
-_D[1, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
-    0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
-    0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
-    -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
-    -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
-    0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
-    -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2]
-_D[2, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
-    0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
-    -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
-    -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
-    -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
-    -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
-    0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2]
-_D[3, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
-    -0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
-    -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
-    0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
-    0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
-    -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
-    -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3]
-
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 
@@ -175,16 +119,14 @@ class Integration(NamedTuple):
 
     status is REACHED (t == t1), EXITED (the exit function crossed 0 upward
     in the step that ended at t) or UNDERFLOW (the step size fell below ten
-    spacings of t; y is the last accepted state).  sol is the dense output
-    t -> y(t) over the accepted steps when it was asked for, else None.
-    h is the size of the step that the controller proposes after the last
-    accepted one, the first_step of a solve that goes on from (t, y); it is
-    nan where t0 == t1, and the step that fell too small on UNDERFLOW.
+    spacings of t; y is the last accepted state).  h is the size of the
+    step that the controller proposes after the last accepted one, the
+    first_step of a solve that goes on from (t, y); it is nan where
+    t0 == t1, and the step that fell too small on UNDERFLOW.
     """
     status: int
     t: float
     y: np.ndarray
-    sol: Optional[Callable]
     h: float
 
 
@@ -219,63 +161,13 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
 
 
-def _interpolant(fun, K, t_old, h, y_old, y, f):
-    """The 7th-degree dense output over the step from (t_old, y_old) to y,
-    as (t_old, h, y_old, F) for _dense; K holds the step's 13 slopes and
-    takes the 3 extra ones."""
-    for s in range(_STAGES + 1, 16):
-        K[s] = fun(t_old + _C[s] * h, y_old + np.dot(K[:s].T, _A[s, :s]) * h)
-    F = np.empty((7, len(y)))
-    delta = y - y_old
-    F[0] = delta
-    F[1] = h * K[0] - delta
-    F[2] = 2 * delta - h * (f + K[0])
-    F[3:] = h * np.dot(_D, K)
-    return t_old, h, y_old, F
-
-
-def _dense(ts, pieces):
-    """t -> y(t) from the interpolants of consecutive steps; a step end
-    belongs to the earlier step, as in scipy's OdeSolution.
-
-    t is one time or an array of times, evaluated in one broadcast pass
-    over the interpolants they fall in; each sample rounds as the one-time
-    call does, and as scipy's dense output does.
-    """
-    forward = ts[-1] >= ts[0]
-    ordered = np.array(ts if forward else ts[::-1])
-    last = len(pieces) - 1
-    t_old, h, y_old, F = (np.array(part) for part in zip(*pieces))
-    F = F[:, ::-1]  # the rows of each interpolant, highest power first
-
-    def sol(t):
-        t = np.asarray(t, dtype=float)
-        i = np.searchsorted(ordered, t, side="left" if forward else "right") - 1
-        i = np.minimum(np.maximum(i, 0), last)
-        if not forward:
-            i = last - i
-        x = (t - t_old[i]) / h[i]
-        if t.ndim:
-            x = x[..., None]
-        rows = F[i]
-        out = np.zeros_like(rows[..., 0, :])
-        for r in range(F.shape[1]):
-            out += rows[..., r, :]
-            out *= x if r % 2 == 0 else 1 - x
-        return out + y_old[i]
-
-    return sol
-
-
-def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False,
-           first_step=None) -> Integration:
+def dop853(fun, t0, t1, y0, rtol, atol, exit=None, first_step=None) -> Integration:
     """Integrate y' = fun(t, y) from y(t0) = y0 (1-D) to t1 with DOP853.
 
     The local error of each step is held below atol + rtol |y| in the RMS
     norm over y.  With exit set, exit(y) is read at the end of every accepted
     step and the solve stops after the first step across which it goes from
-    <= 0 to >= 0; the crossing is not located inside the step.  With dense
-    set, the result carries the dense output.
+    <= 0 to >= 0; the crossing is not located inside the step.
 
     The first step tried is first_step when it is given, as scipy's
     first_step, and else the Hairer-Norsett-Wanner estimate, which costs one
@@ -298,14 +190,10 @@ def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False,
     if first_step is not None and not 0 < first_step <= abs(t1 - t0):
         raise ConfigurationError(f"first step {first_step!r} is not in (0, {abs(t1 - t0)!r}]")
     t, y = t0, np.asarray(y0, dtype=float)
-    ts, pieces = [t], []
     h_abs = np.nan  # no step proposed yet
 
     def stop(status):
-        if not dense:
-            return Integration(status, t, y, None, float(h_abs))
-        return Integration(status, t, y, _dense(ts, pieces) if pieces else (lambda _: y),
-                           float(h_abs))
+        return Integration(status, t, y, float(h_abs))
 
     if t0 == t1:
         return stop(REACHED)
@@ -316,7 +204,7 @@ def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False,
         h_abs = _initial_step(fun, t, y, t1, f, direction, rtol, atol)
     else:
         h_abs = float(first_step)
-    K = np.empty((16, len(y)))
+    K = np.empty((_STAGES + 1, len(y)))
     while direction * (t - t1) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -343,9 +231,6 @@ def dop853(fun, t0, t1, y0, rtol, atol, exit=None, dense=False,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
             rejected = True
-        if dense:
-            pieces.append(_interpolant(fun, K, t, h, y, y_new, f_new))
-            ts.append(t_new)
         t, y, f = t_new, y_new, f_new
         if exit is not None:
             g, g_old = exit(y), g

@@ -91,6 +91,26 @@ def test_index_minus_nkN_independent_of_N_and_matches_cz():
         assert vals.pop() == cz_index(linearized_path(germ, periods=k))
 
 
+def strongly_hyperbolic_germ():
+    # H = 1.3436x^2 + 13.1603xy + 2.7631y^2: its monodromy has entries of 3.0e5
+    return HamiltonianGerm.make(1, [(1.3436, (2, 0)), (13.1603, (1, 1)), (2.7631, (0, 2))])
+
+
+def test_bott_data_of_a_strongly_hyperbolic_germ():
+    # positive hyperbolic: no eigenvalue on the unit circle and index 0 on it
+    bd = bott_data(strongly_hyperbolic_germ())
+    assert bd.action.N == 7 and bd.jumps == () and bd.mean_index == 0.0
+    assert [bd.cz(k) for k in range(1, 9)] == [0] * 8
+
+
+def test_a_strongly_hyperbolic_germ_passes_the_bott_identity():
+    germ = strongly_hyperbolic_germ()
+    bd = bott_data(germ)
+    for k in range(1, 9):
+        index = index_of_quadratic_action(DiscreteAction(germ, k, 7))
+        assert index - 7 * k == bd.cz(k) == cz_index(linearized_path(germ, k)), k
+
+
 def test_degenerate_cz_through_discrete_route():
     rot1 = HamiltonianGerm.rotation(1.0)
     assert minimal_adapted_steps(rot1) == 5

@@ -324,6 +324,23 @@ def test_linearized_path_feeds_index():
     assert cz_index(path) == 3
 
 
+def test_a_fast_rotation_refines_its_linearized_path(monkeypatch):
+    # 64 samples per period are too coarse for a rotation by 20.3 turns: the
+    # index refines the path once, reading zero_jacobian_path off its grid
+    from equimorse.spindex import SymplecticPath, cz_index
+
+    refined = []
+    refine = SymplecticPath.refined
+
+    def counted(self):
+        refined.append(len(self.samples))
+        return refine(self)
+
+    monkeypatch.setattr(SymplecticPath, "refined", counted)
+    assert cz_index(linearized_path(HamiltonianGerm.rotation(20.3))) == 41
+    assert refined == [65]
+
+
 def test_hamflow_doctest():
     results = doctest.testmod(hamflow)
     assert results.failed == 0
@@ -508,7 +525,7 @@ def test_flows_evaluate_the_germ_only_through_jet(monkeypatch):
     assert np.array_equal(zero_jacobian_path(resonant_germ())(0.7), Phi_expected)
 
 
-# -- the dense solve over [0, T] that the one-period path replaced, kept as its oracle --
+# -- scipy's dense solve over [0, T], kept as the oracle of the path of links --
 
 def _direct_zero_jacobian_path(germ, T):
     d = 2 * germ.n
@@ -542,59 +559,52 @@ def test_one_period_path_matches_a_direct_solve_over_several_periods(make):
             assert np.abs(Phi(t) - oracle(t)).max() < 1e-10
 
 
-def _count_variational_solves(monkeypatch):
+def _count_flow_solves(monkeypatch):
     count = [0]
     solve = hamflow.dop853
 
-    def counted(fun, *args, **kwargs):
-        # every solve that is not a stacked flow integrates the variational equation
-        if "_flow_rhs" not in fun.__qualname__:
-            count[0] += 1
-        return solve(fun, *args, **kwargs)
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(hamflow, "dop853", counted)
     return count
 
 
 def test_one_variational_solve_per_germ_instance(monkeypatch):
+    # every Jacobian at 0 is a product of links that stacked flows integrate
+    # once per germ instance: one stack per substep of the step check, which
+    # the substeps of every DiscreteAction with that N read again, and one
+    # stack of _SAMPLES_PER_PERIOD links for the sampled paths
     from equimorse.dact import DiscreteAction, index_of_quadratic_action
     from equimorse.spindex import cz_index
 
-    solves = _count_variational_solves(monkeypatch)
+    solves = _count_flow_solves(monkeypatch)
     germ = resonant_germ()
     for k in range(1, 5):
         index_of_quadratic_action(DiscreteAction(germ, k, 2))
         cz_index(linearized_path(germ, k))
-    assert solves[0] == 1
+    assert solves[0] == 2 + 1
     # an equal germ is another input: nothing carries over between instances
     other = resonant_germ()
     assert other == germ
     linearized_path(other, 2)
-    assert solves[0] == 2
-    # the degenerate CZ fallback tries N = 1, ..., 5 on the same path
+    assert solves[0] == 3 + 1
+    # the degenerate CZ fallback tries N = 1, ..., 5, one stack per substep
+    # of each, and its DiscreteAction at N = 5 reads the last five
     rot1 = HamiltonianGerm.rotation(1.0)
     assert cz_index(linearized_path(rot1)) == 1
-    assert solves[0] == 3
-
-
-def _count_flow_solves(monkeypatch):
-    count = [0]
-    solve = hamflow.dop853
-
-    def counted(fun, *args, **kwargs):
-        if "_flow_rhs" in fun.__qualname__:
-            count[0] += 1
-        return solve(fun, *args, **kwargs)
-
-    monkeypatch.setattr(hamflow, "dop853", counted)
-    return count
+    assert solves[0] == 4 + 1 + (1 + 2 + 3 + 4 + 5)
 
 
 def test_jacobians_at_zero_integrate_no_flow(monkeypatch):
     from equimorse.dact import DiscreteAction, index_of_quadratic_action
 
-    flows = _count_flow_solves(monkeypatch)
     germ = resonant_germ()
+    # the step check integrates the links of every substep at N = 2 ...
+    assert steps_graph_positive(germ, 2)
+    flows = _count_flow_solves(monkeypatch)
+    # ... so the DiscreteActions of the germ instance integrate no flow
     for k in range(1, 5):
         index_of_quadratic_action(DiscreteAction(germ, k, 2))
     assert flows[0] == 0
@@ -603,20 +613,39 @@ def test_jacobians_at_zero_integrate_no_flow(monkeypatch):
     assert flows[0] == 1
 
 
+def strongly_hyperbolic_germ():
+    # exp(J0 S) over one period has entries of 3.0e5
+    return HamiltonianGerm.make(1, [(1.3436, (2, 0)), (13.1603, (1, 1)), (2.7631, (0, 2))])
+
+
 @pytest.mark.parametrize("make", [resonant_germ, lambda: HamiltonianGerm.rotation(0.3),
-                                  floquet_germ, hyperbolic_germ, quartic_germ, cos_germ],
-                         ids=["resonant", "rot03", "floquet", "hyperbolic", "quartic", "cos"])
+                                  floquet_germ, hyperbolic_germ, quartic_germ, cos_germ,
+                                  strongly_hyperbolic_germ],
+                         ids=["resonant", "rot03", "floquet", "hyperbolic", "quartic", "cos",
+                              "strongly_hyperbolic"])
 def test_jacobian_at_zero_matches_a_one_row_flow(make):
     germ = make()
-    for t0, t1 in ((0.0, 0.5), (0.5, 1.0), (0.25, 1.75), (1.0, 0.25)):
+    spans, relative = ((0.0, 0.5), (0.5, 1.0), (0.25, 1.75), (1.0, 0.25)), False
+    if make is strongly_hyperbolic_germ:
+        # its substeps at its minimal N = 7, relative to the largest entry;
+        # a quotient Phi(t1) Phi(t0)^-1 of the period path read 5.8e-7 at i = 6
+        spans, relative = [(i / 7, (i + 1) / 7) for i in range(7)], True
+    for t0, t1 in spans:
         _, direct = integrate_flow(germ, t0, t1, np.zeros(2))
-        assert np.abs(FlowMap(germ, t0, t1).jacobian_at_zero - direct).max() < 1e-10
+        scale = np.abs(direct).max() if relative else 1.0
+        assert np.abs(FlowMap(germ, t0, t1).jacobian_at_zero - direct).max() < 1e-10 * scale
 
 
 def test_jacobian_at_zero_keeps_the_symplectic_check(monkeypatch):
-    # a path that scales by 1 + t is not symplectic
-    monkeypatch.setattr(hamflow, "zero_jacobian_path",
-                        lambda germ: (lambda t: (1.0 + t) * np.eye(2)))
+    # a link scaled by 1.1 is not symplectic, nor is the product
+    links = hamflow._zero_links
+
+    def doctored(*args):
+        out = links(*args).copy()
+        out[3] *= 1.1
+        return out
+
+    monkeypatch.setattr(hamflow, "_zero_links", doctored)
     with pytest.raises(ValidationError, match="symplecticity residual"):
         FlowMap(HamiltonianGerm.rotation(0.3), 0.0, 1.0).jacobian_at_zero
 
@@ -624,7 +653,7 @@ def test_jacobian_at_zero_keeps_the_symplectic_check(monkeypatch):
 def test_jacobian_at_zero_of_a_strongly_hyperbolic_germ_passes_the_relative_check():
     # exp(J0 S) has entries of 3.0e5, so rounding alone leaves an absolute
     # residual of 1.4e-6 in M^T J0 M - J0; relative to |M|^2 it is 1.6e-17
-    germ = HamiltonianGerm.make(1, [(1.3436, (2, 0)), (13.1603, (1, 1)), (2.7631, (0, 2))])
+    germ = strongly_hyperbolic_germ()
     S = -np.array([[2.0 * 1.3436, 13.1603], [13.1603, 2.0 * 2.7631]])
     want = expm(J2 @ S)
     M = FlowMap(germ, 0.0, 1.0).jacobian_at_zero
@@ -756,20 +785,13 @@ def test_a_large_batch_is_integrated_in_capped_stacks(monkeypatch):
 def test_the_dop853_table_is_bitwise_scipys():
     from scipy.integrate._ivp import dop853_coefficients as table
 
-    for ours, theirs in ((ode._A, table.A), (ode._B, table.B), (ode._C, table.C),
-                         (ode._E3, table.E3), (ode._E5, table.E5), (ode._D, table.D)):
+    # the stepping rows: the stages, the solution weights and the end slope;
+    # scipy's later rows serve its dense output alone
+    rows, stages = ode._STAGES + 1, ode._STAGES
+    assert not table.A[:rows, stages:].any()
+    for ours, theirs in ((ode._A, table.A[:rows, :stages]), (ode._B, table.B),
+                         (ode._C, table.C[:rows]), (ode._E3, table.E3), (ode._E5, table.E5)):
         assert np.array_equal(ours, theirs)
-
-
-@pytest.mark.parametrize("make", [resonant_germ, lambda: HamiltonianGerm.rotation(0.3),
-                                  floquet_germ], ids=["resonant", "rot03", "floquet"])
-def test_period_path_dense_output_is_bitwise_scipys(make):
-    germ = make()
-    one_period, monodromy = germ._period_path
-    oracle = _direct_zero_jacobian_path(germ, 1.0)
-    for t in np.linspace(0.0, 1.0, 41):
-        assert np.array_equal(one_period(t), oracle(t))
-    assert np.array_equal(monodromy, oracle(1.0))
 
 
 @pytest.mark.parametrize("name", ["quartic", "cos", "resonant_4_1", "sin_n2"])
@@ -781,33 +803,6 @@ def test_a_backward_span_is_bitwise_the_one_point_oracle(name):
         want = _one_point_flow(germ, 0.6, 0.1, z, action=action)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("t0, t1", [(-0.5, 1.0), (1.0, -0.5)], ids=["forward", "backward"])
-def test_dense_output_is_bitwise_scipys_on_either_direction(t0, t1):
-    y0 = np.concatenate([[0.2, -0.1], np.eye(2).ravel()])
-    rhs = _one_point_rhs(cos_germ(), J2, False)
-    run = ode.dop853(rhs, t0, t1, y0, rtol=1e-12, atol=1e-13, dense=True)
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12, atol=1e-13,
-                    dense_output=True)
-    assert run.t == sol.t[-1] and np.array_equal(run.y, sol.y[:, -1])
-    # the step ends too, where two interpolants meet and the earlier one answers
-    for t in np.concatenate([np.linspace(t0, t1, 41), sol.t]):
-        assert np.array_equal(run.sol(t), sol.sol(t))
-
-
-def test_dense_output_on_an_array_of_times_is_bitwise_each_time():
-    y0 = np.concatenate([[0.2, -0.1], np.eye(2).ravel()])
-    rhs = _one_point_rhs(cos_germ(), J2, False)
-    for t0, t1 in ((-0.5, 1.0), (1.0, -0.5)):
-        run = ode.dop853(rhs, t0, t1, y0, rtol=1e-12, atol=1e-13, dense=True)
-        sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12, atol=1e-13,
-                        dense_output=True)
-        ts = np.concatenate([np.linspace(t0, t1, 41), sol.t])
-        stacked = run.sol(ts)
-        assert stacked.shape == (len(ts), len(y0))
-        assert np.array_equal(stacked, [run.sol(t) for t in ts])
-        assert np.array_equal(stacked, sol.sol(ts).T)
 
 
 @pytest.mark.parametrize("make", [resonant_germ, lambda: HamiltonianGerm.rotation(0.3),
@@ -890,14 +885,11 @@ def test_a_given_first_step_is_bitwise_scipys(t0, t1, first_step):
     first_step = abs(t1 - t0) if first_step == "span" else first_step
     y0 = np.concatenate([[0.2, -0.1], np.eye(2).ravel()])
     rhs = _one_point_rhs(cos_germ(), J2, False)
-    run = ode.dop853(rhs, t0, t1, y0, rtol=1e-12, atol=1e-13, dense=True,
-                     first_step=first_step)
+    run = ode.dop853(rhs, t0, t1, y0, rtol=1e-12, atol=1e-13, first_step=first_step)
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12, atol=1e-13,
-                    dense_output=True, first_step=first_step)
+                    first_step=first_step)
     assert run.status == REACHED and run.t == sol.t[-1]
     assert np.array_equal(run.y, sol.y[:, -1])
-    ts = np.concatenate([np.linspace(t0, t1, 41), sol.t])
-    assert np.array_equal(run.sol(ts), sol.sol(ts).T)
 
 
 @pytest.mark.parametrize("first_step", [0.0, -1.0, 1.0 + 1e-12, math.inf, math.nan])
